@@ -44,65 +44,45 @@ def random_admissible_request(state, rng):
 def random_trial(config, steps, seed, audit_every=0):
     """Drive one ConnState with random admits/releases; returns a dict with
     blocked-event and peak blocking-plane counts."""
-    rng = random.Random(seed)
-    state = multilog.ConnState(config)
-    live = []
-    blocked = 0
-    max_blocking = 0
-    serial = 0
-    for step in range(steps):
-        if live and rng.random() < 0.4:
-            state.release(live.pop(rng.randrange(len(live))))
-            continue
-        req = random_admissible_request(state, rng)
-        if req is None:
-            continue
-        x, outs = req
-        by_window = {}
-        for y in outs:
-            by_window.setdefault(window_index(y, config.t), []).append(y)
-        for ys in by_window.values():
-            max_blocking = max(max_blocking,
-                               len(state.blocking_planes(x, ys)))
-        serial += 1
-        result = state.admit(x, outs, rid=str(serial))
-        if any(isinstance(v, multilog.Blocked) for v in result.values()):
-            blocked += 1
-        if str(serial) in state.requests:  # fully blocked admits leave no id
-            live.append(str(serial))
-        if audit_every and serial % audit_every == 0:
-            state.audit()
-    state.audit()
-    return {"blocked": blocked, "max_blocking_planes": max_blocking,
-            "admitted": serial}
+    return _churn(config, steps, seed, 0.4, 0, audit_every)
 
 
 def greedy_trial(config, steps, seed, pool=24):
     """Random churn, but each admission picks, out of `pool` random
     candidates, the one that blocks the most planes for a fresh probe."""
+    return _churn(config, steps, seed, 0.35, pool, 0)
+
+
+def _churn(config, steps, seed, release_p, pool, audit_every):
+    """Each step releases a random live request with probability release_p,
+    else draws a random probe request and admits it, or with pool > 0 the
+    candidate that blocked the probe on the most planes."""
     rng = random.Random(seed)
     state = multilog.ConnState(config)
     live = []
-    blocked = 0
-    max_blocking = 0
-    serial = 0
+    stats = {"blocked": 0, "max_blocking_planes": 0, "admitted": 0}
+
+    def admit(req, rid):
+        result = state.admit(req[0], req[1], rid=rid)
+        if any(isinstance(v, multilog.Blocked) for v in result.values()):
+            stats["blocked"] += 1
+
     for step in range(steps):
-        if live and rng.random() < 0.35:
+        if live and rng.random() < release_p:
             state.release(live.pop(rng.randrange(len(live))))
             continue
         probe = random_admissible_request(state, rng)
         if probe is None:
             continue
-        best, best_score = None, -1
+        best = None if pool else probe
+        best_score = -1
         for _ in range(pool):
             cand = random_admissible_request(state, rng)
             if cand is None:
                 break
-            serial += 1
-            rid = "g%d" % serial
-            result = state.admit(cand[0], cand[1], rid=rid)
-            if any(isinstance(v, multilog.Blocked) for v in result.values()):
-                blocked += 1
+            stats["admitted"] += 1
+            rid = "g%d" % stats["admitted"]
+            admit(cand, rid)
             score = sum(len(state.blocking_planes(probe[0], [y]))
                         for y in probe[1])
             if rid in state.requests:
@@ -115,18 +95,18 @@ def greedy_trial(config, steps, seed, pool=24):
         for y in probe[1]:
             by_window.setdefault(window_index(y, config.t), []).append(y)
         for ys in by_window.values():
-            max_blocking = max(max_blocking,
-                               len(state.blocking_planes(probe[0], ys)))
-        serial += 1
-        rid = str(serial)
-        result = state.admit(best[0], best[1], rid=rid)
-        if any(isinstance(v, multilog.Blocked) for v in result.values()):
-            blocked += 1
-        if rid in state.requests:
+            stats["max_blocking_planes"] = max(
+                stats["max_blocking_planes"],
+                len(state.blocking_planes(probe[0], ys)))
+        stats["admitted"] += 1
+        rid = str(stats["admitted"])
+        admit(best, rid)
+        if rid in state.requests:  # fully blocked admits leave no id
             live.append(rid)
+        if audit_every and stats["admitted"] % audit_every == 0:
+            state.audit()
     state.audit()
-    return {"blocked": blocked, "max_blocking_planes": max_blocking,
-            "admitted": serial}
+    return stats
 
 
 # -- Clos strict-sense saturation --------------------------------------------
@@ -140,7 +120,8 @@ def snb_saturation_events(n):
     The probe blocks exactly when m <= 2n-2.  Events are
     ("A", id, in_term, out_term) and ("D", id); the probe id is "probe".
     """
-    assert n >= 2
+    if n < 2:
+        raise ValueError("need n >= 2")
     events = []
     if n == 2:
         # the n-crossbar round has no room at n=2; a third crossbar pins the

@@ -42,7 +42,8 @@ def _check_range(cond, msg):
 
 
 def ilog(d, f):
-    """floor(log_d f) for integers f >= 1."""
+    """floor(log_d f) for integers d >= 2 and f >= 1."""
+    _check_range(d >= 2, "d must be >= 2")
     _check_range(f >= 1, "f must be >= 1")
     r = 0
     while d ** (r + 1) <= f:

@@ -3,13 +3,12 @@
 One binary, five subcommands: closed-form bounds, simulation sweeps, the
 edge-coloring runner, certificate grid audits, and LP export.  All output is
 CSV on stdout; a fixed seed makes runs byte-identical.  Exit status is 0
-when every check passed, 1 when a verification failed, and 2 for usage
-errors.
+when every check passed, 1 when a verification failed, and 2 for any
+malformed input: arguments, config file or trace.
 """
 
 import argparse
 import csv
-from fractions import Fraction
 import sys
 
 from . import bounds
@@ -18,6 +17,7 @@ from . import dwec
 from . import lpcert
 from . import multilog
 from . import adversary
+from .events import fraction
 
 
 class UsageError(Exception):
@@ -28,8 +28,9 @@ def _writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
-def _load_config(path):
-    values = {}
+def _config_tokens(path):
+    """The `key = value` lines of a config file as `--key value` tokens."""
+    tokens = []
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -38,20 +39,8 @@ def _load_config(path):
             key, sep, val = text.partition("=")
             if not sep:
                 raise UsageError("%s:%d: expected key = value" % (path, ln))
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _apply_config(args):
-    """Fill argparse gaps (None values) from the config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    stored = _load_config(args.config)
-    for key, val in stored.items():
-        if getattr(args, key, None) is None:
-            if val.lstrip("-").isdigit():
-                val = int(val)
-            setattr(args, key, val)
+            tokens += ["--" + key.strip().replace("_", "-"), val.strip()]
+    return tokens
 
 
 def _require(args, *names):
@@ -64,49 +53,45 @@ def _require(args, *names):
 
 
 def cmd_bound(args):
-    _apply_config(args)
     out = _writer()
     kind = args.kind
-    try:
-        if kind == "clos-snb":
-            _require(args, "n")
-            out.writerow(["kind", "n", "m_sufficient"])
-            out.writerow([kind, args.n, bounds.clos_snb(args.n)])
-        elif kind == "clos-wsnb-r2":
-            _require(args, "n")
-            out.writerow(["kind", "n", "m_sufficient"])
-            out.writerow([kind, args.n, bounds.clos_wsnb_r2(args.n)])
-        elif kind == "clos-multirate":
-            _require(args, "n")
-            val = bounds.clos_multirate(args.n, scheme=args.scheme)
-            out.writerow(["kind", "n", "scheme", "m_sufficient"])
-            out.writerow([kind, args.n, args.scheme, val])
-        elif kind == "hwang":
-            _require(args, "d", "n")
-            out.writerow(["kind", "d", "n", "m_sufficient"])
-            out.writerow([kind, args.d, args.n,
-                          bounds.hwang_unicast(args.d, args.n)])
-        elif kind == "multilog":
-            _require(args, "d", "n", "t", "f")
-            d, n, t, f = args.d, args.n, args.t, args.f
-            if not (0 <= t <= n):
-                raise UsageError("t=%d out of range for n=%d" % (t, n))
-            if t == n:
-                fn = (bounds.snb_fcast_t_eq_n if args.mode == "link"
-                      else bounds.cf_snb_fcast_t_eq_n)
-                m = fn(d, n, f)
-                branch = "t=n"
-            else:
-                res = (bounds.C_bound if args.mode == "link"
-                       else bounds.G_bound)(d, n, t, f)
-                m, branch = res.m_sufficient, res.branch
-            out.writerow(["kind", "d", "n", "t", "f", "mode", "m_sufficient",
-                          "branch"])
-            out.writerow([kind, d, n, t, f, args.mode, m, branch])
+    if kind == "clos-snb":
+        _require(args, "n")
+        out.writerow(["kind", "n", "m_sufficient"])
+        out.writerow([kind, args.n, bounds.clos_snb(args.n)])
+    elif kind == "clos-wsnb-r2":
+        _require(args, "n")
+        out.writerow(["kind", "n", "m_sufficient"])
+        out.writerow([kind, args.n, bounds.clos_wsnb_r2(args.n)])
+    elif kind == "clos-multirate":
+        _require(args, "n")
+        val = bounds.clos_multirate(args.n, scheme=args.scheme)
+        out.writerow(["kind", "n", "scheme", "m_sufficient"])
+        out.writerow([kind, args.n, args.scheme, val])
+    elif kind == "hwang":
+        _require(args, "d", "n")
+        out.writerow(["kind", "d", "n", "m_sufficient"])
+        out.writerow([kind, args.d, args.n,
+                      bounds.hwang_unicast(args.d, args.n)])
+    elif kind == "multilog":
+        _require(args, "d", "n", "t", "f")
+        d, n, t, f = args.d, args.n, args.t, args.f
+        if not (0 <= t <= n):
+            raise UsageError("t=%d out of range for n=%d" % (t, n))
+        if t == n:
+            fn = (bounds.snb_fcast_t_eq_n if args.mode == "link"
+                  else bounds.cf_snb_fcast_t_eq_n)
+            m = fn(d, n, f)
+            branch = "t=n"
         else:
-            raise UsageError("unknown bound kind %r" % kind)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+            res = (bounds.C_bound if args.mode == "link"
+                   else bounds.G_bound)(d, n, t, f)
+            m, branch = res.m_sufficient, res.branch
+        out.writerow(["kind", "d", "n", "t", "f", "mode", "m_sufficient",
+                      "branch"])
+        out.writerow([kind, d, n, t, f, args.mode, m, branch])
+    else:
+        raise UsageError("unknown bound kind %r" % kind)
     return 0
 
 
@@ -147,12 +132,14 @@ def _clos_sweep(args, out):
     n, m = args.n, args.m
     out.writerow(["network", "n", "m", "adversary", "outcome"])
     if args.network == "clos-snb":
-        got = adversary.run_snb_saturation(n, m if m else bounds.clos_snb(n))
+        if m is None:
+            m = bounds.clos_snb(n)
+        got = adversary.run_snb_saturation(n, m)
         outcome = "blocked" if got is clos.BLOCKED else "admitted"
     else:
-        found = adversary.benes_search(
-            n, m if m else bounds.clos_wsnb_r2(n),
-            max_depth=args.depth)
+        if m is None:
+            m = bounds.clos_wsnb_r2(n)
+        found = adversary.benes_search(n, m, max_depth=args.depth)
         outcome = "blocked" if found else "nonblocking"
     out.writerow([args.network, n, m, "exhaustive", outcome])
     if args.expect_nonblocking and outcome == "blocked":
@@ -161,7 +148,6 @@ def _clos_sweep(args, out):
 
 
 def cmd_simulate(args):
-    _apply_config(args)
     out = _writer()
     if args.trace:
         with open(args.trace) as fh:
@@ -203,19 +189,11 @@ def cmd_simulate(args):
 # -- dwec ---------------------------------------------------------------------
 
 
-def _parse_breakpoints(text):
-    try:
-        return tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError("bad breakpoint list %r: %s" % (text, exc))
-
-
 def cmd_dwec(args):
-    _apply_config(args)
     out = _writer()
     if args.derive_constants:
-        derived = dwec.derive_constants(_parse_breakpoints(
-            args.derive_constants))
+        derived = dwec.derive_constants(
+            [fraction(part) for part in args.derive_constants.split(",")])
         out.writerow(["breakpoints", "x", "objective", "objective_float"])
         out.writerow([",".join(str(b) for b in derived.breakpoints),
                       ",".join(str(v) for v in derived.x),
@@ -226,12 +204,9 @@ def cmd_dwec(args):
     scheme = (dwec.DwecScheme.five_type() if args.scheme == "five"
               else dwec.FOUR_TYPE)
     with open(args.trace) as fh:
-        try:
-            events = dwec.parse_trace(fh.readlines())
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        lines = fh.readlines()
     out.writerow(["t", "colors_used", "opt_lower", "W_bar", "Delta_bar"])
-    for row in dwec.run_trace(events, scheme=scheme, audit=True):
+    for row in dwec.run_trace(lines, scheme=scheme, audit=True):
         out.writerow([row["t"], row["colors_used"], row["opt_lower"],
                       row["W_bar"], row["Delta_bar"]])
     return 0
@@ -245,7 +220,6 @@ def _int_list(text):
 
 
 def cmd_certify(args):
-    _apply_config(args)
     out = _writer()
     out.writerow(["d", "n", "t", "f", "k", "p", "q", "mode", "feasible",
                   "objective", "cost_formula", "match"])
@@ -299,13 +273,9 @@ def _certify_point(out, inst, p, q, args):
 
 
 def cmd_export_lp(args):
-    _apply_config(args)
     _require(args, "d", "n", "t", "f", "k")
-    try:
-        inst = lpcert.canonical_instance(args.d, args.n, args.t, args.f,
-                                         args.k, args.mode)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    inst = lpcert.canonical_instance(args.d, args.n, args.t, args.f,
+                                     args.k, args.mode)
     text = lpcert.export_lp(inst)
     if args.out:
         with open(args.out, "w") as fh:
@@ -380,15 +350,22 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; the only place input errors become exit 2."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config entries go first, so the real command line wins, and
+            # argparse checks their types and choices like any other token
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config)
+                                     + argv[1:])
         return args.fn(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (UsageError, ValueError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

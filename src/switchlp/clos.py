@@ -19,38 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dwec
+from .events import (Blocked, DuplicateId, SwitchError, UnknownId, fraction,
+                     replay)
 
 SPACE = "space"
 MULTIRATE = "multirate"
 
 
-class ClosError(Exception):
-    pass
+class TerminalBusy(SwitchError):
+    status = "terminalbusy"
 
 
-class TerminalBusy(ClosError):
-    pass
-
-
-class CapacityExceeded(ClosError):
-    pass
-
-
-class UnknownId(ClosError):
-    pass
-
-
-class Blocked:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Blocked()"
-
-    def __eq__(self, other):
-        return isinstance(other, Blocked)
-
-    def __hash__(self):
-        return hash("clos-blocked")
+class CapacityExceeded(SwitchError):
+    status = "capacityexceeded"
 
 
 BLOCKED = Blocked()
@@ -70,9 +51,10 @@ class ClosConfig:
             object.__setattr__(self, "n2", self.n1)
         if self.r2 is None:
             object.__setattr__(self, "r2", self.r1)
-        assert self.n1 > 0 and self.r1 > 0 and self.m > 0
-        assert self.n2 > 0 and self.r2 > 0
-        assert self.traffic in (SPACE, MULTIRATE)
+        if min(self.n1, self.r1, self.m, self.n2, self.r2) <= 0:
+            raise ValueError("need n1, r1, m, n2, r2 > 0")
+        if self.traffic not in (SPACE, MULTIRATE):
+            raise ValueError("unknown traffic %r" % (self.traffic,))
 
     @classmethod
     def symmetric(cls, n, m, r, traffic=SPACE):
@@ -83,6 +65,7 @@ class ClosState:
     def __init__(self, config, scheme=None):
         self.config = config
         self.requests = {}
+        self._auto = 0
         if config.traffic == SPACE:
             self.mid_in = [set() for _ in range(config.m)]
             self.mid_out = [set() for _ in range(config.m)]
@@ -107,9 +90,10 @@ class ClosState:
 
     def _next_rid(self, rid):
         if rid is None:
-            rid = "auto%d" % (len(self.requests) + 1)
-        while rid in self.requests:
-            rid = str(rid) + "'"
+            self._auto += 1
+            rid = "auto%d" % self._auto
+        if rid in self.requests:
+            raise DuplicateId(repr(rid))
         return rid
 
     # -- space-division admission ----------------------------------------
@@ -119,14 +103,17 @@ class ClosState:
         return {mid for mid in range(self.config.m)
                 if i_cb in self.mid_in[mid] or o_cb in self.mid_out[mid]}
 
-    def _space_pre(self, in_term, out_term):
-        assert self.config.traffic == SPACE
+    def _space_pre(self, in_term, out_term, rid):
+        """Validate a space-division request; returns its id."""
+        if self.config.traffic != SPACE:
+            raise ValueError("not a space-division network")
         self._check_terminal(in_term, "in")
         self._check_terminal(out_term, "out")
         if in_term in self.busy_in:
             raise TerminalBusy("input %s:%s" % in_term)
         if out_term in self.busy_out:
             raise TerminalBusy("output %s:%s" % out_term)
+        return self._next_rid(rid)
 
     def _space_commit(self, rid, in_term, out_term, mid):
         self.mid_in[mid].add(in_term[0])
@@ -138,7 +125,7 @@ class ClosState:
 
     def snb_admit(self, in_term, out_term, rid=None):
         """First-fit strict-sense admission; returns the middle or BLOCKED."""
-        self._space_pre(in_term, out_term)
+        rid = self._space_pre(in_term, out_term, rid)
         bad = self.snb_unavailable(in_term[0], out_term[0])
         # with both terminals idle, at most n1-1 middles are tied up by this
         # input crossbar and n2-1 by the output crossbar
@@ -146,8 +133,7 @@ class ClosState:
         free = [mid for mid in range(self.config.m) if mid not in bad]
         if not free:
             return BLOCKED
-        return self._space_commit(self._next_rid(rid), in_term, out_term,
-                                  free[0])
+        return self._space_commit(rid, in_term, out_term, free[0])
 
     def class_set(self, i_cb, o_cb):
         """Middles currently carrying some I_i -> O_j request."""
@@ -157,8 +143,9 @@ class ClosState:
     def benes_admit(self, in_term, out_term, rid=None):
         """Reuse-first admission for r = 2: prefer a middle already serving
         the diagonal class, then any busy middle, then an idle one."""
-        assert self.config.r1 == 2 and self.config.r2 == 2
-        self._space_pre(in_term, out_term)
+        if not (self.config.r1 == 2 and self.config.r2 == 2):
+            raise ValueError("the reuse rule needs r1 = r2 = 2")
+        rid = self._space_pre(in_term, out_term, rid)
         i, o = in_term[0], out_term[0]
         bad = self.snb_unavailable(i, o)
         free = [mid for mid in range(self.config.m) if mid not in bad]
@@ -170,17 +157,16 @@ class ClosState:
         for pool in (diagonal, busy):
             picks = [mid for mid in free if mid in pool]
             if picks:
-                return self._space_commit(self._next_rid(rid), in_term,
-                                          out_term, picks[0])
-        return self._space_commit(self._next_rid(rid), in_term, out_term,
-                                  free[0])
+                return self._space_commit(rid, in_term, out_term, picks[0])
+        return self._space_commit(rid, in_term, out_term, free[0])
 
     # -- multirate admission ----------------------------------------------
 
     def multirate_admit(self, in_term, out_term, rate, rid=None):
         """Color the demand edge; the color index is the middle crossbar.
         Returns the middle or BLOCKED (state untouched when blocked)."""
-        assert self.config.traffic == MULTIRATE
+        if self.config.traffic != MULTIRATE:
+            raise ValueError("not a multirate network")
         self._check_terminal(in_term, "in")
         self._check_terminal(out_term, "out")
         rate = Fraction(rate)
@@ -267,40 +253,28 @@ def parse_terminal(text):
 
 
 def run_trace(config, lines, scheme=None):
-    """Replay `A <id> <in> <out> [<rate>]` / `D <id>` lines; yields CSV-row
-    dicts event,id,middle,status."""
+    """Replay `A <id> <in> <out>` / `D <id>` lines, with an optional
+    `<rate>` after `<out>` on a multirate network; yields CSV-row dicts
+    event,id,middle,status."""
     state = ClosState(config, scheme=scheme)
-    admit = {SPACE: state.snb_admit, MULTIRATE: state.multirate_admit}
-    for ln, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if parts[0] == "A" and len(parts) in (4, 5):
-            rid = parts[1]
-            it, ot = parse_terminal(parts[2]), parse_terminal(parts[3])
-            try:
-                if config.traffic == MULTIRATE:
-                    rate = Fraction(parts[4]) if len(parts) == 5 else Fraction(1)
-                    got = state.multirate_admit(it, ot, rate, rid=rid)
-                else:
-                    got = state.snb_admit(it, ot, rid=rid)
-            except (TerminalBusy, CapacityExceeded) as exc:
-                yield {"event": "A", "id": rid, "middle": "",
-                       "status": type(exc).__name__.lower()}
-                continue
-            if got is BLOCKED or isinstance(got, Blocked):
-                yield {"event": "A", "id": rid, "middle": "",
-                       "status": "blocked"}
-            else:
-                yield {"event": "A", "id": rid, "middle": got, "status": "ok"}
-        elif parts[0] == "D" and len(parts) == 2:
-            try:
-                state.release(parts[1])
-                status = "ok"
-            except UnknownId:
-                status = "unknown_id"
-            yield {"event": "D", "id": parts[1], "middle": "",
-                   "status": status}
+    multirate = config.traffic == MULTIRATE
+
+    def operands(tokens):
+        rate = fraction(tokens[2]) if len(tokens) == 3 else Fraction(1)
+        return parse_terminal(tokens[0]), parse_terminal(tokens[1]), rate
+
+    def admit(rid, it, ot, rate):
+        if multirate:
+            return state.multirate_admit(it, ot, rate, rid=rid)
+        return state.snb_admit(it, ot, rid=rid)
+
+    arity = (2, 3 if multirate else 2)
+    for event, rid, got in replay(lines, arity, operands, admit,
+                                  state.release):
+        if isinstance(got, SwitchError):
+            middle, status = "", got.status
+        elif got is BLOCKED:
+            middle, status = "", "blocked"
         else:
-            raise ValueError("line %d: cannot parse %r" % (ln, text))
+            middle, status = "" if got is None else got, "ok"
+        yield {"event": event, "id": rid, "middle": middle, "status": status}

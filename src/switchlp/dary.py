@@ -249,11 +249,6 @@ class AddressSets:
         return self.output_count(j)
 
 
-def build_address_sets(a, B, t):
-    """Construct the address families for the request (a, B)."""
-    return AddressSets(a, B, t)
-
-
 def _lcp_raw(xs, ys):
     k = 0
     for a, b in zip(xs, ys):

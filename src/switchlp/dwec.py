@@ -17,6 +17,8 @@ from fractions import Fraction
 import itertools
 import math
 
+from .events import fraction, replay
+
 HALF = Fraction(1, 2)
 
 
@@ -189,9 +191,9 @@ class ColoringState:
             raise ValueError("self-loops not allowed")
         if self.fixed_vertices and not {u, v} <= self.vertices:
             raise ValueError("endpoint outside the base graph")
-        self.vertices.update((u, v))
         w = _as_fraction(w)
         typ = self.scheme.classify(w)
+        self.vertices.update((u, v))
 
         for end in (u, v):
             self.vertex_weight[end] = self.vertex_weight.get(end, 0) + w
@@ -405,33 +407,25 @@ def _solve_square(matrix, rhs):
     return [aug[r][n] for r in range(n)]
 
 
+def _operands(tokens):
+    u, v, w = tokens
+    return u, v, fraction(w)
+
+
 def parse_trace(lines):
-    """Event lines: `A <id> <u> <v> <p/q>` or `D <id>`."""
-    events = []
-    for ln, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if parts[0] == "A" and len(parts) == 5:
-            try:
-                w = Fraction(parts[4])
-            except (ValueError, ZeroDivisionError):
-                raise ValueError("line %d: bad weight %r" % (ln, parts[4]))
-            events.append(Arrive(parts[1], parts[2], parts[3], w))
-        elif parts[0] == "D" and len(parts) == 2:
-            events.append(Depart(parts[1]))
-        else:
-            raise ValueError("line %d: cannot parse %r" % (ln, text))
-    return events
+    """Event lines: `A <id> <u> <v> <p/q>` or `D <id>`; returns the list of
+    Arrive/Depart events."""
+    return [ev for _, _, ev in replay(lines, (3, 3), _operands, Arrive,
+                                      Depart)]
 
 
-def run_trace(events, scheme=FOUR_TYPE, audit=False):
-    """Apply events in order; yields one report row per event as a dict with
-    keys t, colors_used, opt_lower, W_bar, Delta_bar."""
+def run_trace(lines, scheme=FOUR_TYPE, audit=False):
+    """Replay trace lines in order; yields one report row per event as a
+    dict with keys t, colors_used, opt_lower, W_bar, Delta_bar.  A
+    duplicate edge id or an unknown departure is malformed input."""
     state = ColoringState(scheme=scheme)
-    for t, ev in enumerate(events, start=1):
-        step(state, ev)
+    events = replay(lines, (3, 3), _operands, state.arrive, state.depart)
+    for t, _ in enumerate(events, start=1):
         if audit:
             state.audit()
         yield {"t": t, "colors_used": state.colors_used,

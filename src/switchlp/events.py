@@ -1,0 +1,97 @@
+"""The trace reader and the errors every simulator shares.
+
+A trace is text, one event per line: an arrival `A <id> <operand>...` or a
+departure `D <id>`.  Blank lines and `#` comments are skipped.  Each network
+supplies the grammar of its arrival operands and its own admit and release;
+this module does the rest, so every network reads traces the same way.
+
+Errors come in two kinds.  A `SwitchError` is a request the network refuses
+(a busy output, an unknown id, ...); trace replay reports it as a row whose
+status is the exception's `status`, and the network's state is unchanged.
+A `ValueError` is malformed input; trace replay raises it as a `TraceError`
+whose message starts with `line N:`, and the command line exits 2.
+"""
+
+from fractions import Fraction
+
+
+class SwitchError(Exception):
+    """A request the network refuses; `status` is its CSV status string."""
+
+    status = "error"
+
+
+class UnknownId(SwitchError):
+    status = "unknown_id"
+
+
+class DuplicateId(SwitchError):
+    status = "duplicate_id"
+
+
+class TraceError(ValueError):
+    """A malformed trace line."""
+
+    def __init__(self, ln, msg):
+        super().__init__("line %d: %s" % (ln, msg))
+
+
+class Blocked:
+    """Admission failure: no plane can carry a multilog window subrequest
+    (`window` is its index), or no middle crossbar a Clos request (`window`
+    is None)."""
+
+    __slots__ = ("window",)
+
+    def __init__(self, window=None):
+        self.window = window
+
+    def __eq__(self, other):
+        return isinstance(other, Blocked) and self.window == other.window
+
+    def __hash__(self):
+        return hash(("blocked", self.window))
+
+    def __repr__(self):
+        if self.window is None:
+            return "Blocked()"
+        return "Blocked(window=%d)" % self.window
+
+
+def fraction(text):
+    """Exact rational from text such as `3/5` or `0.5`; ValueError if bad."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
+def replay(lines, arity, operands, admit, release):
+    """Apply a trace's events in order; yields (event, id, outcome).
+
+    `arity` is the (least, most) number of arrival operands, most None for
+    no limit.  An arrival calls `admit(id, *operands(tokens))` and a
+    departure `release(id)`.  The outcome is what admit or release returned,
+    or the SwitchError it raised.
+    """
+    least, most = arity
+    for ln, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        kind, args = parts[0], parts[1:]
+        count = len(args) - 1
+        if not ((kind == "A" and least <= count
+                 and (most is None or count <= most))
+                or (kind == "D" and count == 0)):
+            raise TraceError(ln, "cannot parse %r" % raw.strip())
+        try:
+            if kind == "A":
+                outcome = admit(args[0], *operands(args[1:]))
+            else:
+                outcome = release(args[0])
+        except SwitchError as exc:
+            outcome = exc
+        except ValueError as exc:
+            raise TraceError(ln, exc) from None
+        yield kind, args[0], outcome

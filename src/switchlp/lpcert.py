@@ -20,9 +20,8 @@ from fractions import Fraction
 from .dary import AddressSets, all_strings, window_index, window_outputs
 from .banyan import shares_se, shares_link
 from . import bounds
+from .bounds import LINK, CROSSTALK
 
-LINK = "link"
-CROSSTALK = "crosstalk"
 _THETA = {LINK: 0, CROSSTALK: 1}
 
 
@@ -82,10 +81,6 @@ class LpInstance:
                 if i + j >= self.n - self.theta:
                     out.add((i, j))
         return sorted(out)
-
-
-def build_instance(d, n, t, f, a, B, mode=LINK):
-    return LpInstance(d, n, t, f, a, B, mode)
 
 
 def canonical_instance(d, n, t, f, k, mode=LINK):
@@ -157,9 +152,8 @@ def primal_from_state(conn, a, B):
     planes on which the request (a, B) cannot be routed as one subrequest.
     """
     cfg = conn.config
-    mode = LINK if cfg.mode == "link" else CROSSTALK
-    inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, frozenset(B), mode)
-    pred = shares_link if mode == LINK else shares_se
+    inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, frozenset(B), cfg.mode)
+    pred = shares_link if cfg.mode == LINK else shares_se
     xw, xv = {}, {}
     for plane in range(cfg.m):
         branch = None

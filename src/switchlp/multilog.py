@@ -16,47 +16,20 @@ import random
 
 from .dary import DaryString, window_index
 from .banyan import route, shares_se, shares_link
-
-LINK = "link"
-CROSSTALK = "crosstalk"
+from .bounds import LINK, CROSSTALK
+from .events import Blocked, DuplicateId, SwitchError, UnknownId, replay
 
 FIRST_FIT = "first"
 BEST_FIT = "best"
 RANDOM = "random"
 
 
-class MultilogError(Exception):
-    pass
+class FanoutExceeded(SwitchError):
+    status = "fanout_exceeded"
 
 
-class FanoutExceeded(MultilogError):
-    pass
-
-
-class OutputBusy(MultilogError):
-    pass
-
-
-class UnknownId(MultilogError):
-    pass
-
-
-class Blocked:
-    """Per-window admission failure: no plane can carry the subrequest."""
-
-    __slots__ = ("window",)
-
-    def __init__(self, window):
-        self.window = window
-
-    def __eq__(self, other):
-        return isinstance(other, Blocked) and self.window == other.window
-
-    def __hash__(self):
-        return hash(("blocked", self.window))
-
-    def __repr__(self):
-        return "Blocked(window=%d)" % self.window
+class OutputBusy(SwitchError):
+    status = "output_busy"
 
 
 @dataclass(frozen=True)
@@ -71,11 +44,16 @@ class MultilogConfig:
     seed: int = 0
 
     def __post_init__(self):
-        assert self.d >= 2 and self.n >= 1 and self.m >= 1
-        assert 0 <= self.t <= self.n
-        assert 1 <= self.f <= self.d ** self.n
-        assert self.mode in (LINK, CROSSTALK)
-        assert self.plane_policy in (FIRST_FIT, BEST_FIT, RANDOM)
+        if not (self.d >= 2 and self.n >= 1 and self.m >= 1):
+            raise ValueError("need d >= 2, n >= 1 and m >= 1")
+        if not 0 <= self.t <= self.n:
+            raise ValueError("need 0 <= t <= n")
+        if not 1 <= self.f <= self.d ** self.n:
+            raise ValueError("need 1 <= f <= d^n")
+        if self.mode not in (LINK, CROSSTALK):
+            raise ValueError("unknown mode %r" % (self.mode,))
+        if self.plane_policy not in (FIRST_FIT, BEST_FIT, RANDOM):
+            raise ValueError("unknown plane policy %r" % (self.plane_policy,))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -161,7 +139,7 @@ class ConnState:
             self._auto += 1
             rid = "auto%d" % self._auto
         if rid in self.requests:
-            raise ValueError("duplicate request id %r" % (rid,))
+            raise DuplicateId(repr(rid))
         if len(outputs) > cfg.f:
             raise FanoutExceeded("request fans out to %d > f=%d"
                                  % (len(outputs), cfg.f))
@@ -289,40 +267,23 @@ def run_trace(config, lines):
     Arrivals: `A <id> <input> <out1> [<out2> ...]`; departures: `D <id>`.
     """
     state = ConnState(config)
-    for ln, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if parts[0] == "A" and len(parts) >= 4:
-            rid = parts[1]
-            x = parse_address(parts[2], config.d, config.n)
-            outs = [parse_address(p, config.d, config.n) for p in parts[3:]]
-            try:
-                result = state.admit(x, outs, rid=rid)
-            except FanoutExceeded:
-                yield {"event": "A", "id": rid, "window": "", "plane": "",
-                       "status": "fanout_exceeded"}
-                continue
-            except OutputBusy:
-                yield {"event": "A", "id": rid, "window": "", "plane": "",
-                       "status": "output_busy"}
-                continue
-            for w in sorted(result):
-                got = result[w]
-                if isinstance(got, Blocked):
-                    yield {"event": "A", "id": rid, "window": w,
-                           "plane": "", "status": "blocked"}
-                else:
-                    yield {"event": "A", "id": rid, "window": w,
-                           "plane": got, "status": "ok"}
-        elif parts[0] == "D" and len(parts) == 2:
-            try:
-                state.release(parts[1])
-                status = "ok"
-            except UnknownId:
-                status = "unknown_id"
-            yield {"event": "D", "id": parts[1], "window": "", "plane": "",
+
+    def operands(tokens):
+        x, *outs = [parse_address(p, config.d, config.n) for p in tokens]
+        return x, outs
+
+    def admit(rid, x, outs):
+        return state.admit(x, outs, rid=rid)
+
+    for event, rid, got in replay(lines, (2, None), operands, admit,
+                                  state.release):
+        if event == "D" or isinstance(got, SwitchError):
+            status = got.status if got is not None else "ok"
+            yield {"event": event, "id": rid, "window": "", "plane": "",
                    "status": status}
-        else:
-            raise ValueError("line %d: cannot parse %r" % (ln, text))
+            continue
+        for w in sorted(got):
+            blocked = isinstance(got[w], Blocked)
+            yield {"event": "A", "id": rid, "window": w,
+                   "plane": "" if blocked else got[w],
+                   "status": "blocked" if blocked else "ok"}

@@ -2,14 +2,21 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
-from switchlp import cli, lpcert
+import switchlp
+from switchlp import bounds, cli, lpcert
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejected the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -72,6 +79,37 @@ class TestBound:
         assert code == 2
         assert "key = value" in err
 
+    def test_config_overrides_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("mode = crosstalk\n")
+        argv = ["bound", "multilog", "--d", "2", "--n", "4", "--t", "1",
+                "--f", "16", "--config", str(cfg)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert rows(out)[1][5:7] == ["crosstalk", "12"]
+        # the command line still wins over the file
+        code, out, _ = run(capsys, *argv, "--mode", "link")
+        assert rows(out)[1][5:7] == ["link", "6"]
+
+    def test_config_sets_seed_and_trials(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("seed = 3\ntrials = 1\n")
+        argv = ["simulate", "--d", "2", "--n", "3", "--t", "1", "--f", "2",
+                "--steps", "30"]
+        _, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+        _, explicit, _ = run(capsys, *argv, "--seed", "3", "--trials", "1")
+        assert rows(from_file)[1][8:10] == ["3", "1"]
+        assert from_file == explicit
+
+    @pytest.mark.parametrize("text", ["colour = red\n", "n = four\n",
+                                      "mode = sideways\n"])
+    def test_bad_config_entry(self, capsys, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, _ = run(capsys, "bound", "multilog", "--d", "2", "--n",
+                           "4", "--t", "1", "--f", "2", "--config", str(cfg))
+        assert code == 2 and out == ""
+
 
 class TestSimulate:
     def test_multilog_sweep_nonblocking(self, capsys):
@@ -111,6 +149,14 @@ class TestSimulate:
                            "--n", "3", "--m", "5", "--expect-nonblocking")
         assert code == 0
         assert rows(out)[1][4] == "admitted"
+
+    @pytest.mark.parametrize("network, bound", [
+        ("clos-snb", bounds.clos_snb), ("clos-benes", bounds.clos_wsnb_r2)])
+    def test_clos_sweep_reports_default_m(self, capsys, network, bound):
+        code, out, _ = run(capsys, "simulate", "--network", network,
+                           "--n", "2")
+        assert code == 0
+        assert rows(out)[1][2] == str(bound(2))
 
     def test_benes_search(self, capsys):
         code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
@@ -236,3 +282,92 @@ class TestParser:
     def test_unknown_network(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--network", "mystery"])
+
+
+MULTILOG = ["simulate", "--network", "multilog", "--d", "2", "--n", "3",
+            "--m", "2"]
+SPACE = ["simulate", "--network", "clos-snb", "--n", "2", "--m", "3",
+         "--r", "2"]
+MULTIRATE = ["simulate", "--network", "clos-multirate", "--n", "2",
+             "--m", "40"]
+
+# argv, trace text or None, and what is expected: the line number a trace
+# error names (0 when the input is not a trace), or, for a request the
+# network refuses, the status column of the rows
+MALFORMED = {
+    "multilog-duplicate-id": (MULTILOG, "A r1 000 000\nA r1 001 001\nD r1\n"
+                              "D r1\n",
+                              ["ok", "duplicate_id", "ok", "unknown_id"]),
+    "clos-duplicate-id": (SPACE, "A a 0:0 1:0\nA a 0:1 1:1\nD a\nD a\n",
+                          ["ok", "duplicate_id", "ok", "unknown_id"]),
+    "address-0x0": (MULTILOG, "A r1 000 000\nA r2 0x0 001\n", 2),
+    "terminal-0:x": (SPACE, "A a 0:x 1:0\n", 1),
+    "terminal-9:0": (SPACE, "# comment\nA a 9:0 1:0\n", 2),
+    "rate-abc": (MULTIRATE, "A a 0:0 1:0 abc\n", 1),
+    "rate-3/2": (MULTIRATE, "A a 0:0 1:0 1/2\n\nA b 0:1 1:1 3/2\n", 3),
+    "dwec-duplicate-edge": (["dwec"], "A e1 u v 1/2\nA e1 u w 1/4\n", 2),
+    "dwec-weight-3/2": (["dwec"], "A e1 u v 3/2\n", 1),
+    "dwec-unknown-departure": (["dwec"], "A e1 u v 1/2\nD e9\n", 2),
+    "certify-d-1": (["certify", "--d", "1", "--n", "3"], None, 0),
+    "bound-d-1": (["bound", "multilog", "--d", "1", "--n", "3", "--t", "1",
+                   "--f", "1"], None, 0),
+    "certify-f-x": (["certify", "--f", "x"], None, 0),
+    "simulate-f-99": (["simulate", "--d", "2", "--n", "3", "--t", "1",
+                       "--f", "99"], None, 0),
+    "simulate-t-5": (["simulate", "--d", "2", "--n", "3", "--t", "5",
+                      "--f", "1"], None, 0),
+    "derive-constants-2/5": (["dwec", "--derive-constants", "2/5"], None, 0),
+    "missing-trace-file": (["dwec", "--trace", "no/such.trace"], None, 0),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, trace, expect", MALFORMED.values(),
+                             ids=list(MALFORMED))
+    def test_malformed_input(self, capsys, tmp_path, argv, trace, expect):
+        if trace is not None:
+            path = tmp_path / "in.trace"
+            path.write_text(trace)
+            argv = argv + ["--trace", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert "Traceback" not in err
+        if isinstance(expect, list):
+            assert code == 0
+            assert [r[-1] for r in rows(out)[1:]] == expect
+        else:
+            assert code == 2
+            assert "error:" in err
+            if expect:
+                assert "error: line %d:" % expect in err
+
+    def test_validation_survives_python_O(self):
+        # asserts vanish under -O; every check below must still raise
+        script = "\n".join([
+            "import sys",
+            "from switchlp import adversary, clos, multilog",
+            "assert sys.flags.optimize and False",
+            "C = clos.ClosConfig.symmetric",
+            "checks = [",
+            "    lambda: multilog.MultilogConfig(d=1, n=0, m=0, mode='bogus'),",
+            "    lambda: clos.ClosConfig(n1=0, r1=0, m=0, traffic='bogus'),",
+            "    lambda: clos.ClosState(C(n=2, m=3, r=3)).benes_admit(",
+            "        (0, 0), (1, 0)),",
+            "    lambda: clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
+            "        .snb_admit((0, 0), (1, 0)),",
+            "    lambda: clos.ClosState(C(n=2, m=3, r=2)).multirate_admit(",
+            "        (0, 0), (1, 0), 1),",
+            "    lambda: adversary.snb_saturation_events(1),",
+            "]",
+            "for i, check in enumerate(checks):",
+            "    try:",
+            "        check()",
+            "    except ValueError:",
+            "        continue",
+            "    print('check %d accepted' % i)",
+        ])
+        src = os.path.dirname(os.path.dirname(switchlp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""

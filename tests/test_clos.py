@@ -20,7 +20,7 @@ class TestConfig:
         assert (cfg.n2, cfg.r2) == (3, 4)
 
     def test_invalid(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             ClosConfig(n1=0, r1=1, m=1)
 
 

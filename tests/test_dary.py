@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from switchlp.dary import (
     DaryString, lcp, lcs, all_strings, window_index, window_outputs,
-    AddressSets, build_address_sets, a_count_formula, window_count_formula,
+    AddressSets, a_count_formula, window_count_formula,
     canonical_sets, frac_pow,
 )
 
@@ -117,7 +117,7 @@ class TestWindows:
 
 class TestAddressSets:
     def test_input_classes_d2_n3(self):
-        sets = build_address_sets(s("000"), {s("000")}, 0)
+        sets = AddressSets(s("000"), {s("000")}, 0)
         assert [sets.a_count(i) for i in range(3)] == [4, 2, 1]
         assert sets.i_of(s("000")) is None
         # i() counts the common suffix of the 2-digit prefixes
@@ -125,17 +125,17 @@ class TestAddressSets:
         assert sets.i_of(s("010")) == 0
 
     def test_full_window_has_no_spare_outputs(self):
-        sets = build_address_sets(s("000"), set(all_strings(2, 3)), 3)
+        sets = AddressSets(s("000"), set(all_strings(2, 3)), 3)
         assert sets.union_b_tail(2) == 0
         assert all(sets.output_count(j) == 0 for j in range(3))
 
     def test_spare_count_d2_n4_t2(self):
-        sets = build_address_sets(s("0000"), {s("0000"), s("0001")}, 2)
+        sets = AddressSets(s("0000"), {s("0000"), s("0001")}, 2)
         assert sets.union_b_tail(2) == 2 ** 2 - 2
 
     def test_b_spanning_windows_rejected(self):
         with pytest.raises(ValueError):
-            build_address_sets(s("000"), {s("000"), s("100")}, 1)
+            AddressSets(s("000"), {s("000"), s("100")}, 1)
 
     def test_union_b_tail_full_at_low_q(self):
         for k in (1, 2, 3):

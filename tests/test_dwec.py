@@ -241,7 +241,7 @@ class TestTraceIo:
         events = parse_trace(lines)
         assert events[0] == Arrive("e1", "u", "v", F(3, 5))
         assert events[2] == Depart("e1")
-        rows = list(run_trace(events, audit=True))
+        rows = list(run_trace(lines, audit=True))
         assert [r["t"] for r in rows] == [1, 2, 3, 4]
         # one heavy edge of weight 3/5: |C_0| = 2, then ceil(3/8 * 3/5) +
         # ceil(3/10 * 3/5) + ceil(3 * 3/5) = 1 + 1 + 2 colors in the tail

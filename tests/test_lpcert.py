@@ -7,7 +7,7 @@ import pytest
 
 from switchlp import lpcert, bounds, multilog, adversary
 from switchlp.lpcert import (
-    LINK, CROSSTALK, Infeasible, build_instance, canonical_instance,
+    LINK, CROSSTALK, Infeasible, LpInstance, canonical_instance,
     PrimalSolution, primal_from_state, DualSolution, dual_family,
     dual_special_t_eq_n, check_weak_duality, family_cost, export_lp, parse_lp,
 )
@@ -64,11 +64,11 @@ class TestInstance:
 
     def test_fanout_guard(self):
         with pytest.raises(ValueError):
-            build_instance(2, 3, 1, 1, s("000"), {s("000"), s("001")})
+            LpInstance(2, 3, 1, 1, s("000"), {s("000"), s("001")})
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            build_instance(2, 3, 1, 1, s("000"), {s("000")}, mode="bogus")
+            LpInstance(2, 3, 1, 1, s("000"), {s("000")}, mode="bogus")
 
 
 class TestPrimal:
@@ -165,7 +165,7 @@ class TestDualFamily:
             B = rng.sample(wouts, k)
             a = rng.choice(outs)
             mode = rng.choice([LINK, CROSSTALK])
-            inst = build_instance(d, n, t, k, a, B, mode)
+            inst = LpInstance(d, n, t, k, a, B, mode)
             for p in range(0, n - t):
                 for q in range(n - t, n + 1):
                     sol = dual_family(inst, p, q)

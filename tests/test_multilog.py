@@ -7,7 +7,7 @@ import pytest
 from switchlp import multilog
 from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
-    UnknownId, LINK, CROSSTALK, parse_address, run_trace,
+    UnknownId, DuplicateId, LINK, CROSSTALK, parse_address, run_trace,
 )
 from switchlp.dary import DaryString, all_strings
 from switchlp.banyan import shares_link, shares_se
@@ -73,8 +73,9 @@ class TestAdmission:
     def test_duplicate_id_rejected(self):
         state = ConnState(cfg(m=4))
         state.admit(s("000"), [s("000")], rid="x")
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateId):
             state.admit(s("001"), [s("001")], rid="x")
+        state.audit()
 
     def test_same_window_single_plane(self):
         state = ConnState(cfg(d=2, n=3, m=3, t=1, f=4))
