@@ -43,6 +43,25 @@ def _config_tokens(path):
     return tokens
 
 
+# least values of the integer options; anything smaller verifies nothing
+_LEAST = {"d": 2, "n": 1, "f": 1, "trials": 1, "steps": 1}
+
+
+def _ints(name, many=False):
+    """argparse type of option `name`: an int or, with `many`, a comma list
+    of ints, each at least `_LEAST[name]` where that is set."""
+    least = _LEAST.get(name)
+
+    def parse(text):
+        vals = [int(part) for part in text.split(",")] if many \
+            else [int(text)]
+        if least is not None and min(vals) < least:
+            raise argparse.ArgumentTypeError("%s: need >= %d" % (text, least))
+        return vals if many else vals[0]
+    parse.__name__ = "int"
+    return parse
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
@@ -99,7 +118,7 @@ def cmd_bound(args):
 
 
 def _multilog_sweep(args, out):
-    failures = 0
+    """Write the sweep row; True when --expect-nonblocking was violated."""
     out.writerow(["network", "d", "n", "t", "f", "mode", "m", "adversary",
                   "seed", "trials", "blocked", "max_blocking_planes"])
     d, n, t, f = args.d, args.n, args.t, args.f
@@ -122,13 +141,11 @@ def _multilog_sweep(args, out):
         max_bp = max(max_bp, stats["max_blocking_planes"])
     out.writerow(["multilog", d, n, t, f, args.mode, m, args.adversary,
                   args.seed, args.trials, blocked, max_bp])
-    if args.expect_nonblocking and blocked:
-        failures += 1
-    return failures
+    return args.expect_nonblocking and blocked > 0
 
 
 def _clos_sweep(args, out):
-    failures = 0
+    """Write the sweep row; True when --expect-nonblocking was violated."""
     n, m = args.n, args.m
     out.writerow(["network", "n", "m", "adversary", "outcome"])
     if args.network == "clos-snb":
@@ -142,9 +159,7 @@ def _clos_sweep(args, out):
         found = adversary.benes_search(n, m, max_depth=args.depth)
         outcome = "blocked" if found else "nonblocking"
     out.writerow([args.network, n, m, "exhaustive", outcome])
-    if args.expect_nonblocking and outcome == "blocked":
-        failures += 1
-    return failures
+    return args.expect_nonblocking and outcome == "blocked"
 
 
 def cmd_simulate(args):
@@ -157,24 +172,26 @@ def cmd_simulate(args):
             cfg = multilog.MultilogConfig(
                 d=args.d, n=args.n, m=args.m, t=args.t or 0, f=args.f or 1,
                 mode=args.mode, seed=args.seed)
-            out.writerow(["event", "id", "window", "plane", "status"])
-            blocked = 0
-            for row in multilog.run_trace(cfg, lines):
-                out.writerow([row["event"], row["id"], row["window"],
-                              row["plane"], row["status"]])
-                blocked += row["status"] == "blocked"
+            header = ["event", "id", "window", "plane", "status"]
+            replayed = multilog.run_trace(cfg, lines)
         else:
             _require(args, "n", "m")
             traffic = (clos.MULTIRATE if args.network == "clos-multirate"
                        else clos.SPACE)
-            cfg = clos.ClosConfig.symmetric(n=args.n, m=args.m,
-                                            r=args.r or 2, traffic=traffic)
-            out.writerow(["event", "id", "middle", "status"])
-            blocked = 0
-            for row in clos.run_trace(cfg, lines):
-                out.writerow([row["event"], row["id"], row["middle"],
-                              row["status"]])
-                blocked += row["status"] == "blocked"
+            r = 2 if args.r is None else args.r
+            reuse = args.network == "clos-benes"
+            if reuse and r != 2:
+                raise UsageError("clos-benes replays the r = 2 reuse rule; "
+                                 "got --r %d" % r)
+            cfg = clos.ClosConfig.symmetric(n=args.n, m=args.m, r=r,
+                                            traffic=traffic)
+            header = ["event", "id", "middle", "status"]
+            replayed = clos.run_trace(cfg, lines, reuse=reuse)
+        out.writerow(header)
+        blocked = 0
+        for row in replayed:
+            out.writerow([row[col] for col in header])
+            blocked += row["status"] == "blocked"
         return 1 if (args.expect_nonblocking and blocked) else 0
 
     if args.network == "multilog":
@@ -183,7 +200,8 @@ def cmd_simulate(args):
     if args.network in ("clos-snb", "clos-benes"):
         _require(args, "n")
         return 1 if _clos_sweep(args, out) else 0
-    raise UsageError("unknown network %r" % args.network)
+    raise UsageError("network %r has no sweep; replay one with --trace FILE"
+                     % args.network)
 
 
 # -- dwec ---------------------------------------------------------------------
@@ -215,20 +233,16 @@ def cmd_dwec(args):
 # -- certify ------------------------------------------------------------------
 
 
-def _int_list(text):
-    return [int(part) for part in str(text).split(",")]
-
-
 def cmd_certify(args):
     out = _writer()
     out.writerow(["d", "n", "t", "f", "k", "p", "q", "mode", "feasible",
                   "objective", "cost_formula", "match"])
     failures = 0
     modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
-    for d in _int_list(args.d or "2"):
-        for n in _int_list(args.n or "3,4"):
+    for d in args.d:
+        for n in args.n:
             for t in range(0, n):
-                fs = _int_list(args.f) if args.f else sorted(
+                fs = args.f if args.f else sorted(
                     {1, 2, min(4, d ** n), d ** n})
                 for f in fs:
                     for mode in modes:
@@ -299,7 +313,7 @@ def build_parser():
     b.add_argument("kind", choices=["clos-snb", "clos-wsnb-r2",
                                     "clos-multirate", "hwang", "multilog"])
     for name in ("d", "n", "t", "f"):
-        b.add_argument("--" + name, type=int)
+        b.add_argument("--" + name, type=_ints(name))
     b.add_argument("--mode", choices=["link", "crosstalk"], default="link")
     b.add_argument("--scheme", choices=["four_type", "five_type_paper"],
                    default="four_type")
@@ -311,12 +325,13 @@ def build_parser():
                    choices=["multilog", "clos-snb", "clos-benes",
                             "clos-multirate"])
     for name in ("d", "n", "t", "f", "m", "m_offset", "r", "depth"):
-        s.add_argument("--" + name.replace("_", "-"), dest=name, type=int)
+        s.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=_ints(name))
     s.add_argument("--mode", choices=["link", "crosstalk"], default="link")
     s.add_argument("--adversary", choices=["random", "greedy", "exhaustive"],
                    default="random")
-    s.add_argument("--trials", type=int, default=10)
-    s.add_argument("--steps", type=int, default=60)
+    s.add_argument("--trials", type=_ints("trials"), default=10)
+    s.add_argument("--steps", type=_ints("steps"), default=60)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trace")
     s.add_argument("--expect-nonblocking", action="store_true")
@@ -331,8 +346,9 @@ def build_parser():
     w.set_defaults(fn=cmd_dwec)
 
     c = sub.add_parser("certify", help="dual-certificate grid audit")
-    for name in ("d", "n", "f"):
-        c.add_argument("--" + name)
+    for name, default in (("d", [2]), ("n", [3, 4]), ("f", None)):
+        c.add_argument("--" + name, type=_ints(name, many=True),
+                       default=default)
     c.add_argument("--mode", choices=["link", "crosstalk"])
     c.add_argument("--fuzz", action="store_true",
                    help="corrupt the duals to exercise violation reporting")
@@ -341,7 +357,7 @@ def build_parser():
 
     e = sub.add_parser("export-lp", help="write the primal LP as text")
     for name in ("d", "n", "t", "f", "k"):
-        e.add_argument("--" + name, type=int)
+        e.add_argument("--" + name, type=_ints(name))
     e.add_argument("--mode", choices=["link", "crosstalk"], default="link")
     e.add_argument("--out")
     common(e)

@@ -252,12 +252,14 @@ def parse_terminal(text):
     return (int(cb), int(port))
 
 
-def run_trace(config, lines, scheme=None):
+def run_trace(config, lines, scheme=None, reuse=False):
     """Replay `A <id> <in> <out>` / `D <id>` lines, with an optional
     `<rate>` after `<out>` on a multirate network; yields CSV-row dicts
-    event,id,middle,status."""
+    event,id,middle,status.  Space-division arrivals are admitted first-fit,
+    or with the r = 2 reuse rule when `reuse` is set."""
     state = ClosState(config, scheme=scheme)
     multirate = config.traffic == MULTIRATE
+    space_admit = state.benes_admit if reuse else state.snb_admit
 
     def operands(tokens):
         rate = fraction(tokens[2]) if len(tokens) == 3 else Fraction(1)
@@ -266,7 +268,7 @@ def run_trace(config, lines, scheme=None):
     def admit(rid, it, ot, rate):
         if multirate:
             return state.multirate_admit(it, ot, rate, rid=rid)
-        return state.snb_admit(it, ot, rid=rid)
+        return space_admit(it, ot, rid=rid)
 
     arity = (2, 3 if multirate else 2)
     for event, rid, got in replay(lines, arity, operands, admit,

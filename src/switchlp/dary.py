@@ -153,92 +153,75 @@ class AddressSets:
     some member of B form B_j; j(v) is the largest such j.  Windows other
     than B's own window get an index j(w) the same way, via their common
     prefix with B's window.
+
+    Indices are computed from digits when asked and counts in closed form,
+    so nothing here enumerates addresses.
     """
 
     def __init__(self, a, B, t):
         B = frozenset(B)
         if not B:
             raise ValueError("B must be nonempty")
-        self.a = a
-        self.B = B
-        self.t = t
-        self.d = a.base
-        self.n = len(a)
-        n, d = self.n, self.d
+        self.a, self.B, self.t = a, B, t
+        self.d, self.n = d, n = a.base, len(a)
         if not (0 <= t <= n):
             raise ValueError("t=%d out of range for n=%d" % (t, n))
+        if len(B) > d ** t:
+            raise ValueError("window cannot hold %d outputs" % len(B))
         for b in B:
             _check_compat(a, b)
         windows = {window_index(b, t) for b in B}
         if len(windows) != 1:
             raise ValueError("B spans multiple windows: %s" % sorted(windows))
         (self.home_window,) = windows
-        if len(B) > d ** t:
-            raise AssertionError("window cannot hold %d outputs" % len(B))
-
-        self._i_of = {}
-        self.A = [set() for _ in range(n)]
-        ap = a.prefix(n - 1)
-        for u in all_strings(d, n):
-            if u == a:
-                continue
-            i = lcs(ap, u.prefix(n - 1))
-            self._i_of[u] = i
-            self.A[i].add(u)
-
-        # j(v) over outputs of the home window that are not in B
-        bprefixes = [b.prefix(n - 1) for b in B]
-        self._j_of_output = {}
-        for v in window_outputs(d, n, t, self.home_window):
-            if v in B:
-                continue
-            vp = v.prefix(n - 1)
-            self._j_of_output[v] = max(lcp(vp, bp) for bp in bprefixes)
-
-        # j(w) over foreign windows: common prefix of the window heads
-        self._j_of_window = {}
-        home_head = DaryString.from_value(self.home_window, d, n - t)
-        for w in range(d ** (n - t)):
-            if w == self.home_window:
-                continue
-            head = DaryString.from_value(w, d, n - t)
-            self._j_of_window[w] = _lcp_raw(head.digits, home_head.digits)
+        self._home_head = next(iter(B)).digits[:n - t]
+        # distinct q-digit prefixes of B for q = n-t .. n-1: the home-window
+        # outputs with j(v) >= q are exactly those extending one of them
+        self._heads = [len({b.digits[:q] for b in B}) for q in range(n - t, n)]
 
     def i_of(self, u):
         """Suffix index of input u, or None for u == a."""
         if u == self.a:
             return None
-        return self._i_of[u]
+        _check_compat(self.a, u)
+        return _lcp_raw(reversed(self.a.digits[:-1]), reversed(u.digits[:-1]))
 
     def j_of_output(self, v):
         """Prefix index of home-window output v, or None for v in B."""
+        _check_compat(self.a, v)
+        if v.digits[:self.n - self.t] != self._home_head:
+            raise ValueError("%s is not in the home window" % v)
         if v in self.B:
             return None
-        try:
-            return self._j_of_output[v]
-        except KeyError:
-            raise ValueError("%s is not in the home window" % v)
+        return max(_lcp_raw(v.digits[:-1], b.digits[:-1]) for b in self.B)
 
     def j_of_window(self, w):
         """Prefix index of foreign window w, or None for the home window."""
         if w == self.home_window:
             return None
-        return self._j_of_window[w]
+        head = DaryString.from_value(w, self.d, self.n - self.t)
+        return _lcp_raw(head.digits, self._home_head)
 
     def a_count(self, i):
-        return len(self.A[i])
+        return a_count_formula(self.d, self.n, i)
 
     def window_count(self, j):
         """Number of foreign windows with index j."""
-        return sum(1 for jj in self._j_of_window.values() if jj == j)
+        if 0 <= j <= self.n - self.t - 1:
+            return window_count_formula(self.d, self.n, self.t, j)
+        return 0
 
     def output_count(self, j):
         """Number of home-window outputs outside B with index j."""
-        return sum(1 for jj in self._j_of_output.values() if jj == j)
+        return self.union_b_tail(j) - self.union_b_tail(j + 1)
 
     def union_b_tail(self, q):
         """|{v in home window, v not in B : j(v) >= q}|."""
-        return sum(1 for jj in self._j_of_output.values() if jj >= q)
+        n, t = self.n, self.t
+        q = max(q, n - t)
+        if q >= n:
+            return 0
+        return self._heads[q - (n - t)] * self.d ** (n - q) - len(self.B)
 
     def b_count(self, j):
         """|B_j|: non-B outputs whose prefix index is exactly j.  For

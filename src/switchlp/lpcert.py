@@ -16,8 +16,10 @@ i(u), and on a window or output only through its prefix index j.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
-from .dary import AddressSets, all_strings, window_index, window_outputs
+from .dary import (AddressSets, all_strings, canonical_sets, window_index,
+                   window_outputs)
 from .banyan import shares_se, shares_link
 from . import bounds
 from .bounds import LINK, CROSSTALK
@@ -30,7 +32,12 @@ class Infeasible(Exception):
 
 
 class LpInstance:
-    """One concrete blocking LP: parameters, request, defined index sets."""
+    """One concrete blocking LP: parameters, request, defined index sets.
+
+    Only the (i, j) classes are built up front.  The variable lists
+    (`inputs`, `windows`, `spare`, `uw_pairs`, `uv_pairs`) enumerate
+    addresses and are built when first read, which only `export_lp` does.
+    """
 
     def __init__(self, d, n, t, f, a, B, mode=LINK):
         if mode not in _THETA:
@@ -38,54 +45,74 @@ class LpInstance:
         self.d, self.n, self.t, self.f = d, n, t, f
         self.mode = mode
         self.theta = _THETA[mode]
-        self.sets = AddressSets(a, B, t)
+        self.sets = s = AddressSets(a, B, t)
         self.a = a
-        self.B = self.sets.B
+        self.B = s.B
         self.k = len(self.B)
         if self.k > f:
             raise ValueError("|B|=%d exceeds fanout bound %d" % (self.k, f))
-        self.inputs = [u for u in all_strings(d, n) if u != a]
-        self.home = self.sets.home_window
-        self.windows = [w for w in range(d ** (n - t)) if w != self.home]
-        self.spare = [v for v in window_outputs(d, n, t, self.home)
-                      if v not in self.B]
-        thresh = n - self.theta
-        self.uw_pairs = [(u, w) for u in self.inputs for w in self.windows
-                         if self.sets.i_of(u) + self.sets.j_of_window(w)
-                         >= thresh]
-        self.uv_pairs = [(u, v) for u in self.inputs for v in self.spare
-                         if self.sets.i_of(u) + self.sets.j_of_output(v)
-                         >= thresh]
+        self.home = s.home_window
+        self._thresh = thresh = n - self.theta
+        ins = [i for i in range(n) if s.a_count(i)]
+        wins = [j for j in range(n - t) if s.window_count(j)]
+        outs = [j for j in range(n) if s.output_count(j)]
+        self._classes_uw = [(i, j) for i in ins for j in wins
+                            if i + j >= thresh]
+        self._classes_uv = [(i, j) for i in ins for j in outs
+                            if i + j >= thresh]
 
     def defined_classes_uw(self):
         """(i, j) pairs with at least one defined (u, w) variable."""
-        out = set()
-        for i in range(self.n):
-            if self.sets.a_count(i) == 0:
-                continue
-            for j in range(self.n - self.t):
-                if self.sets.window_count(j) == 0:
-                    continue
-                if i + j >= self.n - self.theta:
-                    out.add((i, j))
-        return sorted(out)
+        return self._classes_uw
 
     def defined_classes_uv(self):
-        out = set()
-        for i in range(self.n):
-            if self.sets.a_count(i) == 0:
-                continue
-            for j in range(self.n):
-                if self.sets.output_count(j) == 0:
-                    continue
-                if i + j >= self.n - self.theta:
-                    out.add((i, j))
-        return sorted(out)
+        return self._classes_uv
+
+    def defined_uw(self, u, w):
+        """Whether x_(u,w) is a variable: u != a, w a foreign window and
+        i(u) + j(w) >= n - theta."""
+        try:
+            i, j = self.sets.i_of(u), self.sets.j_of_window(w)
+        except ValueError:
+            return False
+        return i is not None and j is not None and i + j >= self._thresh
+
+    def defined_uv(self, u, v):
+        """Whether x_(u,v) is a variable: u != a, v in the home window but
+        not in B, and i(u) + j(v) >= n - theta."""
+        try:
+            i, j = self.sets.i_of(u), self.sets.j_of_output(v)
+        except ValueError:
+            return False
+        return i is not None and j is not None and i + j >= self._thresh
+
+    @cached_property
+    def inputs(self):
+        return [u for u in all_strings(self.d, self.n) if u != self.a]
+
+    @cached_property
+    def windows(self):
+        return [w for w in range(self.d ** (self.n - self.t))
+                if w != self.home]
+
+    @cached_property
+    def spare(self):
+        return [v for v in window_outputs(self.d, self.n, self.t, self.home)
+                if v not in self.B]
+
+    @cached_property
+    def uw_pairs(self):
+        return [(u, w) for u in self.inputs for w in self.windows
+                if self.defined_uw(u, w)]
+
+    @cached_property
+    def uv_pairs(self):
+        return [(u, v) for u in self.inputs for v in self.spare
+                if self.defined_uv(u, v)]
 
 
 def canonical_instance(d, n, t, f, k, mode=LINK):
     """Instance for the canonical request a = 0^n, B = first k of window 0."""
-    from .dary import canonical_sets
     sets = canonical_sets(d, n, t, k)
     return LpInstance(d, n, t, f, sets.a, sets.B, mode)
 
@@ -101,24 +128,18 @@ class PrimalSolution:
 
     def check_feasible(self):
         inst = self.instance
-        uw = set(inst.uw_pairs)
-        uv = set(inst.uv_pairs)
         for key, val in self.xw.items():
-            if key not in uw:
-                raise Infeasible("x_u%d_w%d undefined"
-                                 % (key[0].value(), key[1]))
+            if not inst.defined_uw(*key):
+                raise Infeasible(_var_uw(*key) + " undefined")
             if val < 0:
-                raise Infeasible("x_u%d_w%d negative"
-                                 % (key[0].value(), key[1]))
+                raise Infeasible(_var_uw(*key) + " negative")
             if val > 1:
-                raise Infeasible("x_u%d_w%d > 1" % (key[0].value(), key[1]))
+                raise Infeasible(_var_uw(*key) + " > 1")
         for key, val in self.xv.items():
-            if key not in uv:
-                raise Infeasible("x_u%d_v%d undefined"
-                                 % (key[0].value(), key[1].value()))
+            if not inst.defined_uv(*key):
+                raise Infeasible(_var_uv(*key) + " undefined")
             if val < 0:
-                raise Infeasible("x_u%d_v%d negative"
-                                 % (key[0].value(), key[1].value()))
+                raise Infeasible(_var_uv(*key) + " negative")
         per_w = {}
         per_u_v = {}
         per_v = {}
@@ -156,26 +177,18 @@ def primal_from_state(conn, a, B):
     pred = shares_link if cfg.mode == LINK else shares_se
     xw, xv = {}, {}
     for plane in range(cfg.m):
-        branch = None
-        for rid, (u, admitted) in conn.requests.items():
-            if u == a:
-                continue
-            for w, (pl, routes) in admitted.items():
-                if pl != plane:
-                    continue
-                for rt in routes:
-                    if any(pred(a, b, u, rt.output) for b in inst.B):
-                        branch = (u, rt.output)
-                        break
-                if branch:
-                    break
-            if branch:
-                break
+        branch = next(((u, rt.output)
+                       for u, admitted in conn.requests.values() if u != a
+                       for pl, routes in admitted.values() if pl == plane
+                       for rt in routes
+                       if any(pred(a, b, u, rt.output) for b in inst.B)),
+                      None)
         if branch is None:
             continue
         u, v = branch
         if window_index(v, cfg.t) == inst.home:
-            assert v not in inst.B, "request output already owned"
+            if v in inst.B:
+                raise ValueError("request output %s already owned" % v)
             xv[u, v] = 1
         else:
             xw[u, window_index(v, cfg.t)] = 1
@@ -199,14 +212,10 @@ class DualSolution:
         self.eps = {i: Fraction(0) for i in range(n)}
         self.label = label
         for src, dst in ((alpha, self.alpha), (gamma, self.gamma),
-                         (delta, self.delta), (eps, self.eps)):
+                         (delta, self.delta), (eps, self.eps),
+                         (beta, self.beta)):
             if src:
                 dst.update({k: Fraction(v) for k, v in src.items()})
-        if beta:
-            self.beta.update({k: Fraction(v) for k, v in beta.items()})
-
-    def _beta(self, i, j):
-        return self.beta.get((i, j), Fraction(0))
 
     def check_feasible(self):
         inst = self.instance
@@ -217,7 +226,7 @@ class DualSolution:
                 if val < 0:
                     raise Infeasible("%s[%r] negative" % (what, key))
         for i, j in inst.defined_classes_uw():
-            if self.alpha[j] + self._beta(i, j) + self.eps[i] < 1:
+            if self.alpha[j] + self.beta.get((i, j), 0) + self.eps[i] < 1:
                 raise Infeasible("DC-1 violated at class i=%d, j(w)=%d"
                                  % (i, j))
         for i, j in inst.defined_classes_uv():
@@ -231,27 +240,23 @@ class DualSolution:
         inst = self.instance
         s = inst.sets
         dt = inst.d ** inst.t
-        total = Fraction(0)
-        for j, val in self.alpha.items():
-            total += dt * s.window_count(j) * val
-        for i, j in inst.defined_classes_uw():
-            total += s.a_count(i) * s.window_count(j) * self._beta(i, j)
-        for i, val in self.gamma.items():
-            total += s.a_count(i) * val
-        for j, val in self.delta.items():
-            total += s.output_count(j) * val
-        for i, val in self.eps.items():
-            total += inst.f * s.a_count(i) * val
-        return total
+        beta = self.beta
+        terms = ([(v, dt * s.window_count(j)) for j, v in self.alpha.items()]
+                 + [(beta[c], s.a_count(c[0]) * s.window_count(c[1]))
+                    for c in inst.defined_classes_uw() if c in beta]
+                 + [(v, s.a_count(i)) for i, v in self.gamma.items()]
+                 + [(v, s.output_count(j)) for j, v in self.delta.items()]
+                 + [(v, inst.f * s.a_count(i)) for i, v in self.eps.items()])
+        # zero duals are most of them; skipping them saves the Fraction ops
+        return sum((v * c for v, c in terms if v), Fraction(0))
 
     def objective_bounded_delta(self, q):
         """Objective with the delta term replaced by the tail union bound
         min{d^t - k, k(d^(n-q) - 1)}; only meaningful when delta is the
         indicator of j(v) >= q."""
         inst = self.instance
-        for j in range(inst.n):
-            want = 1 if j >= q else 0
-            assert self.delta[j] == want, "delta is not the q-tail indicator"
+        if any(self.delta[j] != (j >= q) for j in range(inst.n)):
+            raise ValueError("delta is not the q-tail indicator")
         true_tail = sum(inst.sets.output_count(j) * self.delta[j]
                         for j in range(inst.n))
         cap = min(inst.d ** inst.t - inst.k,
@@ -350,12 +355,10 @@ def dual_special_t_eq_n(instance, variant=None):
 
 def check_weak_duality(primal, dual):
     """Feasibility-check both sides, then return the (nonnegative) gap."""
-    if primal.instance is not dual.instance:
-        a, b = primal.instance, dual.instance
-        same = (a.d, a.n, a.t, a.f, a.mode, a.a, a.B) == \
-               (b.d, b.n, b.t, b.f, b.mode, b.a, b.B)
-        if not same:
-            raise ValueError("primal and dual built for different instances")
+    a, b = primal.instance, dual.instance
+    if (a.d, a.n, a.t, a.f, a.mode, a.a, a.B) != \
+            (b.d, b.n, b.t, b.f, b.mode, b.a, b.B):
+        raise ValueError("primal and dual built for different instances")
     primal.check_feasible()
     dual.check_feasible()
     return dual.objective() - primal.objective()
@@ -385,18 +388,13 @@ def export_lp(instance):
     names_uw = [(_var_uw(u, w), u, w) for u, w in inst.uw_pairs]
     names_uv = [(_var_uv(u, v), u, v) for u, v in inst.uv_pairs]
     all_names = sorted(x[0] for x in names_uw + names_uv)
-    lines = []
-    lines.append("\\ blocking LP d=%d n=%d t=%d f=%d k=%d mode=%s"
-                 % (inst.d, inst.n, inst.t, inst.f, inst.k, inst.mode))
-    lines.append("Maximize")
-    lines.append(" obj: " + " + ".join(all_names) if all_names
-                 else " obj: 0 x_none")
-    lines.append("Subject To")
-
-    per_w = {}
-    per_u_home = {}
-    per_v = {}
-    per_u_all = {}
+    lines = ["\\ blocking LP d=%d n=%d t=%d f=%d k=%d mode=%s"
+             % (inst.d, inst.n, inst.t, inst.f, inst.k, inst.mode),
+             "Maximize",
+             " obj: " + " + ".join(all_names) if all_names
+             else " obj: 0 x_none",
+             "Subject To"]
+    per_w, per_u_home, per_v, per_u_all = {}, {}, {}, {}
     for name, u, w in names_uw:
         per_w.setdefault(w, []).append(name)
         per_u_all.setdefault(u, []).append(name)

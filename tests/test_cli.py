@@ -1,6 +1,7 @@
 """Command-line interface: output rows, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -185,6 +186,27 @@ class TestSimulate:
         assert code == 0
         assert [r[3] for r in rows(out)[1:]] == ["ok", "blocked", "ok"]
 
+    def test_benes_trace_uses_reuse_rule(self, capsys, tmp_path):
+        # after `D a`, first fit takes the idle middle 0 for c, while the
+        # reuse rule takes middle 1, which carries c's diagonal class
+        trace = tmp_path / "b.trace"
+        trace.write_text("A a 0:0 0:0\nA b 0:1 1:1\nD a\nA c 1:0 0:0\n")
+        middles = {}
+        for network in ("clos-snb", "clos-benes"):
+            code, out, _ = run(capsys, "simulate", "--network", network,
+                               "--trace", str(trace), "--n", "2", "--m", "3")
+            assert code == 0
+            middles[network] = [r[2] for r in rows(out)[1:]]
+        assert middles == {"clos-snb": ["0", "1", "", "0"],
+                           "clos-benes": ["0", "1", "", "1"]}
+
+    def test_multirate_needs_trace(self, capsys):
+        code, out, err = run(capsys, "simulate", "--network",
+                             "clos-multirate", "--n", "2")
+        assert code == 2 and out == ""
+        assert "no sweep" in err and "--trace" in err
+        assert "unknown network" not in err
+
     def test_multirate_trace_replay(self, capsys, tmp_path):
         trace = tmp_path / "m.trace"
         trace.write_text("A a 0:0 1:0 1/2\nA b 0:0 1:1 1/2\n")
@@ -239,6 +261,15 @@ class TestCertify:
         assert got[0][:4] == ["d", "n", "t", "f"]
         assert len(got) > 1
         assert all(r[11] == "true" for r in got[1:])
+
+    def test_golden_grid(self, capsys):
+        # sha256 of the grid as printed when every instance enumerated its
+        # addresses; the class-level build must print the same bytes
+        code, out, _ = run(capsys, "certify", "--d", "2,3", "--n", "3,4,5")
+        assert code == 0
+        assert out.count("\n") == 4027
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "1bb6044c2180050e36d2391cc3724a08c99d7fa1292153e08bd0cc9d5043642d"
 
     def test_fuzz_reports_violations(self, capsys):
         code, out, _ = run(capsys, "certify", "--d", "2", "--n", "3",
@@ -318,6 +349,20 @@ MALFORMED = {
                       "--f", "1"], None, 0),
     "derive-constants-2/5": (["dwec", "--derive-constants", "2/5"], None, 0),
     "missing-trace-file": (["dwec", "--trace", "no/such.trace"], None, 0),
+    "benes-r-3": (["simulate", "--network", "clos-benes", "--n", "2", "--m",
+                   "3", "--r", "3"],
+                  "A r1 0:0 0:0\nA r2 1:0 1:0\nA r3 2:0 2:0\n", 0),
+    "simulate-trials--1": (["simulate", "--d", "2", "--n", "3", "--t", "1",
+                            "--f", "1", "--trials", "-1"], None, 0),
+    "simulate-steps-0": (["simulate", "--d", "2", "--n", "3", "--t", "1",
+                          "--f", "1", "--steps", "0"], None, 0),
+    "simulate-steps--1": (["simulate", "--d", "2", "--n", "3", "--t", "1",
+                           "--f", "1", "--steps", "-1"], None, 0),
+    "simulate-d-1": (["simulate", "--d", "1", "--n", "3", "--t", "1",
+                      "--f", "1"], None, 0),
+    "certify-n-0": (["certify", "--n", "0"], None, 0),
+    "export-lp-n-0": (["export-lp", "--d", "2", "--n", "0", "--t", "0",
+                       "--f", "1", "--k", "1"], None, 0),
 }
 
 
@@ -344,9 +389,13 @@ class TestInputErrors:
         # asserts vanish under -O; every check below must still raise
         script = "\n".join([
             "import sys",
-            "from switchlp import adversary, clos, multilog",
+            "from switchlp import adversary, clos, dary, lpcert, multilog",
             "assert sys.flags.optimize and False",
             "C = clos.ClosConfig.symmetric",
+            "# a live request already owns the output a primal probe asks for",
+            "conn = multilog.ConnState(multilog.MultilogConfig(d=2, n=3, m=1))",
+            "a = dary.DaryString(2, (0, 0, 0))",
+            "conn.admit(dary.DaryString(2, (1, 0, 0)), [a], rid='r')",
             "checks = [",
             "    lambda: multilog.MultilogConfig(d=1, n=0, m=0, mode='bogus'),",
             "    lambda: clos.ClosConfig(n1=0, r1=0, m=0, traffic='bogus'),",
@@ -357,6 +406,11 @@ class TestInputErrors:
             "    lambda: clos.ClosState(C(n=2, m=3, r=2)).multirate_admit(",
             "        (0, 0), (1, 0), 1),",
             "    lambda: adversary.snb_saturation_events(1),",
+            "    lambda: dary.AddressSets(dary.DaryString(2, (0, 0, 0)),",
+            "                             dary.all_strings(2, 3), 1),",
+            "    lambda: lpcert.primal_from_state(conn, a, [a]),",
+            "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
+            "        2, 4, 1, 2, 1, 'link'), 0, 3).objective_bounded_delta(2),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",

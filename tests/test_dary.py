@@ -11,6 +11,8 @@ from switchlp.dary import (
     canonical_sets, frac_pow,
 )
 
+from address_oracle import EnumeratedAddressSets
+
 
 def s(text, base=2):
     return DaryString.parse(text, base)
@@ -137,6 +139,19 @@ class TestAddressSets:
         with pytest.raises(ValueError):
             AddressSets(s("000"), {s("000"), s("100")}, 1)
 
+    def test_b_larger_than_window_rejected(self):
+        with pytest.raises(ValueError, match="cannot hold"):
+            AddressSets(s("000"), set(all_strings(2, 3)), 1)
+
+    def test_index_lookups_reject_foreign_shapes(self):
+        sets = AddressSets(s("000"), {s("000")}, 1)
+        with pytest.raises(ValueError):
+            sets.i_of(s("0000"))
+        with pytest.raises(ValueError):
+            sets.j_of_output(s("100"))   # window 2, not the home window
+        with pytest.raises(ValueError):
+            sets.j_of_window(4)
+
     def test_union_b_tail_full_at_low_q(self):
         for k in (1, 2, 3):
             sets = canonical_sets(2, 4, 2, k)
@@ -154,15 +169,19 @@ class TestAddressSets:
                                               k * (d ** (n - q) - 1))
 
     def test_cardinality_identities_grid(self):
+        # the fast path counts by the closed forms, so check both against
+        # the enumerated families
         for d in (2, 3):
             for n in range(2, 7):
                 sets = canonical_sets(d, n, min(2, n), 1)
+                oracle = EnumeratedAddressSets(sets.a, sets.B, sets.t)
                 for i in range(n):
-                    assert sets.a_count(i) == a_count_formula(d, n, i)
+                    assert sets.a_count(i) == oracle.a_count(i) == \
+                        a_count_formula(d, n, i)
                 t = sets.t
                 for j in range(n - t):
-                    assert sets.window_count(j) == \
-                        window_count_formula(d, n, t, j)
+                    assert sets.window_count(j) == oracle.window_count(j) \
+                        == window_count_formula(d, n, t, j)
                     # the foreign part of B_j is whole windows of d^t outputs
                     assert sets.b_count(j) == \
                         d ** (n - j) - d ** (n - 1 - j)
@@ -175,8 +194,10 @@ class TestAddressSets:
 
     def test_classes_partition_inputs(self):
         sets = canonical_sets(3, 3, 1, 2)
-        assert sum(sets.a_count(i) for i in range(3)) == 3 ** 3 - 1
-        assert sum(len(sets.A[i]) for i in range(3)) == 3 ** 3 - 1
+        oracle = EnumeratedAddressSets(sets.a, sets.B, sets.t)
+        assert sum(len(oracle.A[i]) for i in range(3)) == 3 ** 3 - 1
+        assert [sets.a_count(i) for i in range(3)] == \
+            [len(oracle.A[i]) for i in range(3)]
 
     def test_canonical_sets_cached(self):
         assert canonical_sets(2, 3, 1, 1) is canonical_sets(2, 3, 1, 1)

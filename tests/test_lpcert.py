@@ -1,9 +1,11 @@
 """LP instances, dual certificates, weak duality, LP text export."""
 
 from fractions import Fraction
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchlp import lpcert, bounds, multilog, adversary
 from switchlp.lpcert import (
@@ -11,7 +13,11 @@ from switchlp.lpcert import (
     PrimalSolution, primal_from_state, DualSolution, dual_family,
     dual_special_t_eq_n, check_weak_duality, family_cost, export_lp, parse_lp,
 )
-from switchlp.dary import DaryString, all_strings, lcp, lcs, window_index
+from switchlp.dary import (
+    DaryString, all_strings, lcp, lcs, window_index, window_outputs,
+)
+
+from address_oracle import EnumeratedAddressSets
 
 
 def s(text, base=2):
@@ -69,6 +75,71 @@ class TestInstance:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             LpInstance(2, 3, 1, 1, s("000"), {s("000")}, mode="bogus")
+
+
+@st.composite
+def requests(draw):
+    """A random input a and a random nonempty B inside one window."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, n))
+    a = DaryString.from_value(draw(st.integers(0, d ** n - 1)), d, n)
+    outs = list(window_outputs(d, n, t,
+                               draw(st.integers(0, d ** (n - t) - 1))))
+    B = draw(st.lists(st.sampled_from(outs), min_size=1, unique=True))
+    return d, n, t, a, B, draw(st.sampled_from([LINK, CROSSTALK]))
+
+
+class TestOracle:
+    @settings(deadline=None)
+    @given(requests())
+    def test_fast_path_matches_enumeration(self, req):
+        d, n, t, a, B, mode = req
+        inst = LpInstance(d, n, t, len(B), a, B, mode)
+        fast = inst.sets
+        ref = EnumeratedAddressSets(a, B, t)
+        ins = list(all_strings(d, n))
+        wins = list(range(d ** (n - t)))
+        home_outs = list(window_outputs(d, n, t, ref.home_window))
+        assert fast.home_window == ref.home_window
+        assert [fast.i_of(u) for u in ins] == [ref.i_of(u) for u in ins]
+        assert [fast.j_of_window(w) for w in wins] == \
+            [ref.j_of_window(w) for w in wins]
+        assert [fast.j_of_output(v) for v in home_outs] == \
+            [ref.j_of_output(v) for v in home_outs]
+        for i in range(n):
+            assert fast.a_count(i) == ref.a_count(i)
+        for j in range(-1, n + 2):
+            assert fast.window_count(j) == ref.window_count(j)
+            assert fast.output_count(j) == ref.output_count(j)
+            assert fast.b_count(j) == ref.b_count(j)
+            assert fast.union_b_tail(j) == ref.union_b_tail(j)
+
+        thresh = n - inst.theta
+        uw, uv = ref.uw_pairs(thresh), ref.uv_pairs(thresh)
+        assert inst.uw_pairs == uw
+        assert inst.uv_pairs == uv
+        uw, uv = set(uw), set(uv)
+        for u in ins:
+            for w in wins:
+                assert inst.defined_uw(u, w) == ((u, w) in uw)
+            for v in home_outs:
+                assert inst.defined_uv(u, v) == ((u, v) in uv)
+        assert inst.defined_classes_uw() == sorted(
+            {(ref.i_of(u), ref.j_of_window(w)) for u, w in uw})
+        assert inst.defined_classes_uv() == sorted(
+            {(ref.i_of(u), ref.j_of_output(v)) for u, v in uv})
+
+    def test_definedness_rejects_foreign_keys(self):
+        inst = canonical_instance(2, 3, 1, 1, 1, CROSSTALK)
+        u = s("100")
+        assert inst.defined_uw(u, 1)
+        assert not inst.defined_uw(u, 0)          # the home window
+        assert not inst.defined_uw(u, 4)          # no such window
+        assert not inst.defined_uw(s("000"), 1)   # u = a
+        assert not inst.defined_uw(s("1000"), 1)  # wrong length
+        assert not inst.defined_uv(u, s("000"))   # v in B
+        assert not inst.defined_uv(u, s("010"))   # another window
 
 
 class TestPrimal:
@@ -278,6 +349,17 @@ class TestExport:
         a = export_lp(canonical_instance(2, 4, 1, 2, 2, CROSSTALK))
         b = export_lp(canonical_instance(2, 4, 1, 2, 2, CROSSTALK))
         assert a == b
+
+    @pytest.mark.parametrize("args, digest", [
+        ((2, 4, 1, 2, 2, CROSSTALK), "ce6092bb5f7c36a2"),
+        ((3, 3, 1, 2, 1, LINK), "154c7c09cbe00394"),
+        ((2, 5, 2, 4, 3, LINK), "81625e945747ff41"),
+    ])
+    def test_golden_text(self, args, digest):
+        # sha256 prefixes of the text written when the variable lists were
+        # built eagerly; the lazy build must give the same bytes
+        text = export_lp(canonical_instance(*args))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_t_eq_n_exports_without_window_vars(self):
         text = export_lp(canonical_instance(2, 3, 3, 1, 1, LINK))
