@@ -8,6 +8,7 @@ two-crossbar states for the reuse rule).
 """
 
 from collections import deque
+from functools import lru_cache
 import random
 
 from .dary import all_strings, window_index
@@ -27,11 +28,11 @@ def random_admissible_request(state, rng):
     sufficiency guarantee only covers subrequests that still do.
     """
     cfg = state.config
-    ins = [x for x in all_strings(cfg.d, cfg.n)
-           if state.input_active.get(x, 0) < cfg.f]
+    addrs = _addresses(cfg.d, cfg.n)
+    ins = [x for x in addrs if state.input_active.get(x, 0) < cfg.f]
     rng.shuffle(ins)
     for x in ins:
-        outs = [y for y in all_strings(cfg.d, cfg.n)
+        outs = [y for y in addrs
                 if y not in state.output_owner
                 and (x, window_index(y, cfg.t)) not in state.pins]
         if not outs:
@@ -40,6 +41,13 @@ def random_admissible_request(state, rng):
         picks = rng.sample(outs, rng.randint(1, cap))
         return x, picks
     return None
+
+
+@lru_cache(maxsize=64)
+def _addresses(d, n):
+    """All d^n addresses in `all_strings` order, built once per shape."""
+    return tuple(all_strings(d, n))
+
 
 def random_trial(config, steps, seed, audit_every=0):
     """Drive one ConnState with random admits/releases; returns a dict with

@@ -16,9 +16,13 @@ SELabel = namedtuple("SELabel", ["stage", "label"])
 
 
 class Route:
-    """The route of one (input, output) pair through a single plane."""
+    """The route of one (input, output) pair through a single plane, kept
+    as stage-offset int ids: `se_ids[s-1]` for the stage-s element and
+    `link_ids[s]` for the link leaving stage s (s = 0: the input link).  The
+    `DaryString` views `ses`, `internal_links` and `links` are built on read.
+    """
 
-    __slots__ = ("input", "output", "ses", "internal_links", "links")
+    __slots__ = ("input", "output", "link_ids", "se_ids")
 
     def __init__(self, x, y):
         _check_compat(x, y)
@@ -27,18 +31,37 @@ class Route:
             raise ValueError("need at least one digit")
         self.input = x
         self.output = y
-        self.ses = []
+        d, xv, yv = x.base, x.value(), y.value()
+        full = d ** n
+        se_ids, link_ids = [], [xv]
         for s in range(1, n + 1):
-            label = DaryString(x.base, y.digits[: s - 1] + x.digits[s - 1 : n - 1])
-            self.ses.append(SELabel(s, label))
-        # link leaving stage s is keyed by (s, stage-s label, output digit y_s);
-        # both endpoints of the physical link agree on that key
-        self.internal_links = [
-            (s, self.ses[s - 1].label, y.digits[s - 1]) for s in range(1, n)
-        ]
-        self.links = (
-            [("in", x)] + self.internal_links + [("out", y)]
-        )
+            lo = d ** (n - s)
+            # stage-s label y_1..y_{s-1} x_s..x_{n-1}; the link leaving
+            # stage s appends y_s to it, which at s = n gives y itself
+            label = (yv // (lo * d)) * lo + (xv // d) % lo
+            se_ids.append((s - 1) * (full // d) + label)
+            link_ids.append(s * full + label * d + (yv // lo) % d)
+        self.se_ids = tuple(se_ids)
+        self.link_ids = tuple(link_ids)
+
+    @property
+    def ses(self):
+        x, y, n = self.input, self.output, len(self.input)
+        return [SELabel(s, DaryString(x.base, y.digits[:s - 1]
+                                      + x.digits[s - 1:n - 1]))
+                for s in range(1, n + 1)]
+
+    @property
+    def internal_links(self):
+        # link leaving stage s is keyed by (s, stage-s label, output digit
+        # y_s); both endpoints of the physical link agree on that key
+        return [(s, label, self.output.digits[s - 1])
+                for s, label in self.ses[:-1]]
+
+    @property
+    def links(self):
+        return ([("in", self.input)] + self.internal_links
+                + [("out", self.output)])
 
     def __repr__(self):
         return "Route(%s -> %s)" % (self.input, self.output)

@@ -21,8 +21,9 @@ class DaryString:
         if base < 2:
             raise ValueError("base must be >= 2")
         for dig in digits:
-            if not (0 <= dig < base):
-                raise ValueError("digit %r out of range for base %d" % (dig, base))
+            if type(dig) is not int or not 0 <= dig < base:
+                raise ValueError("digit %r is not an integer in [0, %d)"
+                                 % (dig, base))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "digits", digits)
 

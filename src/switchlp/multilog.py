@@ -63,8 +63,26 @@ def _route(x, y):
 
 def _keys(cfg, rt):
     if cfg.mode == LINK:
-        return rt.links
-    return [se for se in rt.ses]
+        return rt.link_ids
+    return rt.se_ids
+
+
+def _check(cond, msg, *args):
+    """Raise AssertionError(msg % args) unless cond, also under `python -O`."""
+    if not cond:
+        raise AssertionError(msg % args)
+
+
+def _hold(occ, size, plane, xv, keys):
+    """Take one reference to each key on `plane` for input value xv."""
+    for key in keys:
+        holders = occ.setdefault(key, {})
+        owner, count = holders.get(plane, (xv, 0))
+        if owner != xv:
+            raise AssertionError("key %r shared across inputs" % key)
+        if not count:
+            size[plane] += 1
+        holders[plane] = (xv, count + 1)
 
 
 class ConnState:
@@ -72,9 +90,10 @@ class ConnState:
 
     def __init__(self, config):
         self.config = config
-        # per plane: key -> (owner input, refcount); a key is a link in link
-        # mode and a switching element in crosstalk mode
-        self.occ = [dict() for _ in range(config.m)]
+        # key -> {plane: (owner input value, refcount)}; a key is a link id
+        # (link mode) or an element id (crosstalk mode), indexed key-first
+        self.occ = {}
+        self.size = [0] * config.m   # keys held per plane, for BEST_FIT
         self.requests = {}       # id -> (input, {window: (plane, [routes])})
         self.output_owner = {}   # output -> request id
         self.input_active = {}   # input -> live output count
@@ -84,27 +103,24 @@ class ConnState:
 
     # -- occupancy helpers ------------------------------------------------
 
-    def _conflicts(self, plane, x, routes):
-        occ = self.occ[plane]
+    def _blocked(self, xv, routes):
+        """Planes on which an input other than xv holds a key of `routes`."""
+        occ, blocked = self.occ, set()
         for rt in routes:
             for key in _keys(self.config, rt):
-                holder = occ.get(key)
-                if holder is not None and holder[0] != x:
-                    return True
-        return False
+                holders = occ.get(key)
+                if holders:
+                    for plane, (owner, _) in holders.items():
+                        if owner != xv:
+                            blocked.add(plane)
+        return blocked
 
     def _commit(self, rid, plane, x, window, routes):
-        occ = self.occ[plane]
+        xv = x.value()
         for rt in routes:
-            for key in _keys(self.config, rt):
-                holder = occ.get(key)
-                if holder is None:
-                    occ[key] = (x, 1)
-                else:
-                    assert holder[0] == x
-                    occ[key] = (x, holder[1] + 1)
+            _hold(self.occ, self.size, plane, xv, _keys(self.config, rt))
         pin = self.pins.setdefault((x, window), [plane, 0])
-        assert pin[0] == plane
+        _check(pin[0] == plane, "window split across planes")
         pin[1] += len(routes)
         for rt in routes:
             self.output_owner[rt.output] = rid
@@ -113,14 +129,15 @@ class ConnState:
     def _feasible_planes(self, x, window, routes):
         pin = self.pins.get((x, window))
         candidates = [pin[0]] if pin else range(self.config.m)
-        return [p for p in candidates if not self._conflicts(p, x, routes)]
+        blocked = self._blocked(x.value(), routes)
+        return [p for p in candidates if p not in blocked]
 
     def _choose(self, feasible):
         policy = self.config.plane_policy
         if policy == FIRST_FIT:
             return feasible[0]
         if policy == BEST_FIT:
-            return max(feasible, key=lambda p: (len(self.occ[p]), -p))
+            return max(feasible, key=lambda p: (self.size[p], -p))
         return self.rng.choice(feasible)
 
     # -- operations -------------------------------------------------------
@@ -174,16 +191,21 @@ class ConnState:
             x, admitted = self.requests.pop(rid)
         except KeyError:
             raise UnknownId(repr(rid))
+        occ, xv = self.occ, x.value()
         for w, (plane, routes) in admitted.items():
-            occ = self.occ[plane]
             for rt in routes:
                 for key in _keys(self.config, rt):
-                    owner, count = occ[key]
-                    assert owner == x
-                    if count == 1:
+                    holders = occ[key]
+                    owner, count = holders[plane]
+                    if owner != xv:
+                        raise AssertionError("key %r owned elsewhere" % key)
+                    if count > 1:
+                        holders[plane] = (owner, count - 1)
+                        continue
+                    del holders[plane]
+                    self.size[plane] -= 1
+                    if not holders:
                         del occ[key]
-                    else:
-                        occ[key] = (owner, count - 1)
                 del self.output_owner[rt.output]
             pin = self.pins[x, w]
             pin[1] -= len(routes)
@@ -200,57 +222,52 @@ class ConnState:
         windows = {window_index(y, self.config.t) for y in outputs}
         if len(windows) != 1:
             raise ValueError("subrequest spans windows %s" % sorted(windows))
-        routes = [_route(x, y) for y in outputs]
-        return {p for p in range(self.config.m)
-                if self._conflicts(p, x, routes)}
+        return self._blocked(x.value(), [_route(x, y) for y in outputs])
 
     def is_empty(self):
-        return not self.requests and not any(self.occ)
+        return not self.requests and not self.occ
 
     def audit(self):
         """Rebuild all derived state from the registry and compare."""
         cfg = self.config
-        occ = [dict() for _ in range(cfg.m)]
+        occ = {}
+        size = [0] * cfg.m
         owners = {}
         active = {}
         pins = {}
         for rid, (x, admitted) in self.requests.items():
+            xv = x.value()
             for w, (plane, routes) in admitted.items():
                 pin = pins.setdefault((x, w), [plane, 0])
-                assert pin[0] == plane, "window split across planes"
+                _check(pin[0] == plane, "window split across planes")
                 pin[1] += len(routes)
                 for rt in routes:
-                    assert rt.input == x
-                    assert window_index(rt.output, cfg.t) == w
-                    assert rt.output not in owners, "output double-owned"
+                    _check(rt.input == x, "route %r under input %s", rt, x)
+                    _check(window_index(rt.output, cfg.t) == w,
+                           "route %r under window %d", rt, w)
+                    _check(rt.output not in owners, "output double-owned")
                     owners[rt.output] = rid
                     active[x] = active.get(x, 0) + 1
-                    for key in _keys(cfg, rt):
-                        holder = occ[plane].get(key)
-                        if holder is None:
-                            occ[plane][key] = (x, 1)
-                        else:
-                            assert holder[0] == x, \
-                                "key %r shared across inputs" % (key,)
-                            occ[plane][key] = (x, holder[1] + 1)
-        assert occ == self.occ
-        assert owners == self.output_owner
-        assert active == self.input_active
-        assert pins == self.pins
+                    _hold(occ, size, plane, xv, _keys(cfg, rt))
+        for name, rebuilt in (("occ", occ), ("size", size), ("pins", pins),
+                              ("output_owner", owners),
+                              ("input_active", active)):
+            _check(rebuilt == getattr(self, name), "%s differs from the "
+                   "registry", name)
         for x, count in active.items():
-            assert count <= cfg.f
+            _check(count <= cfg.f, "input %s over fanout", x)
 
         # cross-check occupancy conflicts against the sharing predicates
+        pred = shares_link if cfg.mode == LINK else shares_se
         for plane in range(cfg.m):
             routes = [rt for rid, (x, adm) in self.requests.items()
                       for w, (p, rts) in adm.items() if p == plane
                       for rt in rts]
-            pred = shares_link if cfg.mode == LINK else shares_se
             for i, r1 in enumerate(routes):
                 for r2 in routes[i + 1:]:
-                    if r1.input != r2.input:
-                        assert not pred(r1.input, r1.output,
-                                        r2.input, r2.output)
+                    _check(r1.input == r2.input or not pred(
+                        r1.input, r1.output, r2.input, r2.output),
+                        "routes %r and %r conflict on plane %d", r1, r2, plane)
 
 
 def parse_address(text, d, n):

@@ -87,6 +87,22 @@ class TestRoute:
             assert label == rt.ses[stage - 1].label
             assert digit == s("110").digits[stage - 1]
 
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                      (3, 1), (3, 2), (3, 3), (3, 4)])
+    def test_int_ids_relabel_dary_keys(self, d, n):
+        # over every route, the same DaryString key always gets the same id
+        # and distinct keys get distinct ids
+        for ids, view in (("link_ids", "links"), ("se_ids", "ses")):
+            id_of, key_of = {}, {}
+            for x, y in itertools.product(all_strings(d, n), repeat=2):
+                rt = route(x, y)
+                got, want = getattr(rt, ids), getattr(rt, view)
+                assert len(got) == len(want)
+                for i, key in zip(got, want):
+                    assert type(i) is int
+                    assert id_of.setdefault(key, i) == i
+                    assert key_of.setdefault(i, key) == key
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             route(s("01"), s("010"))

@@ -131,6 +131,27 @@ class TestSimulate:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--d", "2", "--n", "6", "--t", "3", "--f", "2", "--trials", "3",
+          "--steps", "300", "--seed", "5"],
+         "0b1bac012d4dce140af3e12ff3cf46b7f1df273c570d525945e28f59211c00f2"),
+        (["--d", "2", "--n", "6", "--t", "3", "--f", "2", "--trials", "3",
+          "--steps", "300", "--seed", "5", "--mode", "crosstalk"],
+         "59bf9c595220d1dc2411291d52b56c41fed54c3893955cab55fabb94cc0aad1a"),
+        # 1,515 blocked events: pins the blocked path as well
+        (["--d", "2", "--n", "5", "--t", "2", "--f", "2", "--m", "2",
+          "--adversary", "greedy", "--trials", "2", "--steps", "200",
+          "--seed", "3"],
+         "0b3f4aa6bff2ecd15a096c783c8fef7a89d399a4fc5c9a8ac62cc1bb49391bca"),
+    ])
+    def test_golden_sweep(self, capsys, argv, digest):
+        # sha256 of the rows as printed when occupancy was scanned plane by
+        # plane over DaryString keys; the key-major int occupancy must print
+        # the same bytes
+        code, out, _ = run(capsys, "simulate", "--network", "multilog", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_undersized_sweep_fails(self, capsys):
         # one plane short of the sufficient count, greedy pressure
         code, out, _ = run(capsys, "simulate", "--network", "multilog",
@@ -392,8 +413,9 @@ class TestInputErrors:
             "from switchlp import adversary, clos, dary, lpcert, multilog",
             "assert sys.flags.optimize and False",
             "C = clos.ClosConfig.symmetric",
+            "M = multilog.MultilogConfig(d=2, n=3, m=1)",
             "# a live request already owns the output a primal probe asks for",
-            "conn = multilog.ConnState(multilog.MultilogConfig(d=2, n=3, m=1))",
+            "conn = multilog.ConnState(M)",
             "a = dary.DaryString(2, (0, 0, 0))",
             "conn.admit(dary.DaryString(2, (1, 0, 0)), [a], rid='r')",
             "checks = [",
@@ -411,6 +433,8 @@ class TestInputErrors:
             "    lambda: lpcert.primal_from_state(conn, a, [a]),",
             "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
             "        2, 4, 1, 2, 1, 'link'), 0, 3).objective_bounded_delta(2),",
+            "    lambda: dary.DaryString(2, (0.5, 1)),",
+            "    lambda: dary.DaryString.from_value(1.5, 2, 2),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",
@@ -418,6 +442,20 @@ class TestInputErrors:
             "    except ValueError:",
             "        continue",
             "    print('check %d accepted' % i)",
+            "# the state audit must still catch a corrupted occupancy",
+            "corruptions = [",
+            "    lambda st: st.occ.popitem(),",
+            "    lambda st: st.size.__setitem__(0, st.size[0] + 1),",
+            "]",
+            "for i, corrupt in enumerate(corruptions):",
+            "    st = multilog.ConnState(M)",
+            "    st.admit(dary.DaryString(2, (1, 0, 0)), [a], rid='r')",
+            "    corrupt(st)",
+            "    try:",
+            "        st.audit()",
+            "    except AssertionError:",
+            "        continue",
+            "    print('corruption %d passed the audit' % i)",
         ])
         src = os.path.dirname(os.path.dirname(switchlp.__file__))
         env = dict(os.environ, PYTHONPATH=src)

@@ -35,6 +35,12 @@ class TestDaryString:
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):
             DaryString(2, (0, 2))
+        # non-integer digits, even integral floats, are not digits
+        for digits in [(0.5, 1), (1.0, 0)]:
+            with pytest.raises(ValueError):
+                DaryString(2, digits)
+        with pytest.raises(ValueError):
+            DaryString.from_value(1.5, 2, 2)
 
     def test_immutable(self):
         u = s("010")

@@ -3,13 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchlp import multilog
 from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
     UnknownId, DuplicateId, LINK, CROSSTALK, parse_address, run_trace,
 )
-from switchlp.dary import DaryString, all_strings
+from switchlp.dary import DaryString, all_strings, window_index, window_outputs
 from switchlp.banyan import shares_link, shares_se
 from switchlp import adversary
 
@@ -172,6 +173,123 @@ class TestBlockingPlanes:
         state = ConnState(cfg(t=1, f=2))
         with pytest.raises(ValueError):
             state.blocking_planes(s("000"), [s("000"), s("100")])
+
+
+def oracle_blocking(state, x, outputs):
+    """The per-plane scan: plane p blocks the branches (x, y) when a live
+    route on p from another input shares a link (link mode) or a switching
+    element (crosstalk mode) with one of them."""
+    pred = shares_link if state.config.mode == LINK else shares_se
+    return {p for p in range(state.config.m)
+            if any(pred(x, y, rt.input, rt.output)
+                   for u, admitted in state.requests.values() if u != x
+                   for plane, routes in admitted.values() if plane == p
+                   for rt in routes for y in outputs)}
+
+
+def oracle_key_count(state, p):
+    """Distinct DaryString keys held on plane p."""
+    view = "links" if state.config.mode == LINK else "ses"
+    return len({key for _, admitted in state.requests.values()
+                for plane, routes in admitted.values() if plane == p
+                for rt in routes for key in getattr(rt, view)})
+
+
+def admit_checked(state, x, ys, rid):
+    """Admit the single-window subrequest (x, ys) and check the plane it got
+    against the oracle: feasible, and the one the policy must pick."""
+    config = state.config
+    w = window_index(ys[0], config.t)
+    pin = state.pins.get((x, w))
+    candidates = [pin[0]] if pin else range(config.m)
+    blocked = oracle_blocking(state, x, ys)
+    feasible = [p for p in candidates if p not in blocked]
+    counts = {p: oracle_key_count(state, p) for p in feasible}
+    (got,) = state.admit(x, ys, rid=rid).values()
+    if not feasible:
+        assert isinstance(got, Blocked)
+        return
+    assert got in feasible
+    if config.plane_policy == multilog.FIRST_FIT:
+        assert got == min(feasible)
+    elif config.plane_policy == multilog.BEST_FIT:
+        assert got == max(feasible, key=lambda p: (counts[p], -p))
+
+
+def pinned_extension(state, rng):
+    """One more output for a window an input already has live branches in,
+    so the pinned-plane path runs; None when no input has room."""
+    config = state.config
+    for (x, w) in rng.sample(sorted(state.pins), len(state.pins)):
+        if state.input_active[x] >= config.f:
+            continue
+        free = [y for y in window_outputs(config.d, config.n, config.t, w)
+                if y not in state.output_owner]
+        if free:
+            return x, [rng.choice(free)]
+    return None
+
+
+class TestOccupancyOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 4),
+           f=st.sampled_from([1, 2, 4]), m=st.integers(1, 4),
+           mode=st.sampled_from([LINK, CROSSTALK]),
+           policy=st.sampled_from([multilog.FIRST_FIT, multilog.BEST_FIT,
+                                   multilog.RANDOM]),
+           seed=st.integers(0, 1 << 16))
+    def test_churn_matches_per_plane_scan(self, data, d, n, f, m, mode,
+                                          policy, seed):
+        t = data.draw(st.integers(0, n))
+        config = MultilogConfig(d=d, n=n, m=m, t=t, f=min(f, d ** n),
+                                mode=mode, plane_policy=policy, seed=seed)
+        state = ConnState(config)
+        rng = random.Random(seed)
+        addrs = list(all_strings(d, n))
+        live = []
+        for step in range(25):
+            r = rng.random()
+            if live and r < 0.3:
+                state.release(live.pop(rng.randrange(len(live))))
+            else:
+                req = (pinned_extension(state, rng) if r < 0.5
+                       else adversary.random_admissible_request(state, rng))
+                if req is not None:
+                    x, ys = req
+                    by_window = {}
+                    for y in sorted(ys):
+                        by_window.setdefault(window_index(y, t), []).append(y)
+                    for w in sorted(by_window):
+                        rid = "%d.%d" % (step, w)
+                        admit_checked(state, x, by_window[w], rid)
+                        if rid in state.requests:
+                            live.append(rid)
+            state.audit()
+            # a probe is asked for free outputs only, as admission would be:
+            # an owned output's link is held without any internal sharing
+            x = rng.choice(addrs)
+            w = rng.randrange(d ** (n - t))
+            free = [y for y in window_outputs(d, n, t, w)
+                    if y not in state.output_owner]
+            if free:
+                ys = rng.sample(free, rng.randint(1, min(2, len(free))))
+                assert state.blocking_planes(x, ys) == \
+                    oracle_blocking(state, x, ys)
+
+
+class TestAudit:
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state.occ.popitem(),
+        lambda state: state.size.__setitem__(1, state.size[1] + 1),
+    ], ids=["drop_occupancy_entry", "bump_plane_size"])
+    def test_corruption_detected(self, corrupt):
+        state = ConnState(cfg(m=2))
+        state.admit(s("000"), [s("000")], rid="a")
+        state.admit(s("100"), [s("001")], rid="b")  # conflicts: plane 1
+        state.audit()
+        corrupt(state)
+        with pytest.raises(AssertionError):
+            state.audit()
 
 
 class TestModeMonotonicity:
