@@ -28,13 +28,13 @@ def random_admissible_request(state, rng):
     sufficiency guarantee only covers subrequests that still do.
     """
     cfg = state.config
-    addrs = _addresses(cfg.d, cfg.n)
-    ins = [x for x in addrs if state.input_active.get(x, 0) < cfg.f]
+    addrs = _addresses(cfg.d, cfg.n, cfg.t)
+    ins = [x for x, _ in addrs if state.input_active.get(x, 0) < cfg.f]
     rng.shuffle(ins)
     for x in ins:
-        outs = [y for y in addrs
-                if y not in state.output_owner
-                and (x, window_index(y, cfg.t)) not in state.pins]
+        pinned = {w for u, w in state.pins if u == x}
+        outs = [y for y, w in addrs
+                if w not in pinned and y not in state.output_owner]
         if not outs:
             continue
         cap = min(cfg.f - state.input_active.get(x, 0), len(outs))
@@ -44,9 +44,13 @@ def random_admissible_request(state, rng):
 
 
 @lru_cache(maxsize=64)
-def _addresses(d, n):
-    """All d^n addresses in `all_strings` order, built once per shape."""
-    return tuple(all_strings(d, n))
+def _addresses(d, n, t):
+    """(address, window index) for all d^n addresses in `all_strings`
+    order, built once per shape and window size; every t shares the
+    addresses built for t = 0, whose window index is the value."""
+    if t == 0:
+        return tuple((y, y.value()) for y in all_strings(d, n))
+    return tuple((y, w // d ** t) for y, w in _addresses(d, n, 0))
 
 
 def random_trial(config, steps, seed, audit_every=0):
@@ -164,6 +168,8 @@ def snb_saturation_events(n):
 
 def run_snb_saturation(n, m):
     """Replay the saturating schedule; returns the probe outcome."""
+    if m < 2 * n - 2:
+        raise ValueError("the saturating schedule needs m >= 2n-2")
     cfg = clos.ClosConfig.symmetric(n=n, m=m, r=max(n, 3))
     state = clos.ClosState(cfg)
     outcome = None
@@ -173,8 +179,8 @@ def run_snb_saturation(n, m):
             got = state.snb_admit(it, ot, rid=rid)
             if rid == "probe":
                 outcome = got
-            else:
-                assert got is not clos.BLOCKED, "setup request blocked"
+            elif got is clos.BLOCKED:
+                raise AssertionError("set-up request %s blocked" % rid)
         else:
             state.release(ev[1])
         state.audit()

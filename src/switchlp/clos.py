@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dwec
-from .events import (Blocked, DuplicateId, SwitchError, UnknownId, fraction,
-                     replay)
+from .events import (Blocked, DuplicateId, SwitchError, UnknownId, check,
+                     fraction, replay)
 
 SPACE = "space"
 MULTIRATE = "multirate"
@@ -129,7 +129,8 @@ class ClosState:
         bad = self.snb_unavailable(in_term[0], out_term[0])
         # with both terminals idle, at most n1-1 middles are tied up by this
         # input crossbar and n2-1 by the output crossbar
-        assert len(bad) <= (self.config.n1 - 1) + (self.config.n2 - 1)
+        if len(bad) > (self.config.n1 - 1) + (self.config.n2 - 1):
+            raise AssertionError("%d middles unavailable" % len(bad))
         free = [mid for mid in range(self.config.m) if mid not in bad]
         if not free:
             return BLOCKED
@@ -215,36 +216,39 @@ class ClosState:
             mid_in = [set() for _ in range(cfg.m)]
             mid_out = [set() for _ in range(cfg.m)]
             bi, bo = {}, {}
+            # per-request checks are inline: a call each would slow audits
             for rid, (kind, it, ot, mid) in self.requests.items():
-                assert kind == SPACE
-                assert it[0] not in mid_in[mid], "middle link reused"
-                assert ot[0] not in mid_out[mid], "middle link reused"
+                if (kind != SPACE or it[0] in mid_in[mid]
+                        or ot[0] in mid_out[mid] or it in bi or ot in bo):
+                    raise AssertionError("request %r reuses a middle link or "
+                                         "a terminal" % (rid,))
                 mid_in[mid].add(it[0])
                 mid_out[mid].add(ot[0])
-                assert it not in bi and ot not in bo
                 bi[it], bo[ot] = rid, rid
-            assert mid_in == self.mid_in and mid_out == self.mid_out
-            assert bi == self.busy_in and bo == self.busy_out
+            check(mid_in == self.mid_in and mid_out == self.mid_out,
+                  "middle occupancy differs from the registry")
+            check(bi == self.busy_in and bo == self.busy_out,
+                  "busy terminals differ from the registry")
             if cfg.r1 == 2 and cfg.r2 == 2:
                 m11 = self.class_set(0, 0) | self.class_set(1, 1)
                 m12 = self.class_set(0, 1) | self.class_set(1, 0)
-                assert len(m11) <= max(cfg.n1, cfg.n2)
-                assert len(m12) <= max(cfg.n1, cfg.n2)
+                check(max(len(m11), len(m12)) <= max(cfg.n1, cfg.n2),
+                      "a diagonal class spreads over too many middles")
         else:
             self.coloring.audit()
             li, lo = {}, {}
             for rid, (kind, it, ot, color, rate) in self.requests.items():
-                assert kind == MULTIRATE
-                assert color < cfg.m
-                assert self.coloring.color_of(rid) == color
+                if (kind != MULTIRATE or color >= cfg.m
+                        or self.coloring.color_of(rid) != color):
+                    raise AssertionError("request %r has color %r"
+                                         % (rid, color))
                 li[it] = li.get(it, 0) + rate
                 lo[ot] = lo.get(ot, 0) + rate
-            for term, w in li.items():
-                assert w <= 1
-            for term, w in lo.items():
-                assert w <= 1
-            assert li == {k: v for k, v in self.load_in.items() if v}
-            assert lo == {k: v for k, v in self.load_out.items() if v}
+            check(all(w <= 1 for w in li.values())
+                  and all(w <= 1 for w in lo.values()), "terminal overloaded")
+            check(li == {k: v for k, v in self.load_in.items() if v}
+                  and lo == {k: v for k, v in self.load_out.items() if v},
+                  "terminal loads differ from the registry")
 
 
 def parse_terminal(text):

@@ -129,10 +129,14 @@ def window_index(v, t):
     Windows partition the outputs by their (n-t)-digit prefix; window w holds
     the outputs whose prefix has value w.
     """
-    n = len(v)
+    digits, base = v.digits, v.base
+    n = len(digits)
     if not (0 <= t <= n):
         raise ValueError("window exponent t=%d out of range for n=%d" % (t, n))
-    return v.prefix(n - t).value()
+    w = 0
+    for dig in digits[:n - t]:
+        w = w * base + dig
+    return w
 
 
 def window_outputs(base, n, t, w):
@@ -200,8 +204,16 @@ class AddressSets:
         """Prefix index of foreign window w, or None for the home window."""
         if w == self.home_window:
             return None
-        head = DaryString.from_value(w, self.d, self.n - self.t)
-        return _lcp_raw(head.digits, self._home_head)
+        d, rest = self.d, self.n - self.t
+        if type(w) is not int or not 0 <= w < d ** rest:
+            raise ValueError("window index %r out of range" % (w,))
+        j = 0
+        for dig in self._home_head:
+            rest -= 1
+            if w // d ** rest % d != dig:
+                break
+            j += 1
+        return j
 
     def a_count(self, i):
         return a_count_formula(self.d, self.n, i)

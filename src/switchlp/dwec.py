@@ -17,7 +17,7 @@ from fractions import Fraction
 import itertools
 import math
 
-from .events import fraction, replay
+from .events import check, fraction, replay
 
 HALF = Fraction(1, 2)
 
@@ -104,7 +104,8 @@ class DwecScheme:
         1 - upper(i) and s*lower(j), so the infimum over the multiset is
         min over feasible s of max(1 - upper(i), s*lower(j)).
         """
-        assert 1 <= i <= j < self.num_types
+        if not 1 <= i <= j < self.num_types:
+            raise ValueError("need 1 <= i <= j < %d" % self.num_types)
         T = 1 - self.upper(i)
         lj = self.lower(j)
         s = max(1, math.floor(2 * T) + 1)  # smallest s with s/2 > T
@@ -248,23 +249,25 @@ class ColoringState:
     def audit(self):
         """Recheck every state invariant from scratch."""
         sc = self.scheme
-        assert len(self.classes[0]) == math.ceil(sc.x[0] * self.Delta_bar)
+        check(len(self.classes[0]) == math.ceil(sc.x[0] * self.Delta_bar),
+              "class 0 size")
         for i in range(1, sc.num_types):
-            assert len(self.classes[i]) == math.ceil(sc.x[i] * self.W_bar)
-        seen = set()
-        for pool in self.classes:
-            for c in pool:
-                assert c not in seen
-                seen.add(c)
-        assert len(seen) == self.next_color
+            check(len(self.classes[i]) == math.ceil(sc.x[i] * self.W_bar),
+                  "class %d size", i)
+        seen = set().union(*self.classes)
+        check(len(seen) == sum(map(len, self.classes)) == self.next_color,
+              "colors missing from the classes or in two of them")
         loads = {}
         for u, v, w, color in self.edges.values():
-            assert 0 < w <= 1
+            if not 0 < w <= 1:
+                raise AssertionError("weight %s out of (0, 1]" % w)
             for end in (u, v):
                 loads[end, color] = loads.get((end, color), 0) + w
         for key, total in loads.items():
-            assert total <= 1, "overloaded %s: %s" % (key, total)
-        assert loads == {k: v for k, v in self.load.items() if v}
+            if total > 1:
+                raise AssertionError("overloaded %s: %s" % (key, total))
+        check(loads == {k: v for k, v in self.load.items() if v},
+              "loads differ from the edges")
 
     def snapshot(self):
         return (dict(self.edges), [list(p) for p in self.classes],

@@ -29,6 +29,13 @@ class DuplicateId(SwitchError):
     status = "duplicate_id"
 
 
+def check(cond, msg, *args):
+    """Raise AssertionError(msg % args) unless cond, also under `python -O`;
+    the state audits check their invariants with it."""
+    if not cond:
+        raise AssertionError(msg % args)
+
+
 class TraceError(ValueError):
     """A malformed trace line."""
 

@@ -20,7 +20,6 @@ from functools import cached_property
 
 from .dary import (AddressSets, all_strings, canonical_sets, window_index,
                    window_outputs)
-from .banyan import shares_se, shares_link
 from . import bounds
 from .bounds import LINK, CROSSTALK
 
@@ -53,9 +52,10 @@ class LpInstance:
             raise ValueError("|B|=%d exceeds fanout bound %d" % (self.k, f))
         self.home = s.home_window
         self._thresh = thresh = n - self.theta
-        ins = [i for i in range(n) if s.a_count(i)]
-        wins = [j for j in range(n - t) if s.window_count(j)]
-        outs = [j for j in range(n) if s.output_count(j)]
+        # every input class and foreign-window class is nonempty for d >= 2;
+        # only the home-window output classes j in [n-t, n) can be empty
+        ins, wins = range(n), range(n - t)
+        outs = [j for j in range(n - t, n) if s.output_count(j)]
         self._classes_uw = [(i, j) for i in ins for j in wins
                             if i + j >= thresh]
         self._classes_uv = [(i, j) for i in ins for j in outs
@@ -171,27 +171,17 @@ def primal_from_state(conn, a, B):
 
     Returns (instance, primal); the primal objective equals the number of
     planes on which the request (a, B) cannot be routed as one subrequest.
+    Raises ValueError when an output of B is already owned.
     """
     cfg = conn.config
     inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, frozenset(B), cfg.mode)
-    pred = shares_link if cfg.mode == LINK else shares_se
     xw, xv = {}, {}
-    for plane in range(cfg.m):
-        branch = next(((u, rt.output)
-                       for u, admitted in conn.requests.values() if u != a
-                       for pl, routes in admitted.values() if pl == plane
-                       for rt in routes
-                       if any(pred(a, b, u, rt.output) for b in inst.B)),
-                      None)
-        if branch is None:
-            continue
-        u, v = branch
-        if window_index(v, cfg.t) == inst.home:
-            if v in inst.B:
-                raise ValueError("request output %s already owned" % v)
+    for u, v in conn.blocking_branches(a, inst.B).values():
+        w = window_index(v, cfg.t)
+        if w == inst.home:
             xv[u, v] = 1
         else:
-            xw[u, window_index(v, cfg.t)] = 1
+            xw[u, w] = 1
     primal = PrimalSolution(inst, xw, xv)
     primal.check_feasible()
     return inst, primal

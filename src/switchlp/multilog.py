@@ -17,7 +17,8 @@ import random
 from .dary import DaryString, window_index
 from .banyan import route, shares_se, shares_link
 from .bounds import LINK, CROSSTALK
-from .events import Blocked, DuplicateId, SwitchError, UnknownId, replay
+from .events import (Blocked, DuplicateId, SwitchError, UnknownId, check,
+                     replay)
 
 FIRST_FIT = "first"
 BEST_FIT = "best"
@@ -67,12 +68,6 @@ def _keys(cfg, rt):
     return rt.se_ids
 
 
-def _check(cond, msg, *args):
-    """Raise AssertionError(msg % args) unless cond, also under `python -O`."""
-    if not cond:
-        raise AssertionError(msg % args)
-
-
 def _hold(occ, size, plane, xv, keys):
     """Take one reference to each key on `plane` for input value xv."""
     for key in keys:
@@ -120,7 +115,7 @@ class ConnState:
         for rt in routes:
             _hold(self.occ, self.size, plane, xv, _keys(self.config, rt))
         pin = self.pins.setdefault((x, window), [plane, 0])
-        _check(pin[0] == plane, "window split across planes")
+        check(pin[0] == plane, "window split across planes")
         pin[1] += len(routes)
         for rt in routes:
             self.output_owner[rt.output] = rid
@@ -215,14 +210,47 @@ class ConnState:
         if self.input_active[x] == 0:
             del self.input_active[x]
 
-    def blocking_planes(self, x, outputs):
-        """Planes on which some existing foreign route conflicts with some
-        branch of the single-window subrequest (x, outputs)."""
-        outputs = set(outputs)
+    def _window_routes(self, x, outputs):
+        """Routes of the single-window subrequest (x, outputs)."""
         windows = {window_index(y, self.config.t) for y in outputs}
         if len(windows) != 1:
             raise ValueError("subrequest spans windows %s" % sorted(windows))
-        return self._blocked(x.value(), [_route(x, y) for y in outputs])
+        return [_route(x, y) for y in outputs]
+
+    def blocking_planes(self, x, outputs):
+        """Planes on which some existing foreign route conflicts with some
+        branch of the single-window subrequest (x, outputs)."""
+        return self._blocked(x.value(), self._window_routes(x, set(outputs)))
+
+    def blocking_branches(self, x, outputs):
+        """{plane: (u, v)}, ascending by plane, for each plane that blocks
+        the single-window subrequest (x, outputs): the first live branch
+        (u, v), in `requests` order, from an input u != x that holds a key
+        of the subrequest on that plane.  Every output must be free."""
+        outputs = set(outputs)
+        owned = [y for y in outputs if y in self.output_owner]
+        if owned:
+            raise ValueError("request output %s already owned" % min(owned))
+        # with the outputs free, a foreign branch can hold a key of the
+        # subrequest only on an internal link or an element (input and
+        # output links belong to their terminals), just where the sharing
+        # predicates see a conflict
+        cfg, routes = self.config, self._window_routes(x, outputs)
+        blocked = self._blocked(x.value(), routes)
+        mine = {key for rt in routes for key in _keys(cfg, rt)}
+        found = {}
+        for u, admitted in self.requests.values():
+            if len(found) == len(blocked):
+                break
+            if u == x:
+                continue
+            for plane, rts in admitted.values():
+                if plane in blocked and plane not in found:
+                    v = next((rt.output for rt in rts
+                              if not mine.isdisjoint(_keys(cfg, rt))), None)
+                    if v is not None:
+                        found[plane] = (u, v)
+        return dict(sorted(found.items()))
 
     def is_empty(self):
         return not self.requests and not self.occ
@@ -239,23 +267,23 @@ class ConnState:
             xv = x.value()
             for w, (plane, routes) in admitted.items():
                 pin = pins.setdefault((x, w), [plane, 0])
-                _check(pin[0] == plane, "window split across planes")
+                check(pin[0] == plane, "window split across planes")
                 pin[1] += len(routes)
                 for rt in routes:
-                    _check(rt.input == x, "route %r under input %s", rt, x)
-                    _check(window_index(rt.output, cfg.t) == w,
-                           "route %r under window %d", rt, w)
-                    _check(rt.output not in owners, "output double-owned")
+                    check(rt.input == x, "route %r under input %s", rt, x)
+                    check(window_index(rt.output, cfg.t) == w,
+                          "route %r under window %d", rt, w)
+                    check(rt.output not in owners, "output double-owned")
                     owners[rt.output] = rid
                     active[x] = active.get(x, 0) + 1
                     _hold(occ, size, plane, xv, _keys(cfg, rt))
         for name, rebuilt in (("occ", occ), ("size", size), ("pins", pins),
                               ("output_owner", owners),
                               ("input_active", active)):
-            _check(rebuilt == getattr(self, name), "%s differs from the "
-                   "registry", name)
+            check(rebuilt == getattr(self, name), "%s differs from the "
+                  "registry", name)
         for x, count in active.items():
-            _check(count <= cfg.f, "input %s over fanout", x)
+            check(count <= cfg.f, "input %s over fanout", x)
 
         # cross-check occupancy conflicts against the sharing predicates
         pred = shares_link if cfg.mode == LINK else shares_se
@@ -265,7 +293,7 @@ class ConnState:
                       for rt in rts]
             for i, r1 in enumerate(routes):
                 for r2 in routes[i + 1:]:
-                    _check(r1.input == r2.input or not pred(
+                    check(r1.input == r2.input or not pred(
                         r1.input, r1.output, r2.input, r2.output),
                         "routes %r and %r conflict on plane %d", r1, r2, plane)
 

@@ -373,6 +373,8 @@ MALFORMED = {
     "benes-r-3": (["simulate", "--network", "clos-benes", "--n", "2", "--m",
                    "3", "--r", "3"],
                   "A r1 0:0 0:0\nA r2 1:0 1:0\nA r3 2:0 2:0\n", 0),
+    "clos-snb-m-5-n-4": (["simulate", "--network", "clos-snb", "--n", "4",
+                          "--m", "5"], None, 0),
     "simulate-trials--1": (["simulate", "--d", "2", "--n", "3", "--t", "1",
                             "--f", "1", "--trials", "-1"], None, 0),
     "simulate-steps-0": (["simulate", "--d", "2", "--n", "3", "--t", "1",
@@ -410,14 +412,18 @@ class TestInputErrors:
         # asserts vanish under -O; every check below must still raise
         script = "\n".join([
             "import sys",
-            "from switchlp import adversary, clos, dary, lpcert, multilog",
+            "from switchlp import adversary, clos, dary, dwec, lpcert, multilog",
             "assert sys.flags.optimize and False",
             "C = clos.ClosConfig.symmetric",
             "M = multilog.MultilogConfig(d=2, n=3, m=1)",
-            "# a live request already owns the output a primal probe asks for",
+            "# a live request already owns the output a primal probe asks for;",
+            "# in `quiet` its route shares no internal link with the probe's",
             "conn = multilog.ConnState(M)",
             "a = dary.DaryString(2, (0, 0, 0))",
             "conn.admit(dary.DaryString(2, (1, 0, 0)), [a], rid='r')",
+            "quiet = multilog.ConnState(multilog.MultilogConfig(",
+            "    d=2, n=3, m=1, t=1, f=1))",
+            "quiet.admit(dary.DaryString(2, (0, 1, 0)), [a], rid='r')",
             "checks = [",
             "    lambda: multilog.MultilogConfig(d=1, n=0, m=0, mode='bogus'),",
             "    lambda: clos.ClosConfig(n1=0, r1=0, m=0, traffic='bogus'),",
@@ -431,6 +437,9 @@ class TestInputErrors:
             "    lambda: dary.AddressSets(dary.DaryString(2, (0, 0, 0)),",
             "                             dary.all_strings(2, 3), 1),",
             "    lambda: lpcert.primal_from_state(conn, a, [a]),",
+            "    lambda: lpcert.primal_from_state(quiet, a, [a]),",
+            "    lambda: adversary.run_snb_saturation(4, 5),",
+            "    lambda: dwec.FOUR_TYPE.beta(0, 1),",
             "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
             "        2, 4, 1, 2, 1, 'link'), 0, 3).objective_bounded_delta(2),",
             "    lambda: dary.DaryString(2, (0.5, 1)),",
@@ -442,14 +451,34 @@ class TestInputErrors:
             "    except ValueError:",
             "        continue",
             "    print('check %d accepted' % i)",
-            "# the state audit must still catch a corrupted occupancy",
-            "corruptions = [",
-            "    lambda st: st.occ.popitem(),",
-            "    lambda st: st.size.__setitem__(0, st.size[0] + 1),",
-            "]",
-            "for i, corrupt in enumerate(corruptions):",
+            "# the state audits must still catch a corrupted state",
+            "def multilog_state():",
             "    st = multilog.ConnState(M)",
             "    st.admit(dary.DaryString(2, (1, 0, 0)), [a], rid='r')",
+            "    return st",
+            "def space_clos():",
+            "    st = clos.ClosState(C(n=2, m=3, r=3))",
+            "    st.snb_admit((0, 0), (1, 0), rid='r')",
+            "    return st",
+            "def multirate_clos():",
+            "    st = clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
+            "    st.multirate_admit((0, 0), (1, 0), '1/2', rid='r')",
+            "    return st",
+            "def coloring():",
+            "    st = dwec.ColoringState()",
+            "    st.arrive('e', 'u', 'v', '1/2')",
+            "    return st",
+            "corruptions = [",
+            "    (multilog_state, lambda st: st.occ.popitem()),",
+            "    (multilog_state,",
+            "     lambda st: st.size.__setitem__(0, st.size[0] + 1)),",
+            "    (space_clos, lambda st: st.mid_in[0].pop()),",
+            "    (multirate_clos,",
+            "     lambda st: st.load_in.__setitem__((0, 0), st.load_in[0, 0] * 2)),",
+            "    (coloring, lambda st: st.classes[-1].pop()),",
+            "]",
+            "for i, (build, corrupt) in enumerate(corruptions):",
+            "    st = build()",
             "    corrupt(st)",
             "    try:",
             "        st.audit()",

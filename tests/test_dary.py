@@ -11,6 +11,8 @@ from switchlp.dary import (
     canonical_sets, frac_pow,
 )
 
+from switchlp import adversary
+
 from address_oracle import EnumeratedAddressSets
 
 
@@ -122,6 +124,24 @@ class TestWindows:
         with pytest.raises(ValueError):
             list(window_outputs(2, 3, 1, 4))
 
+    @pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3)
+                                     for n in range(1, 5)])
+    def test_int_arithmetic_exhaustive(self, d, n):
+        # window_index folds digits, j_of_window compares them, and the
+        # adversary caches both; each against its DaryString definition
+        addrs = list(all_strings(d, n))
+        for t in range(n + 1):
+            windows = [window_index(y, t) for y in addrs]
+            assert windows == [y.prefix(n - t).value() for y in addrs]
+            assert list(adversary._addresses(d, n, t)) == \
+                list(zip(addrs, windows))
+            for home in range(d ** (n - t)):
+                B = [next(window_outputs(d, n, t, home))]
+                fast = AddressSets(addrs[0], B, t)
+                ref = EnumeratedAddressSets(addrs[0], B, t)
+                assert [fast.j_of_window(w) for w in range(d ** (n - t))] \
+                    == [ref.j_of_window(w) for w in range(d ** (n - t))]
+
 
 class TestAddressSets:
     def test_input_classes_d2_n3(self):
@@ -155,8 +175,9 @@ class TestAddressSets:
             sets.i_of(s("0000"))
         with pytest.raises(ValueError):
             sets.j_of_output(s("100"))   # window 2, not the home window
-        with pytest.raises(ValueError):
-            sets.j_of_window(4)
+        for w in (4, -1, 1.5, 1.0):
+            with pytest.raises(ValueError):
+                sets.j_of_window(w)
 
     def test_union_b_tail_full_at_low_q(self):
         for k in (1, 2, 3):

@@ -187,6 +187,17 @@ class TestPrimal:
                 assert primal.objective() == \
                     len(conn.blocking_planes(a, B))
 
+    @pytest.mark.parametrize("mode", [LINK, CROSSTALK])
+    @pytest.mark.parametrize("B", [["000"], ["001", "000"]])
+    def test_owned_output_rejected(self, mode, B):
+        # the owner's route (010 -> 000) shares no internal link with the
+        # probe's branch (000 -> 000), so no blocking branch reveals it
+        cfg = multilog.MultilogConfig(d=2, n=3, m=1, t=1, f=2, mode=mode)
+        conn = multilog.ConnState(cfg)
+        conn.admit(s("010"), [s("000")], rid="r")
+        with pytest.raises(ValueError, match="output 000 already owned"):
+            primal_from_state(conn, s("000"), [s(b) for b in B])
+
     def test_undefined_variable_rejected(self):
         inst = canonical_instance(2, 3, 1, 1, 1, LINK)
         u = s("010")  # i(u) = 0 shares nothing: (u, w) undefined for low j

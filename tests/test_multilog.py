@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchlp import multilog
+from switchlp import lpcert, multilog
 from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
     UnknownId, DuplicateId, LINK, CROSSTALK, parse_address, run_trace,
@@ -230,6 +230,52 @@ def pinned_extension(state, rng):
     return None
 
 
+def oracle_branches(state, x, outputs):
+    """The predicate scan `ConnState.blocking_branches` must agree with: for
+    each plane, the first live route in `requests` order from an input other
+    than x that shares a link (link mode) or a switching element (crosstalk
+    mode) with some branch (x, y), as {plane: (input, output)}."""
+    pred = shares_link if state.config.mode == LINK else shares_se
+    found = {}
+    for p in range(state.config.m):
+        branch = next(((u, rt.output)
+                       for u, admitted in state.requests.values() if u != x
+                       for plane, routes in admitted.values() if plane == p
+                       for rt in routes
+                       if any(pred(x, y, u, rt.output) for y in outputs)),
+                      None)
+        if branch is not None:
+            found[p] = branch
+    return found
+
+
+def churn(state, rng, steps):
+    """Random churn, including extra branches into pinned windows, with
+    every admission checked by `admit_checked`; audits and yields after
+    each step."""
+    t = state.config.t
+    live = []
+    for step in range(steps):
+        r = rng.random()
+        if live and r < 0.3:
+            state.release(live.pop(rng.randrange(len(live))))
+        else:
+            req = (pinned_extension(state, rng) if r < 0.5
+                   else adversary.random_admissible_request(state, rng))
+            if req is not None:
+                x, ys = req
+                by_window = {}
+                for y in sorted(ys):
+                    by_window.setdefault(window_index(y, t), []).append(y)
+                for w in sorted(by_window):
+                    rid = "%d.%d" % (step, w)
+                    admit_checked(state, x, by_window[w], rid)
+                    if rid in state.requests:
+                        live.append(rid)
+        state.audit()
+        yield step
+
+
 class TestOccupancyOracle:
     @settings(deadline=None, max_examples=60)
     @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 4),
@@ -246,25 +292,7 @@ class TestOccupancyOracle:
         state = ConnState(config)
         rng = random.Random(seed)
         addrs = list(all_strings(d, n))
-        live = []
-        for step in range(25):
-            r = rng.random()
-            if live and r < 0.3:
-                state.release(live.pop(rng.randrange(len(live))))
-            else:
-                req = (pinned_extension(state, rng) if r < 0.5
-                       else adversary.random_admissible_request(state, rng))
-                if req is not None:
-                    x, ys = req
-                    by_window = {}
-                    for y in sorted(ys):
-                        by_window.setdefault(window_index(y, t), []).append(y)
-                    for w in sorted(by_window):
-                        rid = "%d.%d" % (step, w)
-                        admit_checked(state, x, by_window[w], rid)
-                        if rid in state.requests:
-                            live.append(rid)
-            state.audit()
+        for _ in churn(state, rng, 25):
             # a probe is asked for free outputs only, as admission would be:
             # an owned output's link is held without any internal sharing
             x = rng.choice(addrs)
@@ -275,6 +303,53 @@ class TestOccupancyOracle:
                 ys = rng.sample(free, rng.randint(1, min(2, len(free))))
                 assert state.blocking_planes(x, ys) == \
                     oracle_blocking(state, x, ys)
+
+
+class TestProbeOracle:
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 4),
+           f=st.sampled_from([1, 2, 4]), m=st.integers(1, 4),
+           mode=st.sampled_from([LINK, CROSSTALK]),
+           policy=st.sampled_from([multilog.FIRST_FIT, multilog.BEST_FIT,
+                                   multilog.RANDOM]),
+           seed=st.integers(0, 1 << 16))
+    def test_branches_match_predicate_scan(self, data, d, n, f, m, mode,
+                                           policy, seed):
+        t = data.draw(st.integers(0, n))
+        f = min(f, d ** n)
+        config = MultilogConfig(d=d, n=n, m=m, t=t, f=f, mode=mode,
+                                plane_policy=policy, seed=seed)
+        state = ConnState(config)
+        rng = random.Random(seed)
+        addrs = list(all_strings(d, n))
+        for _ in churn(state, rng, 25):
+            x = rng.choice(addrs)
+            home = rng.randrange(d ** (n - t))
+            outs = list(window_outputs(d, n, t, home))
+            free = [y for y in outs if y not in state.output_owner]
+            if free:
+                ys = rng.sample(free, rng.randint(1, min(2, f, len(free))))
+                want = oracle_branches(state, x, ys)
+                got = state.blocking_branches(x, ys)
+                assert list(got.items()) == sorted(want.items())
+                xw, xv = {}, {}
+                for u, v in want.values():
+                    w = window_index(v, t)
+                    if w == home:
+                        xv[u, v] = 1
+                    else:
+                        xw[u, w] = 1
+                _, primal = lpcert.primal_from_state(state, x, ys)
+                assert (primal.xw, primal.xv) == (xw, xv)
+                assert primal.objective() == \
+                    len(state.blocking_planes(x, ys))
+            owned = [y for y in outs if y in state.output_owner]
+            if owned:
+                ys = [rng.choice(owned)] + free[:min(f - 1, 1)]
+                with pytest.raises(ValueError, match="already owned"):
+                    state.blocking_branches(x, ys)
+                with pytest.raises(ValueError, match="already owned"):
+                    lpcert.primal_from_state(state, x, ys)
 
 
 class TestAudit:
