@@ -170,7 +170,7 @@ class ClosState:
             raise ValueError("not a multirate network")
         self._check_terminal(in_term, "in")
         self._check_terminal(out_term, "out")
-        rate = Fraction(rate)
+        rate = dwec.as_fraction(rate)
         if not (0 < rate <= 1):
             raise ValueError("rate %s out of (0, 1]" % rate)
         if self.load_in.get(in_term, 0) + rate > 1:
@@ -178,12 +178,11 @@ class ClosState:
         if self.load_out.get(out_term, 0) + rate > 1:
             raise CapacityExceeded("output %s:%s" % out_term)
         rid = self._next_rid(rid)
-        snap = self.coloring.snapshot()
-        color = self.coloring.arrive(rid, ("I", in_term[0]),
-                                     ("O", out_term[0]), rate)
-        if color >= self.config.m:
-            self.coloring.restore(snap)
+        edge = ("I", in_term[0]), ("O", out_term[0])
+        plan = self.coloring.plan(*edge, rate)
+        if plan.color >= self.config.m:
             return BLOCKED
+        color = self.coloring.commit(rid, *edge, plan)
         self.load_in[in_term] = self.load_in.get(in_term, 0) + rate
         self.load_out[out_term] = self.load_out.get(out_term, 0) + rate
         self.requests[rid] = (MULTIRATE, in_term, out_term, color, rate)
@@ -200,10 +199,9 @@ class ClosState:
             _, in_term, out_term, mid = entry
             del self.busy_in[in_term]
             del self.busy_out[out_term]
-            self.mid_in[mid] = {it[0] for _, (k, it, ot, md)
-                                in self.requests.items() if md == mid}
-            self.mid_out[mid] = {ot[0] for _, (k, it, ot, md)
-                                 in self.requests.items() if md == mid}
+            # admission never puts a crossbar on one middle twice
+            self.mid_in[mid].remove(in_term[0])
+            self.mid_out[mid].remove(out_term[0])
         else:
             _, in_term, out_term, _, rate = entry
             self.coloring.depart(rid)

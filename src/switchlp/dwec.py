@@ -37,9 +37,10 @@ class SizeLimit(Exception):
 
 Arrive = namedtuple("Arrive", ["id", "u", "v", "w"])
 Depart = namedtuple("Depart", ["id"])
+Plan = namedtuple("Plan", ["w", "color", "W_bar", "Delta_bar", "growth"])
 
 
-def _as_fraction(w):
+def as_fraction(w):
     if isinstance(w, float):
         return Fraction(w).limit_denominator(10 ** 9)
     return Fraction(w)
@@ -75,7 +76,7 @@ class DwecScheme:
 
     def classify(self, w):
         """Type index of a weight in (0, 1]."""
-        w = _as_fraction(w)
+        w = as_fraction(w)
         if not (0 < w <= 1):
             raise ValueError("weight %s out of (0, 1]" % w)
         for i, b in enumerate(self.breakpoints):
@@ -175,56 +176,59 @@ class ColoringState:
     def colors_used(self):
         return self.next_color
 
-    def _grow_classes(self):
-        sc = self.scheme
-        targets = [math.ceil(sc.x[0] * self.Delta_bar)]
-        targets += [math.ceil(sc.x[i] * self.W_bar)
-                    for i in range(1, sc.num_types)]
-        for i, want in enumerate(targets):
-            while len(self.classes[i]) < want:
-                self.classes[i].append(self.next_color)
-                self.next_color += 1
-
-    def arrive(self, eid, u, v, w):
-        if eid in self.edges:
-            raise ValueError("duplicate edge id %r" % (eid,))
+    def plan(self, u, v, w):
+        """What arriving a weight-w edge u-v would do, without doing it;
+        `growth[i]` is the number of colors class i gains first."""
         if u == v:
             raise ValueError("self-loops not allowed")
         if self.fixed_vertices and not {u, v} <= self.vertices:
             raise ValueError("endpoint outside the base graph")
-        w = _as_fraction(w)
-        typ = self.scheme.classify(w)
-        self.vertices.update((u, v))
+        w = as_fraction(w)
+        sc = self.scheme
+        typ = sc.classify(w)
+        vw, load = self.vertex_weight, self.load
+        w_bar = max(self.W_bar, vw.get(u, 0) + w, vw.get(v, 0) + w)
+        delta_bar = self.Delta_bar
+        if w > HALF:
+            hc = self.heavy_count
+            delta_bar = max(delta_bar, hc.get(u, 0) + 1, hc.get(v, 0) + 1)
+        growth = [0] * sc.num_types  # sizes only move with W_bar, Delta_bar
+        if w_bar != self.W_bar or delta_bar != self.Delta_bar:
+            growth = [math.ceil(x * (w_bar if i else delta_bar)) - len(pool)
+                      for i, (x, pool) in enumerate(zip(sc.x, self.classes))]
+        room = 1 - w
+        for i in ((0,) if typ == 0 else range(typ, sc.num_types)):
+            for color in self.classes[i]:
+                if (load.get((u, color), 0) <= room
+                        and load.get((v, color), 0) <= room):
+                    return Plan(w, color, w_bar, delta_bar, growth)
+            if growth[i]:
+                # class i's new colors follow its old ones and precede the
+                # next class's, which were all handed out before them
+                color = self.next_color + sum(growth[:i])
+                return Plan(w, color, w_bar, delta_bar, growth)
+        raise ColoringFailure("no color for weight %s (type %d); scheme "
+                              "constants broken" % (w, typ))
 
+    def commit(self, eid, u, v, plan):
+        """Apply a plan made on the current state; returns the color."""
+        w, color, self.W_bar, self.Delta_bar, growth = plan
+        for pool, more in zip(self.classes, growth):
+            pool.extend(range(self.next_color, self.next_color + more))
+            self.next_color += more
+        self.vertices.update((u, v))
+        self.edges[eid] = (u, v, w, color)
         for end in (u, v):
             self.vertex_weight[end] = self.vertex_weight.get(end, 0) + w
             if w > HALF:
                 self.heavy_count[end] = self.heavy_count.get(end, 0) + 1
-            self.W_bar = max(self.W_bar, self.vertex_weight[end])
-            self.Delta_bar = max(self.Delta_bar, self.heavy_count.get(end, 0))
-        self._grow_classes()
-
-        color = self._first_fit(typ, u, v, w)
-        if color is None:
-            raise ColoringFailure(
-                "no color for weight %s (type %d); scheme constants broken"
-                % (w, typ))
-        self.edges[eid] = (u, v, w, color)
-        for end in (u, v):
             self.load[end, color] = self.load.get((end, color), 0) + w
         return color
 
-    def _first_fit(self, typ, u, v, w):
-        if typ == 0:
-            pools = [self.classes[0]]
-        else:
-            pools = self.classes[typ:]
-        for pool in pools:
-            for color in pool:
-                if (self.load.get((u, color), 0) + w <= 1
-                        and self.load.get((v, color), 0) + w <= 1):
-                    return color
-        return None
+    def arrive(self, eid, u, v, w):
+        if eid in self.edges:
+            raise ValueError("duplicate edge id %r" % (eid,))
+        return self.commit(eid, u, v, self.plan(u, v, w))
 
     def depart(self, eid):
         try:
@@ -308,7 +312,7 @@ def opt_lower(state):
 def opt_exact(edges, limit=12):
     """Minimum number of colors for a static weighted multigraph, by
     exhaustive assignment.  Edges are (u, v, weight) triples."""
-    edges = [(u, v, _as_fraction(w)) for u, v, w in edges]
+    edges = [(u, v, as_fraction(w)) for u, v, w in edges]
     if len(edges) > limit:
         raise SizeLimit("%d edges > limit %d" % (len(edges), limit))
     if not edges:

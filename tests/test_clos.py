@@ -4,7 +4,9 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from clos_oracle import OracleClosState
 from switchlp import clos, bounds, adversary
 from switchlp.clos import (
     ClosConfig, ClosState, BLOCKED, TerminalBusy, CapacityExceeded,
@@ -145,6 +147,17 @@ class TestMultirate:
         assert state.coloring.snapshot() == before[2]
         state.audit()
 
+    def test_float_rate_converts_like_the_coloring(self):
+        # Fraction(0.1) is a little above 1/10, so ten of them used to
+        # overfill an input that ten 1/10 requests fill exactly
+        state = self.state(n=2, m=40)
+        for k in range(10):
+            assert state.multirate_admit((0, 0), (1, k % 2), 0.1) \
+                is not BLOCKED
+        assert state.load_in == {(0, 0): 1}
+        assert state.coloring.live_edges()[0][2] == F(1, 10)
+        state.audit()
+
     def test_sufficient_m_never_blocks(self):
         n = 3
         m = bounds.clos_multirate(n)
@@ -167,6 +180,63 @@ class TestMultirate:
             assert got is not BLOCKED
             live.append(str(i))
             state.audit()
+
+
+# an event is (depart?, input code, output code, rate in 60ths, pick)
+EVENTS = st.lists(st.tuples(st.booleans(), st.integers(0, 15),
+                            st.integers(0, 15), st.integers(1, 60),
+                            st.integers(0, 63)), max_size=40)
+
+
+class TestOracle:
+    """The plan-then-commit multirate admit and the O(1) space release
+    against the snapshot-and-restore and rebuilding references."""
+
+    @staticmethod
+    def outcome(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except clos.SwitchError as exc:
+            return type(exc)
+
+    @settings(deadline=None, max_examples=150)
+    @given(n=st.integers(1, 4), r=st.integers(1, 4), multirate=st.booleans(),
+           reuse=st.booleans(), events=EVENTS, data=st.data())
+    def test_matches_oracle(self, n, r, multirate, reuse, events, data):
+        top = bounds.clos_multirate(n) if multirate else bounds.clos_snb(n)
+        m = data.draw(st.integers(1, top), label="m")
+        cfg = ClosConfig.symmetric(n=n, m=m, r=r,
+                                   traffic=MULTIRATE if multirate else SPACE)
+        fast, slow = ClosState(cfg), OracleClosState(cfg)
+        live = []
+        for k, (depart, a, b, rate, pick) in enumerate(events):
+            if depart and live:
+                rid = live.pop(pick % len(live))
+                got = [s.release(rid) for s in (fast, slow)]
+            else:
+                rid = str(k)
+                it, ot = (a % r, a // 4 % n), (b % r, b // 4 % n)
+                if multirate:
+                    args = (it, ot, F(rate, 60))
+                    got = [self.outcome(s.multirate_admit, *args, rid=rid)
+                           for s in (fast, slow)]
+                else:
+                    got = [self.outcome(s.benes_admit if reuse and r == 2
+                                        else s.snb_admit, it, ot, rid=rid)
+                           for s in (fast, slow)]
+                if isinstance(got[0], int):
+                    live.append(rid)
+            assert got[0] == got[1]
+            assert fast.requests == slow.requests
+            if multirate:
+                assert fast.coloring.snapshot() == slow.coloring.snapshot()
+                assert (fast.load_in, fast.load_out) == \
+                    (slow.load_in, slow.load_out)
+            else:
+                assert (fast.mid_in, fast.mid_out) == \
+                    (slow.mid_in, slow.mid_out)
+            fast.audit()
+            slow.audit()
 
 
 class TestTraceIo:

@@ -129,6 +129,38 @@ class TestColoringState:
         assert sorted(state.edges) == ["e1"]
         state.audit()
 
+    def test_plan_is_pure_and_agrees_with_arrive(self):
+        state = ColoringState()
+        rng = random.Random(17)
+        for i in range(80):
+            u, v = rng.randrange(3), 3 + rng.randrange(3)
+            w = F(rng.randrange(1, 61), 60)
+            before = state.snapshot()
+            plan = state.plan(u, v, w)
+            assert state.snapshot() == before
+            assert state.arrive(i, u, v, w) == plan.color
+
+    def test_plan_grows_in_class_order(self):
+        # the first arrival grows every class at once: class 1 takes color
+        # 0, so a type-2 edge fits class 2's first new color, 1
+        state = ColoringState()
+        plan = state.plan("a", "b", F(2, 5))
+        assert plan == (F(2, 5), 1, F(2, 5), 0, [0, 1, 1, 2])
+
+    def test_new_color_of_class_precedes_next_class(self):
+        state = ColoringState()
+        state.arrive("ab", "a", "b", F(1, 2))    # classes [], [0], [1], [2, 3]
+        state.arrive("ac", "a", "c", F(1, 2))    # fills color 0 at a
+        for k in range(4):
+            state.arrive(k, "a", "d%d" % k, F(1, 3))
+        assert state.W_bar == F(7, 3) and state.classes[1:3] == [[0], [1]]
+        assert state.next_color == 9
+        # W_bar passes 8/3, so class 1 grows by one color; that color comes
+        # before class 2's color 1, although color 1 is empty
+        assert state.arrive("ae", "a", "e", F(1, 2)) == 9
+        assert state.classes[1] == [0, 9] and state.classes[2] == [1]
+        state.audit()
+
     def test_k2_bin_packing(self):
         # two-vertex base graph: colors are bins, per-bin load <= 1
         state = ColoringState(vertices=["l", "r"])
