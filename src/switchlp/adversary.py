@@ -8,10 +8,8 @@ two-crossbar states for the reuse rule).
 """
 
 from collections import deque
-from functools import lru_cache
 import random
 
-from .dary import all_strings, window_index
 from . import clos
 from . import multilog
 
@@ -28,29 +26,19 @@ def random_admissible_request(state, rng):
     sufficiency guarantee only covers subrequests that still do.
     """
     cfg = state.config
-    addrs = _addresses(cfg.d, cfg.n, cfg.t)
-    ins = [x for x, _ in addrs if state.input_active.get(x, 0) < cfg.f]
+    addrs, size = range(cfg.d ** cfg.n), cfg.d ** cfg.t
+    ins = [x for x in addrs if state.input_active.get(x, 0) < cfg.f]
     rng.shuffle(ins)
     for x in ins:
         pinned = {w for u, w in state.pins if u == x}
-        outs = [y for y, w in addrs
-                if w not in pinned and y not in state.output_owner]
+        outs = [y for y in addrs
+                if y // size not in pinned and y not in state.output_owner]
         if not outs:
             continue
         cap = min(cfg.f - state.input_active.get(x, 0), len(outs))
         picks = rng.sample(outs, rng.randint(1, cap))
         return x, picks
     return None
-
-
-@lru_cache(maxsize=64)
-def _addresses(d, n, t):
-    """(address, window index) for all d^n addresses in `all_strings`
-    order, built once per shape and window size; every t shares the
-    addresses built for t = 0, whose window index is the value."""
-    if t == 0:
-        return tuple((y, y.value()) for y in all_strings(d, n))
-    return tuple((y, w // d ** t) for y, w in _addresses(d, n, 0))
 
 
 def random_trial(config, steps, seed, audit_every=0):
@@ -105,7 +93,7 @@ def _churn(config, steps, seed, release_p, pool, audit_every):
             continue
         by_window = {}
         for y in probe[1]:
-            by_window.setdefault(window_index(y, config.t), []).append(y)
+            by_window.setdefault(y // config.d ** config.t, []).append(y)
         for ys in by_window.values():
             stats["max_blocking_planes"] = max(
                 stats["max_blocking_planes"],

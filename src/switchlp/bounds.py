@@ -167,6 +167,19 @@ def _check_cost_args(d, n, t, f, k, p, q):
 def c_cost(d, n, t, f, k, p, q):
     """Dual objective of the certificate family, link-blocking mode."""
     _check_cost_args(d, n, t, f, k, p, q)
+    return _cost(d, n, t, f, k, p, q, 0)
+
+
+def g_cost(d, n, t, f, k, p, q):
+    """Dual objective of the certificate family, crosstalk-free mode."""
+    _check_cost_args(d, n, t, f, k, p, q)
+    return _cost(d, n, t, f, k, p, q, 1)
+
+
+def _cost(d, n, t, f, k, p, q, theta):
+    """The family's dual objective.  Crosstalk (theta = 1) shifts every
+    threshold by one, so its cost is the link cost at n + 1 and q + 1."""
+    n, q = n + theta, q + theta
     base = f * (d ** p - 1)
     tail_min = min(d ** t - k, k * (d ** (n - q) - 1))
     if t >= n // 2:
@@ -185,55 +198,27 @@ def c_cost(d, n, t, f, k, p, q):
     return base + d ** (n - p - 1) - d ** t + d ** (q - 1) - d ** p + tail_min
 
 
-def g_cost(d, n, t, f, k, p, q):
-    """Dual objective of the certificate family, crosstalk-free mode."""
-    _check_cost_args(d, n, t, f, k, p, q)
-    base = f * (d ** p - 1)
-    tail_min = min(d ** t - k, k * (d ** (n - q) - 1))
-    if t >= ceil_div(n, 2):
-        core = base + (n - t - p) * (d ** (n - t + 1) - d ** (n - t)) - d ** (n - t)
-        if q == n - t:
-            return core + d ** p + d ** t - k
-        return core + d ** q + tail_min
-    if p + 1 <= t:
-        core = base + (t - p) * (d ** (n - t + 1) - d ** (n - t)) + d ** (n + p - 2 * t)
-        if q == n - t:
-            return core - k
-        return core - d ** t + d ** q - d ** p + tail_min
-    # t <= p
-    if q == n - t:
-        return base + d ** (n - p) - k
-    return base + d ** (n - p) - d ** t + d ** q - d ** p + tail_min
+def _maxmin(cost, d, n, t, f, ps):
+    """max over k of min over p in ps and every q of cost(k, p, q)."""
+    return max(min(cost(d, n, t, f, k, p, q)
+                   for p in ps for q in range(n - t, n + 1))
+               for k in range(1, min(f, d ** t) + 1))
 
 
 def sufficient_m_enumerated(d, n, t, f, mode):
     """Ground truth 1 + max_k min_{p,q} cost over the whole discrete grid."""
     cost = c_cost if mode == LINK else g_cost
-    best = None
-    for k in range(1, min(f, d ** t) + 1):
-        inner = min(cost(d, n, t, f, k, p, q)
-                    for p in range(0, n - t)
-                    for q in range(n - t, n + 1))
-        if best is None or inner > best:
-            best = inner
-    return 1 + best
+    return 1 + _maxmin(cost, d, n, t, f, range(n - t))
 
 
-def _restricted_maxmin(d, n, t, f, p, mode, k_cap=1 << 16):
-    """max_k min_q cost(k, p, q) for one fixed p: the tight value of a table
-    row whose construction pins p.  Always an upper bound on the full
+def _row_tight(d, n, t, f, p):
+    """max_k min_q g_cost(k, p, q) for one fixed p, clamped into the
+    family's range: the tight value of a table row whose construction pins
+    p, or None past 2^16 values of k.  Always an upper bound on the full
     max-min since the min ranges over fewer choices."""
-    cost = c_cost if mode == LINK else g_cost
-    p = max(0, min(p, n - t - 1))
-    kmax = min(f, d ** t)
-    if kmax > k_cap:
+    if min(f, d ** t) > 1 << 16:
         return None
-    best = None
-    for k in range(1, kmax + 1):
-        inner = min(cost(d, n, t, f, k, p, q) for q in range(n - t, n + 1))
-        if best is None or inner > best:
-            best = inner
-    return Fraction(best)
+    return Fraction(_maxmin(g_cost, d, n, t, f, [max(0, min(p, n - t - 1))]))
 
 
 # --------------------------------------------------------------- bound tables
@@ -297,7 +282,7 @@ def G_bound(d, n, t, f):
         if r >= max(2 * t - n - 2, n - t + 1):
             printed = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n + 1)
             corollary = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2)
-            tight = _restricted_maxmin(d, n, t, f, 0, CROSSTALK)
+            tight = _row_tight(d, n, t, f, 0)
             v = max(x for x in (printed, corollary, tight) if x is not None)
             matched.append(("G1", v,
                             "printed=%s corollary-exponent=%s row-tight=%s"
@@ -308,7 +293,7 @@ def G_bound(d, n, t, f):
                        - d ** (n - t) + d ** e + f * (d ** (n - e) - 1))
             # the construction picks p = n-t-r, which leaves the family's
             # p-range when r = 0; clamp with the in-range tight value
-            tight = _restricted_maxmin(d, n, t, f, n - t - r, CROSSTALK)
+            tight = _row_tight(d, n, t, f, n - t - r)
             v = printed if tight is None else max(printed, tight)
             matched.append(("G2", v, "printed=%s row-tight=%s" % (printed, tight)))
         if n - t + 1 <= r <= 2 * t - n - 3:
@@ -318,7 +303,7 @@ def G_bound(d, n, t, f):
             printed = (Fraction(f * (d ** (n - t - r) - 1))
                        + (r * (d - 1) - 1) * d ** (n - t)
                        + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2))
-            tight = _restricted_maxmin(d, n, t, f, n - t - r, CROSSTALK)
+            tight = _row_tight(d, n, t, f, n - t - r)
             v = printed if tight is None else max(printed, tight)
             matched.append(("G4", v,
                             "printed=%s row-tight=%s" % (printed, tight)))

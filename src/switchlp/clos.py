@@ -131,10 +131,11 @@ class ClosState:
         # input crossbar and n2-1 by the output crossbar
         if len(bad) > (self.config.n1 - 1) + (self.config.n2 - 1):
             raise AssertionError("%d middles unavailable" % len(bad))
-        free = [mid for mid in range(self.config.m) if mid not in bad]
-        if not free:
+        mid = next((mid for mid in range(self.config.m) if mid not in bad),
+                   None)
+        if mid is None:
             return BLOCKED
-        return self._space_commit(rid, in_term, out_term, free[0])
+        return self._space_commit(rid, in_term, out_term, mid)
 
     def class_set(self, i_cb, o_cb):
         """Middles currently carrying some I_i -> O_j request."""

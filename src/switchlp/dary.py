@@ -1,34 +1,38 @@
-"""Fixed-length d-ary strings and the address-set combinatorics built on them.
+"""d-ary addresses and the address-set combinatorics built on them.
 
 Terminal addresses in a d-ary switching network with n stages are strings of
-n digits over {0..d-1}.  Almost everything downstream (routing, blocking
-predicates, bound formulas) reduces to longest-common-prefix/suffix counts on
-these strings and to cardinalities of a few derived address families.
+n digits over {0..d-1}, most significant first, held as the ints they
+denote.  Almost everything downstream (routing, blocking predicates, bound
+formulas) reduces to longest-common-prefix/suffix counts on these digits,
+which are integer arithmetic on the values, and to cardinalities of a few
+derived address families.  `DaryString` is the int that also knows its base
+and digit count, so that it can parse and print an address.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-import itertools
 
 
-class DaryString:
-    """Immutable string of `length` digits base `base`, most significant first."""
+class DaryString(int):
+    """An address: the int it denotes, base `base` and `length` digits.
 
-    __slots__ = ("base", "digits")
+    Everything downstream computes on the int alone; the base and the digit
+    count are kept only to validate what is parsed and to print it.
+    """
 
-    def __init__(self, base, digits):
-        digits = tuple(digits)
+    def __new__(cls, base, digits):
         if base < 2:
             raise ValueError("base must be >= 2")
+        digits = tuple(digits)
+        value = 0
         for dig in digits:
             if type(dig) is not int or not 0 <= dig < base:
                 raise ValueError("digit %r is not an integer in [0, %d)"
                                  % (dig, base))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "digits", digits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DaryString is immutable")
+            value = value * base + dig
+        self = super().__new__(cls, value)
+        self.base, self.length = base, len(digits)
+        return self
 
     @classmethod
     def parse(cls, text, base):
@@ -36,116 +40,67 @@ class DaryString:
 
     @classmethod
     def from_value(cls, value, base, length):
-        if not (0 <= value < base ** length):
-            raise ValueError("value %d out of range" % value)
-        digs = []
-        for _ in range(length):
-            digs.append(value % base)
-            value //= base
-        return cls(base, reversed(digs))
-
-    def value(self):
-        v = 0
-        for dig in self.digits:
-            v = v * self.base + dig
-        return v
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __getitem__(self, idx):
-        return self.digits[idx]
-
-    def prefix(self, length):
-        return DaryString(self.base, self.digits[:length])
-
-    def suffix(self, length):
-        if length == 0:
-            return DaryString(self.base, ())
-        return DaryString(self.base, self.digits[-length:])
-
-    def __eq__(self, other):
-        return (isinstance(other, DaryString)
-                and self.base == other.base and self.digits == other.digits)
-
-    def __hash__(self):
-        return hash((self.base, self.digits))
-
-    def __lt__(self, other):
-        _check_compat(self, other)
-        return self.digits < other.digits
-
-    def __le__(self, other):
-        _check_compat(self, other)
-        return self.digits <= other.digits
+        if not 0 <= value < base ** length:
+            raise ValueError("value %s out of range" % value)
+        return cls(base, _digits(value, base, length))
 
     def __str__(self):
-        if self.base <= 10:
-            return "".join(str(d) for d in self.digits)
-        return ".".join(str(d) for d in self.digits)
+        digs = _digits(int(self), self.base, self.length)
+        return ("" if self.base <= 10 else ".").join(map(str, digs))
 
     def __repr__(self):
         return "DaryString(base=%d, %r)" % (self.base, str(self))
 
 
-def _check_compat(u, v):
-    if u.base != v.base:
-        raise ValueError("base mismatch: %d vs %d" % (u.base, v.base))
-    if len(u) != len(v):
-        raise ValueError("length mismatch: %d vs %d" % (len(u), len(v)))
+def _digits(value, base, length):
+    """The `length` base-`base` digits of value, most significant first."""
+    digs = []
+    for _ in range(length):
+        value, dig = divmod(value, base)
+        digs.append(dig)
+    return digs[::-1]
 
 
-def lcp(u, v):
-    """Length of the longest common prefix of two equal-length strings."""
-    _check_compat(u, v)
+def check_address(d, n, v):
+    """Raise ValueError unless v is an n-digit base-d address value."""
+    if not 0 <= v < d ** n:
+        raise ValueError("address %s out of range for d=%d, n=%d" % (v, d, n))
+
+
+def lcp(d, n, u, v):
+    """Length of the longest common prefix of n-digit base-d values."""
+    while u != v:
+        u //= d
+        v //= d
+        n -= 1
+    return n
+
+
+def lcs(d, n, u, v):
+    """Length of the longest common suffix of n-digit base-d values."""
     k = 0
-    for a, b in zip(u.digits, v.digits):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
-def lcs(u, v):
-    """Length of the longest common suffix of two equal-length strings."""
-    _check_compat(u, v)
-    k = 0
-    for a, b in zip(reversed(u.digits), reversed(v.digits)):
-        if a != b:
-            break
+    while k < n and u % d == v % d:
+        u //= d
+        v //= d
         k += 1
     return k
 
 
 def all_strings(base, length):
-    """All base**length strings of the given shape, lexicographic order."""
-    for digs in itertools.product(range(base), repeat=length):
-        yield DaryString(base, digs)
-
-
-def window_index(v, t):
-    """Index of the size-d^t output window containing v.
-
-    Windows partition the outputs by their (n-t)-digit prefix; window w holds
-    the outputs whose prefix has value w.
-    """
-    digits, base = v.digits, v.base
-    n = len(digits)
-    if not (0 <= t <= n):
-        raise ValueError("window exponent t=%d out of range for n=%d" % (t, n))
-    w = 0
-    for dig in digits[:n - t]:
-        w = w * base + dig
-    return w
+    """All base**length addresses of the given shape, ascending."""
+    for value in range(base ** length):
+        yield DaryString.from_value(value, base, length)
 
 
 def window_outputs(base, n, t, w):
-    """The d^t outputs making up window w, ascending."""
-    if not (0 <= w < base ** (n - t)):
+    """The d^t outputs making up window w: those whose leading n-t digits
+    have value w, so that output y lies in window y // d^t."""
+    if not 0 <= t <= n:
+        raise ValueError("window exponent t=%d out of range for n=%d" % (t, n))
+    if not 0 <= w < base ** (n - t):
         raise ValueError("window index %d out of range" % w)
-    head = DaryString.from_value(w, base, n - t)
-    for tail in itertools.product(range(base), repeat=t):
-        yield DaryString(base, head.digits + tail)
+    size = base ** t
+    return range(w * size, (w + 1) * size)
 
 
 class AddressSets:
@@ -159,61 +114,61 @@ class AddressSets:
     than B's own window get an index j(w) the same way, via their common
     prefix with B's window.
 
-    Indices are computed from digits when asked and counts in closed form,
-    so nothing here enumerates addresses.
+    Addresses are n-digit base-d ints.  Indices are computed from them when
+    asked and counts in closed form, so nothing here enumerates addresses.
     """
 
-    def __init__(self, a, B, t):
+    def __init__(self, d, n, a, B, t):
         B = frozenset(B)
         if not B:
             raise ValueError("B must be nonempty")
-        self.a, self.B, self.t = a, B, t
-        self.d, self.n = d, n = a.base, len(a)
         if not (0 <= t <= n):
             raise ValueError("t=%d out of range for n=%d" % (t, n))
         if len(B) > d ** t:
             raise ValueError("window cannot hold %d outputs" % len(B))
-        for b in B:
-            _check_compat(a, b)
-        windows = {window_index(b, t) for b in B}
+        for v in (a, *B):
+            check_address(d, n, v)
+        self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
+        self._size = size = d ** t
+        windows = {b // size for b in B}
         if len(windows) != 1:
             raise ValueError("B spans multiple windows: %s" % sorted(windows))
         (self.home_window,) = windows
-        self._home_head = next(iter(B)).digits[:n - t]
-        # distinct q-digit prefixes of B for q = n-t .. n-1: the home-window
-        # outputs with j(v) >= q are exactly those extending one of them
-        self._heads = [len({b.digits[:q] for b in B}) for q in range(n - t, n)]
+        # the distinct q-digit prefixes of B for q = n-t .. n-1: the
+        # home-window outputs with j(v) >= q are exactly those extending one
+        self._prefixes = [{b // d ** (n - q) for b in B}
+                          for q in range(n - t, n)]
+        self._heads = [len(heads) for heads in self._prefixes]
 
     def i_of(self, u):
         """Suffix index of input u, or None for u == a."""
+        check_address(self.d, self.n, u)
         if u == self.a:
             return None
-        _check_compat(self.a, u)
-        return _lcp_raw(reversed(self.a.digits[:-1]), reversed(u.digits[:-1]))
+        d = self.d
+        return lcs(d, self.n - 1, self.a // d, u // d)
 
     def j_of_output(self, v):
         """Prefix index of home-window output v, or None for v in B."""
-        _check_compat(self.a, v)
-        if v.digits[:self.n - self.t] != self._home_head:
+        check_address(self.d, self.n, v)
+        if v // self._size != self.home_window:
             raise ValueError("%s is not in the home window" % v)
         if v in self.B:
             return None
-        return max(_lcp_raw(v.digits[:-1], b.digits[:-1]) for b in self.B)
+        d, n, t = self.d, self.n, self.t
+        for q in range(n - 1, n - t, -1):
+            if v // d ** (n - q) in self._prefixes[q - (n - t)]:
+                return q
+        return n - t
 
     def j_of_window(self, w):
         """Prefix index of foreign window w, or None for the home window."""
         if w == self.home_window:
             return None
-        d, rest = self.d, self.n - self.t
-        if type(w) is not int or not 0 <= w < d ** rest:
+        rest = self.n - self.t
+        if type(w) is not int or not 0 <= w < self.d ** rest:
             raise ValueError("window index %r out of range" % (w,))
-        j = 0
-        for dig in self._home_head:
-            rest -= 1
-            if w // d ** rest % d != dig:
-                break
-            j += 1
-        return j
+        return lcp(self.d, rest, w, self.home_window)
 
     def a_count(self, i):
         return a_count_formula(self.d, self.n, i)
@@ -245,15 +200,6 @@ class AddressSets:
         return self.output_count(j)
 
 
-def _lcp_raw(xs, ys):
-    k = 0
-    for a, b in zip(xs, ys):
-        if a != b:
-            break
-        k += 1
-    return k
-
-
 def a_count_formula(d, n, i):
     """Closed form for |A_i|: d^(n-i) - d^(n-1-i), clipped at i = n-1."""
     if not (0 <= i <= n - 1):
@@ -279,9 +225,7 @@ def canonical_sets(d, n, t, k):
     are stated for, so the certificate grid runs on it."""
     if not (1 <= k <= d ** t):
         raise ValueError("k=%d out of range for window size %d" % (k, d ** t))
-    a = DaryString(d, (0,) * n)
-    B = list(itertools.islice(window_outputs(d, n, t, 0), k))
-    return AddressSets(a, B, t)
+    return AddressSets(d, n, 0, range(k), t)
 
 
 def frac_pow(d, e):

@@ -18,8 +18,7 @@ i(u), and on a window or output only through its prefix index j.
 from fractions import Fraction
 from functools import cached_property
 
-from .dary import (AddressSets, all_strings, canonical_sets, window_index,
-                   window_outputs)
+from .dary import AddressSets, canonical_sets, window_outputs
 from . import bounds
 from .bounds import LINK, CROSSTALK
 
@@ -44,7 +43,7 @@ class LpInstance:
         self.d, self.n, self.t, self.f = d, n, t, f
         self.mode = mode
         self.theta = _THETA[mode]
-        self.sets = s = AddressSets(a, B, t)
+        self.sets = s = AddressSets(d, n, a, B, t)
         self.a = a
         self.B = s.B
         self.k = len(self.B)
@@ -88,7 +87,7 @@ class LpInstance:
 
     @cached_property
     def inputs(self):
-        return [u for u in all_strings(self.d, self.n) if u != self.a]
+        return [u for u in range(self.d ** self.n) if u != self.a]
 
     @cached_property
     def windows(self):
@@ -156,13 +155,13 @@ class PrimalSolution:
                 raise Infeasible("window capacity at w=%d" % w)
         for u, total in per_u_v.items():
             if total > 1:
-                raise Infeasible("per-input home spread at u=%d" % u.value())
+                raise Infeasible("per-input home spread at u=%d" % u)
         for v, total in per_v.items():
             if total > 1:
-                raise Infeasible("output multiplicity at v=%d" % v.value())
+                raise Infeasible("output multiplicity at v=%d" % v)
         for u, total in per_u_mixed.items():
             if total > inst.f:
-                raise Infeasible("fanout at u=%d" % u.value())
+                raise Infeasible("fanout at u=%d" % u)
         return True
 
 
@@ -171,13 +170,14 @@ def primal_from_state(conn, a, B):
 
     Returns (instance, primal); the primal objective equals the number of
     planes on which the request (a, B) cannot be routed as one subrequest.
-    Raises ValueError when an output of B is already owned.
+    Raises ValueError when an address is out of range or an output of B
+    is already owned.
     """
     cfg = conn.config
     inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, frozenset(B), cfg.mode)
     xw, xv = {}, {}
     for u, v in conn.blocking_branches(a, inst.B).values():
-        w = window_index(v, cfg.t)
+        w = v // cfg.d ** cfg.t
         if w == inst.home:
             xv[u, v] = 1
         else:
@@ -365,11 +365,11 @@ def family_cost(instance, p, q):
 
 
 def _var_uw(u, w):
-    return "x_u%d_w%d" % (u.value(), w)
+    return "x_u%d_w%d" % (u, w)
 
 
 def _var_uv(u, v):
-    return "x_u%d_v%d" % (u.value(), v.value())
+    return "x_u%d_v%d" % (u, v)
 
 
 def export_lp(instance):
@@ -399,13 +399,12 @@ def export_lp(instance):
         lines.append(" one_%s: %s <= 1" % (name[2:], name))
     for u in sorted(per_u_home):
         lines.append(" spread_u%d: %s <= 1"
-                     % (u.value(), " + ".join(sorted(per_u_home[u]))))
-    for v in sorted(per_v, key=lambda v: v.value()):
-        lines.append(" own_v%d: %s <= 1"
-                     % (v.value(), " + ".join(sorted(per_v[v]))))
+                     % (u, " + ".join(sorted(per_u_home[u]))))
+    for v in sorted(per_v):
+        lines.append(" own_v%d: %s <= 1" % (v, " + ".join(sorted(per_v[v]))))
     for u in sorted(per_u_all):
         lines.append(" fan_u%d: %s <= %d"
-                     % (u.value(), " + ".join(sorted(per_u_all[u])), inst.f))
+                     % (u, " + ".join(sorted(per_u_all[u])), inst.f))
     lines.append("Bounds")
     for name in all_names:
         lines.append(" 0 <= %s" % name)

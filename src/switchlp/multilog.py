@@ -7,14 +7,15 @@ plane.  Admission checks route conflicts per plane: in link mode two routes
 clash when they share a link, in crosstalk mode already sharing a switching
 element is fatal.  Routes fanning out from the same input never conflict with
 each other; the signal is replicated, not duplicated, so occupancy is owned
-at input granularity.
+at input granularity.  Addresses are the ints their digits denote; output y
+lies in window y // d^t.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 import random
 
-from .dary import DaryString, window_index
+from . import dary
 from .banyan import route, shares_se, shares_link
 from .bounds import LINK, CROSSTALK
 from .events import (Blocked, DuplicateId, SwitchError, UnknownId, check,
@@ -58,8 +59,8 @@ class MultilogConfig:
 
 
 @lru_cache(maxsize=1 << 16)
-def _route(x, y):
-    return route(x, y)
+def _route(d, n, x, y):
+    return route(d, n, x, y)
 
 
 def _keys(cfg, rt):
@@ -68,16 +69,16 @@ def _keys(cfg, rt):
     return rt.se_ids
 
 
-def _hold(occ, size, plane, xv, keys):
-    """Take one reference to each key on `plane` for input value xv."""
+def _hold(occ, size, plane, x, keys):
+    """Take one reference to each key on `plane` for input x."""
     for key in keys:
         holders = occ.setdefault(key, {})
-        owner, count = holders.get(plane, (xv, 0))
-        if owner != xv:
+        owner, count = holders.get(plane, (x, 0))
+        if owner != x:
             raise AssertionError("key %r shared across inputs" % key)
         if not count:
             size[plane] += 1
-        holders[plane] = (xv, count + 1)
+        holders[plane] = (x, count + 1)
 
 
 class ConnState:
@@ -85,7 +86,7 @@ class ConnState:
 
     def __init__(self, config):
         self.config = config
-        # key -> {plane: (owner input value, refcount)}; a key is a link id
+        # key -> {plane: (owner input, refcount)}; a key is a link id
         # (link mode) or an element id (crosstalk mode), indexed key-first
         self.occ = {}
         self.size = [0] * config.m   # keys held per plane, for BEST_FIT
@@ -98,22 +99,21 @@ class ConnState:
 
     # -- occupancy helpers ------------------------------------------------
 
-    def _blocked(self, xv, routes):
-        """Planes on which an input other than xv holds a key of `routes`."""
+    def _blocked(self, x, routes):
+        """Planes on which an input other than x holds a key of `routes`."""
         occ, blocked = self.occ, set()
         for rt in routes:
             for key in _keys(self.config, rt):
                 holders = occ.get(key)
                 if holders:
                     for plane, (owner, _) in holders.items():
-                        if owner != xv:
+                        if owner != x:
                             blocked.add(plane)
         return blocked
 
     def _commit(self, rid, plane, x, window, routes):
-        xv = x.value()
         for rt in routes:
-            _hold(self.occ, self.size, plane, xv, _keys(self.config, rt))
+            _hold(self.occ, self.size, plane, x, _keys(self.config, rt))
         pin = self.pins.setdefault((x, window), [plane, 0])
         check(pin[0] == plane, "window split across planes")
         pin[1] += len(routes)
@@ -124,7 +124,7 @@ class ConnState:
     def _feasible_planes(self, x, window, routes):
         pin = self.pins.get((x, window))
         candidates = [pin[0]] if pin else range(self.config.m)
-        blocked = self._blocked(x.value(), routes)
+        blocked = self._blocked(x, routes)
         return [p for p in candidates if p not in blocked]
 
     def _choose(self, feasible):
@@ -147,6 +147,7 @@ class ConnState:
         outputs = set(outputs)
         if not outputs:
             raise ValueError("empty output set")
+        self._check_addresses(x, outputs)
         if rid is None:
             self._auto += 1
             rid = "auto%d" % self._auto
@@ -162,13 +163,14 @@ class ConnState:
                 raise OutputBusy(str(y))
 
         by_window = {}
+        size = cfg.d ** cfg.t
         for y in sorted(outputs):
-            by_window.setdefault(window_index(y, cfg.t), []).append(y)
+            by_window.setdefault(y // size, []).append(y)
 
         result = {}
         admitted = {}
         for w in sorted(by_window):
-            routes = [_route(x, y) for y in by_window[w]]
+            routes = [_route(cfg.d, cfg.n, x, y) for y in by_window[w]]
             feasible = self._feasible_planes(x, w, routes)
             if not feasible:
                 result[w] = Blocked(w)
@@ -186,13 +188,13 @@ class ConnState:
             x, admitted = self.requests.pop(rid)
         except KeyError:
             raise UnknownId(repr(rid))
-        occ, xv = self.occ, x.value()
+        occ = self.occ
         for w, (plane, routes) in admitted.items():
             for rt in routes:
                 for key in _keys(self.config, rt):
                     holders = occ[key]
                     owner, count = holders[plane]
-                    if owner != xv:
+                    if owner != x:
                         raise AssertionError("key %r owned elsewhere" % key)
                     if count > 1:
                         holders[plane] = (owner, count - 1)
@@ -210,17 +212,26 @@ class ConnState:
         if self.input_active[x] == 0:
             del self.input_active[x]
 
+    def _check_addresses(self, x, outputs):
+        """Raise ValueError unless x and every output is an address."""
+        cfg = self.config
+        dary.check_address(cfg.d, cfg.n, x)
+        for y in outputs:
+            dary.check_address(cfg.d, cfg.n, y)
+
     def _window_routes(self, x, outputs):
         """Routes of the single-window subrequest (x, outputs)."""
-        windows = {window_index(y, self.config.t) for y in outputs}
+        cfg = self.config
+        self._check_addresses(x, outputs)
+        windows = {y // cfg.d ** cfg.t for y in outputs}
         if len(windows) != 1:
             raise ValueError("subrequest spans windows %s" % sorted(windows))
-        return [_route(x, y) for y in outputs]
+        return [_route(cfg.d, cfg.n, x, y) for y in outputs]
 
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
         branch of the single-window subrequest (x, outputs)."""
-        return self._blocked(x.value(), self._window_routes(x, set(outputs)))
+        return self._blocked(x, self._window_routes(x, set(outputs)))
 
     def blocking_branches(self, x, outputs):
         """{plane: (u, v)}, ascending by plane, for each plane that blocks
@@ -228,6 +239,7 @@ class ConnState:
         (u, v), in `requests` order, from an input u != x that holds a key
         of the subrequest on that plane.  Every output must be free."""
         outputs = set(outputs)
+        cfg, routes = self.config, self._window_routes(x, outputs)
         owned = [y for y in outputs if y in self.output_owner]
         if owned:
             raise ValueError("request output %s already owned" % min(owned))
@@ -235,8 +247,7 @@ class ConnState:
         # subrequest only on an internal link or an element (input and
         # output links belong to their terminals), just where the sharing
         # predicates see a conflict
-        cfg, routes = self.config, self._window_routes(x, outputs)
-        blocked = self._blocked(x.value(), routes)
+        blocked = self._blocked(x, routes)
         mine = {key for rt in routes for key in _keys(cfg, rt)}
         found = {}
         for u, admitted in self.requests.values():
@@ -263,20 +274,20 @@ class ConnState:
         owners = {}
         active = {}
         pins = {}
+        wsize = cfg.d ** cfg.t
         for rid, (x, admitted) in self.requests.items():
-            xv = x.value()
             for w, (plane, routes) in admitted.items():
                 pin = pins.setdefault((x, w), [plane, 0])
                 check(pin[0] == plane, "window split across planes")
                 pin[1] += len(routes)
                 for rt in routes:
                     check(rt.input == x, "route %r under input %s", rt, x)
-                    check(window_index(rt.output, cfg.t) == w,
+                    check(rt.output // wsize == w,
                           "route %r under window %d", rt, w)
                     check(rt.output not in owners, "output double-owned")
                     owners[rt.output] = rid
                     active[x] = active.get(x, 0) + 1
-                    _hold(occ, size, plane, xv, _keys(cfg, rt))
+                    _hold(occ, size, plane, x, _keys(cfg, rt))
         for name, rebuilt in (("occ", occ), ("size", size), ("pins", pins),
                               ("output_owner", owners),
                               ("input_active", active)):
@@ -287,22 +298,24 @@ class ConnState:
 
         # cross-check occupancy conflicts against the sharing predicates
         pred = shares_link if cfg.mode == LINK else shares_se
-        for plane in range(cfg.m):
-            routes = [rt for rid, (x, adm) in self.requests.items()
-                      for w, (p, rts) in adm.items() if p == plane
-                      for rt in rts]
+        d, n = cfg.d, cfg.n
+        by_plane = [[] for _ in range(cfg.m)]
+        for _, admitted in self.requests.values():
+            for plane, routes in admitted.values():
+                by_plane[plane] += routes
+        for plane, routes in enumerate(by_plane):
             for i, r1 in enumerate(routes):
                 for r2 in routes[i + 1:]:
                     check(r1.input == r2.input or not pred(
-                        r1.input, r1.output, r2.input, r2.output),
+                        d, n, r1.input, r1.output, r2.input, r2.output),
                         "routes %r and %r conflict on plane %d", r1, r2, plane)
 
 
 def parse_address(text, d, n):
-    addr = DaryString.parse(text, d)
-    if len(addr) != n:
+    addr = dary.DaryString.parse(text, d)
+    if addr.length != n:
         raise ValueError("address %r has %d digits, want %d"
-                         % (text, len(addr), n))
+                         % (text, addr.length, n))
     return addr
 
 

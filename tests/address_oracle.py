@@ -1,17 +1,41 @@
-"""Enumerating reference for `switchlp.dary.AddressSets`.
+"""Digit-tuple references for the int address arithmetic in `switchlp`.
 
-Walks every input, every output of the home window and every foreign
-window, records each one's index in a dict and counts by scanning.  It is
-slow on purpose: the differential tests in `test_dary.py` and
-`test_lpcert.py` check the closed-form fast path against it.
+The library computes on addresses as the ints their digits denote.  The
+forms here spell each definition out on digit tuples instead: common
+prefixes and suffixes, window indices, the labels along a route, and the
+enumerated `AddressSets`.  They are slow on purpose; the differential tests
+check the int forms against them.
 """
 
-from switchlp.dary import (
-    DaryString, all_strings, lcp, lcs, window_index, window_outputs,
-)
+from collections import namedtuple
+from functools import lru_cache
+
+SELabel = namedtuple("SELabel", ["stage", "label"])
 
 
-def _lcp_raw(xs, ys):
+@lru_cache(maxsize=1 << 16)
+def digits(d, n, v):
+    """The n base-d digits of v, most significant first."""
+    if not 0 <= v < d ** n:
+        raise ValueError("%d is not an %d-digit base-%d value" % (v, n, d))
+    out = []
+    for _ in range(n):
+        v, dig = divmod(v, d)
+        out.append(dig)
+    return tuple(reversed(out))
+
+
+def value(d, xs):
+    v = 0
+    for dig in xs:
+        v = v * d + dig
+    return v
+
+
+def lcp(xs, ys):
+    """Longest common prefix of two equal-length digit tuples."""
+    if len(xs) != len(ys):
+        raise ValueError("length mismatch: %d vs %d" % (len(xs), len(ys)))
     k = 0
     for a, b in zip(xs, ys):
         if a != b:
@@ -20,53 +44,90 @@ def _lcp_raw(xs, ys):
     return k
 
 
-class EnumeratedAddressSets:
-    """Same interface and meaning as `AddressSets`; see its docstring."""
+def lcs(xs, ys):
+    """Longest common suffix of two equal-length digit tuples."""
+    return lcp(xs[::-1], ys[::-1])
 
-    def __init__(self, a, B, t):
+
+def window_index(d, n, t, v):
+    """The window of output v: the value of its leading n-t digits."""
+    return value(d, digits(d, n, v)[:n - t])
+
+
+# -- route views: the element and link keys a route passes, by digits ---------
+
+
+def route_ses(d, n, x, y):
+    """SELabel(s, label) for s = 1..n; the stage-s label is the digit tuple
+    y_1..y_{s-1} x_s..x_{n-1}."""
+    xd, yd = digits(d, n, x), digits(d, n, y)
+    return [SELabel(s, yd[:s - 1] + xd[s - 1:n - 1]) for s in range(1, n + 1)]
+
+
+def route_internal_links(d, n, x, y):
+    """The link leaving stage s < n, keyed by (s, stage-s label, y_s); both
+    endpoints of the physical link agree on that key."""
+    yd = digits(d, n, y)
+    return [(s, label, yd[s - 1]) for s, label in route_ses(d, n, x, y)[:-1]]
+
+
+def route_links(d, n, x, y):
+    return ([("in", x)] + route_internal_links(d, n, x, y)
+            + [("out", y)])
+
+
+def route_sets(d, n, x, y):
+    """(elements, internal links) of the route, for intersection tests."""
+    return set(route_ses(d, n, x, y)), set(route_internal_links(d, n, x, y))
+
+
+# -- enumerated address families ----------------------------------------------
+
+
+class EnumeratedAddressSets:
+    """Same interface and meaning as `switchlp.dary.AddressSets`; see its
+    docstring.  Walks every input, every output of the home window and every
+    foreign window, records each one's index in a dict and counts by
+    scanning."""
+
+    def __init__(self, d, n, a, B, t):
         B = frozenset(B)
         if not B:
             raise ValueError("B must be nonempty")
-        self.a = a
-        self.B = B
-        self.t = t
-        self.d = a.base
-        self.n = len(a)
-        n, d = self.n, self.d
+        self.a, self.B, self.t, self.d, self.n = a, B, t, d, n
         if not (0 <= t <= n):
             raise ValueError("t=%d out of range for n=%d" % (t, n))
-        windows = {window_index(b, t) for b in B}
+        windows = {window_index(d, n, t, b) for b in B}
         if len(windows) != 1:
             raise ValueError("B spans multiple windows: %s" % sorted(windows))
         (self.home_window,) = windows
 
         self._i_of = {}
         self.A = [set() for _ in range(n)]
-        ap = a.prefix(n - 1)
-        for u in all_strings(d, n):
+        ap = digits(d, n, a)[:n - 1]
+        for u in range(d ** n):
             if u == a:
                 continue
-            i = lcs(ap, u.prefix(n - 1))
+            i = lcs(ap, digits(d, n, u)[:n - 1])
             self._i_of[u] = i
             self.A[i].add(u)
 
         # j(v) over outputs of the home window that are not in B
-        bprefixes = [b.prefix(n - 1) for b in B]
+        bprefixes = [digits(d, n, b)[:n - 1] for b in B]
         self._j_of_output = {}
-        for v in window_outputs(d, n, t, self.home_window):
-            if v in B:
+        for v in range(d ** n):
+            if v in B or window_index(d, n, t, v) != self.home_window:
                 continue
-            vp = v.prefix(n - 1)
+            vp = digits(d, n, v)[:n - 1]
             self._j_of_output[v] = max(lcp(vp, bp) for bp in bprefixes)
 
         # j(w) over foreign windows: common prefix of the window heads
         self._j_of_window = {}
-        home_head = DaryString.from_value(self.home_window, d, n - t)
+        home_head = digits(d, n - t, self.home_window)
         for w in range(d ** (n - t)):
             if w == self.home_window:
                 continue
-            head = DaryString.from_value(w, d, n - t)
-            self._j_of_window[w] = _lcp_raw(head.digits, home_head.digits)
+            self._j_of_window[w] = lcp(digits(d, n - t, w), home_head)
 
     def i_of(self, u):
         if u == self.a:

@@ -15,11 +15,13 @@ import random
 import pytest
 
 from switchlp import adversary, bounds, clos, dwec, lpcert, multilog
-from switchlp.banyan import route, shares_link, shares_se
+from switchlp.banyan import shares_link, shares_se
 from switchlp.clos import ClosConfig, ClosState, BLOCKED
-from switchlp.dary import DaryString, all_strings, window_index
+from switchlp.dary import DaryString, all_strings
 from switchlp.dwec import ColoringState, FOUR_TYPE
 from switchlp.multilog import MultilogConfig, ConnState
+
+from address_oracle import route_sets
 
 F = Fraction
 
@@ -479,31 +481,26 @@ def test_criterion_7_weak_duality():
 # -- criterion 8: predicate oracle equivalence --------------------------------
 
 
-def _route_sets(x, y):
-    rt = route(x, y)
-    return set(rt.ses), set(rt.internal_links)
-
-
 def test_criterion_8_oracle_equivalence():
     with criterion(8):
         for n in (2, 3, 4):
-            univ = list(all_strings(2, n))
-            cache = {(x, y): _route_sets(x, y)
+            univ = range(2 ** n)
+            cache = {(x, y): route_sets(2, n, x, y)
                      for x in univ for y in univ}
             for a, b, u, v in itertools.product(univ, repeat=4):
                 se1, lk1 = cache[a, b]
                 se2, lk2 = cache[u, v]
-                assert shares_se(a, b, u, v) == bool(se1 & se2)
-                assert shares_link(a, b, u, v) == bool(lk1 & lk2)
+                assert shares_se(2, n, a, b, u, v) == bool(se1 & se2)
+                assert shares_link(2, n, a, b, u, v) == bool(lk1 & lk2)
         rng = random.Random(99)
-        univ = list(all_strings(3, 3))
+        univ = range(3 ** 3)
         cache = {}
         for _ in range(10 ** 4):
             a, b, u, v = (rng.choice(univ) for _ in range(4))
             for key in ((a, b), (u, v)):
                 if key not in cache:
-                    cache[key] = _route_sets(*key)
+                    cache[key] = route_sets(3, 3, *key)
             se1, lk1 = cache[a, b]
             se2, lk2 = cache[u, v]
-            assert shares_se(a, b, u, v) == bool(se1 & se2)
-            assert shares_link(a, b, u, v) == bool(lk1 & lk2)
+            assert shares_se(3, 3, a, b, u, v) == bool(se1 & se2)
+            assert shares_link(3, 3, a, b, u, v) == bool(lk1 & lk2)

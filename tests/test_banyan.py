@@ -11,92 +11,102 @@ import random
 
 import pytest
 
-from switchlp.dary import DaryString, all_strings
+from switchlp.dary import DaryString
 from switchlp.banyan import route, shares_se, shares_link, intersection_stage
+
+from address_oracle import (
+    digits, route_internal_links, route_links, route_ses, route_sets,
+)
 
 
 def s(text, base=2):
     return DaryString.parse(text, base)
 
 
-def graph_walk(x, y):
+def graph_walk(d, n, x, y):
     """Independent oracle: follow the unique plane path from x to y.
 
     The stage-1 element is labeled with x's first n-1 digits; moving from
     stage s to stage s+1 may change only label position s (1-based), and
     arriving at y forces that position to y_s.  Returns the label sequence.
     """
-    n = len(x)
-    label = list(x.digits[: n - 1])
+    xd, yd = digits(d, n, x), digits(d, n, y)
+    label = list(xd[: n - 1])
     labels = [tuple(label)]
     for stage in range(1, n):
         nxt = list(label)
-        nxt[stage - 1] = y.digits[stage - 1]
+        nxt[stage - 1] = yd[stage - 1]
         # the only neighbor consistent with reaching y's stage-n element
-        assert nxt[: stage] == list(y.digits[: stage])
+        assert nxt[: stage] == list(yd[: stage])
         label = nxt
         labels.append(tuple(label))
-    assert label == list(y.digits[: n - 1])
+    assert label == list(yd[: n - 1])
     return labels
 
 
 class TestRoute:
     def test_worked_example(self):
-        rt = route(s("01001"), s("10101"))
-        assert [str(se.label) for se in rt.ses] == \
+        ses = route_ses(2, 5, s("01001"), s("10101"))
+        assert ["".join(map(str, se.label)) for se in ses] == \
             ["0100", "1100", "1000", "1010", "1010"]
-        assert [se.stage for se in rt.ses] == [1, 2, 3, 4, 5]
+        assert [se.stage for se in ses] == [1, 2, 3, 4, 5]
 
     def test_worked_example_against_graph(self):
         x, y = s("01001"), s("10101")
-        rt = route(x, y)
-        assert [se.label.digits for se in rt.ses] == graph_walk(x, y)
+        assert [se.label for se in route_ses(2, 5, x, y)] == \
+            graph_walk(2, 5, x, y)
 
     def test_identity_route(self):
         z = s("0000")
-        rt = route(z, z)
-        assert all(se.label.value() == 0 for se in rt.ses)
+        rt = route(2, 4, z, z)
+        # every element on the all-zero route has label 0 at its stage
+        assert rt.se_ids == tuple(k * 2 ** 3 for k in range(4))
+        assert all(se.label == (0,) * 3 for se in route_ses(2, 4, z, z))
 
     def test_endpoints(self):
-        rt = route(s("0110"), s("1011"))
-        assert str(rt.ses[0].label) == "011"
-        assert str(rt.ses[-1].label) == "101"
+        ses = route_ses(2, 4, s("0110"), s("1011"))
+        assert ses[0].label == (0, 1, 1)
+        assert ses[-1].label == (1, 0, 1)
+        rt = route(2, 4, s("0110"), s("1011"))
+        assert rt.se_ids[0] == 0b011
+        assert rt.se_ids[-1] == 3 * 2 ** 3 + 0b101
 
     def test_stage_local(self):
-        for x, y in itertools.product(all_strings(2, 4), repeat=2):
-            rt = route(x, y)
-            for i in range(len(rt.ses) - 1):
-                a, b = rt.ses[i].label.digits, rt.ses[i + 1].label.digits
+        for x, y in itertools.product(range(2 ** 4), repeat=2):
+            ses = route_ses(2, 4, x, y)
+            for i in range(len(ses) - 1):
+                a, b = ses[i].label, ses[i + 1].label
                 diff = [pos for pos in range(len(a)) if a[pos] != b[pos]]
                 assert diff == [] or diff == [i]
 
     def test_random_d3_against_graph(self):
         rng = random.Random(7)
-        univ = list(all_strings(3, 4))
         for _ in range(300):
-            x, y = rng.choice(univ), rng.choice(univ)
-            rt = route(x, y)
-            assert [se.label.digits for se in rt.ses] == graph_walk(x, y)
+            x, y = rng.randrange(3 ** 4), rng.randrange(3 ** 4)
+            assert [se.label for se in route_ses(3, 4, x, y)] == \
+                graph_walk(3, 4, x, y)
 
     def test_link_keys_chain_the_stages(self):
-        rt = route(s("010"), s("110"))
-        assert rt.links[0] == ("in", s("010"))
-        assert rt.links[-1] == ("out", s("110"))
-        assert len(rt.internal_links) == 2
-        for stage, label, digit in rt.internal_links:
-            assert label == rt.ses[stage - 1].label
-            assert digit == s("110").digits[stage - 1]
+        x, y = s("010"), s("110")
+        links = route_links(2, 3, x, y)
+        assert links[0] == ("in", x)
+        assert links[-1] == ("out", y)
+        internal = route_internal_links(2, 3, x, y)
+        assert len(internal) == 2
+        ses = route_ses(2, 3, x, y)
+        for stage, label, digit in internal:
+            assert label == ses[stage - 1].label
+            assert digit == (1, 1, 0)[stage - 1]
 
     @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (2, 4),
                                       (3, 1), (3, 2), (3, 3), (3, 4)])
     def test_int_ids_relabel_dary_keys(self, d, n):
-        # over every route, the same DaryString key always gets the same id
-        # and distinct keys get distinct ids
-        for ids, view in (("link_ids", "links"), ("se_ids", "ses")):
+        # over every route, the same digit-tuple key always gets the same
+        # id and distinct keys get distinct ids
+        for ids, view in (("link_ids", route_links), ("se_ids", route_ses)):
             id_of, key_of = {}, {}
-            for x, y in itertools.product(all_strings(d, n), repeat=2):
-                rt = route(x, y)
-                got, want = getattr(rt, ids), getattr(rt, view)
+            for x, y in itertools.product(range(d ** n), repeat=2):
+                got, want = getattr(route(d, n, x, y), ids), view(d, n, x, y)
                 assert len(got) == len(want)
                 for i, key in zip(got, want):
                     assert type(i) is int
@@ -104,35 +114,33 @@ class TestRoute:
                     assert key_of.setdefault(i, key) == key
 
     def test_length_mismatch(self):
+        # a three-digit address lies past the last address of a 2-digit plane
         with pytest.raises(ValueError):
-            route(s("01"), s("010"))
-
-
-def route_sets(x, y):
-    rt = route(x, y)
-    return set(rt.ses), set(rt.internal_links)
+            route(2, 2, s("01"), s("110"))
+        with pytest.raises(ValueError):
+            route(2, 0, 0, 0)
 
 
 class TestPredicates:
     def test_identical_routes(self):
         a, b = s("010"), s("100")
-        assert shares_se(a, b, a, b)
-        assert shares_link(a, b, a, b)
-        assert intersection_stage(a, b, a, b) == "multiple"
+        assert shares_se(2, 3, a, b, a, b)
+        assert shares_link(2, 3, a, b, a, b)
+        assert intersection_stage(2, 3, a, b, a, b) == "multiple"
 
     def test_worked_pair(self):
-        assert shares_se(s("000"), s("000"), s("100"), s("011"))
+        assert shares_se(2, 3, s("000"), s("000"), s("100"), s("011"))
 
     def test_boundary_pair_se_not_link(self):
         # digit surgery: equal (n-1)-prefixes on the inputs, outputs
         # differing in the first digit give lcs + lcp = n - 1 exactly
         a, u = s("0010"), s("0011")
         b, v = s("0000"), s("1000")
-        assert shares_se(a, b, u, v)
-        assert not shares_link(a, b, u, v)
-        stage = intersection_stage(a, b, u, v)
-        se_a, _ = route_sets(a, b)
-        se_u, _ = route_sets(u, v)
+        assert shares_se(2, 4, a, b, u, v)
+        assert not shares_link(2, 4, a, b, u, v)
+        stage = intersection_stage(2, 4, a, b, u, v)
+        se_a, _ = route_sets(2, 4, a, b)
+        se_u, _ = route_sets(2, 4, u, v)
         common = se_a & se_u
         assert len(common) == 1
         assert stage == next(iter(common)).stage
@@ -140,22 +148,22 @@ class TestPredicates:
     def test_disjoint_routes(self):
         a, b = s("000"), s("000")
         u, v = s("011"), s("110")
-        assert not shares_se(a, b, u, v)
-        assert intersection_stage(a, b, u, v) == "none"
+        assert not shares_se(2, 3, a, b, u, v)
+        assert intersection_stage(2, 3, a, b, u, v) == "none"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exhaustive_oracle_d2(self, n):
-        univ = list(all_strings(2, n))
-        cache = {(x, y): route_sets(x, y)
+        univ = range(2 ** n)
+        cache = {(x, y): route_sets(2, n, x, y)
                  for x in univ for y in univ}
         for a, b, u, v in itertools.product(univ, repeat=4):
             se1, lk1 = cache[a, b]
             se2, lk2 = cache[u, v]
             se_hit = bool(se1 & se2)
             lk_hit = bool(lk1 & lk2)
-            assert shares_se(a, b, u, v) == se_hit
-            assert shares_link(a, b, u, v) == lk_hit
-            stage = intersection_stage(a, b, u, v)
+            assert shares_se(2, n, a, b, u, v) == se_hit
+            assert shares_link(2, n, a, b, u, v) == lk_hit
+            stage = intersection_stage(2, n, a, b, u, v)
             common = se1 & se2
             if not common:
                 assert stage == "none"
@@ -166,22 +174,20 @@ class TestPredicates:
 
     def test_sampled_oracle_d3(self):
         rng = random.Random(11)
-        univ = list(all_strings(3, 3))
         cache = {}
         for _ in range(10000):
-            a, b, u, v = (rng.choice(univ) for _ in range(4))
+            a, b, u, v = (rng.randrange(3 ** 3) for _ in range(4))
             for key in ((a, b), (u, v)):
                 if key not in cache:
-                    cache[key] = route_sets(*key)
+                    cache[key] = route_sets(3, 3, *key)
             se1, lk1 = cache[a, b]
             se2, lk2 = cache[u, v]
-            assert shares_se(a, b, u, v) == bool(se1 & se2)
-            assert shares_link(a, b, u, v) == bool(lk1 & lk2)
+            assert shares_se(3, 3, a, b, u, v) == bool(se1 & se2)
+            assert shares_link(3, 3, a, b, u, v) == bool(lk1 & lk2)
 
     def test_link_implies_se(self):
-        univ = list(all_strings(2, 4))
         rng = random.Random(3)
         for _ in range(2000):
-            a, b, u, v = (rng.choice(univ) for _ in range(4))
-            if shares_link(a, b, u, v):
-                assert shares_se(a, b, u, v)
+            a, b, u, v = (rng.randrange(2 ** 4) for _ in range(4))
+            if shares_link(2, 4, a, b, u, v):
+                assert shares_se(2, 4, a, b, u, v)

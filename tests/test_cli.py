@@ -434,8 +434,9 @@ class TestInputErrors:
             "    lambda: clos.ClosState(C(n=2, m=3, r=2)).multirate_admit(",
             "        (0, 0), (1, 0), 1),",
             "    lambda: adversary.snb_saturation_events(1),",
-            "    lambda: dary.AddressSets(dary.DaryString(2, (0, 0, 0)),",
+            "    lambda: dary.AddressSets(2, 3, dary.DaryString(2, (0, 0, 0)),",
             "                             dary.all_strings(2, 3), 1),",
+            "    lambda: conn.admit(dary.DaryString(2, (1, 0, 0, 0)), [a]),",
             "    lambda: lpcert.primal_from_state(conn, a, [a]),",
             "    lambda: lpcert.primal_from_state(quiet, a, [a]),",
             "    lambda: adversary.run_snb_saturation(4, 5),",

@@ -13,11 +13,9 @@ from switchlp.lpcert import (
     PrimalSolution, primal_from_state, DualSolution, dual_family,
     dual_special_t_eq_n, check_weak_duality, family_cost, export_lp, parse_lp,
 )
-from switchlp.dary import (
-    DaryString, all_strings, lcp, lcs, window_index, window_outputs,
-)
+from switchlp.dary import DaryString, all_strings, window_outputs
 
-from address_oracle import EnumeratedAddressSets
+from address_oracle import EnumeratedAddressSets, digits, lcp, lcs
 
 
 def s(text, base=2):
@@ -29,29 +27,28 @@ class TestInstance:
         # recount the defined pairs straight from the suffix/prefix scans,
         # without going through the cached address families
         inst = canonical_instance(2, 3, 1, 1, 1, LINK)
-        a = s("000")
-        b = s("000")
+        a = digits(2, 3, 0)
+        b = digits(2, 3, 0)
         n = 3
         want_uw = 0
-        for u in all_strings(2, 3):
-            if u == a:
+        for u in range(2 ** 3):
+            if u == 0:
                 continue
-            i = lcs(a.prefix(n - 1), u.prefix(n - 1))
+            i = lcs(a[:n - 1], digits(2, 3, u)[:n - 1])
             for w in range(4):
                 if w == 0:
                     continue
-                head_w = DaryString.from_value(w, 2, 2)
-                j = lcp(head_w, DaryString.from_value(0, 2, 2))
+                j = lcp(digits(2, 2, w), digits(2, 2, 0))
                 if i + j >= n:
                     want_uw += 1
         assert len(inst.uw_pairs) == want_uw
         want_uv = 0
-        for u in all_strings(2, 3):
-            if u == a:
+        for u in range(2 ** 3):
+            if u == 0:
                 continue
-            i = lcs(a.prefix(n - 1), u.prefix(n - 1))
-            for v in (s("001"),):
-                j = lcp(b.prefix(n - 1), v.prefix(n - 1))
+            i = lcs(a[:n - 1], digits(2, 3, u)[:n - 1])
+            for v in (digits(2, 3, 1),):
+                j = lcp(b[:n - 1], v[:n - 1])
                 if i + j >= n:
                     want_uv += 1
         assert len(inst.uv_pairs) == want_uv
@@ -97,7 +94,7 @@ class TestOracle:
         d, n, t, a, B, mode = req
         inst = LpInstance(d, n, t, len(B), a, B, mode)
         fast = inst.sets
-        ref = EnumeratedAddressSets(a, B, t)
+        ref = EnumeratedAddressSets(d, n, a, B, t)
         ins = list(all_strings(d, n))
         wins = list(range(d ** (n - t)))
         home_outs = list(window_outputs(d, n, t, ref.home_window))
@@ -176,8 +173,7 @@ class TestPrimal:
                         break
                     conn.admit(req[0], req[1], rid="%d" % i)
                 free = [y for y in all_strings(2, 4)
-                        if y not in conn.output_owner
-                        and window_index(y, 1) == 0]
+                        if y not in conn.output_owner and y // 2 == 0]
                 if not free:
                     continue
                 a = s("1111")
@@ -242,7 +238,7 @@ class TestDualFamily:
             d, n, t = 2, 4, rng.choice([1, 2])
             w = rng.randrange(d ** (n - t))
             outs = list(all_strings(d, n))
-            wouts = [v for v in outs if window_index(v, t) == w]
+            wouts = [v for v in outs if v // d ** t == w]
             k = rng.randrange(1, len(wouts) + 1)
             B = rng.sample(wouts, k)
             a = rng.choice(outs)
@@ -319,8 +315,7 @@ class TestWeakDuality:
                         break
                     conn.admit(req[0], req[1], rid=str(i))
                 free = [y for y in all_strings(2, 3)
-                        if y not in conn.output_owner
-                        and window_index(y, 1) == 0]
+                        if y not in conn.output_owner and y // 2 == 0]
                 if not free:
                     continue
                 inst, primal = primal_from_state(conn, s("111"), [free[0]])
@@ -342,10 +337,8 @@ class TestExport:
         inst = canonical_instance(2, 3, 1, 2, 1, LINK)
         text = export_lp(inst)
         parsed = parse_lp(text)
-        want = sorted(["x_u%d_w%d" % (u.value(), w)
-                       for u, w in inst.uw_pairs]
-                      + ["x_u%d_v%d" % (u.value(), v.value())
-                         for u, v in inst.uv_pairs])
+        want = sorted(["x_u%d_w%d" % (u, w) for u, w in inst.uw_pairs]
+                      + ["x_u%d_v%d" % (u, v) for u, v in inst.uv_pairs])
         assert parsed["objective"] == want
         assert parsed["bounds"] == want
         names = {name for name, _, _ in parsed["constraints"]}

@@ -10,9 +10,11 @@ from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
     UnknownId, DuplicateId, LINK, CROSSTALK, parse_address, run_trace,
 )
-from switchlp.dary import DaryString, all_strings, window_index, window_outputs
+from switchlp.dary import DaryString, all_strings, window_outputs
 from switchlp.banyan import shares_link, shares_se
 from switchlp import adversary
+
+from address_oracle import route_links, route_ses
 
 
 def s(text, base=2):
@@ -37,9 +39,9 @@ class TestAdmission:
         state.admit(s("000"), [s("000")])
         # (100 -> 011) shares a link with (000 -> 000)? decide by predicate
         x, y = s("100"), s("001")
-        assert shares_link(s("000"), s("000"), x, y)
+        assert shares_link(2, 3, s("000"), s("000"), x, y)
         result = state.admit(x, [y])
-        assert result == {y.value(): 1}
+        assert result == {1: 1}   # t = 0: the window is the output
         state.audit()
 
     def test_single_plane_blocking_matches_predicate(self):
@@ -51,7 +53,8 @@ class TestAdmission:
             result = state.admit(s("100"), [y])
             (outcome,) = result.values()
             blocked = isinstance(outcome, Blocked)
-            assert blocked == shares_link(s("000"), s("000"), s("100"), y)
+            assert blocked == shares_link(2, 3, s("000"), s("000"), s("100"),
+                                          y)
 
     def test_fanout_guard(self):
         state = ConnState(cfg(f=2, t=3))
@@ -85,7 +88,7 @@ class TestAdmission:
         rid = next(iter(state.requests))
         _, admitted = state.requests[rid]
         plane, routes = admitted[0]
-        assert {str(rt.output) for rt in routes} == {"000", "001"}
+        assert {rt.output for rt in routes} == {s("000"), s("001")}
         state.audit()
 
     def test_same_input_branches_never_conflict(self):
@@ -104,6 +107,47 @@ class TestAdmission:
         statuses = {w: isinstance(v, Blocked) for w, v in result.items()}
         assert statuses[0] is True and statuses[1] is False
         state.audit()
+
+
+class TestAddressRange:
+    """d=2, n=3, t=1 has addresses 0..7 in windows 0..3.  A 4-digit or a
+    base-3 address denotes an int past them and must be refused, not routed
+    into a window that does not exist."""
+
+    BAD = [DaryString(2, (1, 0, 0, 0)), DaryString(2, (1, 1, 1, 1)),
+           DaryString(3, (2, 2, 2)), -1]
+
+    @staticmethod
+    def state():
+        state = ConnState(cfg(t=1, f=2))
+        state.admit(s("010"), [s("001")], rid="r")
+        return state
+
+    @staticmethod
+    def refused(bad, call):
+        for x, ys in ((bad, [s("000")]), (s("000"), [bad])):
+            with pytest.raises(ValueError, match="address %s out" % bad):
+                call(x, ys)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_admit(self, bad):
+        state = self.state()
+        self.refused(bad, state.admit)
+        assert list(state.requests) == ["r"]
+        state.audit()
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_blocking_planes(self, bad):
+        self.refused(bad, self.state().blocking_planes)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_blocking_branches(self, bad):
+        self.refused(bad, self.state().blocking_branches)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_primal_from_state(self, bad):
+        state = self.state()
+        self.refused(bad, lambda x, ys: lpcert.primal_from_state(state, x, ys))
 
 
 class TestRelease:
@@ -153,7 +197,8 @@ class TestBlockingPlanes:
         for rid, (x, admitted) in state.requests.items():
             for w, (plane, routes) in admitted.items():
                 for rt in routes:
-                    if shares_link(probe_x, probe_y, rt.input, rt.output):
+                    if shares_link(2, 3, probe_x, probe_y, rt.input,
+                                   rt.output):
                         want.add(plane)
         assert state.blocking_planes(probe_x, [probe_y]) == want
 
@@ -179,27 +224,30 @@ def oracle_blocking(state, x, outputs):
     """The per-plane scan: plane p blocks the branches (x, y) when a live
     route on p from another input shares a link (link mode) or a switching
     element (crosstalk mode) with one of them."""
-    pred = shares_link if state.config.mode == LINK else shares_se
-    return {p for p in range(state.config.m)
-            if any(pred(x, y, rt.input, rt.output)
+    cfg = state.config
+    pred = shares_link if cfg.mode == LINK else shares_se
+    return {p for p in range(cfg.m)
+            if any(pred(cfg.d, cfg.n, x, y, rt.input, rt.output)
                    for u, admitted in state.requests.values() if u != x
                    for plane, routes in admitted.values() if plane == p
                    for rt in routes for y in outputs)}
 
 
 def oracle_key_count(state, p):
-    """Distinct DaryString keys held on plane p."""
-    view = "links" if state.config.mode == LINK else "ses"
+    """Distinct digit-tuple keys held on plane p."""
+    cfg = state.config
+    view = route_links if cfg.mode == LINK else route_ses
     return len({key for _, admitted in state.requests.values()
                 for plane, routes in admitted.values() if plane == p
-                for rt in routes for key in getattr(rt, view)})
+                for rt in routes
+                for key in view(cfg.d, cfg.n, rt.input, rt.output)})
 
 
 def admit_checked(state, x, ys, rid):
     """Admit the single-window subrequest (x, ys) and check the plane it got
     against the oracle: feasible, and the one the policy must pick."""
     config = state.config
-    w = window_index(ys[0], config.t)
+    w = ys[0] // config.d ** config.t
     pin = state.pins.get((x, w))
     candidates = [pin[0]] if pin else range(config.m)
     blocked = oracle_blocking(state, x, ys)
@@ -235,14 +283,16 @@ def oracle_branches(state, x, outputs):
     each plane, the first live route in `requests` order from an input other
     than x that shares a link (link mode) or a switching element (crosstalk
     mode) with some branch (x, y), as {plane: (input, output)}."""
-    pred = shares_link if state.config.mode == LINK else shares_se
+    cfg = state.config
+    pred = shares_link if cfg.mode == LINK else shares_se
     found = {}
-    for p in range(state.config.m):
+    for p in range(cfg.m):
         branch = next(((u, rt.output)
                        for u, admitted in state.requests.values() if u != x
                        for plane, routes in admitted.values() if plane == p
                        for rt in routes
-                       if any(pred(x, y, u, rt.output) for y in outputs)),
+                       if any(pred(cfg.d, cfg.n, x, y, u, rt.output)
+                              for y in outputs)),
                       None)
         if branch is not None:
             found[p] = branch
@@ -253,7 +303,7 @@ def churn(state, rng, steps):
     """Random churn, including extra branches into pinned windows, with
     every admission checked by `admit_checked`; audits and yields after
     each step."""
-    t = state.config.t
+    size = state.config.d ** state.config.t
     live = []
     for step in range(steps):
         r = rng.random()
@@ -266,7 +316,7 @@ def churn(state, rng, steps):
                 x, ys = req
                 by_window = {}
                 for y in sorted(ys):
-                    by_window.setdefault(window_index(y, t), []).append(y)
+                    by_window.setdefault(y // size, []).append(y)
                 for w in sorted(by_window):
                     rid = "%d.%d" % (step, w)
                     admit_checked(state, x, by_window[w], rid)
@@ -291,7 +341,7 @@ class TestOccupancyOracle:
                                 mode=mode, plane_policy=policy, seed=seed)
         state = ConnState(config)
         rng = random.Random(seed)
-        addrs = list(all_strings(d, n))
+        addrs = range(d ** n)
         for _ in churn(state, rng, 25):
             # a probe is asked for free outputs only, as admission would be:
             # an owned output's link is held without any internal sharing
@@ -321,7 +371,7 @@ class TestProbeOracle:
                                 plane_policy=policy, seed=seed)
         state = ConnState(config)
         rng = random.Random(seed)
-        addrs = list(all_strings(d, n))
+        addrs = range(d ** n)
         for _ in churn(state, rng, 25):
             x = rng.choice(addrs)
             home = rng.randrange(d ** (n - t))
@@ -334,7 +384,7 @@ class TestProbeOracle:
                 assert list(got.items()) == sorted(want.items())
                 xw, xv = {}, {}
                 for u, v in want.values():
-                    w = window_index(v, t)
+                    w = v // d ** t
                     if w == home:
                         xv[u, v] = 1
                     else:
@@ -386,7 +436,7 @@ class TestModeMonotonicity:
             for i, r1 in enumerate(routes):
                 for r2 in routes[i + 1:]:
                     if r1.input != r2.input:
-                        assert not shares_link(r1.input, r1.output,
+                        assert not shares_link(2, 4, r1.input, r1.output,
                                                r2.input, r2.output)
 
 
