@@ -129,22 +129,22 @@ class TestAddressRange:
             with pytest.raises(ValueError, match="address %s out" % bad):
                 call(x, ys)
 
-    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("bad", BAD, ids=str)
     def test_admit(self, bad):
         state = self.state()
         self.refused(bad, state.admit)
         assert list(state.requests) == ["r"]
         state.audit()
 
-    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("bad", BAD, ids=str)
     def test_blocking_planes(self, bad):
         self.refused(bad, self.state().blocking_planes)
 
-    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("bad", BAD, ids=str)
     def test_blocking_branches(self, bad):
         self.refused(bad, self.state().blocking_branches)
 
-    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("bad", BAD, ids=str)
     def test_primal_from_state(self, bad):
         state = self.state()
         self.refused(bad, lambda x, ys: lpcert.primal_from_state(state, x, ys))
