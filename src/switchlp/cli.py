@@ -382,7 +382,3 @@ def main(argv=None):
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

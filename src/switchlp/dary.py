@@ -36,7 +36,16 @@ class DaryString(int):
 
     @classmethod
     def parse(cls, text, base):
-        return cls(base, [int(ch, base) for ch in text])
+        """Read "a1" (a character per digit, base <= 36) or "10.1"."""
+        dotted = "." in text or base > 36
+        parts = text.split(".") if dotted and text else text
+        try:
+            if dotted and not all(p.isascii() and p.isdigit() for p in parts):
+                raise ValueError("not dotted decimal digits")
+            return cls(base, [int(p, 10 if dotted else base) for p in parts])
+        except ValueError as exc:
+            raise ValueError("cannot read address %r in base %d: %s"
+                             % (text, base, exc)) from None
 
     @classmethod
     def from_value(cls, value, base, length):
@@ -45,6 +54,8 @@ class DaryString(int):
         return cls(base, _digits(value, base, length))
 
     def __str__(self):
+        if self.length == 1 and self.base <= 36:  # "10" would read as 1, 0
+            return "0123456789abcdefghijklmnopqrstuvwxyz"[self]
         digs = _digits(int(self), self.base, self.length)
         return ("" if self.base <= 10 else ".").join(map(str, digs))
 

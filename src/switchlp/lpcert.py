@@ -86,6 +86,19 @@ class LpInstance:
         return i is not None and j is not None and i + j >= self._thresh
 
     @cached_property
+    def profile(self):
+        """Class counts (|A_i| per i, foreign windows and spare home-window
+        outputs per j) as each class dual's objective coefficient."""
+        s, n, t = self.sets, self.n, self.t
+        a = [s.a_count(i) for i in range(n)]
+        win = [s.window_count(j) for j in range(n - t)]
+        return {"alpha": {j: self.d ** t * c for j, c in enumerate(win)},
+                "beta": {(i, j): a[i] * win[j] for i, j in self._classes_uw},
+                "gamma": dict(enumerate(a)),
+                "delta": {j: s.output_count(j) for j in range(n)},
+                "epsilon": {i: self.f * c for i, c in enumerate(a)}}
+
+    @cached_property
     def inputs(self):
         return [u for u in range(self.d ** self.n) if u != self.a]
 
@@ -139,10 +152,7 @@ class PrimalSolution:
                 raise Infeasible(_var_uv(*key) + " undefined")
             if val < 0:
                 raise Infeasible(_var_uv(*key) + " negative")
-        per_w = {}
-        per_u_v = {}
-        per_v = {}
-        per_u_mixed = {}
+        per_w, per_u_v, per_v, per_u_mixed = {}, {}, {}, {}
         for (u, w), val in self.xw.items():
             per_w[w] = per_w.get(w, 0) + val
             per_u_mixed[u] = per_u_mixed.get(u, 0) + val
@@ -189,29 +199,31 @@ def primal_from_state(conn, a, B):
 
 class DualSolution:
     """Dual variables stored per class: alpha/beta keyed by window index j
-    and (i, j); gamma/epsilon keyed by i(u); delta keyed by j(v)."""
+    and (i, j); gamma/epsilon keyed by i(u); delta keyed by j(v).  An int
+    value stays an int, any other becomes a Fraction: both are exact."""
 
     def __init__(self, instance, alpha=None, beta=None, gamma=None,
                  delta=None, eps=None, label=""):
-        self.instance = instance
+        self.instance, self.label = instance, label
         n, t = instance.n, instance.t
-        self.alpha = {j: Fraction(0) for j in range(n - t)}
+        self.alpha = dict.fromkeys(range(n - t), 0)
+        self.gamma = dict.fromkeys(range(n), 0)
+        self.delta = dict.fromkeys(range(n), 0)
+        self.eps = dict.fromkeys(range(n), 0)
         self.beta = {}
-        self.gamma = {i: Fraction(0) for i in range(n)}
-        self.delta = {j: Fraction(0) for j in range(n)}
-        self.eps = {i: Fraction(0) for i in range(n)}
-        self.label = label
-        for src, dst in ((alpha, self.alpha), (gamma, self.gamma),
-                         (delta, self.delta), (eps, self.eps),
-                         (beta, self.beta)):
-            if src:
-                dst.update({k: Fraction(v) for k, v in src.items()})
+        for (_, dst), src in zip(self._pools(),
+                                 (alpha, gamma, delta, eps, beta)):
+            dst.update((k, v if type(v) is int else Fraction(v))
+                       for k, v in (src or {}).items())
+
+    def _pools(self):
+        return (("alpha", self.alpha), ("gamma", self.gamma),
+                ("delta", self.delta), ("epsilon", self.eps),
+                ("beta", self.beta))
 
     def check_feasible(self):
         inst = self.instance
-        for pool, what in ((self.alpha, "alpha"), (self.gamma, "gamma"),
-                           (self.delta, "delta"), (self.eps, "epsilon"),
-                           (self.beta, "beta")):
+        for what, pool in self._pools():
             for key, val in pool.items():
                 if val < 0:
                     raise Infeasible("%s[%r] negative" % (what, key))
@@ -226,19 +238,12 @@ class DualSolution:
         return True
 
     def objective(self):
-        """Exact dual objective for the concrete request."""
-        inst = self.instance
-        s = inst.sets
-        dt = inst.d ** inst.t
-        beta = self.beta
-        terms = ([(v, dt * s.window_count(j)) for j, v in self.alpha.items()]
-                 + [(beta[c], s.a_count(c[0]) * s.window_count(c[1]))
-                    for c in inst.defined_classes_uw() if c in beta]
-                 + [(v, s.a_count(i)) for i, v in self.gamma.items()]
-                 + [(v, s.output_count(j)) for j, v in self.delta.items()]
-                 + [(v, inst.f * s.a_count(i)) for i, v in self.eps.items()])
-        # zero duals are most of them; skipping them saves the Fraction ops
-        return sum((v * c for v, c in terms if v), Fraction(0))
+        """Exact dual objective, summed in ints unless a dual is a Fraction;
+        a key with no class (an undefined beta, say) prices at 0."""
+        profile = self.instance.profile
+        return Fraction(sum(v * profile[what].get(key, 0)
+                            for what, pool in self._pools()
+                            for key, v in pool.items() if v))
 
     def objective_bounded_delta(self, q):
         """Objective with the delta term replaced by the tail union bound
@@ -247,11 +252,10 @@ class DualSolution:
         inst = self.instance
         if any(self.delta[j] != (j >= q) for j in range(inst.n)):
             raise ValueError("delta is not the q-tail indicator")
-        true_tail = sum(inst.sets.output_count(j) * self.delta[j]
-                        for j in range(inst.n))
+        true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= q)
         cap = min(inst.d ** inst.t - inst.k,
                   inst.k * (inst.d ** (inst.n - q) - 1))
-        return self.objective() - true_tail + cap
+        return self.objective() + (cap - true_tail)
 
 
 def dual_family(instance, p, q):

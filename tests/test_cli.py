@@ -198,6 +198,25 @@ class TestSimulate:
         assert code == 1
         assert [r[4] for r in rows(out)[1:]] == ["ok", "blocked", "ok"]
 
+    def test_multilog_trace_dotted_addresses(self, capsys, tmp_path):
+        # base 11: the same requests written one character per digit and as
+        # the dotted decimals `str` prints give the same rows
+        argv = ["simulate", "--network", "multilog", "--d", "11", "--n", "2",
+                "--m", "1"]
+        got = []
+        for text in ("A r1 00 00\nA r2 a1 a0\nA r3 a2 a5\nD r2\n"
+                     "A r4 aa 1a\n",
+                     "A r1 0.0 0.0\nA r2 10.1 10.0\nA r3 10.2 10.5\nD r2\n"
+                     "A r4 10.10 1.10\n"):
+            trace = tmp_path / "t.trace"
+            trace.write_text(text)
+            code, out, _ = run(capsys, *argv, "--trace", str(trace))
+            assert code == 0
+            got.append(rows(out))
+        assert got[0] == got[1]
+        assert [r[4] for r in got[0][1:]] == ["ok", "ok", "blocked", "ok",
+                                              "ok"]
+
     def test_clos_trace_replay(self, capsys, tmp_path):
         trace = tmp_path / "c.trace"
         trace.write_text("A a 0:0 1:0\nA b 0:1 1:1\nD a\n")
@@ -493,3 +512,26 @@ class TestInputErrors:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ""
+
+
+class TestModuleEntry:
+    """`python -m switchlp` runs the command line from a checkout."""
+
+    @staticmethod
+    def module(*argv):
+        src = os.path.dirname(os.path.dirname(switchlp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "switchlp", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    def test_certify_matches_main(self, capsys):
+        proc = self.module("certify", "--d", "2", "--n", "3")
+        code, out, _ = run(capsys, "certify", "--d", "2", "--n", "3")
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out
+
+    def test_bad_argument_exits_2(self):
+        proc = self.module("certify", "--d", "x")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 """Digit-string arithmetic and address-set cardinalities."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,27 @@ class TestDaryString:
         assert DaryString.from_value(9, 2, 5) == u
         assert str(DaryString.from_value(9, 2, 5)) == "01001"
         assert repr(s("0120", 3)) == "DaryString(base=3, '0120')"
+
+    @given(st.sampled_from([2, 10, 11, 16, 37]).flatmap(
+        lambda d: st.lists(st.integers(0, d - 1), max_size=5).map(
+            lambda digs: DaryString(d, digs))))
+    def test_str_parse_roundtrip(self, x):
+        y = DaryString.parse(str(x), x.base)
+        assert y == x and y.length == x.length
+
+    def test_parse_dotted_and_character_forms(self):
+        assert str(DaryString(11, (10, 1))) == "10.1"
+        assert s("a1", 11) == s("10.1", 11) == 111
+        assert s("a1", 11).length == s("10.1", 11).length == 2
+        # above base 36 only the dotted form exists; a lone digit has no dot
+        assert s("36.0", 37) == 36 * 37 and s("36", 37) == 36
+
+    @pytest.mark.parametrize("text, base", [
+        ("1..0", 11), ("1.", 11), (".", 11), ("1.+1", 11), ("11.1", 11),
+        ("2", 2), ("0x0", 2), ("z", 37)])
+    def test_parse_refuses(self, text, base):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            DaryString.parse(text, base)
 
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):

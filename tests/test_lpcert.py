@@ -75,10 +75,10 @@ class TestInstance:
 
 
 @st.composite
-def requests(draw):
+def requests(draw, max_n=5):
     """A random input a and a random nonempty B inside one window."""
     d = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     t = draw(st.integers(0, n))
     a = DaryString.from_value(draw(st.integers(0, d ** n - 1)), d, n)
     outs = list(window_outputs(d, n, t,
@@ -137,6 +137,72 @@ class TestOracle:
         assert not inst.defined_uw(s("1000"), 1)  # wrong length
         assert not inst.defined_uv(u, s("000"))   # v in B
         assert not inst.defined_uv(u, s("010"))   # another window
+
+
+DUAL_VALUES = [0, 1, 2, Fraction(1, 2), Fraction(2, 3)]
+
+
+@st.composite
+def priced_duals(draw):
+    """An instance, one dual value per class (ints and Fractions mixed; beta
+    on every (i, j), defined or not) and a tail start q."""
+    d, n, t, a, B, mode = draw(requests(max_n=4))
+    inst = LpInstance(d, n, t, draw(st.integers(len(B), d ** n)), a, B, mode)
+    value = st.sampled_from(DUAL_VALUES)
+    duals = {name: {key: draw(value) for key in keys} for name, keys in (
+        ("alpha", range(n - t)),
+        ("beta", [(i, j) for i in range(n) for j in range(n - t)]),
+        ("gamma", range(n)), ("delta", range(n)), ("eps", range(n)))}
+    return inst, duals, draw(st.integers(n - t, n))
+
+
+def enumerated(inst, ref, duals):
+    """The dual objective summed address by address (alpha per foreign
+    window, beta per defined (u, w), gamma and f*epsilon per input, delta
+    per spare output), and whether every per-address DC-1 row (one per
+    defined (u, w)) and DC-2 row (one per defined (u, v)) holds."""
+    al, be, ga, de, ep = (duals[k] for k in
+                          ("alpha", "beta", "gamma", "delta", "eps"))
+    i, jw, jv = ref.i_of, ref.j_of_window, ref.j_of_output
+    price = (sum(inst.d ** inst.t * al[jw(w)] for w in inst.windows)
+             + sum(be[i(u), jw(w)] for u, w in inst.uw_pairs)
+             + sum(ga[i(u)] + inst.f * ep[i(u)] for u in inst.inputs)
+             + sum(de[jv(v)] for v in inst.spare))
+    rows_hold = (all(al[jw(w)] + be[i(u), jw(w)] + ep[i(u)] >= 1
+                     for u, w in inst.uw_pairs)
+                 and all(ga[i(u)] + de[jv(v)] + ep[i(u)] >= 1
+                         for u, v in inst.uv_pairs))
+    return price, rows_hold
+
+
+class TestDualOracle:
+    """Class-level dual pricing and feasibility against the per-address
+    sums and rows over the enumerated variable lists."""
+
+    @settings(deadline=None)
+    @given(priced_duals())
+    def test_pricing_matches_enumeration(self, case):
+        inst, duals, q = case
+        ref = EnumeratedAddressSets(inst.d, inst.n, inst.a, inst.B, inst.t)
+        sol = DualSolution(inst, **duals)
+        price, rows_hold = enumerated(inst, ref, duals)
+        got = sol.objective()
+        assert type(got) is Fraction
+        assert got == price
+        if rows_hold:
+            assert sol.check_feasible()
+        else:
+            with pytest.raises(Infeasible):
+                sol.check_feasible()
+
+        duals["delta"] = {j: int(j >= q) for j in range(inst.n)}
+        sol = DualSolution(inst, **duals)
+        tail = sum(1 for v in inst.spare if ref.j_of_output(v) >= q)
+        d, n, t, k = inst.d, inst.n, inst.t, inst.k
+        cap = min(d ** t - k, k * (d ** (n - q) - 1))
+        got = sol.objective_bounded_delta(q)
+        assert type(got) is Fraction
+        assert got == enumerated(inst, ref, duals)[0] - tail + cap
 
 
 class TestPrimal:
