@@ -11,6 +11,10 @@ Covers three admission disciplines on C(n1, r1, m, n2, r2):
   weighted edge coloring on the crossbar-to-crossbar demand graph, and a
   request blocks only when the coloring wants a middle index beyond m-1.
 
+Space-division occupancy is indexed by crossbar (`in_mids`, `out_mids`: the
+busy middles at each), so a request's unusable middles are a union of two
+sets.  Multirate terminal loads are scaled by the coloring's `den` (`dwec`).
+
 Terminals are (crossbar, port) pairs, written `<crossbar>:<port>` in traces,
 both 0-based.
 """
@@ -67,8 +71,8 @@ class ClosState:
         self.requests = {}
         self._auto = 0
         if config.traffic == SPACE:
-            self.mid_in = [set() for _ in range(config.m)]
-            self.mid_out = [set() for _ in range(config.m)]
+            self.in_mids = [set() for _ in range(config.r1)]
+            self.out_mids = [set() for _ in range(config.r2)]
             self.busy_in = {}    # input terminal -> rid
             self.busy_out = {}   # output terminal -> rid
         else:
@@ -76,7 +80,7 @@ class ClosState:
                      + [("O", j) for j in range(config.r2)])
             self.coloring = dwec.ColoringState(
                 vertices=verts, scheme=scheme or dwec.FOUR_TYPE)
-            self.load_in = {}    # input terminal -> total rate
+            self.load_in = {}    # input terminal -> total rate, scaled
             self.load_out = {}
 
     # -- shared helpers ---------------------------------------------------
@@ -100,8 +104,7 @@ class ClosState:
 
     def snb_unavailable(self, i_cb, o_cb):
         """Middles unusable for a fresh request I_i -> O_j."""
-        return {mid for mid in range(self.config.m)
-                if i_cb in self.mid_in[mid] or o_cb in self.mid_out[mid]}
+        return self.in_mids[i_cb] | self.out_mids[o_cb]
 
     def _space_pre(self, in_term, out_term, rid):
         """Validate a space-division request; returns its id."""
@@ -116,8 +119,8 @@ class ClosState:
         return self._next_rid(rid)
 
     def _space_commit(self, rid, in_term, out_term, mid):
-        self.mid_in[mid].add(in_term[0])
-        self.mid_out[mid].add(out_term[0])
+        self.in_mids[in_term[0]].add(mid)
+        self.out_mids[out_term[0]].add(mid)
         self.busy_in[in_term] = rid
         self.busy_out[out_term] = rid
         self.requests[rid] = (SPACE, in_term, out_term, mid)
@@ -154,8 +157,7 @@ class ClosState:
         if not free:
             return BLOCKED
         diagonal = self.class_set(1 - i, 1 - o)
-        busy = {mid for mid in range(self.config.m)
-                if self.mid_in[mid] or self.mid_out[mid]}
+        busy = set().union(*self.in_mids)
         for pool in (diagonal, busy):
             picks = [mid for mid in free if mid in pool]
             if picks:
@@ -172,11 +174,13 @@ class ClosState:
         self._check_terminal(in_term, "in")
         self._check_terminal(out_term, "out")
         rate = dwec.as_fraction(rate)
-        if not (0 < rate <= 1):
+        if not 0 < rate.numerator <= rate.denominator:
             raise ValueError("rate %s out of (0, 1]" % rate)
-        if self.load_in.get(in_term, 0) + rate > 1:
+        den = self.coloring.den
+        scaled = dwec.scaled(rate, den)
+        if self.load_in.get(in_term, 0) + scaled > den:
             raise CapacityExceeded("input %s:%s" % in_term)
-        if self.load_out.get(out_term, 0) + rate > 1:
+        if self.load_out.get(out_term, 0) + scaled > den:
             raise CapacityExceeded("output %s:%s" % out_term)
         rid = self._next_rid(rid)
         edge = ("I", in_term[0]), ("O", out_term[0])
@@ -184,8 +188,11 @@ class ClosState:
         if plan.color >= self.config.m:
             return BLOCKED
         color = self.coloring.commit(rid, *edge, plan)
-        self.load_in[in_term] = self.load_in.get(in_term, 0) + rate
-        self.load_out[out_term] = self.load_out.get(out_term, 0) + rate
+        if self.coloring.den != den:   # the coloring grew den
+            dwec.rescale(self.coloring.den // den, self.load_in, self.load_out)
+            scaled = dwec.scaled(rate, self.coloring.den)
+        self.load_in[in_term] = self.load_in.get(in_term, 0) + scaled
+        self.load_out[out_term] = self.load_out.get(out_term, 0) + scaled
         self.requests[rid] = (MULTIRATE, in_term, out_term, color, rate)
         return color
 
@@ -201,30 +208,31 @@ class ClosState:
             del self.busy_in[in_term]
             del self.busy_out[out_term]
             # admission never puts a crossbar on one middle twice
-            self.mid_in[mid].remove(in_term[0])
-            self.mid_out[mid].remove(out_term[0])
+            self.in_mids[in_term[0]].remove(mid)
+            self.out_mids[out_term[0]].remove(mid)
         else:
             _, in_term, out_term, _, rate = entry
             self.coloring.depart(rid)
-            self.load_in[in_term] -= rate
-            self.load_out[out_term] -= rate
+            scaled = dwec.scaled(rate, self.coloring.den)
+            self.load_in[in_term] -= scaled
+            self.load_out[out_term] -= scaled
 
     def audit(self):
         cfg = self.config
         if cfg.traffic == SPACE:
-            mid_in = [set() for _ in range(cfg.m)]
-            mid_out = [set() for _ in range(cfg.m)]
+            in_mids = [set() for _ in range(cfg.r1)]
+            out_mids = [set() for _ in range(cfg.r2)]
             bi, bo = {}, {}
             # per-request checks are inline: a call each would slow audits
             for rid, (kind, it, ot, mid) in self.requests.items():
-                if (kind != SPACE or it[0] in mid_in[mid]
-                        or ot[0] in mid_out[mid] or it in bi or ot in bo):
+                if (kind != SPACE or mid in in_mids[it[0]]
+                        or mid in out_mids[ot[0]] or it in bi or ot in bo):
                     raise AssertionError("request %r reuses a middle link or "
                                          "a terminal" % (rid,))
-                mid_in[mid].add(it[0])
-                mid_out[mid].add(ot[0])
+                in_mids[it[0]].add(mid)
+                out_mids[ot[0]].add(mid)
                 bi[it], bo[ot] = rid, rid
-            check(mid_in == self.mid_in and mid_out == self.mid_out,
+            check(in_mids == self.in_mids and out_mids == self.out_mids,
                   "middle occupancy differs from the registry")
             check(bi == self.busy_in and bo == self.busy_out,
                   "busy terminals differ from the registry")
@@ -235,16 +243,18 @@ class ClosState:
                       "a diagonal class spreads over too many middles")
         else:
             self.coloring.audit()
+            den = self.coloring.den
             li, lo = {}, {}
             for rid, (kind, it, ot, color, rate) in self.requests.items():
                 if (kind != MULTIRATE or color >= cfg.m
                         or self.coloring.color_of(rid) != color):
                     raise AssertionError("request %r has color %r"
                                          % (rid, color))
-                li[it] = li.get(it, 0) + rate
-                lo[ot] = lo.get(ot, 0) + rate
-            check(all(w <= 1 for w in li.values())
-                  and all(w <= 1 for w in lo.values()), "terminal overloaded")
+                scaled = dwec.scaled(rate, den)
+                li[it] = li.get(it, 0) + scaled
+                lo[ot] = lo.get(ot, 0) + scaled
+            check(all(w <= den for w in (*li.values(), *lo.values())),
+                  "terminal overloaded")
             check(li == {k: v for k, v in self.load_in.items() if v}
                   and lo == {k: v for k, v in self.load_out.items() if v},
                   "terminal loads differ from the registry")

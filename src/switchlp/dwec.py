@@ -9,9 +9,16 @@ runs out of colors, and the constants come from a small LP that this module
 can also rebuild from scratch for any set of type breakpoints.
 
 With a two-vertex base graph this is dynamic bin packing (colors = bins).
+
+A state keeps its loads scaled by one common denominator `den`, so first-fit
+compares and adds ints.  `den` becomes lcm(den, q) for a new weight
+denominator q only while that stays below DEN_LIMIT (one CPython int digit);
+past it a scaled weight stays an exact Fraction.  Float weights, each with a
+denominator near 10^9, would otherwise grow `den` without end.
 """
 
 from collections import namedtuple
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
@@ -20,6 +27,7 @@ import math
 from .events import check, fraction, replay
 
 HALF = Fraction(1, 2)
+DEN_LIMIT = 1 << 30
 
 
 class InfeasibleScheme(Exception):
@@ -31,19 +39,41 @@ class ColoringFailure(AssertionError):
     raised as a hard assertion so bugs surface instead of silently degrading."""
 
 
-class SizeLimit(Exception):
-    """Instance too large for the exhaustive optimum search."""
-
-
 Arrive = namedtuple("Arrive", ["id", "u", "v", "w"])
 Depart = namedtuple("Depart", ["id"])
 Plan = namedtuple("Plan", ["w", "color", "W_bar", "Delta_bar", "growth"])
 
 
 def as_fraction(w):
+    if isinstance(w, Fraction):
+        return w
     if isinstance(w, float):
         return Fraction(w).limit_denominator(10 ** 9)
     return Fraction(w)
+
+
+def grow_den(den, q):
+    """lcm(den, q) if that stays below DEN_LIMIT, else den."""
+    if den % q == 0:
+        return den
+    lcm = den // math.gcd(den, q) * q
+    return lcm if lcm < DEN_LIMIT else den
+
+
+def scaled(w, den):
+    """w * den: an int when den is a multiple of w's denominator, else an
+    exact Fraction."""
+    q = w.denominator
+    if den % q:
+        return Fraction(w.numerator * den, q)
+    return w.numerator * (den // q)
+
+
+def rescale(k, *tables):
+    """Multiply every value of the tables by k, in place."""
+    for table in tables:
+        for key in table:
+            table[key] *= k
 
 
 class DwecScheme:
@@ -64,6 +94,7 @@ class DwecScheme:
         if bp[-1] <= 0 or bp[0] >= 1:
             raise ValueError("breakpoints must lie in (0,1)")
         self.breakpoints = bp
+        self._cuts = [(b.numerator, b.denominator) for b in bp]
         self.x = tuple(Fraction(v) for v in x)
         if len(self.x) != len(bp) + 1:
             raise ValueError("need one constant per type")
@@ -77,12 +108,13 @@ class DwecScheme:
     def classify(self, w):
         """Type index of a weight in (0, 1]."""
         w = as_fraction(w)
-        if not (0 < w <= 1):
+        p, q = w.numerator, w.denominator
+        if not 0 < p <= q:
             raise ValueError("weight %s out of (0, 1]" % w)
-        for i, b in enumerate(self.breakpoints):
-            if w > b:
+        for i, (a, b) in enumerate(self._cuts):
+            if p * b > a * q:
                 return i
-        return len(self.breakpoints)
+        return len(self._cuts)
 
     def lower(self, i):
         """Lower breakpoint of type i (exclusive)."""
@@ -168,7 +200,10 @@ class ColoringState:
         self.next_color = 0
         self.W_bar = Fraction(0)
         self.Delta_bar = 0
-        self.load = {}             # (vertex, color) -> weight
+        # every weight below is scaled: w counts as scaled(w, den)
+        self.den = 1
+        self.W_top = 0             # W_bar * den
+        self.load = {}             # (vertex, color) -> same-color weight
         self.vertex_weight = {}    # vertex -> total live weight
         self.heavy_count = {}      # vertex -> live edges of weight > 1/2
 
@@ -186,17 +221,20 @@ class ColoringState:
         w = as_fraction(w)
         sc = self.scheme
         typ = sc.classify(w)
+        den = self.den
+        ws = scaled(w, den)   # a Fraction if den lacks w's denominator
         vw, load = self.vertex_weight, self.load
-        w_bar = max(self.W_bar, vw.get(u, 0) + w, vw.get(v, 0) + w)
+        top = max(vw.get(u, 0), vw.get(v, 0)) + ws
+        w_bar = Fraction(top, den) if top > self.W_top else self.W_bar
         delta_bar = self.Delta_bar
-        if w > HALF:
+        if typ == 0:
             hc = self.heavy_count
             delta_bar = max(delta_bar, hc.get(u, 0) + 1, hc.get(v, 0) + 1)
         growth = [0] * sc.num_types  # sizes only move with W_bar, Delta_bar
-        if w_bar != self.W_bar or delta_bar != self.Delta_bar:
+        if w_bar is not self.W_bar or delta_bar != self.Delta_bar:
             growth = [math.ceil(x * (w_bar if i else delta_bar)) - len(pool)
                       for i, (x, pool) in enumerate(zip(sc.x, self.classes))]
-        room = 1 - w
+        room = den - ws
         for i in ((0,) if typ == 0 else range(typ, sc.num_types)):
             for color in self.classes[i]:
                 if (load.get((u, color), 0) <= room
@@ -212,17 +250,27 @@ class ColoringState:
 
     def commit(self, eid, u, v, plan):
         """Apply a plan made on the current state; returns the color."""
-        w, color, self.W_bar, self.Delta_bar, growth = plan
+        w, color, w_bar, self.Delta_bar, growth = plan
         for pool, more in zip(self.classes, growth):
             pool.extend(range(self.next_color, self.next_color + more))
             self.next_color += more
+        den = grow_den(self.den, w.denominator)
+        if den != self.den:
+            k = den // self.den
+            rescale(k, self.load, self.vertex_weight)
+            self.W_top *= k
+            self.den = den
+        ws, heavy = scaled(w, den), 2 * w.numerator > w.denominator
         self.vertices.update((u, v))
         self.edges[eid] = (u, v, w, color)
+        vw, load = self.vertex_weight, self.load
         for end in (u, v):
-            self.vertex_weight[end] = self.vertex_weight.get(end, 0) + w
-            if w > HALF:
+            vw[end] = vw.get(end, 0) + ws
+            if heavy:
                 self.heavy_count[end] = self.heavy_count.get(end, 0) + 1
-            self.load[end, color] = self.load.get((end, color), 0) + w
+            load[end, color] = load.get((end, color), 0) + ws
+        if w_bar is not self.W_bar:   # the plan raised W_bar
+            self.W_bar, self.W_top = w_bar, max(vw[u], vw[v])
         return color
 
     def arrive(self, eid, u, v, w):
@@ -235,12 +283,13 @@ class ColoringState:
             u, v, w, color = self.edges.pop(eid)
         except KeyError:
             raise ValueError("unknown edge id %r" % (eid,))
+        ws, heavy = scaled(w, self.den), 2 * w.numerator > w.denominator
         for end in (u, v):
-            self.load[end, color] -= w
+            self.load[end, color] -= ws
             if self.load[end, color] == 0:
                 del self.load[end, color]
-            self.vertex_weight[end] -= w
-            if w > HALF:
+            self.vertex_weight[end] -= ws
+            if heavy:
                 self.heavy_count[end] -= 1
         return (u, v, w, color)
 
@@ -261,36 +310,29 @@ class ColoringState:
         seen = set().union(*self.classes)
         check(len(seen) == sum(map(len, self.classes)) == self.next_color,
               "colors missing from the classes or in two of them")
-        loads = {}
+        den = self.den
+        check(self.W_top == self.W_bar * den, "W_bar differs from W_top")
+        loads, weights = {}, {}
         for u, v, w, color in self.edges.values():
             if not 0 < w <= 1:
                 raise AssertionError("weight %s out of (0, 1]" % w)
+            ws = scaled(w, den)
             for end in (u, v):
-                loads[end, color] = loads.get((end, color), 0) + w
-        for key, total in loads.items():
-            if total > 1:
-                raise AssertionError("overloaded %s: %s" % (key, total))
+                loads[end, color] = loads.get((end, color), 0) + ws
+                weights[end] = weights.get(end, 0) + ws
+        over = [key for key, total in loads.items() if total > den]
+        check(not over, "overloaded %s", over[:1])
         check(loads == {k: v for k, v in self.load.items() if v},
               "loads differ from the edges")
+        check(weights == {k: v for k, v in self.vertex_weight.items() if v}
+              and max(weights.values(), default=0) <= self.W_top,
+              "vertex weights differ from the edges or exceed W_bar")
 
     def snapshot(self):
-        return (dict(self.edges), [list(p) for p in self.classes],
-                self.next_color, self.W_bar, self.Delta_bar,
-                dict(self.load), dict(self.vertex_weight),
-                dict(self.heavy_count), set(self.vertices))
+        return copy.deepcopy(vars(self), {id(self.scheme): self.scheme})
 
     def restore(self, snap):
-        (edges, classes, next_color, w_bar, delta_bar,
-         load, vertex_weight, heavy_count, vertices) = snap
-        self.edges = dict(edges)
-        self.classes = [list(p) for p in classes]
-        self.next_color = next_color
-        self.W_bar = w_bar
-        self.Delta_bar = delta_bar
-        self.load = dict(load)
-        self.vertex_weight = dict(vertex_weight)
-        self.heavy_count = dict(heavy_count)
-        self.vertices = set(vertices)
+        vars(self).update(copy.deepcopy(snap, {id(self.scheme): self.scheme}))
 
 
 def step(state, event):
@@ -307,44 +349,6 @@ def opt_lower(state):
     """Certified lower bound on the offline optimum: per-vertex load forces
     ceil(W_bar) colors and pairwise-conflicting heavy edges force Delta_bar."""
     return max(math.ceil(state.W_bar), state.Delta_bar)
-
-
-def opt_exact(edges, limit=12):
-    """Minimum number of colors for a static weighted multigraph, by
-    exhaustive assignment.  Edges are (u, v, weight) triples."""
-    edges = [(u, v, as_fraction(w)) for u, v, w in edges]
-    if len(edges) > limit:
-        raise SizeLimit("%d edges > limit %d" % (len(edges), limit))
-    if not edges:
-        return 0
-    for u, v, w in edges:
-        if not (0 < w <= 1):
-            raise ValueError("weight %s out of (0, 1]" % w)
-    # heaviest first tightens pruning
-    edges.sort(key=lambda e: e[2], reverse=True)
-
-    load = {}
-    best = [len(edges)]
-
-    def place(idx, used):
-        if used >= best[0]:
-            return
-        if idx == len(edges):
-            best[0] = used
-            return
-        u, v, w = edges[idx]
-        # trying a brand-new color before color c is equivalent to trying it
-        # after, so only the first unused color is explored
-        for color in range(min(used + 1, best[0])):
-            if load.get((u, color), 0) + w <= 1 and load.get((v, color), 0) + w <= 1:
-                load[u, color] = load.get((u, color), 0) + w
-                load[v, color] = load.get((v, color), 0) + w
-                place(idx + 1, max(used, color + 1))
-                load[u, color] -= w
-                load[v, color] -= w
-
-    place(0, 0)
-    return best[0]
 
 
 @dataclass

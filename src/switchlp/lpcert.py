@@ -250,6 +250,9 @@ class DualSolution:
         min{d^t - k, k(d^(n-q) - 1)}; only meaningful when delta is the
         indicator of j(v) >= q."""
         inst = self.instance
+        if not inst.n - inst.t <= q <= inst.n:
+            raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
+                                                       inst.n))
         if any(self.delta[j] != (j >= q) for j in range(inst.n)):
             raise ValueError("delta is not the q-tail indicator")
         true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= q)

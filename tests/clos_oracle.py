@@ -1,21 +1,53 @@
-"""Reference Clos admission and release that copy or rebuild their state.
+"""Reference coloring and Clos admission that keep Fraction loads and copy
+or rebuild their state, and the exhaustive coloring optimum.
 
-`FirstFitColoring` grows the color classes in place and then runs first-fit
-over the grown pools.  `OracleClosState` colors a multirate request on a
-snapshot of that coloring and restores the snapshot when the color falls
-beyond m - 1, and a space-division release rebuilds the freed middle's
-occupancy from every live request.  They are slow on purpose: the
-differential test in `test_clos.py` checks `ColoringState.plan`/`commit`
-and the O(1) space release against them.
+`FirstFitColoring` is a standalone dynamic weighted edge coloring: every
+load is a `Fraction`, the color classes grow in place, and first-fit then
+runs over the grown pools.  `OracleClosState` colors a multirate request on
+a snapshot of that coloring and restores the snapshot when the color falls
+beyond m - 1, keeps its terminal loads as Fractions, and a space-division
+release rebuilds the freed crossbars' middle sets from every live request.
+They are slow on purpose: the differential tests in `test_dwec.py` and
+`test_clos.py` check the scaled-int `ColoringState`, `plan`/`commit` and
+the O(1) space release against them.  `fraction_view` reads either
+coloring as the same plain values.  `opt_exact` finds the fewest colors of a
+small static weighted multigraph, against which the acceptance tests check
+the coloring's competitive ratio.
 """
 
+from fractions import Fraction
+import copy
 import math
+
+from hypothesis import strategies as st
 
 from switchlp import clos, dwec
 from switchlp.clos import BLOCKED, MULTIRATE, SPACE, CapacityExceeded
+from switchlp.events import check
+
+# weights k/60, p/q with q up to 10^6 (a few of these take the common
+# denominator of the scaled loads past dwec.DEN_LIMIT), and floats
+WEIGHTS = st.one_of(
+    st.integers(1, 60).map(lambda k: Fraction(k, 60)),
+    st.integers(1, 10 ** 6).flatmap(
+        lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))),
+    st.floats(min_value=1e-9, max_value=1))
 
 
-class FirstFitColoring(dwec.ColoringState):
+class FirstFitColoring:
+    def __init__(self, vertices=None, scheme=dwec.FOUR_TYPE):
+        self.scheme = scheme
+        self.fixed_vertices = vertices is not None
+        self.vertices = set(vertices or ())
+        self.edges = {}            # id -> (u, v, weight, color)
+        self.classes = [[] for _ in range(scheme.num_types)]
+        self.next_color = 0
+        self.W_bar = Fraction(0)
+        self.Delta_bar = 0
+        self.load = {}             # (vertex, color) -> Fraction
+        self.vertex_weight = {}    # vertex -> Fraction
+        self.heavy_count = {}
+
     def _grow_classes(self):
         sc = self.scheme
         targets = [math.ceil(sc.x[0] * self.Delta_bar)]
@@ -38,10 +70,13 @@ class FirstFitColoring(dwec.ColoringState):
     def arrive(self, eid, u, v, w):
         if eid in self.edges:
             raise ValueError("duplicate edge id %r" % (eid,))
+        if u == v:
+            raise ValueError("self-loops not allowed")
         if self.fixed_vertices and not {u, v} <= self.vertices:
             raise ValueError("endpoint outside the base graph")
         w = dwec.as_fraction(w)
         typ = self.scheme.classify(w)
+        self.vertices.update((u, v))
         for end in (u, v):
             self.vertex_weight[end] = self.vertex_weight.get(end, 0) + w
             if w > dwec.HALF:
@@ -56,6 +91,91 @@ class FirstFitColoring(dwec.ColoringState):
         for end in (u, v):
             self.load[end, color] = self.load.get((end, color), 0) + w
         return color
+
+    def depart(self, eid):
+        u, v, w, color = self.edges.pop(eid)
+        for end in (u, v):
+            self.load[end, color] -= w
+            self.vertex_weight[end] -= w
+            if w > dwec.HALF:
+                self.heavy_count[end] -= 1
+        return (u, v, w, color)
+
+    def color_of(self, eid):
+        return self.edges[eid][3]
+
+    def audit(self):
+        loads = {}
+        for u, v, w, color in self.edges.values():
+            for end in (u, v):
+                loads[end, color] = loads.get((end, color), 0) + w
+        check(all(total <= 1 for total in loads.values()), "overloaded")
+        check(loads == {k: v for k, v in self.load.items() if v},
+              "loads differ from the edges")
+
+    def snapshot(self):
+        return copy.deepcopy(vars(self), {id(self.scheme): self.scheme})
+
+    def restore(self, snap):
+        vars(self).update(copy.deepcopy(snap, {id(self.scheme): self.scheme}))
+
+
+def fraction_view(coloring):
+    """A coloring's color classes, maxima, edges and nonzero loads, with
+    every load a Fraction whatever form the coloring stores it in."""
+    den = getattr(coloring, "den", 1)
+
+    def view(table):
+        return {k: Fraction(v) / den for k, v in table.items() if v}
+
+    return (coloring.edges, coloring.classes, coloring.next_color,
+            coloring.W_bar, coloring.Delta_bar, view(coloring.load),
+            view(coloring.vertex_weight),
+            {k: v for k, v in coloring.heavy_count.items() if v},
+            coloring.vertices)
+
+
+class SizeLimit(Exception):
+    """Instance too large for the exhaustive optimum search."""
+
+
+def opt_exact(edges, limit=12):
+    """Minimum number of colors for a static weighted multigraph, by
+    exhaustive assignment.  Edges are (u, v, weight) triples."""
+    edges = [(u, v, dwec.as_fraction(w)) for u, v, w in edges]
+    if len(edges) > limit:
+        raise SizeLimit("%d edges > limit %d" % (len(edges), limit))
+    if not edges:
+        return 0
+    for u, v, w in edges:
+        if not (0 < w <= 1):
+            raise ValueError("weight %s out of (0, 1]" % w)
+    # heaviest first tightens pruning
+    edges.sort(key=lambda e: e[2], reverse=True)
+
+    load = {}
+    best = [len(edges)]
+
+    def place(idx, used):
+        if used >= best[0]:
+            return
+        if idx == len(edges):
+            best[0] = used
+            return
+        u, v, w = edges[idx]
+        # trying a brand-new color before color c is equivalent to trying it
+        # after, so only the first unused color is explored
+        for color in range(min(used + 1, best[0])):
+            if (load.get((u, color), 0) + w <= 1
+                    and load.get((v, color), 0) + w <= 1):
+                load[u, color] = load.get((u, color), 0) + w
+                load[v, color] = load.get((v, color), 0) + w
+                place(idx + 1, max(used, color + 1))
+                load[u, color] -= w
+                load[v, color] -= w
+
+    place(0, 0)
+    return best[0]
 
 
 class OracleClosState(clos.ClosState):
@@ -90,12 +210,36 @@ class OracleClosState(clos.ClosState):
         return color
 
     def release(self, rid):
-        if self.requests.get(rid, (None,))[0] != SPACE:
+        kind = self.requests.get(rid, (None,))[0]
+        if kind is None:
             return super().release(rid)
+        if kind == MULTIRATE:
+            _, in_term, out_term, _, rate = self.requests.pop(rid)
+            self.coloring.depart(rid)
+            self.load_in[in_term] -= rate
+            self.load_out[out_term] -= rate
+            return
         _, in_term, out_term, mid = self.requests.pop(rid)
         del self.busy_in[in_term]
         del self.busy_out[out_term]
-        self.mid_in[mid] = {it[0] for _, (k, it, ot, md)
-                            in self.requests.items() if md == mid}
-        self.mid_out[mid] = {ot[0] for _, (k, it, ot, md)
-                             in self.requests.items() if md == mid}
+        live = [(it[0], ot[0], md) for _, it, ot, md in self.requests.values()]
+        self.in_mids[in_term[0]] = {md for i, _, md in live
+                                    if i == in_term[0]}
+        self.out_mids[out_term[0]] = {md for _, o, md in live
+                                      if o == out_term[0]}
+
+    def audit(self):
+        if self.config.traffic == SPACE:
+            return super().audit()
+        self.coloring.audit()
+        li, lo = {}, {}
+        for rid, (_, it, ot, color, rate) in self.requests.items():
+            check(color == self.coloring.color_of(rid) < self.config.m,
+                  "request %r has color %r", rid, color)
+            li[it] = li.get(it, 0) + rate
+            lo[ot] = lo.get(ot, 0) + rate
+        check(all(w <= 1 for w in li.values())
+              and all(w <= 1 for w in lo.values()), "terminal overloaded")
+        check(li == {k: v for k, v in self.load_in.items() if v}
+              and lo == {k: v for k, v in self.load_out.items() if v},
+              "terminal loads differ from the registry")

@@ -22,6 +22,7 @@ from switchlp.dwec import ColoringState, FOUR_TYPE
 from switchlp.multilog import MultilogConfig, ConnState
 
 from address_oracle import route_sets
+from clos_oracle import opt_exact
 
 F = Fraction
 
@@ -276,7 +277,7 @@ def test_criterion_3_dwec():
                     heavy[v] += 1
             assert state.colors_used == \
                 _coloring_formula(max(load), max(heavy))
-            opt = dwec.opt_exact([(u, v, F(w, 100)) for u, v, w in edges])
+            opt = opt_exact([(u, v, F(w, 100)) for u, v, w in edges])
             assert max(ceil_div(max(load), 100), max(heavy)) <= opt
             assert 40 * state.colors_used <= 227 * opt + 72
 

@@ -1,9 +1,12 @@
 """Command-line interface: output rows, exit codes, determinism."""
 
 import csv
+from fractions import Fraction
 import hashlib
 import io
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -24,6 +27,47 @@ def run(capsys, *argv):
 
 def rows(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def mixed_rate(rng):
+    """A rate as trace text: k/60, a two-place decimal, or p/q with q up to
+    10^6, so a few of the last already push the lcm of the denominators
+    past 2^30."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return "%d/60" % rng.randint(1, 60)
+    if kind == 1:
+        return "0.%02d" % rng.randint(1, 99)
+    q = rng.randint(2, 10 ** 6)
+    return "%d/%d" % (rng.randint(1, q), q)
+
+
+def churn_trace(seed, events, arrive, live_cap):
+    """Trace lines of `events` arrivals and departures.  `arrive(rng, id)`
+    gives an arrival's line; a departure names a random earlier arrival
+    once the number of undeparted ones reaches `live_cap`, or with
+    probability 0.4 before that."""
+    rng = random.Random(seed)
+    live, lines = [], []
+    for k in range(events):
+        if live and (len(live) >= live_cap or rng.random() < 0.4):
+            idx = rng.randrange(len(live))
+            live[idx], live[-1] = live[-1], live[idx]
+            lines.append("D %s\n" % live.pop())
+        else:
+            rid = "e%d" % k
+            live.append(rid)
+            lines.append(arrive(rng, rid))
+    return lines
+
+
+def lcm_of_rates(lines):
+    """lcm of the denominators of the rates on arrival lines."""
+    den = 1
+    for line in lines:
+        if line.startswith("A "):
+            den = math.lcm(den, Fraction(line.split()[-1]).denominator)
+    return den
 
 
 class TestBound:
@@ -255,6 +299,26 @@ class TestSimulate:
         assert code == 0
         assert [r[3] for r in rows(out)[1:]] == ["ok", "ok"]
 
+    def test_golden_multirate_trace(self, capsys, tmp_path):
+        # sha256 of the rows as printed when every load was a Fraction; the
+        # scaled-int loads must print the same bytes, blocked rows included
+        def arrive(rng, rid):
+            return "A %s %d:%d %d:%d %s\n" % (
+                rid, rng.randrange(3), rng.randrange(3), rng.randrange(3),
+                rng.randrange(3), mixed_rate(rng))
+
+        lines = churn_trace(7, 2000, arrive, 12)
+        assert lcm_of_rates(lines) > 2 ** 30
+        trace = tmp_path / "m.trace"
+        trace.write_text("".join(lines))
+        code, out, _ = run(capsys, "simulate", "--network", "clos-multirate",
+                           "--trace", str(trace), "--n", "3", "--m", "6",
+                           "--r", "3")
+        assert code == 0
+        assert [r[3] for r in rows(out)[1:]].count("blocked") >= 50
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "0b86bfb527b7bbe36f775c08cb715fc6510f3db347a420169d81b9ee6d188d38"
+
 
 class TestDwec:
     def test_derive_constants(self, capsys):
@@ -285,6 +349,23 @@ class TestDwec:
         assert got[0] == ["t", "colors_used", "opt_lower", "W_bar",
                           "Delta_bar"]
         assert got[1][1] == "6"
+
+    def test_golden_trace(self, capsys, tmp_path):
+        # sha256 of the rows as printed when every load was a Fraction; the
+        # scaled-int loads must print the same bytes
+        def arrive(rng, rid):
+            return "A %s u%d v%d %s\n" % (rid, rng.randrange(8),
+                                           rng.randrange(8), mixed_rate(rng))
+
+        lines = churn_trace(11, 3000, arrive, 40)
+        assert lcm_of_rates(lines) > 2 ** 30
+        trace = tmp_path / "w.trace"
+        trace.write_text("".join(lines))
+        code, out, _ = run(capsys, "dwec", "--trace", str(trace))
+        assert code == 0
+        assert len(rows(out)) == 3001
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "86e05912bb03661a68c7db8608980e1dc23f3ab273b4e4b709cd9dc3cd10bfd4"
 
     def test_needs_trace_or_derive(self, capsys):
         code, _, err = run(capsys, "dwec")
@@ -462,6 +543,9 @@ class TestInputErrors:
             "    lambda: dwec.FOUR_TYPE.beta(0, 1),",
             "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
             "        2, 4, 1, 2, 1, 'link'), 0, 3).objective_bounded_delta(2),",
+            "    lambda: lpcert.DualSolution(lpcert.canonical_instance(",
+            "        2, 3, 1, 2, 1), eps={0: 1, 1: 1, 2: 1}, gamma={0: 1})",
+            "        .objective_bounded_delta(4),",
             "    lambda: dary.DaryString(2, (0.5, 1)),",
             "    lambda: dary.DaryString.from_value(1.5, 2, 2),",
             "]",
@@ -492,10 +576,15 @@ class TestInputErrors:
             "    (multilog_state, lambda st: st.occ.popitem()),",
             "    (multilog_state,",
             "     lambda st: st.size.__setitem__(0, st.size[0] + 1)),",
-            "    (space_clos, lambda st: st.mid_in[0].pop()),",
+            "    (space_clos, lambda st: st.in_mids[0].pop()),",
             "    (multirate_clos,",
             "     lambda st: st.load_in.__setitem__((0, 0), st.load_in[0, 0] * 2)),",
+            "    (multirate_clos,",
+            "     lambda st: st.load_out.__setitem__((1, 0), st.load_out[1, 0] + 1)),",
             "    (coloring, lambda st: st.classes[-1].pop()),",
+            "    (coloring, lambda st: st.load.__setitem__(",
+            "        ('u', 0), st.load['u', 0] + 1)),",
+            "    (coloring, lambda st: setattr(st, 'den', st.den * 2)),",
             "]",
             "for i, (build, corrupt) in enumerate(corruptions):",
             "    st = build()",

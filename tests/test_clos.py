@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clos_oracle import OracleClosState
+from clos_oracle import WEIGHTS, OracleClosState, fraction_view
 from switchlp import clos, bounds, adversary
 from switchlp.clos import (
     ClosConfig, ClosState, BLOCKED, TerminalBusy, CapacityExceeded,
@@ -154,7 +154,9 @@ class TestMultirate:
         for k in range(10):
             assert state.multirate_admit((0, 0), (1, k % 2), 0.1) \
                 is not BLOCKED
-        assert state.load_in == {(0, 0): 1}
+        den = state.coloring.den
+        assert {k: F(v, den) for k, v in state.load_in.items()} == \
+            {(0, 0): 1}
         assert state.coloring.live_edges()[0][2] == F(1, 10)
         state.audit()
 
@@ -172,19 +174,18 @@ class TestMultirate:
             it = (rng.randrange(3), rng.randrange(3))
             ot = (rng.randrange(3), rng.randrange(3))
             rate = F(rng.randrange(1, 101), 100)
-            if state.load_in.get(it, 0) + rate > 1:
+            try:
+                got = state.multirate_admit(it, ot, rate, rid=str(i))
+            except CapacityExceeded:
                 continue
-            if state.load_out.get(ot, 0) + rate > 1:
-                continue
-            got = state.multirate_admit(it, ot, rate, rid=str(i))
             assert got is not BLOCKED
             live.append(str(i))
             state.audit()
 
 
-# an event is (depart?, input code, output code, rate in 60ths, pick)
+# an event is (depart?, input code, output code, rate, pick)
 EVENTS = st.lists(st.tuples(st.booleans(), st.integers(0, 15),
-                            st.integers(0, 15), st.integers(1, 60),
+                            st.integers(0, 15), WEIGHTS,
                             st.integers(0, 63)), max_size=40)
 
 
@@ -217,7 +218,7 @@ class TestOracle:
                 rid = str(k)
                 it, ot = (a % r, a // 4 % n), (b % r, b // 4 % n)
                 if multirate:
-                    args = (it, ot, F(rate, 60))
+                    args = (it, ot, rate)
                     got = [self.outcome(s.multirate_admit, *args, rid=rid)
                            for s in (fast, slow)]
                 else:
@@ -229,12 +230,15 @@ class TestOracle:
             assert got[0] == got[1]
             assert fast.requests == slow.requests
             if multirate:
-                assert fast.coloring.snapshot() == slow.coloring.snapshot()
-                assert (fast.load_in, fast.load_out) == \
-                    (slow.load_in, slow.load_out)
+                den = fast.coloring.den
+                assert fraction_view(fast.coloring) == \
+                    fraction_view(slow.coloring)
+                for scaled, exact in ((fast.load_in, slow.load_in),
+                                      (fast.load_out, slow.load_out)):
+                    assert {k: F(v) / den for k, v in scaled.items()} == exact
             else:
-                assert (fast.mid_in, fast.mid_out) == \
-                    (slow.mid_in, slow.mid_out)
+                assert (fast.in_mids, fast.out_mids) == \
+                    (slow.in_mids, slow.out_mids)
             fast.audit()
             slow.audit()
 

@@ -7,11 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clos_oracle import (FirstFitColoring, SizeLimit, WEIGHTS, fraction_view,
+                         opt_exact)
 from switchlp import dwec
 from switchlp.dwec import (
     DwecScheme, FOUR_TYPE, classify, ColoringState, Arrive, Depart, step,
-    opt_lower, opt_exact, derive_constants, parse_trace, run_trace,
-    InfeasibleScheme, SizeLimit,
+    opt_lower, derive_constants, parse_trace, run_trace, InfeasibleScheme,
 )
 
 F = Fraction
@@ -259,6 +260,39 @@ class TestRandomDrive:
                 live.append(i)
             state.audit()
             assert opt_lower(state) <= state.colors_used
+
+
+# an event is (depart?, u, v, weight, pick)
+EVENTS = st.lists(st.tuples(st.booleans(), st.integers(0, 3),
+                            st.integers(4, 7), WEIGHTS, st.integers(0, 63)),
+                  max_size=60)
+
+
+class TestScaledOracle:
+    """The scaled-int ColoringState against the Fraction-load reference."""
+
+    def test_matches_fraction_reference(self):
+        past_limit = []
+
+        @settings(deadline=None, max_examples=200)
+        @given(EVENTS)
+        def drive(events):
+            fast, slow = ColoringState(), FirstFitColoring()
+            live = []
+            for k, (depart, u, v, w, pick) in enumerate(events):
+                if depart and live:
+                    eid = live.pop(pick % len(live))
+                    assert fast.depart(eid) == slow.depart(eid)
+                else:
+                    assert fast.arrive(k, u, v, w) == slow.arrive(k, u, v, w)
+                    live.append(k)
+                    w = dwec.as_fraction(w)
+                    past_limit.append(fast.den % w.denominator != 0)
+                assert fraction_view(fast) == fraction_view(slow)
+                fast.audit()
+
+        drive()
+        assert any(past_limit)
 
 
 class TestTraceIo:

@@ -298,6 +298,17 @@ class TestDualFamily:
         with pytest.raises(ValueError):
             dual_family(inst, 0, 1)
 
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_bounded_delta_refuses_q_out_of_range(self, q):
+        # past q = n the zero delta passes as the q-tail indicator, and
+        # d^(n - q) would be a float below the exact objective
+        inst = canonical_instance(2, 3, 1, 2, 1, LINK)
+        sol = DualSolution(inst, eps={i: 1 for i in range(3)},
+                           gamma={0: 1})
+        assert sol.objective() == 18
+        with pytest.raises(ValueError):
+            sol.objective_bounded_delta(q)
+
     def test_randomized_b_placements(self):
         rng = random.Random(12)
         for _ in range(40):
