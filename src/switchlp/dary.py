@@ -10,7 +10,7 @@ and digit count, so that it can parse and print an address.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class DaryString(int):
@@ -141,15 +141,22 @@ class AddressSets:
             check_address(d, n, v)
         self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
         self._size = size = d ** t
-        windows = {b // size for b in B}
-        if len(windows) != 1:
-            raise ValueError("B spans multiple windows: %s" % sorted(windows))
-        (self.home_window,) = windows
-        # the distinct q-digit prefixes of B for q = n-t .. n-1: the
-        # home-window outputs with j(v) >= q are exactly those extending one
-        self._prefixes = [{b // d ** (n - q) for b in B}
-                          for q in range(n - t, n)]
-        self._heads = [len(heads) for heads in self._prefixes]
+        self.home_window = min(B) // size
+        if max(B) // size != self.home_window:
+            raise ValueError("B spans multiple windows: %s"
+                             % sorted({b // size for b in B}))
+
+    @cached_property
+    def _prefixes(self):
+        """The distinct q-digit prefixes of B for q = n-t .. n-1: the
+        home-window outputs with j(v) >= q are exactly those extending one."""
+        d, n = self.d, self.n
+        return [{b // d ** (n - q) for b in self.B}
+                for q in range(n - self.t, n)]
+
+    @cached_property
+    def _heads(self):
+        return [len(heads) for heads in self._prefixes]
 
     def i_of(self, u):
         """Suffix index of input u, or None for u == a."""

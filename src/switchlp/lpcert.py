@@ -32,9 +32,12 @@ class Infeasible(Exception):
 class LpInstance:
     """One concrete blocking LP: parameters, request, defined index sets.
 
-    Only the (i, j) classes are built up front.  The variable lists
-    (`inputs`, `windows`, `spare`, `uw_pairs`, `uv_pairs`) enumerate
-    addresses and are built when first read, which only `export_lp` does.
+    The constructor only validates the request and builds its
+    `AddressSets`.  Everything else is built when first read: the (i, j)
+    classes and the class-count `profile` by the dual checks, and the
+    variable lists (`inputs`, `windows`, `spare`, `uw_pairs`, `uv_pairs`),
+    which enumerate addresses, by `export_lp` alone.  A primal read off a
+    simulator state needs none of them.
     """
 
     def __init__(self, d, n, t, f, a, B, mode=LINK):
@@ -50,15 +53,21 @@ class LpInstance:
         if self.k > f:
             raise ValueError("|B|=%d exceeds fanout bound %d" % (self.k, f))
         self.home = s.home_window
-        self._thresh = thresh = n - self.theta
+        self._thresh = n - self.theta
+
+    @cached_property
+    def _classes_uw(self):
+        n, thresh = self.n, self._thresh
+        return [(i, j) for i in range(n) for j in range(n - self.t)
+                if i + j >= thresh]
+
+    @cached_property
+    def _classes_uv(self):
+        n, t, thresh = self.n, self.t, self._thresh
         # every input class and foreign-window class is nonempty for d >= 2;
         # only the home-window output classes j in [n-t, n) can be empty
-        ins, wins = range(n), range(n - t)
-        outs = [j for j in range(n - t, n) if s.output_count(j)]
-        self._classes_uw = [(i, j) for i in ins for j in wins
-                            if i + j >= thresh]
-        self._classes_uv = [(i, j) for i in ins for j in outs
-                            if i + j >= thresh]
+        outs = [j for j in range(n - t, n) if self.sets.output_count(j)]
+        return [(i, j) for i in range(n) for j in outs if i + j >= thresh]
 
     def defined_classes_uw(self):
         """(i, j) pairs with at least one defined (u, w) variable."""
@@ -140,6 +149,7 @@ class PrimalSolution:
 
     def check_feasible(self):
         inst = self.instance
+        per_w, per_u_v, per_v, per_u_mixed = {}, {}, {}, {}
         for key, val in self.xw.items():
             if not inst.defined_uw(*key):
                 raise Infeasible(_var_uw(*key) + " undefined")
@@ -147,16 +157,15 @@ class PrimalSolution:
                 raise Infeasible(_var_uw(*key) + " negative")
             if val > 1:
                 raise Infeasible(_var_uw(*key) + " > 1")
+            u, w = key
+            per_w[w] = per_w.get(w, 0) + val
+            per_u_mixed[u] = per_u_mixed.get(u, 0) + val
         for key, val in self.xv.items():
             if not inst.defined_uv(*key):
                 raise Infeasible(_var_uv(*key) + " undefined")
             if val < 0:
                 raise Infeasible(_var_uv(*key) + " negative")
-        per_w, per_u_v, per_v, per_u_mixed = {}, {}, {}, {}
-        for (u, w), val in self.xw.items():
-            per_w[w] = per_w.get(w, 0) + val
-            per_u_mixed[u] = per_u_mixed.get(u, 0) + val
-        for (u, v), val in self.xv.items():
+            u, v = key
             per_u_v[u] = per_u_v.get(u, 0) + val
             per_v[v] = per_v.get(v, 0) + val
             per_u_mixed[u] = per_u_mixed.get(u, 0) + val
@@ -184,15 +193,15 @@ def primal_from_state(conn, a, B):
     is already owned.
     """
     cfg = conn.config
-    inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, frozenset(B), cfg.mode)
-    xw, xv = {}, {}
+    inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, B, cfg.mode)
+    primal = PrimalSolution(inst)
+    size = cfg.d ** cfg.t
     for u, v in conn.blocking_branches(a, inst.B).values():
-        w = v // cfg.d ** cfg.t
+        w = v // size
         if w == inst.home:
-            xv[u, v] = 1
+            primal.xv[u, v] = 1
         else:
-            xw[u, w] = 1
-    primal = PrimalSolution(inst, xw, xv)
+            primal.xw[u, w] = 1
     primal.check_feasible()
     return inst, primal
 

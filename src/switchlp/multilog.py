@@ -222,10 +222,13 @@ class ConnState:
     def _window_routes(self, x, outputs):
         """Routes of the single-window subrequest (x, outputs)."""
         cfg = self.config
+        if not outputs:
+            raise ValueError("empty output set")
         self._check_addresses(x, outputs)
-        windows = {y // cfg.d ** cfg.t for y in outputs}
-        if len(windows) != 1:
-            raise ValueError("subrequest spans windows %s" % sorted(windows))
+        size = cfg.d ** cfg.t
+        if min(outputs) // size != max(outputs) // size:
+            raise ValueError("subrequest spans windows %s"
+                             % sorted({y // size for y in outputs}))
         return [_route(cfg.d, cfg.n, x, y) for y in outputs]
 
     def blocking_planes(self, x, outputs):
@@ -246,21 +249,35 @@ class ConnState:
         # with the outputs free, a foreign branch can hold a key of the
         # subrequest only on an internal link or an element (input and
         # output links belong to their terminals), just where the sharing
-        # predicates see a conflict
-        blocked = self._blocked(x, routes)
-        mine = {key for rt in routes for key in _keys(cfg, rt)}
+        # predicates see a conflict.  One walk finds the keys each foreign
+        # input u holds per plane.  A key has one owner per plane, so a
+        # route of u there conflicts iff it holds one of them; another of
+        # u's requests may hold them instead.
+        occ, held = self.occ, {}
+        for rt in routes:
+            for key in _keys(cfg, rt):
+                holders = occ.get(key)
+                if holders:
+                    for plane, (owner, _) in holders.items():
+                        if owner != x:
+                            held.setdefault((plane, owner), set()).add(key)
+        if not held:
+            return {}
+        planes = {plane for plane, _ in held}
+        owners = {u for _, u in held}
         found = {}
         for u, admitted in self.requests.values():
-            if len(found) == len(blocked):
-                break
-            if u == x:
+            if u not in owners:
                 continue
             for plane, rts in admitted.values():
-                if plane in blocked and plane not in found:
-                    v = next((rt.output for rt in rts
-                              if not mine.isdisjoint(_keys(cfg, rt))), None)
-                    if v is not None:
-                        found[plane] = (u, v)
+                keys = held.get((plane, u))
+                if keys and plane not in found:
+                    for rt in rts:
+                        if not keys.isdisjoint(_keys(cfg, rt)):
+                            found[plane] = (u, rt.output)
+                            break
+            if len(found) == len(planes):
+                break
         return dict(sorted(found.items()))
 
     def is_empty(self):

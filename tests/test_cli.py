@@ -555,6 +555,21 @@ class TestInputErrors:
             "    except ValueError:",
             "        continue",
             "    print('check %d accepted' % i)",
+            "# a primal that breaks a constraint must still be refused",
+            "# (one spare output in the home window, so the uv pairs share v)",
+            "inst = lpcert.canonical_instance(2, 3, 1, 2, 1)",
+            "(uw, *_), ((u1, v), (u2, _), *_) = inst.uw_pairs, inst.uv_pairs",
+            "infeasible = [",
+            "    lpcert.PrimalSolution(inst, xw={uw: 2}),",
+            "    lpcert.PrimalSolution(inst, xw={(uw[0], inst.home): 1}),",
+            "    lpcert.PrimalSolution(inst, xv={(u1, v): 1, (u2, v): 1}),",
+            "]",
+            "for i, primal in enumerate(infeasible):",
+            "    try:",
+            "        primal.check_feasible()",
+            "    except lpcert.Infeasible:",
+            "        continue",
+            "    print('primal %d accepted' % i)",
             "# the state audits must still catch a corrupted state",
             "def multilog_state():",
             "    st = multilog.ConnState(M)",

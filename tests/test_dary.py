@@ -169,7 +169,8 @@ class TestAddressSets:
         assert sets.union_b_tail(2) == 2 ** 2 - 2
 
     def test_b_spanning_windows_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"B spans multiple windows: \[0, 2\]"):
             AddressSets(2, 3, s("000"), {s("000"), s("100")}, 1)
 
     def test_b_larger_than_window_rejected(self):

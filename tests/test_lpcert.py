@@ -227,6 +227,28 @@ class TestPrimal:
         assert primal.objective() == len(planes) == 2
         assert primal.check_feasible()
 
+    def test_probe_builds_only_what_the_primal_reads(self):
+        cfg = multilog.MultilogConfig(d=2, n=3, m=2, t=1, f=2,
+                                      mode="crosstalk")
+        conn = multilog.ConnState(cfg)
+        conn.admit(s("100"), [s("001")], rid="a")
+        conn.admit(s("001"), [s("010")], rid="b")
+        inst, primal = primal_from_state(conn, s("000"), [s("000")])
+        assert primal.objective() == 2
+        lazy = {"_classes_uw", "_classes_uv", "profile", "uw_pairs",
+                "uv_pairs"}
+        assert not lazy & inst.__dict__.keys()
+        # the dual side builds them on first use, to the eager gaps
+        eager = LpInstance(2, 3, 1, 2, s("000"), [s("000")], CROSSTALK)
+        for name in lazy:
+            getattr(eager, name)
+        twin = PrimalSolution(eager, primal.xw, primal.xv)
+        n, t = 3, 1
+        for p in range(n - t):
+            for q in range(n - t, n + 1):
+                assert check_weak_duality(primal, dual_family(inst, p, q)) \
+                    == check_weak_duality(twin, dual_family(eager, p, q))
+
     def test_random_states_always_feasible(self):
         rng = random.Random(41)
         for mode in ("link", "crosstalk"):

@@ -216,8 +216,16 @@ class TestBlockingPlanes:
 
     def test_spanning_windows_rejected(self):
         state = ConnState(cfg(t=1, f=2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"spans windows \[0, 2\]"):
             state.blocking_planes(s("000"), [s("000"), s("100")])
+
+    @pytest.mark.parametrize("method", ["blocking_planes",
+                                        "blocking_branches"])
+    def test_empty_output_set_rejected(self, method):
+        state = ConnState(cfg(t=1, f=2))
+        state.admit(s("010"), [s("001")], rid="r")
+        with pytest.raises(ValueError, match="empty output set"):
+            getattr(state, method)(s("000"), [])
 
 
 def oracle_blocking(state, x, outputs):
@@ -378,7 +386,7 @@ class TestProbeOracle:
             outs = list(window_outputs(d, n, t, home))
             free = [y for y in outs if y not in state.output_owner]
             if free:
-                ys = rng.sample(free, rng.randint(1, min(2, f, len(free))))
+                ys = rng.sample(free, rng.randint(1, min(f, len(free))))
                 want = oracle_branches(state, x, ys)
                 got = state.blocking_branches(x, ys)
                 assert list(got.items()) == sorted(want.items())
@@ -400,6 +408,21 @@ class TestProbeOracle:
                     state.blocking_branches(x, ys)
                 with pytest.raises(ValueError, match="already owned"):
                     lpcert.primal_from_state(state, x, ys)
+
+    @pytest.mark.parametrize("mode", [LINK, CROSSTALK])
+    def test_own_keys_do_not_block(self, mode):
+        # x's own branch holds keys of the probe, and a foreign request is
+        # live elsewhere; neither blocks x's next branch
+        state = ConnState(cfg(m=2, f=2, mode=mode))
+        state.admit(s("000"), [s("000")], rid="own")
+        state.admit(s("111"), [s("111")], rid="foreign")
+        probe = multilog._route(2, 3, s("000"), s("001"))
+        assert any(key in state.occ for key in multilog._keys(
+            state.config, probe))
+        assert oracle_branches(state, s("000"), [s("001")]) == {}
+        assert state.blocking_branches(s("000"), [s("001")]) == {}
+        _, primal = lpcert.primal_from_state(state, s("000"), [s("001")])
+        assert primal.objective() == 0
 
 
 class TestAudit:
