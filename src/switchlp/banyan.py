@@ -9,7 +9,18 @@ outputs, which is what makes the LP analysis tractable.  Addresses are the
 ints their digits denote.
 """
 
-from .dary import check_address, lcp, lcs
+from functools import lru_cache
+
+from .dary import check_address, lcs
+
+
+@lru_cache(maxsize=256)
+def _stages(d, n):
+    """Per stage s = 1..n: (d^(n-s), d^(n-s+1), the stage's element id
+    offset, the offset of the link leaving it)."""
+    full = d ** n
+    return tuple((d ** (n - s), d ** (n - s + 1), (s - 1) * (full // d),
+                  s * full) for s in range(1, n + 1))
 
 
 class Route:
@@ -22,19 +33,16 @@ class Route:
     def __init__(self, d, n, x, y):
         if n < 1:
             raise ValueError("need at least one digit")
-        check_address(d, n, x)
-        check_address(d, n, y)
-        self.input = x
-        self.output = y
-        full = d ** n
+        self.input = x = check_address(d, n, x)
+        self.output = y = check_address(d, n, y)
         se_ids, link_ids = [], [x]
-        for s in range(1, n + 1):
-            lo = d ** (n - s)
+        tail = x // d
+        for lo, hi, se_base, link_base in _stages(d, n):
             # stage-s label y_1..y_{s-1} x_s..x_{n-1}; the link leaving
             # stage s appends y_s to it, which at s = n gives y itself
-            label = (y // (lo * d)) * lo + (x // d) % lo
-            se_ids.append((s - 1) * (full // d) + label)
-            link_ids.append(s * full + label * d + (y // lo) % d)
+            label = (y // hi) * lo + tail % lo
+            se_ids.append(se_base + label)
+            link_ids.append(link_base + label * d + (y // lo) % d)
         self.se_ids = tuple(se_ids)
         self.link_ids = tuple(link_ids)
 
@@ -46,31 +54,19 @@ def route(d, n, x, y):
     return Route(d, n, x, y)
 
 
-def _overlap(d, n, a, b, u, v):
-    """Common suffix of the inputs' (n-1)-prefixes plus common prefix of
-    the outputs' (n-1)-prefixes."""
-    return lcs(d, n - 1, a // d, u // d) + lcp(d, n - 1, b // d, v // d)
-
-
+# Let k be the common suffix of the inputs' (n-1)-prefixes and p the common
+# prefix of the outputs' (n-1)-prefixes.  Routes (a, b) and (u, v) share an
+# element iff k + p >= n - 1 and a link iff k + p >= n.  Each bound on p
+# says that a number of leading output digits agree, which is one division:
+# the leading n - 1 - k digits of b are b // d^(k+1).  A link needs k > 0,
+# as p <= n - 1.
 def shares_se(d, n, a, b, u, v):
     """Do routes (a,b) and (u,v) pass through a common switching element?"""
-    return _overlap(d, n, a, b, u, v) >= n - 1
+    k = lcs(d, n - 1, a // d, u // d)
+    return b // d ** (k + 1) == v // d ** (k + 1)
 
 
 def shares_link(d, n, a, b, u, v):
     """Do routes (a,b) and (u,v) share an internal link?"""
-    return _overlap(d, n, a, b, u, v) >= n
-
-
-def intersection_stage(d, n, a, b, u, v):
-    """Stage of the unique shared element, or "none" / "multiple".
-
-    When the suffix+prefix count is exactly n-1 the routes meet in a single
-    element, at stage lcp+1.
-    """
-    s = _overlap(d, n, a, b, u, v)
-    if s < n - 1:
-        return "none"
-    if s > n - 1:
-        return "multiple"
-    return lcp(d, n - 1, b // d, v // d) + 1
+    k = lcs(d, n - 1, a // d, u // d)
+    return k > 0 and b // d ** k == v // d ** k

@@ -11,6 +11,7 @@ and digit count, so that it can parse and print an address.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+import operator
 
 
 class DaryString(int):
@@ -73,9 +74,15 @@ def _digits(value, base, length):
 
 
 def check_address(d, n, v):
-    """Raise ValueError unless v is an n-digit base-d address value."""
-    if not 0 <= v < d ** n:
+    """v as a plain int; raise ValueError unless it is an n-digit base-d
+    address value."""
+    try:
+        x = operator.index(v)
+    except TypeError:
+        raise ValueError("address %r is not an integer" % (v,)) from None
+    if not 0 <= x < d ** n:
         raise ValueError("address %s out of range for d=%d, n=%d" % (v, d, n))
+    return x
 
 
 def lcp(d, n, u, v):

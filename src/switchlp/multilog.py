@@ -11,7 +11,8 @@ at input granularity.  Addresses are the ints their digits denote; output y
 lies in window y // d^t.
 """
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 import random
 
@@ -69,26 +70,17 @@ def _keys(cfg, rt):
     return rt.se_ids
 
 
-def _hold(occ, size, plane, x, keys):
-    """Take one reference to each key on `plane` for input x."""
-    for key in keys:
-        holders = occ.setdefault(key, {})
-        owner, count = holders.get(plane, (x, 0))
-        if owner != x:
-            raise AssertionError("key %r shared across inputs" % key)
-        if not count:
-            size[plane] += 1
-        holders[plane] = (x, count + 1)
-
-
 class ConnState:
     """Mutable occupancy of one simulated network."""
 
     def __init__(self, config):
         self.config = config
-        # key -> {plane: (owner input, refcount)}; a key is a link id
-        # (link mode) or an element id (crosstalk mode), indexed key-first
+        # key -> {plane: owner input}; a key is a link id (link mode) or
+        # an element id (crosstalk mode), indexed key-first.  The inner
+        # dicts of occ and refs hold plain ints only, so the cyclic garbage
+        # collector does not track them.
         self.occ = {}
+        self.refs = {}               # (plane, input) -> {key: refcount}
         self.size = [0] * config.m   # keys held per plane, for BEST_FIT
         self.requests = {}       # id -> (input, {window: (plane, [routes])})
         self.output_owner = {}   # output -> request id
@@ -106,14 +98,28 @@ class ConnState:
             for key in _keys(self.config, rt):
                 holders = occ.get(key)
                 if holders:
-                    for plane, (owner, _) in holders.items():
+                    for plane, owner in holders.items():
                         if owner != x:
                             blocked.add(plane)
         return blocked
 
     def _commit(self, rid, plane, x, window, routes):
+        """Hold `routes` on `plane` for input x: one reference to each of
+        their keys, the window's pin and their outputs."""
+        occ, size = self.occ, self.size
+        refs = self.refs.setdefault((plane, x), {})
         for rt in routes:
-            _hold(self.occ, self.size, plane, x, _keys(self.config, rt))
+            for key in _keys(self.config, rt):
+                count = refs.get(key, 0)
+                if not count:
+                    holders = occ.get(key)
+                    if holders is None:
+                        occ[key] = {plane: x}
+                    elif holders.setdefault(plane, x) != x:
+                        raise AssertionError("key %r shared across inputs"
+                                             % key)
+                    size[plane] += 1
+                refs[key] = count + 1
         pin = self.pins.setdefault((x, window), [plane, 0])
         check(pin[0] == plane, "window split across planes")
         pin[1] += len(routes)
@@ -147,7 +153,8 @@ class ConnState:
         outputs = set(outputs)
         if not outputs:
             raise ValueError("empty output set")
-        self._check_addresses(x, outputs)
+        given = x  # for the messages
+        x, ints = self._check_addresses(x, outputs)
         if rid is None:
             self._auto += 1
             rid = "auto%d" % self._auto
@@ -157,14 +164,15 @@ class ConnState:
             raise FanoutExceeded("request fans out to %d > f=%d"
                                  % (len(outputs), cfg.f))
         if self.input_active.get(x, 0) + len(outputs) > cfg.f:
-            raise FanoutExceeded("input %s would exceed fanout %d" % (x, cfg.f))
+            raise FanoutExceeded("input %s would exceed fanout %d"
+                                 % (given, cfg.f))
         for y in outputs:
             if y in self.output_owner:
                 raise OutputBusy(str(y))
 
         by_window = {}
         size = cfg.d ** cfg.t
-        for y in sorted(outputs):
+        for y in sorted(ints):
             by_window.setdefault(y // size, []).append(y)
 
         result = {}
@@ -188,22 +196,25 @@ class ConnState:
             x, admitted = self.requests.pop(rid)
         except KeyError:
             raise UnknownId(repr(rid))
-        occ = self.occ
+        occ, size = self.occ, self.size
         for w, (plane, routes) in admitted.items():
+            refs = self.refs[plane, x]
             for rt in routes:
                 for key in _keys(self.config, rt):
-                    holders = occ[key]
-                    owner, count = holders[plane]
-                    if owner != x:
-                        raise AssertionError("key %r owned elsewhere" % key)
+                    count = refs[key]
                     if count > 1:
-                        holders[plane] = (owner, count - 1)
+                        refs[key] = count - 1
                         continue
-                    del holders[plane]
-                    self.size[plane] -= 1
+                    del refs[key]
+                    holders = occ[key]
+                    if holders.pop(plane) != x:
+                        raise AssertionError("key %r owned elsewhere" % key)
+                    size[plane] -= 1
                     if not holders:
                         del occ[key]
                 del self.output_owner[rt.output]
+            if not refs:
+                del self.refs[plane, x]
             pin = self.pins[x, w]
             pin[1] -= len(routes)
             if pin[1] == 0:
@@ -213,28 +224,29 @@ class ConnState:
             del self.input_active[x]
 
     def _check_addresses(self, x, outputs):
-        """Raise ValueError unless x and every output is an address."""
-        cfg = self.config
-        dary.check_address(cfg.d, cfg.n, x)
-        for y in outputs:
-            dary.check_address(cfg.d, cfg.n, y)
+        """x and the outputs as plain ints; raise ValueError unless each is
+        an address."""
+        d, n = self.config.d, self.config.n
+        return (dary.check_address(d, n, x),
+                [dary.check_address(d, n, y) for y in outputs])
 
     def _window_routes(self, x, outputs):
-        """Routes of the single-window subrequest (x, outputs)."""
+        """x and the routes of the single-window subrequest (x, outputs)."""
         cfg = self.config
         if not outputs:
             raise ValueError("empty output set")
-        self._check_addresses(x, outputs)
-        size = cfg.d ** cfg.t
+        x, outputs = self._check_addresses(x, outputs)
+        d, n = cfg.d, cfg.n
+        size = d ** cfg.t
         if min(outputs) // size != max(outputs) // size:
             raise ValueError("subrequest spans windows %s"
                              % sorted({y // size for y in outputs}))
-        return [_route(cfg.d, cfg.n, x, y) for y in outputs]
+        return x, [_route(d, n, x, y) for y in outputs]
 
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
         branch of the single-window subrequest (x, outputs)."""
-        return self._blocked(x, self._window_routes(x, set(outputs)))
+        return self._blocked(*self._window_routes(x, set(outputs)))
 
     def blocking_branches(self, x, outputs):
         """{plane: (u, v)}, ascending by plane, for each plane that blocks
@@ -242,7 +254,8 @@ class ConnState:
         (u, v), in `requests` order, from an input u != x that holds a key
         of the subrequest on that plane.  Every output must be free."""
         outputs = set(outputs)
-        cfg, routes = self.config, self._window_routes(x, outputs)
+        cfg = self.config
+        x, routes = self._window_routes(x, outputs)
         owned = [y for y in outputs if y in self.output_owner]
         if owned:
             raise ValueError("request output %s already owned" % min(owned))
@@ -258,7 +271,7 @@ class ConnState:
             for key in _keys(cfg, rt):
                 holders = occ.get(key)
                 if holders:
-                    for plane, (owner, _) in holders.items():
+                    for plane, owner in holders.items():
                         if owner != x:
                             held.setdefault((plane, owner), set()).add(key)
         if not held:
@@ -280,14 +293,10 @@ class ConnState:
                 break
         return dict(sorted(found.items()))
 
-    def is_empty(self):
-        return not self.requests and not self.occ
-
     def audit(self):
         """Rebuild all derived state from the registry and compare."""
         cfg = self.config
-        occ = {}
-        size = [0] * cfg.m
+        refs = {}
         owners = {}
         active = {}
         pins = {}
@@ -297,6 +306,9 @@ class ConnState:
                 pin = pins.setdefault((x, w), [plane, 0])
                 check(pin[0] == plane, "window split across planes")
                 pin[1] += len(routes)
+                counts = refs.get((plane, x))
+                if counts is None:
+                    counts = refs[plane, x] = Counter()
                 for rt in routes:
                     check(rt.input == x, "route %r under input %s", rt, x)
                     check(rt.output // wsize == w,
@@ -304,9 +316,23 @@ class ConnState:
                     check(rt.output not in owners, "output double-owned")
                     owners[rt.output] = rid
                     active[x] = active.get(x, 0) + 1
-                    _hold(occ, size, plane, x, _keys(cfg, rt))
-        for name, rebuilt in (("occ", occ), ("size", size), ("pins", pins),
-                              ("output_owner", owners),
+                    counts.update(_keys(cfg, rt))
+        occ = {}
+        size = [0] * cfg.m
+        for (plane, x), counts in refs.items():
+            size[plane] += len(counts)
+            for key in counts:
+                holders = occ.get(key)
+                if holders is None:
+                    occ[key] = {plane: x}
+                else:
+                    check(holders.setdefault(plane, x) == x,
+                          "key %r shared across inputs on plane %d",
+                          key, plane)
+        # the live counts are plain dicts, so each Counter compares with
+        # them as a dict: a stored zero count differs from a missing key
+        for name, rebuilt in (("occ", occ), ("refs", refs), ("size", size),
+                              ("pins", pins), ("output_owner", owners),
                               ("input_active", active)):
             check(rebuilt == getattr(self, name), "%s differs from the "
                   "registry", name)

@@ -10,6 +10,8 @@ check the int forms against them.
 from collections import namedtuple
 from functools import lru_cache
 
+from switchlp import dary
+
 SELabel = namedtuple("SELabel", ["stage", "label"])
 
 
@@ -79,6 +81,31 @@ def route_links(d, n, x, y):
 def route_sets(d, n, x, y):
     """(elements, internal links) of the route, for intersection tests."""
     return set(route_ses(d, n, x, y)), set(route_internal_links(d, n, x, y))
+
+
+# -- the overlap count the sharing predicates are defined by -------------------
+
+
+def overlap(d, n, a, b, u, v):
+    """Common suffix of the inputs' (n-1)-prefixes plus common prefix of
+    the outputs' (n-1)-prefixes, on int addresses: routes (a, b) and (u, v)
+    share an element iff it is >= n - 1 and a link iff it is >= n."""
+    return (dary.lcs(d, n - 1, a // d, u // d)
+            + dary.lcp(d, n - 1, b // d, v // d))
+
+
+def intersection_stage(d, n, a, b, u, v):
+    """Stage of the unique shared element, or "none" / "multiple".
+
+    When the suffix+prefix count is exactly n-1 the routes meet in a single
+    element, at stage lcp+1.
+    """
+    s = overlap(d, n, a, b, u, v)
+    if s < n - 1:
+        return "none"
+    if s > n - 1:
+        return "multiple"
+    return dary.lcp(d, n - 1, b // d, v // d) + 1
 
 
 # -- enumerated address families ----------------------------------------------

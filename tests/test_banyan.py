@@ -12,10 +12,11 @@ import random
 import pytest
 
 from switchlp.dary import DaryString
-from switchlp.banyan import route, shares_se, shares_link, intersection_stage
+from switchlp.banyan import route, shares_se, shares_link
 
 from address_oracle import (
-    digits, route_internal_links, route_links, route_ses, route_sets,
+    digits, intersection_stage, overlap, route_internal_links, route_links,
+    route_ses, route_sets,
 )
 
 
@@ -184,6 +185,20 @@ class TestPredicates:
             se2, lk2 = cache[u, v]
             assert shares_se(3, 3, a, b, u, v) == bool(se1 & se2)
             assert shares_link(3, 3, a, b, u, v) == bool(lk1 & lk2)
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (3, 3), (4, 2),
+                                      (5, 2)])
+    def test_division_matches_overlap_count(self, d, n):
+        # the predicates test the output prefix by one division; the
+        # oracle adds the lcs and lcp digit counts, over every quadruple
+        univ = range(d ** n)
+        pairs = [(b, v) for b in univ for v in univ]
+        for a, u in itertools.product(univ, repeat=2):
+            counts = [overlap(d, n, a, b, u, v) for b, v in pairs]
+            assert [shares_se(d, n, a, b, u, v) for b, v in pairs] == \
+                [c >= n - 1 for c in counts]
+            assert [shares_link(d, n, a, b, u, v) for b, v in pairs] == \
+                [c >= n for c in counts]
 
     def test_link_implies_se(self):
         rng = random.Random(3)

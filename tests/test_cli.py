@@ -512,7 +512,8 @@ class TestInputErrors:
         # asserts vanish under -O; every check below must still raise
         script = "\n".join([
             "import sys",
-            "from switchlp import adversary, clos, dary, dwec, lpcert, multilog",
+            "from switchlp import adversary, banyan, clos, dary, dwec",
+            "from switchlp import lpcert, multilog",
             "assert sys.flags.optimize and False",
             "C = clos.ClosConfig.symmetric",
             "M = multilog.MultilogConfig(d=2, n=3, m=1)",
@@ -548,6 +549,9 @@ class TestInputErrors:
             "        .objective_bounded_delta(4),",
             "    lambda: dary.DaryString(2, (0.5, 1)),",
             "    lambda: dary.DaryString.from_value(1.5, 2, 2),",
+            "    lambda: multilog.ConnState(M).admit(0, [1.5]),",
+            "    lambda: multilog.ConnState(M).blocking_planes(1, [2.0]),",
+            "    lambda: lpcert.primal_from_state(conn, 1, [2.5]),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",
@@ -583,6 +587,16 @@ class TestInputErrors:
             "    st = clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
             "    st.multirate_admit((0, 0), (1, 0), '1/2', rid='r')",
             "    return st",
+            "def bump_refcount(st):",
+            "    counts = next(iter(st.refs.values()))",
+            "    counts[next(iter(counts))] += 1",
+            "def lying_route(st):",
+            "    # (000 -> 001) shares a link with the live (100 -> 000); with",
+            "    # its link ids rewritten only the predicate check can tell",
+            "    rt = banyan.route(2, 3, 0, 1)",
+            "    rt.link_ids = tuple(key + 1000 for key in rt.link_ids)",
+            "    st._commit('liar', 0, 0, 1, [rt])",
+            "    st.requests['liar'] = (0, {1: (0, [rt])})",
             "def coloring():",
             "    st = dwec.ColoringState()",
             "    st.arrive('e', 'u', 'v', '1/2')",
@@ -591,6 +605,12 @@ class TestInputErrors:
             "    (multilog_state, lambda st: st.occ.popitem()),",
             "    (multilog_state,",
             "     lambda st: st.size.__setitem__(0, st.size[0] + 1)),",
+            "    (multilog_state, bump_refcount),",
+            "    (multilog_state,",
+            "     lambda st: next(iter(st.occ.values())).__setitem__(0, 7)),",
+            "    (multilog_state,",
+            "     lambda st: next(iter(st.refs.values())).popitem()),",
+            "    (multilog_state, lying_route),",
             "    (space_clos, lambda st: st.in_mids[0].pop()),",
             "    (multirate_clos,",
             "     lambda st: st.load_in.__setitem__((0, 0), st.load_in[0, 0] * 2)),",

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from switchlp.dary import (
     DaryString, lcp, lcs, all_strings, window_outputs, AddressSets,
-    a_count_formula, window_count_formula, canonical_sets, frac_pow,
+    a_count_formula, window_count_formula, canonical_sets, check_address,
+    frac_pow,
 )
 
 import address_oracle as oracle
@@ -74,6 +75,17 @@ class TestDaryString:
     def test_ordering_matches_value(self):
         # equal-length digit strings sort as their values do
         assert sorted(all_strings(3, 3), key=str) == list(range(27))
+
+    def test_check_address(self):
+        # a checked address comes back as a plain int; a non-integer is
+        # refused even when integral, and messages show the value as given
+        got = check_address(2, 3, s("101"))
+        assert got == 5 and type(got) is int
+        for bad in (1.5, 2.0, Fraction(2), "1", None):
+            with pytest.raises(ValueError, match="is not an integer"):
+                check_address(2, 3, bad)
+        with pytest.raises(ValueError, match="address 1000 out of range"):
+            check_address(2, 3, s("1000"))
 
     def test_from_value_range(self):
         with pytest.raises(ValueError):

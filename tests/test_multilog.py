@@ -1,5 +1,6 @@
 """Stacked-plane simulator: admission, release, blocking, audits."""
 
+import gc
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from switchlp.multilog import (
     UnknownId, DuplicateId, LINK, CROSSTALK, parse_address, run_trace,
 )
 from switchlp.dary import DaryString, all_strings, window_outputs
-from switchlp.banyan import shares_link, shares_se
+from switchlp.banyan import route, shares_link, shares_se
 from switchlp import adversary
 
 from address_oracle import route_links, route_ses
@@ -155,7 +156,9 @@ class TestRelease:
         state = ConnState(cfg(m=2, f=1))
         state.admit(s("010"), [s("101")], rid="r")
         state.release("r")
-        assert state.is_empty()
+        assert not (state.requests or state.occ or state.refs or state.pins
+                    or state.output_owner or state.input_active)
+        assert state.size == [0, 0]
         state.audit()
 
     def test_release_twice(self):
@@ -425,19 +428,79 @@ class TestProbeOracle:
         assert primal.objective() == 0
 
 
+def bump_refcount(state):
+    counts = state.refs[0, s("000")]
+    key = next(iter(counts))
+    counts[key] += 1
+
+
+def move_owner(state):
+    # a key of input 000 on plane 0, handed to input 111
+    next(iter(state.occ.values()))[0] = s("111")
+
+
+def lying_route(state):
+    """Move b onto a's plane with its link ids rewritten to be disjoint from
+    a's: occupancy and registry agree, and only the sharing predicate can
+    see that the two routes share a link."""
+    state.release("b")
+    rt = route(2, 3, s("100"), s("001"))
+    assert shares_link(2, 3, s("000"), s("000"), rt.input, rt.output)
+    rt.link_ids = tuple(key + 1000 for key in rt.link_ids)
+    # t = 0: each output is its own window
+    state._commit("b", 0, rt.input, rt.output, [rt])
+    state.requests["b"] = (rt.input, {rt.output: (0, [rt])})
+
+
 class TestAudit:
-    @pytest.mark.parametrize("corrupt", [
-        lambda state: state.occ.popitem(),
-        lambda state: state.size.__setitem__(1, state.size[1] + 1),
-    ], ids=["drop_occupancy_entry", "bump_plane_size"])
-    def test_corruption_detected(self, corrupt):
+    @pytest.mark.parametrize("corrupt, caught", [
+        (lambda state: state.occ.popitem(), "occ differs"),
+        (lambda state: state.size.__setitem__(1, state.size[1] + 1),
+         "size differs"),
+        (bump_refcount, "refs differs"),
+        (move_owner, "occ differs"),
+        (lambda state: state.refs[1, s("100")].popitem(), "refs differs"),
+        (lying_route, "conflict on plane 0"),
+    ], ids=["drop_occupancy_entry", "bump_plane_size", "bump_refcount",
+            "move_owner", "drop_refcount_entry", "lying_route"])
+    def test_corruption_detected(self, corrupt, caught):
         state = ConnState(cfg(m=2))
         state.admit(s("000"), [s("000")], rid="a")
         state.admit(s("100"), [s("001")], rid="b")  # conflicts: plane 1
         state.audit()
         corrupt(state)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=caught):
             state.audit()
+
+
+class TestUntracked:
+    def test_occupancy_holds_only_plain_ints(self):
+        # DaryString addresses are int subclasses the cyclic garbage
+        # collector tracks; the occupancy keeps the plain ints they denote,
+        # so that none of its per-key or per-(plane, input) dicts is tracked
+        config = cfg(d=2, n=4, m=4, t=2, f=2, plane_policy=multilog.RANDOM)
+        state = ConnState(config)
+        addrs = list(all_strings(2, 4))
+        assert gc.is_tracked(addrs[0])
+        rng = random.Random(29)
+        live = []
+        for i in range(300):
+            if live and rng.random() < 0.4:
+                state.release(live.pop(rng.randrange(len(live))))
+                continue
+            req = adversary.random_admissible_request(state, rng)
+            if req is not None:
+                x, ys = req
+                state.admit(addrs[x], [addrs[y] for y in ys], rid=i)
+                if i in state.requests:
+                    live.append(i)
+        state.audit()
+        assert state.occ and state.refs
+        assert all(type(owner) is int for holders in state.occ.values()
+                   for owner in holders.values())
+        assert all(type(x) is int for _, x in state.refs)
+        assert not any(map(gc.is_tracked, state.occ.values()))
+        assert not any(map(gc.is_tracked, state.refs.values()))
 
 
 class TestModeMonotonicity:
