@@ -178,66 +178,45 @@ def run_snb_saturation(n, m):
 # -- exhaustive search over the two-crossbar reuse rule ----------------------
 
 
-def _benes_counts(mids):
-    counts = {}
-    for carried in mids:
-        for pair in carried:
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
-def _benes_admit_choice(mids, i, o):
-    """Middle index the reuse rule picks in abstract state `mids`
-    (tuple of frozensets of carried (i, o) pairs), or None if all full."""
-    m = len(mids)
-    free = [mid for mid in range(m)
-            if not any(p[0] == i for p in mids[mid])
-            and not any(p[1] == o for p in mids[mid])]
-    if not free:
-        return None
-    diagonal = [mid for mid in free if (1 - i, 1 - o) in mids[mid]]
-    if diagonal:
-        return diagonal[0]
-    busy = [mid for mid in free if mids[mid]]
-    if busy:
-        return busy[0]
-    return free[0]
-
-
 def benes_search(n, m, max_depth=None):
     """Breadth-first search of every state the r=2 reuse rule can reach in
     C(n, m, 2), to closure by default or within max_depth events.
 
     Returns None when no reachable state rejects an admissible request, or
-    the offending event list (("A", i, o) / ("D", i, o) steps plus the
-    blocked probe) otherwise.
+    else the trace lines (newline-terminated) that reach one, ending in the
+    arrival it rejects: `clos.run_trace(config, lines, reuse=True)` admits
+    every line but the last.
     """
+    if n < 1 or m < 1 or (max_depth is not None and max_depth < 0):
+        raise ValueError("need n >= 1, m >= 1 and max_depth >= 0")
     if max_depth is None:
         max_depth = float("inf")
+    # per middle, the frozenset of (input, output) crossbar pairs it carries
     start = (frozenset(),) * m
     parents = {start: None}
     frontier = deque([(start, 0)])
     while frontier:
         mids, depth = frontier.popleft()
-        counts = _benes_counts(mids)
-        loads_i = [sum(c for p, c in counts.items() if p[0] == i)
-                   for i in (0, 1)]
-        loads_o = [sum(c for p, c in counts.items() if p[1] == o)
-                   for o in (0, 1)]
+        in_mids, out_mids = (set(), set()), (set(), set())
+        for mid, carried in enumerate(mids):
+            for i, o in carried:
+                in_mids[i].add(mid)
+                out_mids[o].add(mid)
         for i in (0, 1):
             for o in (0, 1):
-                if loads_i[i] >= n or loads_o[o] >= n:
+                # one request per crossbar and middle: a set's size is a load
+                if len(in_mids[i]) >= n or len(out_mids[o]) >= n:
                     continue
-                pick = _benes_admit_choice(mids, i, o)
+                pick = clos.reuse_pick(m, in_mids, out_mids, i, o)
                 if pick is None:
-                    return _benes_path(parents, mids) + [("A", i, o, "blocked")]
+                    return _witness(parents, mids, i, o, n)
                 if depth >= max_depth:
                     continue
                 nxt = list(mids)
                 nxt[pick] = mids[pick] | {(i, o)}
                 nxt = tuple(nxt)
                 if nxt not in parents:
-                    parents[nxt] = (mids, ("A", i, o))
+                    parents[nxt] = (mids, ("A", i, o, pick))
                     frontier.append((nxt, depth + 1))
         if depth >= max_depth:
             continue
@@ -252,44 +231,26 @@ def benes_search(n, m, max_depth=None):
     return None
 
 
-def _benes_path(parents, state):
-    path = []
+def _witness(parents, state, i, o, n):
+    """Trace lines of the events that reach `state`, then of the arrival
+    I_i -> O_o it rejects; an arrival takes the lowest free port of each of
+    its two crossbars."""
+    path = [("A", i, o, None)]
     while parents[state] is not None:
         state, event = parents[state]
         path.append(event)
-    path.reverse()
-    return path
-
-
-def replay_benes_events(n, m, events):
-    """Run an abstract event list through the concrete simulator; returns
-    the outcome of the final arrival ("blocked" events included)."""
-    cfg = clos.ClosConfig.symmetric(n=n, m=m, r=2)
-    state = clos.ClosState(cfg)
-    live = {}  # (i, o, middle) -> list of rids
-    outcome = None
-    serial = 0
-    for ev in events:
-        if ev[0] == "A":
-            i, o = ev[1], ev[2]
-            serial += 1
-            rid = str(serial)
-            it = (i, _free_port(state.busy_in, i, n))
-            ot = (o, _free_port(state.busy_out, o, n))
-            got = state.benes_admit(it, ot, rid=rid)
-            outcome = got
-            if got is not clos.BLOCKED:
-                live.setdefault((i, o, got), []).append(rid)
-        else:
-            _, i, o, mid = ev
-            rid = live[(i, o, mid)].pop()
-            state.release(rid)
-        state.audit()
-    return outcome
-
-
-def _free_port(busy, cb, n):
-    for port in range(n):
-        if (cb, port) not in busy:
-            return port
-    raise AssertionError("no free port on crossbar %d" % cb)
+    lines, live, busy = [], {}, set()
+    for k, (kind, i, o, mid) in enumerate(reversed(path), start=1):
+        if kind == "D":
+            # a middle carries at most one request from input crossbar i
+            rid, ends = live.pop((i, mid))
+            busy.difference_update(ends)
+            lines.append("D %s\n" % rid)
+            continue
+        ends = [min({(cb, port) for port in range(n)} - busy)
+                for cb in (("I", i), ("O", o))]
+        busy.update(ends)
+        live[i, mid] = "r%d" % k, ends
+        lines.append("A r%d %d:%d %d:%d\n"
+                     % (k, i, ends[0][1], o, ends[1][1]))
+    return lines

@@ -138,22 +138,6 @@ def cf_wsnb_window(d, n, t):
             + d ** t - frac_pow(d, 2 * t - n - 2) * (d - 1) + 1)
 
 
-# ------------------------------------------------------- monotone helper forms
-
-def h(d, n, k):
-    _check_range(k >= 1, "k must be >= 1")
-    x = ilog(d, k)
-    e = (n + x) // 2
-    return Fraction(d ** e) + k * (frac_pow(d, n - e - 1) - 1)
-
-
-def hbar(d, n, k):
-    _check_range(k >= 1, "k must be >= 1")
-    x = ilog(d, k)
-    e = (x + n + 1) // 2
-    return Fraction(d ** e) + k * (frac_pow(d, n - e) - 1)
-
-
 # ------------------------------------------------------------- cost functions
 
 def _check_cost_args(d, n, t, f, k, p, q):
@@ -198,19 +182,6 @@ def _cost(d, n, t, f, k, p, q, theta):
     return base + d ** (n - p - 1) - d ** t + d ** (q - 1) - d ** p + tail_min
 
 
-def _maxmin(cost, d, n, t, f, ps):
-    """max over k of min over p in ps and every q of cost(k, p, q)."""
-    return max(min(cost(d, n, t, f, k, p, q)
-                   for p in ps for q in range(n - t, n + 1))
-               for k in range(1, min(f, d ** t) + 1))
-
-
-def sufficient_m_enumerated(d, n, t, f, mode):
-    """Ground truth 1 + max_k min_{p,q} cost over the whole discrete grid."""
-    cost = c_cost if mode == LINK else g_cost
-    return 1 + _maxmin(cost, d, n, t, f, range(n - t))
-
-
 def _row_tight(d, n, t, f, p):
     """max_k min_q g_cost(k, p, q) for one fixed p, clamped into the
     family's range: the tight value of a table row whose construction pins
@@ -218,7 +189,10 @@ def _row_tight(d, n, t, f, p):
     max-min since the min ranges over fewer choices."""
     if min(f, d ** t) > 1 << 16:
         return None
-    return Fraction(_maxmin(g_cost, d, n, t, f, [max(0, min(p, n - t - 1))]))
+    p = max(0, min(p, n - t - 1))
+    return Fraction(max(min(g_cost(d, n, t, f, k, p, q)
+                            for q in range(n - t, n + 1))
+                        for k in range(1, min(f, d ** t) + 1)))
 
 
 # --------------------------------------------------------------- bound tables

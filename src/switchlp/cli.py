@@ -44,7 +44,8 @@ def _config_tokens(path):
 
 
 # least values of the integer options; anything smaller verifies nothing
-_LEAST = {"d": 2, "n": 1, "f": 1, "trials": 1, "steps": 1}
+_LEAST = {"d": 2, "n": 1, "f": 1, "m": 1, "depth": 0, "trials": 1,
+          "steps": 1}
 
 
 def _ints(name, many=False):

@@ -5,7 +5,7 @@ Covers three admission disciplines on C(n1, r1, m, n2, r2):
 - strict-sense unicast: any middle crossbar free toward both sides works,
   and at most (n1-1)+(n2-1) middles can ever be unavailable to a fresh
   request, so m >= n1+n2-1 never blocks;
-- the two-crossbar (r=2) reuse rule: prefer a middle already carrying the
+- the r=2 reuse rule (`reuse_pick`): prefer a middle already carrying the
   diagonal traffic class, which brings the requirement down to floor(3n/2);
 - multirate: requests carry a rate in (0,1], middles are colors of a dynamic
   weighted edge coloring on the crossbar-to-crossbar demand graph, and a
@@ -140,29 +140,16 @@ class ClosState:
             return BLOCKED
         return self._space_commit(rid, in_term, out_term, mid)
 
-    def class_set(self, i_cb, o_cb):
-        """Middles currently carrying some I_i -> O_j request."""
-        return {mid for _, (kind, it, ot, mid) in self.requests.items()
-                if kind == SPACE and it[0] == i_cb and ot[0] == o_cb}
-
     def benes_admit(self, in_term, out_term, rid=None):
-        """Reuse-first admission for r = 2: prefer a middle already serving
-        the diagonal class, then any busy middle, then an idle one."""
+        """Admission by the r = 2 reuse rule (`reuse_pick`); returns the
+        middle or BLOCKED."""
         if not (self.config.r1 == 2 and self.config.r2 == 2):
             raise ValueError("the reuse rule needs r1 = r2 = 2")
         rid = self._space_pre(in_term, out_term, rid)
-        i, o = in_term[0], out_term[0]
-        bad = self.snb_unavailable(i, o)
-        free = [mid for mid in range(self.config.m) if mid not in bad]
-        if not free:
-            return BLOCKED
-        diagonal = self.class_set(1 - i, 1 - o)
-        busy = set().union(*self.in_mids)
-        for pool in (diagonal, busy):
-            picks = [mid for mid in free if mid in pool]
-            if picks:
-                return self._space_commit(rid, in_term, out_term, picks[0])
-        return self._space_commit(rid, in_term, out_term, free[0])
+        mid = reuse_pick(self.config.m, self.in_mids, self.out_mids,
+                         in_term[0], out_term[0])
+        return BLOCKED if mid is None else self._space_commit(
+            rid, in_term, out_term, mid)
 
     # -- multirate admission ----------------------------------------------
 
@@ -237,9 +224,11 @@ class ClosState:
             check(bi == self.busy_in and bo == self.busy_out,
                   "busy terminals differ from the registry")
             if cfg.r1 == 2 and cfg.r2 == 2:
-                m11 = self.class_set(0, 0) | self.class_set(1, 1)
-                m12 = self.class_set(0, 1) | self.class_set(1, 0)
-                check(max(len(m11), len(m12)) <= max(cfg.n1, cfg.n2),
+                # middles of the classes (0,0)+(1,1) and (0,1)+(1,0)
+                spread = (set(), set())
+                for _, it, ot, mid in self.requests.values():
+                    spread[it[0] != ot[0]].add(mid)
+                check(max(map(len, spread)) <= max(cfg.n1, cfg.n2),
                       "a diagonal class spreads over too many middles")
         else:
             self.coloring.audit()
@@ -258,6 +247,20 @@ class ClosState:
             check(li == {k: v for k, v in self.load_in.items() if v}
                   and lo == {k: v for k, v in self.load_out.items() if v},
                   "terminal loads differ from the registry")
+
+
+def reuse_pick(m, in_mids, out_mids, i, o):
+    """The middle the r = 2 reuse rule gives a fresh I_i -> O_o request,
+    from the busy middles per input and output crossbar; None when none is
+    free.  The rule prefers a free middle carrying the diagonal class
+    (1-i, 1-o), then a busy one, then an idle one.  With r = 2 the first two
+    coincide: a free middle that is busy is busy at input crossbar 1-i, and
+    the one request it carries from there cannot go to output crossbar o."""
+    bad = in_mids[i] | out_mids[o]
+    reuse = in_mids[1 - i] - bad
+    if reuse:
+        return min(reuse)
+    return next((mid for mid in range(m) if mid not in bad), None)
 
 
 def parse_terminal(text):

@@ -39,8 +39,6 @@ class ColoringFailure(AssertionError):
     raised as a hard assertion so bugs surface instead of silently degrading."""
 
 
-Arrive = namedtuple("Arrive", ["id", "u", "v", "w"])
-Depart = namedtuple("Depart", ["id"])
 Plan = namedtuple("Plan", ["w", "color", "W_bar", "Delta_bar", "growth"])
 
 
@@ -335,16 +333,6 @@ class ColoringState:
         vars(self).update(copy.deepcopy(snap, {id(self.scheme): self.scheme}))
 
 
-def step(state, event):
-    """Apply one Arrive/Depart event; returns the color on Arrive."""
-    if isinstance(event, Arrive):
-        return state.arrive(event.id, event.u, event.v, event.w)
-    if isinstance(event, Depart):
-        state.depart(event.id)
-        return None
-    raise TypeError("unknown event %r" % (event,))
-
-
 def opt_lower(state):
     """Certified lower bound on the offline optimum: per-vertex load forces
     ceil(W_bar) colors and pairwise-conflicting heavy edges force Delta_bar."""
@@ -423,17 +411,10 @@ def _operands(tokens):
     return u, v, fraction(w)
 
 
-def parse_trace(lines):
-    """Event lines: `A <id> <u> <v> <p/q>` or `D <id>`; returns the list of
-    Arrive/Depart events."""
-    return [ev for _, _, ev in replay(lines, (3, 3), _operands, Arrive,
-                                      Depart)]
-
-
 def run_trace(lines, scheme=FOUR_TYPE, audit=False):
-    """Replay trace lines in order; yields one report row per event as a
-    dict with keys t, colors_used, opt_lower, W_bar, Delta_bar.  A
-    duplicate edge id or an unknown departure is malformed input."""
+    """Replay `A <id> <u> <v> <weight>` / `D <id>` lines; yields one row per
+    event as a dict with keys t, colors_used, opt_lower, W_bar, Delta_bar.
+    A duplicate edge id or an unknown departure is malformed input."""
     state = ColoringState(scheme=scheme)
     events = replay(lines, (3, 3), _operands, state.arrive, state.depart)
     for t, _ in enumerate(events, start=1):

@@ -426,29 +426,3 @@ def export_lp(instance):
         lines.append(" 0 <= %s" % name)
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def parse_lp(text):
-    """Minimal reference parser for the exported format; returns a dict with
-    objective variable list and constraints as (name, vars, rhs) triples."""
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("\\")]
-    out = {"objective": [], "constraints": [], "bounds": []}
-    section = None
-    for ln in lines:
-        word = ln.strip()
-        if word in ("Maximize", "Subject To", "Bounds", "End"):
-            section = word
-            continue
-        if section == "Maximize":
-            _, _, rhs = word.partition(":")
-            out["objective"] = [v.strip() for v in rhs.split("+")]
-        elif section == "Subject To":
-            name, _, rest = word.partition(":")
-            expr, _, rhs = rest.rpartition("<=")
-            out["constraints"].append(
-                (name.strip(), [v.strip() for v in expr.split("+")],
-                 int(rhs)))
-        elif section == "Bounds":
-            out["bounds"].append(word.split("<=")[-1].strip())
-    return out

@@ -23,7 +23,6 @@ from .events import (Blocked, DuplicateId, SwitchError, UnknownId, check,
                      replay)
 
 FIRST_FIT = "first"
-BEST_FIT = "best"
 RANDOM = "random"
 
 
@@ -55,7 +54,7 @@ class MultilogConfig:
             raise ValueError("need 1 <= f <= d^n")
         if self.mode not in (LINK, CROSSTALK):
             raise ValueError("unknown mode %r" % (self.mode,))
-        if self.plane_policy not in (FIRST_FIT, BEST_FIT, RANDOM):
+        if self.plane_policy not in (FIRST_FIT, RANDOM):
             raise ValueError("unknown plane policy %r" % (self.plane_policy,))
 
 
@@ -81,7 +80,6 @@ class ConnState:
         # collector does not track them.
         self.occ = {}
         self.refs = {}               # (plane, input) -> {key: refcount}
-        self.size = [0] * config.m   # keys held per plane, for BEST_FIT
         self.requests = {}       # id -> (input, {window: (plane, [routes])})
         self.output_owner = {}   # output -> request id
         self.input_active = {}   # input -> live output count
@@ -106,7 +104,7 @@ class ConnState:
     def _commit(self, rid, plane, x, window, routes):
         """Hold `routes` on `plane` for input x: one reference to each of
         their keys, the window's pin and their outputs."""
-        occ, size = self.occ, self.size
+        occ = self.occ
         refs = self.refs.setdefault((plane, x), {})
         for rt in routes:
             for key in _keys(self.config, rt):
@@ -118,7 +116,6 @@ class ConnState:
                     elif holders.setdefault(plane, x) != x:
                         raise AssertionError("key %r shared across inputs"
                                              % key)
-                    size[plane] += 1
                 refs[key] = count + 1
         pin = self.pins.setdefault((x, window), [plane, 0])
         check(pin[0] == plane, "window split across planes")
@@ -134,11 +131,8 @@ class ConnState:
         return [p for p in candidates if p not in blocked]
 
     def _choose(self, feasible):
-        policy = self.config.plane_policy
-        if policy == FIRST_FIT:
+        if self.config.plane_policy == FIRST_FIT:
             return feasible[0]
-        if policy == BEST_FIT:
-            return max(feasible, key=lambda p: (self.size[p], -p))
         return self.rng.choice(feasible)
 
     # -- operations -------------------------------------------------------
@@ -196,7 +190,7 @@ class ConnState:
             x, admitted = self.requests.pop(rid)
         except KeyError:
             raise UnknownId(repr(rid))
-        occ, size = self.occ, self.size
+        occ = self.occ
         for w, (plane, routes) in admitted.items():
             refs = self.refs[plane, x]
             for rt in routes:
@@ -209,7 +203,6 @@ class ConnState:
                     holders = occ[key]
                     if holders.pop(plane) != x:
                         raise AssertionError("key %r owned elsewhere" % key)
-                    size[plane] -= 1
                     if not holders:
                         del occ[key]
                 del self.output_owner[rt.output]
@@ -318,9 +311,7 @@ class ConnState:
                     active[x] = active.get(x, 0) + 1
                     counts.update(_keys(cfg, rt))
         occ = {}
-        size = [0] * cfg.m
         for (plane, x), counts in refs.items():
-            size[plane] += len(counts)
             for key in counts:
                 holders = occ.get(key)
                 if holders is None:
@@ -331,8 +322,8 @@ class ConnState:
                           key, plane)
         # the live counts are plain dicts, so each Counter compares with
         # them as a dict: a stored zero count differs from a missing key
-        for name, rebuilt in (("occ", occ), ("refs", refs), ("size", size),
-                              ("pins", pins), ("output_owner", owners),
+        for name, rebuilt in (("occ", occ), ("refs", refs), ("pins", pins),
+                              ("output_owner", owners),
                               ("input_active", active)):
             check(rebuilt == getattr(self, name), "%s differs from the "
                   "registry", name)

@@ -5,11 +5,14 @@ or rebuild their state, and the exhaustive coloring optimum.
 load is a `Fraction`, the color classes grow in place, and first-fit then
 runs over the grown pools.  `OracleClosState` colors a multirate request on
 a snapshot of that coloring and restores the snapshot when the color falls
-beyond m - 1, keeps its terminal loads as Fractions, and a space-division
-release rebuilds the freed crossbars' middle sets from every live request.
+beyond m - 1, keeps its terminal loads as Fractions, admits by the r = 2
+reuse rule by scanning every live request for the diagonal class, and a
+space-division release rebuilds the freed crossbars' middle sets from every
+live request.
 They are slow on purpose: the differential tests in `test_dwec.py` and
 `test_clos.py` check the scaled-int `ColoringState`, `plan`/`commit` and
-the O(1) space release against them.  `fraction_view` reads either
+the set-based reuse rule (`clos.reuse_pick`) and the O(1) space release
+against them.  `fraction_view` reads either
 coloring as the same plain values.  `opt_exact` finds the fewest colors of a
 small static weighted multigraph, against which the acceptance tests check
 the coloring's competitive ratio.
@@ -208,6 +211,23 @@ class OracleClosState(clos.ClosState):
         self.load_out[out_term] = self.load_out.get(out_term, 0) + rate
         self.requests[rid] = (MULTIRATE, in_term, out_term, color, rate)
         return color
+
+    def benes_admit(self, in_term, out_term, rid=None):
+        if not (self.config.r1 == 2 and self.config.r2 == 2):
+            raise ValueError("the reuse rule needs r1 = r2 = 2")
+        rid = self._space_pre(in_term, out_term, rid)
+        i, o = in_term[0], out_term[0]
+        bad = self.snb_unavailable(i, o)
+        free = [mid for mid in range(self.config.m) if mid not in bad]
+        if not free:
+            return BLOCKED
+        diagonal = {mid for kind, it, ot, mid in self.requests.values()
+                    if (it[0], ot[0]) == (1 - i, 1 - o)}
+        busy = set().union(*self.in_mids)
+        for pool in (diagonal, busy, free):
+            picks = [mid for mid in free if mid in pool]
+            if picks:
+                return self._space_commit(rid, in_term, out_term, picks[0])
 
     def release(self, rid):
         kind = self.requests.get(rid, (None,))[0]

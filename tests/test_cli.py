@@ -13,7 +13,9 @@ import sys
 import pytest
 
 import switchlp
-from switchlp import bounds, cli, lpcert
+from switchlp import adversary, bounds, cli, lpcert
+
+from lp_oracle import parse_lp
 
 
 def run(capsys, *argv):
@@ -233,6 +235,19 @@ class TestSimulate:
                            "--n", "2", "--m", "2", "--expect-nonblocking")
         assert code == 1
 
+    def test_benes_witness_replays_blocked(self, capsys, tmp_path):
+        # the search's witness at m = 3 < floor(3n/2) replays through the
+        # command line's trace path: admitted up to its last line
+        found = adversary.benes_search(3, 3)
+        trace = tmp_path / "w.trace"
+        trace.write_text("".join(found))
+        code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
+                           "--n", "3", "--m", "3", "--trace", str(trace),
+                           "--expect-nonblocking")
+        assert code == 1
+        assert [r[3] for r in rows(out)[1:]] == \
+            ["ok"] * (len(found) - 1) + ["blocked"]
+
     def test_multilog_trace_replay(self, capsys, tmp_path):
         trace = tmp_path / "t.trace"
         trace.write_text("A r1 000 000\nA r2 100 001\nD r1\n")
@@ -405,7 +420,7 @@ class TestExportLp:
         code, out, _ = run(capsys, "export-lp", "--d", "2", "--n", "3",
                            "--t", "1", "--f", "2", "--k", "1")
         assert code == 0
-        parsed = lpcert.parse_lp(out)
+        parsed = parse_lp(out)
         inst = lpcert.canonical_instance(2, 3, 1, 2, 1, lpcert.LINK)
         assert len(parsed["objective"]) == \
             len(inst.uw_pairs) + len(inst.uv_pairs)
@@ -473,6 +488,11 @@ MALFORMED = {
     "benes-r-3": (["simulate", "--network", "clos-benes", "--n", "2", "--m",
                    "3", "--r", "3"],
                   "A r1 0:0 0:0\nA r2 1:0 1:0\nA r3 2:0 2:0\n", 0),
+    "benes-depth--1": (["simulate", "--network", "clos-benes", "--n", "3",
+                        "--m", "3", "--depth", "-1",
+                        "--expect-nonblocking"], None, 0),
+    "benes-m-0": (["simulate", "--network", "clos-benes", "--n", "3", "--m",
+                   "0"], None, 0),
     "clos-snb-m-5-n-4": (["simulate", "--network", "clos-snb", "--n", "4",
                           "--m", "5"], None, 0),
     "simulate-trials--1": (["simulate", "--d", "2", "--n", "3", "--t", "1",
@@ -535,6 +555,9 @@ class TestInputErrors:
             "    lambda: clos.ClosState(C(n=2, m=3, r=2)).multirate_admit(",
             "        (0, 0), (1, 0), 1),",
             "    lambda: adversary.snb_saturation_events(1),",
+            "    lambda: adversary.benes_search(3, 0),",
+            "    lambda: adversary.benes_search(0, 3),",
+            "    lambda: adversary.benes_search(3, 3, max_depth=-1),",
             "    lambda: dary.AddressSets(2, 3, dary.DaryString(2, (0, 0, 0)),",
             "                             dary.all_strings(2, 3), 1),",
             "    lambda: conn.admit(dary.DaryString(2, (1, 0, 0, 0)), [a]),",
@@ -603,8 +626,6 @@ class TestInputErrors:
             "    return st",
             "corruptions = [",
             "    (multilog_state, lambda st: st.occ.popitem()),",
-            "    (multilog_state,",
-            "     lambda st: st.size.__setitem__(0, st.size[0] + 1)),",
             "    (multilog_state, bump_refcount),",
             "    (multilog_state,",
             "     lambda st: next(iter(st.occ.values())).__setitem__(0, 7)),",

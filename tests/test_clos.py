@@ -109,7 +109,10 @@ class TestBenesReuse:
             assert adversary.benes_search(n, m) is None
             found = adversary.benes_search(n, m - 1)
             assert found is not None
-            assert adversary.replay_benes_events(n, m - 1, found) is BLOCKED
+            cfg = ClosConfig.symmetric(n=n, m=m - 1, r=2)
+            rows = list(run_trace(cfg, found, reuse=True))
+            assert [r["status"] for r in rows] == \
+                ["ok"] * (len(found) - 1) + ["blocked"]
 
 
 class TestMultirate:
@@ -190,8 +193,9 @@ EVENTS = st.lists(st.tuples(st.booleans(), st.integers(0, 15),
 
 
 class TestOracle:
-    """The plan-then-commit multirate admit and the O(1) space release
-    against the snapshot-and-restore and rebuilding references."""
+    """The plan-then-commit multirate admit, the set-based reuse rule and
+    the O(1) space release against the snapshot-and-restore, scanning and
+    rebuilding references."""
 
     @staticmethod
     def outcome(call, *args, **kwargs):
@@ -241,6 +245,36 @@ class TestOracle:
                     (slow.in_mids, slow.out_mids)
             fast.audit()
             slow.audit()
+
+    def test_reuse_rule_matches_scan(self):
+        # r = 2 only; an arrival names its two crossbars and takes their
+        # lowest free ports, so the states fill up
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            cfg = ClosConfig.symmetric(n=n, m=rng.randint(1, 2 * n - 1), r=2)
+            fast, slow = ClosState(cfg), OracleClosState(cfg)
+            live = []
+            for k in range(60):
+                if live and rng.random() < 0.4:
+                    rid = live.pop(rng.randrange(len(live)))
+                    fast.release(rid)
+                    slow.release(rid)
+                    continue
+                i, o = rng.randrange(2), rng.randrange(2)
+                it = next(((i, p) for p in range(n)
+                           if (i, p) not in fast.busy_in), None)
+                ot = next(((o, p) for p in range(n)
+                           if (o, p) not in fast.busy_out), None)
+                if it is None or ot is None:
+                    continue
+                got = [s.benes_admit(it, ot, rid=str(k))
+                       for s in (fast, slow)]
+                assert got[0] == got[1]
+                if got[0] is not BLOCKED:
+                    live.append(str(k))
+                assert fast.requests == slow.requests
+                fast.audit()
 
 
 class TestTraceIo:

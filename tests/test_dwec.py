@@ -11,8 +11,8 @@ from clos_oracle import (FirstFitColoring, SizeLimit, WEIGHTS, fraction_view,
                          opt_exact)
 from switchlp import dwec
 from switchlp.dwec import (
-    DwecScheme, FOUR_TYPE, classify, ColoringState, Arrive, Depart, step,
-    opt_lower, derive_constants, parse_trace, run_trace, InfeasibleScheme,
+    DwecScheme, FOUR_TYPE, classify, ColoringState, opt_lower,
+    derive_constants, run_trace, InfeasibleScheme,
 )
 
 F = Fraction
@@ -252,11 +252,10 @@ class TestRandomDrive:
         live = []
         for i in range(120):
             if live and rng.random() < 0.45:
-                step(state, Depart(live.pop(rng.randrange(len(live)))))
+                state.depart(live.pop(rng.randrange(len(live))))
             else:
-                ev = Arrive(i, rng.randrange(5), 5 + rng.randrange(5),
-                            F(rng.randrange(1, 101), 100))
-                step(state, ev)
+                state.arrive(i, rng.randrange(5), 5 + rng.randrange(5),
+                             F(rng.randrange(1, 101), 100))
                 live.append(i)
             state.audit()
             assert opt_lower(state) <= state.colors_used
@@ -304,20 +303,19 @@ class TestTraceIo:
             "D e1",
             "A e3 u w 1/4",
         ]
-        events = parse_trace(lines)
-        assert events[0] == Arrive("e1", "u", "v", F(3, 5))
-        assert events[2] == Depart("e1")
         rows = list(run_trace(lines, audit=True))
         assert [r["t"] for r in rows] == [1, 2, 3, 4]
+        # the weights read exactly; W_bar is a running maximum, so the
+        # departure of e1 leaves it at 3/5 + 1/2
+        assert [r["W_bar"] for r in rows] == ["3/5", "11/10", "11/10",
+                                             "11/10"]
         # one heavy edge of weight 3/5: |C_0| = 2, then ceil(3/8 * 3/5) +
         # ceil(3/10 * 3/5) + ceil(3 * 3/5) = 1 + 1 + 2 colors in the tail
         assert rows[0]["colors_used"] == 6
         assert all(r["opt_lower"] <= r["colors_used"] for r in rows)
 
     def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_trace(["A e1 u v"])
-        with pytest.raises(ValueError):
-            parse_trace(["A e1 u v 1/0"])
-        with pytest.raises(ValueError):
-            parse_trace(["X e1"])
+        for lines in (["A e1 u v"], ["# comment", "A e1 u v 1/0"],
+                      ["A e1 u v 1/2", "", "X e1"]):
+            with pytest.raises(ValueError, match="^line %d:" % len(lines)):
+                list(run_trace(lines))

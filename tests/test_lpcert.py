@@ -11,11 +11,12 @@ from switchlp import lpcert, bounds, multilog, adversary
 from switchlp.lpcert import (
     LINK, CROSSTALK, Infeasible, LpInstance, canonical_instance,
     PrimalSolution, primal_from_state, DualSolution, dual_family,
-    dual_special_t_eq_n, check_weak_duality, family_cost, export_lp, parse_lp,
+    dual_special_t_eq_n, check_weak_duality, family_cost, export_lp,
 )
 from switchlp.dary import DaryString, all_strings, window_outputs
 
 from address_oracle import EnumeratedAddressSets, digits, lcp, lcs
+from lp_oracle import parse_lp
 
 
 def s(text, base=2):

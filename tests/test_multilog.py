@@ -15,8 +15,6 @@ from switchlp.dary import DaryString, all_strings, window_outputs
 from switchlp.banyan import route, shares_link, shares_se
 from switchlp import adversary
 
-from address_oracle import route_links, route_ses
-
 
 def s(text, base=2):
     return DaryString.parse(text, base)
@@ -158,7 +156,6 @@ class TestRelease:
         state.release("r")
         assert not (state.requests or state.occ or state.refs or state.pins
                     or state.output_owner or state.input_active)
-        assert state.size == [0, 0]
         state.audit()
 
     def test_release_twice(self):
@@ -244,16 +241,6 @@ def oracle_blocking(state, x, outputs):
                    for rt in routes for y in outputs)}
 
 
-def oracle_key_count(state, p):
-    """Distinct digit-tuple keys held on plane p."""
-    cfg = state.config
-    view = route_links if cfg.mode == LINK else route_ses
-    return len({key for _, admitted in state.requests.values()
-                for plane, routes in admitted.values() if plane == p
-                for rt in routes
-                for key in view(cfg.d, cfg.n, rt.input, rt.output)})
-
-
 def admit_checked(state, x, ys, rid):
     """Admit the single-window subrequest (x, ys) and check the plane it got
     against the oracle: feasible, and the one the policy must pick."""
@@ -263,7 +250,6 @@ def admit_checked(state, x, ys, rid):
     candidates = [pin[0]] if pin else range(config.m)
     blocked = oracle_blocking(state, x, ys)
     feasible = [p for p in candidates if p not in blocked]
-    counts = {p: oracle_key_count(state, p) for p in feasible}
     (got,) = state.admit(x, ys, rid=rid).values()
     if not feasible:
         assert isinstance(got, Blocked)
@@ -271,8 +257,6 @@ def admit_checked(state, x, ys, rid):
     assert got in feasible
     if config.plane_policy == multilog.FIRST_FIT:
         assert got == min(feasible)
-    elif config.plane_policy == multilog.BEST_FIT:
-        assert got == max(feasible, key=lambda p: (counts[p], -p))
 
 
 def pinned_extension(state, rng):
@@ -342,8 +326,7 @@ class TestOccupancyOracle:
     @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 4),
            f=st.sampled_from([1, 2, 4]), m=st.integers(1, 4),
            mode=st.sampled_from([LINK, CROSSTALK]),
-           policy=st.sampled_from([multilog.FIRST_FIT, multilog.BEST_FIT,
-                                   multilog.RANDOM]),
+           policy=st.sampled_from([multilog.FIRST_FIT, multilog.RANDOM]),
            seed=st.integers(0, 1 << 16))
     def test_churn_matches_per_plane_scan(self, data, d, n, f, m, mode,
                                           policy, seed):
@@ -371,8 +354,7 @@ class TestProbeOracle:
     @given(data=st.data(), d=st.sampled_from([2, 3]), n=st.integers(1, 4),
            f=st.sampled_from([1, 2, 4]), m=st.integers(1, 4),
            mode=st.sampled_from([LINK, CROSSTALK]),
-           policy=st.sampled_from([multilog.FIRST_FIT, multilog.BEST_FIT,
-                                   multilog.RANDOM]),
+           policy=st.sampled_from([multilog.FIRST_FIT, multilog.RANDOM]),
            seed=st.integers(0, 1 << 16))
     def test_branches_match_predicate_scan(self, data, d, n, f, m, mode,
                                            policy, seed):
@@ -455,13 +437,11 @@ def lying_route(state):
 class TestAudit:
     @pytest.mark.parametrize("corrupt, caught", [
         (lambda state: state.occ.popitem(), "occ differs"),
-        (lambda state: state.size.__setitem__(1, state.size[1] + 1),
-         "size differs"),
         (bump_refcount, "refs differs"),
         (move_owner, "occ differs"),
         (lambda state: state.refs[1, s("100")].popitem(), "refs differs"),
         (lying_route, "conflict on plane 0"),
-    ], ids=["drop_occupancy_entry", "bump_plane_size", "bump_refcount",
+    ], ids=["drop_occupancy_entry", "bump_refcount",
             "move_owner", "drop_refcount_entry", "lying_route"])
     def test_corruption_detected(self, corrupt, caught):
         state = ConnState(cfg(m=2))
@@ -527,8 +507,7 @@ class TestModeMonotonicity:
 
 
 class TestPolicies:
-    @pytest.mark.parametrize("policy", [multilog.FIRST_FIT,
-                                        multilog.BEST_FIT, multilog.RANDOM])
+    @pytest.mark.parametrize("policy", [multilog.FIRST_FIT, multilog.RANDOM])
     def test_policies_only_pick_feasible(self, policy):
         config = cfg(d=2, n=3, m=3, t=1, f=2, plane_policy=policy, seed=4)
         state = ConnState(config)
