@@ -64,7 +64,7 @@ def _churn(config, steps, seed, release_p, pool, audit_every):
 
     def admit(req, rid):
         result = state.admit(req[0], req[1], rid=rid)
-        if any(isinstance(v, multilog.Blocked) for v in result.values()):
+        if multilog.BLOCKED in result.values():
             stats["blocked"] += 1
 
     for step in range(steps):
@@ -182,10 +182,11 @@ def benes_search(n, m, max_depth=None):
     """Breadth-first search of every state the r=2 reuse rule can reach in
     C(n, m, 2), to closure by default or within max_depth events.
 
-    Returns None when no reachable state rejects an admissible request, or
-    else the trace lines (newline-terminated) that reach one, ending in the
-    arrival it rejects: `clos.run_trace(config, lines, reuse=True)` admits
-    every line but the last.
+    Returns the trace lines (newline-terminated) that reach a state
+    rejecting an admissible request, ending in the arrival it rejects:
+    `clos.run_trace(config, lines, reuse=True)` admits every line but the
+    last.  Else None when the search closed, or [] when it was cut: a state
+    at max_depth has a successor the search never reached.
     """
     if n < 1 or m < 1 or (max_depth is not None and max_depth < 0):
         raise ValueError("need n >= 1, m >= 1 and max_depth >= 0")
@@ -195,6 +196,7 @@ def benes_search(n, m, max_depth=None):
     start = (frozenset(),) * m
     parents = {start: None}
     frontier = deque([(start, 0)])
+    cut = False
     while frontier:
         mids, depth = frontier.popleft()
         in_mids, out_mids = (set(), set()), (set(), set())
@@ -202,6 +204,7 @@ def benes_search(n, m, max_depth=None):
             for i, o in carried:
                 in_mids[i].add(mid)
                 out_mids[o].add(mid)
+        steps = []
         for i in (0, 1):
             for o in (0, 1):
                 # one request per crossbar and middle: a set's size is a load
@@ -210,25 +213,21 @@ def benes_search(n, m, max_depth=None):
                 pick = clos.reuse_pick(m, in_mids, out_mids, i, o)
                 if pick is None:
                     return _witness(parents, mids, i, o, n)
-                if depth >= max_depth:
-                    continue
-                nxt = list(mids)
-                nxt[pick] = mids[pick] | {(i, o)}
-                nxt = tuple(nxt)
-                if nxt not in parents:
-                    parents[nxt] = (mids, ("A", i, o, pick))
-                    frontier.append((nxt, depth + 1))
-        if depth >= max_depth:
-            continue
+                steps.append((pick, mids[pick] | {(i, o)}, ("A", i, o, pick)))
         for mid in range(m):
             for pair in mids[mid]:
-                nxt = list(mids)
-                nxt[mid] = mids[mid] - {pair}
-                nxt = tuple(nxt)
-                if nxt not in parents:
-                    parents[nxt] = (mids, ("D",) + pair + (mid,))
-                    frontier.append((nxt, depth + 1))
-    return None
+                steps.append((mid, mids[mid] - {pair},
+                              ("D",) + pair + (mid,)))
+        for mid, carried, event in steps:
+            nxt = mids[:mid] + (carried,) + mids[mid + 1:]
+            if nxt in parents:
+                continue
+            if depth >= max_depth:
+                cut = True
+            else:
+                parents[nxt] = (mids, event)
+                frontier.append((nxt, depth + 1))
+    return [] if cut else None
 
 
 def _witness(parents, state, i, o, n):

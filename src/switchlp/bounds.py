@@ -185,14 +185,22 @@ def _cost(d, n, t, f, k, p, q, theta):
 def _row_tight(d, n, t, f, p):
     """max_k min_q g_cost(k, p, q) for one fixed p, clamped into the
     family's range: the tight value of a table row whose construction pins
-    p, or None past 2^16 values of k.  Always an upper bound on the full
-    max-min since the min ranges over fewer choices."""
-    if min(f, d ** t) > 1 << 16:
-        return None
+    p.  Always an upper bound on the full max-min since the min ranges over
+    fewer choices.  Each g_cost is linear in k or the min of two linear
+    functions, so the min over q is concave in k: a binary search on the
+    sign of its step finds the max."""
     p = max(0, min(p, n - t - 1))
-    return Fraction(max(min(g_cost(d, n, t, f, k, p, q)
-                            for q in range(n - t, n + 1))
-                        for k in range(1, min(f, d ** t) + 1)))
+
+    def worst(k):
+        return min(g_cost(d, n, t, f, k, p, q) for q in range(n - t, n + 1))
+    lo, hi = 1, min(f, d ** t)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if worst(mid + 1) > worst(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return Fraction(worst(lo))
 
 
 # --------------------------------------------------------------- bound tables
@@ -257,7 +265,7 @@ def G_bound(d, n, t, f):
             printed = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n + 1)
             corollary = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2)
             tight = _row_tight(d, n, t, f, 0)
-            v = max(x for x in (printed, corollary, tight) if x is not None)
+            v = max(printed, corollary, tight)
             matched.append(("G1", v,
                             "printed=%s corollary-exponent=%s row-tight=%s"
                             % (printed, corollary, tight)))
@@ -268,7 +276,7 @@ def G_bound(d, n, t, f):
             # the construction picks p = n-t-r, which leaves the family's
             # p-range when r = 0; clamp with the in-range tight value
             tight = _row_tight(d, n, t, f, n - t - r)
-            v = printed if tight is None else max(printed, tight)
+            v = max(printed, tight)
             matched.append(("G2", v, "printed=%s row-tight=%s" % (printed, tight)))
         if n - t + 1 <= r <= 2 * t - n - 3:
             e = (r + n + 1) // 2
@@ -278,7 +286,7 @@ def G_bound(d, n, t, f):
                        + (r * (d - 1) - 1) * d ** (n - t)
                        + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2))
             tight = _row_tight(d, n, t, f, n - t - r)
-            v = printed if tight is None else max(printed, tight)
+            v = max(printed, tight)
             matched.append(("G4", v,
                             "printed=%s row-tight=%s" % (printed, tight)))
     elif 2 * t == n:

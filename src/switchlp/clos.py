@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dwec
-from .events import (Blocked, DuplicateId, SwitchError, UnknownId, check,
+from .events import (BLOCKED, DuplicateId, SwitchError, UnknownId, check,
                      fraction, replay)
 
 SPACE = "space"
@@ -36,9 +36,6 @@ class TerminalBusy(SwitchError):
 
 class CapacityExceeded(SwitchError):
     status = "capacityexceeded"
-
-
-BLOCKED = Blocked()
 
 
 @dataclass(frozen=True)

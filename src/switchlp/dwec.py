@@ -21,10 +21,10 @@ from collections import namedtuple
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
 import math
 
 from .events import check, fraction, replay
+from .lpcert import solve_packing
 
 HALF = Fraction(1, 2)
 DEN_LIMIT = 1 << 30
@@ -345,65 +345,26 @@ class DerivedScheme:
     x: tuple
     objective: Fraction
     rows: list
+    dual: tuple
 
 
 def derive_constants(breakpoints):
     """Rebuild the class-size constants for a given breakpoint sequence.
 
     Minimizes sum(x_i) subject to x_0 >= 2, the per-type blocking rows
-    sum_{j>=i} beta_ij x_j >= 2, and x >= 0, solved exactly over rationals
-    by basic-solution enumeration (the dimension is tiny).
+    sum_{j>=i} beta_ij x_j >= 2, and x >= 0.  x_0 is in no other row, so
+    x_0 = 2.  x_1.. are the optimal dual of the packing LP: maximize
+    2 sum(y) subject to sum_i beta_ij y_i <= 1 per j >= 1, solved exactly
+    by `lpcert.solve_packing`; its y is kept as `dual`.
     """
     probe = DwecScheme(breakpoints, (2,) * (len(tuple(breakpoints)) + 1),
                        check=False)
-    K = probe.num_types
     rows = probe.constraint_rows()
-
-    # constraints as (coeffs, rhs) meaning coeffs . x >= rhs
-    cons = [((Fraction(1),) + (Fraction(0),) * (K - 1), Fraction(2))]
-    for i, row in enumerate(rows, start=1):
-        coeffs = [Fraction(0)] * K
-        for j, b in zip(range(i, K), row):
-            coeffs[j] = b
-        cons.append((tuple(coeffs), Fraction(2)))
-    for j in range(K):
-        coeffs = [Fraction(0)] * K
-        coeffs[j] = Fraction(1)
-        cons.append((tuple(coeffs), Fraction(0)))
-
-    best_x, best_obj = None, None
-    for combo in itertools.combinations(range(len(cons)), K):
-        sol = _solve_square([cons[c][0] for c in combo],
-                            [cons[c][1] for c in combo])
-        if sol is None:
-            continue
-        if any(sum(c * v for c, v in zip(coeffs, sol)) < rhs
-               for coeffs, rhs in cons):
-            continue
-        obj = sum(sol)
-        if best_obj is None or obj < best_obj:
-            best_obj, best_x = obj, tuple(sol)
-    if best_x is None:
-        raise InfeasibleScheme("blocking LP has no feasible basic solution")
-    return DerivedScheme(probe.breakpoints, best_x, best_obj, rows)
-
-
-def _solve_square(matrix, rhs):
-    """Gaussian elimination over Fractions; None if singular."""
-    n = len(rhs)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    A = [[row[j - i] if j >= i else 0 for i, row in enumerate(rows, 1)]
+         for j in range(1, probe.num_types)]
+    value, y, x = solve_packing(A, [2] * len(rows), [1] * len(rows))
+    return DerivedScheme(probe.breakpoints, (Fraction(2),) + tuple(x),
+                         2 + value, rows, tuple(y))
 
 
 def _operands(tokens):

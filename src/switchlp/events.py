@@ -44,25 +44,11 @@ class TraceError(ValueError):
 
 
 class Blocked:
-    """Admission failure: no plane can carry a multilog window subrequest
-    (`window` is its index), or no middle crossbar a Clos request (`window`
-    is None)."""
+    """Admission failure: no plane can carry a multilog window subrequest,
+    or no middle crossbar a Clos request.  `BLOCKED` is its one instance."""
 
-    __slots__ = ("window",)
 
-    def __init__(self, window=None):
-        self.window = window
-
-    def __eq__(self, other):
-        return isinstance(other, Blocked) and self.window == other.window
-
-    def __hash__(self):
-        return hash(("blocked", self.window))
-
-    def __repr__(self):
-        if self.window is None:
-            return "Blocked()"
-        return "Blocked(window=%d)" % self.window
+BLOCKED = Blocked()
 
 
 def fraction(text):

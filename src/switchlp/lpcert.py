@@ -377,6 +377,45 @@ def family_cost(instance, p, q):
               p, q)
 
 
+# -- exact LP solver ----------------------------------------------------------
+
+
+def solve_packing(A, b, c):
+    """Maximize b.y subject to A y <= c and y >= 0, for c >= 0, exactly: a
+    one-phase tableau simplex with Bland's rule from y = 0, in ints until a
+    pivot divides.  Returns (value, y, x), x an optimal dual (A^T x >= b,
+    x >= 0, c.x = value) read off the slack columns' reduced costs.  Raises
+    ValueError when c has a negative entry or the LP is unbounded."""
+    rows, cols = len(A), len(b)
+    if any(v < 0 for v in c):
+        raise ValueError("need c >= 0")
+    # row r: A[r] | identity | c[r]; the last row holds the reduced costs
+    tab = [list(A[r]) + [int(r == s) for s in range(rows)] + [c[r]]
+           for r in range(rows)] + [[-v for v in b] + [0] * (rows + 1)]
+    basis, z = list(range(cols, cols + rows)), tab[-1]
+    while True:
+        enter = next((j for j, v in enumerate(z[:-1]) if v < 0), None)
+        if enter is None:
+            break
+        ratios = [(Fraction(tab[r][-1]) / tab[r][enter], basis[r], r)
+                  for r in range(rows) if tab[r][enter] > 0]
+        if not ratios:
+            raise ValueError("unbounded LP")
+        r = min(ratios)[2]
+        inv = 1 / Fraction(tab[r][enter])
+        tab[r] = prow = [v * inv for v in tab[r]]
+        nonzero = [(j, w) for j, w in enumerate(prow) if w]
+        for row in tab:
+            k = row[enter]
+            if k and row is not prow:
+                for j, w in nonzero:
+                    row[j] -= k * w
+        basis[r] = enter
+    at = dict(zip(basis, tab))
+    y = [Fraction(at[j][-1] if j in at else 0) for j in range(cols)]
+    return Fraction(z[-1]), y, [Fraction(v) for v in z[cols:-1]]
+
+
 # -- LP text export -----------------------------------------------------------
 
 

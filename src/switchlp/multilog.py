@@ -19,8 +19,8 @@ import random
 from . import dary
 from .banyan import route, shares_se, shares_link
 from .bounds import LINK, CROSSTALK
-from .events import (Blocked, DuplicateId, SwitchError, UnknownId, check,
-                     replay)
+from .events import (BLOCKED, Blocked, DuplicateId, SwitchError, UnknownId,
+                     check, replay)
 
 FIRST_FIT = "first"
 RANDOM = "random"
@@ -138,7 +138,7 @@ class ConnState:
     # -- operations -------------------------------------------------------
 
     def admit(self, x, outputs, rid=None):
-        """Admit the request (x, outputs); returns {window: plane or Blocked}.
+        """Admit the request (x, outputs); returns {window: plane or BLOCKED}.
 
         Each window-subrequest commits atomically; a blocked window leaves
         the other windows' commitments in place.
@@ -175,7 +175,7 @@ class ConnState:
             routes = [_route(cfg.d, cfg.n, x, y) for y in by_window[w]]
             feasible = self._feasible_planes(x, w, routes)
             if not feasible:
-                result[w] = Blocked(w)
+                result[w] = BLOCKED
                 continue
             plane = self._choose(feasible)
             self._commit(rid, plane, x, w, routes)
@@ -375,7 +375,7 @@ def run_trace(config, lines):
                    "status": status}
             continue
         for w in sorted(got):
-            blocked = isinstance(got[w], Blocked)
+            blocked = got[w] is BLOCKED
             yield {"event": "A", "id": rid, "window": w,
                    "plane": "" if blocked else got[w],
                    "status": "blocked" if blocked else "ok"}

@@ -1,15 +1,19 @@
-"""Test-side references for the plane-count bounds and the LP export.
+"""Test-side references for the plane-count bounds and the exact LPs.
 
 `sufficient_m_enumerated` is the ground truth the bound tables are checked
-against: the family's max-min over the whole discrete (k, p, q) grid.  `h`
+against: the family's max-min over the whole discrete (k, p, q) grid.
+`row_tight_enumerated` scans every k for one table row's tight value.  `h`
 and `hbar` are the monotone helper forms of the derivation.  `parse_lp`
 reads back the text `lpcert.export_lp` writes.
+`derive_constants_enumerated` solves the coloring LP by trying every basis.
 """
 
 from fractions import Fraction
+import itertools
 
 from switchlp.bounds import LINK, c_cost, g_cost, ilog
 from switchlp.dary import frac_pow
+from switchlp.dwec import DwecScheme
 
 
 def sufficient_m_enumerated(d, n, t, f, mode):
@@ -18,6 +22,15 @@ def sufficient_m_enumerated(d, n, t, f, mode):
     return 1 + max(min(cost(d, n, t, f, k, p, q)
                        for p in range(n - t) for q in range(n - t, n + 1))
                    for k in range(1, min(f, d ** t) + 1))
+
+
+def row_tight_enumerated(d, n, t, f, p):
+    """max_k min_q g_cost(k, p, q) for one p clamped into range, by
+    scanning every k."""
+    p = max(0, min(p, n - t - 1))
+    return Fraction(max(min(g_cost(d, n, t, f, k, p, q)
+                            for q in range(n - t, n + 1))
+                        for k in range(1, min(f, d ** t) + 1)))
 
 
 def h(d, n, k):
@@ -58,3 +71,50 @@ def parse_lp(text):
         elif section == "Bounds":
             out["bounds"].append(word.split("<=")[-1].strip())
     return out
+
+
+def derive_constants_enumerated(breakpoints):
+    """(objective, x) of the coloring LP, minimize sum(x) subject to
+    x_0 >= 2, the blocking rows and x >= 0, by solving every square
+    subsystem of K constraints and keeping the best feasible solution (the
+    first one found among equals)."""
+    probe = DwecScheme(breakpoints, (2,) * (len(tuple(breakpoints)) + 1),
+                       check=False)
+    K = probe.num_types
+    # constraints as (coeffs, rhs) meaning coeffs . x >= rhs
+    cons = [((Fraction(1),) + (Fraction(0),) * (K - 1), Fraction(2))]
+    for i, row in enumerate(probe.constraint_rows(), start=1):
+        coeffs = [Fraction(0)] * K
+        coeffs[i:] = row
+        cons.append((tuple(coeffs), Fraction(2)))
+    for j in range(K):
+        coeffs = [Fraction(0)] * K
+        coeffs[j] = Fraction(1)
+        cons.append((tuple(coeffs), Fraction(0)))
+    best = None
+    for combo in itertools.combinations(cons, K):
+        sol = _solve_square([c for c, _ in combo], [r for _, r in combo])
+        if sol is None or any(sum(c * v for c, v in zip(coeffs, sol)) < rhs
+                              for coeffs, rhs in cons):
+            continue
+        if best is None or sum(sol) < best[0]:
+            best = (sum(sol), tuple(sol))
+    return best
+
+
+def _solve_square(matrix, rhs):
+    """Gaussian elimination over Fractions; None if singular."""
+    n = len(rhs)
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]

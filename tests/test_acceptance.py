@@ -293,6 +293,14 @@ def test_criterion_3_dwec():
         assert five.objective < F(227, 40)
         say("CRITERION 3 note: 5-type derived objective = %s (~%.4f), "
             "reported only" % (five.objective, float(five.objective)))
+        split = (F(1, 2), F(22, 49), F(23, 57), F(4, 11), F(19, 58),
+                 F(16, 55))
+        best = dwec.derive_constants(split)
+        say("CRITERION 3 note: best split found (7 types, denominators "
+            "<= 60) %s derives %s (~%.4f), below the published 5.6355 "
+            "under this beta model, reported only"
+            % (",".join(map(str, split)), best.objective,
+               float(best.objective)))
 
 
 # -- criterion 4: certificate grid --------------------------------------------

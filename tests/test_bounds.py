@@ -11,7 +11,7 @@ from switchlp.bounds import (
     hwang_unicast, wang07, snb_fcast_t_eq_n, cf_snb_fcast_t_eq_n,
     danilewicz, cf_wsnb_window, c_cost, g_cost, C_bound, G_bound,
 )
-from lp_oracle import h, hbar, sufficient_m_enumerated
+from lp_oracle import h, hbar, row_tight_enumerated, sufficient_m_enumerated
 
 
 class TestHelpers:
@@ -177,3 +177,39 @@ class TestBoundTables:
             for n in (3, 4, 5):
                 assert sufficient_m_enumerated(d, n, 0, 1, LINK) == \
                     hwang_unicast(d, n)
+
+
+class TestRowTight:
+    def test_matches_scan(self):
+        # the concavity search against a scan over every k; p past the
+        # family's range checks the clamp
+        interior = 0
+        for d in (2, 3):
+            for n in range(2, 7):
+                for t in range(n):
+                    for f in sorted({min(v, d ** n) for v in (
+                            1, 2, 3, 5, d ** t - 1 or 1, d ** t, d ** n)}):
+                        for p in range(n - t + 1):
+                            want = row_tight_enumerated(d, n, t, f, p)
+                            assert bounds._row_tight(d, n, t, f, p) == want, \
+                                (d, n, t, f, p)
+                            top = min(f, d ** t)
+                            q_min = min(g_cost(d, n, t, f, top,
+                                               min(p, n - t - 1), q)
+                                        for q in range(n - t, n + 1))
+                            interior += want > q_min
+        # the max often lies below the top of the k range, so reading the
+        # row at k = min(f, d^t) alone would fail here
+        assert interior > 100
+
+    def test_past_former_cap(self):
+        # 2^16 + 1 values of k.  The G4 row's printed value 4587521/2 is
+        # below the family's min over (p, q) at k = 1 alone, so only the
+        # row-tight clamp keeps the table an upper bound on the max-min
+        d, n, t, f = 2, 35, 18, 65537
+        res = G_bound(d, n, t, f)
+        at_k1 = min(g_cost(d, n, t, f, 1, p, q)
+                    for p in range(n - t) for q in range(n - t, n + 1))
+        assert (res.branch, res.value, res.m_sufficient) == \
+            ("G4", at_k1, 2293763)
+        assert at_k1 > Fraction(4587521, 2)

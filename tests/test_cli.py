@@ -95,6 +95,16 @@ class TestBound:
         assert code == 0
         assert rows(out)[1][6] == "12"
 
+    @pytest.mark.parametrize("d, n, t, f, m", [
+        ("2", "20", "16", "65536", "64561"), ("2", "20", "17", "65537", "126993")])
+    def test_multilog_crosstalk_large_k(self, capsys, d, n, t, f, m):
+        # 2^16 and 2^16 + 1 values of k: the G1 row's tight value is found
+        # by a concavity search, not a scan over k
+        code, out, _ = run(capsys, "bound", "multilog", "--d", d, "--n", n,
+                           "--t", t, "--f", f, "--mode", "crosstalk")
+        assert code == 0
+        assert rows(out)[1] == ["multilog", d, n, t, f, "crosstalk", m, "G1"]
+
     def test_multirate_scheme(self, capsys):
         code, out, _ = run(capsys, "bound", "clos-multirate", "--n", "8")
         assert code == 0
@@ -234,6 +244,29 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
                            "--n", "2", "--m", "2", "--expect-nonblocking")
         assert code == 1
+
+    @pytest.mark.parametrize("n, m, depth", [("3", "3", "4"), ("3", "1", "0"),
+                                             ("2", "3", "2")])
+    def test_benes_cut_search_is_undecided(self, capsys, n, m, depth):
+        # a search cut at --depth before it closed proves nothing: n = 3,
+        # m = 3 blocks past depth 4, and depth 0 searches only the empty
+        # state
+        code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
+                           "--n", n, "--m", m, "--depth", depth,
+                           "--expect-nonblocking")
+        assert code == 1
+        assert rows(out)[1][4] == "undecided"
+        code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
+                           "--n", n, "--m", m, "--depth", depth)
+        assert code == 0
+
+    def test_benes_depth_past_closure(self, capsys):
+        # n = 2, m = 3 closes within 20 events, so the cut never bites
+        code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
+                           "--n", "2", "--m", "3", "--depth", "20",
+                           "--expect-nonblocking")
+        assert code == 0
+        assert rows(out)[1][4] == "nonblocking"
 
     def test_benes_witness_replays_blocked(self, capsys, tmp_path):
         # the search's witness at m = 3 < floor(3n/2) replays through the
@@ -407,9 +440,21 @@ class TestCertify:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "1bb6044c2180050e36d2391cc3724a08c99d7fa1292153e08bd0cc9d5043642d"
 
-    def test_fuzz_reports_violations(self, capsys):
+    def test_fuzz_reports_violations(self, capsys, monkeypatch):
+        family = lpcert.dual_family
+
+        def zeroed(inst, p, q):
+            # every dual zeroed: each class constraint is violated
+            sol = family(inst, p, q)
+            sol.eps = {i: 0 for i in sol.eps}
+            sol.gamma = {i: 0 for i in sol.gamma}
+            sol.beta = {}
+            sol.alpha = {j: 0 for j in sol.alpha}
+            return sol
+
+        monkeypatch.setattr(lpcert, "dual_family", zeroed)
         code, out, _ = run(capsys, "certify", "--d", "2", "--n", "3",
-                           "--f", "1", "--mode", "link", "--fuzz")
+                           "--f", "1", "--mode", "link")
         assert code == 1
         assert any(r[8] == "false" and "DC-" in r[9]
                    for r in rows(out)[1:])
@@ -575,6 +620,8 @@ class TestInputErrors:
             "    lambda: multilog.ConnState(M).admit(0, [1.5]),",
             "    lambda: multilog.ConnState(M).blocking_planes(1, [2.0]),",
             "    lambda: lpcert.primal_from_state(conn, 1, [2.5]),",
+            "    lambda: lpcert.solve_packing([[1]], [1], [-1]),",
+            "    lambda: lpcert.solve_packing([[1, -1]], [1, 1], [1]),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from clos_oracle import (FirstFitColoring, SizeLimit, WEIGHTS, fraction_view,
                          opt_exact)
+from lp_oracle import derive_constants_enumerated
 from switchlp import dwec
 from switchlp.dwec import (
     DwecScheme, FOUR_TYPE, classify, ColoringState, opt_lower,
@@ -241,6 +242,78 @@ class TestDeriveConstants:
     def test_derived_constants_are_feasible(self):
         got = derive_constants((F(1, 2), F(2, 5), F(1, 3), F(11, 43)))
         DwecScheme(got.breakpoints, got.x).check_feasible()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sets(st.fractions(0, F(1, 2), max_denominator=60)
+                   .filter(lambda v: 0 < v < F(1, 2)), max_size=5))
+    def test_matches_basis_enumeration(self, cuts):
+        breakpoints = (F(1, 2),) + tuple(sorted(cuts, reverse=True))
+        got = derive_constants(breakpoints)
+        assert (got.objective, got.x) == \
+            derive_constants_enumerated(breakpoints)
+        assert_certified(got)
+
+    @pytest.mark.parametrize("breakpoints", [
+        (F(1, 2), F(2, 5), F(1, 3)),
+        (F(1, 2), F(2, 5), F(1, 3), F(11, 43)),
+        (F(1, 2), F(9, 20), F(2, 5), F(7, 20), F(1, 3), F(3, 10), F(1, 4),
+         F(1, 5), F(1, 6))])
+    def test_dual_certifies_optimum(self, breakpoints):
+        assert_certified(derive_constants(breakpoints))
+
+
+# the lowest ratio a coordinate descent over breakpoint sequences of up to
+# 7 types with denominators <= 60 found under this module's beta model;
+# refining to denominators <= 120 lowered it by less than 10^-4
+BEST_SPLIT = (F(1, 2), F(22, 49), F(23, 57), F(4, 11), F(19, 58), F(16, 55))
+
+
+class TestBestSplit:
+    def test_constants_below_published_ratio(self):
+        got = derive_constants(BEST_SPLIT)
+        assert got.x == (2, F(25, 156), F(390937, 2417415), F(725, 4446),
+                         F(1334, 8151), F(2, 13), F(110, 39))
+        assert got.objective == F(163119269, 29008980)
+        # below the published 5.6355 and the 4-type 227/40
+        assert got.objective < F(56355, 10000) < F(227, 40)
+        assert_certified(got)
+
+    def test_first_fit_drive(self):
+        got = derive_constants(BEST_SPLIT)
+        scheme = DwecScheme(got.breakpoints, got.x)
+        # weights at and next to every breakpoint, where a type's blocking
+        # row is tightest, mixed with uniform ones
+        edge = sorted({b + e for b in BEST_SPLIT
+                       for e in (F(-1, 997), 0, F(1, 997))} | {F(1)})
+        for seed in range(8):
+            rng = random.Random(seed)
+            state = ColoringState(scheme=scheme)
+            live = []
+            vertices = rng.choice([2, 3, 4, 6])
+            for i in range(250):
+                if live and rng.random() < 0.45:
+                    state.depart(live.pop(rng.randrange(len(live))))
+                    continue
+                u, v = rng.sample(range(vertices), 2)
+                w = (rng.choice(edge) if rng.random() < 0.7
+                     else F(rng.randrange(1, 101), 100))
+                state.arrive(i, u, v, w)
+                live.append(i)
+                state.audit()
+
+
+def assert_certified(got):
+    """x is optimal, checked without the solver: x is feasible and the
+    dual y is a feasible packing whose value 2 + 2 sum(y) equals sum(x), so
+    by weak duality no feasible x sums to less."""
+    DwecScheme(got.breakpoints, got.x).check_feasible()
+    y = got.dual
+    assert len(y) == len(got.rows) and min(y) >= 0
+    for j in range(1, len(got.x)):
+        # column j of the blocking rows: beta_ij for the types i <= j
+        assert sum(y[i - 1] * row[j - i]
+                   for i, row in enumerate(got.rows, start=1) if i <= j) <= 1
+    assert got.objective == sum(got.x) == 2 + 2 * sum(y)
 
 
 class TestRandomDrive:

@@ -432,6 +432,82 @@ class TestWeakDuality:
                                dual_family(d_inst, 0, 2))
 
 
+def solve_exported(inst):
+    """Optimum of `export_lp(inst)` as `parse_lp` reads it back, by the
+    exact simplex; y and x are checked here as a primal and a dual that
+    certify it."""
+    lp = parse_lp(export_lp(inst))
+    # the bounds list every variable; an LP with none exports `0 x_none`
+    names = {name: col for col, name in enumerate(lp["bounds"])}
+    rows = [[names[name] for name in used] for _, used, _ in lp["constraints"]]
+    c = [rhs for _, _, rhs in lp["constraints"]]
+    A = [[0] * len(names) for _ in rows]
+    for dense, row in zip(A, rows):
+        for col in row:
+            dense[col] = 1
+    value, y, x = lpcert.solve_packing(A, [1] * len(names), c)
+    assert min(y, default=0) >= 0 and sum(y) == value
+    assert all(sum(y[col] for col in row) <= cap for row, cap in zip(rows, c))
+    covered = [0] * len(names)
+    for row, price in zip(rows, x):
+        for col in row:
+            covered[col] += price
+    assert min(x, default=0) >= 0 and min(covered, default=1) >= 1
+    assert sum(cap * price for cap, price in zip(c, x)) == value
+    return value
+
+
+class TestExactOptimum:
+    """One exact simplex for the blocking LP: its optimum against the
+    family's duals above and the simulator's primals below."""
+
+    def test_between_primals_and_family(self):
+        rng = random.Random(1303)
+        solved = positive = 0
+        for n in (3, 4):
+            for t in range(n):
+                for f in sorted({1, 2, 4, 2 ** n}):
+                    for k in sorted({1, min(f, 2 ** t)}):
+                        for mode in (LINK, CROSSTALK):
+                            inst = canonical_instance(2, n, t, f, k, mode)
+                            opt = solve_exported(inst)
+                            # a totally unimodular LP: its optimum is whole
+                            assert opt.denominator == 1
+                            solved += 1
+                            for p in range(n - t):
+                                for q in range(n - t, n + 1):
+                                    assert opt <= dual_family(
+                                        inst, p, q).objective()
+                            positive += self._churn(inst, opt, rng)
+        assert solved == 86
+        assert positive > 100
+
+    @staticmethod
+    def _churn(inst, opt, rng):
+        """Probe (a, B) after each step of a seeded churn; returns the
+        number of probes that read a positive primal."""
+        cfg = multilog.MultilogConfig(
+            d=2, n=inst.n, m=int(opt) + 2, t=inst.t, f=inst.f, mode=inst.mode,
+            plane_policy=multilog.RANDOM, seed=rng.randrange(10 ** 6))
+        conn = multilog.ConnState(cfg)
+        live, positive = [], 0
+        for step in range(40):
+            if live and rng.random() < 0.3:
+                conn.release(live.pop(rng.randrange(len(live))))
+            else:
+                req = adversary.random_admissible_request(conn, rng)
+                if req is None:
+                    continue
+                conn.admit(req[0], req[1], rid=step)
+                if step in conn.requests:
+                    live.append(step)
+            if not any(y in conn.output_owner for y in inst.B):
+                _, primal = primal_from_state(conn, inst.a, inst.B)
+                assert primal.objective() <= opt
+                positive += primal.objective() > 0
+        return positive
+
+
 class TestExport:
     def test_roundtrip(self):
         inst = canonical_instance(2, 3, 1, 2, 1, LINK)
