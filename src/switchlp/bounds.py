@@ -17,13 +17,10 @@ from fractions import Fraction
 import math
 
 from .dary import frac_pow
+from .events import check
 
 LINK = "link"
 CROSSTALK = "crosstalk"
-
-
-class CaseGap(Exception):
-    """No printed case of a bound table matches the parameter point."""
 
 
 @dataclass
@@ -206,8 +203,8 @@ def _row_tight(d, n, t, f, p):
 # --------------------------------------------------------------- bound tables
 
 def _finish(d, n, t, f, matched, table):
-    if not matched:
-        raise CaseGap("no %s case matches d=%d n=%d t=%d f=%d" % (table, d, n, t, f))
+    check(matched, "no %s case matches d=%d n=%d t=%d f=%d",
+          table, d, n, t, f)
     label, value, note = min(matched, key=lambda row: row[1])
     return BoundResult(
         value=value,
@@ -315,3 +312,15 @@ def G_bound(d, n, t, f):
         if r > n - t:
             matched.append(("G9", Fraction(t * (d - 1) * d ** (n - t) + d ** (n - 2 * t) - 1), ""))
     return _finish(d, n, t, f, matched, "G(t,f)")
+
+
+def multilog_planes(d, n, t, f, mode):
+    """(m, branch): planes sufficient for the windowed multilog network,
+    from the t = n corollaries or else the C (link) or G (crosstalk)
+    table."""
+    _check_range(0 <= t <= n, "t=%d out of range for n=%d" % (t, n))
+    if t == n:
+        fn = snb_fcast_t_eq_n if mode == LINK else cf_snb_fcast_t_eq_n
+        return fn(d, n, f), "t=n"
+    res = (C_bound if mode == LINK else G_bound)(d, n, t, f)
+    return res.m_sufficient, res.branch

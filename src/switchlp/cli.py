@@ -20,10 +20,6 @@ from . import adversary
 from .events import fraction
 
 
-class UsageError(Exception):
-    pass
-
-
 def _writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
@@ -38,7 +34,7 @@ def _config_tokens(path):
                 continue
             key, sep, val = text.partition("=")
             if not sep:
-                raise UsageError("%s:%d: expected key = value" % (path, ln))
+                raise ValueError("%s:%d: expected key = value" % (path, ln))
             tokens += ["--" + key.strip().replace("_", "-"), val.strip()]
     return tokens
 
@@ -66,7 +62,7 @@ def _ints(name, many=False):
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
-            raise UsageError("missing --%s" % name.replace("_", "-"))
+            raise ValueError("missing --%s" % name.replace("_", "-"))
 
 
 # -- bound --------------------------------------------------------------------
@@ -93,25 +89,13 @@ def cmd_bound(args):
         out.writerow(["kind", "d", "n", "m_sufficient"])
         out.writerow([kind, args.d, args.n,
                       bounds.hwang_unicast(args.d, args.n)])
-    elif kind == "multilog":
+    else:  # multilog, the last of the parser's choices
         _require(args, "d", "n", "t", "f")
         d, n, t, f = args.d, args.n, args.t, args.f
-        if not (0 <= t <= n):
-            raise UsageError("t=%d out of range for n=%d" % (t, n))
-        if t == n:
-            fn = (bounds.snb_fcast_t_eq_n if args.mode == "link"
-                  else bounds.cf_snb_fcast_t_eq_n)
-            m = fn(d, n, f)
-            branch = "t=n"
-        else:
-            res = (bounds.C_bound if args.mode == "link"
-                   else bounds.G_bound)(d, n, t, f)
-            m, branch = res.m_sufficient, res.branch
+        m, branch = bounds.multilog_planes(d, n, t, f, args.mode)
         out.writerow(["kind", "d", "n", "t", "f", "mode", "m_sufficient",
                       "branch"])
         out.writerow([kind, d, n, t, f, args.mode, m, branch])
-    else:
-        raise UsageError("unknown bound kind %r" % kind)
     return 0
 
 
@@ -126,9 +110,8 @@ def _multilog_sweep(args, out):
     if args.m is not None:
         m = args.m
     else:
-        res = (bounds.C_bound if args.mode == "link"
-               else bounds.G_bound)(d, n, t, f)
-        m = res.m_sufficient + (args.m_offset or 0)
+        m = (bounds.multilog_planes(d, n, t, f, args.mode)[0]
+             + (args.m_offset or 0))
     trial_fn = (adversary.greedy_trial if args.adversary == "greedy"
                 else adversary.random_trial)
     blocked = 0
@@ -183,7 +166,7 @@ def cmd_simulate(args):
             r = 2 if args.r is None else args.r
             reuse = args.network == "clos-benes"
             if reuse and r != 2:
-                raise UsageError("clos-benes replays the r = 2 reuse rule; "
+                raise ValueError("clos-benes replays the r = 2 reuse rule; "
                                  "got --r %d" % r)
             cfg = clos.ClosConfig.symmetric(n=args.n, m=args.m, r=r,
                                             traffic=traffic)
@@ -202,7 +185,7 @@ def cmd_simulate(args):
     if args.network in ("clos-snb", "clos-benes"):
         _require(args, "n")
         return 1 if _clos_sweep(args, out) else 0
-    raise UsageError("network %r has no sweep; replay one with --trace FILE"
+    raise ValueError("network %r has no sweep; replay one with --trace FILE"
                      % args.network)
 
 
@@ -220,7 +203,7 @@ def cmd_dwec(args):
                       str(derived.objective), float(derived.objective)])
         return 0
     if not args.trace:
-        raise UsageError("need --trace or --derive-constants")
+        raise ValueError("need --trace or --derive-constants")
     scheme = (dwec.DwecScheme.five_type() if args.scheme == "five"
               else dwec.FOUR_TYPE)
     with open(args.trace) as fh:
@@ -269,10 +252,7 @@ def _certify_point(out, inst, p, q):
         feasible = False
         note = str(exc)
     cost = lpcert.family_cost(inst, p, q)
-    if q == inst.n - inst.t:
-        obj = sol.objective() if feasible else ""
-    else:
-        obj = sol.objective_bounded_delta(q) if feasible else ""
+    obj = sol.objective_bounded_delta(q) if feasible else ""
     match = feasible and obj == cost
     out.writerow([inst.d, inst.n, inst.t, inst.f, inst.k, p, q, inst.mode,
                   str(feasible).lower(), obj if feasible else note, cost,
@@ -374,6 +354,6 @@ def main(argv=None):
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

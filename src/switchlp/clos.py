@@ -63,7 +63,7 @@ class ClosConfig:
 
 
 class ClosState:
-    def __init__(self, config, scheme=None):
+    def __init__(self, config):
         self.config = config
         self.requests = {}
         self._auto = 0
@@ -75,8 +75,7 @@ class ClosState:
         else:
             verts = ([("I", i) for i in range(config.r1)]
                      + [("O", j) for j in range(config.r2)])
-            self.coloring = dwec.ColoringState(
-                vertices=verts, scheme=scheme or dwec.FOUR_TYPE)
+            self.coloring = dwec.ColoringState(vertices=verts)
             self.load_in = {}    # input terminal -> total rate, scaled
             self.load_out = {}
 
@@ -265,12 +264,12 @@ def parse_terminal(text):
     return (int(cb), int(port))
 
 
-def run_trace(config, lines, scheme=None, reuse=False):
+def run_trace(config, lines, reuse=False):
     """Replay `A <id> <in> <out>` / `D <id>` lines, with an optional
     `<rate>` after `<out>` on a multirate network; yields CSV-row dicts
     event,id,middle,status.  Space-division arrivals are admitted first-fit,
     or with the r = 2 reuse rule when `reuse` is set."""
-    state = ClosState(config, scheme=scheme)
+    state = ClosState(config)
     multirate = config.traffic == MULTIRATE
     space_admit = state.benes_admit if reuse else state.snb_admit
 

@@ -24,14 +24,10 @@ from fractions import Fraction
 import math
 
 from .events import check, fraction, replay
-from .lpcert import solve_packing
+from .lpcert import Infeasible, solve_packing
 
 HALF = Fraction(1, 2)
 DEN_LIMIT = 1 << 30
-
-
-class InfeasibleScheme(Exception):
-    """The class-size constants do not satisfy the blocking LP."""
 
 
 class ColoringFailure(AssertionError):
@@ -151,14 +147,13 @@ class DwecScheme:
 
     def check_feasible(self):
         if self.x[0] < 2:
-            raise InfeasibleScheme("x_0 = %s < 2" % self.x[0])
+            raise Infeasible("x_0 = %s < 2" % self.x[0])
         if any(v < 0 for v in self.x):
-            raise InfeasibleScheme("negative constant")
+            raise Infeasible("negative constant")
         for i, row in enumerate(self.constraint_rows(), start=1):
             lhs = sum(b * xv for b, xv in zip(row, self.x[i:]))
             if lhs < 2:
-                raise InfeasibleScheme(
-                    "type-%d row sums to %s < 2" % (i, lhs))
+                raise Infeasible("type-%d row sums to %s < 2" % (i, lhs))
 
     @classmethod
     def four_type(cls):

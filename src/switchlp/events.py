@@ -5,11 +5,14 @@ departure `D <id>`.  Blank lines and `#` comments are skipped.  Each network
 supplies the grammar of its arrival operands and its own admit and release;
 this module does the rest, so every network reads traces the same way.
 
-Errors come in two kinds.  A `SwitchError` is a request the network refuses
-(a busy output, an unknown id, ...); trace replay reports it as a row whose
-status is the exception's `status`, and the network's state is unchanged.
-A `ValueError` is malformed input; trace replay raises it as a `TraceError`
-whose message starts with `line N:`, and the command line exits 2.
+Every error the package raises is one of four kinds.  A `SwitchError` is a
+request the network refuses (a busy output, an unknown id, ...); trace
+replay reports it as a row whose status is the exception's `status`, and
+the network's state is unchanged.  A `ValueError` is malformed input; trace
+replay raises it as a `TraceError` whose message starts with `line N:`, and
+the command line exits 2.  An `lpcert.Infeasible` is a verdict: a solution
+or scheme breaks a constraint of its LP.  An `AssertionError` is a broken
+invariant, raised by `check` also under `python -O`.
 """
 
 from fractions import Fraction

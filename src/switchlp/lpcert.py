@@ -34,10 +34,10 @@ class LpInstance:
 
     The constructor only validates the request and builds its
     `AddressSets`.  Everything else is built when first read: the (i, j)
-    classes and the class-count `profile` by the dual checks, and the
-    variable lists (`inputs`, `windows`, `spare`, `uw_pairs`, `uv_pairs`),
-    which enumerate addresses, by `export_lp` alone.  A primal read off a
-    simulator state needs none of them.
+    classes (`classes_uw`, `classes_uv`) and the class-count `profile` by
+    the dual checks, and the variable lists (`inputs`, `windows`, `spare`,
+    `uw_pairs`, `uv_pairs`), which enumerate addresses, by `export_lp`
+    alone.  A primal read off a simulator state needs none of them.
     """
 
     def __init__(self, d, n, t, f, a, B, mode=LINK):
@@ -56,25 +56,20 @@ class LpInstance:
         self._thresh = n - self.theta
 
     @cached_property
-    def _classes_uw(self):
+    def classes_uw(self):
+        """(i, j) pairs with at least one defined (u, w) variable."""
         n, thresh = self.n, self._thresh
         return [(i, j) for i in range(n) for j in range(n - self.t)
                 if i + j >= thresh]
 
     @cached_property
-    def _classes_uv(self):
+    def classes_uv(self):
+        """(i, j) pairs with at least one defined (u, v) variable."""
         n, t, thresh = self.n, self.t, self._thresh
         # every input class and foreign-window class is nonempty for d >= 2;
         # only the home-window output classes j in [n-t, n) can be empty
         outs = [j for j in range(n - t, n) if self.sets.output_count(j)]
         return [(i, j) for i in range(n) for j in outs if i + j >= thresh]
-
-    def defined_classes_uw(self):
-        """(i, j) pairs with at least one defined (u, w) variable."""
-        return self._classes_uw
-
-    def defined_classes_uv(self):
-        return self._classes_uv
 
     def defined_uw(self, u, w):
         """Whether x_(u,w) is a variable: u != a, w a foreign window and
@@ -102,7 +97,7 @@ class LpInstance:
         a = [s.a_count(i) for i in range(n)]
         win = [s.window_count(j) for j in range(n - t)]
         return {"alpha": {j: self.d ** t * c for j, c in enumerate(win)},
-                "beta": {(i, j): a[i] * win[j] for i, j in self._classes_uw},
+                "beta": {(i, j): a[i] * win[j] for i, j in self.classes_uw},
                 "gamma": dict(enumerate(a)),
                 "delta": {j: s.output_count(j) for j in range(n)},
                 "epsilon": {i: self.f * c for i, c in enumerate(a)}}
@@ -138,6 +133,23 @@ def canonical_instance(d, n, t, f, k, mode=LINK):
     return LpInstance(d, n, t, f, sets.a, sets.B, mode)
 
 
+# The primal's rows, in export order: each kind's LP row name and the
+# message a violated row raises, both formatted with the row's key.
+_ROWS = (("cap_w%d", "window capacity at w=%d"),
+         ("one_u%d_w%d", "x_u%d_w%d > 1"),
+         ("spread_u%d", "per-input home spread at u=%d"),
+         ("own_v%d", "output multiplicity at v=%d"),
+         ("fan_u%d", "fanout at u=%d"))
+
+
+def _rows(inst, kind, u, z):
+    """(rank in _ROWS, key, bound) of each row that x_(u,z) sits in, for a
+    foreign window z (kind "w") or a spare home-window output z ("v")."""
+    if kind == "w":
+        return ((0, z, inst.d ** inst.t), (1, (u, z), 1), (4, u, inst.f))
+    return ((2, u, 1), (3, z, 1), (4, u, inst.f))
+
+
 class PrimalSolution:
     def __init__(self, instance, xw=None, xv=None):
         self.instance = instance
@@ -148,39 +160,21 @@ class PrimalSolution:
         return sum(self.xw.values()) + sum(self.xv.values())
 
     def check_feasible(self):
-        inst = self.instance
-        per_w, per_u_v, per_v, per_u_mixed = {}, {}, {}, {}
-        for key, val in self.xw.items():
-            if not inst.defined_uw(*key):
-                raise Infeasible(_var_uw(*key) + " undefined")
-            if val < 0:
-                raise Infeasible(_var_uw(*key) + " negative")
-            if val > 1:
-                raise Infeasible(_var_uw(*key) + " > 1")
-            u, w = key
-            per_w[w] = per_w.get(w, 0) + val
-            per_u_mixed[u] = per_u_mixed.get(u, 0) + val
-        for key, val in self.xv.items():
-            if not inst.defined_uv(*key):
-                raise Infeasible(_var_uv(*key) + " undefined")
-            if val < 0:
-                raise Infeasible(_var_uv(*key) + " negative")
-            u, v = key
-            per_u_v[u] = per_u_v.get(u, 0) + val
-            per_v[v] = per_v.get(v, 0) + val
-            per_u_mixed[u] = per_u_mixed.get(u, 0) + val
-        for w, total in per_w.items():
-            if total > inst.d ** inst.t:
-                raise Infeasible("window capacity at w=%d" % w)
-        for u, total in per_u_v.items():
-            if total > 1:
-                raise Infeasible("per-input home spread at u=%d" % u)
-        for v, total in per_v.items():
-            if total > 1:
-                raise Infeasible("output multiplicity at v=%d" % v)
-        for u, total in per_u_mixed.items():
-            if total > inst.f:
-                raise Infeasible("fanout at u=%d" % u)
+        """Check every variable's domain, then add the primal's own
+        variables into the rows they sit in; never enumerates addresses."""
+        inst, sums = self.instance, {}
+        for kind, xs, defined in (("w", self.xw, inst.defined_uw),
+                                  ("v", self.xv, inst.defined_uv)):
+            for (u, z), val in xs.items():
+                if not defined(u, z):
+                    raise Infeasible("x_u%d_%s%d undefined" % (u, kind, z))
+                if val < 0:
+                    raise Infeasible("x_u%d_%s%d negative" % (u, kind, z))
+                for row in _rows(inst, kind, u, z):
+                    sums[row] = sums.get(row, 0) + val
+        for (rank, key, bound), total in sums.items():
+            if total > bound:
+                raise Infeasible(_ROWS[rank][1] % key)
         return True
 
 
@@ -236,11 +230,11 @@ class DualSolution:
             for key, val in pool.items():
                 if val < 0:
                     raise Infeasible("%s[%r] negative" % (what, key))
-        for i, j in inst.defined_classes_uw():
+        for i, j in inst.classes_uw:
             if self.alpha[j] + self.beta.get((i, j), 0) + self.eps[i] < 1:
                 raise Infeasible("DC-1 violated at class i=%d, j(w)=%d"
                                  % (i, j))
-        for i, j in inst.defined_classes_uv():
+        for i, j in inst.classes_uv:
             if self.gamma[i] + self.delta[j] + self.eps[i] < 1:
                 raise Infeasible("DC-2 violated at class i=%d, j(v)=%d"
                                  % (i, j))
@@ -419,49 +413,30 @@ def solve_packing(A, b, c):
 # -- LP text export -----------------------------------------------------------
 
 
-def _var_uw(u, w):
-    return "x_u%d_w%d" % (u, w)
-
-
-def _var_uv(u, v):
-    return "x_u%d_v%d" % (u, v)
-
-
 def export_lp(instance):
     """Serialize the primal LP in plain LP-file format."""
     inst = instance
-    names_uw = [(_var_uw(u, w), u, w) for u, w in inst.uw_pairs]
-    names_uv = [(_var_uv(u, v), u, v) for u, v in inst.uv_pairs]
-    all_names = sorted(x[0] for x in names_uw + names_uv)
+    names, rows = [], {}
+    for kind, pairs in (("w", inst.uw_pairs), ("v", inst.uv_pairs)):
+        for u, z in pairs:
+            name = "x_u%d_%s%d" % (u, kind, z)
+            names.append(name)
+            for row in _rows(inst, kind, u, z):
+                rows.setdefault(row, []).append(name)
+    names.sort()
     lines = ["\\ blocking LP d=%d n=%d t=%d f=%d k=%d mode=%s"
              % (inst.d, inst.n, inst.t, inst.f, inst.k, inst.mode),
              "Maximize",
-             " obj: " + " + ".join(all_names) if all_names
-             else " obj: 0 x_none",
+             " obj: " + " + ".join(names) if names else " obj: 0 x_none",
              "Subject To"]
-    per_w, per_u_home, per_v, per_u_all = {}, {}, {}, {}
-    for name, u, w in names_uw:
-        per_w.setdefault(w, []).append(name)
-        per_u_all.setdefault(u, []).append(name)
-    for name, u, v in names_uv:
-        per_u_home.setdefault(u, []).append(name)
-        per_v.setdefault(v, []).append(name)
-        per_u_all.setdefault(u, []).append(name)
-    for w in sorted(per_w):
-        lines.append(" cap_w%d: %s <= %d"
-                     % (w, " + ".join(sorted(per_w[w])), inst.d ** inst.t))
-    for name, u, w in sorted(names_uw):
-        lines.append(" one_%s: %s <= 1" % (name[2:], name))
-    for u in sorted(per_u_home):
-        lines.append(" spread_u%d: %s <= 1"
-                     % (u, " + ".join(sorted(per_u_home[u]))))
-    for v in sorted(per_v):
-        lines.append(" own_v%d: %s <= 1" % (v, " + ".join(sorted(per_v[v]))))
-    for u in sorted(per_u_all):
-        lines.append(" fan_u%d: %s <= %d"
-                     % (u, " + ".join(sorted(per_u_all[u])), inst.f))
+    # a one_ row sorts by its variable's name as text, any other by its key
+    for row in sorted(rows, key=lambda r: (r[0], rows[r][0] if r[0] == 1
+                                           else r[1])):
+        rank, key, bound = row
+        lines.append(" %s: %s <= %d" % (_ROWS[rank][0] % key,
+                                        " + ".join(sorted(rows[row])), bound))
     lines.append("Bounds")
-    for name in all_names:
+    for name in names:
         lines.append(" 0 <= %s" % name)
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -182,8 +182,8 @@ def opt_exact(edges, limit=12):
 
 
 class OracleClosState(clos.ClosState):
-    def __init__(self, config, scheme=None):
-        super().__init__(config, scheme=scheme)
+    def __init__(self, config):
+        super().__init__(config)
         if config.traffic == MULTIRATE:
             self.coloring = FirstFitColoring(
                 vertices=self.coloring.vertices, scheme=self.coloring.scheme)

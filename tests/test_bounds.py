@@ -6,7 +6,7 @@ import pytest
 
 from switchlp import bounds
 from switchlp.bounds import (
-    LINK, CROSSTALK, CaseGap, ilog, ceil_div,
+    LINK, CROSSTALK, ilog, ceil_div,
     clos_snb, clos_wsnb_r2, clos_multirate,
     hwang_unicast, wang07, snb_fcast_t_eq_n, cf_snb_fcast_t_eq_n,
     danilewicz, cf_wsnb_window, c_cost, g_cost, C_bound, G_bound,

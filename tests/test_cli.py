@@ -3,9 +3,12 @@
 import csv
 from fractions import Fraction
 import hashlib
+import importlib
+import inspect
 import io
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -207,6 +210,23 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--network", "multilog", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", ["link", "crosstalk"])
+    def test_sweep_at_t_eq_n_defaults_m(self, capsys, mode):
+        # with no --m the sweep takes the m that `bound multilog` prints,
+        # the t = n corollary here
+        args = ["--d", "2", "--n", "3", "--t", "3", "--f", "2", "--mode",
+                mode]
+        code, out, _ = run(capsys, "bound", "multilog", *args)
+        assert code == 0
+        m, branch = rows(out)[1][6:]
+        assert branch == "t=n"
+        code, out, err = run(capsys, "simulate", "--network", "multilog",
+                             *args, "--trials", "3", "--steps", "80",
+                             "--expect-nonblocking")
+        assert (code, err) == (0, "")
+        got = rows(out)[1]
+        assert got[6] == m and got[10] == "0"
 
     def test_undersized_sweep_fails(self, capsys):
         # one plane short of the sufficient count, greedy pressure
@@ -578,7 +598,7 @@ class TestInputErrors:
         script = "\n".join([
             "import sys",
             "from switchlp import adversary, banyan, clos, dary, dwec",
-            "from switchlp import lpcert, multilog",
+            "from switchlp import bounds, lpcert, multilog",
             "assert sys.flags.optimize and False",
             "C = clos.ClosConfig.symmetric",
             "M = multilog.MultilogConfig(d=2, n=3, m=1)",
@@ -622,6 +642,7 @@ class TestInputErrors:
             "    lambda: lpcert.primal_from_state(conn, 1, [2.5]),",
             "    lambda: lpcert.solve_packing([[1]], [1], [-1]),",
             "    lambda: lpcert.solve_packing([[1, -1]], [1, 1], [1]),",
+            "    lambda: bounds.multilog_planes(2, 3, 4, 2, 'link'),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",
@@ -637,6 +658,8 @@ class TestInputErrors:
             "    lpcert.PrimalSolution(inst, xw={uw: 2}),",
             "    lpcert.PrimalSolution(inst, xw={(uw[0], inst.home): 1}),",
             "    lpcert.PrimalSolution(inst, xv={(u1, v): 1, (u2, v): 1}),",
+            "    dwec.DwecScheme(dwec.FOUR_TYPE.breakpoints, (2, 0, 0, 0),",
+            "                    check=False),",
             "]",
             "for i, primal in enumerate(infeasible):",
             "    try:",
@@ -704,6 +727,25 @@ class TestInputErrors:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ""
+
+
+class TestErrorTaxonomy:
+    def test_every_exception_is_one_of_four_kinds(self):
+        # refusal, malformed input, LP verdict, broken invariant; `main`
+        # maps the input kind to exit 2
+        from switchlp.events import SwitchError
+        kinds = (SwitchError, ValueError, lpcert.Infeasible, AssertionError)
+        found = {}
+        for info in pkgutil.iter_modules(switchlp.__path__):
+            if info.name == "__main__":  # importing it runs the command
+                continue
+            module = importlib.import_module("switchlp." + info.name)
+            for name, obj in vars(module).items():
+                if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                        and obj.__module__ == module.__name__):
+                    found[name] = issubclass(obj, kinds)
+        assert [name for name, ok in found.items() if not ok] == []
+        assert {"Infeasible", "TraceError", "ColoringFailure"} <= set(found)
 
 
 class TestModuleEntry:

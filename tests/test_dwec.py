@@ -13,8 +13,9 @@ from lp_oracle import derive_constants_enumerated
 from switchlp import dwec
 from switchlp.dwec import (
     DwecScheme, FOUR_TYPE, classify, ColoringState, opt_lower,
-    derive_constants, run_trace, InfeasibleScheme,
+    derive_constants, run_trace,
 )
+from switchlp.lpcert import Infeasible
 
 F = Fraction
 
@@ -56,9 +57,9 @@ class TestScheme:
         assert FOUR_TYPE.x == (2, F(3, 8), F(3, 10), 3)
 
     def test_bad_constants_rejected(self):
-        with pytest.raises(InfeasibleScheme):
+        with pytest.raises(Infeasible):
             DwecScheme((F(1, 2), F(2, 5), F(1, 3)), (2, 0, 0, 0))
-        with pytest.raises(InfeasibleScheme):
+        with pytest.raises(Infeasible):
             DwecScheme((F(1, 2),), (1, 4))
 
     def test_breakpoint_validation(self):

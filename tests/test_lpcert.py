@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 import hashlib
+import inspect
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,9 +125,9 @@ class TestOracle:
                 assert inst.defined_uw(u, w) == ((u, w) in uw)
             for v in home_outs:
                 assert inst.defined_uv(u, v) == ((u, v) in uv)
-        assert inst.defined_classes_uw() == sorted(
+        assert inst.classes_uw == sorted(
             {(ref.i_of(u), ref.j_of_window(w)) for u, w in uw})
-        assert inst.defined_classes_uv() == sorted(
+        assert inst.classes_uv == sorted(
             {(ref.i_of(u), ref.j_of_output(v)) for u, v in uv})
 
     def test_definedness_rejects_foreign_keys(self):
@@ -236,7 +238,7 @@ class TestPrimal:
         conn.admit(s("001"), [s("010")], rid="b")
         inst, primal = primal_from_state(conn, s("000"), [s("000")])
         assert primal.objective() == 2
-        lazy = {"_classes_uw", "_classes_uv", "profile", "uw_pairs",
+        lazy = {"classes_uw", "classes_uv", "profile", "uw_pairs",
                 "uv_pairs"}
         assert not lazy & inst.__dict__.keys()
         # the dual side builds them on first use, to the eager gaps
@@ -293,6 +295,88 @@ class TestPrimal:
             bad.check_feasible()
 
 
+# each exported row name prefix with the message check_feasible raises when
+# that row is exceeded; the row's key follows the prefix in both
+ROW_MESSAGES = (("cap_w", "window capacity at w=%s"),
+                ("one_", "x_%s > 1"),
+                ("spread_u", "per-input home spread at u=%s"),
+                ("own_v", "output multiplicity at v=%s"),
+                ("fan_u", "fanout at u=%s"))
+
+
+class TestRowTable:
+    """`check_feasible` and `export_lp` read one row table; a primal is
+    refused exactly when it exceeds a row of the exported text."""
+
+    @staticmethod
+    def cases():
+        """(primal, exceeded row names of the exported LP) for seeded sparse
+        primals on d = 2, n in {3, 4}, every t, both modes."""
+        rng = random.Random(1404)
+        for n in (3, 4):
+            for t in range(n + 1):
+                for f in (1, 2, 2 ** n):
+                    for k in sorted({1, min(f, 2 ** t)}):
+                        for mode in (LINK, CROSSTALK):
+                            inst = canonical_instance(2, n, t, f, k, mode)
+                            rows = parse_lp(export_lp(inst))["constraints"]
+                            for density in (0.1, 0.3, 0.6, 1.0):
+                                yield TestRowTable.sparse(
+                                    inst, rows, density, rng)
+
+    @staticmethod
+    def sparse(inst, rows, density, rng):
+        values = [1, 1, 1, 1, 2, Fraction(1, 2)]
+        xw = {key: rng.choice(values) for key in inst.uw_pairs
+              if rng.random() < density}
+        xv = {key: rng.choice(values) for key in inst.uv_pairs
+              if rng.random() < density}
+        by_name = {"x_u%d_w%d" % key: val for key, val in xw.items()}
+        by_name.update(("x_u%d_v%d" % key, val) for key, val in xv.items())
+        exceeded = {name for name, names, rhs in rows
+                    if sum(by_name.get(x, 0) for x in names) > rhs}
+        return PrimalSolution(inst, xw, xv), exceeded
+
+    @staticmethod
+    def refusal(check, primal):
+        try:
+            check(primal)
+        except Infeasible as exc:
+            return str(exc)
+        return None
+
+    def test_refused_exactly_when_a_row_is_exceeded(self):
+        kinds, counts = {}, [0, 0]
+        for primal, exceeded in self.cases():
+            got = self.refusal(PrimalSolution.check_feasible, primal)
+            assert (got is not None) == bool(exceeded)
+            counts[bool(exceeded)] += 1
+            if got is not None:
+                named = {msg % name[len(prefix):]
+                         for name in exceeded
+                         for prefix, msg in ROW_MESSAGES
+                         if name.startswith(prefix)}
+                assert got in named
+            for name in exceeded:
+                kind = next(p for p, _ in ROW_MESSAGES if name.startswith(p))
+                kinds[kind] = kinds.get(kind, 0) + 1
+        # both verdicts occur, and every row kind is exceeded somewhere
+        assert min(counts) > 20
+        assert set(kinds) == {p for p, _ in ROW_MESSAGES}
+
+    def test_ge_mutant_is_caught(self):
+        source = textwrap.dedent(
+            inspect.getsource(PrimalSolution.check_feasible))
+        assert source.count("total > bound") == 1
+        scope = {}
+        exec(source.replace("total > bound", "total >= bound"),
+             dict(vars(lpcert)), scope)
+        mutant = scope["check_feasible"]
+        assert any((self.refusal(mutant, primal) is not None)
+                   != bool(exceeded)
+                   for primal, exceeded in self.cases())
+
+
 class TestDualFamily:
     def test_small_grid_feasible_and_matches_cost(self):
         for d in (2, 3):
@@ -313,6 +397,10 @@ class TestDualFamily:
         cost = family_cost(inst, p, q)
         assert sol.objective_bounded_delta(q) == cost
         assert sol.objective() <= cost
+        # at q = n - t the tail cap is the true tail, so `certify` prices
+        # every point with the bounded objective
+        if q == inst.n - inst.t:
+            assert sol.objective_bounded_delta(q) == sol.objective()
 
     def test_parameter_ranges(self):
         inst = canonical_instance(2, 3, 1, 1, 1, LINK)
