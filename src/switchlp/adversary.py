@@ -112,31 +112,33 @@ def _churn(config, steps, seed, release_p, pool, audit_every):
 # -- Clos strict-sense saturation --------------------------------------------
 
 
-def snb_saturation_events(n):
-    """Arrival/departure schedule that drives first-fit C(n, m, n) into a
-    state with n-1 middles tied up by input crossbar 0 and n-1 different
-    middles tied up by output crossbar 0, then probes 0:0 -> 0:0.
-
-    The probe blocks exactly when m <= 2n-2.  Events are
-    ("A", id, in_term, out_term) and ("D", id); the probe id is "probe".
+def snb_saturation(n, m):
+    """(config, lines): C(n, m, max(n, 3)) and the trace lines of a schedule
+    that drives first-fit into a state with n-1 middles tied up by input
+    crossbar 0 and n-1 different middles tied up by output crossbar 0, then
+    probes 0:0 -> 0:0.  `clos.run_trace` admits every line but the last,
+    `A probe 0:0 0:0`, which blocks exactly when m = 2n-2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    events = []
+    if m < 2 * n - 2:
+        raise ValueError("the saturating schedule needs m >= 2n-2")
+    config = clos.ClosConfig(n, m, max(n, 3))
     if n == 2:
         # the n-crossbar round has no room at n=2; a third crossbar pins the
         # second request away from middle 0
-        return [
-            ("A", "R1", (0, 1), (1, 0)),
-            ("A", "T1", (2, 0), (2, 0)),
-            ("A", "S1", (2, 1), (0, 1)),
-            ("D", "T1"),
-            ("A", "probe", (0, 0), (0, 0)),
+        return config, [
+            "A R1 0:1 1:0\n",
+            "A T1 2:0 2:0\n",
+            "A S1 2:1 0:1\n",
+            "D T1\n",
+            "A probe 0:0 0:0\n",
         ]
+    lines = []
     # permanent requests from input crossbar 0; first fit stacks them on
     # middles 0..n-2
     for j in range(1, n):
-        events.append(("A", "R%d" % j, (0, j), (j, 0)))
+        lines.append("A R%d 0:%d %d:0\n" % (j, j, j))
     # round j: temporaries from input crossbar j cover middles 0..n-2, so
     # the request to output crossbar 0 lands on middle n-2+j; descending
     # output order keeps each temp clear of the permanent request that
@@ -145,34 +147,13 @@ def snb_saturation_events(n):
         temps = []
         for k in range(n - 1, 0, -1):
             tid = "T%d_%d" % (j, k)
-            events.append(("A", tid, (j, k), (k, j)))
+            lines.append("A %s %d:%d %d:%d\n" % (tid, j, k, k, j))
             temps.append(tid)
-        events.append(("A", "S%d" % j, (j, 0), (0, j)))
+        lines.append("A S%d %d:0 0:%d\n" % (j, j, j))
         for tid in temps:
-            events.append(("D", tid))
-    events.append(("A", "probe", (0, 0), (0, 0)))
-    return events
-
-
-def run_snb_saturation(n, m):
-    """Replay the saturating schedule; returns the probe outcome."""
-    if m < 2 * n - 2:
-        raise ValueError("the saturating schedule needs m >= 2n-2")
-    cfg = clos.ClosConfig.symmetric(n=n, m=m, r=max(n, 3))
-    state = clos.ClosState(cfg)
-    outcome = None
-    for ev in snb_saturation_events(n):
-        if ev[0] == "A":
-            _, rid, it, ot = ev
-            got = state.snb_admit(it, ot, rid=rid)
-            if rid == "probe":
-                outcome = got
-            elif got is clos.BLOCKED:
-                raise AssertionError("set-up request %s blocked" % rid)
-        else:
-            state.release(ev[1])
-        state.audit()
-    return outcome
+            lines.append("D %s\n" % tid)
+    lines.append("A probe 0:0 0:0\n")
+    return config, lines
 
 
 # -- exhaustive search over the two-crossbar reuse rule ----------------------
@@ -184,7 +165,7 @@ def benes_search(n, m, max_depth=None):
 
     Returns the trace lines (newline-terminated) that reach a state
     rejecting an admissible request, ending in the arrival it rejects:
-    `clos.run_trace(config, lines, reuse=True)` admits every line but the
+    `clos.run_trace(state, lines, reuse=True)` admits every line but the
     last.  Else None when the search closed, or [] when it was cut: a state
     at max_depth has a successor the search never reached.
     """

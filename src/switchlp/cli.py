@@ -17,7 +17,7 @@ from . import dwec
 from . import lpcert
 from . import multilog
 from . import adversary
-from .events import fraction
+from .events import check, fraction
 
 
 def _writer():
@@ -104,22 +104,24 @@ def cmd_bound(args):
 
 def _multilog_sweep(args, out):
     """Write the sweep row; True when --expect-nonblocking was violated."""
-    out.writerow(["network", "d", "n", "t", "f", "mode", "m", "adversary",
-                  "seed", "trials", "blocked", "max_blocking_planes"])
     d, n, t, f = args.d, args.n, args.t, args.f
     if args.m is not None:
         m = args.m
     else:
         m = (bounds.multilog_planes(d, n, t, f, args.mode)[0]
              + (args.m_offset or 0))
+    # every config is built before the header, so a refused one prints none
+    configs = [multilog.MultilogConfig(
+        d=d, n=n, m=m, t=t, f=f, mode=args.mode,
+        plane_policy=multilog.RANDOM, seed=args.seed + 7919 * trial)
+        for trial in range(args.trials)]
+    out.writerow(["network", "d", "n", "t", "f", "mode", "m", "adversary",
+                  "seed", "trials", "blocked", "max_blocking_planes"])
     trial_fn = (adversary.greedy_trial if args.adversary == "greedy"
                 else adversary.random_trial)
     blocked = 0
     max_bp = 0
-    for trial in range(args.trials):
-        cfg = multilog.MultilogConfig(
-            d=d, n=n, m=m, t=t, f=f, mode=args.mode,
-            plane_policy=multilog.RANDOM, seed=args.seed + 7919 * trial)
+    for trial, cfg in enumerate(configs):
         stats = trial_fn(cfg, args.steps, args.seed + trial)
         blocked += stats["blocked"]
         max_bp = max(max_bp, stats["max_blocking_planes"])
@@ -129,20 +131,36 @@ def _multilog_sweep(args, out):
 
 
 def _clos_sweep(args, out):
-    """Write the sweep row; True when --expect-nonblocking was violated."""
+    """Write the sweep row; True when --expect-nonblocking was violated.
+    A blocking verdict is the simulator's, on a replay audited per row."""
     n, m = args.n, args.m
-    out.writerow(["network", "n", "m", "adversary", "outcome"])
-    if args.network == "clos-snb":
+    reuse = args.network == "clos-benes"
+    if not reuse:
         if m is None:
             m = bounds.clos_snb(n)
-        got = adversary.run_snb_saturation(n, m)
-        outcome = "blocked" if got is clos.BLOCKED else "admitted"
+        config, lines = adversary.snb_saturation(n, m)
     else:
         if m is None:
             m = bounds.clos_wsnb_r2(n)
-        found = adversary.benes_search(n, m, max_depth=args.depth)
-        outcome = ("blocked" if found else "nonblocking" if found is None
-                   else "undecided")
+        config = clos.ClosConfig(n, m, 2)
+        lines = adversary.benes_search(n, m, max_depth=args.depth)
+    if lines is None:
+        outcome = "nonblocking"
+    elif not lines:
+        outcome = "undecided"
+    else:
+        state = clos.ClosState(config)
+        statuses = []
+        for row in clos.run_trace(state, lines, reuse=reuse):
+            state.audit()
+            statuses.append(row["status"])
+        *setup, last = statuses
+        check(set(setup) <= {"ok"}
+              and last in (("blocked",) if reuse else ("ok", "blocked")),
+              "the %s replay ends %r after %r", args.network, last,
+              sorted(set(setup)))
+        outcome = "blocked" if last == "blocked" else "admitted"
+    out.writerow(["network", "n", "m", "adversary", "outcome"])
     out.writerow([args.network, n, m, "exhaustive", outcome])
     return args.expect_nonblocking and outcome in ("blocked", "undecided")
 
@@ -158,7 +176,7 @@ def cmd_simulate(args):
                 d=args.d, n=args.n, m=args.m, t=args.t or 0, f=args.f or 1,
                 mode=args.mode, seed=args.seed)
             header = ["event", "id", "window", "plane", "status"]
-            replayed = multilog.run_trace(cfg, lines)
+            replayed = multilog.run_trace(multilog.ConnState(cfg), lines)
         else:
             _require(args, "n", "m")
             traffic = (clos.MULTIRATE if args.network == "clos-multirate"
@@ -171,7 +189,8 @@ def cmd_simulate(args):
             cfg = clos.ClosConfig.symmetric(n=args.n, m=args.m, r=r,
                                             traffic=traffic)
             header = ["event", "id", "middle", "status"]
-            replayed = clos.run_trace(cfg, lines, reuse=reuse)
+            replayed = clos.run_trace(clos.ClosState(cfg), lines,
+                                      reuse=reuse)
         out.writerow(header)
         blocked = 0
         for row in replayed:
@@ -209,7 +228,9 @@ def cmd_dwec(args):
     with open(args.trace) as fh:
         lines = fh.readlines()
     out.writerow(["t", "colors_used", "opt_lower", "W_bar", "Delta_bar"])
-    for row in dwec.run_trace(lines, scheme=scheme, audit=True):
+    state = dwec.ColoringState(scheme=scheme)
+    for row in dwec.run_trace(state, lines):
+        state.audit()
         out.writerow([row["t"], row["colors_used"], row["opt_lower"],
                       row["W_bar"], row["Delta_bar"]])
     return 0
@@ -305,7 +326,7 @@ def build_parser():
         s.add_argument("--" + name.replace("_", "-"), dest=name,
                        type=_ints(name))
     s.add_argument("--mode", choices=["link", "crosstalk"], default="link")
-    s.add_argument("--adversary", choices=["random", "greedy", "exhaustive"],
+    s.add_argument("--adversary", choices=["random", "greedy"],
                    default="random")
     s.add_argument("--trials", type=_ints("trials"), default=10)
     s.add_argument("--steps", type=_ints("steps"), default=60)

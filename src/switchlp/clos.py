@@ -1,10 +1,11 @@
 """Three-stage Clos network simulator.
 
-Covers three admission disciplines on C(n1, r1, m, n2, r2):
+Covers three admission disciplines on C(n, m, r): r input and r output
+crossbars of n terminals each, joined through m middle crossbars.
 
 - strict-sense unicast: any middle crossbar free toward both sides works,
-  and at most (n1-1)+(n2-1) middles can ever be unavailable to a fresh
-  request, so m >= n1+n2-1 never blocks;
+  and at most 2(n-1) middles can ever be unavailable to a fresh request, so
+  m >= 2n-1 never blocks;
 - the r=2 reuse rule (`reuse_pick`): prefer a middle already carrying the
   diagonal traffic class, which brings the requirement down to floor(3n/2);
 - multirate: requests carry a rate in (0,1], middles are colors of a dynamic
@@ -40,26 +41,20 @@ class CapacityExceeded(SwitchError):
 
 @dataclass(frozen=True)
 class ClosConfig:
-    n1: int
-    r1: int
+    n: int
     m: int
-    n2: int = None
-    r2: int = None
+    r: int
     traffic: str = SPACE
 
     def __post_init__(self):
-        if self.n2 is None:
-            object.__setattr__(self, "n2", self.n1)
-        if self.r2 is None:
-            object.__setattr__(self, "r2", self.r1)
-        if min(self.n1, self.r1, self.m, self.n2, self.r2) <= 0:
-            raise ValueError("need n1, r1, m, n2, r2 > 0")
+        if min(self.n, self.m, self.r) <= 0:
+            raise ValueError("need n, m, r > 0")
         if self.traffic not in (SPACE, MULTIRATE):
             raise ValueError("unknown traffic %r" % (self.traffic,))
 
     @classmethod
     def symmetric(cls, n, m, r, traffic=SPACE):
-        return cls(n1=n, r1=r, m=m, n2=n, r2=r, traffic=traffic)
+        return cls(n, m, r, traffic)
 
 
 class ClosState:
@@ -68,24 +63,22 @@ class ClosState:
         self.requests = {}
         self._auto = 0
         if config.traffic == SPACE:
-            self.in_mids = [set() for _ in range(config.r1)]
-            self.out_mids = [set() for _ in range(config.r2)]
+            self.in_mids = [set() for _ in range(config.r)]
+            self.out_mids = [set() for _ in range(config.r)]
             self.busy_in = {}    # input terminal -> rid
             self.busy_out = {}   # output terminal -> rid
         else:
-            verts = ([("I", i) for i in range(config.r1)]
-                     + [("O", j) for j in range(config.r2)])
+            verts = ([("I", i) for i in range(config.r)]
+                     + [("O", j) for j in range(config.r)])
             self.coloring = dwec.ColoringState(vertices=verts)
             self.load_in = {}    # input terminal -> total rate, scaled
             self.load_out = {}
 
     # -- shared helpers ---------------------------------------------------
 
-    def _check_terminal(self, term, side):
+    def _check_terminal(self, term):
         cb, port = term
-        r = self.config.r1 if side == "in" else self.config.r2
-        n = self.config.n1 if side == "in" else self.config.n2
-        if not (0 <= cb < r and 0 <= port < n):
+        if not (0 <= cb < self.config.r and 0 <= port < self.config.n):
             raise ValueError("terminal %s:%s out of range" % (cb, port))
 
     def _next_rid(self, rid):
@@ -106,8 +99,8 @@ class ClosState:
         """Validate a space-division request; returns its id."""
         if self.config.traffic != SPACE:
             raise ValueError("not a space-division network")
-        self._check_terminal(in_term, "in")
-        self._check_terminal(out_term, "out")
+        self._check_terminal(in_term)
+        self._check_terminal(out_term)
         if in_term in self.busy_in:
             raise TerminalBusy("input %s:%s" % in_term)
         if out_term in self.busy_out:
@@ -126,9 +119,9 @@ class ClosState:
         """First-fit strict-sense admission; returns the middle or BLOCKED."""
         rid = self._space_pre(in_term, out_term, rid)
         bad = self.snb_unavailable(in_term[0], out_term[0])
-        # with both terminals idle, at most n1-1 middles are tied up by this
-        # input crossbar and n2-1 by the output crossbar
-        if len(bad) > (self.config.n1 - 1) + (self.config.n2 - 1):
+        # with both terminals idle, at most n-1 middles are tied up by this
+        # input crossbar and n-1 by the output crossbar
+        if len(bad) > 2 * (self.config.n - 1):
             raise AssertionError("%d middles unavailable" % len(bad))
         mid = next((mid for mid in range(self.config.m) if mid not in bad),
                    None)
@@ -139,8 +132,8 @@ class ClosState:
     def benes_admit(self, in_term, out_term, rid=None):
         """Admission by the r = 2 reuse rule (`reuse_pick`); returns the
         middle or BLOCKED."""
-        if not (self.config.r1 == 2 and self.config.r2 == 2):
-            raise ValueError("the reuse rule needs r1 = r2 = 2")
+        if self.config.r != 2:
+            raise ValueError("the reuse rule needs r = 2")
         rid = self._space_pre(in_term, out_term, rid)
         mid = reuse_pick(self.config.m, self.in_mids, self.out_mids,
                          in_term[0], out_term[0])
@@ -154,8 +147,8 @@ class ClosState:
         Returns the middle or BLOCKED (state untouched when blocked)."""
         if self.config.traffic != MULTIRATE:
             raise ValueError("not a multirate network")
-        self._check_terminal(in_term, "in")
-        self._check_terminal(out_term, "out")
+        self._check_terminal(in_term)
+        self._check_terminal(out_term)
         rate = dwec.as_fraction(rate)
         if not 0 < rate.numerator <= rate.denominator:
             raise ValueError("rate %s out of (0, 1]" % rate)
@@ -203,8 +196,8 @@ class ClosState:
     def audit(self):
         cfg = self.config
         if cfg.traffic == SPACE:
-            in_mids = [set() for _ in range(cfg.r1)]
-            out_mids = [set() for _ in range(cfg.r2)]
+            in_mids = [set() for _ in range(cfg.r)]
+            out_mids = [set() for _ in range(cfg.r)]
             bi, bo = {}, {}
             # per-request checks are inline: a call each would slow audits
             for rid, (kind, it, ot, mid) in self.requests.items():
@@ -219,12 +212,12 @@ class ClosState:
                   "middle occupancy differs from the registry")
             check(bi == self.busy_in and bo == self.busy_out,
                   "busy terminals differ from the registry")
-            if cfg.r1 == 2 and cfg.r2 == 2:
+            if cfg.r == 2:
                 # middles of the classes (0,0)+(1,1) and (0,1)+(1,0)
                 spread = (set(), set())
                 for _, it, ot, mid in self.requests.values():
                     spread[it[0] != ot[0]].add(mid)
-                check(max(map(len, spread)) <= max(cfg.n1, cfg.n2),
+                check(max(map(len, spread)) <= cfg.n,
                       "a diagonal class spreads over too many middles")
         else:
             self.coloring.audit()
@@ -264,13 +257,12 @@ def parse_terminal(text):
     return (int(cb), int(port))
 
 
-def run_trace(config, lines, reuse=False):
-    """Replay `A <id> <in> <out>` / `D <id>` lines, with an optional
-    `<rate>` after `<out>` on a multirate network; yields CSV-row dicts
-    event,id,middle,status.  Space-division arrivals are admitted first-fit,
-    or with the r = 2 reuse rule when `reuse` is set."""
-    state = ClosState(config)
-    multirate = config.traffic == MULTIRATE
+def run_trace(state, lines, reuse=False):
+    """Replay `A <id> <in> <out>` / `D <id>` lines into `state`, with an
+    optional `<rate>` after `<out>` on a multirate network; yields CSV-row
+    dicts event,id,middle,status.  Space-division arrivals are admitted
+    first-fit, or with the r = 2 reuse rule when `reuse` is set."""
+    multirate = state.config.traffic == MULTIRATE
     space_admit = state.benes_admit if reuse else state.snb_admit
 
     def operands(tokens):

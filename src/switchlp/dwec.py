@@ -43,7 +43,7 @@ def as_fraction(w):
         return w
     if isinstance(w, float):
         return Fraction(w).limit_denominator(10 ** 9)
-    return Fraction(w)
+    return fraction(w)
 
 
 def grow_den(den, q):
@@ -367,15 +367,13 @@ def _operands(tokens):
     return u, v, fraction(w)
 
 
-def run_trace(lines, scheme=FOUR_TYPE, audit=False):
-    """Replay `A <id> <u> <v> <weight>` / `D <id>` lines; yields one row per
-    event as a dict with keys t, colors_used, opt_lower, W_bar, Delta_bar.
-    A duplicate edge id or an unknown departure is malformed input."""
-    state = ColoringState(scheme=scheme)
+def run_trace(state, lines):
+    """Replay `A <id> <u> <v> <weight>` / `D <id>` lines into the
+    ColoringState `state`; yields one row per event as a dict with keys t,
+    colors_used, opt_lower, W_bar, Delta_bar.  A duplicate edge id or an
+    unknown departure is malformed input."""
     events = replay(lines, (3, 3), _operands, state.arrive, state.depart)
     for t, _ in enumerate(events, start=1):
-        if audit:
-            state.audit()
         yield {"t": t, "colors_used": state.colors_used,
                "opt_lower": opt_lower(state),
                "W_bar": str(state.W_bar), "Delta_bar": state.Delta_bar}

@@ -206,8 +206,8 @@ class DualSolution:
     value stays an int, any other becomes a Fraction: both are exact."""
 
     def __init__(self, instance, alpha=None, beta=None, gamma=None,
-                 delta=None, eps=None, label=""):
-        self.instance, self.label = instance, label
+                 delta=None, eps=None):
+        self.instance = instance
         n, t = instance.n, instance.t
         self.alpha = dict.fromkeys(range(n - t), 0)
         self.gamma = dict.fromkeys(range(n), 0)
@@ -305,11 +305,8 @@ def dual_family(instance, p, q):
         for i in range(n - q + 1 - theta, n - p):
             gamma[i] = 1
 
-    sol = DualSolution(instance, alpha=alpha, beta=beta, gamma=gamma,
-                       delta=delta, eps=eps,
-                       label="family(p=%d,q=%d)" % (p, q))
-    sol.p, sol.q = p, q
-    return sol
+    return DualSolution(instance, alpha=alpha, beta=beta, gamma=gamma,
+                        delta=delta, eps=eps)
 
 
 def dual_special_t_eq_n(instance, variant=None):
@@ -327,28 +324,24 @@ def dual_special_t_eq_n(instance, variant=None):
             variant = "high" if f > thresh else "low"
         if variant == "high":
             gamma = {i: 1 for i in range(1, n)}
-            sol = DualSolution(inst, gamma=gamma, label="t=n high")
+            sol = DualSolution(inst, gamma=gamma)
         else:
             q = (n + r) // 2 + 1
             gamma = {i: 1 for i in range(n - q + 1, n)}
             delta = {j: 1 for j in range(q, n)}
-            sol = DualSolution(inst, gamma=gamma, delta=delta,
-                               label="t=n low(q=%d)" % q)
-            sol.q = q
+            sol = DualSolution(inst, gamma=gamma, delta=delta)
     else:
         thresh = d ** (n - 2) * (d - 1)
         if variant is None:
             variant = "high" if f > thresh else "low"
         if variant == "high":
             delta = {j: 1 for j in range(n)}
-            sol = DualSolution(inst, delta=delta, label="t=n cf high")
+            sol = DualSolution(inst, delta=delta)
         else:
             p_hat = -(-(n - r - 1) // 2)
             gamma = {i: 1 for i in range(p_hat, n)}
             delta = {j: 1 for j in range(n - p_hat, n)}
-            sol = DualSolution(inst, gamma=gamma, delta=delta,
-                               label="t=n cf low(p=%d)" % p_hat)
-            sol.q = n - p_hat
+            sol = DualSolution(inst, gamma=gamma, delta=delta)
     sol.variant = variant
     return sol
 

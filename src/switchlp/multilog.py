@@ -353,12 +353,12 @@ def parse_address(text, d, n):
     return addr
 
 
-def run_trace(config, lines):
-    """Replay a text trace; yields CSV-row dicts event,id,window,plane,status.
+def run_trace(state, lines):
+    """Replay a trace into `state`; yields dicts event,id,window,plane,status.
 
     Arrivals: `A <id> <input> <out1> [<out2> ...]`; departures: `D <id>`.
     """
-    state = ConnState(config)
+    config = state.config
 
     def operands(tokens):
         x, *outs = [parse_address(p, config.d, config.n) for p in tokens]

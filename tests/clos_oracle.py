@@ -15,7 +15,8 @@ the set-based reuse rule (`clos.reuse_pick`) and the O(1) space release
 against them.  `fraction_view` reads either
 coloring as the same plain values.  `opt_exact` finds the fewest colors of a
 small static weighted multigraph, against which the acceptance tests check
-the coloring's competitive ratio.
+the coloring's competitive ratio.  `replay_audited` replays a Clos trace
+with an audit after every row.
 """
 
 from fractions import Fraction
@@ -191,8 +192,8 @@ class OracleClosState(clos.ClosState):
     def multirate_admit(self, in_term, out_term, rate, rid=None):
         if self.config.traffic != MULTIRATE:
             raise ValueError("not a multirate network")
-        self._check_terminal(in_term, "in")
-        self._check_terminal(out_term, "out")
+        self._check_terminal(in_term)
+        self._check_terminal(out_term)
         rate = dwec.as_fraction(rate)
         if not (0 < rate <= 1):
             raise ValueError("rate %s out of (0, 1]" % rate)
@@ -213,8 +214,8 @@ class OracleClosState(clos.ClosState):
         return color
 
     def benes_admit(self, in_term, out_term, rid=None):
-        if not (self.config.r1 == 2 and self.config.r2 == 2):
-            raise ValueError("the reuse rule needs r1 = r2 = 2")
+        if self.config.r != 2:
+            raise ValueError("the reuse rule needs r = 2")
         rid = self._space_pre(in_term, out_term, rid)
         i, o = in_term[0], out_term[0]
         bad = self.snb_unavailable(i, o)
@@ -263,3 +264,13 @@ class OracleClosState(clos.ClosState):
         check(li == {k: v for k, v in self.load_in.items() if v}
               and lo == {k: v for k, v in self.load_out.items() if v},
               "terminal loads differ from the registry")
+
+
+def replay_audited(state, lines, reuse=False):
+    """The status of each row of `clos.run_trace(state, lines, reuse)`, with
+    `state.audit()` run after every row."""
+    statuses = []
+    for row in clos.run_trace(state, lines, reuse=reuse):
+        state.audit()
+        statuses.append(row["status"])
+    return statuses

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from switchlp import adversary, bounds, clos, dwec, lpcert, multilog
+from switchlp import adversary, bounds, dwec, lpcert, multilog
 from switchlp.banyan import shares_link, shares_se
 from switchlp.clos import ClosConfig, ClosState, BLOCKED
 from switchlp.dary import DaryString, all_strings
@@ -22,7 +22,7 @@ from switchlp.dwec import ColoringState, FOUR_TYPE
 from switchlp.multilog import MultilogConfig, ConnState
 
 from address_oracle import route_sets
-from clos_oracle import opt_exact
+from clos_oracle import opt_exact, replay_audited
 from lp_oracle import sufficient_m_enumerated
 
 F = Fraction
@@ -132,9 +132,12 @@ def test_criterion_1_clos_snb():
                 events += _clos_random_churn(n, m, 4, 1800, seed)
             events += _clos_greedy_churn(n, m, 4, 800, 7 + n)
         assert events >= 10 ** 4, "only %d events" % events
-        for n in (2, 3, 4):
-            assert adversary.run_snb_saturation(n, 2 * n - 2) is BLOCKED
-            assert adversary.run_snb_saturation(n, 2 * n - 1) is not BLOCKED
+        # the saturating schedule blocks its probe at 2n-2, not at 2n-1
+        for n in range(2, 7):
+            for m, probe in ((2 * n - 2, "blocked"), (2 * n - 1, "ok")):
+                config, lines = adversary.snb_saturation(n, m)
+                assert replay_audited(ClosState(config), lines) == \
+                    ["ok"] * (len(lines) - 1) + [probe]
 
 
 # -- criterion 2: two-crossbar reuse rule -------------------------------------
@@ -171,10 +174,8 @@ def test_criterion_2_benes_reuse():
             m = bounds.clos_wsnb_r2(n)
             found = adversary.benes_search(n, m - 1, max_depth=20)
             assert found is not None, "no blocking at m-1 for n=%d" % n
-            rows = list(clos.run_trace(ClosConfig.symmetric(n=n, m=m - 1,
-                                                            r=2),
-                                       found, reuse=True))
-            assert [r["status"] for r in rows] == \
+            state = ClosState(ClosConfig.symmetric(n=n, m=m - 1, r=2))
+            assert replay_audited(state, found, reuse=True) == \
                 ["ok"] * (len(found) - 1) + ["blocked"]
         for n in (2, 3):
             assert adversary.benes_search(n, bounds.clos_wsnb_r2(n)) is None

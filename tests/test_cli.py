@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import switchlp
-from switchlp import adversary, bounds, cli, lpcert
+from switchlp import adversary, bounds, cli, clos, lpcert
 
 from lp_oracle import parse_lp
 
@@ -247,6 +247,36 @@ class TestSimulate:
                            "--n", "3", "--m", "5", "--expect-nonblocking")
         assert code == 0
         assert rows(out)[1][4] == "admitted"
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", "2", "--n", "3", "--t", "4", "--f", "2"],
+        ["--d", "2", "--n", "3", "--t", "4", "--f", "2", "--m", "2"],
+        ["--d", "2", "--n", "3", "--t", "1", "--f", "9"],
+        ["--d", "2", "--n", "3", "--t", "1", "--f", "2",
+         "--adversary", "exhaustive"],
+        ["--network", "clos-snb", "--n", "3", "--m", "3"],
+        ["--network", "clos-snb", "--n", "1"],
+    ])
+    def test_refused_sweep_prints_nothing(self, capsys, argv):
+        # refused before the header: no partial CSV on stdout
+        code, out, err = run(capsys, "simulate", *argv)
+        assert (code, out) == (2, "")
+        assert "error" in err
+
+    @pytest.mark.parametrize("network, lines", [
+        # a set-up row that is not admitted
+        ("clos-snb", ["A a 0:0 1:0\n", "A b 0:0 1:1\n", "A probe 0:0 0:0\n"]),
+        # a witness whose last arrival is admitted
+        ("clos-benes", ["A a 0:0 1:0\n"]),
+    ])
+    def test_clos_sweep_checks_the_replay(self, monkeypatch, network, lines):
+        config = clos.ClosConfig(2, 3, 3)
+        monkeypatch.setattr(adversary, "snb_saturation",
+                            lambda n, m: (config, lines))
+        monkeypatch.setattr(adversary, "benes_search",
+                            lambda n, m, max_depth: lines)
+        with pytest.raises(AssertionError, match="replay ends"):
+            cli.main(["simulate", "--network", network, "--n", "2"])
 
     @pytest.mark.parametrize("network, bound", [
         ("clos-snb", bounds.clos_snb), ("clos-benes", bounds.clos_wsnb_r2)])
@@ -612,14 +642,14 @@ class TestInputErrors:
             "quiet.admit(dary.DaryString(2, (0, 1, 0)), [a], rid='r')",
             "checks = [",
             "    lambda: multilog.MultilogConfig(d=1, n=0, m=0, mode='bogus'),",
-            "    lambda: clos.ClosConfig(n1=0, r1=0, m=0, traffic='bogus'),",
+            "    lambda: clos.ClosConfig(n=0, m=0, r=0, traffic='bogus'),",
             "    lambda: clos.ClosState(C(n=2, m=3, r=3)).benes_admit(",
             "        (0, 0), (1, 0)),",
             "    lambda: clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
             "        .snb_admit((0, 0), (1, 0)),",
             "    lambda: clos.ClosState(C(n=2, m=3, r=2)).multirate_admit(",
             "        (0, 0), (1, 0), 1),",
-            "    lambda: adversary.snb_saturation_events(1),",
+            "    lambda: adversary.snb_saturation(1, 3),",
             "    lambda: adversary.benes_search(3, 0),",
             "    lambda: adversary.benes_search(0, 3),",
             "    lambda: adversary.benes_search(3, 3, max_depth=-1),",
@@ -628,7 +658,7 @@ class TestInputErrors:
             "    lambda: conn.admit(dary.DaryString(2, (1, 0, 0, 0)), [a]),",
             "    lambda: lpcert.primal_from_state(conn, a, [a]),",
             "    lambda: lpcert.primal_from_state(quiet, a, [a]),",
-            "    lambda: adversary.run_snb_saturation(4, 5),",
+            "    lambda: adversary.snb_saturation(4, 5),",
             "    lambda: dwec.FOUR_TYPE.beta(0, 1),",
             "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
             "        2, 4, 1, 2, 1, 'link'), 0, 3).objective_bounded_delta(2),",
@@ -643,6 +673,9 @@ class TestInputErrors:
             "    lambda: lpcert.solve_packing([[1]], [1], [-1]),",
             "    lambda: lpcert.solve_packing([[1, -1]], [1, 1], [1]),",
             "    lambda: bounds.multilog_planes(2, 3, 4, 2, 'link'),",
+            "    lambda: dwec.ColoringState().arrive('e', 'u', 'v', '1/0'),",
+            "    lambda: clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
+            "        .multirate_admit((0, 0), (1, 0), '1/0'),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clos_oracle import WEIGHTS, OracleClosState, fraction_view
+from clos_oracle import (WEIGHTS, OracleClosState, fraction_view,
+                         replay_audited)
 from switchlp import clos, bounds, adversary
 from switchlp.clos import (
     ClosConfig, ClosState, BLOCKED, TerminalBusy, CapacityExceeded,
@@ -18,12 +19,14 @@ F = Fraction
 
 class TestConfig:
     def test_symmetric_defaults(self):
-        cfg = ClosConfig(n1=3, r1=4, m=5)
-        assert (cfg.n2, cfg.r2) == (3, 4)
+        cfg = ClosConfig(3, 5, 4)
+        assert (cfg.n, cfg.m, cfg.r, cfg.traffic) == (3, 5, 4, SPACE)
+        assert ClosConfig.symmetric(n=3, m=5, r=4) == cfg
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            ClosConfig(n1=0, r1=1, m=1)
+        for n, m, r in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            with pytest.raises(ValueError):
+                ClosConfig(n, m, r)
 
 
 class TestSnb:
@@ -44,7 +47,7 @@ class TestSnb:
             state.snb_admit((0, 1), (1, 0))
 
     def test_unavailable_cap(self):
-        # a fresh request can never see more than (n1-1)+(n2-1) bad middles
+        # a fresh request can never see more than 2(n-1) bad middles
         state = ClosState(ClosConfig.symmetric(n=3, m=5, r=3))
         rng = random.Random(1)
         for i in range(40):
@@ -62,9 +65,19 @@ class TestSnb:
             state.audit()
 
     def test_saturation_blocks_at_2n_minus_2(self):
-        for n in (2, 3, 4):
-            assert adversary.run_snb_saturation(n, 2 * n - 2) is BLOCKED
-            assert adversary.run_snb_saturation(n, 2 * n - 1) is not BLOCKED
+        for n in range(2, 7):
+            for m, probe in ((2 * n - 2, "blocked"), (2 * n - 1, "ok")):
+                config, lines = adversary.snb_saturation(n, m)
+                assert config == ClosConfig(n, m, max(n, 3))
+                assert lines[-1] == "A probe 0:0 0:0\n"
+                assert replay_audited(ClosState(config), lines) == \
+                    ["ok"] * (len(lines) - 1) + [probe]
+
+    def test_saturation_refusals(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            adversary.snb_saturation(1, 3)
+        with pytest.raises(ValueError, match="needs m >= 2n-2"):
+            adversary.snb_saturation(4, 5)
 
     def test_release_unknown(self):
         state = ClosState(ClosConfig.symmetric(n=2, m=3, r=2))
@@ -109,9 +122,8 @@ class TestBenesReuse:
             assert adversary.benes_search(n, m) is None
             found = adversary.benes_search(n, m - 1)
             assert found is not None
-            cfg = ClosConfig.symmetric(n=n, m=m - 1, r=2)
-            rows = list(run_trace(cfg, found, reuse=True))
-            assert [r["status"] for r in rows] == \
+            state = ClosState(ClosConfig.symmetric(n=n, m=m - 1, r=2))
+            assert replay_audited(state, found, reuse=True) == \
                 ["ok"] * (len(found) - 1) + ["blocked"]
 
 
@@ -282,22 +294,29 @@ class TestTraceIo:
         assert parse_terminal("2:1") == (2, 1)
 
     def test_space_trace(self):
-        cfg = ClosConfig.symmetric(n=2, m=1, r=2)
-        rows = list(run_trace(cfg, [
+        state = ClosState(ClosConfig.symmetric(n=2, m=1, r=2))
+        rows = list(run_trace(state, [
             "A a 0:0 1:0",
             "A b 0:1 1:1",      # the only middle is tied up on both sides
             "A c 0:0 1:1",      # input terminal busy
             "D a",
             "D a",
+            "A d 0:1 1:1",
         ]))
         assert [r["status"] for r in rows] == \
-            ["ok", "blocked", "terminalbusy", "ok", "unknown_id"]
+            ["ok", "blocked", "terminalbusy", "ok", "unknown_id", "ok"]
+        # the replay leaves its live requests in the caller's state
+        assert set(state.requests) == {"d"}
+        state.audit()
 
     def test_multirate_trace(self):
-        cfg = ClosConfig.symmetric(n=2, m=40, r=2, traffic=MULTIRATE)
-        rows = list(run_trace(cfg, [
+        state = ClosState(ClosConfig.symmetric(n=2, m=40, r=2,
+                                               traffic=MULTIRATE))
+        rows = list(run_trace(state, [
             "A a 0:0 1:0 1/2",
             "A b 0:0 1:1 1/2",
             "A c 0:0 1:0 1/2",  # input 0:0 is full
         ]))
         assert [r["status"] for r in rows] == ["ok", "ok", "capacityexceeded"]
+        assert set(state.requests) == set(state.coloring.edges) == {"a", "b"}
+        state.audit()

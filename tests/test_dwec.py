@@ -377,8 +377,14 @@ class TestTraceIo:
             "D e1",
             "A e3 u w 1/4",
         ]
-        rows = list(run_trace(lines, audit=True))
+        state = ColoringState()
+        rows = []
+        for row in run_trace(state, lines):
+            state.audit()
+            rows.append(row)
         assert [r["t"] for r in rows] == [1, 2, 3, 4]
+        # the replay leaves its live edges in the caller's state
+        assert set(state.edges) == {"e2", "e3"}
         # the weights read exactly; W_bar is a running maximum, so the
         # departure of e1 leaves it at 3/5 + 1/2
         assert [r["W_bar"] for r in rows] == ["3/5", "11/10", "11/10",
@@ -392,4 +398,4 @@ class TestTraceIo:
         for lines in (["A e1 u v"], ["# comment", "A e1 u v 1/0"],
                       ["A e1 u v 1/2", "", "X e1"]):
             with pytest.raises(ValueError, match="^line %d:" % len(lines)):
-                list(run_trace(lines))
+                list(run_trace(ColoringState(), lines))

@@ -543,15 +543,19 @@ class TestTraceIo:
             "A r2 100 001",
             "D r1",
             "D r1",
+            "A r3 010 011",
         ]
-        rows = list(run_trace(config, lines))
+        state = ConnState(config)
+        rows = list(run_trace(state, lines))
         assert [r["status"] for r in rows] == \
-            ["ok", "blocked", "ok", "unknown_id"]
+            ["ok", "blocked", "ok", "unknown_id", "ok"]
         assert rows[0]["plane"] == 0
+        # the replay leaves its live requests in the caller's state
+        assert set(state.requests) == {"r3"}
+        state.audit()
 
     def test_trace_error_statuses(self):
-        config = cfg(d=2, n=3, m=2, t=0, f=1)
-        rows = list(run_trace(config, [
+        rows = list(run_trace(ConnState(cfg(d=2, n=3, m=2, t=0, f=1)), [
             "A r1 000 000 001",       # fanout 2 > f=1
             "A r2 000 000",
             "A r3 001 000",           # output already owned
@@ -561,4 +565,4 @@ class TestTraceIo:
 
     def test_bad_line(self):
         with pytest.raises(ValueError):
-            list(run_trace(cfg(), ["nonsense"]))
+            list(run_trace(ConnState(cfg()), ["nonsense"]))
