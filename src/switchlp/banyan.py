@@ -11,6 +11,7 @@ ints their digits denote.
 
 from functools import lru_cache
 
+from .bounds import LINK, CROSSTALK
 from .dary import check_address, lcs
 
 
@@ -25,33 +26,36 @@ def _stages(d, n):
 
 class Route:
     """The route of one (input, output) pair through a single plane, kept
-    as stage-offset int ids: `se_ids[s-1]` for the stage-s element and
-    `link_ids[s]` for the link leaving stage s (s = 0: the input link)."""
+    as the stage-offset int ids that `mode` reads: in link mode `ids[s]` is
+    the link leaving stage s (s = 0: the input link), in crosstalk mode
+    `ids[s-1]` is the stage-s element."""
 
-    __slots__ = ("input", "output", "link_ids", "se_ids")
+    __slots__ = ("input", "output", "ids")
 
-    def __init__(self, d, n, x, y):
+    def __init__(self, d, n, x, y, mode):
         if n < 1:
             raise ValueError("need at least one digit")
+        if mode not in (LINK, CROSSTALK):
+            raise ValueError("unknown mode %r" % (mode,))
         self.input = x = check_address(d, n, x)
         self.output = y = check_address(d, n, y)
-        se_ids, link_ids = [], [x]
+        # the stage-s label is y_1..y_{s-1} x_s..x_{n-1}; the link leaving
+        # stage s appends y_s to it, which at s = n gives y itself
         tail = x // d
+        links = mode == LINK
+        ids = [x] if links else []
         for lo, hi, se_base, link_base in _stages(d, n):
-            # stage-s label y_1..y_{s-1} x_s..x_{n-1}; the link leaving
-            # stage s appends y_s to it, which at s = n gives y itself
             label = (y // hi) * lo + tail % lo
-            se_ids.append(se_base + label)
-            link_ids.append(link_base + label * d + (y // lo) % d)
-        self.se_ids = tuple(se_ids)
-        self.link_ids = tuple(link_ids)
+            ids.append(link_base + label * d + (y // lo) % d if links
+                       else se_base + label)
+        self.ids = tuple(ids)
 
     def __repr__(self):
         return "Route(%s -> %s)" % (self.input, self.output)
 
 
-def route(d, n, x, y):
-    return Route(d, n, x, y)
+def route(d, n, x, y, mode):
+    return Route(d, n, x, y, mode)
 
 
 # Let k be the common suffix of the inputs' (n-1)-prefixes and p the common

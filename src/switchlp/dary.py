@@ -216,14 +216,6 @@ class AddressSets:
             return 0
         return self._heads[q - (n - t)] * self.d ** (n - q) - len(self.B)
 
-    def b_count(self, j):
-        """|B_j|: non-B outputs whose prefix index is exactly j.  For
-        j <= n-t-1 these are whole foreign windows; above that they live
-        inside the home window."""
-        if j <= self.n - self.t - 1:
-            return self.window_count(j) * self.d ** self.t
-        return self.output_count(j)
-
 
 def a_count_formula(d, n, i):
     """Closed form for |A_i|: d^(n-i) - d^(n-1-i), clipped at i = n-1."""

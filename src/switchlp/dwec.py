@@ -42,6 +42,8 @@ def as_fraction(w):
     if isinstance(w, Fraction):
         return w
     if isinstance(w, float):
+        if not math.isfinite(w):
+            raise ValueError("weight %r is not finite" % (w,))
         return Fraction(w).limit_denominator(10 ** 9)
     return fraction(w)
 
@@ -288,9 +290,6 @@ class ColoringState:
 
     def color_of(self, eid):
         return self.edges[eid][3]
-
-    def live_edges(self):
-        return [(u, v, w) for u, v, w, _ in self.edges.values()]
 
     def audit(self):
         """Recheck every state invariant from scratch."""

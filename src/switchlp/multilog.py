@@ -58,15 +58,16 @@ class MultilogConfig:
             raise ValueError("unknown plane policy %r" % (self.plane_policy,))
 
 
-@lru_cache(maxsize=1 << 16)
-def _route(d, n, x, y):
-    return route(d, n, x, y)
-
-
-def _keys(cfg, rt):
-    if cfg.mode == LINK:
-        return rt.link_ids
-    return rt.se_ids
+# Nearly every route lookup repeats one of the last few: `admit` looks up
+# the routes `blocking_planes` just built, and on the multilog-churn
+# benchmark all but a handful of hits come within 8 lookups of the last.
+# Routes at n <= 6 are cheap to rebuild when reuse is wider.  A cache that
+# never fills keeps each route it builds on the collector's heap, so steady
+# churn would trigger collections and grow memory without end; 256 bounds
+# both and keeps the re-lookups.
+@lru_cache(maxsize=256)
+def _route(d, n, x, y, mode):
+    return route(d, n, x, y, mode)
 
 
 class ConnState:
@@ -93,7 +94,7 @@ class ConnState:
         """Planes on which an input other than x holds a key of `routes`."""
         occ, blocked = self.occ, set()
         for rt in routes:
-            for key in _keys(self.config, rt):
+            for key in rt.ids:
                 holders = occ.get(key)
                 if holders:
                     for plane, owner in holders.items():
@@ -107,7 +108,7 @@ class ConnState:
         occ = self.occ
         refs = self.refs.setdefault((plane, x), {})
         for rt in routes:
-            for key in _keys(self.config, rt):
+            for key in rt.ids:
                 count = refs.get(key, 0)
                 if not count:
                     holders = occ.get(key)
@@ -172,7 +173,8 @@ class ConnState:
         result = {}
         admitted = {}
         for w in sorted(by_window):
-            routes = [_route(cfg.d, cfg.n, x, y) for y in by_window[w]]
+            routes = [_route(cfg.d, cfg.n, x, y, cfg.mode)
+                      for y in by_window[w]]
             feasible = self._feasible_planes(x, w, routes)
             if not feasible:
                 result[w] = BLOCKED
@@ -194,7 +196,7 @@ class ConnState:
         for w, (plane, routes) in admitted.items():
             refs = self.refs[plane, x]
             for rt in routes:
-                for key in _keys(self.config, rt):
+                for key in rt.ids:
                     count = refs[key]
                     if count > 1:
                         refs[key] = count - 1
@@ -234,7 +236,7 @@ class ConnState:
         if min(outputs) // size != max(outputs) // size:
             raise ValueError("subrequest spans windows %s"
                              % sorted({y // size for y in outputs}))
-        return x, [_route(d, n, x, y) for y in outputs]
+        return x, [_route(d, n, x, y, cfg.mode) for y in outputs]
 
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
@@ -247,7 +249,6 @@ class ConnState:
         (u, v), in `requests` order, from an input u != x that holds a key
         of the subrequest on that plane.  Every output must be free."""
         outputs = set(outputs)
-        cfg = self.config
         x, routes = self._window_routes(x, outputs)
         owned = [y for y in outputs if y in self.output_owner]
         if owned:
@@ -261,7 +262,7 @@ class ConnState:
         # u's requests may hold them instead.
         occ, held = self.occ, {}
         for rt in routes:
-            for key in _keys(cfg, rt):
+            for key in rt.ids:
                 holders = occ.get(key)
                 if holders:
                     for plane, owner in holders.items():
@@ -279,7 +280,7 @@ class ConnState:
                 keys = held.get((plane, u))
                 if keys and plane not in found:
                     for rt in rts:
-                        if not keys.isdisjoint(_keys(cfg, rt)):
+                        if not keys.isdisjoint(rt.ids):
                             found[plane] = (u, rt.output)
                             break
             if len(found) == len(planes):
@@ -309,7 +310,7 @@ class ConnState:
                     check(rt.output not in owners, "output double-owned")
                     owners[rt.output] = rid
                     active[x] = active.get(x, 0) + 1
-                    counts.update(_keys(cfg, rt))
+                    counts.update(rt.ids)
         occ = {}
         for (plane, x), counts in refs.items():
             for key in counts:

@@ -11,6 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from switchlp import dary
+from switchlp.bounds import LINK
 
 SELabel = namedtuple("SELabel", ["stage", "label"])
 
@@ -76,6 +77,21 @@ def route_internal_links(d, n, x, y):
 def route_links(d, n, x, y):
     return ([("in", x)] + route_internal_links(d, n, x, y)
             + [("out", y)])
+
+
+def route_ids(d, n, x, y, mode):
+    """The route's view for `mode`, each key relabelled to the int id the
+    library gives it: a stage-s element is the value of its label past the
+    (s-1) * d^(n-1) ids of the stages before; the link leaving stage s is
+    the value of its label and digit past s * d^n, so the input link is x
+    and the output link n * d^n + y."""
+    if mode == LINK:
+        full = d ** n
+        return tuple([x] + [s * full + value(d, label + (dig,))
+                            for s, label, dig in route_internal_links(
+                                d, n, x, y)] + [n * full + y])
+    return tuple((se.stage - 1) * d ** (n - 1) + value(d, se.label)
+                 for se in route_ses(d, n, x, y))
 
 
 def route_sets(d, n, x, y):
@@ -187,9 +203,10 @@ class EnumeratedAddressSets:
         return sum(1 for jj in self._j_of_output.values() if jj >= q)
 
     def b_count(self, j):
-        if j <= self.n - self.t - 1:
-            return self.window_count(j) * self.d ** self.t
-        return self.output_count(j)
+        """|B_j|: the outputs of each foreign window with index j, and the
+        home-window outputs with index j."""
+        return (self.window_count(j) * self.d ** self.t
+                + self.output_count(j))
 
     # the enumerated LP variable lists, as `LpInstance` built them eagerly
 

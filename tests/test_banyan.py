@@ -13,10 +13,11 @@ import pytest
 
 from switchlp.dary import DaryString
 from switchlp.banyan import route, shares_se, shares_link
+from switchlp.bounds import CROSSTALK, LINK
 
 from address_oracle import (
-    digits, intersection_stage, overlap, route_internal_links, route_links,
-    route_ses, route_sets,
+    digits, intersection_stage, overlap, route_ids, route_internal_links,
+    route_links, route_ses, route_sets,
 )
 
 
@@ -59,18 +60,26 @@ class TestRoute:
 
     def test_identity_route(self):
         z = s("0000")
-        rt = route(2, 4, z, z)
-        # every element on the all-zero route has label 0 at its stage
-        assert rt.se_ids == tuple(k * 2 ** 3 for k in range(4))
+        # every element on the all-zero route has label 0 at its stage, and
+        # every link label 0 and digit 0
+        assert route(2, 4, z, z, CROSSTALK).ids == \
+            tuple(k * 2 ** 3 for k in range(4)) == \
+            route_ids(2, 4, z, z, CROSSTALK)
+        assert route(2, 4, z, z, LINK).ids == \
+            tuple(k * 2 ** 4 for k in range(5)) == \
+            route_ids(2, 4, z, z, LINK)
         assert all(se.label == (0,) * 3 for se in route_ses(2, 4, z, z))
 
     def test_endpoints(self):
         ses = route_ses(2, 4, s("0110"), s("1011"))
         assert ses[0].label == (0, 1, 1)
         assert ses[-1].label == (1, 0, 1)
-        rt = route(2, 4, s("0110"), s("1011"))
-        assert rt.se_ids[0] == 0b011
-        assert rt.se_ids[-1] == 3 * 2 ** 3 + 0b101
+        ids = route(2, 4, s("0110"), s("1011"), CROSSTALK).ids
+        assert ids[0] == 0b011
+        assert ids[-1] == 3 * 2 ** 3 + 0b101
+        ids = route(2, 4, s("0110"), s("1011"), LINK).ids
+        assert ids[0] == 0b0110
+        assert ids[-1] == 4 * 2 ** 4 + 0b1011
 
     def test_stage_local(self):
         for x, y in itertools.product(range(2 ** 4), repeat=2):
@@ -102,12 +111,16 @@ class TestRoute:
     @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (2, 4),
                                       (3, 1), (3, 2), (3, 3), (3, 4)])
     def test_int_ids_relabel_dary_keys(self, d, n):
-        # over every route, the same digit-tuple key always gets the same
-        # id and distinct keys get distinct ids
-        for ids, view in (("link_ids", route_links), ("se_ids", route_ses)):
+        # over every route and both modes, the one id tuple is the mode's
+        # digit-tuple view relabelled; the same key always gets the same id
+        # and distinct keys get distinct ids
+        for mode, view in ((LINK, route_links), (CROSSTALK, route_ses)):
             id_of, key_of = {}, {}
             for x, y in itertools.product(range(d ** n), repeat=2):
-                got, want = getattr(route(d, n, x, y), ids), view(d, n, x, y)
+                rt = route(d, n, x, y, mode)
+                assert rt.__slots__ == ("input", "output", "ids")
+                got, want = rt.ids, view(d, n, x, y)
+                assert got == route_ids(d, n, x, y, mode)
                 assert len(got) == len(want)
                 for i, key in zip(got, want):
                     assert type(i) is int
@@ -117,9 +130,11 @@ class TestRoute:
     def test_length_mismatch(self):
         # a three-digit address lies past the last address of a 2-digit plane
         with pytest.raises(ValueError):
-            route(2, 2, s("01"), s("110"))
+            route(2, 2, s("01"), s("110"), LINK)
         with pytest.raises(ValueError):
-            route(2, 0, 0, 0)
+            route(2, 0, 0, 0, CROSSTALK)
+        with pytest.raises(ValueError):
+            route(2, 2, 0, 0, "bogus")
 
 
 class TestPredicates:

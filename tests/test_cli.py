@@ -676,6 +676,11 @@ class TestInputErrors:
             "    lambda: dwec.ColoringState().arrive('e', 'u', 'v', '1/0'),",
             "    lambda: clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
             "        .multirate_admit((0, 0), (1, 0), '1/0'),",
+            "    lambda: dwec.ColoringState().arrive('e', 'u', 'v',",
+            "                                        float('inf')),",
+            "    lambda: clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
+            "        .multirate_admit((0, 0), (1, 0), float('inf')),",
+            "    lambda: banyan.route(2, 3, 0, 1, 'bogus'),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",
@@ -719,8 +724,8 @@ class TestInputErrors:
             "def lying_route(st):",
             "    # (000 -> 001) shares a link with the live (100 -> 000); with",
             "    # its link ids rewritten only the predicate check can tell",
-            "    rt = banyan.route(2, 3, 0, 1)",
-            "    rt.link_ids = tuple(key + 1000 for key in rt.link_ids)",
+            "    rt = banyan.route(2, 3, 0, 1, 'link')",
+            "    rt.ids = tuple(key + 1000 for key in rt.ids)",
             "    st._commit('liar', 0, 0, 1, [rt])",
             "    st.requests['liar'] = (0, {1: (0, [rt])})",
             "def coloring():",

@@ -230,12 +230,13 @@ class TestAddressSets:
                     assert sets.window_count(j) == oracle.window_count(j) \
                         == window_count_formula(d, n, t, j)
                     # the foreign part of B_j is whole windows of d^t outputs
-                    assert sets.b_count(j) == \
-                        d ** (n - j) - d ** (n - 1 - j)
+                    assert sets.window_count(j) * d ** t \
+                        == oracle.b_count(j) == d ** (n - j) - d ** (n - 1 - j)
 
     def test_b_count_splits_at_home_window(self):
         sets = canonical_sets(2, 4, 2, 1)
-        total = sum(sets.b_count(j) for j in range(4))
+        total = sum(sets.window_count(j) * 2 ** 2 + sets.output_count(j)
+                    for j in range(4))
         # every output except B itself lands in exactly one B_j
         assert total == 2 ** 4 - 1
 

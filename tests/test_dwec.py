@@ -91,7 +91,7 @@ class TestColoringState:
         state.depart("e1")
         assert state.W_bar == 1 and state.Delta_bar == 1
         assert len(state.classes[0]) == 2
-        assert state.live_edges() == []
+        assert state.edges == {}
         state.audit()
 
     def test_colors_used_equals_class_total(self):

@@ -112,7 +112,8 @@ class TestOracle:
         for j in range(-1, n + 2):
             assert fast.window_count(j) == ref.window_count(j)
             assert fast.output_count(j) == ref.output_count(j)
-            assert fast.b_count(j) == ref.b_count(j)
+            assert fast.window_count(j) * d ** t + fast.output_count(j) \
+                == ref.b_count(j)
             assert fast.union_b_tail(j) == ref.union_b_tail(j)
 
         thresh = n - inst.theta
