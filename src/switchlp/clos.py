@@ -47,6 +47,8 @@ class ClosConfig:
     traffic: str = SPACE
 
     def __post_init__(self):
+        if not all(isinstance(v, int) for v in (self.n, self.m, self.r)):
+            raise ValueError("need integer n, m and r")
         if min(self.n, self.m, self.r) <= 0:
             raise ValueError("need n, m, r > 0")
         if self.traffic not in (SPACE, MULTIRATE):

@@ -14,6 +14,7 @@ lies in window y // d^t.
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 import random
 
 from . import dary
@@ -24,6 +25,7 @@ from .events import (BLOCKED, Blocked, DuplicateId, SwitchError, UnknownId,
 
 FIRST_FIT = "first"
 RANDOM = "random"
+_NONE = {}   # the holders of a key no input holds
 
 
 class FanoutExceeded(SwitchError):
@@ -46,6 +48,9 @@ class MultilogConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(v, int)
+                   for v in (self.d, self.n, self.m, self.t, self.f)):
+            raise ValueError("need integer d, n, m, t and f")
         if not (self.d >= 2 and self.n >= 1 and self.m >= 1):
             raise ValueError("need d >= 2, n >= 1 and m >= 1")
         if not 0 <= self.t <= self.n:
@@ -125,16 +130,20 @@ class ConnState:
             self.output_owner[rt.output] = rid
         self.input_active[x] = self.input_active.get(x, 0) + len(routes)
 
-    def _feasible_planes(self, x, window, routes):
+    def _pick(self, x, window, routes):
+        """The plane for the window subrequest (x, routes), or None.  RANDOM
+        draws as `choice` of the free planes did, even for a pinned window."""
+        cfg, busy = self.config, self._blocked(x, routes)
         pin = self.pins.get((x, window))
-        candidates = [pin[0]] if pin else range(self.config.m)
-        blocked = self._blocked(x, routes)
-        return [p for p in candidates if p not in blocked]
-
-    def _choose(self, feasible):
-        if self.config.plane_policy == FIRST_FIT:
-            return feasible[0]
-        return self.rng.choice(feasible)
+        free = int(pin[0] not in busy) if pin else cfg.m - len(busy)
+        if not free:
+            return None
+        i = self.rng.randrange(free) if cfg.plane_policy == RANDOM else 0
+        if pin:
+            return pin[0]
+        for plane in sorted(busy):   # on to the i-th free plane
+            i += plane <= i
+        return i
 
     # -- operations -------------------------------------------------------
 
@@ -175,11 +184,10 @@ class ConnState:
         for w in sorted(by_window):
             routes = [_route(cfg.d, cfg.n, x, y, cfg.mode)
                       for y in by_window[w]]
-            feasible = self._feasible_planes(x, w, routes)
-            if not feasible:
+            plane = self._pick(x, w, routes)
+            if plane is None:
                 result[w] = BLOCKED
                 continue
-            plane = self._choose(feasible)
             self._commit(rid, plane, x, w, routes)
             admitted[w] = (plane, routes)
             result[w] = plane
@@ -288,62 +296,60 @@ class ConnState:
         return dict(sorted(found.items()))
 
     def audit(self):
-        """Rebuild all derived state from the registry and compare."""
+        """Check the derived maps in place, then route pairs by predicate."""
         cfg = self.config
-        refs = {}
-        owners = {}
-        active = {}
-        pins = {}
         wsize = cfg.d ** cfg.t
+        held, owners, active, pins = {}, {}, {}, {}  # held: (plane, x) -> keys
+        by_plane = [[] for _ in range(cfg.m)]
+        # per-route checks are inline: a call each would slow audits
         for rid, (x, admitted) in self.requests.items():
             for w, (plane, routes) in admitted.items():
                 pin = pins.setdefault((x, w), [plane, 0])
                 check(pin[0] == plane, "window split across planes")
                 pin[1] += len(routes)
-                counts = refs.get((plane, x))
-                if counts is None:
-                    counts = refs[plane, x] = Counter()
+                acc = held.setdefault((plane, x), [])
                 for rt in routes:
-                    check(rt.input == x, "route %r under input %s", rt, x)
-                    check(rt.output // wsize == w,
-                          "route %r under window %d", rt, w)
-                    check(rt.output not in owners, "output double-owned")
+                    if rt.input != x or rt.output // wsize != w:
+                        check(rt.input == x, "route %r under input %s", rt, x)
+                        check(False, "route %r under window %d", rt, w)
                     owners[rt.output] = rid
-                    active[x] = active.get(x, 0) + 1
-                    counts.update(rt.ids)
-        occ = {}
-        for (plane, x), counts in refs.items():
+                    acc += rt.ids
+                active[x] = active.get(x, 0) + len(routes)
+                by_plane[plane] += routes
+        check(len(owners) == sum(active.values()), "output double-owned")
+        occ, entries = self.occ, 0
+        for (plane, x), acc in held.items():
+            counts = Counter(acc)
             for key in counts:
-                holders = occ.get(key)
-                if holders is None:
-                    occ[key] = {plane: x}
-                else:
-                    check(holders.setdefault(plane, x) == x,
+                owner = occ.get(key, _NONE).get(plane)
+                if owner != x:
+                    check(key not in held.get((plane, owner), ()),
                           "key %r shared across inputs on plane %d",
                           key, plane)
-        # the live counts are plain dicts, so each Counter compares with
-        # them as a dict: a stored zero count differs from a missing key
-        for name, rebuilt in (("occ", occ), ("refs", refs), ("pins", pins),
-                              ("output_owner", owners),
+                    raise AssertionError("occ differs from the registry")
+            # Counter == dict compares as dicts: a stored zero count differs
+            check(counts == self.refs.get((plane, x)),
+                  "refs differs from the registry")
+            entries += len(counts)
+        check(len(held) == len(self.refs), "refs differs from the registry")
+        # occ holds each counted (key, plane); it must hold nothing else
+        check(all(occ.values()) and sum(map(len, occ.values())) == entries,
+              "occ differs from the registry")
+        for name, rebuilt in (("pins", pins), ("output_owner", owners),
                               ("input_active", active)):
             check(rebuilt == getattr(self, name), "%s differs from the "
                   "registry", name)
         for x, count in active.items():
             check(count <= cfg.f, "input %s over fanout", x)
 
-        # cross-check occupancy conflicts against the sharing predicates
         pred = shares_link if cfg.mode == LINK else shares_se
         d, n = cfg.d, cfg.n
-        by_plane = [[] for _ in range(cfg.m)]
-        for _, admitted in self.requests.values():
-            for plane, routes in admitted.values():
-                by_plane[plane] += routes
         for plane, routes in enumerate(by_plane):
-            for i, r1 in enumerate(routes):
-                for r2 in routes[i + 1:]:
-                    check(r1.input == r2.input or not pred(
-                        d, n, r1.input, r1.output, r2.input, r2.output),
-                        "routes %r and %r conflict on plane %d", r1, r2, plane)
+            for r1, r2 in combinations(routes, 2):
+                if r1.input != r2.input and pred(
+                        d, n, r1.input, r1.output, r2.input, r2.output):
+                    raise AssertionError("routes %r and %r conflict on plane "
+                                         "%d" % (r1, r2, plane))
 
 
 def parse_address(text, d, n):

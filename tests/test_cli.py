@@ -681,6 +681,14 @@ class TestInputErrors:
             "    lambda: clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
             "        .multirate_admit((0, 0), (1, 0), float('inf')),",
             "    lambda: banyan.route(2, 3, 0, 1, 'bogus'),",
+            "    lambda: multilog.MultilogConfig(d=2, n=3, m=2.5),",
+            "    lambda: multilog.MultilogConfig(d=2.0, n=3, m=1),",
+            "    lambda: multilog.MultilogConfig(d=2, n=3.0, m=1),",
+            "    lambda: multilog.MultilogConfig(d=2, n=3, m=1, t=1.0),",
+            "    lambda: multilog.MultilogConfig(d=2, n=3, m=1, f=1.5),",
+            "    lambda: clos.ClosConfig(n=2, m=3.5, r=2),",
+            "    lambda: clos.ClosConfig(n=2.0, m=3, r=2),",
+            "    lambda: clos.ClosConfig(n=2, m=3, r=2.5),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",

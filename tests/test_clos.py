@@ -28,6 +28,13 @@ class TestConfig:
             with pytest.raises(ValueError):
                 ClosConfig(n, m, r)
 
+    @pytest.mark.parametrize("n, m, r", [(2, 3.5, 2), (2.0, 3, 2),
+                                         (2, 3, 2.5), (2, "3", 2)])
+    def test_non_integer_sizes_refused(self, n, m, r):
+        # a float size used to build, and `snb_admit` then raised TypeError
+        with pytest.raises(ValueError, match="integer"):
+            ClosConfig(n, m, r)
+
 
 class TestSnb:
     def test_first_fit_and_release(self):

@@ -1,12 +1,16 @@
 """Stacked-plane simulator: admission, release, blocking, audits."""
 
+from collections import Counter
+import copy
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multilog_oracle
 from switchlp import lpcert, multilog
 from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
@@ -25,6 +29,17 @@ def cfg(**kw):
     base = dict(d=2, n=3, m=2, t=0, f=1)
     base.update(kw)
     return MultilogConfig(**base)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("sizes", [
+        dict(m=2.5), dict(d=2.0), dict(n=3.0), dict(t=1.0), dict(f=1.5),
+        dict(m="2")])
+    def test_non_integer_sizes_refused(self, sizes):
+        # m=2.5 used to build and then fail `admit` with TypeError, and d=2.0
+        # gave float window keys
+        with pytest.raises(ValueError, match="integer"):
+            cfg(**sizes)
 
 
 class TestAdmission:
@@ -434,6 +449,37 @@ def lying_route(state):
     state.requests["b"] = (rt.input, {rt.output: (0, [rt])})
 
 
+def shared_key(state):
+    """Put b on a's plane by hand, past admission: both inputs' refs claim
+    the links their routes share on plane 0, and occ names a there, the
+    input that took them first."""
+    state.release("b")
+    rt = route(2, 3, s("100"), s("001"), LINK)
+    x = rt.input
+    state.refs[0, x] = dict(Counter(rt.ids))
+    for key in rt.ids:
+        state.occ.setdefault(key, {}).setdefault(0, x)
+    state.pins[x, rt.output] = [0, 1]
+    state.output_owner[rt.output] = "b"
+    state.input_active[x] = 1
+    state.requests["b"] = (x, {rt.output: (0, [rt])})
+
+
+def extra_occupancy_entry(state):
+    # input 000 claims, on plane 1, a key no request there holds
+    key = next(k for k, holders in state.occ.items() if 1 not in holders)
+    state.occ[key][1] = s("000")
+
+
+def verdict(audit, state):
+    """The message `audit(state)` raises, or None when it passes."""
+    try:
+        audit(state)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
 class TestAudit:
     @pytest.mark.parametrize("corrupt, caught", [
         (lambda state: state.occ.popitem(), "occ differs"),
@@ -441,16 +487,114 @@ class TestAudit:
         (move_owner, "occ differs"),
         (lambda state: state.refs[1, s("100")].popitem(), "refs differs"),
         (lying_route, "conflict on plane 0"),
+        (shared_key, "key %d shared across inputs on plane 0"
+         % next(iter(set(route(2, 3, 0, 0, LINK).ids)
+                     & set(route(2, 3, 4, 1, LINK).ids)))),
+        (extra_occupancy_entry, "occ differs"),
+        (lambda state: state.occ.setdefault(-1, {}), "occ differs"),
+        (lambda state: state.refs.setdefault((0, s("111")), {}),
+         "refs differs"),
     ], ids=["drop_occupancy_entry", "bump_refcount",
-            "move_owner", "drop_refcount_entry", "lying_route"])
+            "move_owner", "drop_refcount_entry", "lying_route",
+            "shared_key", "extra_occupancy_entry", "empty_occupancy_key",
+            "leftover_refcount_table"])
     def test_corruption_detected(self, corrupt, caught):
         state = ConnState(cfg(m=2))
         state.admit(s("000"), [s("000")], rid="a")
         state.admit(s("100"), [s("001")], rid="b")  # conflicts: plane 1
         state.audit()
+        assert verdict(multilog_oracle.audit, state) is None
         corrupt(state)
-        with pytest.raises(AssertionError, match=caught):
+        with pytest.raises(AssertionError, match=caught) as raised:
             state.audit()
+        # the in-place audit says what the rebuild-and-compare oracle says
+        assert str(raised.value) == verdict(multilog_oracle.audit, state)
+
+
+def faults(state):
+    """The one-fault corruptions of `state` by name: what each does to an
+    item ("drop" it, "bump" it, or "own" it: hand it to another input), and
+    the items, as (container, key), it could be done to."""
+    occ, refs, pins = state.occ, state.refs, state.pins
+    holders = [(occ[k], p) for k in sorted(occ) for p in sorted(occ[k])]
+    counts = [(refs[at], k) for at in sorted(refs) for k in sorted(refs[at])]
+    return {
+        "drop_holder": ("drop", holders),
+        "hand_over_key": ("own", holders),
+        "claim_free_plane": ("own", [(occ[k], p) for k in sorted(occ)
+                                     for p in range(state.config.m)
+                                     if p not in occ[k]]),
+        "bump_count": ("bump", counts),
+        "drop_count": ("drop", counts),
+        "drop_counts": ("drop", [(refs, at) for at in sorted(refs)]),
+        "bump_pin": ("bump", [(pins[at], 1) for at in sorted(pins)]),
+        "free_output": ("drop", [(state.output_owner, y)
+                                 for y in sorted(state.output_owner)]),
+        "bump_load": ("bump", [(state.input_active, x)
+                               for x in sorted(state.input_active)]),
+    }
+
+
+class TestAuditOracle:
+    """`ConnState.audit` checks the live state in place; the oracle rebuilds
+    every derived map and compares.  On seeded churn, and after each
+    one-fault corruption of a churned state, both must raise alike."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("mode", [LINK, CROSSTALK])
+    @pytest.mark.parametrize("policy", [multilog.FIRST_FIT, multilog.RANDOM])
+    def test_churn_and_corruptions_match(self, n, mode, policy):
+        config = cfg(d=2, n=n, m=3, t=n // 2, f=4, mode=mode,
+                     plane_policy=policy, seed=n)
+        state = ConnState(config)
+        rng = random.Random(100 * n + len(mode) + len(policy))
+        for step in churn(state, rng, 40):
+            assert verdict(multilog_oracle.audit, state) is None
+            if step % 10 != 9:
+                continue
+            for name in faults(state):
+                bad = copy.deepcopy(state)
+                action, items = faults(bad)[name]
+                if not items:
+                    continue
+                table, key = items[rng.randrange(len(items))]
+                if action == "drop":
+                    del table[key]
+                elif action == "bump":
+                    table[key] += 1
+                else:
+                    table[key] = (table.get(key, -1) + 1) % 2 ** n
+                want = verdict(multilog_oracle.audit, bad)
+                assert want is not None, name
+                assert verdict(ConnState.audit, bad) == want, name
+
+
+class TestAuditMemory:
+    def test_audit_peak_is_a_fraction_of_the_rebuild(self):
+        # the audit keeps no copy of occ or refs: on a churned n = 10 state
+        # its traced peak is about an eighth of the rebuild's
+        config = cfg(d=2, n=10, m=55, t=5, f=2, plane_policy=multilog.RANDOM)
+        state = ConnState(config)
+        rng = random.Random(37)
+        live = []
+        for rid in range(400):
+            if len(live) >= 200:
+                state.release(live.pop(rng.randrange(len(live))))
+            x, ys = adversary.random_admissible_request(state, rng)
+            state.admit(x, ys, rid=rid)
+            if rid in state.requests:
+                live.append(rid)
+
+        def peak(audit):
+            tracemalloc.start()
+            try:
+                audit(state)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rebuilt, in_place = peak(multilog_oracle.audit), peak(ConnState.audit)
+        assert in_place * 4 <= rebuilt
 
 
 class TestUntracked:
@@ -570,6 +714,63 @@ class TestPolicies:
         assert r1[0] == r2[0]
         state.release("a")
         state.audit()
+
+
+class TestPick:
+    """`_pick` walks to the plane `choice` would draw from the free planes,
+    and draws from the generator exactly as `choice` did."""
+
+    @staticmethod
+    def state(m, policy, seed, blocked):
+        state = ConnState(cfg(d=2, n=4, m=m, t=2, f=4, plane_policy=policy,
+                              seed=seed))
+        state._blocked = lambda x, routes: blocked
+        return state
+
+    @pytest.mark.parametrize("m", [1, 5, 161])
+    def test_random_draws_as_choice(self, m):
+        for seed in range(200):
+            blocked = set()
+            state = self.state(m, multilog.RANDOM, seed, blocked)
+            want = random.Random(seed)
+            picks = random.Random(-seed)
+            for _ in range(4):   # one generator across picks
+                blocked.clear()
+                blocked.update(picks.sample(range(m), picks.randint(0, m)))
+                free = [p for p in range(m) if p not in blocked]
+                assert state._pick(0, 0, []) == \
+                    (want.choice(free) if free else None)
+                assert state.rng.getstate() == want.getstate()
+
+    def test_first_fit_takes_the_lowest_free_plane(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            m = rng.randint(1, 20)
+            blocked = set(rng.sample(range(m), rng.randint(0, m)))
+            state = self.state(m, multilog.FIRST_FIT, 0, blocked)
+            before = state.rng.getstate()
+            free = [p for p in range(m) if p not in blocked]
+            assert state._pick(0, 0, []) == (free[0] if free else None)
+            assert state.rng.getstate() == before
+
+    @pytest.mark.parametrize("policy", [multilog.FIRST_FIT, multilog.RANDOM])
+    def test_pinned_window_keeps_its_plane(self, policy):
+        rng = random.Random(8)
+        for seed in range(100):
+            m = rng.randint(1, 12)
+            blocked = set(rng.sample(range(m), rng.randint(0, m)))
+            state = self.state(m, policy, seed, blocked)
+            pin = rng.randrange(m)
+            state.pins[0, 0] = [pin, 1]
+            want = random.Random(seed)
+            got = state._pick(0, 0, [])
+            if pin in blocked:
+                assert got is None
+            else:
+                assert got == pin
+                if policy == multilog.RANDOM:   # as `choice([pin])` drew
+                    want.choice([pin])
+            assert state.rng.getstate() == want.getstate()
 
 
 class TestTraceIo:
