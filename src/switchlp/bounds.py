@@ -28,7 +28,6 @@ class BoundResult:
     value: Fraction
     m_sufficient: int
     branch: str
-    params: dict
     # every (label, value, note) that matched; notes record printed variants
     matched: list = field(default_factory=list)
 
@@ -210,7 +209,6 @@ def _finish(d, n, t, f, matched, table):
         value=value,
         m_sufficient=1 + math.ceil(value),
         branch=label,
-        params={"d": d, "n": n, "t": t, "f": f, "r": ilog(d, f)},
         matched=matched,
     )
 

@@ -105,6 +105,8 @@ def cmd_bound(args):
 def _multilog_sweep(args, out):
     """Write the sweep row; True when --expect-nonblocking was violated."""
     d, n, t, f = args.d, args.n, args.t, args.f
+    if args.m is not None and args.m_offset is not None:
+        raise ValueError("give --m or --m-offset, not both")
     if args.m is not None:
         m = args.m
     else:

@@ -255,8 +255,11 @@ def reuse_pick(m, in_mids, out_mids, i, o):
 
 
 def parse_terminal(text):
-    cb, _, port = text.partition(":")
-    return (int(cb), int(port))
+    """(crossbar, port) from "<crossbar>:<port>", each in ASCII decimal."""
+    cb, sep, port = text.partition(":")
+    if not (sep and all(p.isascii() and p.isdigit() for p in (cb, port))):
+        raise ValueError("cannot read terminal %r" % text)
+    return int(cb), int(port)
 
 
 def run_trace(state, lines, reuse=False):

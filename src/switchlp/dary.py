@@ -5,8 +5,8 @@ n digits over {0..d-1}, most significant first, held as the ints they
 denote.  Almost everything downstream (routing, blocking predicates, bound
 formulas) reduces to longest-common-prefix/suffix counts on these digits,
 which are integer arithmetic on the values, and to cardinalities of a few
-derived address families.  `DaryString` is the int that also knows its base
-and digit count, so that it can parse and print an address.
+derived address families.  Trace text becomes an address through
+`parse_address`.
 """
 
 from fractions import Fraction
@@ -15,62 +15,52 @@ import operator
 
 
 class DaryString(int):
-    """An address: the int it denotes, base `base` and `length` digits.
+    """The address its base-`base` digits denote, as an int subclass.
 
-    Everything downstream computes on the int alone; the base and the digit
-    count are kept only to validate what is parsed and to print it.
+    The library takes plain ints; only the benchmark harness under `bench/`
+    still builds addresses this way, and the class goes when it stops.
     """
 
     def __new__(cls, base, digits):
-        if base < 2:
-            raise ValueError("base must be >= 2")
-        digits = tuple(digits)
-        value = 0
-        for dig in digits:
-            if type(dig) is not int or not 0 <= dig < base:
-                raise ValueError("digit %r is not an integer in [0, %d)"
-                                 % (dig, base))
-            value = value * base + dig
-        self = super().__new__(cls, value)
-        self.base, self.length = base, len(digits)
-        return self
-
-    @classmethod
-    def parse(cls, text, base):
-        """Read "a1" (a character per digit, base <= 36) or "10.1"."""
-        dotted = "." in text or base > 36
-        parts = text.split(".") if dotted and text else text
-        try:
-            if dotted and not all(p.isascii() and p.isdigit() for p in parts):
-                raise ValueError("not dotted decimal digits")
-            return cls(base, [int(p, 10 if dotted else base) for p in parts])
-        except ValueError as exc:
-            raise ValueError("cannot read address %r in base %d: %s"
-                             % (text, base, exc)) from None
+        return super().__new__(cls, _value(base, digits))
 
     @classmethod
     def from_value(cls, value, base, length):
-        if not 0 <= value < base ** length:
-            raise ValueError("value %s out of range" % value)
-        return cls(base, _digits(value, base, length))
-
-    def __str__(self):
-        if self.length == 1 and self.base <= 36:  # "10" would read as 1, 0
-            return "0123456789abcdefghijklmnopqrstuvwxyz"[self]
-        digs = _digits(int(self), self.base, self.length)
-        return ("" if self.base <= 10 else ".").join(map(str, digs))
-
-    def __repr__(self):
-        return "DaryString(base=%d, %r)" % (self.base, str(self))
+        return super().__new__(cls, check_address(base, length, value))
 
 
-def _digits(value, base, length):
-    """The `length` base-`base` digits of value, most significant first."""
-    digs = []
-    for _ in range(length):
-        value, dig = divmod(value, base)
-        digs.append(dig)
-    return digs[::-1]
+def _value(base, digits):
+    """The int the digits denote, most significant first; ValueError
+    unless each is an int in [0, base)."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    value = 0
+    for dig in digits:
+        if type(dig) is not int or not 0 <= dig < base:
+            raise ValueError("digit %r is not an integer in [0, %d)"
+                             % (dig, base))
+        value = value * base + dig
+    return value
+
+
+def parse_address(text, d, n):
+    """The n-digit base-d address `text` as an int.  Digits are ASCII:
+    one character each ("a1", d <= 36) or decimals joined by dots ("10.1",
+    any d, the only form above 36)."""
+    dotted = "." in text or d > 36
+    parts = text.split(".") if dotted and text else text
+    try:
+        if not text.isascii() or dotted and not all(map(str.isdigit, parts)):
+            raise ValueError("not %s digits"
+                             % ("dotted decimal" if dotted else "ASCII"))
+        value = _value(d, [int(p, 10 if dotted else d) for p in parts])
+    except ValueError as exc:
+        raise ValueError("cannot read address %r in base %d: %s"
+                         % (text, d, exc)) from None
+    if len(parts) != n:
+        raise ValueError("address %r has %d digits, want %d"
+                         % (text, len(parts), n))
+    return value
 
 
 def check_address(d, n, v):

@@ -174,10 +174,6 @@ class DwecScheme:
 FOUR_TYPE = DwecScheme.four_type()
 
 
-def classify(w, scheme=FOUR_TYPE):
-    return scheme.classify(w)
-
-
 class ColoringState:
     """Live colored multigraph plus the color classes and running maxima.
 

@@ -309,20 +309,18 @@ def dual_family(instance, p, q):
                         delta=delta, eps=eps)
 
 
-def dual_special_t_eq_n(instance, variant=None):
+def dual_special_t_eq_n(instance):
     """The whole-network (t = n) certificates behind the strict-sense
-    corollaries; variant "high" is the large-fanout branch, "low" the
-    small-fanout one, default picked from f."""
+    corollaries; f picks the branch, reported as `variant`: "high" for the
+    large-fanout one, "low" for the small-fanout one."""
     inst = instance
     n, d, f, k = inst.n, inst.d, inst.f, inst.k
     if inst.t != n:
         raise ValueError("t=%d, need t=n" % inst.t)
     r = bounds.ilog(d, f)
     if inst.theta == 0:
-        thresh = d ** (n - 2)
-        if variant is None:
-            variant = "high" if f > thresh else "low"
-        if variant == "high":
+        high = f > d ** (n - 2)
+        if high:
             gamma = {i: 1 for i in range(1, n)}
             sol = DualSolution(inst, gamma=gamma)
         else:
@@ -331,10 +329,8 @@ def dual_special_t_eq_n(instance, variant=None):
             delta = {j: 1 for j in range(q, n)}
             sol = DualSolution(inst, gamma=gamma, delta=delta)
     else:
-        thresh = d ** (n - 2) * (d - 1)
-        if variant is None:
-            variant = "high" if f > thresh else "low"
-        if variant == "high":
+        high = f > d ** (n - 2) * (d - 1)
+        if high:
             delta = {j: 1 for j in range(n)}
             sol = DualSolution(inst, delta=delta)
         else:
@@ -342,7 +338,7 @@ def dual_special_t_eq_n(instance, variant=None):
             gamma = {i: 1 for i in range(p_hat, n)}
             delta = {j: 1 for j in range(n - p_hat, n)}
             sol = DualSolution(inst, gamma=gamma, delta=delta)
-    sol.variant = variant
+    sol.variant = "high" if high else "low"
     return sol
 
 

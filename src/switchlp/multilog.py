@@ -157,7 +157,6 @@ class ConnState:
         outputs = set(outputs)
         if not outputs:
             raise ValueError("empty output set")
-        given = x  # for the messages
         x, ints = self._check_addresses(x, outputs)
         if rid is None:
             self._auto += 1
@@ -169,8 +168,8 @@ class ConnState:
                                  % (len(outputs), cfg.f))
         if self.input_active.get(x, 0) + len(outputs) > cfg.f:
             raise FanoutExceeded("input %s would exceed fanout %d"
-                                 % (given, cfg.f))
-        for y in outputs:
+                                 % (x, cfg.f))
+        for y in ints:
             if y in self.output_owner:
                 raise OutputBusy(str(y))
 
@@ -352,23 +351,15 @@ class ConnState:
                                          "%d" % (r1, r2, plane))
 
 
-def parse_address(text, d, n):
-    addr = dary.DaryString.parse(text, d)
-    if addr.length != n:
-        raise ValueError("address %r has %d digits, want %d"
-                         % (text, addr.length, n))
-    return addr
-
-
 def run_trace(state, lines):
     """Replay a trace into `state`; yields dicts event,id,window,plane,status.
 
     Arrivals: `A <id> <input> <out1> [<out2> ...]`; departures: `D <id>`.
     """
-    config = state.config
+    d, n = state.config.d, state.config.n
 
     def operands(tokens):
-        x, *outs = [parse_address(p, config.d, config.n) for p in tokens]
+        x, *outs = [dary.parse_address(p, d, n) for p in tokens]
         return x, outs
 
     def admit(rid, x, outs):

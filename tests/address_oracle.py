@@ -35,6 +35,15 @@ def value(d, xs):
     return v
 
 
+def address_text(d, n, v):
+    """v as the trace text `dary.parse_address` reads: a character per
+    digit up to base 10, else decimals joined by dots, except that a lone
+    digit up to base 36 takes its character ("10" would read as two)."""
+    if n == 1 and d <= 36:
+        return "0123456789abcdefghijklmnopqrstuvwxyz"[v]
+    return ("" if d <= 10 else ".").join(map(str, digits(d, n, v)))
+
+
 def lcp(xs, ys):
     """Longest common prefix of two equal-length digit tuples."""
     if len(xs) != len(ys):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from switchlp.dary import DaryString
+from switchlp.dary import parse_address
 from switchlp.banyan import route, shares_se, shares_link
 from switchlp.bounds import CROSSTALK, LINK
 
@@ -22,7 +22,7 @@ from address_oracle import (
 
 
 def s(text, base=2):
-    return DaryString.parse(text, base)
+    return parse_address(text, base, len(text))
 
 
 def graph_walk(d, n, x, y):

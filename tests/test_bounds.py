@@ -1,6 +1,7 @@
 """Closed-form bound calculators: examples, identities, and dominance."""
 
 from fractions import Fraction
+import math
 
 import pytest
 
@@ -151,10 +152,11 @@ class TestBoundTables:
         assert res.value == 11
         assert res.m_sufficient == 12
 
-    def test_params_echo(self):
+    def test_branch_is_least_matched_row(self):
         res = C_bound(2, 4, 1, 4)
-        assert res.params == {"d": 2, "n": 4, "t": 1, "f": 4, "r": 2}
-        assert res.matched
+        label, value, _ = min(res.matched, key=lambda row: row[1])
+        assert (res.branch, res.value) == (label, value)
+        assert res.m_sufficient == 1 + math.ceil(value)
 
     @pytest.mark.parametrize("mode,table",
                              [(LINK, C_bound), (CROSSTALK, G_bound)])

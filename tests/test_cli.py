@@ -228,6 +228,15 @@ class TestSimulate:
         got = rows(out)[1]
         assert got[6] == m and got[10] == "0"
 
+    @pytest.mark.parametrize("offset", [-1, 0, 5])
+    def test_m_offset_shifts_default_m(self, capsys, offset):
+        m, _ = bounds.multilog_planes(2, 4, 2, 2, "link")
+        code, out, _ = run(capsys, "simulate", "--d", "2", "--n", "4",
+                           "--t", "2", "--f", "2", "--m-offset", str(offset),
+                           "--trials", "1", "--steps", "5")
+        assert code == 0
+        assert rows(out)[1][6] == str(m + offset)
+
     def test_undersized_sweep_fails(self, capsys):
         # one plane short of the sufficient count, greedy pressure
         code, out, _ = run(capsys, "simulate", "--network", "multilog",
@@ -256,6 +265,8 @@ class TestSimulate:
          "--adversary", "exhaustive"],
         ["--network", "clos-snb", "--n", "3", "--m", "3"],
         ["--network", "clos-snb", "--n", "1"],
+        ["--d", "2", "--n", "4", "--t", "2", "--f", "2", "--m", "3",
+         "--m-offset", "5"],
     ])
     def test_refused_sweep_prints_nothing(self, capsys, argv):
         # refused before the header: no partial CSV on stdout
@@ -563,7 +574,15 @@ MALFORMED = {
     "clos-duplicate-id": (SPACE, "A a 0:0 1:0\nA a 0:1 1:1\nD a\nD a\n",
                           ["ok", "duplicate_id", "ok", "unknown_id"]),
     "address-0x0": (MULTILOG, "A r1 000 000\nA r2 0x0 001\n", 2),
+    "address-arabic-indic": (MULTILOG, "A r1 \u0661\u0660\u0660 "
+                             "\u0660\u0660\u0661\n", 1),
+    "address-fullwidth": (MULTILOG, "A r1 000 000\n"
+                          "A r2 \uff10\uff10\uff11 001\n", 2),
     "terminal-0:x": (SPACE, "A a 0:x 1:0\n", 1),
+    "terminal-0_1:0": (SPACE, "A r1 0_1:0 1:1\n", 1),
+    "terminal-+0:1": (SPACE, "A r1 0:0 1:0\nA r2 +0:1 0:0\n", 2),
+    "terminal--0:0": (SPACE, "A r1 -0:0 1:0\n", 1),
+    "terminal-arabic-indic": (SPACE, "A r1 0:0 \u0661:\u0660\n", 1),
     "terminal-9:0": (SPACE, "# comment\nA a 9:0 1:0\n", 2),
     "rate-abc": (MULTIRATE, "A a 0:0 1:0 abc\n", 1),
     "rate-3/2": (MULTIRATE, "A a 0:0 1:0 1/2\n\nA b 0:1 1:1 3/2\n", 3),
@@ -628,7 +647,7 @@ class TestInputErrors:
         script = "\n".join([
             "import sys",
             "from switchlp import adversary, banyan, clos, dary, dwec",
-            "from switchlp import bounds, lpcert, multilog",
+            "from switchlp import bounds, cli, lpcert, multilog",
             "assert sys.flags.optimize and False",
             "C = clos.ClosConfig.symmetric",
             "M = multilog.MultilogConfig(d=2, n=3, m=1)",
@@ -689,6 +708,9 @@ class TestInputErrors:
             "    lambda: clos.ClosConfig(n=2, m=3.5, r=2),",
             "    lambda: clos.ClosConfig(n=2.0, m=3, r=2),",
             "    lambda: clos.ClosConfig(n=2, m=3, r=2.5),",
+            "    lambda: dary.parse_address('\\u0661\\u0660\\u0660', 2, 3),",
+            "    lambda: clos.parse_terminal('0_1:0'),",
+            "    lambda: clos.parse_terminal('+1:0'),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",
@@ -696,6 +718,9 @@ class TestInputErrors:
             "    except ValueError:",
             "        continue",
             "    print('check %d accepted' % i)",
+            "if cli.main(['simulate', '--d', '2', '--n', '4', '--t', '2',",
+            "             '--f', '2', '--m', '3', '--m-offset', '5']) != 2:",
+            "    print('--m with --m-offset accepted')",
             "# a primal that breaks a constraint must still be refused",
             "# (one spare output in the home window, so the uv pairs share v)",
             "inst = lpcert.canonical_instance(2, 3, 1, 2, 1)",

@@ -300,6 +300,12 @@ class TestOracle:
 class TestTraceIo:
     def test_parse_terminal(self):
         assert parse_terminal("2:1") == (2, 1)
+        assert parse_terminal("02:10") == (2, 10)
+        # int() alone would read every one of these
+        for text in ("0_1:0", "+1:0", "-0:0", " 1 :0", "1: 0",
+                     "\u0661:\u0660", "1", "1:", ":1", "1:0:0"):
+            with pytest.raises(ValueError, match="cannot read terminal"):
+                parse_terminal(text)
 
     def test_space_trace(self):
         state = ClosState(ClosConfig.symmetric(n=2, m=1, r=2))

@@ -12,7 +12,7 @@ from clos_oracle import (FirstFitColoring, SizeLimit, WEIGHTS, fraction_view,
 from lp_oracle import derive_constants_enumerated
 from switchlp import dwec
 from switchlp.dwec import (
-    DwecScheme, FOUR_TYPE, classify, ColoringState, opt_lower,
+    DwecScheme, FOUR_TYPE, ColoringState, opt_lower,
     derive_constants, run_trace,
 )
 from switchlp.lpcert import Infeasible
@@ -22,6 +22,7 @@ F = Fraction
 
 class TestClassify:
     def test_intervals(self):
+        classify = FOUR_TYPE.classify
         assert classify(F(3, 5)) == 0
         assert classify(F(1, 2)) == 1      # boundary belongs to the lower type
         assert classify(F(2, 5)) == 2
@@ -34,6 +35,7 @@ class TestClassify:
         assert five.classify(F(1, 4)) == 4
 
     def test_out_of_range(self):
+        classify = FOUR_TYPE.classify
         with pytest.raises(ValueError):
             classify(F(0))
         with pytest.raises(ValueError):

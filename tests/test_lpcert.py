@@ -15,14 +15,14 @@ from switchlp.lpcert import (
     PrimalSolution, primal_from_state, DualSolution, dual_family,
     dual_special_t_eq_n, check_weak_duality, family_cost, export_lp,
 )
-from switchlp.dary import DaryString, all_strings, window_outputs
+from switchlp.dary import all_strings, parse_address, window_outputs
 
 from address_oracle import EnumeratedAddressSets, digits, lcp, lcs
 from lp_oracle import parse_lp
 
 
 def s(text, base=2):
-    return DaryString.parse(text, base)
+    return parse_address(text, base, len(text))
 
 
 class TestInstance:
@@ -83,7 +83,7 @@ def requests(draw, max_n=5):
     d = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, max_n))
     t = draw(st.integers(0, n))
-    a = DaryString.from_value(draw(st.integers(0, d ** n - 1)), d, n)
+    a = draw(st.integers(0, d ** n - 1))
     outs = list(window_outputs(d, n, t,
                                draw(st.integers(0, d ** (n - t) - 1))))
     B = draw(st.lists(st.sampled_from(outs), min_size=1, unique=True))
@@ -283,7 +283,7 @@ class TestPrimal:
         cfg = multilog.MultilogConfig(d=2, n=3, m=1, t=1, f=2, mode=mode)
         conn = multilog.ConnState(cfg)
         conn.admit(s("010"), [s("000")], rid="r")
-        with pytest.raises(ValueError, match="output 000 already owned"):
+        with pytest.raises(ValueError, match="output 0 already owned"):
             primal_from_state(conn, s("000"), [s(b) for b in B])
 
     def test_undefined_variable_rejected(self):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 import copy
+import dataclasses
 import gc
 import itertools
 import random
@@ -14,15 +15,15 @@ import multilog_oracle
 from switchlp import lpcert, multilog
 from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
-    UnknownId, DuplicateId, LINK, CROSSTALK, parse_address, run_trace,
+    UnknownId, DuplicateId, LINK, CROSSTALK, run_trace,
 )
-from switchlp.dary import DaryString, all_strings, window_outputs
+from switchlp.dary import all_strings, parse_address, window_outputs
 from switchlp.banyan import route, shares_link, shares_se
 from switchlp import adversary
 
 
 def s(text, base=2):
-    return DaryString.parse(text, base)
+    return parse_address(text, base, len(text))
 
 
 def cfg(**kw):
@@ -129,8 +130,8 @@ class TestAddressRange:
     base-3 address denotes an int past them and must be refused, not routed
     into a window that does not exist."""
 
-    BAD = [DaryString(2, (1, 0, 0, 0)), DaryString(2, (1, 1, 1, 1)),
-           DaryString(3, (2, 2, 2)), -1]
+    BAD = [8, 15, 26, -1]
+    IDS = ["1000", "1111", "222", "-1"]   # as digits
 
     @staticmethod
     def state():
@@ -144,22 +145,22 @@ class TestAddressRange:
             with pytest.raises(ValueError, match="address %s out" % bad):
                 call(x, ys)
 
-    @pytest.mark.parametrize("bad", BAD, ids=str)
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_admit(self, bad):
         state = self.state()
         self.refused(bad, state.admit)
         assert list(state.requests) == ["r"]
         state.audit()
 
-    @pytest.mark.parametrize("bad", BAD, ids=str)
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_blocking_planes(self, bad):
         self.refused(bad, self.state().blocking_planes)
 
-    @pytest.mark.parametrize("bad", BAD, ids=str)
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_blocking_branches(self, bad):
         self.refused(bad, self.state().blocking_branches)
 
-    @pytest.mark.parametrize("bad", BAD, ids=str)
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_primal_from_state(self, bad):
         state = self.state()
         self.refused(bad, lambda x, ys: lpcert.primal_from_state(state, x, ys))
@@ -510,6 +511,17 @@ class TestAudit:
         # the in-place audit says what the rebuild-and-compare oracle says
         assert str(raised.value) == verdict(multilog_oracle.audit, state)
 
+    def test_fanout_excess_detected(self):
+        # input 000 holds two outputs under f = 2, then is audited at f = 1
+        state = ConnState(cfg(m=2, f=2))
+        state.admit(s("000"), [s("000"), s("001")], rid="a")
+        state.audit()
+        state.config = dataclasses.replace(state.config, f=1)
+        with pytest.raises(AssertionError,
+                           match="input 0 over fanout") as raised:
+            state.audit()
+        assert str(raised.value) == verdict(multilog_oracle.audit, state)
+
 
 def faults(state):
     """The one-fault corruptions of `state` by name: what each does to an
@@ -775,9 +787,13 @@ class TestPick:
 
 class TestTraceIo:
     def test_parse_address(self):
-        assert parse_address("010", 2, 3) == s("010")
+        assert parse_address("010", 2, 3) == 2
         with pytest.raises(ValueError):
             parse_address("01", 2, 3)
+        # Arabic-Indic digits would read as 100 and 001 through int()
+        with pytest.raises(ValueError, match="line 1: cannot read address"):
+            list(run_trace(ConnState(cfg()),
+                           ["A r1 \u0661\u0660\u0660 \u0660\u0660\u0661"]))
 
     def test_run_trace(self):
         config = cfg(d=2, n=3, m=1, t=0, f=1)
