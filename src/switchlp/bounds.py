@@ -6,13 +6,11 @@ upper-bound tables C_bound/G_bound collapse the max-min over (k, p, q) into
 printed case formulas.  Everything else is a named specialization.
 
 The crosstalk table G as printed contains four rows that contradict the
-derivation they summarize (see each row's notes below).  Those rows return
-the derivation-consistent value; the verbatim printed value is kept in the
-result so the dominance tests can report the discrepancy instead of
-silently failing.
+derivation they summarize (see the comments on each row below).  Those rows
+return the derivation-consistent value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -28,8 +26,6 @@ class BoundResult:
     value: Fraction
     m_sufficient: int
     branch: str
-    # every (label, value, note) that matched; notes record printed variants
-    matched: list = field(default_factory=list)
 
 
 def _check_range(cond, msg):
@@ -202,15 +198,12 @@ def _row_tight(d, n, t, f, p):
 # --------------------------------------------------------------- bound tables
 
 def _finish(d, n, t, f, matched, table):
+    """The least of the matched (label, value) rows."""
     check(matched, "no %s case matches d=%d n=%d t=%d f=%d",
           table, d, n, t, f)
-    label, value, note = min(matched, key=lambda row: row[1])
-    return BoundResult(
-        value=value,
-        m_sufficient=1 + math.ceil(value),
-        branch=label,
-        matched=matched,
-    )
+    label, value = min(matched, key=lambda row: row[1])
+    return BoundResult(value=value, m_sufficient=1 + math.ceil(value),
+                       branch=label)
 
 
 def C_bound(d, n, t, f):
@@ -221,24 +214,24 @@ def C_bound(d, n, t, f):
     matched = []
     if t < n // 2 and r <= n - 2 * t - 1:
         c = ceil_div(n - r, 2)
-        matched.append(("C1", Fraction(f * (d ** (c - 1) - 1) + d ** (n - c) - 1), ""))
+        matched.append(("C1", Fraction(f * (d ** (c - 1) - 1) + d ** (n - c) - 1)))
     if t < n // 2 and r >= n - 2 * t:
-        matched.append(("C2", Fraction(t * (d - 1) * d ** (n - t - 1) + d ** (n - 2 * t - 1) - 1), ""))
+        matched.append(("C2", Fraction(t * (d - 1) * d ** (n - t - 1) + d ** (n - 2 * t - 1) - 1)))
     if t >= n // 2 and r >= n - t:
         v = (Fraction(((n - t - 1) * (d - 1) - 1) * d ** (n - t - 1))
              + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 1))
-        matched.append(("C3", v, ""))
+        matched.append(("C3", v))
     if t >= n // 2 and 2 * t - n - 2 < r <= n - t - 1:
         v = (Fraction(f * (d ** (n - t - r - 1) - 1))
              + (r * (d - 1) - 1) * d ** (n - t - 1) + d ** (n - t - r - 1)
              + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 1))
-        matched.append(("C4", v, ""))
+        matched.append(("C4", v))
     if t >= n // 2 and r <= min(2 * t - n - 2, n - t - 1):
         e = (n + r) // 2
         v = (Fraction(f * (d ** (n - t - r - 1) - 1))
              + (r * (d - 1) - 1) * d ** (n - t - 1)
              + d ** e + f * (d ** (n - e - 1) - 1))
-        matched.append(("C5", v, ""))
+        matched.append(("C5", v))
     return _finish(d, n, t, f, matched, "C(t,f)")
 
 
@@ -246,8 +239,8 @@ def G_bound(d, n, t, f):
     """The nine-case upper bound on max_k min g_cost, crosstalk-free mode.
 
     Rows G1/G4/G5/G8 return the value consistent with the construction they
-    summarize; their verbatim printed formulas (which contradict either the
-    derivation steps or the specialized corollary) ride along in the notes.
+    summarize, not their verbatim printed formulas, which contradict either
+    the derivation steps or the specialized corollary.
     """
     _check_range(0 <= t < n, "need 0 <= t < n")
     _check_range(1 <= f <= d ** n, "f out of range")
@@ -259,56 +252,46 @@ def G_bound(d, n, t, f):
         if r >= max(2 * t - n - 2, n - t + 1):
             printed = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n + 1)
             corollary = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2)
-            tight = _row_tight(d, n, t, f, 0)
-            v = max(printed, corollary, tight)
-            matched.append(("G1", v,
-                            "printed=%s corollary-exponent=%s row-tight=%s"
-                            % (printed, corollary, tight)))
+            matched.append(("G1", max(printed, corollary,
+                                      _row_tight(d, n, t, f, 0))))
         if r <= min(2 * t - n - 3, n - t):
             e = (r + n + 1) // 2
             printed = (Fraction(f * (d ** (n - t - r) - 1)) + r * d ** (n - t) * (d - 1)
                        - d ** (n - t) + d ** e + f * (d ** (n - e) - 1))
             # the construction picks p = n-t-r, which leaves the family's
             # p-range when r = 0; clamp with the in-range tight value
-            tight = _row_tight(d, n, t, f, n - t - r)
-            v = max(printed, tight)
-            matched.append(("G2", v, "printed=%s row-tight=%s" % (printed, tight)))
+            matched.append(("G2", max(printed,
+                                      _row_tight(d, n, t, f, n - t - r))))
         if n - t + 1 <= r <= 2 * t - n - 3:
             e = (r + n + 1) // 2
-            matched.append(("G3", A + d ** e + f * (d ** (n - e) - 1), ""))
+            matched.append(("G3", A + d ** e + f * (d ** (n - e) - 1)))
         if 2 * t - n - 2 <= r <= n - t:
             printed = (Fraction(f * (d ** (n - t - r) - 1))
                        + (r * (d - 1) - 1) * d ** (n - t)
                        + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2))
-            tight = _row_tight(d, n, t, f, n - t - r)
-            v = max(printed, tight)
-            matched.append(("G4", v,
-                            "printed=%s row-tight=%s" % (printed, tight)))
+            matched.append(("G4", max(printed,
+                                      _row_tight(d, n, t, f, n - t - r))))
     elif 2 * t == n:
-        # printed row has a stray (t-1) where the derivation gives (d-1)
-        printed = Fraction(d ** (n - t) * ((n - t) * (t - 1) - 1) + d ** t)
-        v = A + d ** t
-        matched.append(("G5", v, "printed=%s" % printed))
+        # the printed row, d^(n-t)((n-t)(t-1) - 1) + d^t, has a stray
+        # (t-1) where the derivation gives (d-1)
+        matched.append(("G5", A + d ** t))
     else:
         big_f = f > d ** (n - 2 * t) * (d - 1)
         if r <= n - 2 * t and not big_f:
             c = ceil_div(n - r - 1, 2)
-            matched.append(("G6", Fraction(f * (d ** c - 1) + d ** (n - c) - 1), ""))
+            matched.append(("G6", Fraction(f * (d ** c - 1) + d ** (n - c) - 1)))
         if r <= n - 2 * t and big_f:
             v = (Fraction(f) * (frac_pow(d, t - 1) - 1)
                  + frac_pow(d, n - t - 1) * (d * d - d + 1) - 1)
-            matched.append(("G7", v, ""))
+            matched.append(("G7", v))
         if n - 2 * t + 1 <= r <= n - t:
             # printed coefficient (2t-n-r) is the sign-flipped (2t-n+r)
-            printed = (Fraction(f * (d ** (n - t - r) - 1))
-                       + (2 * t - n - r) * (d - 1) * d ** (n - t)
-                       + d ** (2 * n - 3 * t - r) - 1)
             v = (Fraction(f * (d ** (n - t - r) - 1))
                  + (2 * t - n + r) * (d - 1) * d ** (n - t)
                  + d ** (2 * n - 3 * t - r) - 1)
-            matched.append(("G8", v, "printed=%s" % printed))
+            matched.append(("G8", v))
         if r > n - t:
-            matched.append(("G9", Fraction(t * (d - 1) * d ** (n - t) + d ** (n - 2 * t) - 1), ""))
+            matched.append(("G9", Fraction(t * (d - 1) * d ** (n - t) + d ** (n - 2 * t) - 1)))
     return _finish(d, n, t, f, matched, "G(t,f)")
 
 

@@ -102,16 +102,20 @@ def cmd_bound(args):
 # -- simulate -----------------------------------------------------------------
 
 
-def _multilog_sweep(args, out):
-    """Write the sweep row; True when --expect-nonblocking was violated."""
-    d, n, t, f = args.d, args.n, args.t, args.f
+def _sweep_m(args, default):
+    """The m a sweep runs at: --m, or else `default()` plus --m-offset."""
     if args.m is not None and args.m_offset is not None:
         raise ValueError("give --m or --m-offset, not both")
     if args.m is not None:
-        m = args.m
-    else:
-        m = (bounds.multilog_planes(d, n, t, f, args.mode)[0]
-             + (args.m_offset or 0))
+        return args.m
+    return default() + (args.m_offset or 0)
+
+
+def _multilog_sweep(args, out):
+    """Write the sweep row; True when --expect-nonblocking was violated."""
+    d, n, t, f = args.d, args.n, args.t, args.f
+    m = _sweep_m(args, lambda: bounds.multilog_planes(d, n, t, f,
+                                                      args.mode)[0])
     # every config is built before the header, so a refused one prints none
     configs = [multilog.MultilogConfig(
         d=d, n=n, m=m, t=t, f=f, mode=args.mode,
@@ -135,15 +139,13 @@ def _multilog_sweep(args, out):
 def _clos_sweep(args, out):
     """Write the sweep row; True when --expect-nonblocking was violated.
     A blocking verdict is the simulator's, on a replay audited per row."""
-    n, m = args.n, args.m
+    n = args.n
     reuse = args.network == "clos-benes"
+    m = _sweep_m(args, lambda: (bounds.clos_wsnb_r2 if reuse
+                                else bounds.clos_snb)(n))
     if not reuse:
-        if m is None:
-            m = bounds.clos_snb(n)
         config, lines = adversary.snb_saturation(n, m)
     else:
-        if m is None:
-            m = bounds.clos_wsnb_r2(n)
         config = clos.ClosConfig(n, m, 2)
         lines = adversary.benes_search(n, m, max_depth=args.depth)
     if lines is None:
@@ -170,6 +172,9 @@ def _clos_sweep(args, out):
 def cmd_simulate(args):
     out = _writer()
     if args.trace:
+        if args.m_offset is not None:
+            raise ValueError("--m-offset shifts a sweep's default m; a "
+                             "--trace replay runs at --m")
         with open(args.trace) as fh:
             lines = fh.readlines()
         if args.network == "multilog":
@@ -193,11 +198,12 @@ def cmd_simulate(args):
             header = ["event", "id", "middle", "status"]
             replayed = clos.run_trace(clos.ClosState(cfg), lines,
                                       reuse=reuse)
+        # the whole replay runs before the header, so a malformed line
+        # leaves no partial CSV
+        rows = [[row[col] for col in header] for row in replayed]
         out.writerow(header)
-        blocked = 0
-        for row in replayed:
-            out.writerow([row[col] for col in header])
-            blocked += row["status"] == "blocked"
+        out.writerows(rows)
+        blocked = sum(row[-1] == "blocked" for row in rows)
         return 1 if (args.expect_nonblocking and blocked) else 0
 
     if args.network == "multilog":
@@ -229,12 +235,14 @@ def cmd_dwec(args):
               else dwec.FOUR_TYPE)
     with open(args.trace) as fh:
         lines = fh.readlines()
-    out.writerow(["t", "colors_used", "opt_lower", "W_bar", "Delta_bar"])
+    header = ["t", "colors_used", "opt_lower", "W_bar", "Delta_bar"]
     state = dwec.ColoringState(scheme=scheme)
-    for row in dwec.run_trace(state, lines):
+    rows = []
+    for row in dwec.run_trace(state, lines):   # all before the header
         state.audit()
-        out.writerow([row["t"], row["colors_used"], row["opt_lower"],
-                      row["W_bar"], row["Delta_bar"]])
+        rows.append([row[col] for col in header])
+    out.writerow(header)
+    out.writerows(rows)
     return 0
 
 

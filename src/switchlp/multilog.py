@@ -25,7 +25,6 @@ from .events import (BLOCKED, Blocked, DuplicateId, SwitchError, UnknownId,
 
 FIRST_FIT = "first"
 RANDOM = "random"
-_NONE = {}   # the holders of a key no input holds
 
 
 class FanoutExceeded(SwitchError):
@@ -75,15 +74,24 @@ def _route(d, n, x, y, mode):
     return route(d, n, x, y, mode)
 
 
+def _planes(mask):
+    """The planes whose bits `mask` sets, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class ConnState:
     """Mutable occupancy of one simulated network."""
 
     def __init__(self, config):
         self.config = config
-        # key -> {plane: owner input}; a key is a link id (link mode) or
-        # an element id (crosstalk mode), indexed key-first.  The inner
-        # dicts of occ and refs hold plain ints only, so the cyclic garbage
-        # collector does not track them.
+        # key -> bitmask of the planes on which some input holds it; a key
+        # is a link id (link mode) or an element id (crosstalk mode).  Which
+        # input holds it there is read from refs alone: a key has at most
+        # one holder per plane.  occ and the inner dicts of refs hold plain
+        # ints only, so the cyclic garbage collector does not track them.
         self.occ = {}
         self.refs = {}               # (plane, input) -> {key: refcount}
         self.requests = {}       # id -> (input, {window: (plane, [routes])})
@@ -96,32 +104,43 @@ class ConnState:
     # -- occupancy helpers ------------------------------------------------
 
     def _blocked(self, x, routes):
-        """Planes on which an input other than x holds a key of `routes`."""
-        occ, blocked = self.occ, set()
+        """Bitmask of the planes on which an input other than x holds a key
+        of `routes`."""
+        occ, mask = self.occ, 0
         for rt in routes:
-            for key in rt.ids:
-                holders = occ.get(key)
-                if holders:
-                    for plane, owner in holders.items():
-                        if owner != x:
-                            blocked.add(plane)
-        return blocked
+            for held in map(occ.get, rt.ids):
+                if held:
+                    mask |= held
+        if mask and x in self.input_active:
+            # a plane where x holds every key of `routes` that is held there
+            # blocks nothing: a key has one holder per plane
+            for plane in _planes(mask):
+                own, bit = self.refs.get((plane, x)), 1 << plane
+                if own is not None and all(
+                        key in own for rt in routes for key in rt.ids
+                        if occ.get(key, 0) & bit):
+                    mask ^= bit
+        return mask
 
     def _commit(self, rid, plane, x, window, routes):
         """Hold `routes` on `plane` for input x: one reference to each of
         their keys, the window's pin and their outputs."""
-        occ = self.occ
+        occ, bit = self.occ, 1 << plane
         refs = self.refs.setdefault((plane, x), {})
         for rt in routes:
             for key in rt.ids:
                 count = refs.get(key, 0)
                 if not count:
-                    holders = occ.get(key)
-                    if holders is None:
-                        occ[key] = {plane: x}
-                    elif holders.setdefault(plane, x) != x:
+                    # x does not hold the key here, so a set bit is another
+                    # input's.  A key held on one plane shares the int bit.
+                    mask = occ.get(key)
+                    if mask is None:
+                        occ[key] = bit
+                    elif mask & bit:
                         raise AssertionError("key %r shared across inputs"
                                              % key)
+                    else:
+                        occ[key] = mask | bit
                 refs[key] = count + 1
         pin = self.pins.setdefault((x, window), [plane, 0])
         check(pin[0] == plane, "window split across planes")
@@ -135,14 +154,16 @@ class ConnState:
         draws as `choice` of the free planes did, even for a pinned window."""
         cfg, busy = self.config, self._blocked(x, routes)
         pin = self.pins.get((x, window))
-        free = int(pin[0] not in busy) if pin else cfg.m - len(busy)
+        free = 1 - (busy >> pin[0] & 1) if pin else cfg.m - busy.bit_count()
         if not free:
             return None
         i = self.rng.randrange(free) if cfg.plane_policy == RANDOM else 0
         if pin:
             return pin[0]
-        for plane in sorted(busy):   # on to the i-th free plane
-            i += plane <= i
+        for plane in _planes(busy):   # on to the i-th free plane
+            if plane > i:
+                break
+            i += 1
         return i
 
     # -- operations -------------------------------------------------------
@@ -201,7 +222,7 @@ class ConnState:
             raise UnknownId(repr(rid))
         occ = self.occ
         for w, (plane, routes) in admitted.items():
-            refs = self.refs[plane, x]
+            refs, bit = self.refs[plane, x], 1 << plane
             for rt in routes:
                 for key in rt.ids:
                     count = refs[key]
@@ -209,11 +230,14 @@ class ConnState:
                         refs[key] = count - 1
                         continue
                     del refs[key]
-                    holders = occ[key]
-                    if holders.pop(plane) != x:
-                        raise AssertionError("key %r owned elsewhere" % key)
-                    if not holders:
+                    mask = occ.get(key, 0)
+                    if mask == bit:
                         del occ[key]
+                    elif mask & bit:
+                        occ[key] = mask ^ bit
+                    else:
+                        raise AssertionError("key %r not held on plane %d"
+                                             % (key, plane))
                 del self.output_owner[rt.output]
             if not refs:
                 del self.refs[plane, x]
@@ -248,7 +272,8 @@ class ConnState:
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
         branch of the single-window subrequest (x, outputs)."""
-        return self._blocked(*self._window_routes(x, set(outputs)))
+        x, routes = self._window_routes(x, set(outputs))
+        return set(_planes(self._blocked(x, routes)))
 
     def blocking_branches(self, x, outputs):
         """{plane: (u, v)}, ascending by plane, for each plane that blocks
@@ -263,34 +288,33 @@ class ConnState:
         # with the outputs free, a foreign branch can hold a key of the
         # subrequest only on an internal link or an element (input and
         # output links belong to their terminals), just where the sharing
-        # predicates see a conflict.  One walk finds the keys each foreign
-        # input u holds per plane.  A key has one owner per plane, so a
-        # route of u there conflicts iff it holds one of them; another of
-        # u's requests may hold them instead.
-        occ, held = self.occ, {}
+        # predicates see a conflict.  One walk finds, per plane, the keys
+        # that inputs other than x hold there: those x does not hold.  A key
+        # has one holder per plane, so a route of an input u != x there
+        # conflicts iff it holds one of them; another of u's requests may
+        # hold them instead.
+        occ, refs, held = self.occ, self.refs, {}
         for rt in routes:
             for key in rt.ids:
-                holders = occ.get(key)
-                if holders:
-                    for plane, owner in holders.items():
-                        if owner != x:
-                            held.setdefault((plane, owner), set()).add(key)
+                mask = occ.get(key)
+                if mask:
+                    for plane in _planes(mask):
+                        if key not in refs.get((plane, x), ()):
+                            held.setdefault(plane, set()).add(key)
         if not held:
             return {}
-        planes = {plane for plane, _ in held}
-        owners = {u for _, u in held}
         found = {}
         for u, admitted in self.requests.values():
-            if u not in owners:
+            if u == x:
                 continue
             for plane, rts in admitted.values():
-                keys = held.get((plane, u))
+                keys = held.get(plane)
                 if keys and plane not in found:
                     for rt in rts:
                         if not keys.isdisjoint(rt.ids):
                             found[plane] = (u, rt.output)
                             break
-            if len(found) == len(planes):
+            if len(found) == len(held):
                 break
         return dict(sorted(found.items()))
 
@@ -318,22 +342,27 @@ class ConnState:
         check(len(owners) == sum(active.values()), "output double-owned")
         occ, entries = self.occ, 0
         for (plane, x), acc in held.items():
-            counts = Counter(acc)
+            counts, bit = Counter(acc), 1 << plane
             for key in counts:
-                owner = occ.get(key, _NONE).get(plane)
-                if owner != x:
-                    check(key not in held.get((plane, owner), ()),
-                          "key %r shared across inputs on plane %d",
-                          key, plane)
+                if not occ.get(key, 0) & bit:
                     raise AssertionError("occ differs from the registry")
             # Counter == dict compares as dicts: a stored zero count differs
             check(counts == self.refs.get((plane, x)),
                   "refs differs from the registry")
             entries += len(counts)
         check(len(held) == len(self.refs), "refs differs from the registry")
-        # occ holds each counted (key, plane); it must hold nothing else
-        check(all(occ.values()) and sum(map(len, occ.values())) == entries,
-              "occ differs from the registry")
+        # occ sets a bit for each counted (key, plane) and no other bit.  A
+        # key two inputs hold on one plane is counted twice on one bit, so
+        # only when the totals differ is it worth looking for one.
+        check(all(occ.values()), "occ differs from the registry")
+        if sum(map(int.bit_count, occ.values())) != entries:
+            holder = {}
+            for (plane, x), acc in held.items():
+                for key in acc:
+                    check(holder.setdefault((key, plane), x) == x,
+                          "key %r shared across inputs on plane %d",
+                          key, plane)
+            raise AssertionError("occ differs from the registry")
         for name, rebuilt in (("pins", pins), ("output_owner", owners),
                               ("input_active", active)):
             check(rebuilt == getattr(self, name), "%s differs from the "

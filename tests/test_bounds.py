@@ -153,10 +153,22 @@ class TestBoundTables:
         assert res.m_sufficient == 12
 
     def test_branch_is_least_matched_row(self):
+        # the rows' conditions are disjoint, so the least matched row is the
+        # one that matches; at (2, 4, 1, 4) that is C2, whose value is
+        # t(d-1)d^(n-t-1) + d^(n-2t-1) - 1
         res = C_bound(2, 4, 1, 4)
-        label, value, _ = min(res.matched, key=lambda row: row[1])
-        assert (res.branch, res.value) == (label, value)
-        assert res.m_sufficient == 1 + math.ceil(value)
+        assert (res.branch, res.value, res.m_sufficient) == ("C2", 5, 6)
+        for d in (2, 3):
+            for n in (3, 4, 5):
+                for t in range(n):
+                    for f in sorted({1, 2, d, d ** t, d ** n}):
+                        for table, rows in ((C_bound, 5), (G_bound, 9)):
+                            res = table(d, n, t, f)
+                            assert res.branch in {"%s%d" % (
+                                table.__name__[0], i + 1) for i in range(rows)}
+                            assert isinstance(res.value, Fraction)
+                            assert res.m_sufficient == \
+                                1 + math.ceil(res.value)
 
     @pytest.mark.parametrize("mode,table",
                              [(LINK, C_bound), (CROSSTALK, G_bound)])

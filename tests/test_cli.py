@@ -267,6 +267,9 @@ class TestSimulate:
         ["--network", "clos-snb", "--n", "1"],
         ["--d", "2", "--n", "4", "--t", "2", "--f", "2", "--m", "3",
          "--m-offset", "5"],
+        ["--network", "clos-snb", "--n", "3", "--m", "4", "--m-offset", "2"],
+        ["--network", "clos-benes", "--n", "2", "--m", "3",
+         "--m-offset", "1"],
     ])
     def test_refused_sweep_prints_nothing(self, capsys, argv):
         # refused before the header: no partial CSV on stdout
@@ -296,6 +299,16 @@ class TestSimulate:
                            "--n", "2")
         assert code == 0
         assert rows(out)[1][2] == str(bound(2))
+
+    @pytest.mark.parametrize("network, bound", [
+        ("clos-snb", bounds.clos_snb), ("clos-benes", bounds.clos_wsnb_r2)])
+    @pytest.mark.parametrize("offset", [-1, 2])
+    def test_m_offset_shifts_default_clos_m(self, capsys, network, bound,
+                                            offset):
+        code, out, err = run(capsys, "simulate", "--network", network,
+                             "--n", "3", "--m-offset", str(offset))
+        assert (code, err) == (0, "")
+        assert rows(out)[1][2] == str(bound(3) + offset)
 
     def test_benes_search(self, capsys):
         code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
@@ -574,6 +587,12 @@ MALFORMED = {
     "clos-duplicate-id": (SPACE, "A a 0:0 1:0\nA a 0:1 1:1\nD a\nD a\n",
                           ["ok", "duplicate_id", "ok", "unknown_id"]),
     "address-0x0": (MULTILOG, "A r1 000 000\nA r2 0x0 001\n", 2),
+    "address-0x-n-2": (["simulate", "--network", "multilog", "--d", "2",
+                        "--n", "2", "--m", "2"], "A r1 00 01\nA r2 0x 01\n",
+                       2),
+    "multilog-trace-m-offset": (MULTILOG + ["--m-offset", "4"],
+                                "A r1 000 000\n", 0),
+    "clos-trace-m-offset": (SPACE + ["--m-offset", "1"], "A a 0:0 1:0\n", 0),
     "address-arabic-indic": (MULTILOG, "A r1 \u0661\u0660\u0660 "
                              "\u0660\u0660\u0661\n", 1),
     "address-fullwidth": (MULTILOG, "A r1 000 000\n"
@@ -637,7 +656,8 @@ class TestInputErrors:
             assert code == 0
             assert [r[-1] for r in rows(out)[1:]] == expect
         else:
-            assert code == 2
+            # refused before any row: no partial CSV on stdout
+            assert (code, out) == (2, "")
             assert "error:" in err
             if expect:
                 assert "error: line %d:" % expect in err
@@ -645,7 +665,7 @@ class TestInputErrors:
     def test_validation_survives_python_O(self):
         # asserts vanish under -O; every check below must still raise
         script = "\n".join([
-            "import sys",
+            "import contextlib, io, os, sys, tempfile",
             "from switchlp import adversary, banyan, clos, dary, dwec",
             "from switchlp import bounds, cli, lpcert, multilog",
             "assert sys.flags.optimize and False",
@@ -718,9 +738,27 @@ class TestInputErrors:
             "    except ValueError:",
             "        continue",
             "    print('check %d accepted' % i)",
-            "if cli.main(['simulate', '--d', '2', '--n', '4', '--t', '2',",
-            "             '--f', '2', '--m', '3', '--m-offset', '5']) != 2:",
-            "    print('--m with --m-offset accepted')",
+            "# --m-offset is refused beside --m, and by a replay",
+            "with tempfile.NamedTemporaryFile('w', suffix='.trace',",
+            "                                 delete=False) as fh:",
+            "    fh.write('A r1 000 000\\n')",
+            "refusals = [",
+            "    ['--d', '2', '--n', '4', '--t', '2', '--f', '2', '--m', '3',",
+            "     '--m-offset', '5'],",
+            "    ['--network', 'clos-snb', '--n', '3', '--m', '4',",
+            "     '--m-offset', '2'],",
+            "    ['--network', 'clos-benes', '--n', '2', '--m', '3',",
+            "     '--m-offset', '1'],",
+            "    ['--d', '2', '--n', '3', '--m', '2', '--m-offset', '4',",
+            "     '--trace', fh.name],",
+            "]",
+            "for argv in refusals:",
+            "    err = io.StringIO()",
+            "    with contextlib.redirect_stderr(err):",
+            "        code = cli.main(['simulate'] + argv)",
+            "    if code != 2 or '--m-offset' not in err.getvalue():",
+            "        print('%s accepted' % argv)",
+            "os.unlink(fh.name)",
             "# a primal that breaks a constraint must still be refused",
             "# (one spare output in the home window, so the uv pairs share v)",
             "inst = lpcert.canonical_instance(2, 3, 1, 2, 1)",
@@ -769,7 +807,7 @@ class TestInputErrors:
             "    (multilog_state, lambda st: st.occ.popitem()),",
             "    (multilog_state, bump_refcount),",
             "    (multilog_state,",
-            "     lambda st: next(iter(st.occ.values())).__setitem__(0, 7)),",
+            "     lambda st: st.occ.__setitem__(next(iter(st.occ)), 2)),",
             "    (multilog_state,",
             "     lambda st: next(iter(st.refs.values())).popitem()),",
             "    (multilog_state, lying_route),",

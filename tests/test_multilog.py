@@ -72,6 +72,15 @@ class TestAdmission:
             assert blocked == shares_link(2, 3, s("000"), s("000"), s("100"),
                                           y)
 
+    def test_commit_refuses_a_key_another_input_holds(self):
+        # past admission, (100 -> 001) is put on the plane of the live
+        # (000 -> 000), with which it shares a link
+        state = ConnState(cfg(m=2))
+        state.admit(s("000"), [s("000")], rid="a")
+        rt = route(2, 3, s("100"), s("001"), LINK)
+        with pytest.raises(AssertionError, match="shared across inputs"):
+            state._commit("b", 0, rt.input, rt.output, [rt])
+
     def test_fanout_guard(self):
         state = ConnState(cfg(f=2, t=3))
         with pytest.raises(FanoutExceeded):
@@ -175,6 +184,16 @@ class TestRelease:
                     or state.output_owner or state.input_active)
         state.audit()
 
+    def test_release_refuses_a_missing_bit(self):
+        # a blind XOR would set the bit that was dropped
+        state = ConnState(cfg(m=2))
+        state.admit(s("000"), [s("000")], rid="a")
+        key = next(iter(state.occ))
+        state.occ[key] ^= 1
+        with pytest.raises(AssertionError,
+                           match="key %d not held on plane 0" % key):
+            state.release("a")
+
     def test_release_twice(self):
         state = ConnState(cfg())
         state.admit(s("010"), [s("101")], rid="r")
@@ -245,27 +264,17 @@ class TestBlockingPlanes:
             getattr(state, method)(s("000"), [])
 
 
-def oracle_blocking(state, x, outputs):
-    """The per-plane scan: plane p blocks the branches (x, y) when a live
-    route on p from another input shares a link (link mode) or a switching
-    element (crosstalk mode) with one of them."""
-    cfg = state.config
-    pred = shares_link if cfg.mode == LINK else shares_se
-    return {p for p in range(cfg.m)
-            if any(pred(cfg.d, cfg.n, x, y, rt.input, rt.output)
-                   for u, admitted in state.requests.values() if u != x
-                   for plane, routes in admitted.values() if plane == p
-                   for rt in routes for y in outputs)}
-
-
-def admit_checked(state, x, ys, rid):
+def admit_checked(state, x, ys, rid, shadow):
     """Admit the single-window subrequest (x, ys) and check the plane it got
-    against the oracle: feasible, and the one the policy must pick."""
+    against the oracle: feasible, and the one the policy must pick.  RANDOM
+    must pick as `shadow.choice` of the feasible planes does, where `shadow`
+    is a generator seeded as the state's, so that the state's generator
+    draws exactly what `choice` would, pinned windows included."""
     config = state.config
     w = ys[0] // config.d ** config.t
     pin = state.pins.get((x, w))
     candidates = [pin[0]] if pin else range(config.m)
-    blocked = oracle_blocking(state, x, ys)
+    blocked = multilog_oracle.blocked(state, x, ys)
     feasible = [p for p in candidates if p not in blocked]
     (got,) = state.admit(x, ys, rid=rid).values()
     if not feasible:
@@ -274,6 +283,8 @@ def admit_checked(state, x, ys, rid):
     assert got in feasible
     if config.plane_policy == multilog.FIRST_FIT:
         assert got == min(feasible)
+    else:
+        assert got == shadow.choice(feasible)
 
 
 def pinned_extension(state, rng):
@@ -316,7 +327,7 @@ def churn(state, rng, steps):
     every admission checked by `admit_checked`; audits and yields after
     each step."""
     size = state.config.d ** state.config.t
-    live = []
+    live, shadow = [], random.Random(state.config.seed)
     for step in range(steps):
         r = rng.random()
         if live and r < 0.3:
@@ -331,7 +342,7 @@ def churn(state, rng, steps):
                     by_window.setdefault(y // size, []).append(y)
                 for w in sorted(by_window):
                     rid = "%d.%d" % (step, w)
-                    admit_checked(state, x, by_window[w], rid)
+                    admit_checked(state, x, by_window[w], rid, shadow)
                     if rid in state.requests:
                         live.append(rid)
         state.audit()
@@ -363,7 +374,35 @@ class TestOccupancyOracle:
             if free:
                 ys = rng.sample(free, rng.randint(1, min(2, len(free))))
                 assert state.blocking_planes(x, ys) == \
-                    oracle_blocking(state, x, ys)
+                    multilog_oracle.blocked(state, x, ys)
+
+
+class TestBlockedOracle:
+    @pytest.mark.parametrize("mode", [LINK, CROSSTALK])
+    @pytest.mark.parametrize("policy", [multilog.FIRST_FIT, multilog.RANDOM])
+    def test_seeded_churn_matches_route_scan(self, mode, policy):
+        # probes from inputs with live branches, whose own keys block
+        # nothing, as well as from any input
+        d, n, t = 2, 6, 3
+        config = cfg(d=d, n=n, m=4, t=t, f=4, mode=mode, plane_policy=policy,
+                     seed=11)
+        state = ConnState(config)
+        rng = random.Random(len(mode) * 10 + len(policy))
+        seen = Counter()
+        for _ in churn(state, rng, 80):
+            live = sorted(state.input_active)
+            for x in rng.sample(live, min(3, len(live))) + [
+                    rng.randrange(d ** n)]:
+                w = rng.randrange(d ** (n - t))
+                free = [y for y in window_outputs(d, n, t, w)
+                        if y not in state.output_owner]
+                if free:
+                    ys = rng.sample(free, rng.randint(1, min(3, len(free))))
+                    got = state.blocking_planes(x, ys)
+                    assert got == multilog_oracle.blocked(state, x, ys)
+                    seen[x in state.input_active, bool(got)] += 1
+        # every kind of probe ran: own keys or none, blocked or not
+        assert len(seen) == 4
 
 
 class TestProbeOracle:
@@ -433,8 +472,21 @@ def bump_refcount(state):
 
 
 def move_owner(state):
-    # a key of input 000 on plane 0, handed to input 111
-    next(iter(state.occ.values()))[0] = s("111")
+    # a key of input 000 on plane 0, moved to input 111's table there
+    key, count = state.refs[0, s("000")].popitem()
+    state.refs.setdefault((0, s("111")), {})[key] = count
+
+
+def move_bit(state):
+    # a key held on plane 0 only, marked as held on plane 1 instead
+    key = next(k for k, mask in state.occ.items() if mask == 1)
+    state.occ[key] = 2
+
+
+def drop_shared_bit(state):
+    # a key both planes hold, no longer marked on plane 0
+    key = next(k for k, mask in state.occ.items() if mask == 3)
+    state.occ[key] = 2
 
 
 def lying_route(state):
@@ -452,14 +504,13 @@ def lying_route(state):
 
 def shared_key(state):
     """Put b on a's plane by hand, past admission: both inputs' refs claim
-    the links their routes share on plane 0, and occ names a there, the
-    input that took them first."""
+    the links their routes share on plane 0, whose bits were already set."""
     state.release("b")
     rt = route(2, 3, s("100"), s("001"), LINK)
     x = rt.input
     state.refs[0, x] = dict(Counter(rt.ids))
     for key in rt.ids:
-        state.occ.setdefault(key, {}).setdefault(0, x)
+        state.occ[key] = state.occ.get(key, 0) | 1
     state.pins[x, rt.output] = [0, 1]
     state.output_owner[rt.output] = "b"
     state.input_active[x] = 1
@@ -467,9 +518,9 @@ def shared_key(state):
 
 
 def extra_occupancy_entry(state):
-    # input 000 claims, on plane 1, a key no request there holds
-    key = next(k for k, holders in state.occ.items() if 1 not in holders)
-    state.occ[key][1] = s("000")
+    # a key no request on plane 1 holds, marked as held there
+    key = next(k for k, mask in state.occ.items() if not mask & 2)
+    state.occ[key] |= 2
 
 
 def verdict(audit, state):
@@ -485,20 +536,27 @@ class TestAudit:
     @pytest.mark.parametrize("corrupt, caught", [
         (lambda state: state.occ.popitem(), "occ differs"),
         (bump_refcount, "refs differs"),
-        (move_owner, "occ differs"),
+        (move_owner, "refs differs"),
         (lambda state: state.refs[1, s("100")].popitem(), "refs differs"),
         (lying_route, "conflict on plane 0"),
         (shared_key, "key %d shared across inputs on plane 0"
          % next(iter(set(route(2, 3, 0, 0, LINK).ids)
                      & set(route(2, 3, 4, 1, LINK).ids)))),
         (extra_occupancy_entry, "occ differs"),
-        (lambda state: state.occ.setdefault(-1, {}), "occ differs"),
+        (lambda state: state.occ.setdefault(-1, 0), "occ differs"),
         (lambda state: state.refs.setdefault((0, s("111")), {}),
          "refs differs"),
+        (move_bit, "occ differs"),
+        (drop_shared_bit, "occ differs"),
+        (lambda state: state.occ.__setitem__(next(iter(state.occ)), 0),
+         "occ differs"),
+        (lambda state: state.occ.__setitem__(next(iter(state.occ)), 7),
+         "occ differs"),
     ], ids=["drop_occupancy_entry", "bump_refcount",
             "move_owner", "drop_refcount_entry", "lying_route",
             "shared_key", "extra_occupancy_entry", "empty_occupancy_key",
-            "leftover_refcount_table"])
+            "leftover_refcount_table", "move_bit", "drop_shared_bit",
+            "zero_mask", "bit_past_the_planes"])
     def test_corruption_detected(self, corrupt, caught):
         state = ConnState(cfg(m=2))
         state.admit(s("000"), [s("000")], rid="a")
@@ -525,26 +583,48 @@ class TestAudit:
 
 def faults(state):
     """The one-fault corruptions of `state` by name: what each does to an
-    item ("drop" it, "bump" it, or "own" it: hand it to another input), and
-    the items, as (container, key), it could be done to."""
+    item ("drop" it, "bump" it, "flip" a bit of it, "zero" it, or "move"
+    a key to the next input's refs table on its plane), and the items, as
+    (container, key, bit or key to move), it could be done to."""
     occ, refs, pins = state.occ, state.refs, state.pins
-    holders = [(occ[k], p) for k in sorted(occ) for p in sorted(occ[k])]
-    counts = [(refs[at], k) for at in sorted(refs) for k in sorted(refs[at])]
+    bits = [(occ, k, 1 << p) for k in sorted(occ)
+            for p in range(state.config.m + 1)]
+    counts = [(refs[at], k, None) for at in sorted(refs)
+              for k in sorted(refs[at])]
     return {
-        "drop_holder": ("drop", holders),
-        "hand_over_key": ("own", holders),
-        "claim_free_plane": ("own", [(occ[k], p) for k in sorted(occ)
-                                     for p in range(state.config.m)
-                                     if p not in occ[k]]),
+        "drop_bit": ("flip", [it for it in bits if occ[it[1]] & it[2]]),
+        "set_free_bit": ("flip", [it for it in bits
+                                  if not occ[it[1]] & it[2]]),
+        "zero_mask": ("zero", [(occ, k, None) for k in sorted(occ)]
+                      + [(occ, -1, None)]),
+        "hand_over_key": ("move", [(refs, at, k) for at in sorted(refs)
+                                   for k in sorted(refs[at])]),
         "bump_count": ("bump", counts),
         "drop_count": ("drop", counts),
-        "drop_counts": ("drop", [(refs, at) for at in sorted(refs)]),
-        "bump_pin": ("bump", [(pins[at], 1) for at in sorted(pins)]),
-        "free_output": ("drop", [(state.output_owner, y)
+        "drop_counts": ("drop", [(refs, at, None) for at in sorted(refs)]),
+        "bump_pin": ("bump", [(pins[at], 1, None) for at in sorted(pins)]),
+        "free_output": ("drop", [(state.output_owner, y, None)
                                  for y in sorted(state.output_owner)]),
-        "bump_load": ("bump", [(state.input_active, x)
+        "bump_load": ("bump", [(state.input_active, x, None)
                                for x in sorted(state.input_active)]),
     }
+
+
+def corrupt(state, action, item):
+    """Do `action` to `item`, one of `faults(state)`'s."""
+    table, key, arg = item
+    if action == "drop":
+        del table[key]
+    elif action == "bump":
+        table[key] += 1
+    elif action == "flip":
+        table[key] ^= arg
+    elif action == "zero":
+        table[key] = 0
+    else:
+        plane, x = key
+        other = (x + 1) % state.config.d ** state.config.n
+        table.setdefault((plane, other), {})[arg] = table[key].pop(arg)
 
 
 class TestAuditOracle:
@@ -569,13 +649,7 @@ class TestAuditOracle:
                 action, items = faults(bad)[name]
                 if not items:
                     continue
-                table, key = items[rng.randrange(len(items))]
-                if action == "drop":
-                    del table[key]
-                elif action == "bump":
-                    table[key] += 1
-                else:
-                    table[key] = (table.get(key, -1) + 1) % 2 ** n
+                corrupt(bad, action, items[rng.randrange(len(items))])
                 want = verdict(multilog_oracle.audit, bad)
                 assert want is not None, name
                 assert verdict(ConnState.audit, bad) == want, name
@@ -584,7 +658,7 @@ class TestAuditOracle:
 class TestAuditMemory:
     def test_audit_peak_is_a_fraction_of_the_rebuild(self):
         # the audit keeps no copy of occ or refs: on a churned n = 10 state
-        # its traced peak is about an eighth of the rebuild's
+        # its traced peak is about a tenth of the rebuild's
         config = cfg(d=2, n=10, m=55, t=5, f=2, plane_policy=multilog.RANDOM)
         state = ConnState(config)
         rng = random.Random(37)
@@ -613,7 +687,7 @@ class TestUntracked:
     def test_occupancy_holds_only_plain_ints(self):
         # DaryString addresses are int subclasses the cyclic garbage
         # collector tracks; the occupancy keeps the plain ints they denote,
-        # so that none of its per-key or per-(plane, input) dicts is tracked
+        # so that neither occ nor any per-(plane, input) dict is tracked
         config = cfg(d=2, n=4, m=4, t=2, f=2, plane_policy=multilog.RANDOM)
         state = ConnState(config)
         addrs = list(all_strings(2, 4))
@@ -632,10 +706,11 @@ class TestUntracked:
                     live.append(i)
         state.audit()
         assert state.occ and state.refs
-        assert all(type(owner) is int for holders in state.occ.values()
-                   for owner in holders.values())
+        # each occ value is the bitmask of the planes that hold its key
+        assert all(type(mask) is int and mask > 0
+                   for mask in state.occ.values())
         assert all(type(x) is int for _, x in state.refs)
-        assert not any(map(gc.is_tracked, state.occ.values()))
+        assert not gc.is_tracked(state.occ)
         assert not any(map(gc.is_tracked, state.refs.values()))
 
     def test_steady_churn_does_not_grow_the_heap(self):
@@ -734,9 +809,11 @@ class TestPick:
 
     @staticmethod
     def state(m, policy, seed, blocked):
+        """A state whose `_blocked` gives the bitmask of the planes in the
+        set `blocked`, as it is when asked."""
         state = ConnState(cfg(d=2, n=4, m=m, t=2, f=4, plane_policy=policy,
                               seed=seed))
-        state._blocked = lambda x, routes: blocked
+        state._blocked = lambda x, routes: sum(1 << p for p in blocked)
         return state
 
     @pytest.mark.parametrize("m", [1, 5, 161])
