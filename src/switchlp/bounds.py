@@ -83,14 +83,6 @@ def hwang_unicast(d, n):
     return d ** (ceil_div(n, 2) - 1) + d ** (n // 2) - 1
 
 
-def wang07(d, n, f):
-    """Strictly nonblocking f-cast plane count (window size 1)."""
-    _check_range(1 <= f <= d ** n, "f out of range")
-    r = ilog(d, f)
-    c = ceil_div(n - r, 2)
-    return f * (frac_pow(d, c - 1) - 1) + d ** (n - c)
-
-
 def snb_fcast_t_eq_n(d, n, f):
     """SNB f-cast plane count when the fanout stage cannot branch (t = n)."""
     _check_range(1 <= f <= d ** n, "f out of range")
@@ -107,27 +99,6 @@ def cf_snb_fcast_t_eq_n(d, n, f):
         return d ** n - d ** (n - 2) * (d - 1)
     r = ilog(d, f)
     return d ** ((n + r + 1) // 2) + f * (d ** ceil_div(n - r - 1, 2) - 1)
-
-
-def danilewicz(d, n, t):
-    """Multicast WSNB plane count under the window algorithm (link blocking)."""
-    _check_range(0 <= t <= n - 1, "t out of range")
-    if t <= n // 2 - 1:
-        return d ** (n - 2 * t - 1) + t * d ** (n - t - 1) * (d - 1)
-    val = (Fraction(d ** (n - t - 1)) * ((d - 1) * (n - t - 1) - 1)
-           + d ** t - frac_pow(d, 2 * t - n - 1) * (d - 1) + 1)
-    return val
-
-
-def cf_wsnb_window(d, n, t):
-    """Multicast crosstalk-free WSNB plane count under the window algorithm."""
-    _check_range(0 <= t <= n - 1, "t out of range")
-    if 2 * t < n:
-        return d ** (n - 2 * t) + t * d ** (n - t) * (d - 1)
-    if 2 * t == n:
-        return d ** (n - t) * ((n - t) * (d - 1) - 1) + d ** t + 1
-    return (Fraction(d ** (n - t)) * ((n - t) * (d - 1) - 1)
-            + d ** t - frac_pow(d, 2 * t - n - 2) * (d - 1) + 1)
 
 
 # ------------------------------------------------------------- cost functions

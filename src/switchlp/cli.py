@@ -250,26 +250,29 @@ def cmd_dwec(args):
 
 
 def cmd_certify(args):
+    # every (d, n, f) is checked first, so a refused grid prints no header
+    grid = []
+    for d in args.d:
+        for n in args.n:
+            fs = args.f or sorted({1, 2, min(4, d ** n), d ** n})
+            if max(fs) > d ** n:
+                raise ValueError("f=%d out of range for d=%d, n=%d"
+                                 % (max(fs), d, n))
+            grid.append((d, n, fs))
     out = _writer()
     out.writerow(["d", "n", "t", "f", "k", "p", "q", "mode", "feasible",
                   "objective", "cost_formula", "match"])
     failures = 0
     modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
-    for d in args.d:
-        for n in args.n:
-            for t in range(0, n):
-                fs = args.f if args.f else sorted(
-                    {1, 2, min(4, d ** n), d ** n})
-                for f in fs:
-                    for mode in modes:
-                        ks = range(1, min(f, d ** t) + 1)
-                        for k in ks:
-                            inst = lpcert.canonical_instance(d, n, t, f, k,
-                                                             mode)
-                            for p in range(0, n - t):
-                                for q in range(n - t, n + 1):
-                                    failures += _certify_point(
-                                        out, inst, p, q)
+    for d, n, fs in grid:
+        for t in range(0, n):
+            for f in fs:
+                for mode in modes:
+                    for k in range(1, min(f, d ** t) + 1):
+                        inst = lpcert.canonical_instance(d, n, t, f, k, mode)
+                        for p in range(0, n - t):
+                            for q in range(n - t, n + 1):
+                                failures += _certify_point(out, inst, p, q)
     return 1 if failures else 0
 
 

@@ -93,10 +93,6 @@ class ClosState:
 
     # -- space-division admission ----------------------------------------
 
-    def snb_unavailable(self, i_cb, o_cb):
-        """Middles unusable for a fresh request I_i -> O_j."""
-        return self.in_mids[i_cb] | self.out_mids[o_cb]
-
     def _space_pre(self, in_term, out_term, rid):
         """Validate a space-division request; returns its id."""
         if self.config.traffic != SPACE:
@@ -120,9 +116,10 @@ class ClosState:
     def snb_admit(self, in_term, out_term, rid=None):
         """First-fit strict-sense admission; returns the middle or BLOCKED."""
         rid = self._space_pre(in_term, out_term, rid)
-        bad = self.snb_unavailable(in_term[0], out_term[0])
-        # with both terminals idle, at most n-1 middles are tied up by this
-        # input crossbar and n-1 by the output crossbar
+        bad = self.in_mids[in_term[0]] | self.out_mids[out_term[0]]
+        # the middles busy at either crossbar: with both terminals idle, at
+        # most n-1 are tied up by this input crossbar and n-1 by the output
+        # crossbar
         if len(bad) > 2 * (self.config.n - 1):
             raise AssertionError("%d middles unavailable" % len(bad))
         mid = next((mid for mid in range(self.config.m) if mid not in bad),

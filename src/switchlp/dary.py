@@ -185,15 +185,6 @@ class AddressSets:
             raise ValueError("window index %r out of range" % (w,))
         return lcp(self.d, rest, w, self.home_window)
 
-    def a_count(self, i):
-        return a_count_formula(self.d, self.n, i)
-
-    def window_count(self, j):
-        """Number of foreign windows with index j."""
-        if 0 <= j <= self.n - self.t - 1:
-            return window_count_formula(self.d, self.n, self.t, j)
-        return 0
-
     def output_count(self, j):
         """Number of home-window outputs outside B with index j."""
         return self.union_b_tail(j) - self.union_b_tail(j + 1)

@@ -18,7 +18,8 @@ i(u), and on a window or output only through its prefix index j.
 from fractions import Fraction
 from functools import cached_property
 
-from .dary import AddressSets, canonical_sets, window_outputs
+from .dary import (AddressSets, a_count_formula, canonical_sets,
+                   window_count_formula, window_outputs)
 from . import bounds
 from .bounds import LINK, CROSSTALK
 
@@ -93,10 +94,10 @@ class LpInstance:
     def profile(self):
         """Class counts (|A_i| per i, foreign windows and spare home-window
         outputs per j) as each class dual's objective coefficient."""
-        s, n, t = self.sets, self.n, self.t
-        a = [s.a_count(i) for i in range(n)]
-        win = [s.window_count(j) for j in range(n - t)]
-        return {"alpha": {j: self.d ** t * c for j, c in enumerate(win)},
+        s, d, n, t = self.sets, self.d, self.n, self.t
+        a = [a_count_formula(d, n, i) for i in range(n)]
+        win = [window_count_formula(d, n, t, j) for j in range(n - t)]
+        return {"alpha": {j: d ** t * c for j, c in enumerate(win)},
                 "beta": {(i, j): a[i] * win[j] for i, j in self.classes_uw},
                 "gamma": dict(enumerate(a)),
                 "delta": {j: s.output_count(j) for j in range(n)},
@@ -307,39 +308,6 @@ def dual_family(instance, p, q):
 
     return DualSolution(instance, alpha=alpha, beta=beta, gamma=gamma,
                         delta=delta, eps=eps)
-
-
-def dual_special_t_eq_n(instance):
-    """The whole-network (t = n) certificates behind the strict-sense
-    corollaries; f picks the branch, reported as `variant`: "high" for the
-    large-fanout one, "low" for the small-fanout one."""
-    inst = instance
-    n, d, f, k = inst.n, inst.d, inst.f, inst.k
-    if inst.t != n:
-        raise ValueError("t=%d, need t=n" % inst.t)
-    r = bounds.ilog(d, f)
-    if inst.theta == 0:
-        high = f > d ** (n - 2)
-        if high:
-            gamma = {i: 1 for i in range(1, n)}
-            sol = DualSolution(inst, gamma=gamma)
-        else:
-            q = (n + r) // 2 + 1
-            gamma = {i: 1 for i in range(n - q + 1, n)}
-            delta = {j: 1 for j in range(q, n)}
-            sol = DualSolution(inst, gamma=gamma, delta=delta)
-    else:
-        high = f > d ** (n - 2) * (d - 1)
-        if high:
-            delta = {j: 1 for j in range(n)}
-            sol = DualSolution(inst, delta=delta)
-        else:
-            p_hat = -(-(n - r - 1) // 2)
-            gamma = {i: 1 for i in range(p_hat, n)}
-            delta = {j: 1 for j in range(n - p_hat, n)}
-            sol = DualSolution(inst, gamma=gamma, delta=delta)
-    sol.variant = "high" if high else "low"
-    return sol
 
 
 def check_weak_duality(primal, dual):

@@ -278,43 +278,31 @@ class ConnState:
     def blocking_branches(self, x, outputs):
         """{plane: (u, v)}, ascending by plane, for each plane that blocks
         the single-window subrequest (x, outputs): the first live branch
-        (u, v), in `requests` order, from an input u != x that holds a key
-        of the subrequest on that plane.  Every output must be free."""
+        (u, v), in `requests` order, from an input u != x whose route on
+        that plane shares a key with the subrequest.  Every output must be
+        free."""
         outputs = set(outputs)
         x, routes = self._window_routes(x, outputs)
         owned = [y for y in outputs if y in self.output_owner]
         if owned:
             raise ValueError("request output %s already owned" % min(owned))
-        # with the outputs free, a foreign branch can hold a key of the
-        # subrequest only on an internal link or an element (input and
-        # output links belong to their terminals), just where the sharing
-        # predicates see a conflict.  One walk finds, per plane, the keys
-        # that inputs other than x hold there: those x does not hold.  A key
-        # has one holder per plane, so a route of an input u != x there
-        # conflicts iff it holds one of them; another of u's requests may
-        # hold them instead.
-        occ, refs, held = self.occ, self.refs, {}
-        for rt in routes:
-            for key in rt.ids:
-                mask = occ.get(key)
-                if mask:
-                    for plane in _planes(mask):
-                        if key not in refs.get((plane, x), ()):
-                            held.setdefault(plane, set()).add(key)
-        if not held:
+        # a key has one holder per plane, so on a blocking plane a route of
+        # an input u != x conflicts iff it holds one of the subrequest's keys
+        mask = self._blocked(x, routes)
+        if not mask:
             return {}
+        keys = {key for rt in routes for key in rt.ids}
         found = {}
         for u, admitted in self.requests.values():
             if u == x:
                 continue
             for plane, rts in admitted.values():
-                keys = held.get(plane)
-                if keys and plane not in found:
+                if mask >> plane & 1 and plane not in found:
                     for rt in rts:
                         if not keys.isdisjoint(rt.ids):
                             found[plane] = (u, rt.output)
                             break
-            if len(found) == len(held):
+            if len(found) == mask.bit_count():
                 break
         return dict(sorted(found.items()))
 
@@ -340,6 +328,23 @@ class ConnState:
                 active[x] = active.get(x, 0) + len(routes)
                 by_plane[plane] += routes
         check(len(owners) == sum(active.values()), "output double-owned")
+        # before any compare with the live maps, the first key in held's
+        # order that an earlier input holds on its plane, as the oracle
+        # names it; one plane's keys are kept at a time
+        tables, shared = {}, []
+        for i, ((plane, _), acc) in enumerate(held.items()):
+            tables.setdefault(plane, []).append((i, acc))
+        for plane, accs in tables.items():
+            seen = set()
+            for i, acc in accs:
+                if not seen.isdisjoint(acc):
+                    key = next(key for key in acc if key in seen)
+                    shared.append((i, key, plane))
+                    break
+                seen.update(acc)
+        if shared:
+            raise AssertionError("key %r shared across inputs on plane %d"
+                                 % min(shared)[1:])
         occ, entries = self.occ, 0
         for (plane, x), acc in held.items():
             counts, bit = Counter(acc), 1 << plane
@@ -351,18 +356,9 @@ class ConnState:
                   "refs differs from the registry")
             entries += len(counts)
         check(len(held) == len(self.refs), "refs differs from the registry")
-        # occ sets a bit for each counted (key, plane) and no other bit.  A
-        # key two inputs hold on one plane is counted twice on one bit, so
-        # only when the totals differ is it worth looking for one.
-        check(all(occ.values()), "occ differs from the registry")
-        if sum(map(int.bit_count, occ.values())) != entries:
-            holder = {}
-            for (plane, x), acc in held.items():
-                for key in acc:
-                    check(holder.setdefault((key, plane), x) == x,
-                          "key %r shared across inputs on plane %d",
-                          key, plane)
-            raise AssertionError("occ differs from the registry")
+        # occ sets a bit for each counted (key, plane) and no other bit
+        check(all(occ.values()) and entries == sum(
+            map(int.bit_count, occ.values())), "occ differs from the registry")
         for name, rebuilt in (("pins", pins), ("output_owner", owners),
                               ("input_active", active)):
             check(rebuilt == getattr(self, name), "%s differs from the "

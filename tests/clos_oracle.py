@@ -218,7 +218,7 @@ class OracleClosState(clos.ClosState):
             raise ValueError("the reuse rule needs r = 2")
         rid = self._space_pre(in_term, out_term, rid)
         i, o = in_term[0], out_term[0]
-        bad = self.snb_unavailable(i, o)
+        bad = self.in_mids[i] | self.out_mids[o]
         free = [mid for mid in range(self.config.m) if mid not in bad]
         if not free:
             return BLOCKED

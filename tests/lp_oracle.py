@@ -3,17 +3,21 @@
 `sufficient_m_enumerated` is the ground truth the bound tables are checked
 against: the family's max-min over the whole discrete (k, p, q) grid.
 `row_tight_enumerated` scans every k for one table row's tight value.  `h`
-and `hbar` are the monotone helper forms of the derivation.  `parse_lp`
-reads back the text `lpcert.export_lp` writes.
-`derive_constants_enumerated` solves the coloring LP by trying every basis.
+and `hbar` are the monotone helper forms of the derivation.  `wang07`,
+`danilewicz` and `cf_wsnb_window` are published plane counts the tables
+specialize to, and `dual_special_t_eq_n` builds the whole-network (t = n)
+certificates; no command reads them.  `parse_lp` reads back the text
+`lpcert.export_lp` writes.  `derive_constants_enumerated` solves the
+coloring LP by trying every basis.
 """
 
 from fractions import Fraction
 import itertools
 
-from switchlp.bounds import LINK, c_cost, g_cost, ilog
+from switchlp.bounds import LINK, c_cost, ceil_div, g_cost, ilog
 from switchlp.dary import frac_pow
 from switchlp.dwec import DwecScheme
+from switchlp.lpcert import DualSolution
 
 
 def sufficient_m_enumerated(d, n, t, f, mode):
@@ -45,6 +49,70 @@ def hbar(d, n, k):
         raise ValueError("k must be >= 1")
     e = (ilog(d, k) + n + 1) // 2
     return Fraction(d ** e) + k * (frac_pow(d, n - e) - 1)
+
+
+def wang07(d, n, f):
+    """Strictly nonblocking f-cast plane count (window size 1)."""
+    if not 1 <= f <= d ** n:
+        raise ValueError("f out of range")
+    r = ilog(d, f)
+    c = ceil_div(n - r, 2)
+    return f * (frac_pow(d, c - 1) - 1) + d ** (n - c)
+
+
+def danilewicz(d, n, t):
+    """Multicast WSNB plane count under the window algorithm (link blocking)."""
+    if not 0 <= t <= n - 1:
+        raise ValueError("t out of range")
+    if t <= n // 2 - 1:
+        return d ** (n - 2 * t - 1) + t * d ** (n - t - 1) * (d - 1)
+    return (Fraction(d ** (n - t - 1)) * ((d - 1) * (n - t - 1) - 1)
+            + d ** t - frac_pow(d, 2 * t - n - 1) * (d - 1) + 1)
+
+
+def cf_wsnb_window(d, n, t):
+    """Multicast crosstalk-free WSNB plane count under the window algorithm."""
+    if not 0 <= t <= n - 1:
+        raise ValueError("t out of range")
+    if 2 * t < n:
+        return d ** (n - 2 * t) + t * d ** (n - t) * (d - 1)
+    if 2 * t == n:
+        return d ** (n - t) * ((n - t) * (d - 1) - 1) + d ** t + 1
+    return (Fraction(d ** (n - t)) * ((n - t) * (d - 1) - 1)
+            + d ** t - frac_pow(d, 2 * t - n - 2) * (d - 1) + 1)
+
+
+def dual_special_t_eq_n(instance):
+    """The whole-network (t = n) certificates behind the strict-sense
+    corollaries; f picks the branch, reported as `variant`: "high" for the
+    large-fanout one, "low" for the small-fanout one."""
+    inst = instance
+    n, d, f = inst.n, inst.d, inst.f
+    if inst.t != n:
+        raise ValueError("t=%d, need t=n" % inst.t)
+    r = ilog(d, f)
+    if inst.theta == 0:
+        high = f > d ** (n - 2)
+        if high:
+            gamma = {i: 1 for i in range(1, n)}
+            sol = DualSolution(inst, gamma=gamma)
+        else:
+            q = (n + r) // 2 + 1
+            gamma = {i: 1 for i in range(n - q + 1, n)}
+            delta = {j: 1 for j in range(q, n)}
+            sol = DualSolution(inst, gamma=gamma, delta=delta)
+    else:
+        high = f > d ** (n - 2) * (d - 1)
+        if high:
+            delta = {j: 1 for j in range(n)}
+            sol = DualSolution(inst, delta=delta)
+        else:
+            p_hat = -(-(n - r - 1) // 2)
+            gamma = {i: 1 for i in range(p_hat, n)}
+            delta = {j: 1 for j in range(n - p_hat, n)}
+            sol = DualSolution(inst, gamma=gamma, delta=delta)
+    sol.variant = "high" if high else "low"
+    return sol
 
 
 def parse_lp(text):

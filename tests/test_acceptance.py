@@ -23,7 +23,8 @@ from switchlp.multilog import MultilogConfig, ConnState
 
 from address_oracle import route_sets
 from clos_oracle import opt_exact, replay_audited
-from lp_oracle import sufficient_m_enumerated
+from lp_oracle import (cf_wsnb_window, danilewicz, dual_special_t_eq_n,
+                       sufficient_m_enumerated, wang07)
 
 F = Fraction
 
@@ -111,7 +112,8 @@ def _clos_greedy_churn(n, m, r, steps, seed, pool=24):
         best, score = None, -1
         for _ in range(pool):
             cand = (rng.choice(ins), rng.choice(outs))
-            bad = len(state.snb_unavailable(cand[0][0], cand[1][0]))
+            bad = len(state.in_mids[cand[0][0]]
+                      | state.out_mids[cand[1][0]])
             if bad > score:
                 best, score = cand, bad
         assert score <= 2 * (n - 1)
@@ -342,7 +344,7 @@ def test_criterion_4_certificate_grid():
                                 & set(range(1, min(f, d ** n) + 1)))
                     for k in ks:
                         inst = lpcert.canonical_instance(d, n, n, f, k, mode)
-                        sol = lpcert.dual_special_t_eq_n(inst)
+                        sol = dual_special_t_eq_n(inst)
                         sol.check_feasible()
 
 
@@ -377,7 +379,7 @@ def test_criterion_5_dominance():
         # printed window corollary vs the crosstalk table, full-fanout column
         for d, n in GRID_DN:
             for t in range(0, n):
-                corollary = bounds.cf_wsnb_window(d, n, t)
+                corollary = cf_wsnb_window(d, n, t)
                 table_m = 1 + bounds.G_bound(d, n, t, d ** n).value
                 if corollary < table_m:
                     say("CRITERION 5 finding: window corollary %s below "
@@ -421,13 +423,13 @@ def test_criterion_6_multilog_sufficiency():
         # published specializations
         assert bounds.snb_fcast_t_eq_n(2, 4, 1) == 5
         assert bounds.snb_fcast_t_eq_n(2, 4, 1) == bounds.hwang_unicast(2, 4)
-        assert bounds.wang07(2, 4, 2) == 6
-        assert bounds.wang07(2, 4, 2) == 1 + bounds.C_bound(2, 4, 0, 2).value
-        assert bounds.danilewicz(2, 4, 1) == 6
-        assert bounds.danilewicz(2, 4, 1) == \
+        assert wang07(2, 4, 2) == 6
+        assert wang07(2, 4, 2) == 1 + bounds.C_bound(2, 4, 0, 2).value
+        assert danilewicz(2, 4, 1) == 6
+        assert danilewicz(2, 4, 1) == \
             bounds.C_bound(2, 4, 1, 16).m_sufficient
-        assert bounds.cf_wsnb_window(2, 4, 1) == 12
-        assert bounds.cf_wsnb_window(2, 4, 1) == \
+        assert cf_wsnb_window(2, 4, 1) == 12
+        assert cf_wsnb_window(2, 4, 1) == \
             bounds.G_bound(2, 4, 1, 16).m_sufficient
 
 

@@ -9,10 +9,11 @@ from switchlp import bounds
 from switchlp.bounds import (
     LINK, CROSSTALK, ilog, ceil_div,
     clos_snb, clos_wsnb_r2, clos_multirate,
-    hwang_unicast, wang07, snb_fcast_t_eq_n, cf_snb_fcast_t_eq_n,
-    danilewicz, cf_wsnb_window, c_cost, g_cost, C_bound, G_bound,
+    hwang_unicast, snb_fcast_t_eq_n, cf_snb_fcast_t_eq_n,
+    c_cost, g_cost, C_bound, G_bound,
 )
-from lp_oracle import h, hbar, row_tight_enumerated, sufficient_m_enumerated
+from lp_oracle import (cf_wsnb_window, danilewicz, h, hbar,
+                       row_tight_enumerated, sufficient_m_enumerated, wang07)
 
 
 class TestHelpers:

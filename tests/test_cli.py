@@ -609,6 +609,10 @@ MALFORMED = {
     "dwec-weight-3/2": (["dwec"], "A e1 u v 3/2\n", 1),
     "dwec-unknown-departure": (["dwec"], "A e1 u v 1/2\nD e9\n", 2),
     "certify-d-1": (["certify", "--d", "1", "--n", "3"], None, 0),
+    "certify-f-2,9": (["certify", "--d", "2", "--n", "3", "--f", "2,9"],
+                      None, 0),
+    "certify-f-9": (["certify", "--d", "2", "--n", "3", "--f", "9"], None,
+                    0),
     "bound-d-1": (["bound", "multilog", "--d", "1", "--n", "3", "--t", "1",
                    "--f", "1"], None, 0),
     "certify-f-x": (["certify", "--f", "x"], None, 0),

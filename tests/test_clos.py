@@ -65,7 +65,7 @@ class TestSnb:
             if not free_in or not free_out:
                 break
             it, ot = rng.choice(free_in), rng.choice(free_out)
-            bad = state.snb_unavailable(it[0], ot[0])
+            bad = state.in_mids[it[0]] | state.out_mids[ot[0]]
             assert len(bad) <= 4
             got = state.snb_admit(it, ot, rid=str(i))
             assert got is not BLOCKED  # m = 2n-1 middles always suffice

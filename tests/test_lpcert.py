@@ -13,12 +13,12 @@ from switchlp import lpcert, bounds, multilog, adversary
 from switchlp.lpcert import (
     LINK, CROSSTALK, Infeasible, LpInstance, canonical_instance,
     PrimalSolution, primal_from_state, DualSolution, dual_family,
-    dual_special_t_eq_n, check_weak_duality, family_cost, export_lp,
+    check_weak_duality, family_cost, export_lp,
 )
 from switchlp.dary import all_strings, parse_address, window_outputs
 
 from address_oracle import EnumeratedAddressSets, digits, lcp, lcs
-from lp_oracle import parse_lp
+from lp_oracle import dual_special_t_eq_n, parse_lp
 
 
 def s(text, base=2):
@@ -107,13 +107,14 @@ class TestOracle:
             [ref.j_of_window(w) for w in wins]
         assert [fast.j_of_output(v) for v in home_outs] == \
             [ref.j_of_output(v) for v in home_outs]
-        for i in range(n):
-            assert fast.a_count(i) == ref.a_count(i)
+        # the class counts the duals are priced with
+        alpha = inst.profile["alpha"]
+        assert inst.profile["gamma"] == {i: ref.a_count(i) for i in range(n)}
+        assert alpha == {j: d ** t * ref.window_count(j)
+                         for j in range(n - t)}
         for j in range(-1, n + 2):
-            assert fast.window_count(j) == ref.window_count(j)
             assert fast.output_count(j) == ref.output_count(j)
-            assert fast.window_count(j) * d ** t + fast.output_count(j) \
-                == ref.b_count(j)
+            assert alpha.get(j, 0) + fast.output_count(j) == ref.b_count(j)
             assert fast.union_b_tail(j) == ref.union_b_tail(j)
 
         thresh = n - inst.theta

@@ -523,6 +523,17 @@ def extra_occupancy_entry(state):
     state.occ[key] |= 2
 
 
+def shared_key_and_extra_bit(state):
+    # the shared key counts twice on one bit and the extra bit makes up
+    # for it, so the bit totals balance
+    shared_key(state)
+    extra_occupancy_entry(state)
+
+
+SHARED = "key %d shared across inputs on plane 0" % next(iter(
+    set(route(2, 3, 0, 0, LINK).ids) & set(route(2, 3, 4, 1, LINK).ids)))
+
+
 def verdict(audit, state):
     """The message `audit(state)` raises, or None when it passes."""
     try:
@@ -539,10 +550,9 @@ class TestAudit:
         (move_owner, "refs differs"),
         (lambda state: state.refs[1, s("100")].popitem(), "refs differs"),
         (lying_route, "conflict on plane 0"),
-        (shared_key, "key %d shared across inputs on plane 0"
-         % next(iter(set(route(2, 3, 0, 0, LINK).ids)
-                     & set(route(2, 3, 4, 1, LINK).ids)))),
+        (shared_key, SHARED),
         (extra_occupancy_entry, "occ differs"),
+        (shared_key_and_extra_bit, SHARED),
         (lambda state: state.occ.setdefault(-1, 0), "occ differs"),
         (lambda state: state.refs.setdefault((0, s("111")), {}),
          "refs differs"),
@@ -554,7 +564,8 @@ class TestAudit:
          "occ differs"),
     ], ids=["drop_occupancy_entry", "bump_refcount",
             "move_owner", "drop_refcount_entry", "lying_route",
-            "shared_key", "extra_occupancy_entry", "empty_occupancy_key",
+            "shared_key", "extra_occupancy_entry",
+            "shared_key_and_extra_bit", "empty_occupancy_key",
             "leftover_refcount_table", "move_bit", "drop_shared_bit",
             "zero_mask", "bit_past_the_planes"])
     def test_corruption_detected(self, corrupt, caught):
