@@ -59,7 +59,9 @@ def fraction(text):
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
+        raise ValueError("zero denominator in %r" % (text,)) from None
+    except (TypeError, OverflowError):
+        raise ValueError("%r is not a finite rational" % (text,)) from None
 
 
 def replay(lines, arity, operands, admit, release):

@@ -16,7 +16,8 @@ i(u), and on a window or output only through its prefix index j.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from numbers import Number
 
 from .dary import (AddressSets, a_count_formula, canonical_sets,
                    window_count_formula, window_outputs)
@@ -204,7 +205,8 @@ def primal_from_state(conn, a, B):
 class DualSolution:
     """Dual variables stored per class: alpha/beta keyed by window index j
     and (i, j); gamma/epsilon keyed by i(u); delta keyed by j(v).  An int
-    value stays an int, any other becomes a Fraction: both are exact."""
+    value stays an int, any other number becomes a Fraction: both are
+    exact.  A non-number or a non-finite float is a ValueError."""
 
     def __init__(self, instance, alpha=None, beta=None, gamma=None,
                  delta=None, eps=None):
@@ -215,10 +217,19 @@ class DualSolution:
         self.delta = dict.fromkeys(range(n), 0)
         self.eps = dict.fromkeys(range(n), 0)
         self.beta = {}
-        for (_, dst), src in zip(self._pools(),
-                                 (alpha, gamma, delta, eps, beta)):
-            dst.update((k, v if type(v) is int else Fraction(v))
+        for (what, dst), src in zip(self._pools(),
+                                    (alpha, gamma, delta, eps, beta)):
+            dst.update((k, _exact(what, k, v))
                        for k, v in (src or {}).items())
+
+    @classmethod
+    def _from_pools(cls, instance, alpha, gamma, delta, eps, beta):
+        """A solution over pools already in the constructor's form."""
+        sol = cls.__new__(cls)
+        sol.instance = instance
+        sol.alpha, sol.gamma, sol.delta, sol.eps, sol.beta = \
+            alpha, gamma, delta, eps, beta
+        return sol
 
     def _pools(self):
         return (("alpha", self.alpha), ("gamma", self.gamma),
@@ -228,8 +239,10 @@ class DualSolution:
     def check_feasible(self):
         inst = self.instance
         for what, pool in self._pools():
-            for key, val in pool.items():
+            for val in pool.values():
                 if val < 0:
+                    # the first negative key, looked up only on failure
+                    key = next(k for k, v in pool.items() if v < 0)
                     raise Infeasible("%s[%r] negative" % (what, key))
         for i, j in inst.classes_uw:
             if self.alpha[j] + self.beta.get((i, j), 0) + self.eps[i] < 1:
@@ -241,43 +254,80 @@ class DualSolution:
                                  % (i, j))
         return True
 
+    def _price(self):
+        """Every dual times its class count, summed in ints unless a dual
+        is a Fraction; a key with no class (an undefined beta, say) prices
+        at 0."""
+        profile, total = self.instance.profile, 0
+        for what, pool in self._pools():
+            count = profile[what]
+            for key, v in pool.items():
+                if v:
+                    total += v * count.get(key, 0)
+        return total
+
     def objective(self):
-        """Exact dual objective, summed in ints unless a dual is a Fraction;
-        a key with no class (an undefined beta, say) prices at 0."""
-        profile = self.instance.profile
-        return Fraction(sum(v * profile[what].get(key, 0)
-                            for what, pool in self._pools()
-                            for key, v in pool.items() if v))
+        """Exact dual objective."""
+        return Fraction(self._price())
 
     def objective_bounded_delta(self, q):
         """Objective with the delta term replaced by the tail union bound
         min{d^t - k, k(d^(n-q) - 1)}; only meaningful when delta is the
         indicator of j(v) >= q."""
         inst = self.instance
+        if not isinstance(q, int):
+            raise ValueError("q=%r is not an integer" % (q,))
         if not inst.n - inst.t <= q <= inst.n:
             raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
                                                        inst.n))
         if any(self.delta[j] != (j >= q) for j in range(inst.n)):
             raise ValueError("delta is not the q-tail indicator")
-        true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= q)
         cap = min(inst.d ** inst.t - inst.k,
                   inst.k * (inst.d ** (inst.n - q) - 1))
-        return self.objective() + (cap - true_tail)
+        # union_b_tail(q) is the delta term's true tail, profile["delta"]
+        # summed over j >= q
+        return Fraction(self._price() + cap - inst.sets.union_b_tail(q))
+
+
+def _exact(what, key, v):
+    """v as an exact dual value: an int stays an int, any other number
+    becomes a Fraction; anything else is a ValueError naming the pool."""
+    if type(v) is int:
+        return v
+    if isinstance(v, Number):
+        try:
+            return Fraction(v)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    raise ValueError("%s[%r] = %r is not a finite number" % (what, key, v))
 
 
 def dual_family(instance, p, q):
     """The two-parameter dual-feasible family.
 
     p shapes epsilon/alpha/beta, q shapes gamma/delta; thresholds shift by
-    one between link and crosstalk modes.
+    one between link and crosstalk modes.  The pools are fresh copies of a
+    cached shape, so a caller may change them freely.
     """
-    n, t, d = instance.n, instance.t, instance.d
-    theta = instance.theta
+    n, t = instance.n, instance.t
+    if not (isinstance(p, int) and isinstance(q, int)):
+        raise ValueError("need integer p and q, got p=%r, q=%r" % (p, q))
     if not (0 <= p <= n - t - 1):
         raise ValueError("p=%d out of [0, %d]" % (p, n - t - 1))
     if not (n - t <= q <= n):
         raise ValueError("q=%d out of [%d, %d]" % (q, n - t, n))
+    alpha, gamma, delta, eps, beta = _family_shape(n, t, instance.theta,
+                                                   p, q)
+    return DualSolution._from_pools(instance, alpha.copy(), gamma.copy(),
+                                    delta.copy(), eps.copy(), beta.copy())
 
+
+@lru_cache(maxsize=1024)
+def _family_shape(n, t, theta, p, q):
+    """The family's (alpha, gamma, delta, epsilon, beta) pools at one point,
+    in the form `DualSolution` gives them: every alpha, gamma, delta and
+    epsilon key present, every value an int.  They depend on the instance
+    only through (n, t, theta); callers copy them and never change them."""
     eps = {i: 1 for i in range(n - p, n)}
     alpha, beta = {}, {}
     half = (n // 2) if theta == 0 else -(-n // 2)
@@ -306,8 +356,9 @@ def dual_family(instance, p, q):
         for i in range(n - q + 1 - theta, n - p):
             gamma[i] = 1
 
-    return DualSolution(instance, alpha=alpha, beta=beta, gamma=gamma,
-                        delta=delta, eps=eps)
+    zeros = dict.fromkeys(range(n), 0)
+    return (dict.fromkeys(range(n - t), 0) | alpha, zeros | gamma,
+            zeros | delta, zeros | eps, beta)
 
 
 def check_weak_duality(primal, dual):

@@ -6,7 +6,11 @@ against: the family's max-min over the whole discrete (k, p, q) grid.
 and `hbar` are the monotone helper forms of the derivation.  `wang07`,
 `danilewicz` and `cf_wsnb_window` are published plane counts the tables
 specialize to, and `dual_special_t_eq_n` builds the whole-network (t = n)
-certificates; no command reads them.  `parse_lp` reads back the text
+certificates; no command reads them.  `family_loops` builds the
+two-parameter dual family point by point, and `objective_summed` and
+`bounded_delta_summed` price a dual with one term per nonzero value, as
+`lpcert` did before it cached the family's shape and shared one sum
+between its two objectives.  `parse_lp` reads back the text
 `lpcert.export_lp` writes.  `derive_constants_enumerated` solves the
 coloring LP by trying every basis.
 """
@@ -113,6 +117,72 @@ def dual_special_t_eq_n(instance):
             sol = DualSolution(inst, gamma=gamma, delta=delta)
     sol.variant = "high" if high else "low"
     return sol
+
+
+def family_loops(instance, p, q):
+    """`lpcert.dual_family` built in loops through the normalising
+    `DualSolution` constructor."""
+    n, t, theta = instance.n, instance.t, instance.theta
+    if not (0 <= p <= n - t - 1):
+        raise ValueError("p=%d out of [0, %d]" % (p, n - t - 1))
+    if not (n - t <= q <= n):
+        raise ValueError("q=%d out of [%d, %d]" % (q, n - t, n))
+
+    eps = {i: 1 for i in range(n - p, n)}
+    alpha, beta = {}, {}
+    half = (n // 2) if theta == 0 else -(-n // 2)
+    jlo = p + 1 - theta
+    if t >= half:
+        for j in range(jlo, n - t):
+            for i in range(n - theta - j, n - p):
+                beta[i, j] = 1
+    elif p + 1 <= t:
+        for j in range(jlo, t - theta + 1):
+            for i in range(n - theta - j, n - p):
+                beta[i, j] = 1
+        for j in range(t + 1 - theta, n - t):
+            alpha[j] = 1
+    else:
+        for j in range(jlo, n - t):
+            alpha[j] = 1
+
+    gamma, delta = {}, {}
+    if q == n - t:
+        for j in range(n - t, n):
+            delta[j] = 1
+    else:
+        for j in range(q, n):
+            delta[j] = 1
+        for i in range(n - q + 1 - theta, n - p):
+            gamma[i] = 1
+
+    return DualSolution(instance, alpha=alpha, beta=beta, gamma=gamma,
+                        delta=delta, eps=eps)
+
+
+def objective_summed(sol):
+    """The exact dual objective as one generator sum over every nonzero
+    value; a key with no class prices at 0."""
+    profile = sol.instance.profile
+    return Fraction(sum(v * profile[what].get(key, 0)
+                        for what, pool in sol._pools()
+                        for key, v in pool.items() if v))
+
+
+def bounded_delta_summed(sol, q):
+    """`objective_summed` with the delta term's true tail, summed from the
+    profile, replaced by min{d^t - k, k(d^(n-q) - 1)}; the same refusals
+    as `DualSolution.objective_bounded_delta` for an integer q."""
+    inst = sol.instance
+    if not inst.n - inst.t <= q <= inst.n:
+        raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
+                                                   inst.n))
+    if any(sol.delta[j] != (j >= q) for j in range(inst.n)):
+        raise ValueError("delta is not the q-tail indicator")
+    true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= q)
+    cap = min(inst.d ** inst.t - inst.k,
+              inst.k * (inst.d ** (inst.n - q) - 1))
+    return objective_summed(sol) + (cap - true_tail)
 
 
 def parse_lp(text):

@@ -723,6 +723,15 @@ class TestInputErrors:
             "                                        float('inf')),",
             "    lambda: clos.ClosState(C(n=2, m=3, r=2, traffic='multirate'))",
             "        .multirate_admit((0, 0), (1, 0), float('inf')),",
+            "    lambda: lpcert.DualSolution(lpcert.canonical_instance(",
+            "        2, 3, 1, 2, 1), alpha={0: float('inf')}),",
+            "    lambda: lpcert.DualSolution(lpcert.canonical_instance(",
+            "        2, 3, 1, 2, 1), gamma={0: None}),",
+            "    lambda: lpcert.DualSolution(lpcert.canonical_instance(",
+            "        2, 3, 1, 2, 1), delta={0: '1'}),",
+            "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
+            "        2, 3, 1, 2, 1), 0.5, 2),",
+            "    lambda: dwec.ColoringState().arrive('e', 'u', 'v', None),",
             "    lambda: banyan.route(2, 3, 0, 1, 'bogus'),",
             "    lambda: multilog.MultilogConfig(d=2, n=3, m=2.5),",
             "    lambda: multilog.MultilogConfig(d=2.0, n=3, m=1),",

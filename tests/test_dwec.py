@@ -125,6 +125,15 @@ class TestColoringState:
         with pytest.raises(ValueError):
             state.depart("zzz")
 
+    @pytest.mark.parametrize("w", [None, float("inf"), 1j, "1/0", "x"])
+    def test_weight_that_is_no_rational_refused(self, w):
+        with pytest.raises(ValueError):
+            dwec.as_fraction(w)
+        state = ColoringState()
+        with pytest.raises(ValueError):
+            state.arrive("e", "a", "b", w)
+        assert state.edges == {}
+
     def test_snapshot_restore(self):
         state = ColoringState()
         state.arrive("e1", "a", "b", F(2, 3))

@@ -18,7 +18,8 @@ from switchlp.lpcert import (
 from switchlp.dary import all_strings, parse_address, window_outputs
 
 from address_oracle import EnumeratedAddressSets, digits, lcp, lcs
-from lp_oracle import dual_special_t_eq_n, parse_lp
+from lp_oracle import (bounded_delta_summed, dual_special_t_eq_n,
+                       family_loops, objective_summed, parse_lp)
 
 
 def s(text, base=2):
@@ -208,6 +209,83 @@ class TestDualOracle:
         got = sol.objective_bounded_delta(q)
         assert type(got) is Fraction
         assert got == enumerated(inst, ref, duals)[0] - tail + cap
+
+
+@st.composite
+def loose_duals(draw):
+    """An instance, dual pools of mixed ints and Fractions that may hold
+    keys with no class (delta beyond n among them) and may be negative,
+    and an integer q in or next to [n - t, n]; delta is the q-tail
+    indicator half the time, so the bounded objective is reached."""
+    d, n, t, a, B, mode = draw(requests(max_n=4))
+    inst = LpInstance(d, n, t, draw(st.integers(len(B), d ** n)), a, B, mode)
+    q = draw(st.integers(n - t - 1, n + 1))
+    value = st.one_of(st.integers(-2, 3),
+                      st.fractions(-2, 3, max_denominator=6))
+
+    def pool(keys):
+        return draw(st.dictionaries(st.sampled_from(keys), value,
+                                    max_size=len(keys)))
+
+    duals = {"alpha": pool(range(n - t + 1)),
+             "beta": pool([(i, j) for i in range(n + 1)
+                           for j in range(n - t + 1)]),
+             "gamma": pool(range(n + 1)), "eps": pool(range(n + 1)),
+             "delta": pool(range(n + 2))}
+    if draw(st.booleans()):
+        duals["delta"] = {j: int(j >= q) for j in range(n)}
+        duals["delta"].update(pool(range(n, n + 2)))
+    return inst, duals, q
+
+
+class TestDualPricing:
+    """One exact sum behind both objectives, against the generator sum
+    it replaced."""
+
+    @settings(deadline=None)
+    @given(loose_duals())
+    def test_one_sum_matches_generator_sum(self, case):
+        inst, duals, q = case
+        sol = DualSolution(inst, **duals)
+        got = sol.objective()
+        assert type(got) is Fraction
+        assert got == objective_summed(sol)
+        try:
+            want = bounded_delta_summed(sol, q)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                sol.objective_bounded_delta(q)
+            assert str(err.value) == str(exc)
+        else:
+            got = sol.objective_bounded_delta(q)
+            assert type(got) is Fraction
+            assert got == want
+
+    @pytest.mark.parametrize("pool, value", [
+        ("alpha", float("inf")), ("alpha", float("nan")), ("gamma", None),
+        ("delta", "1"), ("eps", 1j), ("beta", [1])])
+    def test_value_that_is_no_finite_number_refused(self, pool, value):
+        inst = canonical_instance(2, 3, 1, 2, 1, LINK)
+        key = (1, 1) if pool == "beta" else 0
+        with pytest.raises(ValueError) as err:
+            DualSolution(inst, **{pool: {key: value}})
+        name = "epsilon" if pool == "eps" else pool
+        assert str(err.value).startswith("%s[%r]" % (name, key))
+
+    def test_exact_values_kept(self):
+        inst = canonical_instance(2, 3, 1, 2, 1, LINK)
+        sol = DualSolution(inst, alpha={0: 1}, gamma={0: Fraction(1, 3)},
+                           delta={0: 0.5}, eps={0: True})
+        assert type(sol.alpha[0]) is int
+        assert sol.gamma[0] == Fraction(1, 3)
+        assert sol.delta[0] == Fraction(1, 2)
+        assert sol.eps[0] == 1
+
+    @pytest.mark.parametrize("q", [2.5, 2.0, "2", None])
+    def test_bounded_delta_refuses_non_integer_q(self, q):
+        sol = dual_family(canonical_instance(2, 3, 1, 2, 1, LINK), 0, 2)
+        with pytest.raises(ValueError, match="not an integer"):
+            sol.objective_bounded_delta(q)
 
 
 class TestPrimal:
@@ -410,6 +488,52 @@ class TestDualFamily:
             dual_family(inst, 2, 2)
         with pytest.raises(ValueError):
             dual_family(inst, 0, 1)
+        for p, q in ((0.5, 2), (0, 2.0), (0, "2"), (None, 2)):
+            with pytest.raises(ValueError, match="need integer p and q"):
+                dual_family(inst, p, q)
+
+    def test_matches_loop_oracle(self):
+        # the cached shape against the family built in loops: the same
+        # pools with the same key order, and every value a plain int
+        for n in range(1, 8):
+            for t in range(n):
+                for mode in (LINK, CROSSTALK):
+                    inst = canonical_instance(2, n, t, 1, 1, mode)
+                    for p in range(n - t):
+                        for q in range(n - t, n + 1):
+                            got = dual_family(inst, p, q)._pools()
+                            want = family_loops(inst, p, q)._pools()
+                            for (what, pool), (_, ref) in zip(got, want):
+                                assert list(pool.items()) == \
+                                    list(ref.items()), (n, t, mode, p, q,
+                                                        what)
+                                assert all(type(v) is int
+                                           for v in pool.values())
+
+    def test_cache_isolated_from_callers(self):
+        # zero, negate or empty a certificate's pools in place, as
+        # `certify --fuzz` and test_negative_value_rejected do: a later
+        # certificate at the same point, and one of another instance with
+        # the same (n, t, mode), must not see it
+        inst = canonical_instance(2, 5, 2, 4, 2, LINK)
+        other = canonical_instance(3, 5, 2, 1, 1, LINK)
+        want = [list(pool.items())
+                for _, pool in family_loops(inst, 1, 3)._pools()]
+        edits = (lambda pool: pool.update(dict.fromkeys(pool, 0)),
+                 lambda pool: pool.update((k, -v) for k, v in pool.items()),
+                 dict.clear,
+                 lambda pool: pool.update({99: -1}))
+        for edit in edits:
+            sol = dual_family(inst, 1, 3)
+            for _, pool in sol._pools():
+                edit(pool)
+            for fresh in (dual_family(inst, 1, 3), dual_family(other, 1, 3)):
+                assert [list(pool.items())
+                        for _, pool in fresh._pools()] == want
+                assert fresh.check_feasible()
+        first, second = dual_family(inst, 1, 3), dual_family(inst, 1, 3)
+        assert all(a is not b for (_, a), (_, b)
+                   in zip(first._pools(), second._pools()))
 
     @pytest.mark.parametrize("q", [4, 5])
     def test_bounded_delta_refuses_q_out_of_range(self, q):
