@@ -10,7 +10,7 @@ derivation they summarize (see the comments on each row below).  Those rows
 return the derivation-consistent value.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 import math
 
@@ -21,11 +21,7 @@ LINK = "link"
 CROSSTALK = "crosstalk"
 
 
-@dataclass
-class BoundResult:
-    value: Fraction
-    m_sufficient: int
-    branch: str
+BoundResult = namedtuple("BoundResult", ["value", "m_sufficient", "branch"])
 
 
 def _check_range(cond, msg):

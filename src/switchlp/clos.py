@@ -20,7 +20,7 @@ Terminals are (crossbar, port) pairs, written `<crossbar>:<port>` in traces,
 both 0-based.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import dwec
@@ -39,20 +39,22 @@ class CapacityExceeded(SwitchError):
     status = "capacityexceeded"
 
 
-@dataclass(frozen=True)
-class ClosConfig:
-    n: int
-    m: int
-    r: int
-    traffic: str = SPACE
+class ClosConfig(namedtuple("ClosConfig", ["n", "m", "r", "traffic"],
+                            defaults=[SPACE])):
+    """A Clos network's shape: frozen, compared and hashed by value, and
+    validated on construction."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(isinstance(v, int) for v in (self.n, self.m, self.r)):
             raise ValueError("need integer n, m and r")
         if min(self.n, self.m, self.r) <= 0:
             raise ValueError("need n, m, r > 0")
         if self.traffic not in (SPACE, MULTIRATE):
             raise ValueError("unknown traffic %r" % (self.traffic,))
+        return self
 
     @classmethod
     def symmetric(cls, n, m, r, traffic=SPACE):

@@ -10,8 +10,26 @@ derived address families.  Trace text becomes an address through
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import operator
+
+
+class lazy:
+    """A read-once attribute: the method runs on first read and its value
+    is stored in the instance's `__dict__`, which later reads find first.
+    Unlike `functools.cached_property` in Python 3.11, it takes no lock."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class DaryString(int):
@@ -124,6 +142,8 @@ class AddressSets:
 
     Addresses are n-digit base-d ints.  Indices are computed from them when
     asked and counts in closed form, so nothing here enumerates addresses.
+    B is range-checked by its least and greatest member, address by address
+    only to name a bad one.
     """
 
     def __init__(self, d, n, a, B, t):
@@ -132,18 +152,27 @@ class AddressSets:
             raise ValueError("B must be nonempty")
         if not (0 <= t <= n):
             raise ValueError("t=%d out of range for n=%d" % (t, n))
-        if len(B) > d ** t:
-            raise ValueError("window cannot hold %d outputs" % len(B))
-        for v in (a, *B):
-            check_address(d, n, v)
-        self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
         self._size = size = d ** t
-        self.home_window = min(B) // size
-        if max(B) // size != self.home_window:
+        if len(B) > size:
+            raise ValueError("window cannot hold %d outputs" % len(B))
+        check_address(d, n, a)
+        try:
+            values = sorted(map(operator.index, B))
+            lo, hi = values[0], values[-1]
+        except TypeError:
+            lo = hi = -1
+        if lo < 0 or hi >= d ** n:
+            # some member is out of range or no integer: name the first
+            for v in B:
+                check_address(d, n, v)
+        self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
+        self._lo, self._hi = lo, hi
+        self.home_window = lo // size
+        if hi // size != self.home_window:
             raise ValueError("B spans multiple windows: %s"
                              % sorted({b // size for b in B}))
 
-    @cached_property
+    @lazy
     def _prefixes(self):
         """The distinct q-digit prefixes of B for q = n-t .. n-1: the
         home-window outputs with j(v) >= q are exactly those extending one."""
@@ -151,9 +180,27 @@ class AddressSets:
         return [{b // d ** (n - q) for b in self.B}
                 for q in range(n - self.t, n)]
 
-    @cached_property
-    def _heads(self):
-        return [len(heads) for heads in self._prefixes]
+    @lazy
+    def _tails(self):
+        """union_b_tail(q) for q = n-t .. n.  A contiguous B has
+        hi // p - lo // p + 1 distinct prefixes at each level p = d^(n-q);
+        any other B counts them."""
+        d, n, t, lo, hi = self.d, self.n, self.t, self._lo, self._hi
+        spans = [d ** (n - q) for q in range(n - t, n)]
+        if hi - lo + 1 == len(self.B):
+            heads = [hi // p - lo // p + 1 for p in spans]
+        else:
+            heads = map(len, self._prefixes)
+        k = len(self.B)
+        return tuple([h * p - k for h, p in zip(heads, spans)] + [0])
+
+    @lazy
+    def output_counts(self):
+        """Number of home-window outputs outside B with index j, for
+        j = 0 .. n-1; zero below n-t."""
+        tails, t = self._tails, self.t
+        return ((0,) * (self.n - t)
+                + tuple(tails[i] - tails[i + 1] for i in range(t)))
 
     def i_of(self, u):
         """Suffix index of input u, or None for u == a."""
@@ -185,17 +232,10 @@ class AddressSets:
             raise ValueError("window index %r out of range" % (w,))
         return lcp(self.d, rest, w, self.home_window)
 
-    def output_count(self, j):
-        """Number of home-window outputs outside B with index j."""
-        return self.union_b_tail(j) - self.union_b_tail(j + 1)
-
     def union_b_tail(self, q):
         """|{v in home window, v not in B : j(v) >= q}|."""
         n, t = self.n, self.t
-        q = max(q, n - t)
-        if q >= n:
-            return 0
-        return self._heads[q - (n - t)] * self.d ** (n - q) - len(self.B)
+        return self._tails[min(max(q, n - t), n) - (n - t)]
 
 
 def a_count_formula(d, n, i):
@@ -221,6 +261,8 @@ def canonical_sets(d, n, t, k):
     """AddressSets for the canonical request: a = 0^n, B = the k smallest
     outputs of window 0.  This is the worst-case shape the bound formulas
     are stated for, so the certificate grid runs on it."""
+    if not (0 <= t <= n):
+        raise ValueError("t=%d out of range for n=%d" % (t, n))
     if not (1 <= k <= d ** t):
         raise ValueError("k=%d out of range for window size %d" % (k, d ** t))
     return AddressSets(d, n, 0, range(k), t)

@@ -19,7 +19,6 @@ denominator near 10^9, would otherwise grow `den` without end.
 
 from collections import namedtuple
 import copy
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -329,13 +328,8 @@ def opt_lower(state):
     return max(math.ceil(state.W_bar), state.Delta_bar)
 
 
-@dataclass
-class DerivedScheme:
-    breakpoints: tuple
-    x: tuple
-    objective: Fraction
-    rows: list
-    dual: tuple
+DerivedScheme = namedtuple("DerivedScheme",
+                           ["breakpoints", "x", "objective", "rows", "dual"])
 
 
 def derive_constants(breakpoints):

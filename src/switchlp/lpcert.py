@@ -16,10 +16,11 @@ i(u), and on a window or output only through its prefix index j.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import compress
 from numbers import Number
 
-from .dary import (AddressSets, a_count_formula, canonical_sets,
+from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
                    window_count_formula, window_outputs)
 from . import bounds
 from .bounds import LINK, CROSSTALK
@@ -35,43 +36,49 @@ class LpInstance:
     """One concrete blocking LP: parameters, request, defined index sets.
 
     The constructor only validates the request and builds its
-    `AddressSets`.  Everything else is built when first read: the (i, j)
+    `AddressSets`, or takes `sets`, one already built and checked for this
+    (d, n, t, a, B).  Everything else is built when first read: the (i, j)
     classes (`classes_uw`, `classes_uv`) and the class-count `profile` by
     the dual checks, and the variable lists (`inputs`, `windows`, `spare`,
     `uw_pairs`, `uv_pairs`), which enumerate addresses, by `export_lp`
-    alone.  A primal read off a simulator state needs none of them.
+    alone.  A primal read off a simulator state needs none of them.  The
+    class tables come from bounded caches keyed by what they depend on, and
+    each instance gets its own copies.
     """
 
-    def __init__(self, d, n, t, f, a, B, mode=LINK):
+    def __init__(self, d, n, t, f, a, B, mode=LINK, sets=None):
         if mode not in _THETA:
             raise ValueError("mode must be %r or %r" % (LINK, CROSSTALK))
         self.d, self.n, self.t, self.f = d, n, t, f
         self.mode = mode
         self.theta = _THETA[mode]
-        self.sets = s = AddressSets(d, n, a, B, t)
+        if sets is None:
+            sets = AddressSets(d, n, a, B, t)
+        elif (sets.d, sets.n, sets.t, sets.a, sets.B) != (d, n, t, a, B):
+            raise ValueError("sets were built for another request")
+        self.sets = s = sets
         self.a = a
         self.B = s.B
         self.k = len(self.B)
+        if not 1 <= f <= d ** n:
+            raise ValueError("f=%s out of range [1, %d]" % (f, d ** n))
         if self.k > f:
             raise ValueError("|B|=%d exceeds fanout bound %d" % (self.k, f))
         self.home = s.home_window
         self._thresh = n - self.theta
 
-    @cached_property
+    @lazy
     def classes_uw(self):
         """(i, j) pairs with at least one defined (u, w) variable."""
-        n, thresh = self.n, self._thresh
-        return [(i, j) for i in range(n) for j in range(n - self.t)
-                if i + j >= thresh]
+        return list(_classes(self.n, self._thresh, range(self.n - self.t)))
 
-    @cached_property
+    @lazy
     def classes_uv(self):
         """(i, j) pairs with at least one defined (u, v) variable."""
-        n, t, thresh = self.n, self.t, self._thresh
         # every input class and foreign-window class is nonempty for d >= 2;
         # only the home-window output classes j in [n-t, n) can be empty
-        outs = [j for j in range(n - t, n) if self.sets.output_count(j)]
-        return [(i, j) for i in range(n) for j in outs if i + j >= thresh]
+        outs = tuple(compress(range(self.n), self.sets.output_counts))
+        return list(_classes(self.n, self._thresh, outs))
 
     def defined_uw(self, u, w):
         """Whether x_(u,w) is a variable: u != a, w a foreign window and
@@ -91,48 +98,76 @@ class LpInstance:
             return False
         return i is not None and j is not None and i + j >= self._thresh
 
-    @cached_property
+    @lazy
     def profile(self):
         """Class counts (|A_i| per i, foreign windows and spare home-window
         outputs per j) as each class dual's objective coefficient."""
-        s, d, n, t = self.sets, self.d, self.n, self.t
-        a = [a_count_formula(d, n, i) for i in range(n)]
-        win = [window_count_formula(d, n, t, j) for j in range(n - t)]
-        return {"alpha": {j: d ** t * c for j, c in enumerate(win)},
-                "beta": {(i, j): a[i] * win[j] for i, j in self.classes_uw},
-                "gamma": dict(enumerate(a)),
-                "delta": {j: s.output_count(j) for j in range(n)},
-                "epsilon": {i: self.f * c for i, c in enumerate(a)}}
+        d, n = self.d, self.n
+        alpha, beta, gamma = _window_counts(d, n, self.t, self._thresh)
+        return {"alpha": alpha.copy(), "beta": beta.copy(),
+                "gamma": gamma.copy(),
+                "delta": dict(enumerate(self.sets.output_counts)),
+                "epsilon": _fanout_counts(d, n, self.f).copy()}
 
-    @cached_property
+    @lazy
     def inputs(self):
         return [u for u in range(self.d ** self.n) if u != self.a]
 
-    @cached_property
+    @lazy
     def windows(self):
         return [w for w in range(self.d ** (self.n - self.t))
                 if w != self.home]
 
-    @cached_property
+    @lazy
     def spare(self):
         return [v for v in window_outputs(self.d, self.n, self.t, self.home)
                 if v not in self.B]
 
-    @cached_property
+    @lazy
     def uw_pairs(self):
         return [(u, w) for u in self.inputs for w in self.windows
                 if self.defined_uw(u, w)]
 
-    @cached_property
+    @lazy
     def uv_pairs(self):
         return [(u, v) for u in self.inputs for v in self.spare
                 if self.defined_uv(u, v)]
 
 
+# The class tables below depend on an instance only through a few of its
+# parameters, so a grid of instances shares far fewer of them than it has
+# cells.  Each holds tuples or dicts that no caller sees: instances copy them.
+
+
+@lru_cache(maxsize=256)
+def _classes(n, thresh, js):
+    """(i, j) for i < n and j in js with i + j >= thresh."""
+    return tuple((i, j) for i in range(n) for j in js if i + j >= thresh)
+
+
+@lru_cache(maxsize=256)
+def _window_counts(d, n, t, thresh):
+    """The alpha, beta and gamma class counts: d^t outputs per foreign
+    window class, |A_i| times the windows per (u, w) class, and |A_i|."""
+    a = [a_count_formula(d, n, i) for i in range(n)]
+    win = [window_count_formula(d, n, t, j) for j in range(n - t)]
+    return ({j: d ** t * c for j, c in enumerate(win)},
+            {(i, j): a[i] * win[j]
+             for i, j in _classes(n, thresh, range(n - t))},
+            dict(enumerate(a)))
+
+
+@lru_cache(maxsize=256)
+def _fanout_counts(d, n, f):
+    """The epsilon class counts: f times |A_i|."""
+    return {i: f * a_count_formula(d, n, i) for i in range(n)}
+
+
 def canonical_instance(d, n, t, f, k, mode=LINK):
-    """Instance for the canonical request a = 0^n, B = first k of window 0."""
+    """Instance for the canonical request a = 0^n, B = first k of window 0,
+    on the cached sets of `canonical_sets`."""
     sets = canonical_sets(d, n, t, k)
-    return LpInstance(d, n, t, f, sets.a, sets.B, mode)
+    return LpInstance(d, n, t, f, sets.a, sets.B, mode, sets)
 
 
 # The primal's rows, in export order: each kind's LP row name and the

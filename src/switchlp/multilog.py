@@ -11,8 +11,7 @@ at input granularity.  Addresses are the ints their digits denote; output y
 lies in window y // d^t.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
 import random
@@ -35,18 +34,16 @@ class OutputBusy(SwitchError):
     status = "output_busy"
 
 
-@dataclass(frozen=True)
-class MultilogConfig:
-    d: int
-    n: int
-    m: int
-    t: int = 0
-    f: int = 1
-    mode: str = LINK
-    plane_policy: str = FIRST_FIT
-    seed: int = 0
+class MultilogConfig(namedtuple(
+        "MultilogConfig", ["d", "n", "m", "t", "f", "mode", "plane_policy",
+                           "seed"], defaults=[0, 1, LINK, FIRST_FIT, 0])):
+    """A multilog network's shape: frozen, compared and hashed by value,
+    and validated on construction."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(isinstance(v, int)
                    for v in (self.d, self.n, self.m, self.t, self.f)):
             raise ValueError("need integer d, n, m, t and f")
@@ -60,6 +57,7 @@ class MultilogConfig:
             raise ValueError("unknown mode %r" % (self.mode,))
         if self.plane_policy not in (FIRST_FIT, RANDOM):
             raise ValueError("unknown plane policy %r" % (self.plane_policy,))
+        return self
 
 
 # Nearly every route lookup repeats one of the last few: `admit` looks up

@@ -559,6 +559,16 @@ class TestExportLp:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("t, f, message", [
+        ("-1", "1", "t=-1 out of range for n=3"),
+        ("4", "1", "t=4 out of range for n=3"),
+        ("1", "9", "f=9 out of range [1, 8]")])
+    def test_range_errors_name_the_argument(self, capsys, t, f, message):
+        code, out, err = run(capsys, "export-lp", "--d", "2", "--n", "3",
+                             "--t", t, "--f", f, "--k", "1")
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestParser:
     def test_unknown_subcommand(self):
@@ -643,6 +653,15 @@ MALFORMED = {
     "certify-n-0": (["certify", "--n", "0"], None, 0),
     "export-lp-n-0": (["export-lp", "--d", "2", "--n", "0", "--t", "0",
                        "--f", "1", "--k", "1"], None, 0),
+    "export-lp-f-9": (["export-lp", "--d", "2", "--n", "3", "--t", "1",
+                       "--f", "9", "--k", "1"], None, 0),
+    "export-lp-f-huge": (["export-lp", "--d", "2", "--n", "3", "--t", "1",
+                          "--f", "99999999999999999999", "--k", "1"], None,
+                         0),
+    "export-lp-f-0": (["export-lp", "--d", "2", "--n", "3", "--t", "1",
+                       "--f", "0", "--k", "1"], None, 0),
+    "export-lp-t--1": (["export-lp", "--d", "2", "--n", "3", "--t", "-1",
+                        "--f", "1", "--k", "1"], None, 0),
 }
 
 
@@ -744,6 +763,15 @@ class TestInputErrors:
             "    lambda: dary.parse_address('\\u0661\\u0660\\u0660', 2, 3),",
             "    lambda: clos.parse_terminal('0_1:0'),",
             "    lambda: clos.parse_terminal('+1:0'),",
+            "    lambda: lpcert.LpInstance(2, 3, 1, 9, 0, [0]),",
+            "    lambda: lpcert.canonical_instance(2, 3, 1, 10 ** 20, 1),",
+            "    lambda: lpcert.canonical_instance(2, 3, 1, 0, 1),",
+            "    lambda: lpcert.LpInstance(2, 3, 1, 2, 1, [0], 'link',",
+            "                              dary.canonical_sets(2, 3, 1, 1)),",
+            "    lambda: dary.canonical_sets(2, 3, -1, 1),",
+            "    lambda: dary.AddressSets(2, 3, 0, [0, 1.5], 1),",
+            "    lambda: dary.AddressSets(2, 3, 0, [0, -1], 1),",
+            "    lambda: dary.AddressSets(2, 3, 0, [6, 8], 1),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",
@@ -891,3 +919,15 @@ class TestModuleEntry:
         proc = self.module("certify", "--d", "x")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_import_loads_no_introspection_modules(self):
+        # `dataclasses` pulls in `inspect`, `ast` and `dis`, about 1 MiB of
+        # resident memory that no command uses
+        src = os.path.dirname(os.path.dirname(switchlp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys, switchlp.adversary, switchlp.cli\n"
+                  "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}\n"
+                  "             & sys.modules.keys()))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -35,6 +35,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="integer"):
             ClosConfig(n, m, r)
 
+    def test_frozen_value(self):
+        cfg = ClosConfig(n=3, m=5, r=4)
+        assert cfg == ClosConfig(3, 5, 4, SPACE)
+        assert cfg != ClosConfig(3, 5, 4, MULTIRATE)
+        assert hash(cfg) == hash(ClosConfig.symmetric(3, 5, 4))
+        with pytest.raises(AttributeError):
+            cfg.m = 6
+
 
 class TestSnb:
     def test_first_fit_and_release(self):

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import switchlp
 from switchlp.dary import (
@@ -202,7 +202,7 @@ class TestAddressSets:
     def test_full_window_has_no_spare_outputs(self):
         sets = AddressSets(2, 3, s("000"), set(all_strings(2, 3)), 3)
         assert sets.union_b_tail(2) == 0
-        assert all(sets.output_count(j) == 0 for j in range(3))
+        assert sets.output_counts == (0, 0, 0)
 
     def test_spare_count_d2_n4_t2(self):
         sets = AddressSets(2, 4, s("0000"), {s("0000"), s("0001")}, 2)
@@ -264,7 +264,7 @@ class TestAddressSets:
         sets = canonical_sets(2, 4, 2, 1)
         total = (sum(window_count_formula(2, 4, 2, j) * 2 ** 2
                      for j in range(2))
-                 + sum(sets.output_count(j) for j in range(4)))
+                 + sum(sets.output_counts))
         # every output except B itself lands in exactly one B_j
         assert total == 2 ** 4 - 1
 
@@ -277,6 +277,76 @@ class TestAddressSets:
 
     def test_canonical_sets_cached(self):
         assert canonical_sets(2, 3, 1, 1) is canonical_sets(2, 3, 1, 1)
+
+    def test_t_checked_before_k(self):
+        # d ** -1 prints as 0, which named the wrong argument
+        with pytest.raises(ValueError, match="t=-1 out of range for n=3"):
+            canonical_sets(2, 3, -1, 1)
+
+
+def checked_one_by_one(d, n, a, B, t):
+    """The ValueError message of a constructor that checks every address
+    with `check_address` in turn, or None when all pass."""
+    try:
+        for v in (a, *frozenset(B)):
+            check_address(d, n, v)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def tails_by_sets(d, n, t, B):
+    """union_b_tail(q) for q = n-t .. n, counting distinct prefixes."""
+    return [len({b // d ** (n - q) for b in B}) * d ** (n - q) - len(B)
+            for q in range(n - t, n)] + [0]
+
+
+@st.composite
+def window_requests(draw):
+    """(d, n, t, B): B inside one window, a run of consecutive outputs or
+    any subset, sometimes with up to two addresses that are out of range or
+    no integers."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(0, n))
+    outs = window_outputs(d, n, t, draw(st.integers(0, d ** (n - t) - 1)))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, len(outs) - 1))
+        B = list(outs[lo:draw(st.integers(lo + 1, len(outs)))])
+    else:
+        B = draw(st.lists(st.sampled_from(outs), min_size=1, unique=True))
+    for _ in range(draw(st.integers(0, 2)) if len(B) > 1 else 0):
+        bad = draw(st.sampled_from([-1, d ** n, d ** n + 7, 1.5, 2.0, "1",
+                                    None]))
+        B[draw(st.integers(0, len(B) - 1))] = bad
+    return d, n, t, B
+
+
+class TestAddressChecks:
+    @settings(deadline=None, max_examples=300)
+    @given(window_requests())
+    def test_range_check_and_head_counts_match_set_code(self, req):
+        # the constructor checks B by its min and max and counts a
+        # contiguous B's prefixes in closed form; both must say what
+        # checking each address and counting prefix sets say
+        d, n, t, B = req
+        want = checked_one_by_one(d, n, 0, B, t)
+        if want is not None:
+            with pytest.raises(ValueError) as raised:
+                AddressSets(d, n, 0, B, t)
+            assert str(raised.value) == want
+            return
+        sets = AddressSets(d, n, 0, B, t)
+        B = frozenset(B)   # 2 and 2.0 are one member
+        tails = tails_by_sets(d, n, t, B)
+        assert [sets.union_b_tail(q) for q in range(n - t, n + 1)] == tails
+        assert sets.output_counts == (0,) * (n - t) + tuple(
+            tails[i] - tails[i + 1] for i in range(t))
+        assert sets.home_window == min(B) // d ** t
+
+    def test_bad_input_address_named_first(self):
+        with pytest.raises(ValueError, match="address 8 out of range"):
+            AddressSets(2, 3, 8, [9], 0)
 
 
 def test_frac_pow_negative_exponent():

@@ -77,6 +77,66 @@ class TestInstance:
         with pytest.raises(ValueError):
             LpInstance(2, 3, 1, 1, s("000"), {s("000")}, mode="bogus")
 
+    @pytest.mark.parametrize("f", [0, -1, 9, 99999999999999999999])
+    def test_fanout_out_of_range(self, f):
+        # f above d^n once built an instance, and then an LP, that
+        # `family_cost` refused with "f out of range"
+        with pytest.raises(ValueError, match="f=%d out of range" % f):
+            LpInstance(2, 3, 1, f, 0, [0])
+        with pytest.raises(ValueError, match="f=%d out of range" % f):
+            canonical_instance(2, 3, 1, f, 1)
+
+    def test_sets_of_another_request_refused(self):
+        sets = canonical_instance(2, 3, 1, 2, 2).sets
+        for a, B in ((1, sets.B), (0, frozenset({0}))):
+            with pytest.raises(ValueError, match="another request"):
+                LpInstance(2, 3, 1, 2, a, B, LINK, sets)
+
+    def test_canonical_matches_fresh_build(self):
+        # the canonical instance takes the cached sets; an instance that
+        # builds its own must read the same at every canonical cell
+        for d in (2, 3):
+            for n in range(1, 7):
+                for t in range(n + 1):
+                    for f in sorted({1, 2, min(4, d ** n), d ** n}):
+                        for k in range(1, min(f, d ** t) + 1):
+                            for mode in (LINK, CROSSTALK):
+                                got = canonical_instance(d, n, t, f, k, mode)
+                                want = LpInstance(d, n, t, f, 0, range(k),
+                                                  mode)
+                                assert got.sets is not want.sets
+                                assert got.profile == want.profile
+                                assert got.classes_uw == want.classes_uw
+                                assert got.classes_uv == want.classes_uv
+                                for q in range(-1, n + 2):
+                                    assert got.sets.union_b_tail(q) == \
+                                        want.sets.union_b_tail(q)
+
+    def test_class_tables_isolated_from_callers(self):
+        # an instance's class lists and profile come from caches shared by
+        # every instance with the same parameters; editing one instance's
+        # in place must leave the next one as it was
+        def tables(inst):
+            return ([list(inst.classes_uw), list(inst.classes_uv)],
+                    {what: dict(pool) for what, pool in inst.profile.items()})
+
+        for d, n, t, f, k, mode in ((2, 5, 2, 4, 2, LINK),
+                                    (3, 4, 2, 9, 3, CROSSTALK)):
+            want = tables(canonical_instance(d, n, t, f, k, mode))
+            edits = (list.clear, lambda seq: seq.append((99, 99)),
+                     lambda seq: seq.reverse())
+            for edit in edits:
+                inst = canonical_instance(d, n, t, f, k, mode)
+                edit(inst.classes_uw)
+                edit(inst.classes_uv)
+                for pool in inst.profile.values():
+                    pool.update(dict.fromkeys(pool, -1))
+                    pool[99] = 7
+                inst.profile.clear()
+                for fresh in (canonical_instance(d, n, t, f, k, mode),
+                              LpInstance(d, n, t, f, 0, range(k), mode)):
+                    assert tables(fresh) == want
+
 
 @st.composite
 def requests(draw, max_n=5):
@@ -113,9 +173,11 @@ class TestOracle:
         assert inst.profile["gamma"] == {i: ref.a_count(i) for i in range(n)}
         assert alpha == {j: d ** t * ref.window_count(j)
                          for j in range(n - t)}
+        counts = dict(enumerate(fast.output_counts))
+        assert len(counts) == n
         for j in range(-1, n + 2):
-            assert fast.output_count(j) == ref.output_count(j)
-            assert alpha.get(j, 0) + fast.output_count(j) == ref.b_count(j)
+            assert counts.get(j, 0) == ref.output_count(j)
+            assert alpha.get(j, 0) + counts.get(j, 0) == ref.b_count(j)
             assert fast.union_b_tail(j) == ref.union_b_tail(j)
 
         thresh = n - inst.theta

@@ -2,7 +2,6 @@
 
 from collections import Counter
 import copy
-import dataclasses
 import gc
 import itertools
 import random
@@ -41,6 +40,19 @@ class TestConfig:
         # gave float window keys
         with pytest.raises(ValueError, match="integer"):
             cfg(**sizes)
+
+    def test_frozen_value(self):
+        # keyword construction with defaults, equality and hashing by
+        # value, and no attribute assignment
+        one = MultilogConfig(d=2, n=3, m=2)
+        assert (one.t, one.f, one.mode, one.plane_policy, one.seed) == \
+            (0, 1, LINK, "first", 0)
+        assert one == MultilogConfig(2, 3, 2, 0, 1) != cfg(m=2, f=2)
+        assert hash(one) == hash(MultilogConfig(d=2, n=3, m=2, t=0))
+        with pytest.raises(AttributeError):
+            one.f = 2
+        with pytest.raises(TypeError):
+            MultilogConfig(d=2, n=3)
 
 
 class TestAdmission:
@@ -585,7 +597,7 @@ class TestAudit:
         state = ConnState(cfg(m=2, f=2))
         state.admit(s("000"), [s("000"), s("001")], rid="a")
         state.audit()
-        state.config = dataclasses.replace(state.config, f=1)
+        state.config = cfg(m=2, f=1)
         with pytest.raises(AssertionError,
                            match="input 0 over fanout") as raised:
             state.audit()
