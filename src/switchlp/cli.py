@@ -24,18 +24,28 @@ def _writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
+def _lines(path):
+    """A file's lines as bytes, split where text mode splits them; each
+    reader decodes its lines one at a time, so it can name a bad one."""
+    with open(path, "rb") as fh:
+        return fh.read().splitlines()
+
+
 def _config_tokens(path):
     """The `key = value` lines of a config file as `--key value` tokens."""
     tokens = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            key, sep, val = text.partition("=")
-            if not sep:
-                raise ValueError("%s:%d: expected key = value" % (path, ln))
-            tokens += ["--" + key.strip().replace("_", "-"), val.strip()]
+    for ln, raw in enumerate(_lines(path), start=1):
+        try:
+            text = raw.decode().strip()
+        except UnicodeDecodeError:
+            raise ValueError("%s:%d: not UTF-8: %r"
+                             % (path, ln, raw.strip())) from None
+        if not text or text.startswith("#"):
+            continue
+        key, sep, val = text.partition("=")
+        if not sep:
+            raise ValueError("%s:%d: expected key = value" % (path, ln))
+        tokens += ["--" + key.strip().replace("_", "-"), val.strip()]
     return tokens
 
 
@@ -175,8 +185,7 @@ def cmd_simulate(args):
         if args.m_offset is not None:
             raise ValueError("--m-offset shifts a sweep's default m; a "
                              "--trace replay runs at --m")
-        with open(args.trace) as fh:
-            lines = fh.readlines()
+        lines = _lines(args.trace)
         if args.network == "multilog":
             _require(args, "d", "n", "m")
             cfg = multilog.MultilogConfig(
@@ -233,8 +242,7 @@ def cmd_dwec(args):
         raise ValueError("need --trace or --derive-constants")
     scheme = (dwec.DwecScheme.five_type() if args.scheme == "five"
               else dwec.FOUR_TYPE)
-    with open(args.trace) as fh:
-        lines = fh.readlines()
+    lines = _lines(args.trace)
     header = ["t", "colors_used", "opt_lower", "W_bar", "Delta_bar"]
     state = dwec.ColoringState(scheme=scheme)
     rows = []

@@ -225,11 +225,11 @@ class AddressSets:
 
     def j_of_window(self, w):
         """Prefix index of foreign window w, or None for the home window."""
-        if w == self.home_window:
-            return None
         rest = self.n - self.t
         if type(w) is not int or not 0 <= w < self.d ** rest:
             raise ValueError("window index %r out of range" % (w,))
+        if w == self.home_window:
+            return None
         return lcp(self.d, rest, w, self.home_window)
 
     def union_b_tail(self, q):

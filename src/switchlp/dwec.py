@@ -83,11 +83,10 @@ class DwecScheme:
         bp = tuple(Fraction(b) for b in breakpoints)
         if not bp or bp[0] != HALF:
             raise ValueError("first breakpoint must be 1/2")
+        # with bp[0] = 1/2, descending above 0 keeps them all in (0, 1)
         for lo, hi in zip(bp[1:], bp):
             if not (0 < lo < hi):
                 raise ValueError("breakpoints must descend within (0,1)")
-        if bp[-1] <= 0 or bp[0] >= 1:
-            raise ValueError("breakpoints must lie in (0,1)")
         self.breakpoints = bp
         self._cuts = [(b.numerator, b.denominator) for b in bp]
         self.x = tuple(Fraction(v) for v in x)

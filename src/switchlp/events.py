@@ -1,9 +1,11 @@
 """The trace reader and the errors every simulator shares.
 
 A trace is text, one event per line: an arrival `A <id> <operand>...` or a
-departure `D <id>`.  Blank lines and `#` comments are skipped.  Each network
-supplies the grammar of its arrival operands and its own admit and release;
-this module does the rest, so every network reads traces the same way.
+departure `D <id>`.  Blank lines and `#` comments are skipped.  A line given
+as bytes is decoded as UTF-8 on its own, so one that does not decode is
+reported by its number like any other malformed line.  Each network supplies
+the grammar of its arrival operands and its own admit and release; this
+module does the rest, so every network reads traces the same way.
 
 Every error the package raises is one of four kinds.  A `SwitchError` is a
 request the network refuses (a busy output, an unknown id, ...); trace
@@ -67,13 +69,19 @@ def fraction(text):
 def replay(lines, arity, operands, admit, release):
     """Apply a trace's events in order; yields (event, id, outcome).
 
-    `arity` is the (least, most) number of arrival operands, most None for
-    no limit.  An arrival calls `admit(id, *operands(tokens))` and a
-    departure `release(id)`.  The outcome is what admit or release returned,
-    or the SwitchError it raised.
+    `lines` are str, or bytes holding UTF-8.  `arity` is the (least, most)
+    number of arrival operands, most None for no limit.  An arrival calls
+    `admit(id, *operands(tokens))` and a departure `release(id)`.  The
+    outcome is what admit or release returned, or the SwitchError it
+    raised.
     """
     least, most = arity
     for ln, raw in enumerate(lines, start=1):
+        if type(raw) is bytes:
+            try:
+                raw = raw.decode()
+            except UnicodeDecodeError:
+                raise TraceError(ln, "not UTF-8: %r" % raw.strip()) from None
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue

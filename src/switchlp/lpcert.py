@@ -17,7 +17,7 @@ i(u), and on a window or output only through its prefix index j.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from numbers import Number
 
 from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
@@ -32,18 +32,28 @@ class Infeasible(Exception):
     """A solution violates a constraint; the message names it."""
 
 
+# The primal's rows, in export order: each kind's LP row name and the
+# message a violated row raises, both formatted with the row's key.
+_ROWS = (("cap_w%d", "window capacity at w=%d"),
+         ("one_u%d_w%d", "x_u%d_w%d > 1"),
+         ("spread_u%d", "per-input home spread at u=%d"),
+         ("own_v%d", "output multiplicity at v=%d"),
+         ("fan_u%d", "fanout at u=%d"))
+
+
 class LpInstance:
-    """One concrete blocking LP: parameters, request, defined index sets.
+    """One concrete blocking LP: parameters, request, and its primal rows.
 
     The constructor only validates the request and builds its
     `AddressSets`, or takes `sets`, one already built and checked for this
-    (d, n, t, a, B).  Everything else is built when first read: the (i, j)
-    classes (`classes_uw`, `classes_uv`) and the class-count `profile` by
-    the dual checks, and the variable lists (`inputs`, `windows`, `spare`,
-    `uw_pairs`, `uv_pairs`), which enumerate addresses, by `export_lp`
-    alone.  A primal read off a simulator state needs none of them.  The
-    class tables come from bounded caches keyed by what they depend on, and
-    each instance gets its own copies.
+    (d, n, t, a, B).  `rows_of` alone decides whether a primal variable
+    exists and which rows it sits in; it computes indices from the
+    addresses it is given, so nothing here enumerates addresses.  The dual
+    checks read the (i, j) classes (`classes_uw`, `classes_uv`) and the
+    class-count `profile`, each built when first read; a primal read off a
+    simulator state needs none of them.  The class tables come from bounded
+    caches keyed by what they depend on, and each instance gets its own
+    copies.
     """
 
     def __init__(self, d, n, t, f, a, B, mode=LINK, sets=None):
@@ -80,24 +90,6 @@ class LpInstance:
         outs = tuple(compress(range(self.n), self.sets.output_counts))
         return list(_classes(self.n, self._thresh, outs))
 
-    def defined_uw(self, u, w):
-        """Whether x_(u,w) is a variable: u != a, w a foreign window and
-        i(u) + j(w) >= n - theta."""
-        try:
-            i, j = self.sets.i_of(u), self.sets.j_of_window(w)
-        except ValueError:
-            return False
-        return i is not None and j is not None and i + j >= self._thresh
-
-    def defined_uv(self, u, v):
-        """Whether x_(u,v) is a variable: u != a, v in the home window but
-        not in B, and i(u) + j(v) >= n - theta."""
-        try:
-            i, j = self.sets.i_of(u), self.sets.j_of_output(v)
-        except ValueError:
-            return False
-        return i is not None and j is not None and i + j >= self._thresh
-
     @lazy
     def profile(self):
         """Class counts (|A_i| per i, foreign windows and spare home-window
@@ -109,29 +101,22 @@ class LpInstance:
                 "delta": dict(enumerate(self.sets.output_counts)),
                 "epsilon": _fanout_counts(d, n, self.f).copy()}
 
-    @lazy
-    def inputs(self):
-        return [u for u in range(self.d ** self.n) if u != self.a]
-
-    @lazy
-    def windows(self):
-        return [w for w in range(self.d ** (self.n - self.t))
-                if w != self.home]
-
-    @lazy
-    def spare(self):
-        return [v for v in window_outputs(self.d, self.n, self.t, self.home)
-                if v not in self.B]
-
-    @lazy
-    def uw_pairs(self):
-        return [(u, w) for u in self.inputs for w in self.windows
-                if self.defined_uw(u, w)]
-
-    @lazy
-    def uv_pairs(self):
-        return [(u, v) for u in self.inputs for v in self.spare
-                if self.defined_uv(u, v)]
+    def rows_of(self, kind, u, z):
+        """The (rank in `_ROWS`, key, bound) rows that x_(u,z) sits in, for
+        a foreign window z (kind "w") or a spare home-window output z
+        ("v"); None when x_(u,z) is no variable: u = a, z not of its kind
+        or out of range, or i(u) + j(z) < n - theta."""
+        s = self.sets
+        try:
+            i = s.i_of(u)
+            j = s.j_of_window(z) if kind == "w" else s.j_of_output(z)
+        except ValueError:
+            return None
+        if i is None or j is None or i + j < self._thresh:
+            return None
+        if kind == "w":
+            return ((0, z, self.d ** self.t), (1, (u, z), 1), (4, u, self.f))
+        return ((2, u, 1), (3, z, 1), (4, u, self.f))
 
 
 # The class tables below depend on an instance only through a few of its
@@ -170,23 +155,6 @@ def canonical_instance(d, n, t, f, k, mode=LINK):
     return LpInstance(d, n, t, f, sets.a, sets.B, mode, sets)
 
 
-# The primal's rows, in export order: each kind's LP row name and the
-# message a violated row raises, both formatted with the row's key.
-_ROWS = (("cap_w%d", "window capacity at w=%d"),
-         ("one_u%d_w%d", "x_u%d_w%d > 1"),
-         ("spread_u%d", "per-input home spread at u=%d"),
-         ("own_v%d", "output multiplicity at v=%d"),
-         ("fan_u%d", "fanout at u=%d"))
-
-
-def _rows(inst, kind, u, z):
-    """(rank in _ROWS, key, bound) of each row that x_(u,z) sits in, for a
-    foreign window z (kind "w") or a spare home-window output z ("v")."""
-    if kind == "w":
-        return ((0, z, inst.d ** inst.t), (1, (u, z), 1), (4, u, inst.f))
-    return ((2, u, 1), (3, z, 1), (4, u, inst.f))
-
-
 class PrimalSolution:
     def __init__(self, instance, xw=None, xv=None):
         self.instance = instance
@@ -199,15 +167,15 @@ class PrimalSolution:
     def check_feasible(self):
         """Check every variable's domain, then add the primal's own
         variables into the rows they sit in; never enumerates addresses."""
-        inst, sums = self.instance, {}
-        for kind, xs, defined in (("w", self.xw, inst.defined_uw),
-                                  ("v", self.xv, inst.defined_uv)):
+        rows_of, sums = self.instance.rows_of, {}
+        for kind, xs in (("w", self.xw), ("v", self.xv)):
             for (u, z), val in xs.items():
-                if not defined(u, z):
+                rows = rows_of(kind, u, z)
+                if rows is None:
                     raise Infeasible("x_u%d_%s%d undefined" % (u, kind, z))
                 if val < 0:
                     raise Infeasible("x_u%d_%s%d negative" % (u, kind, z))
-                for row in _rows(inst, kind, u, z):
+                for row in rows:
                     sums[row] = sums.get(row, 0) + val
         for (rank, key, bound), total in sums.items():
             if total > bound:
@@ -459,16 +427,22 @@ def solve_packing(A, b, c):
 def export_lp(instance):
     """Serialize the primal LP in plain LP-file format."""
     inst = instance
+    d, n, t = inst.d, inst.n, inst.t
     names, rows = [], {}
-    for kind, pairs in (("w", inst.uw_pairs), ("v", inst.uv_pairs)):
-        for u, z in pairs:
-            name = "x_u%d_%s%d" % (u, kind, z)
-            names.append(name)
-            for row in _rows(inst, kind, u, z):
-                rows.setdefault(row, []).append(name)
+    # every input against every window and every home-window output;
+    # `rows_of` gives no rows for a pair that is no variable
+    for kind, zs in (("w", range(d ** (n - t))),
+                     ("v", window_outputs(d, n, t, inst.home))):
+        for u, z in product(range(d ** n), zs):
+            var_rows = inst.rows_of(kind, u, z)
+            if var_rows:
+                name = "x_u%d_%s%d" % (u, kind, z)
+                names.append(name)
+                for row in var_rows:
+                    rows.setdefault(row, []).append(name)
     names.sort()
     lines = ["\\ blocking LP d=%d n=%d t=%d f=%d k=%d mode=%s"
-             % (inst.d, inst.n, inst.t, inst.f, inst.k, inst.mode),
+             % (d, n, t, inst.f, inst.k, inst.mode),
              "Maximize",
              " obj: " + " + ".join(names) if names else " obj: 0 x_none",
              "Subject To"]

@@ -217,7 +217,8 @@ class EnumeratedAddressSets:
         return (self.window_count(j) * self.d ** self.t
                 + self.output_count(j))
 
-    # the enumerated LP variable lists, as `LpInstance` built them eagerly
+    # the LP's variables, enumerated: the pairs `LpInstance.rows_of` gives
+    # rows for
 
     def uw_pairs(self, thresh):
         return [(u, w) for u in self._i_of for w in self._j_of_window

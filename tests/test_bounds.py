@@ -187,6 +187,18 @@ class TestBoundTables:
                             assert res.branch == "C3"
                             assert enum - 1 - res.value < 1
 
+    @pytest.mark.parametrize("point, branch, m", [
+        ((2, 3, 1, 3), "G7", 6), ((2, 4, 1, 5), "G7", 12),
+        ((2, 7, 6, 4), "G3", 45), ((2, 8, 7, 5), "G3", 68)])
+    def test_g3_and_g7_rows_are_tight(self, point, branch, m):
+        # the grid above never reaches these two rows: G7 needs
+        # f > d^(n-2t)(d-1) with ilog(f) <= n - 2t, and G3 needs
+        # n - t + 1 <= ilog(f) <= 2t - n - 3
+        res = G_bound(*point)
+        assert (res.branch, res.m_sufficient) == (branch, m)
+        assert sufficient_m_enumerated(*point, CROSSTALK) == m
+        assert res.value == m - 1
+
     def test_t0_f1_equals_hwang(self):
         for d in (2, 3):
             for n in (3, 4, 5):

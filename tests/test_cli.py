@@ -18,6 +18,7 @@ import pytest
 import switchlp
 from switchlp import adversary, bounds, cli, clos, lpcert
 
+from address_oracle import EnumeratedAddressSets
 from lp_oracle import parse_lp
 
 
@@ -108,6 +109,15 @@ class TestBound:
         assert code == 0
         assert rows(out)[1] == ["multilog", d, n, t, f, "crosstalk", m, "G1"]
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["clos-wsnb-r2", "--n", "4"], "kind,n,m_sufficient\n"
+         "clos-wsnb-r2,4,6\n"),
+        (["hwang", "--d", "2", "--n", "4"], "kind,d,n,m_sufficient\n"
+         "hwang,2,4,5\n"),
+    ], ids=["clos-wsnb-r2", "hwang"])
+    def test_golden_rows(self, capsys, argv, golden):
+        assert run(capsys, "bound", *argv) == (0, golden, "")
+
     def test_multirate_scheme(self, capsys):
         code, out, _ = run(capsys, "bound", "clos-multirate", "--n", "8")
         assert code == 0
@@ -138,6 +148,14 @@ class TestBound:
         code, _, err = run(capsys, "bound", "clos-snb", "--config", str(cfg))
         assert code == 2
         assert "key = value" in err
+
+    def test_undecodable_config_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"d = 2\nn = \xff3\n")
+        code, out, err = run(capsys, "bound", "multilog", "--t", "1",
+                             "--f", "1", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: %s:2: not UTF-8: b'" % cfg)
 
     def test_config_overrides_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "net.cfg"
@@ -540,9 +558,9 @@ class TestExportLp:
                            "--t", "1", "--f", "2", "--k", "1")
         assert code == 0
         parsed = parse_lp(out)
-        inst = lpcert.canonical_instance(2, 3, 1, 2, 1, lpcert.LINK)
+        ref = EnumeratedAddressSets(2, 3, 0, {0}, 1)
         assert len(parsed["objective"]) == \
-            len(inst.uw_pairs) + len(inst.uv_pairs)
+            len(ref.uw_pairs(3)) + len(ref.uv_pairs(3))
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["export-lp", "--d", "2", "--n", "3", "--t", "1", "--f", "2",
@@ -618,6 +636,11 @@ MALFORMED = {
     "dwec-duplicate-edge": (["dwec"], "A e1 u v 1/2\nA e1 u w 1/4\n", 2),
     "dwec-weight-3/2": (["dwec"], "A e1 u v 3/2\n", 1),
     "dwec-unknown-departure": (["dwec"], "A e1 u v 1/2\nD e9\n", 2),
+    # a byte that is not UTF-8 is named by its line like any other fault
+    "multilog-not-utf-8": (MULTILOG, b"A r1 000 001\nA r2 \xff\xfe 010\n",
+                           2),
+    "clos-not-utf-8": (SPACE, b"A r1 0:0 1:0\r\nA r2 \xff 1:1\r\n", 2),
+    "dwec-not-utf-8": (["dwec"], b"A e1 u v 1/2\nA e2 u \xe9 1/4\n", 2),
     "certify-d-1": (["certify", "--d", "1", "--n", "3"], None, 0),
     "certify-f-2,9": (["certify", "--d", "2", "--n", "3", "--f", "2,9"],
                       None, 0),
@@ -671,7 +694,10 @@ class TestInputErrors:
     def test_malformed_input(self, capsys, tmp_path, argv, trace, expect):
         if trace is not None:
             path = tmp_path / "in.trace"
-            path.write_text(trace)
+            if isinstance(trace, bytes):
+                path.write_bytes(trace)
+            else:
+                path.write_text(trace)
             argv = argv + ["--trace", str(path)]
         code, out, err = run(capsys, *argv)
         assert "Traceback" not in err
@@ -691,6 +717,7 @@ class TestInputErrors:
             "import contextlib, io, os, sys, tempfile",
             "from switchlp import adversary, banyan, clos, dary, dwec",
             "from switchlp import bounds, cli, lpcert, multilog",
+            "from address_oracle import EnumeratedAddressSets",
             "assert sys.flags.optimize and False",
             "C = clos.ClosConfig.symmetric",
             "M = multilog.MultilogConfig(d=2, n=3, m=1)",
@@ -803,7 +830,9 @@ class TestInputErrors:
             "# a primal that breaks a constraint must still be refused",
             "# (one spare output in the home window, so the uv pairs share v)",
             "inst = lpcert.canonical_instance(2, 3, 1, 2, 1)",
-            "(uw, *_), ((u1, v), (u2, _), *_) = inst.uw_pairs, inst.uv_pairs",
+            "ref = EnumeratedAddressSets(2, 3, inst.a, inst.B, 1)",
+            "(uw, *_), ((u1, v), (u2, _), *_) = (ref.uw_pairs(3),",
+            "                                    ref.uv_pairs(3))",
             "infeasible = [",
             "    lpcert.PrimalSolution(inst, xw={uw: 2}),",
             "    lpcert.PrimalSolution(inst, xw={(uw[0], inst.home): 1}),",
@@ -872,7 +901,8 @@ class TestInputErrors:
             "    print('corruption %d passed the audit' % i)",
         ])
         src = os.path.dirname(os.path.dirname(switchlp.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

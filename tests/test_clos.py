@@ -342,3 +342,67 @@ class TestTraceIo:
         assert [r["status"] for r in rows] == ["ok", "ok", "capacityexceeded"]
         assert set(state.requests) == set(state.coloring.edges) == {"a", "b"}
         state.audit()
+
+
+SPACE_2 = ClosConfig(n=2, m=3, r=2)
+MULTIRATE_2 = ClosConfig(n=2, m=3, r=2, traffic=MULTIRATE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ClosConfig(2, 3, 2, traffic="bogus"),
+     "unknown traffic 'bogus'"),
+    (lambda: ClosState(MULTIRATE_2).snb_admit((0, 0), (1, 0)),
+     "not a space-division network"),
+    (lambda: ClosState(ClosConfig(2, 3, 3)).benes_admit((0, 0), (1, 0)),
+     "the reuse rule needs r = 2"),
+    (lambda: ClosState(SPACE_2).multirate_admit((0, 0), (1, 0), "1/2"),
+     "not a multirate network"),
+], ids=["traffic", "snb-on-multirate", "benes-r-3", "multirate-on-space"])
+def test_clos_refusals(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("n, m, depth", [(0, 3, None), (3, 0, None),
+                                         (3, 3, -1)])
+def test_benes_search_refusals(n, m, depth):
+    with pytest.raises(ValueError) as raised:
+        adversary.benes_search(n, m, max_depth=depth)
+    assert str(raised.value) == "need n >= 1, m >= 1 and max_depth >= 0"
+
+
+def _space_with_a():
+    state = ClosState(SPACE_2)
+    state.snb_admit((0, 0), (1, 0), rid="a")
+    return state
+
+
+def _multirate_with_a():
+    state = ClosState(MULTIRATE_2)
+    state.multirate_admit((0, 0), (1, 0), "1/2", rid="a")
+    return state
+
+
+def _reuse_a_terminal(state):
+    # a second id for request a: its middle and terminals are taken twice
+    state.requests["b"] = state.requests["a"]
+
+
+def _color_past_m(state):
+    kind, it, ot, _, rate = state.requests["a"]
+    state.requests["a"] = (kind, it, ot, state.config.m, rate)
+
+
+@pytest.mark.parametrize("build, corrupt, message", [
+    (_space_with_a, _reuse_a_terminal,
+     "request 'b' reuses a middle link or a terminal"),
+    (_multirate_with_a, _color_past_m, "request 'a' has color 3"),
+], ids=["space-reused-terminal", "multirate-color-past-m"])
+def test_audit_catches_a_corrupted_request(build, corrupt, message):
+    state = build()
+    state.audit()
+    corrupt(state)
+    with pytest.raises(AssertionError) as raised:
+        state.audit()
+    assert str(raised.value) == message

@@ -227,6 +227,14 @@ class TestAddressSets:
             with pytest.raises(ValueError):
                 sets.j_of_window(w)
 
+    @pytest.mark.parametrize("w", [0.0, 1.0, True, False, "0", None])
+    def test_window_type_checked_before_home_compare(self, w):
+        # 0.0 == 0 == False is the home window, yet no window index
+        sets = AddressSets(2, 3, 0, [0], 1)
+        assert sets.j_of_window(0) is None
+        with pytest.raises(ValueError, match="window index .* out of range"):
+            sets.j_of_window(w)
+
     def test_union_b_tail_full_at_low_q(self):
         for k in (1, 2, 3):
             sets = canonical_sets(2, 4, 2, k)
@@ -352,3 +360,19 @@ class TestAddressChecks:
 def test_frac_pow_negative_exponent():
     assert frac_pow(2, -3) == Fraction(1, 8)
     assert frac_pow(3, 2) == 9
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DaryString(1, [0]), "base must be >= 2"),
+    (lambda: AddressSets(2, 3, 0, [], 1), "B must be nonempty"),
+    (lambda: AddressSets(2, 3, 0, [0], 4), "t=4 out of range for n=3"),
+    (lambda: a_count_formula(2, 3, 3), "i out of range"),
+    (lambda: window_count_formula(2, 3, 1, 2), "j out of range"),
+    (lambda: canonical_sets(2, 3, 1, 3),
+     "k=3 out of range for window size 2"),
+], ids=["base-1", "empty-B", "t-past-n", "i-past-n", "j-past-n-t",
+        "k-past-window"])
+def test_dary_refusals(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

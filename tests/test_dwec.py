@@ -410,3 +410,31 @@ class TestTraceIo:
                       ["A e1 u v 1/2", "", "X e1"]):
             with pytest.raises(ValueError, match="^line %d:" % len(lines)):
                 list(run_trace(ColoringState(), lines))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: DwecScheme([F(1, 2)], (2,)), ValueError,
+     "need one constant per type"),
+    (lambda: FOUR_TYPE.beta(0, 1), ValueError, "need 1 <= i <= j < 4"),
+    (lambda: FOUR_TYPE.beta(2, 1), ValueError, "need 1 <= i <= j < 4"),
+    (lambda: DwecScheme(FOUR_TYPE.breakpoints, (2, -1, 5, 5)), Infeasible,
+     "negative constant"),
+    (lambda: ColoringState().arrive("e", "u", "u", "1/2"), ValueError,
+     "self-loops not allowed"),
+], ids=["constants-per-type", "beta-i-0", "beta-j-below-i",
+        "negative-constant", "self-loop"])
+def test_dwec_refusals(call, exc, message):
+    with pytest.raises(exc) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_audit_catches_a_weight_out_of_range():
+    state = ColoringState()
+    state.arrive("e", "u", "v", "1/2")
+    state.audit()
+    u, v, _, color = state.edges["e"]
+    state.edges["e"] = (u, v, F(0), color)
+    with pytest.raises(AssertionError) as raised:
+        state.audit()
+    assert str(raised.value) == "weight 0 out of (0, 1]"

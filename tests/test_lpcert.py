@@ -26,6 +26,19 @@ def s(text, base=2):
     return parse_address(text, base, len(text))
 
 
+def oracle_pairs(inst):
+    """The (u, w) and (u, v) pairs that are variables of `inst`, as the
+    address oracle enumerates them."""
+    ref = EnumeratedAddressSets(inst.d, inst.n, inst.a, inst.B, inst.t)
+    thresh = inst.n - inst.theta
+    return ref.uw_pairs(thresh), ref.uv_pairs(thresh)
+
+
+def variables(inst):
+    """The names of the variables `export_lp` writes for `inst`."""
+    return set(parse_lp(export_lp(inst))["bounds"])
+
+
 class TestInstance:
     def test_index_sets_against_direct_count(self):
         # recount the defined pairs straight from the suffix/prefix scans,
@@ -45,7 +58,8 @@ class TestInstance:
                 j = lcp(digits(2, 2, w), digits(2, 2, 0))
                 if i + j >= n:
                     want_uw += 1
-        assert len(inst.uw_pairs) == want_uw
+        uw_pairs, uv_pairs = oracle_pairs(inst)
+        assert len(uw_pairs) == want_uw
         want_uv = 0
         for u in range(2 ** 3):
             if u == 0:
@@ -55,19 +69,19 @@ class TestInstance:
                 j = lcp(b[:n - 1], v[:n - 1])
                 if i + j >= n:
                     want_uv += 1
-        assert len(inst.uv_pairs) == want_uv
+        assert len(uv_pairs) == want_uv
 
     def test_crosstalk_superset(self):
         for t in (0, 1, 2):
-            a = canonical_instance(2, 4, t, 2, 1, LINK)
-            b = canonical_instance(2, 4, t, 2, 1, CROSSTALK)
-            assert set(a.uw_pairs) <= set(b.uw_pairs)
-            assert set(a.uv_pairs) <= set(b.uv_pairs)
+            a = variables(canonical_instance(2, 4, t, 2, 1, LINK))
+            b = variables(canonical_instance(2, 4, t, 2, 1, CROSSTALK))
+            assert a <= b
 
     def test_t_eq_n_has_no_window_variables(self):
         inst = canonical_instance(2, 3, 3, 2, 1, LINK)
-        assert inst.uw_pairs == []
-        assert inst.windows == []
+        assert oracle_pairs(inst)[0] == []
+        # no x_u*_w* variable and no cap_w* row
+        assert "_w" not in export_lp(inst)
 
     def test_fanout_guard(self):
         with pytest.raises(ValueError):
@@ -182,14 +196,16 @@ class TestOracle:
 
         thresh = n - inst.theta
         uw, uv = ref.uw_pairs(thresh), ref.uv_pairs(thresh)
-        assert inst.uw_pairs == uw
-        assert inst.uv_pairs == uv
+        assert variables(inst) == {"x_u%d_w%d" % key for key in uw} | \
+            {"x_u%d_v%d" % key for key in uv}
         uw, uv = set(uw), set(uv)
         for u in ins:
             for w in wins:
-                assert inst.defined_uw(u, w) == ((u, w) in uw)
+                assert (inst.rows_of("w", u, w) is not None) == \
+                    ((u, w) in uw)
             for v in home_outs:
-                assert inst.defined_uv(u, v) == ((u, v) in uv)
+                assert (inst.rows_of("v", u, v) is not None) == \
+                    ((u, v) in uv)
         assert inst.classes_uw == sorted(
             {(ref.i_of(u), ref.j_of_window(w)) for u, w in uw})
         assert inst.classes_uv == sorted(
@@ -198,13 +214,14 @@ class TestOracle:
     def test_definedness_rejects_foreign_keys(self):
         inst = canonical_instance(2, 3, 1, 1, 1, CROSSTALK)
         u = s("100")
-        assert inst.defined_uw(u, 1)
-        assert not inst.defined_uw(u, 0)          # the home window
-        assert not inst.defined_uw(u, 4)          # no such window
-        assert not inst.defined_uw(s("000"), 1)   # u = a
-        assert not inst.defined_uw(s("1000"), 1)  # wrong length
-        assert not inst.defined_uv(u, s("000"))   # v in B
-        assert not inst.defined_uv(u, s("010"))   # another window
+        assert inst.rows_of("w", u, 1) is not None
+        assert inst.rows_of("w", u, 0) is None          # the home window
+        assert inst.rows_of("w", u, 0.0) is None        # not an int
+        assert inst.rows_of("w", u, 4) is None          # no such window
+        assert inst.rows_of("w", s("000"), 1) is None   # u = a
+        assert inst.rows_of("w", s("1000"), 1) is None  # wrong length
+        assert inst.rows_of("v", u, s("000")) is None   # v in B
+        assert inst.rows_of("v", u, s("010")) is None   # another window
 
 
 DUAL_VALUES = [0, 1, 2, Fraction(1, 2), Fraction(2, 3)]
@@ -232,14 +249,20 @@ def enumerated(inst, ref, duals):
     al, be, ga, de, ep = (duals[k] for k in
                           ("alpha", "beta", "gamma", "delta", "eps"))
     i, jw, jv = ref.i_of, ref.j_of_window, ref.j_of_output
-    price = (sum(inst.d ** inst.t * al[jw(w)] for w in inst.windows)
-             + sum(be[i(u), jw(w)] for u, w in inst.uw_pairs)
-             + sum(ga[i(u)] + inst.f * ep[i(u)] for u in inst.inputs)
-             + sum(de[jv(v)] for v in inst.spare))
+    d, n, t = inst.d, inst.n, inst.t
+    windows = [w for w in range(d ** (n - t)) if jw(w) is not None]
+    inputs = [u for u in range(d ** n) if i(u) is not None]
+    spare = [v for v in window_outputs(d, n, t, inst.home)
+             if jv(v) is not None]
+    uw_pairs, uv_pairs = oracle_pairs(inst)
+    price = (sum(d ** t * al[jw(w)] for w in windows)
+             + sum(be[i(u), jw(w)] for u, w in uw_pairs)
+             + sum(ga[i(u)] + inst.f * ep[i(u)] for u in inputs)
+             + sum(de[jv(v)] for v in spare))
     rows_hold = (all(al[jw(w)] + be[i(u), jw(w)] + ep[i(u)] >= 1
-                     for u, w in inst.uw_pairs)
+                     for u, w in uw_pairs)
                  and all(ga[i(u)] + de[jv(v)] + ep[i(u)] >= 1
-                         for u, v in inst.uv_pairs))
+                         for u, v in uv_pairs))
     return price, rows_hold
 
 
@@ -265,7 +288,7 @@ class TestDualOracle:
 
         duals["delta"] = {j: int(j >= q) for j in range(inst.n)}
         sol = DualSolution(inst, **duals)
-        tail = sum(1 for v in inst.spare if ref.j_of_output(v) >= q)
+        tail = ref.union_b_tail(q)
         d, n, t, k = inst.d, inst.n, inst.t, inst.k
         cap = min(d ** t - k, k * (d ** (n - q) - 1))
         got = sol.objective_bounded_delta(q)
@@ -380,8 +403,7 @@ class TestPrimal:
         conn.admit(s("001"), [s("010")], rid="b")
         inst, primal = primal_from_state(conn, s("000"), [s("000")])
         assert primal.objective() == 2
-        lazy = {"classes_uw", "classes_uv", "profile", "uw_pairs",
-                "uv_pairs"}
+        lazy = {"classes_uw", "classes_uv", "profile"}
         assert not lazy & inst.__dict__.keys()
         # the dual side builds them on first use, to the eager gaps
         eager = LpInstance(2, 3, 1, 2, s("000"), [s("000")], CROSSTALK)
@@ -431,7 +453,7 @@ class TestPrimal:
         inst = canonical_instance(2, 3, 1, 1, 1, LINK)
         u = s("010")  # i(u) = 0 shares nothing: (u, w) undefined for low j
         bad = PrimalSolution(inst, xw={(u, 2): 1})
-        if (u, 2) in inst.uw_pairs:
+        if (u, 2) in oracle_pairs(inst)[0]:
             pytest.skip("pair unexpectedly defined")
         with pytest.raises(Infeasible):
             bad.check_feasible()
@@ -469,9 +491,10 @@ class TestRowTable:
     @staticmethod
     def sparse(inst, rows, density, rng):
         values = [1, 1, 1, 1, 2, Fraction(1, 2)]
-        xw = {key: rng.choice(values) for key in inst.uw_pairs
+        uw_pairs, uv_pairs = oracle_pairs(inst)
+        xw = {key: rng.choice(values) for key in uw_pairs
               if rng.random() < density}
-        xv = {key: rng.choice(values) for key in inst.uv_pairs
+        xv = {key: rng.choice(values) for key in uv_pairs
               if rng.random() < density}
         by_name = {"x_u%d_w%d" % key: val for key, val in xw.items()}
         by_name.update(("x_u%d_v%d" % key, val) for key, val in xv.items())
@@ -789,8 +812,9 @@ class TestExport:
         inst = canonical_instance(2, 3, 1, 2, 1, LINK)
         text = export_lp(inst)
         parsed = parse_lp(text)
-        want = sorted(["x_u%d_w%d" % (u, w) for u, w in inst.uw_pairs]
-                      + ["x_u%d_v%d" % (u, v) for u, v in inst.uv_pairs])
+        uw_pairs, uv_pairs = oracle_pairs(inst)
+        want = sorted(["x_u%d_w%d" % (u, w) for u, w in uw_pairs]
+                      + ["x_u%d_v%d" % (u, v) for u, v in uv_pairs])
         assert parsed["objective"] == want
         assert parsed["bounds"] == want
         names = {name for name, _, _ in parsed["constraints"]}
@@ -820,3 +844,18 @@ class TestExport:
     def test_t_eq_n_exports_without_window_vars(self):
         text = export_lp(canonical_instance(2, 3, 3, 1, 1, LINK))
         assert "_w" not in text.replace("cap_w", "")
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: PrimalSolution(canonical_instance(2, 3, 1, 2, 1),
+                            xw={(1, 1): -1}).check_feasible(),
+     Infeasible, "x_u1_w1 negative"),
+    (lambda: lpcert.solve_packing([[1]], [1], [-1]), ValueError,
+     "need c >= 0"),
+    (lambda: lpcert.solve_packing([[-1]], [1], [0]), ValueError,
+     "unbounded LP"),
+], ids=["negative-variable", "negative-capacity", "unbounded"])
+def test_lpcert_refusals(call, exc, message):
+    with pytest.raises(exc) as raised:
+        call()
+    assert str(raised.value) == message

@@ -542,6 +542,18 @@ def shared_key_and_extra_bit(state):
     extra_occupancy_entry(state)
 
 
+def file_under_other_input(state):
+    """Re-file request a, from input 000, under input 010."""
+    state.requests["a"] = (s("010"), state.requests["a"][1])
+
+
+def file_under_other_window(state):
+    """Re-file request a's route to window 0 under window 1."""
+    x, admitted = state.requests["a"]
+    (w, held), = admitted.items()
+    state.requests["a"] = (x, {w + 1: held})
+
+
 SHARED = "key %d shared across inputs on plane 0" % next(iter(
     set(route(2, 3, 0, 0, LINK).ids) & set(route(2, 3, 4, 1, LINK).ids)))
 
@@ -574,12 +586,16 @@ class TestAudit:
          "occ differs"),
         (lambda state: state.occ.__setitem__(next(iter(state.occ)), 7),
          "occ differs"),
+        (file_under_other_input, r"route Route\(0 -> 0\) under input 2$"),
+        (file_under_other_window,
+         r"route Route\(0 -> 0\) under window 1$"),
     ], ids=["drop_occupancy_entry", "bump_refcount",
             "move_owner", "drop_refcount_entry", "lying_route",
             "shared_key", "extra_occupancy_entry",
             "shared_key_and_extra_bit", "empty_occupancy_key",
             "leftover_refcount_table", "move_bit", "drop_shared_bit",
-            "zero_mask", "bit_past_the_planes"])
+            "zero_mask", "bit_past_the_planes", "route_under_other_input",
+            "route_under_other_window"])
     def test_corruption_detected(self, corrupt, caught):
         state = ConnState(cfg(m=2))
         state.admit(s("000"), [s("000")], rid="a")
@@ -926,3 +942,16 @@ class TestTraceIo:
     def test_bad_line(self):
         with pytest.raises(ValueError):
             list(run_trace(ConnState(cfg()), ["nonsense"]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cfg(d=1), "need d >= 2, n >= 1 and m >= 1"),
+    (lambda: cfg(f=9), "need 1 <= f <= d^n"),
+    (lambda: cfg(mode="bogus"), "unknown mode 'bogus'"),
+    (lambda: cfg(plane_policy="bogus"), "unknown plane policy 'bogus'"),
+    (lambda: ConnState(cfg()).admit(0, []), "empty output set"),
+], ids=["d-1", "f-past-d^n", "mode", "plane-policy", "no-outputs"])
+def test_multilog_refusals(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
