@@ -3,19 +3,17 @@
 Two families live here.  The cost functions c_cost/g_cost give the dual
 objective of the parameterized certificate family for one (k, p, q); the
 upper-bound tables C_bound/G_bound collapse the max-min over (k, p, q) into
-printed case formulas.  Everything else is a named specialization.
-
-The crosstalk table G as printed contains four rows that contradict the
-derivation they summarize (see the comments on each row below).  Those rows
-return the derivation-consistent value.
-"""
+printed case formulas.  Each table's rows partition (t, r = floor(log_d f)),
+G6 and G7 splitting one strip on f, so a case tree reaches exactly one row.
+Crosstalk shifts every threshold by one, so most G rows reuse C terms at n + 1,
+and the t = n crosstalk count below its large-f branch is the link count at
+n + 1.  The unicast count is the t = n link count at f = 1."""
 
 from collections import namedtuple
 from fractions import Fraction
 import math
 
 from .dary import frac_pow
-from .events import check
 
 LINK = "link"
 CROSSTALK = "crosstalk"
@@ -75,26 +73,32 @@ def clos_multirate(n, scheme="four_type"):
 # ------------------------------------------------------------ t = n and unicast
 
 def hwang_unicast(d, n):
-    _check_range(n >= 1, "n must be >= 1")
-    return d ** (ceil_div(n, 2) - 1) + d ** (n // 2) - 1
+    return snb_fcast_t_eq_n(d, n, 1)
 
 
 def snb_fcast_t_eq_n(d, n, f):
     """SNB f-cast plane count when the fanout stage cannot branch (t = n)."""
+    _check_range(n >= 1, "n must be >= 1")
     _check_range(1 <= f <= d ** n, "f out of range")
-    if f > d ** (n - 2):
+    if f > frac_pow(d, n - 2):
         return d ** (n - 1)
-    r = ilog(d, f)
-    return d ** ((n + r) // 2) + f * (d ** ceil_div(n - r - 2, 2) - 1)
+    return _fanout(d, n, f, ilog(d, f))
 
 
 def cf_snb_fcast_t_eq_n(d, n, f):
-    """Crosstalk-free analog of snb_fcast_t_eq_n."""
+    """Crosstalk-free snb_fcast_t_eq_n: the link count at n + 1 below the
+    large-f branch, whose value is rounded up (d - (d-1)/d at n = 1)."""
     _check_range(1 <= f <= d ** n, "f out of range")
-    if f > d ** (n - 2) * (d - 1):
-        return d ** n - d ** (n - 2) * (d - 1)
-    r = ilog(d, f)
-    return d ** ((n + r + 1) // 2) + f * (d ** ceil_div(n - r - 1, 2) - 1)
+    spill = frac_pow(d, n - 2) * (d - 1)
+    if f > spill:
+        return math.ceil(d ** n - spill)
+    return _fanout(d, n + 1, f, ilog(d, f))
+
+
+def _fanout(d, n, f, r):
+    """The t = n link count below its large-f branch, r = ilog(d, f)."""
+    e = (n + r) // 2
+    return d ** e + f * (d ** (n - e - 1) - 1)
 
 
 # ------------------------------------------------------------- cost functions
@@ -164,13 +168,14 @@ def _row_tight(d, n, t, f, p):
 
 # --------------------------------------------------------------- bound tables
 
-def _finish(d, n, t, f, matched, table):
-    """The least of the matched (label, value) rows."""
-    check(matched, "no %s case matches d=%d n=%d t=%d f=%d",
-          table, d, n, t, f)
-    label, value = min(matched, key=lambda row: row[1])
-    return BoundResult(value=value, m_sufficient=1 + math.ceil(value),
-                       branch=label)
+def _core(d, n, t, f, p):
+    """c_cost's terms before its q-dependent ones when t >= n/2."""
+    return (Fraction(f * (d ** p - 1))
+            + ((n - t - 1 - p) * (d - 1) - 1) * d ** (n - t - 1))
+
+
+def _corner(d, n, t):
+    return d ** t - (d - 1) * frac_pow(d, 2 * t - n - 1)
 
 
 def C_bound(d, n, t, f):
@@ -178,94 +183,69 @@ def C_bound(d, n, t, f):
     _check_range(0 <= t < n, "need 0 <= t < n")
     _check_range(1 <= f <= d ** n, "f out of range")
     r = ilog(d, f)
-    matched = []
-    if t < n // 2 and r <= n - 2 * t - 1:
-        c = ceil_div(n - r, 2)
-        matched.append(("C1", Fraction(f * (d ** (c - 1) - 1) + d ** (n - c) - 1)))
-    if t < n // 2 and r >= n - 2 * t:
-        matched.append(("C2", Fraction(t * (d - 1) * d ** (n - t - 1) + d ** (n - 2 * t - 1) - 1)))
-    if t >= n // 2 and r >= n - t:
-        v = (Fraction(((n - t - 1) * (d - 1) - 1) * d ** (n - t - 1))
-             + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 1))
-        matched.append(("C3", v))
-    if t >= n // 2 and 2 * t - n - 2 < r <= n - t - 1:
-        v = (Fraction(f * (d ** (n - t - r - 1) - 1))
-             + (r * (d - 1) - 1) * d ** (n - t - 1) + d ** (n - t - r - 1)
-             + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 1))
-        matched.append(("C4", v))
-    if t >= n // 2 and r <= min(2 * t - n - 2, n - t - 1):
-        e = (n + r) // 2
-        v = (Fraction(f * (d ** (n - t - r - 1) - 1))
-             + (r * (d - 1) - 1) * d ** (n - t - 1)
-             + d ** e + f * (d ** (n - e - 1) - 1))
-        matched.append(("C5", v))
-    return _finish(d, n, t, f, matched, "C(t,f)")
+    p = n - t - r - 1
+    if t < n // 2 and r < n - 2 * t:
+        branch, value = "C1", Fraction(_fanout(d, n, f, r) - 1)
+    elif t < n // 2:
+        branch, value = "C2", Fraction(t * (d - 1) * d ** (n - t - 1)
+                                       + d ** (n - 2 * t - 1) - 1)
+    elif r >= n - t:
+        branch, value = "C3", _core(d, n, t, f, 0) + _corner(d, n, t)
+    elif r > 2 * t - n - 2:
+        branch, value = "C4", _core(d, n, t, f, p) + d ** p + _corner(d, n, t)
+    else:
+        branch, value = "C5", _core(d, n, t, f, p) + _fanout(d, n, f, r)
+    return BoundResult(value, 1 + math.ceil(value), branch)
 
 
 def G_bound(d, n, t, f):
     """The nine-case upper bound on max_k min g_cost, crosstalk-free mode.
-
     Rows G1/G4/G5/G8 return the value consistent with the construction they
-    summarize, not their verbatim printed formulas, which contradict either
-    the derivation steps or the specialized corollary.
-    """
+    summarize, not their printed formulas, which contradict either the
+    derivation steps or the specialized corollary."""
     _check_range(0 <= t < n, "need 0 <= t < n")
     _check_range(1 <= f <= d ** n, "f out of range")
     r = ilog(d, f)
-    matched = []
-    A = Fraction(d ** (n - t) * ((n - t) * (d - 1) - 1))
-
-    if 2 * t > n:
-        if r >= max(2 * t - n - 2, n - t + 1):
-            printed = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n + 1)
-            corollary = A + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2)
-            matched.append(("G1", max(printed, corollary,
-                                      _row_tight(d, n, t, f, 0))))
-        if r <= min(2 * t - n - 3, n - t):
-            e = (r + n + 1) // 2
-            printed = (Fraction(f * (d ** (n - t - r) - 1)) + r * d ** (n - t) * (d - 1)
-                       - d ** (n - t) + d ** e + f * (d ** (n - e) - 1))
-            # the construction picks p = n-t-r, which leaves the family's
-            # p-range when r = 0; clamp with the in-range tight value
-            matched.append(("G2", max(printed,
-                                      _row_tight(d, n, t, f, n - t - r))))
-        if n - t + 1 <= r <= 2 * t - n - 3:
-            e = (r + n + 1) // 2
-            matched.append(("G3", A + d ** e + f * (d ** (n - e) - 1)))
-        if 2 * t - n - 2 <= r <= n - t:
-            printed = (Fraction(f * (d ** (n - t - r) - 1))
-                       + (r * (d - 1) - 1) * d ** (n - t)
-                       + d ** t - (d - 1) * frac_pow(d, 2 * t - n - 2))
-            matched.append(("G4", max(printed,
-                                      _row_tight(d, n, t, f, n - t - r))))
+    p = n - t - r
+    A = _core(d, n + 1, t, f, 0)
+    if 2 * t > n and r > n - t:
+        if r >= 2 * t - n - 2:
+            # printed: A + d^t - (d-1) d^(2t-n+1), never above this value
+            branch, value = "G1", max(A + _corner(d, n + 1, t),
+                                      _row_tight(d, n, t, f, 0))
+        else:
+            branch, value = "G3", A + _fanout(d, n + 1, f, r)
+    elif 2 * t > n:
+        # the construction picks p = n-t-r, which leaves the family's
+        # p-range when r = 0; clamp with the in-range tight value
+        core, tight = _core(d, n + 1, t, f, p), _row_tight(d, n, t, f, p)
+        if r >= 2 * t - n - 2:
+            branch, value = "G4", max(core + _corner(d, n + 1, t), tight)
+        else:
+            branch, value = "G2", max(core + _fanout(d, n + 1, f, r), tight)
     elif 2 * t == n:
         # the printed row, d^(n-t)((n-t)(t-1) - 1) + d^t, has a stray
         # (t-1) where the derivation gives (d-1)
-        matched.append(("G5", A + d ** t))
+        branch, value = "G5", A + d ** t
+    elif r > n - t:
+        branch, value = "G9", Fraction(t * (d - 1) * d ** (n - t)
+                                       + d ** (n - 2 * t) - 1)
+    elif r > n - 2 * t:
+        # printed coefficient (2t-n-r) is the sign-flipped (2t-n+r)
+        branch, value = "G8", (Fraction(f * (d ** p - 1))
+                               + (2 * t - n + r) * (d - 1) * d ** (n - t)
+                               + d ** (2 * n - 3 * t - r) - 1)
+    elif f > d ** (n - 2 * t) * (d - 1):
+        branch, value = "G7", (Fraction(f) * (frac_pow(d, t - 1) - 1)
+                               + frac_pow(d, n - t - 1) * (d * d - d + 1) - 1)
     else:
-        big_f = f > d ** (n - 2 * t) * (d - 1)
-        if r <= n - 2 * t and not big_f:
-            c = ceil_div(n - r - 1, 2)
-            matched.append(("G6", Fraction(f * (d ** c - 1) + d ** (n - c) - 1)))
-        if r <= n - 2 * t and big_f:
-            v = (Fraction(f) * (frac_pow(d, t - 1) - 1)
-                 + frac_pow(d, n - t - 1) * (d * d - d + 1) - 1)
-            matched.append(("G7", v))
-        if n - 2 * t + 1 <= r <= n - t:
-            # printed coefficient (2t-n-r) is the sign-flipped (2t-n+r)
-            v = (Fraction(f * (d ** (n - t - r) - 1))
-                 + (2 * t - n + r) * (d - 1) * d ** (n - t)
-                 + d ** (2 * n - 3 * t - r) - 1)
-            matched.append(("G8", v))
-        if r > n - t:
-            matched.append(("G9", Fraction(t * (d - 1) * d ** (n - t) + d ** (n - 2 * t) - 1)))
-    return _finish(d, n, t, f, matched, "G(t,f)")
+        branch, value = "G6", Fraction(_fanout(d, n + 1, f, r) - 1)
+    return BoundResult(value, 1 + math.ceil(value), branch)
 
 
 def multilog_planes(d, n, t, f, mode):
     """(m, branch): planes sufficient for the windowed multilog network,
-    from the t = n corollaries or else the C (link) or G (crosstalk)
-    table."""
+    from the t = n corollaries or else the C (link) or G (crosstalk) table."""
     _check_range(0 <= t <= n, "t=%d out of range for n=%d" % (t, n))
     if t == n:
         fn = snb_fcast_t_eq_n if mode == LINK else cf_snb_fcast_t_eq_n

@@ -82,7 +82,8 @@ class ClosState:
 
     def _check_terminal(self, term):
         cb, port = term
-        if not (0 <= cb < self.config.r and 0 <= port < self.config.n):
+        if not (type(cb) is int and type(port) is int
+                and 0 <= cb < self.config.r and 0 <= port < self.config.n):
             raise ValueError("terminal %s:%s out of range" % (cb, port))
 
     def _next_rid(self, rid):

@@ -83,7 +83,9 @@ def parse_address(text, d, n):
 
 def check_address(d, n, v):
     """v as a plain int; raise ValueError unless it is an n-digit base-d
-    address value."""
+    address value: an integer other than a bool, in [0, d^n)."""
+    if type(v) is bool:
+        raise ValueError("address %r is not an integer" % (v,))
     try:
         x = operator.index(v)
     except TypeError:
@@ -224,10 +226,13 @@ class AddressSets:
         return n - t
 
     def j_of_window(self, w):
-        """Prefix index of foreign window w, or None for the home window."""
+        """Prefix index of foreign window w, or None for the home window;
+        w is checked by the rule `check_address` applies to terminals."""
         rest = self.n - self.t
-        if type(w) is not int or not 0 <= w < self.d ** rest:
-            raise ValueError("window index %r out of range" % (w,))
+        try:
+            w = check_address(self.d, rest, w)
+        except ValueError:
+            raise ValueError("window index %r out of range" % (w,)) from None
         if w == self.home_window:
             return None
         return lcp(self.d, rest, w, self.home_window)

@@ -88,15 +88,17 @@ def cf_wsnb_window(d, n, t):
 
 def dual_special_t_eq_n(instance):
     """The whole-network (t = n) certificates behind the strict-sense
-    corollaries; f picks the branch, reported as `variant`: "high" for the
-    large-fanout one, "low" for the small-fanout one."""
+    corollaries; k = |B| picks the branch, reported as `variant`: "high"
+    for the large-fanout one, "low" for the small-fanout one.  Chosen by k,
+    each is priced at most the corollary's count less one; chosen by f, the
+    crosstalk ones can exceed it."""
     inst = instance
-    n, d, f = inst.n, inst.d, inst.f
+    n, d, k = inst.n, inst.d, inst.k
     if inst.t != n:
         raise ValueError("t=%d, need t=n" % inst.t)
-    r = ilog(d, f)
+    r = ilog(d, k)
     if inst.theta == 0:
-        high = f > d ** (n - 2)
+        high = k > frac_pow(d, n - 2)
         if high:
             gamma = {i: 1 for i in range(1, n)}
             sol = DualSolution(inst, gamma=gamma)
@@ -106,7 +108,7 @@ def dual_special_t_eq_n(instance):
             delta = {j: 1 for j in range(q, n)}
             sol = DualSolution(inst, gamma=gamma, delta=delta)
     else:
-        high = f > d ** (n - 2) * (d - 1)
+        high = k > frac_pow(d, n - 2) * (d - 1)
         if high:
             delta = {j: 1 for j in range(n)}
             sol = DualSolution(inst, delta=delta)

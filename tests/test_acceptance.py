@@ -336,16 +336,22 @@ def test_criterion_4_certificate_grid():
                                     points += 1
         assert points >= 4000
         # t = n contributes no (p, q) certificates; the whole-network
-        # specials are checked for dual feasibility on sampled k
+        # specials are checked on sampled k for dual feasibility and for
+        # an objective within the corollary's plane count less one
         for d, n in GRID_DN:
             for f in _f_grid(d, n):
-                for mode in (lpcert.LINK, lpcert.CROSSTALK):
+                for mode, corollary in (
+                        (lpcert.LINK, bounds.snb_fcast_t_eq_n),
+                        (lpcert.CROSSTALK, bounds.cf_snb_fcast_t_eq_n)):
+                    m = corollary(d, n, f)
                     ks = sorted({1, 2, d ** (n - 1), d ** n}
                                 & set(range(1, min(f, d ** n) + 1)))
                     for k in ks:
                         inst = lpcert.canonical_instance(d, n, n, f, k, mode)
                         sol = dual_special_t_eq_n(inst)
                         sol.check_feasible()
+                        assert sol.objective() <= m - 1, \
+                            (d, n, f, k, mode, sol.variant)
 
 
 # -- criterion 5: table dominance ---------------------------------------------

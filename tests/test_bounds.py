@@ -104,6 +104,28 @@ class TestSpecializations:
             assert table == enum
 
 
+def test_closed_forms_are_exact():
+    # every closed-form count is an int or a Fraction, never a float: a
+    # float t = n count once printed as 1.5 and made the sweep refuse it
+    values = []
+    for d in range(2, 6):
+        for n in range(1, 9):
+            values += [hwang_unicast(d, n), clos_snb(n), clos_wsnb_r2(n),
+                       clos_multirate(n), clos_multirate(n, "five_type_paper")]
+            for t in range(n + 1):
+                for f in sorted({1, 2, d, d ** t, d ** n - 1, d ** n}):
+                    values += [bounds.multilog_planes(d, n, t, f, mode)[0]
+                               for mode in (LINK, CROSSTALK)]
+                    if t == n:
+                        values += [snb_fcast_t_eq_n(d, n, f),
+                                   cf_snb_fcast_t_eq_n(d, n, f)]
+                    else:
+                        for table in (C_bound, G_bound):
+                            res = table(d, n, t, f)
+                            values += [res.value, res.m_sufficient]
+    assert {type(v) for v in values} == {int, Fraction}
+
+
 class TestMonotoneLemmas:
     @pytest.mark.parametrize("d", [2, 3])
     def test_h_and_hbar_nondecreasing(self, d):
@@ -153,9 +175,8 @@ class TestBoundTables:
         assert res.value == 11
         assert res.m_sufficient == 12
 
-    def test_branch_is_least_matched_row(self):
-        # the rows' conditions are disjoint, so the least matched row is the
-        # one that matches; at (2, 4, 1, 4) that is C2, whose value is
+    def test_branch_names_a_row(self):
+        # at (2, 4, 1, 4) the row is C2, whose value is
         # t(d-1)d^(n-t-1) + d^(n-2t-1) - 1
         res = C_bound(2, 4, 1, 4)
         assert (res.branch, res.value, res.m_sufficient) == ("C2", 5, 6)
@@ -170,6 +191,58 @@ class TestBoundTables:
                             assert isinstance(res.value, Fraction)
                             assert res.m_sufficient == \
                                 1 + math.ceil(res.value)
+
+    def test_rows_partition_the_plane(self, monkeypatch):
+        # the printed row conditions, restated: for every n <= 64, t < n and
+        # r = floor(log_d f) <= n exactly one row holds, and it is the row
+        # the table names.  G6/G7 split one strip on f, so both sides of
+        # that split are visited.  Only the branch is read here, so the
+        # row-tight clamp is stubbed out to keep the sweep fast.
+        monkeypatch.setattr(bounds, "_row_tight", lambda *args: 0)
+        c_rows = {
+            "C1": lambda n, t, r, f: t < n // 2 and r <= n - 2 * t - 1,
+            "C2": lambda n, t, r, f: t < n // 2 and r >= n - 2 * t,
+            "C3": lambda n, t, r, f: t >= n // 2 and r >= n - t,
+            "C4": lambda n, t, r, f: (t >= n // 2
+                                      and 2 * t - n - 2 < r <= n - t - 1),
+            "C5": lambda n, t, r, f: (t >= n // 2
+                                      and r <= min(2 * t - n - 2, n - t - 1)),
+        }
+        g_rows = {
+            "G1": lambda n, t, r, f: (2 * t > n
+                                      and r >= max(2 * t - n - 2, n - t + 1)),
+            "G2": lambda n, t, r, f: (2 * t > n
+                                      and r <= min(2 * t - n - 3, n - t)),
+            "G3": lambda n, t, r, f: (2 * t > n
+                                      and n - t + 1 <= r <= 2 * t - n - 3),
+            "G4": lambda n, t, r, f: (2 * t > n
+                                      and 2 * t - n - 2 <= r <= n - t),
+            "G5": lambda n, t, r, f: 2 * t == n,
+            "G6": lambda n, t, r, f: (2 * t < n and r <= n - 2 * t
+                                      and f <= 2 ** (n - 2 * t)),
+            "G7": lambda n, t, r, f: (2 * t < n and r <= n - 2 * t
+                                      and f > 2 ** (n - 2 * t)),
+            "G8": lambda n, t, r, f: 2 * t < n and n - 2 * t + 1 <= r <= n - t,
+            "G9": lambda n, t, r, f: 2 * t < n and r > n - t,
+        }
+        seen = set()
+        for n in range(1, 65):
+            for t in range(n):
+                for r in range(n + 1):
+                    # d = 2, so the G6/G7 split d^(n-2t)(d-1) is 2^r when
+                    # r = n - 2t: f = 2^r and 2^r + 1 straddle it (the
+                    # latter is in range and has floor log r for t, r > 0)
+                    split = t > 0 and r == n - 2 * t > 0
+                    fs = [2 ** r] + [2 ** r + 1] * split
+                    for f in fs:
+                        for table, rows in ((C_bound, c_rows),
+                                            (G_bound, g_rows)):
+                            held = [label for label, cond in rows.items()
+                                    if cond(n, t, r, f)]
+                            got = table(2, n, t, f).branch
+                            assert held == [got], (n, t, r, f, held, got)
+                            seen.add(got)
+        assert seen == set(c_rows) | set(g_rows)
 
     @pytest.mark.parametrize("mode,table",
                              [(LINK, C_bound), (CROSSTALK, G_bound)])

@@ -118,6 +118,34 @@ class TestBound:
     def test_golden_rows(self, capsys, argv, golden):
         assert run(capsys, "bound", *argv) == (0, golden, "")
 
+    @pytest.mark.parametrize("row", [
+        "3,4,0,1,link,11,C1", "3,4,0,81,link,27,C2", "3,4,2,9,link,13,C3",
+        "3,4,2,1,link,12,C4", "3,4,3,1,link,11,C5",
+        "3,4,3,9,crosstalk,29,G1", "3,5,4,1,crosstalk,39,G2",
+        "2,7,6,5,crosstalk,48,G3", "3,4,3,1,crosstalk,25,G4",
+        "3,4,2,1,crosstalk,37,G5", "3,4,0,1,crosstalk,17,G6",
+        "3,4,1,19,crosstalk,63,G7", "2,4,1,8,crosstalk,12,G8",
+        "3,4,1,81,crosstalk,63,G9", "2,5,5,3,link,11,t=n",
+        "3,4,4,2,crosstalk,25,t=n",
+    ], ids=lambda row: "%s-%s" % tuple(row.split(",")[4::2]))
+    def test_golden_multilog_rows(self, capsys, row):
+        # one point per table row and per t = n corollary, as printed when
+        # each table took the least of the rows whose conditions matched
+        d, n, t, f, mode = row.split(",")[:5]
+        got = run(capsys, "bound", "multilog", "--d", d, "--n", n, "--t", t,
+                  "--f", f, "--mode", mode)
+        assert got == (0, "kind,d,n,t,f,mode,m_sufficient,branch\n"
+                       "multilog,%s\n" % row, "")
+
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_crosstalk_t_eq_n_at_n_1_is_an_integer(self, capsys, d):
+        # d - (d-1)/d planes, rounded up; it printed as 1.5 at d = 2
+        code, out, _ = run(capsys, "bound", "multilog", "--d", d, "--n", "1",
+                           "--t", "1", "--f", "1", "--mode", "crosstalk")
+        assert code == 0
+        assert rows(out)[1] == ["multilog", d, "1", "1", "1", "crosstalk", d,
+                                "t=n"]
+
     def test_multirate_scheme(self, capsys):
         code, out, _ = run(capsys, "bound", "clos-multirate", "--n", "8")
         assert code == 0
@@ -245,6 +273,22 @@ class TestSimulate:
         assert (code, err) == (0, "")
         got = rows(out)[1]
         assert got[6] == m and got[10] == "0"
+
+    @pytest.mark.parametrize("d, f", [(2, 1), (3, 3)])
+    def test_crosstalk_sweep_at_n_1_defaults_m_to_d(self, capsys, d, f):
+        # the default m used to be a float the sweep refused; m = d blocks
+        # nothing under greedy pressure, and m = d - 1 blocks
+        args = ["--network", "multilog", "--d", str(d), "--n", "1", "--t",
+                "1", "--f", str(f), "--mode", "crosstalk", "--adversary",
+                "greedy", "--trials", "5", "--steps", "200"]
+        code, out, err = run(capsys, "simulate", *args,
+                             "--expect-nonblocking")
+        assert (code, err) == (0, "")
+        got = rows(out)[1]
+        assert got[6] == str(d) and got[10] == "0"
+        code, out, _ = run(capsys, "simulate", *args, "--m-offset", "-1")
+        assert code == 0
+        assert int(rows(out)[1][10]) > 0
 
     @pytest.mark.parametrize("offset", [-1, 0, 5])
     def test_m_offset_shifts_default_m(self, capsys, offset):
@@ -790,6 +834,8 @@ class TestInputErrors:
             "    lambda: dary.parse_address('\\u0661\\u0660\\u0660', 2, 3),",
             "    lambda: clos.parse_terminal('0_1:0'),",
             "    lambda: clos.parse_terminal('+1:0'),",
+            "    lambda: clos.ClosState(C(n=2, m=3, r=2)).snb_admit((0.5, 0),",
+            "                                                      (1, 1)),",
             "    lambda: lpcert.LpInstance(2, 3, 1, 9, 0, [0]),",
             "    lambda: lpcert.canonical_instance(2, 3, 1, 10 ** 20, 1),",
             "    lambda: lpcert.canonical_instance(2, 3, 1, 0, 1),",

@@ -357,7 +357,12 @@ MULTIRATE_2 = ClosConfig(n=2, m=3, r=2, traffic=MULTIRATE)
      "the reuse rule needs r = 2"),
     (lambda: ClosState(SPACE_2).multirate_admit((0, 0), (1, 0), "1/2"),
      "not a multirate network"),
-], ids=["traffic", "snb-on-multirate", "benes-r-3", "multirate-on-space"])
+    (lambda: ClosState(SPACE_2).snb_admit((0.5, 0), (1, 1)),
+     "terminal 0.5:0 out of range"),
+    (lambda: ClosState(MULTIRATE_2).multirate_admit((0, 0), (1, 1.0), "1/2"),
+     "terminal 1:1.0 out of range"),
+], ids=["traffic", "snb-on-multirate", "benes-r-3", "multirate-on-space",
+        "float-crossbar", "float-port"])
 def test_clos_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()

@@ -15,7 +15,8 @@ from switchlp.lpcert import (
     PrimalSolution, primal_from_state, DualSolution, dual_family,
     check_weak_duality, family_cost, export_lp,
 )
-from switchlp.dary import all_strings, parse_address, window_outputs
+from switchlp.dary import (DaryString, all_strings, parse_address,
+                           window_outputs)
 
 from address_oracle import EnumeratedAddressSets, digits, lcp, lcs
 from lp_oracle import (bounded_delta_summed, dual_special_t_eq_n,
@@ -676,23 +677,50 @@ class TestDualSpecial:
         assert sol.objective() <= bounds.hwang_unicast(2, 4) - 1
 
     def test_link_high_fanout(self):
-        inst = canonical_instance(2, 4, 4, 8, 1, LINK)
+        inst = canonical_instance(2, 4, 4, 8, 8, LINK)
         sol = dual_special_t_eq_n(inst)
         assert sol.variant == "high"
         assert sol.check_feasible()
         assert sol.objective() == 2 ** 3 - 1
 
     def test_crosstalk_variants(self):
-        for f, want in ((1, "low"), (16, "high")):
-            inst = canonical_instance(2, 4, 4, f, 1, CROSSTALK)
+        for f, k, want in ((1, 1, "low"), (16, 1, "low"), (16, 16, "high")):
+            inst = canonical_instance(2, 4, 4, f, k, CROSSTALK)
             sol = dual_special_t_eq_n(inst)
             assert sol.variant == want
             assert sol.check_feasible()
+            assert sol.objective() <= bounds.cf_snb_fcast_t_eq_n(2, 4, f) - 1
 
     def test_requires_t_eq_n(self):
         inst = canonical_instance(2, 3, 1, 1, 1, LINK)
         with pytest.raises(ValueError):
             dual_special_t_eq_n(inst)
+
+
+@pytest.mark.parametrize("v, ok", [
+    (1, True), (DaryString(2, (0, 0, 1)), True), (True, False),
+    (False, False), (1.0, False), ("1", False), (None, False), (-1, False),
+    (8, False)], ids=["int", "DaryString", "True", "False", "float", "str",
+                      "None", "negative", "past-end"])
+def test_one_index_rule(v, ok):
+    # inputs, home-window outputs and windows take the same values: ints
+    # and int subclasses other than bool, in range; each lookup keeps its
+    # own message, and rows_of gives None for any refused index
+    inst = canonical_instance(2, 3, 1, 2, 1)
+    sets = inst.sets
+    for lookup, want, message in ((sets.i_of, 2, "address"),
+                                  (sets.j_of_output, 2, "address"),
+                                  (sets.j_of_window, 1, "window index")):
+        if ok:
+            assert lookup(v) == want
+        else:
+            with pytest.raises(ValueError, match=message):
+                lookup(v)
+    rows = [inst.rows_of(kind, *pair) for kind in "wv"
+            for pair in ((v, 1), (1, v))]
+    want = [inst.rows_of(kind, 1, 1) for kind in "wv" for _ in range(2)]
+    assert None not in want
+    assert rows == (want if ok else [None] * 4)
 
 
 class TestWeakDuality:
