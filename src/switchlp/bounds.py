@@ -31,9 +31,9 @@ def ilog(d, f):
     """floor(log_d f) for integers d >= 2 and f >= 1."""
     _check_range(d >= 2, "d must be >= 2")
     _check_range(f >= 1, "f must be >= 1")
-    r = 0
-    while d ** (r + 1) <= f:
-        r += 1
+    r, power = 0, d
+    while power <= f:
+        r, power = r + 1, power * d
     return r
 
 

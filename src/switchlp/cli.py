@@ -1,10 +1,11 @@
 """Command-line front end.
 
 One binary, five subcommands: closed-form bounds, simulation sweeps, the
-edge-coloring runner, certificate grid audits, and LP export.  All output is
-CSV on stdout; a fixed seed makes runs byte-identical.  Exit status is 0
-when every check passed, 1 when a verification failed, and 2 for any
-malformed input: arguments, config file or trace.
+edge-coloring runner, certificate grid audits, and the blocking LP's exact
+optimum.  All output is CSV on stdout; a fixed seed makes runs
+byte-identical.  Exit status is 0 when every check passed, 1 when a
+verification failed, and 2 for any malformed input: arguments, config file
+or trace.
 """
 
 import argparse
@@ -302,19 +303,20 @@ def _certify_point(out, inst, p, q):
     return 0 if match else 1
 
 
-# -- export-lp ----------------------------------------------------------------
+# -- optimum ------------------------------------------------------------------
 
 
-def cmd_export_lp(args):
+def cmd_optimum(args):
     _require(args, "d", "n", "t", "f", "k")
     inst = lpcert.canonical_instance(args.d, args.n, args.t, args.f,
                                      args.k, args.mode)
-    text = lpcert.export_lp(inst)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    value, dual = lpcert.lp_optimum(inst)
+    dual.check_feasible()
+    check(dual.objective() == value, "the optimal dual prices at %s, not %s",
+          dual.objective(), value)
+    out = _writer()
+    out.writerow(["d", "n", "t", "f", "k", "mode", "optimum"])
+    out.writerow([inst.d, inst.n, inst.t, inst.f, inst.k, inst.mode, value])
     return 0
 
 
@@ -372,13 +374,12 @@ def build_parser():
     common(c)
     c.set_defaults(fn=cmd_certify)
 
-    e = sub.add_parser("export-lp", help="write the primal LP as text")
+    o = sub.add_parser("optimum", help="the blocking LP's exact optimum")
     for name in ("d", "n", "t", "f", "k"):
-        e.add_argument("--" + name, type=_ints(name))
-    e.add_argument("--mode", choices=["link", "crosstalk"], default="link")
-    e.add_argument("--out")
-    common(e)
-    e.set_defaults(fn=cmd_export_lp)
+        o.add_argument("--" + name, type=_ints(name))
+    o.add_argument("--mode", choices=["link", "crosstalk"], default="link")
+    common(o)
+    o.set_defaults(fn=cmd_optimum)
     return parser
 
 

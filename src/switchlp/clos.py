@@ -81,6 +81,8 @@ class ClosState:
     # -- shared helpers ---------------------------------------------------
 
     def _check_terminal(self, term):
+        if type(term) is not tuple or len(term) != 2:
+            raise ValueError("terminal %r out of range" % (term,))
         cb, port = term
         if not (type(cb) is int and type(port) is int
                 and 0 <= cb < self.config.r and 0 <= port < self.config.n):

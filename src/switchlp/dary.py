@@ -120,17 +120,6 @@ def all_strings(base, length):
         yield DaryString.from_value(value, base, length)
 
 
-def window_outputs(base, n, t, w):
-    """The d^t outputs making up window w: those whose leading n-t digits
-    have value w, so that output y lies in window y // d^t."""
-    if not 0 <= t <= n:
-        raise ValueError("window exponent t=%d out of range for n=%d" % (t, n))
-    if not 0 <= w < base ** (n - t):
-        raise ValueError("window index %d out of range" % w)
-    size = base ** t
-    return range(w * size, (w + 1) * size)
-
-
 class AddressSets:
     """Input and output address families around one multicast request (a, B).
 
@@ -144,8 +133,8 @@ class AddressSets:
 
     Addresses are n-digit base-d ints.  Indices are computed from them when
     asked and counts in closed form, so nothing here enumerates addresses.
-    B is range-checked by its least and greatest member, address by address
-    only to name a bad one.
+    B is range-checked by its least and greatest member and type-checked
+    for bools, address by address only to name a bad one.
     """
 
     def __init__(self, d, n, a, B, t):
@@ -163,8 +152,8 @@ class AddressSets:
             lo, hi = values[0], values[-1]
         except TypeError:
             lo = hi = -1
-        if lo < 0 or hi >= d ** n:
-            # some member is out of range or no integer: name the first
+        if lo < 0 or hi >= d ** n or bool in map(type, B):
+            # some member is out of range, a bool or no integer: name the first
             for v in B:
                 check_address(d, n, v)
         self.d, self.n, self.a, self.B, self.t = d, n, a, B, t

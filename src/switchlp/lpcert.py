@@ -5,10 +5,10 @@ planes unable to carry the request is at most the optimum of a small LP
 whose variables count potentially blocking foreign branches.  Any feasible
 solution of the dual LP therefore upper-bounds the blocking-plane count.
 This module builds the instance, extracts a feasible primal point from a
-simulator state, generates the two-parameter family of dual-feasible
-solutions whose objective values the closed-form plane-count tables are
-the minima of, and verifies feasibility plus weak duality in exact
-rational arithmetic.
+simulator state, solves the LP itself, generates the two-parameter family
+of dual-feasible solutions whose objective values the closed-form
+plane-count tables are the minima of, and verifies feasibility plus weak
+duality in exact rational arithmetic.
 
 Everything class-level here exploits that both the dual constraints and the
 family's variable values depend on an input u only through its suffix index
@@ -17,11 +17,11 @@ i(u), and on a window or output only through its prefix index j.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 from numbers import Number
 
 from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
-                   window_count_formula, window_outputs)
+                   window_count_formula)
 from . import bounds
 from .bounds import LINK, CROSSTALK
 
@@ -32,13 +32,11 @@ class Infeasible(Exception):
     """A solution violates a constraint; the message names it."""
 
 
-# The primal's rows, in export order: each kind's LP row name and the
-# message a violated row raises, both formatted with the row's key.
-_ROWS = (("cap_w%d", "window capacity at w=%d"),
-         ("one_u%d_w%d", "x_u%d_w%d > 1"),
-         ("spread_u%d", "per-input home spread at u=%d"),
-         ("own_v%d", "output multiplicity at v=%d"),
-         ("fan_u%d", "fanout at u=%d"))
+# The primal's rows by rank: the message a violated row raises, formatted
+# with the row's key.
+_ROWS = ("window capacity at w=%d", "x_u%d_w%d > 1",
+         "per-input home spread at u=%d", "output multiplicity at v=%d",
+         "fanout at u=%d")
 
 
 class LpInstance:
@@ -179,7 +177,7 @@ class PrimalSolution:
                     sums[row] = sums.get(row, 0) + val
         for (rank, key, bound), total in sums.items():
             if total > bound:
-                raise Infeasible(_ROWS[rank][1] % key)
+                raise Infeasible(_ROWS[rank] % key)
         return True
 
 
@@ -407,8 +405,10 @@ def solve_packing(A, b, c):
         if not ratios:
             raise ValueError("unbounded LP")
         r = min(ratios)[2]
-        inv = 1 / Fraction(tab[r][enter])
-        tab[r] = prow = [v * inv for v in tab[r]]
+        prow = tab[r]
+        if prow[enter] != 1:
+            inv = 1 / Fraction(prow[enter])
+            tab[r] = prow = [v * inv for v in prow]
         nonzero = [(j, w) for j, w in enumerate(prow) if w]
         for row in tab:
             k = row[enter]
@@ -421,39 +421,28 @@ def solve_packing(A, b, c):
     return Fraction(z[-1]), y, [Fraction(v) for v in z[cols:-1]]
 
 
-# -- LP text export -----------------------------------------------------------
-
-
-def export_lp(instance):
-    """Serialize the primal LP in plain LP-file format."""
+def lp_optimum(instance):
+    """(optimum, optimal DualSolution) of the blocking LP, by `solve_packing`
+    on its (i, j) classes: a column per class in `classes_uw` + `classes_uv`
+    and a row per class dual a column sits in (alpha[j], beta[i, j] and
+    epsilon[i] for a (u, w) class; gamma[i], delta[j] and epsilon[i] for a
+    (u, v) class), capped at that dual's count in `profile`.  Its optimum is
+    the per-address LP's: a per-address solution summed over each class
+    meets every class row, and a class solution spread evenly over each
+    class's members meets every per-address row of `_ROWS`.  Its dual, one
+    value per class, is a per-address dual."""
     inst = instance
-    d, n, t = inst.d, inst.n, inst.t
-    names, rows = [], {}
-    # every input against every window and every home-window output;
-    # `rows_of` gives no rows for a pair that is no variable
-    for kind, zs in (("w", range(d ** (n - t))),
-                     ("v", window_outputs(d, n, t, inst.home))):
-        for u, z in product(range(d ** n), zs):
-            var_rows = inst.rows_of(kind, u, z)
-            if var_rows:
-                name = "x_u%d_%s%d" % (u, kind, z)
-                names.append(name)
-                for row in var_rows:
-                    rows.setdefault(row, []).append(name)
-    names.sort()
-    lines = ["\\ blocking LP d=%d n=%d t=%d f=%d k=%d mode=%s"
-             % (d, n, t, inst.f, inst.k, inst.mode),
-             "Maximize",
-             " obj: " + " + ".join(names) if names else " obj: 0 x_none",
-             "Subject To"]
-    # a one_ row sorts by its variable's name as text, any other by its key
-    for row in sorted(rows, key=lambda r: (r[0], rows[r][0] if r[0] == 1
-                                           else r[1])):
-        rank, key, bound = row
-        lines.append(" %s: %s <= %d" % (_ROWS[rank][0] % key,
-                                        " + ".join(sorted(rows[row])), bound))
-    lines.append("Bounds")
-    for name in names:
-        lines.append(" 0 <= %s" % name)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    cols = ([(("alpha", j), ("beta", (i, j)), ("epsilon", i))
+             for i, j in inst.classes_uw]
+            + [(("gamma", i), ("delta", j), ("epsilon", i))
+               for i, j in inst.classes_uv])
+    rows = dict.fromkeys(key for col in cols for key in col)
+    value, _, x = solve_packing(
+        [[int(key in col) for col in cols] for key in rows], [1] * len(cols),
+        [inst.profile[what][key] for what, key in rows])
+    # in the order of the constructor's arguments
+    pools = {what: {} for what in ("alpha", "beta", "gamma", "delta",
+                                   "epsilon")}
+    for (what, key), v in zip(rows, x):
+        pools[what][key] = v
+    return value, DualSolution(inst, *pools.values())

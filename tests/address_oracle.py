@@ -4,7 +4,8 @@ The library computes on addresses as the ints their digits denote.  The
 forms here spell each definition out on digit tuples instead: common
 prefixes and suffixes, window indices, the labels along a route, and the
 enumerated `AddressSets`.  They are slow on purpose; the differential tests
-check the int forms against them.
+check the int forms against them.  `window_outputs` lists the outputs of
+one window, for tests that enumerate them.
 """
 
 from collections import namedtuple
@@ -64,6 +65,17 @@ def lcs(xs, ys):
 def window_index(d, n, t, v):
     """The window of output v: the value of its leading n-t digits."""
     return value(d, digits(d, n, v)[:n - t])
+
+
+def window_outputs(base, n, t, w):
+    """The d^t outputs making up window w: those whose leading n-t digits
+    have value w, so that output y lies in window y // d^t."""
+    if not 0 <= t <= n:
+        raise ValueError("window exponent t=%d out of range for n=%d" % (t, n))
+    if not 0 <= w < base ** (n - t):
+        raise ValueError("window index %d out of range" % w)
+    size = base ** t
+    return range(w * size, (w + 1) * size)
 
 
 # -- route views: the element and link keys a route passes, by digits ---------

@@ -10,9 +10,11 @@ certificates; no command reads them.  `family_loops` builds the
 two-parameter dual family point by point, and `objective_summed` and
 `bounded_delta_summed` price a dual with one term per nonzero value, as
 `lpcert` did before it cached the family's shape and shared one sum
-between its two objectives.  `parse_lp` reads back the text
-`lpcert.export_lp` writes.  `derive_constants_enumerated` solves the
-coloring LP by trying every basis.
+between its two objectives.  `solve_enumerated` solves the blocking LP
+address by address, over the variables `oracle_pairs` enumerates and the
+rows `LpInstance.rows_of` puts them in (`address_rows`), against which
+`lpcert.lp_optimum`'s class LP is checked.  `derive_constants_enumerated`
+solves the coloring LP by trying every basis.
 """
 
 from fractions import Fraction
@@ -21,7 +23,9 @@ import itertools
 from switchlp.bounds import LINK, c_cost, ceil_div, g_cost, ilog
 from switchlp.dary import frac_pow
 from switchlp.dwec import DwecScheme
-from switchlp.lpcert import DualSolution
+from switchlp.lpcert import DualSolution, solve_packing
+
+from address_oracle import EnumeratedAddressSets
 
 
 def sufficient_m_enumerated(d, n, t, f, mode):
@@ -187,30 +191,52 @@ def bounded_delta_summed(sol, q):
     return objective_summed(sol) + (cap - true_tail)
 
 
-def parse_lp(text):
-    """Minimal reference parser for the exported format; returns a dict with
-    objective variable list and constraints as (name, vars, rhs) triples."""
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("\\")]
-    out = {"objective": [], "constraints": [], "bounds": []}
-    section = None
-    for ln in lines:
-        word = ln.strip()
-        if word in ("Maximize", "Subject To", "Bounds", "End"):
-            section = word
-            continue
-        if section == "Maximize":
-            _, _, rhs = word.partition(":")
-            out["objective"] = [v.strip() for v in rhs.split("+")]
-        elif section == "Subject To":
-            name, _, rest = word.partition(":")
-            expr, _, rhs = rest.rpartition("<=")
-            out["constraints"].append(
-                (name.strip(), [v.strip() for v in expr.split("+")],
-                 int(rhs)))
-        elif section == "Bounds":
-            out["bounds"].append(word.split("<=")[-1].strip())
-    return out
+def oracle_pairs(inst):
+    """The (u, w) and (u, v) pairs that are variables of `inst`, as the
+    address oracle enumerates them."""
+    ref = EnumeratedAddressSets(inst.d, inst.n, inst.a, inst.B, inst.t)
+    thresh = inst.n - inst.theta
+    return ref.uw_pairs(thresh), ref.uv_pairs(thresh)
+
+
+def address_rows(inst):
+    """The per-address LP over the oracle's pairs: each (rank, key, bound)
+    row `rows_of` puts a pair in, mapped to the (kind, u, z) it holds."""
+    uw_pairs, uv_pairs = oracle_pairs(inst)
+    rows = {}
+    for kind, pairs in (("w", uw_pairs), ("v", uv_pairs)):
+        for u, z in pairs:
+            for row in inst.rows_of(kind, u, z):
+                rows.setdefault(row, []).append((kind, u, z))
+    return rows
+
+
+def solve_enumerated(inst):
+    """Optimum of the per-address LP, one column per pair of
+    `oracle_pairs` and one row per row of `address_rows`, by the exact
+    simplex; y and x are checked here as a primal and a dual that certify
+    it."""
+    uw_pairs, uv_pairs = oracle_pairs(inst)
+    names = {var: col for col, var in enumerate(
+        [("w", *pair) for pair in uw_pairs]
+        + [("v", *pair) for pair in uv_pairs])}
+    lp = address_rows(inst)
+    rows = [[names[var] for var in used] for used in lp.values()]
+    c = [bound for _, _, bound in lp]
+    A = [[0] * len(names) for _ in rows]
+    for dense, row in zip(A, rows):
+        for col in row:
+            dense[col] = 1
+    value, y, x = solve_packing(A, [1] * len(names), c)
+    assert min(y, default=0) >= 0 and sum(y) == value
+    assert all(sum(y[col] for col in row) <= cap for row, cap in zip(rows, c))
+    covered = [0] * len(names)
+    for row, price in zip(rows, x):
+        for col in row:
+            covered[col] += price
+    assert min(x, default=0) >= 0 and min(covered, default=1) >= 1
+    assert sum(cap * price for cap, price in zip(c, x)) == value
+    return value
 
 
 def derive_constants_enumerated(breakpoints):

@@ -18,8 +18,7 @@ import pytest
 import switchlp
 from switchlp import adversary, bounds, cli, clos, lpcert
 
-from address_oracle import EnumeratedAddressSets
-from lp_oracle import parse_lp
+from lp_oracle import solve_enumerated
 
 
 def run(capsys, *argv):
@@ -596,27 +595,37 @@ class TestCertify:
                    for r in rows(out)[1:])
 
 
-class TestExportLp:
-    def test_stdout_roundtrip(self, capsys):
-        code, out, _ = run(capsys, "export-lp", "--d", "2", "--n", "3",
-                           "--t", "1", "--f", "2", "--k", "1")
-        assert code == 0
-        parsed = parse_lp(out)
-        ref = EnumeratedAddressSets(2, 3, 0, {0}, 1)
-        assert len(parsed["objective"]) == \
-            len(ref.uw_pairs(3)) + len(ref.uv_pairs(3))
+class TestOptimum:
+    @pytest.mark.parametrize("argv", [
+        ("2", "3", "1", "2", "1", "link"),
+        ("2", "4", "1", "2", "2", "crosstalk"),
+        ("2", "4", "2", "16", "3", "link"),
+        ("3", "3", "1", "9", "2", "crosstalk"),
+        ("2", "3", "3", "8", "8", "link"),
+        ("3", "2", "0", "1", "1", "crosstalk")])
+    def test_row_is_the_enumerated_optimum(self, capsys, argv):
+        opts = [x for name, v in zip(("d", "n", "t", "f", "k", "mode"), argv)
+                for x in ("--" + name, v)]
+        code, out, err = run(capsys, "optimum", *opts)
+        assert (code, err) == (0, "")
+        inst = lpcert.canonical_instance(*map(int, argv[:5]), argv[5])
+        assert rows(out) == [["d", "n", "t", "f", "k", "mode", "optimum"],
+                             [*argv, str(solve_enumerated(inst))]]
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        argv = ["export-lp", "--d", "2", "--n", "3", "--t", "1", "--f", "2",
-                "--k", "1"]
-        _, out, _ = run(capsys, *argv)
-        path = tmp_path / "prob.lp"
-        code, empty, _ = run(capsys, *argv, "--out", str(path))
-        assert code == 0 and empty == ""
-        assert path.read_text() == out
+    def test_unsound_dual_is_caught(self, capsys, monkeypatch):
+        # the command checks the dual it prints the optimum beside
+        def loose(inst):
+            value, dual = real(inst)
+            return value - 1, dual
+        real = lpcert.lp_optimum
+        monkeypatch.setattr(lpcert, "lp_optimum", loose)
+        with pytest.raises(AssertionError, match="optimal dual prices"):
+            cli.main(["optimum", "--d", "2", "--n", "3", "--t", "1",
+                      "--f", "2", "--k", "1"])
+        assert capsys.readouterr().out == ""
 
     def test_bad_k_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "export-lp", "--d", "2", "--n", "3",
+        code, _, err = run(capsys, "optimum", "--d", "2", "--n", "3",
                            "--t", "1", "--f", "1", "--k", "2")
         assert code == 2
         assert "error:" in err
@@ -626,7 +635,7 @@ class TestExportLp:
         ("4", "1", "t=4 out of range for n=3"),
         ("1", "9", "f=9 out of range [1, 8]")])
     def test_range_errors_name_the_argument(self, capsys, t, f, message):
-        code, out, err = run(capsys, "export-lp", "--d", "2", "--n", "3",
+        code, out, err = run(capsys, "optimum", "--d", "2", "--n", "3",
                              "--t", t, "--f", f, "--k", "1")
         assert (code, out) == (2, "")
         assert message in err
@@ -718,17 +727,16 @@ MALFORMED = {
     "simulate-d-1": (["simulate", "--d", "1", "--n", "3", "--t", "1",
                       "--f", "1"], None, 0),
     "certify-n-0": (["certify", "--n", "0"], None, 0),
-    "export-lp-n-0": (["export-lp", "--d", "2", "--n", "0", "--t", "0",
-                       "--f", "1", "--k", "1"], None, 0),
-    "export-lp-f-9": (["export-lp", "--d", "2", "--n", "3", "--t", "1",
-                       "--f", "9", "--k", "1"], None, 0),
-    "export-lp-f-huge": (["export-lp", "--d", "2", "--n", "3", "--t", "1",
-                          "--f", "99999999999999999999", "--k", "1"], None,
-                         0),
-    "export-lp-f-0": (["export-lp", "--d", "2", "--n", "3", "--t", "1",
-                       "--f", "0", "--k", "1"], None, 0),
-    "export-lp-t--1": (["export-lp", "--d", "2", "--n", "3", "--t", "-1",
-                        "--f", "1", "--k", "1"], None, 0),
+    "optimum-n-0": (["optimum", "--d", "2", "--n", "0", "--t", "0", "--f",
+                     "1", "--k", "1"], None, 0),
+    "optimum-f-9": (["optimum", "--d", "2", "--n", "3", "--t", "1", "--f",
+                     "9", "--k", "1"], None, 0),
+    "optimum-f-huge": (["optimum", "--d", "2", "--n", "3", "--t", "1",
+                        "--f", "99999999999999999999", "--k", "1"], None, 0),
+    "optimum-f-0": (["optimum", "--d", "2", "--n", "3", "--t", "1", "--f",
+                     "0", "--k", "1"], None, 0),
+    "optimum-t--1": (["optimum", "--d", "2", "--n", "3", "--t", "-1",
+                      "--f", "1", "--k", "1"], None, 0),
 }
 
 
@@ -873,6 +881,33 @@ class TestInputErrors:
             "    if code != 2 or '--m-offset' not in err.getvalue():",
             "        print('%s accepted' % argv)",
             "os.unlink(fh.name)",
+            "# `optimum` refuses what the malformed-input table does, and",
+            "# checks the dual it prints the optimum beside",
+            "def optimum(*argv):",
+            "    out = io.StringIO()",
+            "    with contextlib.redirect_stdout(out), \\",
+            "            contextlib.redirect_stderr(io.StringIO()):",
+            "        try:",
+            "            code = cli.main(['optimum', '--d', '2', '--k', '1']",
+            "                            + list(argv))",
+            "        except SystemExit as exc:",
+            "            code = exc.code",
+            "    return code, out.getvalue()",
+            "for argv in (['--n', '0', '--t', '0', '--f', '1'],",
+            "             ['--n', '3', '--t', '1', '--f', '9'],",
+            "             ['--n', '3', '--t', '1', '--f', '0'],",
+            "             ['--n', '3', '--t', '-1', '--f', '1']):",
+            "    if optimum(*argv) != (2, ''):",
+            "        print('optimum %s accepted' % argv)",
+            "real = lpcert.lp_optimum",
+            "lpcert.lp_optimum = lambda inst: (real(inst)[0] - 1,",
+            "                                  real(inst)[1])",
+            "try:",
+            "    optimum('--n', '3', '--t', '1', '--f', '2')",
+            "    print('an optimum its dual does not price was printed')",
+            "except AssertionError:",
+            "    pass",
+            "lpcert.lp_optimum = real",
             "# a primal that breaks a constraint must still be refused",
             "# (one spare output in the home window, so the uv pairs share v)",
             "inst = lpcert.canonical_instance(2, 3, 1, 2, 1)",

@@ -361,8 +361,21 @@ MULTIRATE_2 = ClosConfig(n=2, m=3, r=2, traffic=MULTIRATE)
      "terminal 0.5:0 out of range"),
     (lambda: ClosState(MULTIRATE_2).multirate_admit((0, 0), (1, 1.0), "1/2"),
      "terminal 1:1.0 out of range"),
+    (lambda: ClosState(SPACE_2).snb_admit(5, (1, 1)),
+     "terminal 5 out of range"),
+    (lambda: ClosState(SPACE_2).snb_admit((0, 0), None),
+     "terminal None out of range"),
+    (lambda: ClosState(SPACE_2).benes_admit((1,), (1, 1)),
+     "terminal (1,) out of range"),
+    (lambda: ClosState(SPACE_2).snb_admit((0, 0, 0), (1, 1)),
+     "terminal (0, 0, 0) out of range"),
+    (lambda: ClosState(SPACE_2).snb_admit([0, 0], (1, 1)),
+     "terminal [0, 0] out of range"),
+    (lambda: ClosState(MULTIRATE_2).multirate_admit("00", (1, 0), "1/2"),
+     "terminal '00' out of range"),
 ], ids=["traffic", "snb-on-multirate", "benes-r-3", "multirate-on-space",
-        "float-crossbar", "float-port"])
+        "float-crossbar", "float-port", "int-terminal", "None-terminal",
+        "1-tuple", "3-tuple", "list-terminal", "str-terminal"])
 def test_clos_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()

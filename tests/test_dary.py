@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import switchlp
 from switchlp.dary import (
-    DaryString, lcp, lcs, all_strings, window_outputs, AddressSets,
-    a_count_formula, window_count_formula, canonical_sets, check_address,
-    frac_pow, parse_address,
+    DaryString, lcp, lcs, all_strings, AddressSets, a_count_formula,
+    window_count_formula, canonical_sets, check_address, frac_pow,
+    parse_address,
 )
 
 import address_oracle as oracle
-from address_oracle import EnumeratedAddressSets, address_text
+from address_oracle import (EnumeratedAddressSets, address_text,
+                            window_outputs)
 
 
 def s(text, base=2):
@@ -325,7 +326,7 @@ def window_requests(draw):
         B = draw(st.lists(st.sampled_from(outs), min_size=1, unique=True))
     for _ in range(draw(st.integers(0, 2)) if len(B) > 1 else 0):
         bad = draw(st.sampled_from([-1, d ** n, d ** n + 7, 1.5, 2.0, "1",
-                                    None]))
+                                    None, True]))
         B[draw(st.integers(0, len(B) - 1))] = bad
     return d, n, t, B
 
@@ -370,8 +371,12 @@ def test_frac_pow_negative_exponent():
     (lambda: window_count_formula(2, 3, 1, 2), "j out of range"),
     (lambda: canonical_sets(2, 3, 1, 3),
      "k=3 out of range for window size 2"),
+    (lambda: AddressSets(2, 3, 0, [True], 1),
+     "address True is not an integer"),
+    (lambda: AddressSets(2, 3, 0, [1, False], 1),
+     "address False is not an integer"),
 ], ids=["base-1", "empty-B", "t-past-n", "i-past-n", "j-past-n-t",
-        "k-past-window"])
+        "k-past-window", "bool-in-B", "False-in-B"])
 def test_dary_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()

@@ -1,7 +1,6 @@
-"""LP instances, dual certificates, weak duality, LP text export."""
+"""LP instances, dual certificates, weak duality, the exact optimum."""
 
 from fractions import Fraction
-import hashlib
 import inspect
 import random
 import textwrap
@@ -13,31 +12,29 @@ from switchlp import lpcert, bounds, multilog, adversary
 from switchlp.lpcert import (
     LINK, CROSSTALK, Infeasible, LpInstance, canonical_instance,
     PrimalSolution, primal_from_state, DualSolution, dual_family,
-    check_weak_duality, family_cost, export_lp,
+    check_weak_duality, family_cost, lp_optimum,
 )
-from switchlp.dary import (DaryString, all_strings, parse_address,
-                           window_outputs)
+from switchlp.dary import DaryString, all_strings, parse_address
 
-from address_oracle import EnumeratedAddressSets, digits, lcp, lcs
-from lp_oracle import (bounded_delta_summed, dual_special_t_eq_n,
-                       family_loops, objective_summed, parse_lp)
+from address_oracle import (EnumeratedAddressSets, digits, lcp, lcs,
+                            window_outputs)
+from lp_oracle import (address_rows, bounded_delta_summed,
+                       dual_special_t_eq_n, family_loops, objective_summed,
+                       oracle_pairs, solve_enumerated)
 
 
 def s(text, base=2):
     return parse_address(text, base, len(text))
 
 
-def oracle_pairs(inst):
-    """The (u, w) and (u, v) pairs that are variables of `inst`, as the
-    address oracle enumerates them."""
-    ref = EnumeratedAddressSets(inst.d, inst.n, inst.a, inst.B, inst.t)
-    thresh = inst.n - inst.theta
-    return ref.uw_pairs(thresh), ref.uv_pairs(thresh)
-
-
 def variables(inst):
-    """The names of the variables `export_lp` writes for `inst`."""
-    return set(parse_lp(export_lp(inst))["bounds"])
+    """The (kind, u, z) that `rows_of` gives rows for, asking it about
+    every input against every window and every home-window output."""
+    d, n, t = inst.d, inst.n, inst.t
+    return {(kind, u, z)
+            for kind, zs in (("w", range(d ** (n - t))),
+                             ("v", window_outputs(d, n, t, inst.home)))
+            for u in range(d ** n) for z in zs if inst.rows_of(kind, u, z)}
 
 
 class TestInstance:
@@ -81,8 +78,9 @@ class TestInstance:
     def test_t_eq_n_has_no_window_variables(self):
         inst = canonical_instance(2, 3, 3, 2, 1, LINK)
         assert oracle_pairs(inst)[0] == []
-        # no x_u*_w* variable and no cap_w* row
-        assert "_w" not in export_lp(inst)
+        # no (u, w) variable and no window capacity row
+        assert all(kind == "v" for kind, _, _ in variables(inst))
+        assert all(rank != 0 for rank, _, _ in address_rows(inst))
 
     def test_fanout_guard(self):
         with pytest.raises(ValueError):
@@ -197,16 +195,8 @@ class TestOracle:
 
         thresh = n - inst.theta
         uw, uv = ref.uw_pairs(thresh), ref.uv_pairs(thresh)
-        assert variables(inst) == {"x_u%d_w%d" % key for key in uw} | \
-            {"x_u%d_v%d" % key for key in uv}
-        uw, uv = set(uw), set(uv)
-        for u in ins:
-            for w in wins:
-                assert (inst.rows_of("w", u, w) is not None) == \
-                    ((u, w) in uw)
-            for v in home_outs:
-                assert (inst.rows_of("v", u, v) is not None) == \
-                    ((u, v) in uv)
+        assert variables(inst) == {("w", *key) for key in uw} | \
+            {("v", *key) for key in uv}
         assert inst.classes_uw == sorted(
             {(ref.i_of(u), ref.j_of_window(w)) for u, w in uw})
         assert inst.classes_uv == sorted(
@@ -460,22 +450,21 @@ class TestPrimal:
             bad.check_feasible()
 
 
-# each exported row name prefix with the message check_feasible raises when
-# that row is exceeded; the row's key follows the prefix in both
-ROW_MESSAGES = (("cap_w", "window capacity at w=%s"),
-                ("one_", "x_%s > 1"),
-                ("spread_u", "per-input home spread at u=%s"),
-                ("own_v", "output multiplicity at v=%s"),
-                ("fan_u", "fanout at u=%s"))
+# the message check_feasible raises when a row is exceeded, by the row's
+# rank in `rows_of`; the row's key fills it in
+ROW_MESSAGES = ("window capacity at w=%s", "x_u%s_w%s > 1",
+                "per-input home spread at u=%s", "output multiplicity at v=%s",
+                "fanout at u=%s")
 
 
 class TestRowTable:
-    """`check_feasible` and `export_lp` read one row table; a primal is
-    refused exactly when it exceeds a row of the exported text."""
+    """`check_feasible` adds a primal into the rows `rows_of` names; a
+    primal is refused exactly when it exceeds a row of the per-address LP
+    built over the oracle's pairs."""
 
     @staticmethod
     def cases():
-        """(primal, exceeded row names of the exported LP) for seeded sparse
+        """(primal, exceeded (rank, key, bound) rows) for seeded sparse
         primals on d = 2, n in {3, 4}, every t, both modes."""
         rng = random.Random(1404)
         for n in (3, 4):
@@ -484,7 +473,7 @@ class TestRowTable:
                     for k in sorted({1, min(f, 2 ** t)}):
                         for mode in (LINK, CROSSTALK):
                             inst = canonical_instance(2, n, t, f, k, mode)
-                            rows = parse_lp(export_lp(inst))["constraints"]
+                            rows = address_rows(inst)
                             for density in (0.1, 0.3, 0.6, 1.0):
                                 yield TestRowTable.sparse(
                                     inst, rows, density, rng)
@@ -497,10 +486,10 @@ class TestRowTable:
               if rng.random() < density}
         xv = {key: rng.choice(values) for key in uv_pairs
               if rng.random() < density}
-        by_name = {"x_u%d_w%d" % key: val for key, val in xw.items()}
-        by_name.update(("x_u%d_v%d" % key, val) for key, val in xv.items())
-        exceeded = {name for name, names, rhs in rows
-                    if sum(by_name.get(x, 0) for x in names) > rhs}
+        by_var = {("w", *key): val for key, val in xw.items()}
+        by_var.update((("v", *key), val) for key, val in xv.items())
+        exceeded = {row for row, used in rows.items()
+                    if sum(by_var.get(var, 0) for var in used) > row[2]}
         return PrimalSolution(inst, xw, xv), exceeded
 
     @staticmethod
@@ -518,17 +507,13 @@ class TestRowTable:
             assert (got is not None) == bool(exceeded)
             counts[bool(exceeded)] += 1
             if got is not None:
-                named = {msg % name[len(prefix):]
-                         for name in exceeded
-                         for prefix, msg in ROW_MESSAGES
-                         if name.startswith(prefix)}
-                assert got in named
-            for name in exceeded:
-                kind = next(p for p, _ in ROW_MESSAGES if name.startswith(p))
-                kinds[kind] = kinds.get(kind, 0) + 1
+                assert got in {ROW_MESSAGES[rank] % key
+                               for rank, key, _ in exceeded}
+            for rank, _, _ in exceeded:
+                kinds[rank] = kinds.get(rank, 0) + 1
         # both verdicts occur, and every row kind is exceeded somewhere
         assert min(counts) > 20
-        assert set(kinds) == {p for p, _ in ROW_MESSAGES}
+        assert set(kinds) == set(range(len(ROW_MESSAGES)))
 
     def test_ge_mutant_is_caught(self):
         source = textwrap.dedent(
@@ -759,36 +744,53 @@ class TestWeakDuality:
                                dual_family(d_inst, 0, 2))
 
 
-def solve_exported(inst):
-    """Optimum of `export_lp(inst)` as `parse_lp` reads it back, by the
-    exact simplex; y and x are checked here as a primal and a dual that
-    certify it."""
-    lp = parse_lp(export_lp(inst))
-    # the bounds list every variable; an LP with none exports `0 x_none`
-    names = {name: col for col, name in enumerate(lp["bounds"])}
-    rows = [[names[name] for name in used] for _, used, _ in lp["constraints"]]
-    c = [rhs for _, _, rhs in lp["constraints"]]
-    A = [[0] * len(names) for _ in rows]
-    for dense, row in zip(A, rows):
-        for col in row:
-            dense[col] = 1
-    value, y, x = lpcert.solve_packing(A, [1] * len(names), c)
-    assert min(y, default=0) >= 0 and sum(y) == value
-    assert all(sum(y[col] for col in row) <= cap for row, cap in zip(rows, c))
-    covered = [0] * len(names)
-    for row, price in zip(rows, x):
-        for col in row:
-            covered[col] += price
-    assert min(x, default=0) >= 0 and min(covered, default=1) >= 1
-    assert sum(cap * price for cap, price in zip(c, x)) == value
-    return value
+def certified_optimum(inst):
+    """`lp_optimum(inst)`, checked: it is the per-address LP's optimum, a
+    whole number (the LP is totally unimodular), and its dual passes
+    `check_feasible` with the optimum as objective."""
+    opt, dual = lp_optimum(inst)
+    assert opt == solve_enumerated(inst)
+    assert opt.denominator == 1
+    assert dual.check_feasible()
+    assert dual.objective() == opt
+    return opt
 
 
 class TestExactOptimum:
-    """One exact simplex for the blocking LP: its optimum against the
-    family's duals above and the simulator's primals below."""
+    """`lp_optimum`'s class LP against the per-address LP, the family's
+    duals above and the simulator's primals below."""
+
+    def test_matches_enumeration_on_canonical_grid(self):
+        # every canonical instance with d^n <= 32, t = n included; below
+        # t = n every family objective is at least the optimum
+        solved = 0
+        for d in (2, 3, 4, 5):
+            for n in range(1, 6):
+                if d ** n > 32:
+                    break
+                for t in range(n + 1):
+                    for f in sorted({1, 2, min(4, d ** n), d ** n}):
+                        for k in range(1, min(f, d ** t) + 1):
+                            for mode in (LINK, CROSSTALK):
+                                inst = canonical_instance(d, n, t, f, k, mode)
+                                opt = certified_optimum(inst)
+                                solved += 1
+                                assert all(
+                                    opt <= dual_family(inst, p, q).objective()
+                                    for p in range(n - t)
+                                    for q in range(n - t, n + 1))
+        assert solved == 858
+
+    @settings(deadline=None)
+    @given(requests(max_n=4).filter(lambda req: req[0] ** req[1] <= 27),
+           st.data())
+    def test_matches_enumeration_on_any_request(self, req, data):
+        d, n, t, a, B, mode = req
+        f = data.draw(st.integers(len(B), d ** n))
+        certified_optimum(LpInstance(d, n, t, f, a, B, mode))
 
     def test_between_primals_and_family(self):
+        # the primals side; the canonical grid checks the family's
         rng = random.Random(1303)
         solved = positive = 0
         for n in (3, 4):
@@ -797,14 +799,8 @@ class TestExactOptimum:
                     for k in sorted({1, min(f, 2 ** t)}):
                         for mode in (LINK, CROSSTALK):
                             inst = canonical_instance(2, n, t, f, k, mode)
-                            opt = solve_exported(inst)
-                            # a totally unimodular LP: its optimum is whole
-                            assert opt.denominator == 1
+                            opt, _ = lp_optimum(inst)
                             solved += 1
-                            for p in range(n - t):
-                                for q in range(n - t, n + 1):
-                                    assert opt <= dual_family(
-                                        inst, p, q).objective()
                             positive += self._churn(inst, opt, rng)
         assert solved == 86
         assert positive > 100
@@ -833,45 +829,6 @@ class TestExactOptimum:
                 assert primal.objective() <= opt
                 positive += primal.objective() > 0
         return positive
-
-
-class TestExport:
-    def test_roundtrip(self):
-        inst = canonical_instance(2, 3, 1, 2, 1, LINK)
-        text = export_lp(inst)
-        parsed = parse_lp(text)
-        uw_pairs, uv_pairs = oracle_pairs(inst)
-        want = sorted(["x_u%d_w%d" % (u, w) for u, w in uw_pairs]
-                      + ["x_u%d_v%d" % (u, v) for u, v in uv_pairs])
-        assert parsed["objective"] == want
-        assert parsed["bounds"] == want
-        names = {name for name, _, _ in parsed["constraints"]}
-        assert any(name.startswith("cap_w") for name in names)
-        assert any(name.startswith("fan_u") for name in names)
-        for name, vs, rhs in parsed["constraints"]:
-            if name.startswith("fan_u"):
-                assert rhs == inst.f
-            assert all(v in want for v in vs)
-
-    def test_deterministic(self):
-        a = export_lp(canonical_instance(2, 4, 1, 2, 2, CROSSTALK))
-        b = export_lp(canonical_instance(2, 4, 1, 2, 2, CROSSTALK))
-        assert a == b
-
-    @pytest.mark.parametrize("args, digest", [
-        ((2, 4, 1, 2, 2, CROSSTALK), "ce6092bb5f7c36a2"),
-        ((3, 3, 1, 2, 1, LINK), "154c7c09cbe00394"),
-        ((2, 5, 2, 4, 3, LINK), "81625e945747ff41"),
-    ])
-    def test_golden_text(self, args, digest):
-        # sha256 prefixes of the text written when the variable lists were
-        # built eagerly; the lazy build must give the same bytes
-        text = export_lp(canonical_instance(*args))
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
-
-    def test_t_eq_n_exports_without_window_vars(self):
-        text = export_lp(canonical_instance(2, 3, 3, 1, 1, LINK))
-        assert "_w" not in text.replace("cap_w", "")
 
 
 @pytest.mark.parametrize("call, exc, message", [

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multilog_oracle
+from address_oracle import window_outputs
 from switchlp import lpcert, multilog
 from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
     UnknownId, DuplicateId, LINK, CROSSTALK, run_trace,
 )
-from switchlp.dary import all_strings, parse_address, window_outputs
+from switchlp.dary import all_strings, parse_address
 from switchlp.banyan import route, shares_link, shares_se
 from switchlp import adversary
 
