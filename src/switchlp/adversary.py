@@ -180,16 +180,16 @@ def benes_search(n, m, max_depth=None):
     cut = False
     while frontier:
         mids, depth = frontier.popleft()
-        in_mids, out_mids = (set(), set()), (set(), set())
+        in_mids, out_mids = [0, 0], [0, 0]   # busy-middle masks
         for mid, carried in enumerate(mids):
             for i, o in carried:
-                in_mids[i].add(mid)
-                out_mids[o].add(mid)
+                in_mids[i] |= 1 << mid
+                out_mids[o] |= 1 << mid
         steps = []
         for i in (0, 1):
             for o in (0, 1):
-                # one request per crossbar and middle: a set's size is a load
-                if len(in_mids[i]) >= n or len(out_mids[o]) >= n:
+                # one request per crossbar and middle: set bits count a load
+                if max(in_mids[i].bit_count(), out_mids[o].bit_count()) >= n:
                     continue
                 pick = clos.reuse_pick(m, in_mids, out_mids, i, o)
                 if pick is None:

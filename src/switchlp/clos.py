@@ -12,9 +12,10 @@ crossbars of n terminals each, joined through m middle crossbars.
   weighted edge coloring on the crossbar-to-crossbar demand graph, and a
   request blocks only when the coloring wants a middle index beyond m-1.
 
-Space-division occupancy is indexed by crossbar (`in_mids`, `out_mids`: the
-busy middles at each), so a request's unusable middles are a union of two
-sets.  Multirate terminal loads are scaled by the coloring's `den` (`dwec`).
+Space-division occupancy is one int mask per crossbar (`in_mids`,
+`out_mids`), with bit `mid` set while middle `mid` carries a request there,
+so a request's unusable middles are the OR of two masks.  Multirate terminal
+loads are scaled by the coloring's `den` (`dwec`).
 
 Terminals are (crossbar, port) pairs, written `<crossbar>:<port>` in traces,
 both 0-based.
@@ -67,8 +68,8 @@ class ClosState:
         self.requests = {}
         self._auto = 0
         if config.traffic == SPACE:
-            self.in_mids = [set() for _ in range(config.r)]
-            self.out_mids = [set() for _ in range(config.r)]
+            self.in_mids = [0] * config.r   # crossbar -> busy-middle mask
+            self.out_mids = [0] * config.r
             self.busy_in = {}    # input terminal -> rid
             self.busy_out = {}   # output terminal -> rid
         else:
@@ -111,8 +112,8 @@ class ClosState:
         return self._next_rid(rid)
 
     def _space_commit(self, rid, in_term, out_term, mid):
-        self.in_mids[in_term[0]].add(mid)
-        self.out_mids[out_term[0]].add(mid)
+        self.in_mids[in_term[0]] |= 1 << mid
+        self.out_mids[out_term[0]] |= 1 << mid
         self.busy_in[in_term] = rid
         self.busy_out[out_term] = rid
         self.requests[rid] = (SPACE, in_term, out_term, mid)
@@ -125,11 +126,10 @@ class ClosState:
         # the middles busy at either crossbar: with both terminals idle, at
         # most n-1 are tied up by this input crossbar and n-1 by the output
         # crossbar
-        if len(bad) > 2 * (self.config.n - 1):
-            raise AssertionError("%d middles unavailable" % len(bad))
-        mid = next((mid for mid in range(self.config.m) if mid not in bad),
-                   None)
-        if mid is None:
+        if bad.bit_count() > 2 * (self.config.n - 1):
+            raise AssertionError("%d middles unavailable" % bad.bit_count())
+        mid = (bad ^ (bad + 1)).bit_length() - 1   # the lowest zero bit
+        if mid >= self.config.m:
             return BLOCKED
         return self._space_commit(rid, in_term, out_term, mid)
 
@@ -185,11 +185,13 @@ class ClosState:
             raise UnknownId(repr(rid))
         if entry[0] == SPACE:
             _, in_term, out_term, mid = entry
+            i, o, bit = in_term[0], out_term[0], 1 << mid
+            check(self.in_mids[i] & self.out_mids[o] & bit,
+                  "request %r is off middle %d at a crossbar", rid, mid)
             del self.busy_in[in_term]
             del self.busy_out[out_term]
-            # admission never puts a crossbar on one middle twice
-            self.in_mids[in_term[0]].remove(mid)
-            self.out_mids[out_term[0]].remove(mid)
+            self.in_mids[i] ^= bit
+            self.out_mids[o] ^= bit
         else:
             _, in_term, out_term, _, rate = entry
             self.coloring.depart(rid)
@@ -200,17 +202,17 @@ class ClosState:
     def audit(self):
         cfg = self.config
         if cfg.traffic == SPACE:
-            in_mids = [set() for _ in range(cfg.r)]
-            out_mids = [set() for _ in range(cfg.r)]
+            in_mids, out_mids = [0] * cfg.r, [0] * cfg.r
             bi, bo = {}, {}
             # per-request checks are inline: a call each would slow audits
             for rid, (kind, it, ot, mid) in self.requests.items():
-                if (kind != SPACE or mid in in_mids[it[0]]
-                        or mid in out_mids[ot[0]] or it in bi or ot in bo):
+                i, o, bit = it[0], ot[0], 1 << mid
+                if (kind != SPACE or (in_mids[i] | out_mids[o]) & bit
+                        or it in bi or ot in bo):
                     raise AssertionError("request %r reuses a middle link or "
                                          "a terminal" % (rid,))
-                in_mids[it[0]].add(mid)
-                out_mids[ot[0]].add(mid)
+                in_mids[i] |= bit
+                out_mids[o] |= bit
                 bi[it], bo[ot] = rid, rid
             check(in_mids == self.in_mids and out_mids == self.out_mids,
                   "middle occupancy differs from the registry")
@@ -218,10 +220,10 @@ class ClosState:
                   "busy terminals differ from the registry")
             if cfg.r == 2:
                 # middles of the classes (0,0)+(1,1) and (0,1)+(1,0)
-                spread = (set(), set())
+                spread = [0, 0]
                 for _, it, ot, mid in self.requests.values():
-                    spread[it[0] != ot[0]].add(mid)
-                check(max(map(len, spread)) <= cfg.n,
+                    spread[it[0] != ot[0]] |= 1 << mid
+                check(max(s.bit_count() for s in spread) <= cfg.n,
                       "a diagonal class spreads over too many middles")
         else:
             self.coloring.audit()
@@ -244,16 +246,19 @@ class ClosState:
 
 def reuse_pick(m, in_mids, out_mids, i, o):
     """The middle the r = 2 reuse rule gives a fresh I_i -> O_o request,
-    from the busy middles per input and output crossbar; None when none is
-    free.  The rule prefers a free middle carrying the diagonal class
+    from the busy-middle masks per input and output crossbar; None when none
+    is free.  The rule prefers a free middle carrying the diagonal class
     (1-i, 1-o), then a busy one, then an idle one.  With r = 2 the first two
     coincide: a free middle that is busy is busy at input crossbar 1-i, and
-    the one request it carries from there cannot go to output crossbar o."""
+    the one request it carries from there cannot go to output crossbar o.
+    So the pick is the lowest set bit of in_mids[1-i] & ~bad, else the
+    lowest zero bit of bad if it is below m."""
     bad = in_mids[i] | out_mids[o]
-    reuse = in_mids[1 - i] - bad
+    reuse = in_mids[1 - i] & ~bad
     if reuse:
-        return min(reuse)
-    return next((mid for mid in range(m) if mid not in bad), None)
+        return (reuse & -reuse).bit_length() - 1
+    mid = (bad ^ (bad + 1)).bit_length() - 1
+    return mid if mid < m else None
 
 
 def parse_terminal(text):

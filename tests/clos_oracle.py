@@ -6,13 +6,16 @@ load is a `Fraction`, the color classes grow in place, and first-fit then
 runs over the grown pools.  `OracleClosState` colors a multirate request on
 a snapshot of that coloring and restores the snapshot when the color falls
 beyond m - 1, keeps its terminal loads as Fractions, admits by the r = 2
-reuse rule by scanning every live request for the diagonal class, and a
-space-division release rebuilds the freed crossbars' middle sets from every
-live request.
+reuse rule by scanning every live request for the diagonal class, keeps
+its busy middles per crossbar as sets and admits first-fit by scanning
+range(m), and a space-division release rebuilds the freed crossbars' middle
+sets from every live request.
 They are slow on purpose: the differential tests in `test_dwec.py` and
-`test_clos.py` check the scaled-int `ColoringState`, `plan`/`commit` and
-the set-based reuse rule (`clos.reuse_pick`) and the O(1) space release
-against them.  `fraction_view` reads either
+`test_clos.py` check the scaled-int `ColoringState`, `plan`/`commit`, the
+mask-based first fit and reuse rule (`clos.reuse_pick`) and the O(1) space
+release against them.  `first_fit` and `reuse_pick` here are the set scans
+the masks replaced, and `as_masks` reads a list of sets as the masks
+`ClosState` keeps.  `fraction_view` reads either
 coloring as the same plain values.  `opt_exact` finds the fewest colors of a
 small static weighted multigraph, against which the acceptance tests check
 the coloring's competitive ratio.  `replay_audited` replays a Clos trace
@@ -182,12 +185,51 @@ def opt_exact(edges, limit=12):
     return best[0]
 
 
+def first_fit(m, bad):
+    """The lowest middle below m that is not in the set `bad`, or None."""
+    return next((mid for mid in range(m) if mid not in bad), None)
+
+
+def reuse_pick(m, in_mids, out_mids, i, o):
+    """`clos.reuse_pick` on sets of busy middles per crossbar."""
+    bad = in_mids[i] | out_mids[o]
+    reuse = in_mids[1 - i] - bad
+    if reuse:
+        return min(reuse)
+    return first_fit(m, bad)
+
+
+def as_masks(sets):
+    """Per crossbar, the int mask with bit `mid` set for each busy mid."""
+    return [sum(1 << mid for mid in mids) for mids in sets]
+
+
 class OracleClosState(clos.ClosState):
     def __init__(self, config):
         super().__init__(config)
         if config.traffic == MULTIRATE:
             self.coloring = FirstFitColoring(
                 vertices=self.coloring.vertices, scheme=self.coloring.scheme)
+        else:
+            self.in_mids = [set() for _ in range(config.r)]
+            self.out_mids = [set() for _ in range(config.r)]
+
+    def _space_commit(self, rid, in_term, out_term, mid):
+        self.in_mids[in_term[0]].add(mid)
+        self.out_mids[out_term[0]].add(mid)
+        self.busy_in[in_term] = rid
+        self.busy_out[out_term] = rid
+        self.requests[rid] = (SPACE, in_term, out_term, mid)
+        return mid
+
+    def snb_admit(self, in_term, out_term, rid=None):
+        rid = self._space_pre(in_term, out_term, rid)
+        bad = self.in_mids[in_term[0]] | self.out_mids[out_term[0]]
+        check(len(bad) <= 2 * (self.config.n - 1),
+              "%d middles unavailable", len(bad))
+        mid = first_fit(self.config.m, bad)
+        return BLOCKED if mid is None else self._space_commit(
+            rid, in_term, out_term, mid)
 
     def multirate_admit(self, in_term, out_term, rate, rid=None):
         if self.config.traffic != MULTIRATE:
@@ -251,7 +293,11 @@ class OracleClosState(clos.ClosState):
 
     def audit(self):
         if self.config.traffic == SPACE:
-            return super().audit()
+            # the space audit, on a copy whose sets are read as masks
+            view = copy.copy(self)
+            view.in_mids = as_masks(self.in_mids)
+            view.out_mids = as_masks(self.out_mids)
+            return clos.ClosState.audit(view)
         self.coloring.audit()
         li, lo = {}, {}
         for rid, (_, it, ot, color, rate) in self.requests.items():

@@ -112,8 +112,8 @@ def _clos_greedy_churn(n, m, r, steps, seed, pool=24):
         best, score = None, -1
         for _ in range(pool):
             cand = (rng.choice(ins), rng.choice(outs))
-            bad = len(state.in_mids[cand[0][0]]
-                      | state.out_mids[cand[1][0]])
+            bad = (state.in_mids[cand[0][0]]
+                   | state.out_mids[cand[1][0]]).bit_count()
             if bad > score:
                 best, score = cand, bad
         assert score <= 2 * (n - 1)

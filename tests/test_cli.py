@@ -962,7 +962,9 @@ class TestInputErrors:
             "    (multilog_state,",
             "     lambda st: next(iter(st.refs.values())).popitem()),",
             "    (multilog_state, lying_route),",
-            "    (space_clos, lambda st: st.in_mids[0].pop()),",
+            "    (space_clos,",
+            "     lambda st: st.in_mids.__setitem__(",
+            "         0, st.in_mids[0] & (st.in_mids[0] - 1))),",
             "    (multirate_clos,",
             "     lambda st: st.load_in.__setitem__((0, 0), st.load_in[0, 0] * 2)),",
             "    (multirate_clos,",
@@ -980,6 +982,14 @@ class TestInputErrors:
             "    except AssertionError:",
             "        continue",
             "    print('corruption %d passed the audit' % i)",
+            "# a space release checks that its middle bit is set",
+            "st = space_clos()",
+            "st.in_mids[0] &= st.in_mids[0] - 1",
+            "try:",
+            "    st.release('r')",
+            "    print('a release off its middle passed')",
+            "except AssertionError:",
+            "    pass",
         ])
         src = os.path.dirname(os.path.dirname(switchlp.__file__))
         tests = os.path.dirname(os.path.abspath(__file__))

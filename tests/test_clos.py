@@ -1,12 +1,15 @@
 """Three-stage Clos simulator: strict-sense, reuse rule, multirate."""
 
 from fractions import Fraction
+import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clos_oracle import (WEIGHTS, OracleClosState, fraction_view,
+import clos_oracle
+from clos_oracle import (WEIGHTS, OracleClosState, as_masks, fraction_view,
                          replay_audited)
 from switchlp import clos, bounds, adversary
 from switchlp.clos import (
@@ -74,7 +77,7 @@ class TestSnb:
                 break
             it, ot = rng.choice(free_in), rng.choice(free_out)
             bad = state.in_mids[it[0]] | state.out_mids[ot[0]]
-            assert len(bad) <= 4
+            assert bad.bit_count() <= 4
             got = state.snb_admit(it, ot, rid=str(i))
             assert got is not BLOCKED  # m = 2n-1 middles always suffice
             state.audit()
@@ -98,6 +101,17 @@ class TestSnb:
         state = ClosState(ClosConfig.symmetric(n=2, m=3, r=2))
         with pytest.raises(UnknownId):
             state.release("nope")
+
+    @pytest.mark.parametrize("side, crossbar", [("in_mids", 0),
+                                                ("out_mids", 1)])
+    def test_release_off_its_middle_is_a_broken_invariant(self, side,
+                                                          crossbar):
+        state = ClosState(ClosConfig.symmetric(n=2, m=3, r=2))
+        state.snb_admit((0, 0), (1, 0), rid="a")
+        assert state.snb_admit((0, 1), (1, 1), rid="b") == 1
+        getattr(state, side)[crossbar] &= ~(1 << 1)   # clear b's middle
+        with pytest.raises(AssertionError, match="'b' is off middle 1"):
+            state.release("b")
 
 
 class TestBenesReuse:
@@ -221,9 +235,9 @@ EVENTS = st.lists(st.tuples(st.booleans(), st.integers(0, 15),
 
 
 class TestOracle:
-    """The plan-then-commit multirate admit, the set-based reuse rule and
-    the O(1) space release against the snapshot-and-restore, scanning and
-    rebuilding references."""
+    """The plan-then-commit multirate admit, the mask-based first fit and
+    reuse rule and the O(1) space release against the snapshot-and-restore,
+    set-scanning and rebuilding references."""
 
     @staticmethod
     def outcome(call, *args, **kwargs):
@@ -270,9 +284,31 @@ class TestOracle:
                     assert {k: F(v) / den for k, v in scaled.items()} == exact
             else:
                 assert (fast.in_mids, fast.out_mids) == \
-                    (slow.in_mids, slow.out_mids)
+                    (as_masks(slow.in_mids), as_masks(slow.out_mids))
             fast.audit()
             slow.audit()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_mask_picks_match_set_scans(self, m):
+        # every (in_mids[0], in_mids[1], out_mids[o]) below 2^m and each
+        # (i, o): the mask reuse rule and strict-sense first fit against the
+        # set scans they replaced; n = 3 keeps the 2(n-1) cap above m bits
+        def as_set(mask):
+            return {mid for mid in range(m) if mask >> mid & 1}
+
+        cfg = ClosConfig(n=3, m=m, r=2)
+        masks = range(1 << m)
+        for in0, in1, out, i, o in itertools.product(masks, masks, masks,
+                                                     (0, 1), (0, 1)):
+            ins, outs = [in0, in1], [out, out]
+            sets = [as_set(in0), as_set(in1)], [as_set(out)] * 2
+            assert clos.reuse_pick(m, ins, outs, i, o) == \
+                clos_oracle.reuse_pick(m, *sets, i, o)
+            want = clos_oracle.first_fit(m, sets[0][i] | sets[1][o])
+            state = ClosState(cfg)
+            state.in_mids, state.out_mids = ins, outs
+            assert state.snb_admit((i, 0), (o, 0)) == \
+                (BLOCKED if want is None else want)
 
     def test_reuse_rule_matches_scan(self):
         # r = 2 only; an arrival names its two crossbars and takes their
@@ -302,6 +338,8 @@ class TestOracle:
                 if got[0] is not BLOCKED:
                     live.append(str(k))
                 assert fast.requests == slow.requests
+                assert (fast.in_mids, fast.out_mids) == \
+                    (as_masks(slow.in_mids), as_masks(slow.out_mids))
                 fast.audit()
 
 
@@ -382,6 +420,22 @@ def test_clos_refusals(call, message):
     assert str(raised.value) == message
 
 
+# (n, m, max_depth): every m <= 2n at n <= 3 to closure, and n = 4 cut at
+# depth 6
+BENES_GOLDEN_CASES = ([(n, m, None) for n in (1, 2, 3)
+                       for m in range(1, 2 * n + 1)]
+                      + [(4, m, 6) for m in range(1, 9)])
+
+
+def test_benes_search_golden():
+    # sha256 of the repr of the result list (witness lines, None or []),
+    # recorded from the set-based search that the masks replaced
+    found = [adversary.benes_search(n, m, max_depth=depth)
+             for n, m, depth in BENES_GOLDEN_CASES]
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == \
+        "2038a6b3b97bb5c0d2c5068299e1d928a113869e43b5baf9e92f4b5f2c6397f6"
+
+
 @pytest.mark.parametrize("n, m, depth", [(0, 3, None), (3, 0, None),
                                          (3, 3, -1)])
 def test_benes_search_refusals(n, m, depth):
@@ -407,6 +461,13 @@ def _reuse_a_terminal(state):
     state.requests["b"] = state.requests["a"]
 
 
+def _reuse_a_middle(state):
+    # b takes idle terminals but a's middle at both of a's crossbars, which
+    # leaves the masks and the busy terminals consistent with the registry
+    state.requests["b"] = (SPACE, (0, 1), (1, 1), state.requests["a"][3])
+    state.busy_in[0, 1] = state.busy_out[1, 1] = "b"
+
+
 def _color_past_m(state):
     kind, it, ot, _, rate = state.requests["a"]
     state.requests["a"] = (kind, it, ot, state.config.m, rate)
@@ -415,8 +476,11 @@ def _color_past_m(state):
 @pytest.mark.parametrize("build, corrupt, message", [
     (_space_with_a, _reuse_a_terminal,
      "request 'b' reuses a middle link or a terminal"),
+    (_space_with_a, _reuse_a_middle,
+     "request 'b' reuses a middle link or a terminal"),
     (_multirate_with_a, _color_past_m, "request 'a' has color 3"),
-], ids=["space-reused-terminal", "multirate-color-past-m"])
+], ids=["space-reused-terminal", "space-reused-middle",
+        "multirate-color-past-m"])
 def test_audit_catches_a_corrupted_request(build, corrupt, message):
     state = build()
     state.audit()
