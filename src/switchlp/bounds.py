@@ -37,11 +37,13 @@ def ilog(d, f):
     return r
 
 
-def ceil_div(a, b):
-    return -(-a // b)
-
-
 # ---------------------------------------------------------------- Clos forms
+
+# The published four-type coloring scheme's type breakpoints and class-size
+# constants x_0..x_3; `dwec.FOUR_TYPE` is built from them.
+FOUR_TYPE_BREAKPOINTS = (Fraction(1, 2), Fraction(2, 5), Fraction(1, 3))
+FOUR_TYPE_X = (Fraction(2), Fraction(3, 8), Fraction(3, 10), Fraction(3))
+
 
 def clos_snb(n):
     """Middle crossbars sufficient for a symmetric 3-stage Clos to be SNB."""
@@ -58,12 +60,13 @@ def clos_wsnb_r2(n):
 def clos_multirate(n, scheme="four_type"):
     """Middle crossbars for multirate WSNB via the edge-coloring reduction.
 
-    four_type uses the class-size total with both running maxima capped at n;
-    five_type_paper is the published headline constant taken verbatim.
+    four_type sums the scheme's class sizes ceil(x_i * n), both running
+    maxima capped at n; five_type_paper is the published headline constant
+    taken verbatim.
     """
     _check_range(n >= 1, "n must be >= 1")
     if scheme == "four_type":
-        return 2 * n + ceil_div(3 * n, 8) + ceil_div(3 * n, 10) + 3 * n
+        return sum(math.ceil(x * n) for x in FOUR_TYPE_X)
     if scheme == "five_type_paper":
         headline = Fraction(56355, 10000)  # published as 5.6355
         return math.ceil(headline * n) + 4

@@ -232,12 +232,13 @@ def cmd_simulate(args):
 def cmd_dwec(args):
     out = _writer()
     if args.derive_constants:
-        derived = dwec.derive_constants(
+        scheme = dwec.DwecScheme(
             [fraction(part) for part in args.derive_constants.split(",")])
+        objective = sum(scheme.x)
         out.writerow(["breakpoints", "x", "objective", "objective_float"])
-        out.writerow([",".join(str(b) for b in derived.breakpoints),
-                      ",".join(str(v) for v in derived.x),
-                      str(derived.objective), float(derived.objective)])
+        out.writerow([",".join(map(str, scheme.breakpoints)),
+                      ",".join(map(str, scheme.x)),
+                      str(objective), float(objective)])
         return 0
     if not args.trace:
         raise ValueError("need --trace or --derive-constants")

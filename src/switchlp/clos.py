@@ -49,7 +49,8 @@ class ClosConfig(namedtuple("ClosConfig", ["n", "m", "r", "traffic"],
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(isinstance(v, int) for v in (self.n, self.m, self.r)):
+        if not all(isinstance(v, int) and type(v) is not bool
+                   for v in (self.n, self.m, self.r)):
             raise ValueError("need integer n, m and r")
         if min(self.n, self.m, self.r) <= 0:
             raise ValueError("need n, m, r > 0")

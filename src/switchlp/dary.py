@@ -233,11 +233,9 @@ class AddressSets:
 
 
 def a_count_formula(d, n, i):
-    """Closed form for |A_i|: d^(n-i) - d^(n-1-i), clipped at i = n-1."""
+    """Closed form for |A_i|: d^(n-i) - d^(n-1-i)."""
     if not (0 <= i <= n - 1):
         raise ValueError("i out of range")
-    if i == n - 1:
-        return d - 1
     return d ** (n - i) - d ** (n - 1 - i)
 
 
@@ -245,8 +243,6 @@ def window_count_formula(d, n, t, j):
     """Closed form for the number of foreign windows with index j <= n-t-1."""
     if not (0 <= j <= n - t - 1):
         raise ValueError("j out of range")
-    if j == n - t - 1:
-        return d - 1
     return d ** (n - j - t) - d ** (n - 1 - j - t)
 
 

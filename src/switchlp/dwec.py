@@ -5,8 +5,9 @@ same-color weight at every vertex stays at most 1, and a color, once given
 out, is never taken back.  The algorithm keeps disjoint color classes, one
 per weight type, whose sizes are tied to running maxima of the per-vertex
 load and heavy degree.  With the right class-size constants first-fit never
-runs out of colors, and the constants come from a small LP that this module
-can also rebuild from scratch for any set of type breakpoints.
+runs out of colors.  The constants come from a small LP: a scheme given only
+its type breakpoints solves it, and every scheme checks its constants
+against the LP's rows.
 
 With a two-vertex base graph this is dynamic bin packing (colors = bins).
 
@@ -22,6 +23,7 @@ import copy
 from fractions import Fraction
 import math
 
+from . import bounds
 from .events import check, fraction, replay
 from .lpcert import Infeasible, solve_packing
 
@@ -77,9 +79,17 @@ class DwecScheme:
     Breakpoints are descending rationals in (0,1) starting at 1/2; type i
     covers the half-open interval (breakpoints[i], breakpoints[i-1]], with
     type 0 = (1/2, 1] and the last type reaching down to 0.
+
+    Without x the constants are derived: minimize sum(x_i) subject to
+    x_0 >= 2, the per-type blocking rows sum_{j>=i} beta_ij x_j >= 2, and
+    x >= 0.  x_0 is in no other row, so x_0 = 2.  x_1.. are the optimal
+    dual of the packing LP: maximize 2 sum(y) subject to
+    sum_i beta_ij y_i <= 1 per j >= 1, solved exactly by
+    `lpcert.solve_packing`; its y is kept as `dual` (None when x is given).
+    Either way the constants are checked against the rows.
     """
 
-    def __init__(self, breakpoints, x, check=True):
+    def __init__(self, breakpoints, x=None):
         bp = tuple(Fraction(b) for b in breakpoints)
         if not bp or bp[0] != HALF:
             raise ValueError("first breakpoint must be 1/2")
@@ -89,11 +99,17 @@ class DwecScheme:
                 raise ValueError("breakpoints must descend within (0,1)")
         self.breakpoints = bp
         self._cuts = [(b.numerator, b.denominator) for b in bp]
+        self.dual = None
+        if x is None:
+            rows = self.constraint_rows()
+            A = [[row[j - i] if j >= i else 0 for i, row in enumerate(rows, 1)]
+                 for j in range(1, self.num_types)]
+            _, y, x = solve_packing(A, [2] * len(rows), [1] * len(rows))
+            x, self.dual = [2] + x, tuple(y)
         self.x = tuple(Fraction(v) for v in x)
         if len(self.x) != len(bp) + 1:
             raise ValueError("need one constant per type")
-        if check:
-            self.check_feasible()
+        self.check_feasible()
 
     @property
     def num_types(self):
@@ -156,20 +172,13 @@ class DwecScheme:
                 raise Infeasible("type-%d row sums to %s < 2" % (i, lhs))
 
     @classmethod
-    def four_type(cls):
-        return cls((HALF, Fraction(2, 5), Fraction(1, 3)),
-                   (Fraction(2), Fraction(3, 8), Fraction(3, 10), Fraction(3)))
-
-    @classmethod
     def five_type(cls):
-        """Refined scheme with one extra breakpoint; constants come from the
-        derived LP since no published vector exists for this split."""
-        derived = derive_constants(
-            (HALF, Fraction(2, 5), Fraction(1, 3), Fraction(11, 43)))
-        return cls(derived.breakpoints, derived.x)
+        """Refined scheme with one extra breakpoint; its constants are
+        derived since no published vector exists for this split."""
+        return cls(bounds.FOUR_TYPE_BREAKPOINTS + (Fraction(11, 43),))
 
 
-FOUR_TYPE = DwecScheme.four_type()
+FOUR_TYPE = DwecScheme(bounds.FOUR_TYPE_BREAKPOINTS, bounds.FOUR_TYPE_X)
 
 
 class ColoringState:
@@ -325,29 +334,6 @@ def opt_lower(state):
     """Certified lower bound on the offline optimum: per-vertex load forces
     ceil(W_bar) colors and pairwise-conflicting heavy edges force Delta_bar."""
     return max(math.ceil(state.W_bar), state.Delta_bar)
-
-
-DerivedScheme = namedtuple("DerivedScheme",
-                           ["breakpoints", "x", "objective", "rows", "dual"])
-
-
-def derive_constants(breakpoints):
-    """Rebuild the class-size constants for a given breakpoint sequence.
-
-    Minimizes sum(x_i) subject to x_0 >= 2, the per-type blocking rows
-    sum_{j>=i} beta_ij x_j >= 2, and x >= 0.  x_0 is in no other row, so
-    x_0 = 2.  x_1.. are the optimal dual of the packing LP: maximize
-    2 sum(y) subject to sum_i beta_ij y_i <= 1 per j >= 1, solved exactly
-    by `lpcert.solve_packing`; its y is kept as `dual`.
-    """
-    probe = DwecScheme(breakpoints, (2,) * (len(tuple(breakpoints)) + 1),
-                       check=False)
-    rows = probe.constraint_rows()
-    A = [[row[j - i] if j >= i else 0 for i, row in enumerate(rows, 1)]
-         for j in range(1, probe.num_types)]
-    value, y, x = solve_packing(A, [2] * len(rows), [1] * len(rows))
-    return DerivedScheme(probe.breakpoints, (Fraction(2),) + tuple(x),
-                         2 + value, rows, tuple(y))
 
 
 def _operands(tokens):

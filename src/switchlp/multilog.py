@@ -44,7 +44,7 @@ class MultilogConfig(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(isinstance(v, int)
+        if not all(isinstance(v, int) and type(v) is not bool
                    for v in (self.d, self.n, self.m, self.t, self.f)):
             raise ValueError("need integer d, n, m, t and f")
         if not (self.d >= 2 and self.n >= 1 and self.m >= 1):

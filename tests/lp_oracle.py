@@ -20,7 +20,7 @@ solves the coloring LP by trying every basis.
 from fractions import Fraction
 import itertools
 
-from switchlp.bounds import LINK, c_cost, ceil_div, g_cost, ilog
+from switchlp.bounds import LINK, c_cost, g_cost, ilog
 from switchlp.dary import frac_pow
 from switchlp.dwec import DwecScheme
 from switchlp.lpcert import DualSolution, solve_packing
@@ -64,7 +64,7 @@ def wang07(d, n, f):
     if not 1 <= f <= d ** n:
         raise ValueError("f out of range")
     r = ilog(d, f)
-    c = ceil_div(n - r, 2)
+    c = -(-(n - r) // 2)
     return f * (frac_pow(d, c - 1) - 1) + d ** (n - c)
 
 
@@ -244,12 +244,11 @@ def derive_constants_enumerated(breakpoints):
     x_0 >= 2, the blocking rows and x >= 0, by solving every square
     subsystem of K constraints and keeping the best feasible solution (the
     first one found among equals)."""
-    probe = DwecScheme(breakpoints, (2,) * (len(tuple(breakpoints)) + 1),
-                       check=False)
-    K = probe.num_types
+    scheme = DwecScheme(breakpoints)
+    K = scheme.num_types
     # constraints as (coeffs, rhs) meaning coeffs . x >= rhs
     cons = [((Fraction(1),) + (Fraction(0),) * (K - 1), Fraction(2))]
-    for i, row in enumerate(probe.constraint_rows(), start=1):
+    for i, row in enumerate(scheme.constraint_rows(), start=1):
         coeffs = [Fraction(0)] * K
         coeffs[i:] = row
         cons.append((tuple(coeffs), Fraction(2)))

@@ -290,20 +290,19 @@ def test_criterion_3_dwec():
             assert 40 * state.colors_used <= 227 * opt + 72
 
         # (d) derived constants: 4-type exact, 5-type reported not asserted
-        four = dwec.derive_constants((F(1, 2), F(2, 5), F(1, 3)))
-        assert four.objective == F(227, 40)
-        five = dwec.derive_constants((F(1, 2), F(2, 5), F(1, 3), F(11, 43)))
-        assert five.objective < F(227, 40)
+        four = sum(dwec.DwecScheme((F(1, 2), F(2, 5), F(1, 3))).x)
+        assert four == F(227, 40)
+        five = sum(dwec.DwecScheme((F(1, 2), F(2, 5), F(1, 3), F(11, 43))).x)
+        assert five < F(227, 40)
         say("CRITERION 3 note: 5-type derived objective = %s (~%.4f), "
-            "reported only" % (five.objective, float(five.objective)))
+            "reported only" % (five, float(five)))
         split = (F(1, 2), F(22, 49), F(23, 57), F(4, 11), F(19, 58),
                  F(16, 55))
-        best = dwec.derive_constants(split)
+        best = sum(dwec.DwecScheme(split).x)
         say("CRITERION 3 note: best split found (7 types, denominators "
             "<= 60) %s derives %s (~%.4f), below the published 5.6355 "
             "under this beta model, reported only"
-            % (",".join(map(str, split)), best.objective,
-               float(best.objective)))
+            % (",".join(map(str, split)), best, float(best)))
 
 
 # -- criterion 4: certificate grid --------------------------------------------

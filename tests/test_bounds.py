@@ -7,7 +7,7 @@ import pytest
 
 from switchlp import bounds
 from switchlp.bounds import (
-    LINK, CROSSTALK, ilog, ceil_div,
+    LINK, CROSSTALK, ilog,
     clos_snb, clos_wsnb_r2, clos_multirate,
     hwang_unicast, snb_fcast_t_eq_n, cf_snb_fcast_t_eq_n,
     c_cost, g_cost, C_bound, G_bound,
@@ -22,10 +22,6 @@ class TestHelpers:
         assert ilog(2, 7) == 2
         assert ilog(2, 8) == 3
         assert ilog(3, 81) == 4
-
-    def test_ceil_div(self):
-        assert ceil_div(7, 2) == 4
-        assert ceil_div(8, 2) == 4
 
 
 class TestClosForms:
@@ -45,6 +41,13 @@ class TestClosForms:
             clos_multirate(0)
         with pytest.raises(ValueError):
             clos_multirate(4, scheme="bogus")
+
+    def test_multirate_four_type_matches_hand_formula(self):
+        # the count as written out by hand before it was read off the
+        # scheme's constants
+        for n in range(1, 20001):
+            assert clos_multirate(n, "four_type") == \
+                2 * n + -(-3 * n // 8) + -(-3 * n // 10) + 3 * n
 
 
 class TestSpecializations:

@@ -150,6 +150,22 @@ class TestBound:
         assert code == 0
         assert rows(out)[1][3] == "46"
 
+    @pytest.mark.parametrize("scheme, digest", [
+        ("four_type",
+         "a88d75d59785251a2a97d63a25d54aebbb8527f7030bf159162950c3f72f84be"),
+        ("five_type_paper",
+         "a2c1959fb365ea9af487458fb1bb800e5174f03bd342dff79f6e0f15053d0670")])
+    def test_multirate_golden(self, capsys, scheme, digest):
+        # sha256 of the rows for n = 1..64 as printed when the four-type
+        # count was the hand formula 2n + ceil(3n/8) + ceil(3n/10) + 3n
+        out = ""
+        for n in range(1, 65):
+            code, text, _ = run(capsys, "bound", "clos-multirate",
+                                "--n", str(n), "--scheme", scheme)
+            assert code == 0
+            out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_t_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bound", "multilog", "--d", "2",
                            "--n", "4", "--t", "5", "--f", "1")
@@ -517,6 +533,23 @@ class TestDwec:
                            "1/2,2/5,1/3,11/43")
         assert code == 0
         assert rows(out)[1][2] == "156051/27520"
+
+    @pytest.mark.parametrize("breakpoints, digest", [
+        ("1/2",
+         "5706bab1b0e730f82a0aecd03831bea7763869bea5f981657c4470df95293445"),
+        ("1/2,2/5,1/3",
+         "8bebb8921bfb74caacdc375f7cd79d9c5684de333a2cae7e5f242fcb5eec08e7"),
+        ("1/2,2/5,1/3,11/43",
+         "62f6e566f46f0f1f9edd99f8520379ddc294ef56f621ecd0db4fccd8ba530efe"),
+        ("1/2,22/49,23/57,4/11,19/58,16/55",
+         "de9b3b24b9c92632de037d4438103e651993c1a1a2537b82952d0c7a970f349f")],
+        ids=["two-type", "four-type", "five-type", "best-split"])
+    def test_derive_golden(self, capsys, breakpoints, digest):
+        # sha256 of the row as printed when a separate derived-constants
+        # record, not the scheme, carried the objective
+        code, out, _ = run(capsys, "dwec", "--derive-constants", breakpoints)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_fraction(self, capsys):
         code, _, err = run(capsys, "dwec", "--derive-constants", "1/0")
@@ -918,8 +951,6 @@ class TestInputErrors:
             "    lpcert.PrimalSolution(inst, xw={uw: 2}),",
             "    lpcert.PrimalSolution(inst, xw={(uw[0], inst.home): 1}),",
             "    lpcert.PrimalSolution(inst, xv={(u1, v): 1, (u2, v): 1}),",
-            "    dwec.DwecScheme(dwec.FOUR_TYPE.breakpoints, (2, 0, 0, 0),",
-            "                    check=False),",
             "]",
             "for i, primal in enumerate(infeasible):",
             "    try:",
@@ -927,6 +958,12 @@ class TestInputErrors:
             "    except lpcert.Infeasible:",
             "        continue",
             "    print('primal %d accepted' % i)",
+            "# and so must coloring constants that break a blocking row",
+            "try:",
+            "    dwec.DwecScheme(dwec.FOUR_TYPE.breakpoints, (2, 0, 0, 0))",
+            "    print('infeasible coloring constants accepted')",
+            "except lpcert.Infeasible:",
+            "    pass",
             "# the state audits must still catch a corrupted state",
             "def multilog_state():",
             "    st = multilog.ConnState(M)",
@@ -1040,6 +1077,28 @@ class TestModuleEntry:
         proc = self.module("certify", "--d", "x")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_every_module_imports_first(self):
+        # an import cycle fails only for a caller that imports one
+        # particular module of it first, so each module goes first in turn
+        src = os.path.dirname(os.path.dirname(switchlp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        names = ["switchlp"] + ["switchlp." + info.name for info in
+                                pkgutil.iter_modules(switchlp.__path__)
+                                if info.name != "__main__"]  # runs the command
+        script = "\n".join([
+            "import importlib, sys",
+            "for name in sys.argv[1:]:",
+            "    for key in [k for k in sys.modules",
+            "                if k.partition('.')[0] == 'switchlp']:",
+            "        del sys.modules[key]",
+            "    importlib.import_module(name)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script, *names],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert len(names) > 10
 
     def test_import_loads_no_introspection_modules(self):
         # `dataclasses` pulls in `inspect`, `ast` and `dis`, about 1 MiB of

@@ -32,9 +32,11 @@ class TestConfig:
                 ClosConfig(n, m, r)
 
     @pytest.mark.parametrize("n, m, r", [(2, 3.5, 2), (2.0, 3, 2),
-                                         (2, 3, 2.5), (2, "3", 2)])
+                                         (2, 3, 2.5), (2, "3", 2),
+                                         (2, True, 2), (True, True, True)])
     def test_non_integer_sizes_refused(self, n, m, r):
-        # a float size used to build, and `snb_admit` then raised TypeError
+        # a float size used to build, and `snb_admit` then raised TypeError;
+        # a bool is refused as `check_address` refuses one
         with pytest.raises(ValueError, match="integer"):
             ClosConfig(n, m, r)
 

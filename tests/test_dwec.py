@@ -12,8 +12,7 @@ from clos_oracle import (FirstFitColoring, SizeLimit, WEIGHTS, fraction_view,
 from lp_oracle import derive_constants_enumerated
 from switchlp import dwec
 from switchlp.dwec import (
-    DwecScheme, FOUR_TYPE, ColoringState, opt_lower,
-    derive_constants, run_trace,
+    DwecScheme, FOUR_TYPE, ColoringState, opt_lower, run_trace,
 )
 from switchlp.lpcert import Infeasible
 
@@ -234,25 +233,26 @@ class TestOptimum:
 
 class TestDeriveConstants:
     def test_four_type_reproduced(self):
-        got = derive_constants((F(1, 2), F(2, 5), F(1, 3)))
-        assert got.objective == F(227, 40)
-        assert got.x == (2, F(3, 8), F(3, 10), 3)
-        assert got.rows == FOUR_TYPE.constraint_rows()
+        got = DwecScheme((F(1, 2), F(2, 5), F(1, 3)))
+        assert sum(got.x) == F(227, 40)
+        assert got.x == FOUR_TYPE.x == (2, F(3, 8), F(3, 10), 3)
+        assert got.constraint_rows() == FOUR_TYPE.constraint_rows()
 
     def test_two_type_degenerate(self):
-        got = derive_constants((F(1, 2),))
+        got = DwecScheme((F(1, 2),))
         assert got.x == (2, 4)
-        assert got.objective == 6
+        assert sum(got.x) == 6
 
     def test_five_type_reported(self):
-        got = derive_constants((F(1, 2), F(2, 5), F(1, 3), F(11, 43)))
+        got = DwecScheme((F(1, 2), F(2, 5), F(1, 3), F(11, 43)))
         # the refined split improves on 227/40 = 5.675; the exact value is a
         # regression pin, not a published constant
-        assert got.objective < F(227, 40)
-        assert got.objective == F(156051, 27520)
+        assert sum(got.x) < F(227, 40)
+        assert sum(got.x) == F(156051, 27520)
+        assert DwecScheme.five_type().x == got.x
 
     def test_derived_constants_are_feasible(self):
-        got = derive_constants((F(1, 2), F(2, 5), F(1, 3), F(11, 43)))
+        got = DwecScheme((F(1, 2), F(2, 5), F(1, 3), F(11, 43)))
         DwecScheme(got.breakpoints, got.x).check_feasible()
 
     @settings(max_examples=20, deadline=None)
@@ -260,8 +260,8 @@ class TestDeriveConstants:
                    .filter(lambda v: 0 < v < F(1, 2)), max_size=5))
     def test_matches_basis_enumeration(self, cuts):
         breakpoints = (F(1, 2),) + tuple(sorted(cuts, reverse=True))
-        got = derive_constants(breakpoints)
-        assert (got.objective, got.x) == \
+        got = DwecScheme(breakpoints)
+        assert (sum(got.x), got.x) == \
             derive_constants_enumerated(breakpoints)
         assert_certified(got)
 
@@ -271,7 +271,7 @@ class TestDeriveConstants:
         (F(1, 2), F(9, 20), F(2, 5), F(7, 20), F(1, 3), F(3, 10), F(1, 4),
          F(1, 5), F(1, 6))])
     def test_dual_certifies_optimum(self, breakpoints):
-        assert_certified(derive_constants(breakpoints))
+        assert_certified(DwecScheme(breakpoints))
 
 
 # the lowest ratio a coordinate descent over breakpoint sequences of up to
@@ -282,17 +282,16 @@ BEST_SPLIT = (F(1, 2), F(22, 49), F(23, 57), F(4, 11), F(19, 58), F(16, 55))
 
 class TestBestSplit:
     def test_constants_below_published_ratio(self):
-        got = derive_constants(BEST_SPLIT)
+        got = DwecScheme(BEST_SPLIT)
         assert got.x == (2, F(25, 156), F(390937, 2417415), F(725, 4446),
                          F(1334, 8151), F(2, 13), F(110, 39))
-        assert got.objective == F(163119269, 29008980)
+        assert sum(got.x) == F(163119269, 29008980)
         # below the published 5.6355 and the 4-type 227/40
-        assert got.objective < F(56355, 10000) < F(227, 40)
+        assert sum(got.x) < F(56355, 10000) < F(227, 40)
         assert_certified(got)
 
     def test_first_fit_drive(self):
-        got = derive_constants(BEST_SPLIT)
-        scheme = DwecScheme(got.breakpoints, got.x)
+        scheme = DwecScheme(BEST_SPLIT)
         # weights at and next to every breakpoint, where a type's blocking
         # row is tightest, mixed with uniform ones
         edge = sorted({b + e for b in BEST_SPLIT
@@ -319,13 +318,13 @@ def assert_certified(got):
     dual y is a feasible packing whose value 2 + 2 sum(y) equals sum(x), so
     by weak duality no feasible x sums to less."""
     DwecScheme(got.breakpoints, got.x).check_feasible()
-    y = got.dual
-    assert len(y) == len(got.rows) and min(y) >= 0
+    y, rows = got.dual, got.constraint_rows()
+    assert len(y) == len(rows) and min(y) >= 0
     for j in range(1, len(got.x)):
         # column j of the blocking rows: beta_ij for the types i <= j
         assert sum(y[i - 1] * row[j - i]
-                   for i, row in enumerate(got.rows, start=1) if i <= j) <= 1
-    assert got.objective == sum(got.x) == 2 + 2 * sum(y)
+                   for i, row in enumerate(rows, start=1) if i <= j) <= 1
+    assert sum(got.x) == 2 + 2 * sum(y)
 
 
 class TestRandomDrive:

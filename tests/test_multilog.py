@@ -35,10 +35,11 @@ def cfg(**kw):
 class TestConfig:
     @pytest.mark.parametrize("sizes", [
         dict(m=2.5), dict(d=2.0), dict(n=3.0), dict(t=1.0), dict(f=1.5),
-        dict(m="2")])
+        dict(m="2"), dict(m=True), dict(n=True, m=True, t=False, f=True)])
     def test_non_integer_sizes_refused(self, sizes):
         # m=2.5 used to build and then fail `admit` with TypeError, and d=2.0
-        # gave float window keys
+        # gave float window keys; a bool is refused as `check_address`
+        # refuses one
         with pytest.raises(ValueError, match="integer"):
             cfg(**sizes)
 
