@@ -14,6 +14,7 @@ from fractions import Fraction
 import math
 
 from .dary import frac_pow
+from .events import check_integers
 
 LINK = "link"
 CROSSTALK = "crosstalk"
@@ -47,12 +48,14 @@ FOUR_TYPE_X = (Fraction(2), Fraction(3, 8), Fraction(3, 10), Fraction(3))
 
 def clos_snb(n):
     """Middle crossbars sufficient for a symmetric 3-stage Clos to be SNB."""
+    check_integers("n", n)
     _check_range(n >= 1, "n must be >= 1")
     return 2 * n - 1
 
 
 def clos_wsnb_r2(n):
     """Sufficient count under the reuse rule for the 2x2-crossbar-stage case."""
+    check_integers("n", n)
     _check_range(n >= 1, "n must be >= 1")
     return (3 * n) // 2
 
@@ -64,6 +67,7 @@ def clos_multirate(n, scheme="four_type"):
     maxima capped at n; five_type_paper is the published headline constant
     taken verbatim.
     """
+    check_integers("n", n)
     _check_range(n >= 1, "n must be >= 1")
     if scheme == "four_type":
         return sum(math.ceil(x * n) for x in FOUR_TYPE_X)
@@ -81,6 +85,7 @@ def hwang_unicast(d, n):
 
 def snb_fcast_t_eq_n(d, n, f):
     """SNB f-cast plane count when the fanout stage cannot branch (t = n)."""
+    check_integers("d, n and f", d, n, f)
     _check_range(n >= 1, "n must be >= 1")
     _check_range(1 <= f <= d ** n, "f out of range")
     if f > frac_pow(d, n - 2):
@@ -91,6 +96,7 @@ def snb_fcast_t_eq_n(d, n, f):
 def cf_snb_fcast_t_eq_n(d, n, f):
     """Crosstalk-free snb_fcast_t_eq_n: the link count at n + 1 below the
     large-f branch, whose value is rounded up (d - (d-1)/d at n = 1)."""
+    check_integers("d, n and f", d, n, f)
     _check_range(1 <= f <= d ** n, "f out of range")
     spill = frac_pow(d, n - 2) * (d - 1)
     if f > spill:
@@ -183,6 +189,7 @@ def _corner(d, n, t):
 
 def C_bound(d, n, t, f):
     """The five-case upper bound on max_k min c_cost, link-blocking mode."""
+    check_integers("d, n, t and f", d, n, t, f)
     _check_range(0 <= t < n, "need 0 <= t < n")
     _check_range(1 <= f <= d ** n, "f out of range")
     r = ilog(d, f)
@@ -206,6 +213,7 @@ def G_bound(d, n, t, f):
     Rows G1/G4/G5/G8 return the value consistent with the construction they
     summarize, not their printed formulas, which contradict either the
     derivation steps or the specialized corollary."""
+    check_integers("d, n, t and f", d, n, t, f)
     _check_range(0 <= t < n, "need 0 <= t < n")
     _check_range(1 <= f <= d ** n, "f out of range")
     r = ilog(d, f)
@@ -249,6 +257,7 @@ def G_bound(d, n, t, f):
 def multilog_planes(d, n, t, f, mode):
     """(m, branch): planes sufficient for the windowed multilog network,
     from the t = n corollaries or else the C (link) or G (crosstalk) table."""
+    check_integers("d, n, t and f", d, n, t, f)
     _check_range(0 <= t <= n, "t=%d out of range for n=%d" % (t, n))
     if t == n:
         fn = snb_fcast_t_eq_n if mode == LINK else cf_snb_fcast_t_eq_n

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import dwec
 from .events import (BLOCKED, DuplicateId, SwitchError, UnknownId, check,
-                     fraction, replay)
+                     check_integers, fraction, replay)
 
 SPACE = "space"
 MULTIRATE = "multirate"
@@ -49,9 +49,7 @@ class ClosConfig(namedtuple("ClosConfig", ["n", "m", "r", "traffic"],
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(isinstance(v, int) and type(v) is not bool
-                   for v in (self.n, self.m, self.r)):
-            raise ValueError("need integer n, m and r")
+        check_integers("n, m and r", self.n, self.m, self.r)
         if min(self.n, self.m, self.r) <= 0:
             raise ValueError("need n, m, r > 0")
         if self.traffic not in (SPACE, MULTIRATE):

@@ -95,6 +95,21 @@ def check_address(d, n, v):
     return x
 
 
+def check_addresses(d, n, B):
+    """The members of the nonempty collection B as sorted plain ints; raise
+    ValueError unless each is an address by `check_address`'s rule, tested
+    on all at once.  If that test fails, `check_address` names the first
+    bad member."""
+    try:
+        ints = sorted(map(operator.index, B))
+    except TypeError:
+        ints = [-1]
+    if ints[0] < 0 or ints[-1] >= d ** n or bool in map(type, B):
+        for v in B:
+            check_address(d, n, v)
+    return ints
+
+
 def lcp(d, n, u, v):
     """Length of the longest common prefix of n-digit base-d values."""
     while u != v:
@@ -133,8 +148,8 @@ class AddressSets:
 
     Addresses are n-digit base-d ints.  Indices are computed from them when
     asked and counts in closed form, so nothing here enumerates addresses.
-    B is range-checked by its least and greatest member and type-checked
-    for bools, address by address only to name a bad one.
+    The constructor checks a by `check_address` and B by `check_addresses`,
+    and keeps a as a plain int; an instance is a checked request.
     """
 
     def __init__(self, d, n, a, B, t):
@@ -146,18 +161,10 @@ class AddressSets:
         self._size = size = d ** t
         if len(B) > size:
             raise ValueError("window cannot hold %d outputs" % len(B))
-        check_address(d, n, a)
-        try:
-            values = sorted(map(operator.index, B))
-            lo, hi = values[0], values[-1]
-        except TypeError:
-            lo = hi = -1
-        if lo < 0 or hi >= d ** n or bool in map(type, B):
-            # some member is out of range, a bool or no integer: name the first
-            for v in B:
-                check_address(d, n, v)
+        a = check_address(d, n, a)
+        ints = check_addresses(d, n, B)
         self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
-        self._lo, self._hi = lo, hi
+        self._lo, self._hi = lo, hi = ints[0], ints[-1]
         self.home_window = lo // size
         if hi // size != self.home_window:
             raise ValueError("B spans multiple windows: %s"

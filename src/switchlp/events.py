@@ -15,6 +15,21 @@ replay raises it as a `TraceError` whose message starts with `line N:`, and
 the command line exits 2.  An `lpcert.Infeasible` is a verdict: a solution
 or scheme breaks a constraint of its LP.  An `AssertionError` is a broken
 invariant, raised by `check` also under `python -O`.
+
+A value is checked once, where it enters the package.  A size or family
+parameter (d, n, m, t, f, r, p, q) must pass `check_integers`, an int other
+than a bool, in the network configs, the `bounds` tables and Clos counts,
+`lpcert.LpInstance` and the dual family.  A multilog address must pass
+`dary.check_address`, and a collection of them `dary.check_addresses`, in
+`ConnState.admit`, `ConnState.blocking_planes`, `banyan.Route` and
+`dary.AddressSets`; trace text becomes an address through
+`dary.parse_address`.  A Clos terminal is checked by its `ClosState`, and a
+rate or dual value becomes an exact number on entry (`dwec.as_fraction`,
+`lpcert.DualSolution`).  An `AddressSets` is a checked request (a, B), so
+`ConnState.blocking_branches` and `LpInstance(sets=...)` match it to their
+network or request without checking its addresses again.  Internal helpers
+take values already checked and check nothing; `bounds.c_cost` and
+`g_cost` range-check their inputs but do not type-check them.
 """
 
 from fractions import Fraction
@@ -32,6 +47,15 @@ class UnknownId(SwitchError):
 
 class DuplicateId(SwitchError):
     status = "duplicate_id"
+
+
+def check_integers(names, *values):
+    """Raise ValueError("need integer <names>") unless every value is an
+    int other than a bool; an int subclass such as an address passes."""
+    if set(map(type, values)) != {int}:
+        for v in values:
+            if type(v) is bool or not isinstance(v, int):
+                raise ValueError("need integer " + names)
 
 
 def check(cond, msg, *args):

@@ -24,6 +24,7 @@ from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
                    window_count_formula)
 from . import bounds
 from .bounds import LINK, CROSSTALK
+from .events import check_integers
 
 _THETA = {LINK: 0, CROSSTALK: 1}
 
@@ -57,12 +58,14 @@ class LpInstance:
     def __init__(self, d, n, t, f, a, B, mode=LINK, sets=None):
         if mode not in _THETA:
             raise ValueError("mode must be %r or %r" % (LINK, CROSSTALK))
+        check_integers("d, n, t and f", d, n, t, f)
         self.d, self.n, self.t, self.f = d, n, t, f
         self.mode = mode
         self.theta = _THETA[mode]
         if sets is None:
             sets = AddressSets(d, n, a, B, t)
-        elif (sets.d, sets.n, sets.t, sets.a, sets.B) != (d, n, t, a, B):
+        elif ((sets.d, sets.n, sets.t, sets.a, sets.B)
+              != (d, n, t, a, frozenset(B))):
             raise ValueError("sets were built for another request")
         self.sets = s = sets
         self.a = a
@@ -193,7 +196,7 @@ def primal_from_state(conn, a, B):
     inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, B, cfg.mode)
     primal = PrimalSolution(inst)
     size = cfg.d ** cfg.t
-    for u, v in conn.blocking_branches(a, inst.B).values():
+    for u, v in conn.blocking_branches(inst.sets).values():
         w = v // size
         if w == inst.home:
             primal.xv[u, v] = 1
@@ -276,8 +279,8 @@ class DualSolution:
         min{d^t - k, k(d^(n-q) - 1)}; only meaningful when delta is the
         indicator of j(v) >= q."""
         inst = self.instance
-        if not isinstance(q, int):
-            raise ValueError("q=%r is not an integer" % (q,))
+        if type(q) is not int:  # exact ints skip a call per certificate point
+            check_integers("q", q)
         if not inst.n - inst.t <= q <= inst.n:
             raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
                                                        inst.n))
@@ -311,8 +314,9 @@ def dual_family(instance, p, q):
     cached shape, so a caller may change them freely.
     """
     n, t = instance.n, instance.t
-    if not (isinstance(p, int) and isinstance(q, int)):
-        raise ValueError("need integer p and q, got p=%r, q=%r" % (p, q))
+    # exact ints skip a call per certificate point
+    if type(p) is not int or type(q) is not int:
+        check_integers("p and q", p, q)
     if not (0 <= p <= n - t - 1):
         raise ValueError("p=%d out of [0, %d]" % (p, n - t - 1))
     if not (n - t <= q <= n):

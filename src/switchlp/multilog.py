@@ -20,7 +20,7 @@ from . import dary
 from .banyan import route, shares_se, shares_link
 from .bounds import LINK, CROSSTALK
 from .events import (BLOCKED, Blocked, DuplicateId, SwitchError, UnknownId,
-                     check, replay)
+                     check, check_integers, replay)
 
 FIRST_FIT = "first"
 RANDOM = "random"
@@ -44,9 +44,8 @@ class MultilogConfig(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(isinstance(v, int) and type(v) is not bool
-                   for v in (self.d, self.n, self.m, self.t, self.f)):
-            raise ValueError("need integer d, n, m, t and f")
+        check_integers("d, n, m, t and f", self.d, self.n, self.m, self.t,
+                       self.f)
         if not (self.d >= 2 and self.n >= 1 and self.m >= 1):
             raise ValueError("need d >= 2, n >= 1 and m >= 1")
         if not 0 <= self.t <= self.n:
@@ -176,7 +175,8 @@ class ConnState:
         outputs = set(outputs)
         if not outputs:
             raise ValueError("empty output set")
-        x, ints = self._check_addresses(x, outputs)
+        x = dary.check_address(cfg.d, cfg.n, x)
+        ints = dary.check_addresses(cfg.d, cfg.n, outputs)
         if rid is None:
             self._auto += 1
             rid = "auto%d" % self._auto
@@ -194,7 +194,7 @@ class ConnState:
 
         by_window = {}
         size = cfg.d ** cfg.t
-        for y in sorted(ints):
+        for y in ints:
             by_window.setdefault(y // size, []).append(y)
 
         result = {}
@@ -247,43 +247,35 @@ class ConnState:
         if self.input_active[x] == 0:
             del self.input_active[x]
 
-    def _check_addresses(self, x, outputs):
-        """x and the outputs as plain ints; raise ValueError unless each is
-        an address."""
-        d, n = self.config.d, self.config.n
-        return (dary.check_address(d, n, x),
-                [dary.check_address(d, n, y) for y in outputs])
-
-    def _window_routes(self, x, outputs):
-        """x and the routes of the single-window subrequest (x, outputs)."""
-        cfg = self.config
-        if not outputs:
-            raise ValueError("empty output set")
-        x, outputs = self._check_addresses(x, outputs)
-        d, n = cfg.d, cfg.n
-        size = d ** cfg.t
-        if min(outputs) // size != max(outputs) // size:
-            raise ValueError("subrequest spans windows %s"
-                             % sorted({y // size for y in outputs}))
-        return x, [_route(d, n, x, y, cfg.mode) for y in outputs]
-
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
         branch of the single-window subrequest (x, outputs)."""
-        x, routes = self._window_routes(x, set(outputs))
+        cfg, outputs = self.config, set(outputs)
+        if not outputs:
+            raise ValueError("empty output set")
+        d, n, size = cfg.d, cfg.n, cfg.d ** cfg.t
+        x = dary.check_address(d, n, x)
+        ys = dary.check_addresses(d, n, outputs)
+        if ys[0] // size != ys[-1] // size:
+            raise ValueError("subrequest spans windows %s"
+                             % sorted({y // size for y in ys}))
+        routes = [_route(d, n, x, y, cfg.mode) for y in ys]
         return set(_planes(self._blocked(x, routes)))
 
-    def blocking_branches(self, x, outputs):
+    def blocking_branches(self, request):
         """{plane: (u, v)}, ascending by plane, for each plane that blocks
-        the single-window subrequest (x, outputs): the first live branch
-        (u, v), in `requests` order, from an input u != x whose route on
-        that plane shares a key with the subrequest.  Every output must be
-        free."""
-        outputs = set(outputs)
-        x, routes = self._window_routes(x, outputs)
+        the single-window subrequest (a, B) that `request`, a checked
+        `dary.AddressSets` for this network's d, n and t, holds: the first
+        live branch (u, v), in `requests` order, from an input u != a whose
+        route on that plane shares a key with it.  B must be free."""
+        cfg = self.config
+        if (request.d, request.n, request.t) != (cfg.d, cfg.n, cfg.t):
+            raise ValueError("request was built for another network shape")
+        x, outputs = request.a, request.B
         owned = [y for y in outputs if y in self.output_owner]
         if owned:
             raise ValueError("request output %s already owned" % min(owned))
+        routes = [_route(cfg.d, cfg.n, x, y, cfg.mode) for y in outputs]
         # a key has one holder per plane, so on a blocking plane a route of
         # an input u != x conflicts iff it holds one of the subrequest's keys
         mask = self._blocked(x, routes)

@@ -886,6 +886,16 @@ class TestInputErrors:
             "    lambda: dary.AddressSets(2, 3, 0, [0, 1.5], 1),",
             "    lambda: dary.AddressSets(2, 3, 0, [0, -1], 1),",
             "    lambda: dary.AddressSets(2, 3, 0, [6, 8], 1),",
+            "    lambda: conn.blocking_branches(",
+            "        dary.AddressSets(2, 4, 0, [1], 1)),",
+            "    lambda: bounds.clos_snb(1.5),",
+            "    lambda: bounds.clos_multirate(1.5),",
+            "    lambda: bounds.clos_snb(True),",
+            "    lambda: bounds.multilog_planes(2.5, 3, 1, 2, 'link'),",
+            "    lambda: lpcert.LpInstance(2, 3, 1.0, 2, 0, [0]),",
+            "    lambda: lpcert.LpInstance(2, 3, 1, 1.5, 0, [0]),",
+            "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
+            "        2, 3, 1, 2, 1), True, 2),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",
@@ -893,6 +903,10 @@ class TestInputErrors:
             "    except ValueError:",
             "        continue",
             "    print('check %d accepted' % i)",
+            "# sets match a request by B's members, however B is passed",
+            "for B in ([0], (0,), range(1)):",
+            "    lpcert.LpInstance(2, 3, 1, 2, 0, B, 'link',",
+            "                      dary.canonical_sets(2, 3, 1, 1))",
             "# --m-offset is refused beside --m, and by a replay",
             "with tempfile.NamedTemporaryFile('w', suffix='.trace',",
             "                                 delete=False) as fh:",

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchlp import lpcert, bounds, multilog, adversary
+from switchlp import lpcert, bounds, dary, multilog, adversary
 from switchlp.lpcert import (
     LINK, CROSSTALK, Infeasible, LpInstance, canonical_instance,
     PrimalSolution, primal_from_state, DualSolution, dual_family,
@@ -104,6 +104,11 @@ class TestInstance:
         for a, B in ((1, sets.B), (0, frozenset({0}))):
             with pytest.raises(ValueError, match="another request"):
                 LpInstance(2, 3, 1, 2, a, B, LINK, sets)
+        # B's members decide, not the type it is passed as
+        for B in ([0, 1], (1, 0), range(2), [1, 0, 1], {0, 1}):
+            assert LpInstance(2, 3, 1, 2, 0, B, LINK, sets).B == sets.B
+        one = dary.canonical_sets(2, 3, 1, 1)
+        assert LpInstance(2, 3, 1, 2, 0, [0], sets=one).sets is one
 
     def test_canonical_matches_fresh_build(self):
         # the canonical instance takes the cached sets; an instance that
@@ -360,7 +365,7 @@ class TestDualPricing:
     @pytest.mark.parametrize("q", [2.5, 2.0, "2", None])
     def test_bounded_delta_refuses_non_integer_q(self, q):
         sol = dual_family(canonical_instance(2, 3, 1, 2, 1, LINK), 0, 2)
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(ValueError, match="need integer q"):
             sol.objective_bounded_delta(q)
 
 
@@ -406,6 +411,37 @@ class TestPrimal:
             for q in range(n - t, n + 1):
                 assert check_weak_duality(primal, dual_family(inst, p, q)) \
                     == check_weak_duality(twin, dual_family(eager, p, q))
+
+    def test_probe_checks_its_request_once(self, monkeypatch):
+        # a and B are DaryStrings, so a check of them is told by identity
+        # from the rows' checks of the live inputs and outputs (plain ints)
+        cfg = multilog.MultilogConfig(d=2, n=4, m=2, t=2, f=2)
+        conn, rng = multilog.ConnState(cfg), random.Random(5)
+        seen, one, batch = [], dary.check_address, dary.check_addresses
+        monkeypatch.setattr(dary, "check_address", lambda d, n, v: (
+            seen.append(("address", v)) or one(d, n, v)))
+        monkeypatch.setattr(dary, "check_addresses", lambda d, n, B: (
+            seen.append(("addresses", B)) or batch(d, n, B)))
+        live, probes, positive = [], 0, 0
+        for step in range(40):
+            if live and rng.random() < 0.4:
+                conn.release(live.pop(rng.randrange(len(live))))
+            elif req := adversary.random_admissible_request(conn, rng):
+                conn.admit(req[0], req[1], rid=step)
+                if step in conn.requests:
+                    live.append(step)
+            a = DaryString(2, (1, 0, 1, 1))
+            free = [y for y in range(16) if y not in conn.output_owner]
+            B = [DaryString.from_value(free[-1], 2, 4)]
+            seen.clear()
+            _, primal = primal_from_state(conn, a, B)
+            probes += 1
+            positive += primal.objective() > 0
+            assert [v for kind, v in seen if v is a] == [a]
+            assert [set(v) for kind, v in seen if kind == "addresses"] \
+                == [set(B)]
+            assert not any(v is b for _, v in seen for b in B)
+        assert probes == 40 and positive > 5
 
     def test_random_states_always_feasible(self):
         rng = random.Random(41)
@@ -844,3 +880,50 @@ def test_lpcert_refusals(call, exc, message):
     with pytest.raises(exc) as raised:
         call()
     assert str(raised.value) == message
+
+
+# Public sizes and family parameters take an int other than a bool, by the
+# rule the network configs apply; each entry refuses the rest with
+# ValueError, never TypeError.
+INTEGER_ENTRIES = {
+    "clos_snb": lambda v: bounds.clos_snb(v),
+    "clos_wsnb_r2": lambda v: bounds.clos_wsnb_r2(v),
+    "clos_multirate": lambda v: bounds.clos_multirate(v),
+    "hwang_unicast": lambda v: bounds.hwang_unicast(2, v),
+    "snb_fcast_t_eq_n": lambda v: bounds.snb_fcast_t_eq_n(2, 3, v),
+    "cf_snb_fcast_t_eq_n": lambda v: bounds.cf_snb_fcast_t_eq_n(v, 3, 2),
+    "C_bound": lambda v: bounds.C_bound(2, 3, v, 2),
+    "G_bound": lambda v: bounds.G_bound(2, v, 1, 2),
+    "multilog_planes-d": lambda v: bounds.multilog_planes(v, 3, 1, 2, LINK),
+    "multilog_planes-t": lambda v: bounds.multilog_planes(2, 3, v, 2, LINK),
+    "LpInstance-d": lambda v: LpInstance(v, 3, 1, 2, 0, [0]),
+    "LpInstance-n": lambda v: LpInstance(2, v, 1, 2, 0, [0]),
+    "LpInstance-t": lambda v: LpInstance(2, 3, v, 2, 0, [0]),
+    "LpInstance-f": lambda v: LpInstance(2, 3, 1, v, 0, [0]),
+    "dual_family-p": lambda v: dual_family(
+        canonical_instance(2, 3, 1, 2, 1), v, 2),
+    "dual_family-q": lambda v: dual_family(
+        canonical_instance(2, 3, 1, 2, 1), 0, v),
+    "objective_bounded_delta": lambda v: dual_family(
+        canonical_instance(2, 3, 1, 2, 1), 0, 2).objective_bounded_delta(v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2", None],
+                         ids=["float", "bool", "str", "None"])
+@pytest.mark.parametrize("entry", list(INTEGER_ENTRIES))
+def test_integer_parameters_refused(entry, value):
+    with pytest.raises(ValueError, match="need integer"):
+        INTEGER_ENTRIES[entry](value)
+
+
+def test_integer_subclasses_taken():
+    def ten(v):
+        return DaryString(10, (v,))
+    assert bounds.clos_snb(ten(3)) == 5
+    assert bounds.multilog_planes(ten(2), 3, ten(1), 2, LINK) \
+        == bounds.multilog_planes(2, 3, 1, 2, LINK)
+    inst = LpInstance(ten(2), ten(3), ten(1), ten(2), 0, [0])
+    sol = dual_family(inst, ten(0), ten(3))
+    assert sol.objective_bounded_delta(ten(3)) \
+        == dual_family(inst, 0, 3).objective_bounded_delta(3)

@@ -17,7 +17,8 @@ from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
     UnknownId, DuplicateId, LINK, CROSSTALK, run_trace,
 )
-from switchlp.dary import all_strings, parse_address
+from switchlp.dary import (AddressSets, DaryString, all_strings,
+                           check_address, parse_address)
 from switchlp.banyan import route, shares_link, shares_se
 from switchlp import adversary
 
@@ -181,7 +182,53 @@ class TestAddressRange:
 
     @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_blocking_branches(self, bad):
-        self.refused(bad, self.state().blocking_branches)
+        # the request's own check refuses it before blocking_branches runs
+        state = self.state()
+        self.refused(bad, lambda x, ys: state.blocking_branches(
+            AddressSets(2, 3, x, ys, 1)))
+
+    # good addresses (ints and DaryStrings), bools, floats, strs, negatives
+    # and past-the-end values; outputs of one window or two
+    VALUES = st.one_of(
+        st.integers(0, 7), st.integers(0, 7).map(
+            lambda v: DaryString.from_value(v, 2, 3)),
+        st.booleans(), st.floats(-9, 9), st.text(max_size=2),
+        st.integers(-9, -1), st.integers(8, 99))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=VALUES, outputs=st.one_of(
+        st.lists(VALUES, min_size=1, max_size=4),
+        st.sampled_from([[0, 4], [3, 4, 5], [1, 2, 6, 7]])))
+    def test_one_rule_at_each_entry(self, x, outputs):
+        # d=2, n=3, t=2: windows {0..3} and {4..7}, and a request of up to
+        # four outputs fits one.  The first address that `check_address`
+        # refuses, x before the outputs, decides every refusal's message.
+        state = ConnState(cfg(t=2, f=8))
+        try:
+            for v in [x, *set(outputs)]:
+                check_address(2, 3, v)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        calls = {"admit": lambda: state.admit(x, outputs),
+                 "blocking_planes": lambda: state.blocking_planes(x, outputs),
+                 "AddressSets": lambda: AddressSets(2, 3, x, outputs, 2)}
+        got = {}
+        for name, call in calls.items():
+            try:
+                call()
+                got[name] = None
+            except ValueError as exc:
+                got[name] = str(exc)
+        if want is not None:
+            assert got == dict.fromkeys(calls, want)
+            return
+        # good addresses: only a request over two windows is refused, and
+        # only by the two entries that take one window's request
+        one = len({int(y) // 4 for y in outputs}) == 1
+        assert got["admit"] is None
+        assert (got["blocking_planes"] is None) == one
+        assert (got["AddressSets"] is None) == one
 
     @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_primal_from_state(self, bad):
@@ -274,8 +321,13 @@ class TestBlockingPlanes:
     def test_empty_output_set_rejected(self, method):
         state = ConnState(cfg(t=1, f=2))
         state.admit(s("010"), [s("001")], rid="r")
-        with pytest.raises(ValueError, match="empty output set"):
-            getattr(state, method)(s("000"), [])
+        if method == "blocking_planes":
+            with pytest.raises(ValueError, match="empty output set"):
+                state.blocking_planes(s("000"), [])
+        else:
+            # the request refuses B = {} before blocking_branches runs
+            with pytest.raises(ValueError, match="B must be nonempty"):
+                state.blocking_branches(AddressSets(2, 3, s("000"), [], 1))
 
 
 def admit_checked(state, x, ys, rid, shadow):
@@ -443,7 +495,7 @@ class TestProbeOracle:
             if free:
                 ys = rng.sample(free, rng.randint(1, min(f, len(free))))
                 want = oracle_branches(state, x, ys)
-                got = state.blocking_branches(x, ys)
+                got = state.blocking_branches(AddressSets(d, n, x, ys, t))
                 assert list(got.items()) == sorted(want.items())
                 xw, xv = {}, {}
                 for u, v in want.values():
@@ -460,7 +512,7 @@ class TestProbeOracle:
             if owned:
                 ys = [rng.choice(owned)] + free[:min(f - 1, 1)]
                 with pytest.raises(ValueError, match="already owned"):
-                    state.blocking_branches(x, ys)
+                    state.blocking_branches(AddressSets(d, n, x, ys, t))
                 with pytest.raises(ValueError, match="already owned"):
                     lpcert.primal_from_state(state, x, ys)
 
@@ -474,7 +526,8 @@ class TestProbeOracle:
         probe = multilog._route(2, 3, s("000"), s("001"), mode)
         assert any(key in state.occ for key in probe.ids)
         assert oracle_branches(state, s("000"), [s("001")]) == {}
-        assert state.blocking_branches(s("000"), [s("001")]) == {}
+        assert state.blocking_branches(
+            AddressSets(2, 3, s("000"), [s("001")], 0)) == {}
         _, primal = lpcert.primal_from_state(state, s("000"), [s("001")])
         assert primal.objective() == 0
 
@@ -952,7 +1005,12 @@ class TestTraceIo:
     (lambda: cfg(mode="bogus"), "unknown mode 'bogus'"),
     (lambda: cfg(plane_policy="bogus"), "unknown plane policy 'bogus'"),
     (lambda: ConnState(cfg()).admit(0, []), "empty output set"),
-], ids=["d-1", "f-past-d^n", "mode", "plane-policy", "no-outputs"])
+    (lambda: ConnState(cfg()).blocking_branches(AddressSets(2, 4, 0, [0], 0)),
+     "request was built for another network shape"),
+    (lambda: ConnState(cfg()).blocking_branches(AddressSets(2, 3, 0, [0], 1)),
+     "request was built for another network shape"),
+], ids=["d-1", "f-past-d^n", "mode", "plane-policy", "no-outputs",
+        "request-of-other-n", "request-of-other-t"])
 def test_multilog_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()
