@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 import operator
 
+from .events import check_integers
+
 
 class lazy:
     """A read-once attribute: the method runs on first read and its value
@@ -95,6 +97,20 @@ def check_address(d, n, v):
     return x
 
 
+def address_set(B, empty):
+    """B's members as a frozenset; ValueError with the message `empty` if
+    it has none, and one naming B unless it is a collection of hashable
+    values."""
+    try:
+        B = frozenset(B)
+    except TypeError:
+        raise ValueError("%r is not a collection of addresses"
+                         % (B,)) from None
+    if not B:
+        raise ValueError(empty)
+    return B
+
+
 def check_addresses(d, n, B):
     """The members of the nonempty collection B as sorted plain ints; raise
     ValueError unless each is an address by `check_address`'s rule, tested
@@ -148,14 +164,17 @@ class AddressSets:
 
     Addresses are n-digit base-d ints.  Indices are computed from them when
     asked and counts in closed form, so nothing here enumerates addresses.
-    The constructor checks a by `check_address` and B by `check_addresses`,
-    and keeps a as a plain int; an instance is a checked request.
+    The constructor is the one boundary for a request: it checks d, n and
+    t by `check_integers` and the rule the network configs apply, B by
+    `address_set` and `check_addresses`, and a by `check_address`, and
+    keeps a as a plain int; an instance is a checked request.
     """
 
     def __init__(self, d, n, a, B, t):
-        B = frozenset(B)
-        if not B:
-            raise ValueError("B must be nonempty")
+        check_integers("d, n and t", d, n, t)
+        if not (d >= 2 and n >= 1):
+            raise ValueError("need d >= 2 and n >= 1")
+        B = address_set(B, "B must be nonempty")
         if not (0 <= t <= n):
             raise ValueError("t=%d out of range for n=%d" % (t, n))
         self._size = size = d ** t
@@ -164,9 +183,8 @@ class AddressSets:
         a = check_address(d, n, a)
         ints = check_addresses(d, n, B)
         self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
-        self._lo, self._hi = lo, hi = ints[0], ints[-1]
-        self.home_window = lo // size
-        if hi // size != self.home_window:
+        self.home_window = home = ints[0] // size
+        if ints[-1] // size != home:
             raise ValueError("B spans multiple windows: %s"
                              % sorted({b // size for b in B}))
 
@@ -183,7 +201,7 @@ class AddressSets:
         """union_b_tail(q) for q = n-t .. n.  A contiguous B has
         hi // p - lo // p + 1 distinct prefixes at each level p = d^(n-q);
         any other B counts them."""
-        d, n, t, lo, hi = self.d, self.n, self.t, self._lo, self._hi
+        d, n, t, lo, hi = self.d, self.n, self.t, min(self.B), max(self.B)
         spans = [d ** (n - q) for q in range(n - t, n)]
         if hi - lo + 1 == len(self.B):
             heads = [hi // p - lo // p + 1 for p in spans]
@@ -253,11 +271,13 @@ def window_count_formula(d, n, t, j):
     return d ** (n - j - t) - d ** (n - 1 - j - t)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def canonical_sets(d, n, t, k):
     """AddressSets for the canonical request: a = 0^n, B = the k smallest
     outputs of window 0.  This is the worst-case shape the bound formulas
-    are stated for, so the certificate grid runs on it."""
+    are stated for, so the certificate grid runs on it.  The cache keys
+    each argument by its type too, so True is no key for k = 1."""
+    check_integers("d, n, t and k", d, n, t, k)
     if not (0 <= t <= n):
         raise ValueError("t=%d out of range for n=%d" % (t, n))
     if not (1 <= k <= d ** t):

@@ -17,19 +17,23 @@ or scheme breaks a constraint of its LP.  An `AssertionError` is a broken
 invariant, raised by `check` also under `python -O`.
 
 A value is checked once, where it enters the package.  A size or family
-parameter (d, n, m, t, f, r, p, q) must pass `check_integers`, an int other
-than a bool, in the network configs, the `bounds` tables and Clos counts,
-`lpcert.LpInstance` and the dual family.  A multilog address must pass
-`dary.check_address`, and a collection of them `dary.check_addresses`, in
-`ConnState.admit`, `ConnState.blocking_planes`, `banyan.Route` and
-`dary.AddressSets`; trace text becomes an address through
-`dary.parse_address`.  A Clos terminal is checked by its `ClosState`, and a
-rate or dual value becomes an exact number on entry (`dwec.as_fraction`,
-`lpcert.DualSolution`).  An `AddressSets` is a checked request (a, B), so
-`ConnState.blocking_branches` and `LpInstance(sets=...)` match it to their
-network or request without checking its addresses again.  Internal helpers
-take values already checked and check nothing; `bounds.c_cost` and
-`g_cost` range-check their inputs but do not type-check them.
+parameter (d, n, m, t, f, k, r, p, q) must pass `check_integers`, an int
+other than a bool, in the network configs, the `bounds` tables and Clos
+counts, `dary.canonical_sets`, `lpcert.LpInstance` (f) and the dual family.
+`dary.AddressSets` is the one boundary for a multilog request (d, n, t, a,
+B): d, n and t pass `check_integers` and the configs' range rule, B becomes
+a set by `dary.address_set` and its members pass `dary.check_addresses`,
+and a passes `dary.check_address`.  `ConnState.admit` and
+`ConnState.blocking_planes` check (x, outputs) by the same address rules and
+`banyan.Route` its terminals by `check_address`; trace text becomes an
+address through `dary.parse_address`.  A Clos terminal is checked by its
+`ClosState`, and a rate or dual value becomes an exact number on entry
+(`dwec.as_fraction`, `lpcert.DualSolution`).  An `AddressSets` is a checked
+request, so `LpInstance` reads d, n, t, a and B off it and
+`ConnState.blocking_branches` matches it to its network, neither checking
+it again.  Internal helpers take values already checked and check
+nothing; `bounds.c_cost` and `g_cost` range-check their inputs but do not
+type-check them.
 """
 
 from fractions import Fraction

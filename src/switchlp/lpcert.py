@@ -41,42 +41,33 @@ _ROWS = ("window capacity at w=%d", "x_u%d_w%d > 1",
 
 
 class LpInstance:
-    """One concrete blocking LP: parameters, request, and its primal rows.
+    """One concrete blocking LP: its request `sets`, the `dary.AddressSets`
+    that holds d, n, t, a and B; its fanout bound f and mode; its rows.
 
-    The constructor only validates the request and builds its
-    `AddressSets`, or takes `sets`, one already built and checked for this
-    (d, n, t, a, B).  `rows_of` alone decides whether a primal variable
-    exists and which rows it sits in; it computes indices from the
-    addresses it is given, so nothing here enumerates addresses.  The dual
-    checks read the (i, j) classes (`classes_uw`, `classes_uv`) and the
-    class-count `profile`, each built when first read; a primal read off a
-    simulator state needs none of them.  The class tables come from bounded
-    caches keyed by what they depend on, and each instance gets its own
-    copies.
+    The constructor checks only the mode, f as an integer in [1, d^n] and
+    k = |B| <= f: `sets` is a checked request.  `rows_of` alone decides
+    whether a primal variable exists and which rows it sits in; it
+    computes indices from the addresses it is given, so nothing here
+    enumerates addresses.  The dual checks read the (i, j) classes
+    (`classes_uw`, `classes_uv`) and the class-count `profile`, each built
+    when first read; a primal read off a simulator state needs none of
+    them.  The class tables come from bounded caches keyed by what they
+    depend on, and each instance gets its own copies.
     """
 
-    def __init__(self, d, n, t, f, a, B, mode=LINK, sets=None):
+    def __init__(self, sets, f, mode=LINK):
         if mode not in _THETA:
             raise ValueError("mode must be %r or %r" % (LINK, CROSSTALK))
-        check_integers("d, n, t and f", d, n, t, f)
-        self.d, self.n, self.t, self.f = d, n, t, f
-        self.mode = mode
-        self.theta = _THETA[mode]
-        if sets is None:
-            sets = AddressSets(d, n, a, B, t)
-        elif ((sets.d, sets.n, sets.t, sets.a, sets.B)
-              != (d, n, t, a, frozenset(B))):
-            raise ValueError("sets were built for another request")
-        self.sets = s = sets
-        self.a = a
-        self.B = s.B
-        self.k = len(self.B)
+        if type(f) is not int:  # an exact int skips a call per probe
+            check_integers("f", f)
+        self.sets, self.f, self.mode, self.theta = sets, f, mode, _THETA[mode]
+        d, n, self.t, self.a, self.B = sets.d, sets.n, sets.t, sets.a, sets.B
+        self.d, self.n, self.k, self.home = d, n, len(self.B), sets.home_window
+        self._thresh = n - self.theta
         if not 1 <= f <= d ** n:
             raise ValueError("f=%s out of range [1, %d]" % (f, d ** n))
         if self.k > f:
             raise ValueError("|B|=%d exceeds fanout bound %d" % (self.k, f))
-        self.home = s.home_window
-        self._thresh = n - self.theta
 
     @lazy
     def classes_uw(self):
@@ -152,8 +143,7 @@ def _fanout_counts(d, n, f):
 def canonical_instance(d, n, t, f, k, mode=LINK):
     """Instance for the canonical request a = 0^n, B = first k of window 0,
     on the cached sets of `canonical_sets`."""
-    sets = canonical_sets(d, n, t, k)
-    return LpInstance(d, n, t, f, sets.a, sets.B, mode, sets)
+    return LpInstance(canonical_sets(d, n, t, k), f, mode)
 
 
 class PrimalSolution:
@@ -193,10 +183,11 @@ def primal_from_state(conn, a, B):
     is already owned.
     """
     cfg = conn.config
-    inst = LpInstance(cfg.d, cfg.n, cfg.t, cfg.f, a, B, cfg.mode)
+    sets = AddressSets(cfg.d, cfg.n, a, B, cfg.t)
+    inst = LpInstance(sets, cfg.f, cfg.mode)
     primal = PrimalSolution(inst)
     size = cfg.d ** cfg.t
-    for u, v in conn.blocking_branches(inst.sets).values():
+    for u, v in conn.blocking_branches(sets).values():
         w = v // size
         if w == inst.home:
             primal.xv[u, v] = 1

@@ -172,9 +172,7 @@ class ConnState:
         the other windows' commitments in place.
         """
         cfg = self.config
-        outputs = set(outputs)
-        if not outputs:
-            raise ValueError("empty output set")
+        outputs = dary.address_set(outputs, "empty output set")
         x = dary.check_address(cfg.d, cfg.n, x)
         ints = dary.check_addresses(cfg.d, cfg.n, outputs)
         if rid is None:
@@ -250,9 +248,8 @@ class ConnState:
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
         branch of the single-window subrequest (x, outputs)."""
-        cfg, outputs = self.config, set(outputs)
-        if not outputs:
-            raise ValueError("empty output set")
+        cfg = self.config
+        outputs = dary.address_set(outputs, "empty output set")
         d, n, size = cfg.d, cfg.n, cfg.d ** cfg.t
         x = dary.check_address(d, n, x)
         ys = dary.check_addresses(d, n, outputs)
@@ -272,7 +269,7 @@ class ConnState:
         if (request.d, request.n, request.t) != (cfg.d, cfg.n, cfg.t):
             raise ValueError("request was built for another network shape")
         x, outputs = request.a, request.B
-        owned = [y for y in outputs if y in self.output_owner]
+        owned = self.output_owner.keys() & outputs
         if owned:
             raise ValueError("request output %s already owned" % min(owned))
         routes = [_route(cfg.d, cfg.n, x, y, cfg.mode) for y in outputs]

@@ -877,11 +877,12 @@ class TestInputErrors:
             "    lambda: clos.parse_terminal('+1:0'),",
             "    lambda: clos.ClosState(C(n=2, m=3, r=2)).snb_admit((0.5, 0),",
             "                                                      (1, 1)),",
-            "    lambda: lpcert.LpInstance(2, 3, 1, 9, 0, [0]),",
+            "    lambda: lpcert.LpInstance(dary.AddressSets(2, 3, 0, [0], 1),",
+            "                              9),",
             "    lambda: lpcert.canonical_instance(2, 3, 1, 10 ** 20, 1),",
             "    lambda: lpcert.canonical_instance(2, 3, 1, 0, 1),",
-            "    lambda: lpcert.LpInstance(2, 3, 1, 2, 1, [0], 'link',",
-            "                              dary.canonical_sets(2, 3, 1, 1)),",
+            "    lambda: lpcert.LpInstance(dary.canonical_sets(2, 3, 1, 2),",
+            "                              1),",
             "    lambda: dary.canonical_sets(2, 3, -1, 1),",
             "    lambda: dary.AddressSets(2, 3, 0, [0, 1.5], 1),",
             "    lambda: dary.AddressSets(2, 3, 0, [0, -1], 1),",
@@ -892,8 +893,20 @@ class TestInputErrors:
             "    lambda: bounds.clos_multirate(1.5),",
             "    lambda: bounds.clos_snb(True),",
             "    lambda: bounds.multilog_planes(2.5, 3, 1, 2, 'link'),",
-            "    lambda: lpcert.LpInstance(2, 3, 1.0, 2, 0, [0]),",
-            "    lambda: lpcert.LpInstance(2, 3, 1, 1.5, 0, [0]),",
+            "    lambda: dary.AddressSets(2, 3, 0, [0], 1.0),",
+            "    lambda: lpcert.LpInstance(dary.AddressSets(2, 3, 0, [0], 1),",
+            "                              1.5),",
+            "    lambda: dary.AddressSets(2.0, 3, 0, [0], 1),",
+            "    lambda: dary.AddressSets(2, True, 0, [0], 1),",
+            "    lambda: dary.AddressSets(1, 3, 0, [0], 1),",
+            "    lambda: dary.AddressSets(2, 0, 0, [0], 0),",
+            "    lambda: dary.AddressSets(2, 3, 0, 5, 1),",
+            "    lambda: dary.AddressSets(2, 3, 0, [[0]], 1),",
+            "    lambda: dary.canonical_sets(2, 3, 1, True),",
+            "    lambda: dary.canonical_sets(2, 3, 1, 1.5),",
+            "    lambda: lpcert.canonical_instance(2, 3, 1, 2, 1.5),",
+            "    lambda: multilog.ConnState(M).admit(0, 5),",
+            "    lambda: multilog.ConnState(M).blocking_planes(0, [[0]]),",
             "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
             "        2, 3, 1, 2, 1), True, 2),",
             "]",
@@ -903,10 +916,9 @@ class TestInputErrors:
             "    except ValueError:",
             "        continue",
             "    print('check %d accepted' % i)",
-            "# sets match a request by B's members, however B is passed",
+            "# a request's B may be passed as any collection",
             "for B in ([0], (0,), range(1)):",
-            "    lpcert.LpInstance(2, 3, 1, 2, 0, B, 'link',",
-            "                      dary.canonical_sets(2, 3, 1, 1))",
+            "    lpcert.LpInstance(dary.AddressSets(2, 3, 0, B, 1), 2)",
             "# --m-offset is refused beside --m, and by a replay",
             "with tempfile.NamedTemporaryFile('w', suffix='.trace',",
             "                                 delete=False) as fh:",

@@ -287,6 +287,12 @@ class TestAddressSets:
     def test_canonical_sets_cached(self):
         assert canonical_sets(2, 3, 1, 1) is canonical_sets(2, 3, 1, 1)
 
+    def test_canonical_sets_keys_bool_apart(self):
+        # an untyped cache keys True as 1 and returned the k = 1 sets
+        canonical_sets(2, 3, 1, 1)
+        with pytest.raises(ValueError, match="need integer d, n, t and k"):
+            canonical_sets(2, 3, 1, True)
+
     def test_t_checked_before_k(self):
         # d ** -1 prints as 0, which named the wrong argument
         with pytest.raises(ValueError, match="t=-1 out of range for n=3"):
@@ -375,8 +381,14 @@ def test_frac_pow_negative_exponent():
      "address True is not an integer"),
     (lambda: AddressSets(2, 3, 0, [1, False], 1),
      "address False is not an integer"),
+    (lambda: AddressSets(1, 3, 0, [0], 1), "need d >= 2 and n >= 1"),
+    (lambda: AddressSets(2, 0, 0, [0], 0), "need d >= 2 and n >= 1"),
+    (lambda: AddressSets(2, 3, 0, 5, 1), "5 is not a collection of addresses"),
+    (lambda: AddressSets(2, 3, 0, [[0]], 1),
+     "[[0]] is not a collection of addresses"),
 ], ids=["base-1", "empty-B", "t-past-n", "i-past-n", "j-past-n-t",
-        "k-past-window", "bool-in-B", "False-in-B"])
+        "k-past-window", "bool-in-B", "False-in-B", "d-1", "n-0",
+        "B-not-a-collection", "B-unhashable"])
 def test_dary_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()

@@ -14,7 +14,7 @@ from switchlp.lpcert import (
     PrimalSolution, primal_from_state, DualSolution, dual_family,
     check_weak_duality, family_cost, lp_optimum,
 )
-from switchlp.dary import DaryString, all_strings, parse_address
+from switchlp.dary import AddressSets, DaryString, all_strings, parse_address
 
 from address_oracle import (EnumeratedAddressSets, digits, lcp, lcs,
                             window_outputs)
@@ -84,35 +84,41 @@ class TestInstance:
 
     def test_fanout_guard(self):
         with pytest.raises(ValueError):
-            LpInstance(2, 3, 1, 1, s("000"), {s("000"), s("001")})
+            LpInstance(AddressSets(2, 3, s("000"), {s("000"), s("001")}, 1),
+                       1)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            LpInstance(2, 3, 1, 1, s("000"), {s("000")}, mode="bogus")
+            LpInstance(AddressSets(2, 3, s("000"), {s("000")}, 1), 1,
+                       mode="bogus")
 
     @pytest.mark.parametrize("f", [0, -1, 9, 99999999999999999999])
     def test_fanout_out_of_range(self, f):
         # f above d^n once built an instance, and then an LP, that
         # `family_cost` refused with "f out of range"
         with pytest.raises(ValueError, match="f=%d out of range" % f):
-            LpInstance(2, 3, 1, f, 0, [0])
+            LpInstance(AddressSets(2, 3, 0, [0], 1), f)
         with pytest.raises(ValueError, match="f=%d out of range" % f):
             canonical_instance(2, 3, 1, f, 1)
 
     def test_sets_of_another_request_refused(self):
-        sets = canonical_instance(2, 3, 1, 2, 2).sets
-        for a, B in ((1, sets.B), (0, frozenset({0}))):
-            with pytest.raises(ValueError, match="another request"):
-                LpInstance(2, 3, 1, 2, a, B, LINK, sets)
+        # an instance reads d, n, t, a and B off its sets, so no second
+        # copy of the request can disagree with them; it refuses only a
+        # request its own f cannot take
+        sets = dary.canonical_sets(2, 3, 1, 2)
+        inst = LpInstance(sets, 2)
+        assert inst.sets is sets
+        assert (inst.d, inst.n, inst.t, inst.a, inst.B, inst.k) == \
+            (2, 3, 1, 0, frozenset({0, 1}), 2)
+        with pytest.raises(ValueError, match="exceeds fanout bound 1"):
+            LpInstance(sets, 1)
         # B's members decide, not the type it is passed as
         for B in ([0, 1], (1, 0), range(2), [1, 0, 1], {0, 1}):
-            assert LpInstance(2, 3, 1, 2, 0, B, LINK, sets).B == sets.B
-        one = dary.canonical_sets(2, 3, 1, 1)
-        assert LpInstance(2, 3, 1, 2, 0, [0], sets=one).sets is one
+            assert AddressSets(2, 3, 0, B, 1).B == sets.B
 
     def test_canonical_matches_fresh_build(self):
-        # the canonical instance takes the cached sets; an instance that
-        # builds its own must read the same at every canonical cell
+        # the canonical instance takes the cached sets; an instance on
+        # freshly built sets must read the same at every canonical cell
         for d in (2, 3):
             for n in range(1, 7):
                 for t in range(n + 1):
@@ -120,8 +126,9 @@ class TestInstance:
                         for k in range(1, min(f, d ** t) + 1):
                             for mode in (LINK, CROSSTALK):
                                 got = canonical_instance(d, n, t, f, k, mode)
-                                want = LpInstance(d, n, t, f, 0, range(k),
-                                                  mode)
+                                want = LpInstance(
+                                    AddressSets(d, n, 0, range(k), t), f,
+                                    mode)
                                 assert got.sets is not want.sets
                                 assert got.profile == want.profile
                                 assert got.classes_uw == want.classes_uw
@@ -152,7 +159,8 @@ class TestInstance:
                     pool[99] = 7
                 inst.profile.clear()
                 for fresh in (canonical_instance(d, n, t, f, k, mode),
-                              LpInstance(d, n, t, f, 0, range(k), mode)):
+                              LpInstance(AddressSets(d, n, 0, range(k), t),
+                                         f, mode)):
                     assert tables(fresh) == want
 
 
@@ -174,7 +182,7 @@ class TestOracle:
     @given(requests())
     def test_fast_path_matches_enumeration(self, req):
         d, n, t, a, B, mode = req
-        inst = LpInstance(d, n, t, len(B), a, B, mode)
+        inst = LpInstance(AddressSets(d, n, a, B, t), len(B), mode)
         fast = inst.sets
         ref = EnumeratedAddressSets(d, n, a, B, t)
         ins = list(all_strings(d, n))
@@ -228,7 +236,8 @@ def priced_duals(draw):
     """An instance, one dual value per class (ints and Fractions mixed; beta
     on every (i, j), defined or not) and a tail start q."""
     d, n, t, a, B, mode = draw(requests(max_n=4))
-    inst = LpInstance(d, n, t, draw(st.integers(len(B), d ** n)), a, B, mode)
+    inst = LpInstance(AddressSets(d, n, a, B, t),
+                      draw(st.integers(len(B), d ** n)), mode)
     value = st.sampled_from(DUAL_VALUES)
     duals = {name: {key: draw(value) for key in keys} for name, keys in (
         ("alpha", range(n - t)),
@@ -299,7 +308,8 @@ def loose_duals(draw):
     and an integer q in or next to [n - t, n]; delta is the q-tail
     indicator half the time, so the bounded objective is reached."""
     d, n, t, a, B, mode = draw(requests(max_n=4))
-    inst = LpInstance(d, n, t, draw(st.integers(len(B), d ** n)), a, B, mode)
+    inst = LpInstance(AddressSets(d, n, a, B, t),
+                      draw(st.integers(len(B), d ** n)), mode)
     q = draw(st.integers(n - t - 1, n + 1))
     value = st.one_of(st.integers(-2, 3),
                       st.fractions(-2, 3, max_denominator=6))
@@ -402,7 +412,8 @@ class TestPrimal:
         lazy = {"classes_uw", "classes_uv", "profile"}
         assert not lazy & inst.__dict__.keys()
         # the dual side builds them on first use, to the eager gaps
-        eager = LpInstance(2, 3, 1, 2, s("000"), [s("000")], CROSSTALK)
+        eager = LpInstance(AddressSets(2, 3, s("000"), [s("000")], 1), 2,
+                           CROSSTALK)
         for name in lazy:
             getattr(eager, name)
         twin = PrimalSolution(eager, primal.xw, primal.xv)
@@ -664,7 +675,7 @@ class TestDualFamily:
             B = rng.sample(wouts, k)
             a = rng.choice(outs)
             mode = rng.choice([LINK, CROSSTALK])
-            inst = LpInstance(d, n, t, k, a, B, mode)
+            inst = LpInstance(AddressSets(d, n, a, B, t), k, mode)
             for p in range(0, n - t):
                 for q in range(n - t, n + 1):
                     sol = dual_family(inst, p, q)
@@ -823,7 +834,7 @@ class TestExactOptimum:
     def test_matches_enumeration_on_any_request(self, req, data):
         d, n, t, a, B, mode = req
         f = data.draw(st.integers(len(B), d ** n))
-        certified_optimum(LpInstance(d, n, t, f, a, B, mode))
+        certified_optimum(LpInstance(AddressSets(d, n, a, B, t), f, mode))
 
     def test_between_primals_and_family(self):
         # the primals side; the canonical grid checks the family's
@@ -896,10 +907,13 @@ INTEGER_ENTRIES = {
     "G_bound": lambda v: bounds.G_bound(2, v, 1, 2),
     "multilog_planes-d": lambda v: bounds.multilog_planes(v, 3, 1, 2, LINK),
     "multilog_planes-t": lambda v: bounds.multilog_planes(2, 3, v, 2, LINK),
-    "LpInstance-d": lambda v: LpInstance(v, 3, 1, 2, 0, [0]),
-    "LpInstance-n": lambda v: LpInstance(2, v, 1, 2, 0, [0]),
-    "LpInstance-t": lambda v: LpInstance(2, 3, v, 2, 0, [0]),
-    "LpInstance-f": lambda v: LpInstance(2, 3, 1, v, 0, [0]),
+    # an instance's d, n and t are refused by the request it is built on
+    "LpInstance-d": lambda v: LpInstance(AddressSets(v, 3, 0, [0], 1), 2),
+    "LpInstance-n": lambda v: LpInstance(AddressSets(2, v, 0, [0], 1), 2),
+    "LpInstance-t": lambda v: LpInstance(AddressSets(2, 3, 0, [0], v), 2),
+    "LpInstance-f": lambda v: LpInstance(AddressSets(2, 3, 0, [0], 1), v),
+    "canonical_sets-k": lambda v: dary.canonical_sets(2, 3, 1, v),
+    "canonical_instance-k": lambda v: canonical_instance(2, 3, 1, 2, v),
     "dual_family-p": lambda v: dual_family(
         canonical_instance(2, 3, 1, 2, 1), v, 2),
     "dual_family-q": lambda v: dual_family(
@@ -923,7 +937,9 @@ def test_integer_subclasses_taken():
     assert bounds.clos_snb(ten(3)) == 5
     assert bounds.multilog_planes(ten(2), 3, ten(1), 2, LINK) \
         == bounds.multilog_planes(2, 3, 1, 2, LINK)
-    inst = LpInstance(ten(2), ten(3), ten(1), ten(2), 0, [0])
+    inst = LpInstance(AddressSets(ten(2), ten(3), 0, [0], ten(1)), ten(2))
+    assert dary.canonical_sets(ten(2), ten(3), ten(1), ten(1)).B \
+        == dary.canonical_sets(2, 3, 1, 1).B
     sol = dual_family(inst, ten(0), ten(3))
     assert sol.objective_bounded_delta(ten(3)) \
         == dual_family(inst, 0, 3).objective_bounded_delta(3)

@@ -198,16 +198,20 @@ class TestAddressRange:
     @settings(max_examples=200, deadline=None)
     @given(x=VALUES, outputs=st.one_of(
         st.lists(VALUES, min_size=1, max_size=4),
-        st.sampled_from([[0, 4], [3, 4, 5], [1, 2, 6, 7]])))
+        st.sampled_from([[0, 4], [3, 4, 5], [1, 2, 6, 7], 5, None, [[0]]])))
     def test_one_rule_at_each_entry(self, x, outputs):
         # d=2, n=3, t=2: windows {0..3} and {4..7}, and a request of up to
-        # four outputs fits one.  The first address that `check_address`
-        # refuses, x before the outputs, decides every refusal's message.
+        # four outputs fits one.  Outputs that are no collection of
+        # hashable values are refused first, naming them; otherwise the
+        # first address that `check_address` refuses, x before the
+        # outputs, decides every refusal's message.
         state = ConnState(cfg(t=2, f=8))
         try:
             for v in [x, *set(outputs)]:
                 check_address(2, 3, v)
             want = None
+        except TypeError:
+            want = "%r is not a collection of addresses" % (outputs,)
         except ValueError as exc:
             want = str(exc)
         calls = {"admit": lambda: state.admit(x, outputs),
@@ -1009,8 +1013,13 @@ class TestTraceIo:
      "request was built for another network shape"),
     (lambda: ConnState(cfg()).blocking_branches(AddressSets(2, 3, 0, [0], 1)),
      "request was built for another network shape"),
+    (lambda: ConnState(cfg()).admit(0, 5),
+     "5 is not a collection of addresses"),
+    (lambda: ConnState(cfg()).blocking_planes(0, [[0]]),
+     "[[0]] is not a collection of addresses"),
 ], ids=["d-1", "f-past-d^n", "mode", "plane-policy", "no-outputs",
-        "request-of-other-n", "request-of-other-t"])
+        "request-of-other-n", "request-of-other-t", "outputs-not-a-collection",
+        "outputs-unhashable"])
 def test_multilog_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()
