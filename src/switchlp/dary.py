@@ -271,18 +271,25 @@ def window_count_formula(d, n, t, j):
     return d ** (n - j - t) - d ** (n - 1 - j - t)
 
 
-@lru_cache(maxsize=4096, typed=True)
 def canonical_sets(d, n, t, k):
     """AddressSets for the canonical request: a = 0^n, B = the k smallest
     outputs of window 0.  This is the worst-case shape the bound formulas
-    are stated for, so the certificate grid runs on it.  The cache keys
-    each argument by its type too, so True is no key for k = 1."""
+    are stated for, so the certificate grid runs on it.  The arguments are
+    checked before the cache (`cache_info`) is asked."""
     check_integers("d, n, t and k", d, n, t, k)
+    return _canonical_sets(d, n, t, k)
+
+
+@lru_cache(maxsize=4096)
+def _canonical_sets(d, n, t, k):
     if not (0 <= t <= n):
         raise ValueError("t=%d out of range for n=%d" % (t, n))
     if not (1 <= k <= d ** t):
         raise ValueError("k=%d out of range for window size %d" % (k, d ** t))
     return AddressSets(d, n, 0, range(k), t)
+
+
+canonical_sets.cache_info = _canonical_sets.cache_info
 
 
 def frac_pow(d, e):

@@ -309,9 +309,9 @@ class ColoringState:
         check(self.W_top == self.W_bar * den, "W_bar differs from W_top")
         loads, weights = {}, {}
         for u, v, w, color in self.edges.values():
-            if not 0 < w <= 1:
-                raise AssertionError("weight %s out of (0, 1]" % w)
             ws = scaled(w, den)
+            if not 0 < ws <= den:  # as 0 < w <= 1, since den > 0
+                raise AssertionError("weight %s out of (0, 1]" % w)
             for end in (u, v):
                 loads[end, color] = loads.get((end, color), 0) + ws
                 weights[end] = weights.get(end, 0) + ws

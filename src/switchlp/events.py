@@ -29,11 +29,11 @@ and a passes `dary.check_address`.  `ConnState.admit` and
 address through `dary.parse_address`.  A Clos terminal is checked by its
 `ClosState`, and a rate or dual value becomes an exact number on entry
 (`dwec.as_fraction`, `lpcert.DualSolution`).  An `AddressSets` is a checked
-request, so `LpInstance` reads d, n, t, a and B off it and
-`ConnState.blocking_branches` matches it to its network, neither checking
-it again.  Internal helpers take values already checked and check
-nothing; `bounds.c_cost` and `g_cost` range-check their inputs but do not
-type-check them.
+request: `LpInstance` refuses any other `sets`, then reads d, n, t, a and B
+off it, and `ConnState.blocking_branches` matches it to its network, neither
+checking its values again.  Internal helpers take values already checked
+and check nothing; `bounds.c_cost` and `g_cost` range-check their inputs but
+do not type-check them.
 """
 
 from fractions import Fraction

@@ -8,7 +8,7 @@ This module builds the instance, extracts a feasible primal point from a
 simulator state, solves the LP itself, generates the two-parameter family
 of dual-feasible solutions whose objective values the closed-form
 plane-count tables are the minima of, and verifies feasibility plus weak
-duality in exact rational arithmetic.
+duality in exact rational arithmetic.  A dual holds only its support.
 
 Everything class-level here exploits that both the dual constraints and the
 family's variable values depend on an input u only through its suffix index
@@ -17,7 +17,7 @@ i(u), and on a window or output only through its prefix index j.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from numbers import Number
 
 from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
@@ -27,6 +27,7 @@ from .bounds import LINK, CROSSTALK
 from .events import check_integers
 
 _THETA = {LINK: 0, CROSSTALK: 1}
+_SETS = AddressSets  # the class itself, also where a tracer rebinds it
 
 
 class Infeasible(Exception):
@@ -44,18 +45,20 @@ class LpInstance:
     """One concrete blocking LP: its request `sets`, the `dary.AddressSets`
     that holds d, n, t, a and B; its fanout bound f and mode; its rows.
 
-    The constructor checks only the mode, f as an integer in [1, d^n] and
-    k = |B| <= f: `sets` is a checked request.  `rows_of` alone decides
-    whether a primal variable exists and which rows it sits in; it
-    computes indices from the addresses it is given, so nothing here
-    enumerates addresses.  The dual checks read the (i, j) classes
-    (`classes_uw`, `classes_uv`) and the class-count `profile`, each built
-    when first read; a primal read off a simulator state needs none of
-    them.  The class tables come from bounded caches keyed by what they
-    depend on, and each instance gets its own copies.
+    The constructor checks that `sets` is an `AddressSets`, a checked
+    request, then only the mode, f as an int in [1, d^n] and k = |B| <= f.
+    `rows_of` alone decides whether a primal variable exists and which
+    rows it sits in; it computes indices from the addresses it is given,
+    so nothing here enumerates addresses.  The dual checks read the (i, j)
+    classes (`classes_uw`, `classes_uv`) and the class-count `profile`,
+    each built when first read; a primal read off a simulator state needs
+    none of them.  The class tables come from bounded caches keyed by what
+    they depend on, and each instance gets its own copies.
     """
 
     def __init__(self, sets, f, mode=LINK):
+        if not isinstance(sets, _SETS):
+            raise ValueError("sets must be a dary.AddressSets")
         if mode not in _THETA:
             raise ValueError("mode must be %r or %r" % (LINK, CROSSTALK))
         if type(f) is not int:  # an exact int skips a call per probe
@@ -199,23 +202,21 @@ def primal_from_state(conn, a, B):
 
 class DualSolution:
     """Dual variables stored per class: alpha/beta keyed by window index j
-    and (i, j); gamma/epsilon keyed by i(u); delta keyed by j(v).  An int
-    value stays an int, any other number becomes a Fraction: both are
-    exact.  A non-number or a non-finite float is a ValueError."""
+    and (i, j); gamma/epsilon keyed by i(u); delta keyed by j(v).  A pool
+    holds the support: the constructor stores no zero, and an absent key
+    reads as 0.  An int value stays an int, any other number becomes a
+    Fraction.  A non-number or a non-finite float is a ValueError."""
 
     def __init__(self, instance, alpha=None, beta=None, gamma=None,
                  delta=None, eps=None):
         self.instance = instance
-        n, t = instance.n, instance.t
-        self.alpha = dict.fromkeys(range(n - t), 0)
-        self.gamma = dict.fromkeys(range(n), 0)
-        self.delta = dict.fromkeys(range(n), 0)
-        self.eps = dict.fromkeys(range(n), 0)
-        self.beta = {}
+        self.alpha, self.gamma, self.delta, self.eps, self.beta = \
+            {}, {}, {}, {}, {}
         for (what, dst), src in zip(self._pools(),
                                     (alpha, gamma, delta, eps, beta)):
-            dst.update((k, _exact(what, k, v))
-                       for k, v in (src or {}).items())
+            for k, v in (src or {}).items():
+                if v := _exact(what, k, v):
+                    dst[k] = v
 
     @classmethod
     def _from_pools(cls, instance, alpha, gamma, delta, eps, beta):
@@ -236,15 +237,20 @@ class DualSolution:
         for what, pool in self._pools():
             for val in pool.values():
                 if val < 0:
-                    # the first negative key, looked up only on failure
-                    key = next(k for k, v in pool.items() if v < 0)
+                    # on failure only: class keys ascending, then the rest
+                    size = (0 if what == "beta" else
+                            inst.n - inst.t if what == "alpha" else inst.n)
+                    key = next(k for k in chain(range(size), pool)
+                               if pool.get(k, 0) < 0)
                     raise Infeasible("%s[%r] negative" % (what, key))
+        alpha, beta, eps = self.alpha.get, self.beta.get, self.eps.get
+        gamma, delta = self.gamma.get, self.delta.get
         for i, j in inst.classes_uw:
-            if self.alpha[j] + self.beta.get((i, j), 0) + self.eps[i] < 1:
+            if alpha(j, 0) + beta((i, j), 0) + eps(i, 0) < 1:
                 raise Infeasible("DC-1 violated at class i=%d, j(w)=%d"
                                  % (i, j))
         for i, j in inst.classes_uv:
-            if self.gamma[i] + self.delta[j] + self.eps[i] < 1:
+            if gamma(i, 0) + delta(j, 0) + eps(i, 0) < 1:
                 raise Infeasible("DC-2 violated at class i=%d, j(v)=%d"
                                  % (i, j))
         return True
@@ -257,8 +263,7 @@ class DualSolution:
         for what, pool in self._pools():
             count = profile[what]
             for key, v in pool.items():
-                if v:
-                    total += v * count.get(key, 0)
+                total += v * count.get(key, 0)
         return total
 
     def objective(self):
@@ -275,7 +280,7 @@ class DualSolution:
         if not inst.n - inst.t <= q <= inst.n:
             raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
                                                        inst.n))
-        if any(self.delta[j] != (j >= q) for j in range(inst.n)):
+        if any(self.delta.get(j, 0) != (j >= q) for j in range(inst.n)):
             raise ValueError("delta is not the q-tail indicator")
         cap = min(inst.d ** inst.t - inst.k,
                   inst.k * (inst.d ** (inst.n - q) - 1))
@@ -321,40 +326,26 @@ def dual_family(instance, p, q):
 @lru_cache(maxsize=1024)
 def _family_shape(n, t, theta, p, q):
     """The family's (alpha, gamma, delta, epsilon, beta) pools at one point,
-    in the form `DualSolution` gives them: every alpha, gamma, delta and
-    epsilon key present, every value an int.  They depend on the instance
-    only through (n, t, theta); callers copy them and never change them."""
-    eps = {i: 1 for i in range(n - p, n)}
-    alpha, beta = {}, {}
+    in the form `DualSolution` gives them: the support alone, every value
+    the int 1.  They depend on the instance only through (n, t, theta);
+    callers copy them and never change them."""
     half = (n // 2) if theta == 0 else -(-n // 2)
     jlo = p + 1 - theta
+    # beta covers the window classes j in [jlo, jhi), alpha those above
     if t >= half:
-        for j in range(jlo, n - t):
-            for i in range(n - theta - j, n - p):
-                beta[i, j] = 1
+        jhi = n - t
     elif p + 1 <= t:
-        for j in range(jlo, t - theta + 1):
-            for i in range(n - theta - j, n - p):
-                beta[i, j] = 1
-        for j in range(t + 1 - theta, n - t):
-            alpha[j] = 1
+        jhi = t - theta + 1
     else:
-        for j in range(jlo, n - t):
-            alpha[j] = 1
-
-    gamma, delta = {}, {}
-    if q == n - t:
-        for j in range(n - t, n):
-            delta[j] = 1
-    else:
-        for j in range(q, n):
-            delta[j] = 1
-        for i in range(n - q + 1 - theta, n - p):
-            gamma[i] = 1
-
-    zeros = dict.fromkeys(range(n), 0)
-    return (dict.fromkeys(range(n - t), 0) | alpha, zeros | gamma,
-            zeros | delta, zeros | eps, beta)
+        jhi = jlo
+    alpha = dict.fromkeys(range(jhi, n - t), 1)
+    beta = {(i, j): 1 for j in range(jlo, jhi)
+            for i in range(n - theta - j, n - p)}
+    gamma = ({} if q == n - t
+             else dict.fromkeys(range(n - q + 1 - theta, n - p), 1))
+    delta = dict.fromkeys(range(q, n), 1)
+    eps = dict.fromkeys(range(n - p, n), 1)
+    return alpha, gamma, delta, eps, beta
 
 
 def check_weak_duality(primal, dual):

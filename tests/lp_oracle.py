@@ -183,7 +183,7 @@ def bounded_delta_summed(sol, q):
     if not inst.n - inst.t <= q <= inst.n:
         raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
                                                    inst.n))
-    if any(sol.delta[j] != (j >= q) for j in range(inst.n)):
+    if any(sol.delta.get(j, 0) != (j >= q) for j in range(inst.n)):
         raise ValueError("delta is not the q-tail indicator")
     true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= q)
     cap = min(inst.d ** inst.t - inst.k,

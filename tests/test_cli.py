@@ -909,6 +909,9 @@ class TestInputErrors:
             "    lambda: multilog.ConnState(M).blocking_planes(0, [[0]]),",
             "    lambda: lpcert.dual_family(lpcert.canonical_instance(",
             "        2, 3, 1, 2, 1), True, 2),",
+            "    lambda: lpcert.LpInstance(None, 2),",
+            "    lambda: dary.canonical_sets(2, 3, 1, [1]),",
+            "    lambda: lpcert.canonical_instance(2, 3, 1, 2, [1]),",
             "]",
             "for i, check in enumerate(checks):",
             "    try:",

@@ -377,6 +377,7 @@ def test_frac_pow_negative_exponent():
     (lambda: window_count_formula(2, 3, 1, 2), "j out of range"),
     (lambda: canonical_sets(2, 3, 1, 3),
      "k=3 out of range for window size 2"),
+    (lambda: canonical_sets(2, 3, 1, [1]), "need integer d, n, t and k"),
     (lambda: AddressSets(2, 3, 0, [True], 1),
      "address True is not an integer"),
     (lambda: AddressSets(2, 3, 0, [1, False], 1),
@@ -387,8 +388,8 @@ def test_frac_pow_negative_exponent():
     (lambda: AddressSets(2, 3, 0, [[0]], 1),
      "[[0]] is not a collection of addresses"),
 ], ids=["base-1", "empty-B", "t-past-n", "i-past-n", "j-past-n-t",
-        "k-past-window", "bool-in-B", "False-in-B", "d-1", "n-0",
-        "B-not-a-collection", "B-unhashable"])
+        "k-past-window", "k-unhashable", "bool-in-B", "False-in-B", "d-1",
+        "n-0", "B-not-a-collection", "B-unhashable"])
 def test_dary_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()

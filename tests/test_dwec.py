@@ -433,7 +433,8 @@ def test_audit_catches_a_weight_out_of_range():
     state.arrive("e", "u", "v", "1/2")
     state.audit()
     u, v, _, color = state.edges["e"]
-    state.edges["e"] = (u, v, F(0), color)
-    with pytest.raises(AssertionError) as raised:
-        state.audit()
-    assert str(raised.value) == "weight 0 out of (0, 1]"
+    for weight in (F(0), F(3, 2), F(-1, 2)):
+        state.edges["e"] = (u, v, weight, color)
+        with pytest.raises(AssertionError) as raised:
+            state.audit()
+        assert str(raised.value) == "weight %s out of (0, 1]" % weight

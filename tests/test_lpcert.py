@@ -300,6 +300,40 @@ class TestDualOracle:
         assert type(got) is Fraction
         assert got == enumerated(inst, ref, duals)[0] - tail + cap
 
+    @settings(deadline=None)
+    @given(priced_duals(), st.booleans(), st.booleans())
+    def test_explicit_zeros_change_nothing(self, case, tail, first):
+        # the drawn pools hold zeros under class keys; add more under keys
+        # no class has, before or after the drawn ones, and compare with
+        # the pools that hold only the nonzero values
+        inst, duals, q = case
+        n, t = inst.n, inst.t
+        if tail:
+            duals["delta"] = {j: int(j >= q) for j in range(n)}
+        outside = {"alpha": [n - t, n - t + 1, -1],
+                   "beta": [(n, 0), (0, n - t), (-1, -1)],
+                   "gamma": [n, -1], "delta": [n, n + 1], "eps": [n, -1]}
+        zeros = {name: dict.fromkeys(keys, 0)
+                 for name, keys in outside.items()}
+        padded = {name: (zeros[name] | pool) if first else (pool | zeros[name])
+                  for name, pool in duals.items()}
+        support = {name: {k: v for k, v in pool.items() if v}
+                   for name, pool in duals.items()}
+        got, want = (DualSolution(inst, **pools) for pools in (padded,
+                                                               support))
+        assert got.objective() == want.objective()
+        assert outcome(got.objective_bounded_delta, q) \
+            == outcome(want.objective_bounded_delta, q)
+        assert outcome(got.check_feasible) == outcome(want.check_feasible)
+
+
+def outcome(call, *args):
+    """What `call` returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except (Infeasible, ValueError) as exc:
+        return type(exc), str(exc)
+
 
 @st.composite
 def loose_duals(draw):
@@ -352,6 +386,30 @@ class TestDualPricing:
             assert type(got) is Fraction
             assert got == want
 
+    @settings(deadline=None)
+    @given(loose_duals())
+    def test_negative_named_as_dense_pools_name_it(self, case):
+        # a dense pool held every class key, ascending, with the others
+        # after them in the order given; the first negative value in that
+        # order is the one the refusal names
+        inst, duals, _ = case
+        n, t = inst.n, inst.t
+        want = True
+        for name, what, size in (("alpha", "alpha", n - t),
+                                 ("gamma", "gamma", n), ("delta", "delta", n),
+                                 ("eps", "epsilon", n), ("beta", "beta", 0)):
+            dense = dict.fromkeys(range(size), 0)
+            dense.update(duals[name])
+            key = next((k for k, v in dense.items() if v < 0), None)
+            if key is not None:
+                want = (Infeasible, "%s[%r] negative" % (what, key))
+                break
+        got = outcome(DualSolution(inst, **duals).check_feasible)
+        if want is True:
+            assert got is True or "negative" not in got[1]
+        else:
+            assert got == want
+
     @pytest.mark.parametrize("pool, value", [
         ("alpha", float("inf")), ("alpha", float("nan")), ("gamma", None),
         ("delta", "1"), ("eps", 1j), ("beta", [1])])
@@ -371,6 +429,27 @@ class TestDualPricing:
         assert sol.gamma[0] == Fraction(1, 3)
         assert sol.delta[0] == Fraction(1, 2)
         assert sol.eps[0] == 1
+
+    def test_no_pool_holds_a_zero(self):
+        # a dual is its support, however it is built
+        for d, n, t, f, k in ((2, 6, 3, 4, 3), (3, 4, 2, 1, 1),
+                              (2, 5, 0, 8, 1), (2, 4, 4, 2, 2)):
+            for mode in (LINK, CROSSTALK):
+                inst = canonical_instance(d, n, t, f, k, mode)
+                sols = [DualSolution(inst, alpha={0: 0, 1: 1},
+                                     beta={(n - 1, 0): 0.0, (0, 0): 2},
+                                     gamma={0: Fraction(0)},
+                                     delta=dict.fromkeys(range(n + 1), 0),
+                                     eps={0: False, n: 1}),
+                        lp_optimum(inst)[1]]
+                sols += [dual_family(inst, p, q) for p in range(n - t)
+                         for q in range(n - t, n + 1)]
+                for sol in sols:
+                    for what, pool in sol._pools():
+                        assert 0 not in pool.values(), (d, n, t, mode, what)
+        # the family point of the pools' docstrings: 6 of 24 dense entries
+        sol = dual_family(canonical_instance(2, 6, 3, 4, 3, LINK), 0, 3)
+        assert sum(len(pool) for _, pool in sol._pools()) == 6
 
     @pytest.mark.parametrize("q", [2.5, 2.0, "2", None])
     def test_bounded_delta_refuses_non_integer_q(self, q):
@@ -886,7 +965,12 @@ class TestExactOptimum:
      "need c >= 0"),
     (lambda: lpcert.solve_packing([[-1]], [1], [0]), ValueError,
      "unbounded LP"),
-], ids=["negative-variable", "negative-capacity", "unbounded"])
+    (lambda: LpInstance(None, 2), ValueError,
+     "sets must be a dary.AddressSets"),
+    (lambda: canonical_instance(2, 3, 1, 2, [1]), ValueError,
+     "need integer d, n, t and k"),
+], ids=["negative-variable", "negative-capacity", "unbounded", "sets-None",
+        "k-unhashable"])
 def test_lpcert_refusals(call, exc, message):
     with pytest.raises(exc) as raised:
         call()
