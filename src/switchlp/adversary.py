@@ -12,6 +12,7 @@ import random
 
 from . import clos
 from . import multilog
+from .events import check_range
 
 
 # -- multilog traffic ---------------------------------------------------------
@@ -169,10 +170,11 @@ def benes_search(n, m, max_depth=None):
     last.  Else None when the search closed, or [] when it was cut: a state
     at max_depth has a successor the search never reached.
     """
-    if n < 1 or m < 1 or (max_depth is not None and max_depth < 0):
-        raise ValueError("need n >= 1, m >= 1 and max_depth >= 0")
-    if max_depth is None:
-        max_depth = float("inf")
+    check_range("n", n, 1)
+    check_range("m", m, 1)
+    max_depth = float("inf") if max_depth is None else max_depth
+    if max_depth < 0:
+        raise ValueError("need max_depth >= 0")
     # per middle, the frozenset of (input, output) crossbar pairs it carries
     start = (frozenset(),) * m
     parents = {start: None}

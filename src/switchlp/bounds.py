@@ -14,7 +14,7 @@ from fractions import Fraction
 import math
 
 from .dary import frac_pow
-from .events import check_integers
+from .events import check_family, check_range, check_sizes
 
 LINK = "link"
 CROSSTALK = "crosstalk"
@@ -23,15 +23,8 @@ CROSSTALK = "crosstalk"
 BoundResult = namedtuple("BoundResult", ["value", "m_sufficient", "branch"])
 
 
-def _check_range(cond, msg):
-    if not cond:
-        raise ValueError(msg)
-
-
-def ilog(d, f):
-    """floor(log_d f) for integers d >= 2 and f >= 1."""
-    _check_range(d >= 2, "d must be >= 2")
-    _check_range(f >= 1, "f must be >= 1")
+def _ilog(d, f):
+    """floor(log_d f) for a d and f that `check_sizes` has passed."""
     r, power = 0, d
     while power <= f:
         r, power = r + 1, power * d
@@ -48,15 +41,13 @@ FOUR_TYPE_X = (Fraction(2), Fraction(3, 8), Fraction(3, 10), Fraction(3))
 
 def clos_snb(n):
     """Middle crossbars sufficient for a symmetric 3-stage Clos to be SNB."""
-    check_integers("n", n)
-    _check_range(n >= 1, "n must be >= 1")
+    check_range("n", n, 1)
     return 2 * n - 1
 
 
 def clos_wsnb_r2(n):
     """Sufficient count under the reuse rule for the 2x2-crossbar-stage case."""
-    check_integers("n", n)
-    _check_range(n >= 1, "n must be >= 1")
+    check_range("n", n, 1)
     return (3 * n) // 2
 
 
@@ -67,8 +58,7 @@ def clos_multirate(n, scheme="four_type"):
     maxima capped at n; five_type_paper is the published headline constant
     taken verbatim.
     """
-    check_integers("n", n)
-    _check_range(n >= 1, "n must be >= 1")
+    check_range("n", n, 1)
     if scheme == "four_type":
         return sum(math.ceil(x * n) for x in FOUR_TYPE_X)
     if scheme == "five_type_paper":
@@ -85,56 +75,45 @@ def hwang_unicast(d, n):
 
 def snb_fcast_t_eq_n(d, n, f):
     """SNB f-cast plane count when the fanout stage cannot branch (t = n)."""
-    check_integers("d, n and f", d, n, f)
-    _check_range(n >= 1, "n must be >= 1")
-    _check_range(1 <= f <= d ** n, "f out of range")
+    check_sizes(d, n, n, f)
     if f > frac_pow(d, n - 2):
         return d ** (n - 1)
-    return _fanout(d, n, f, ilog(d, f))
+    return _fanout(d, n, f, _ilog(d, f))
 
 
 def cf_snb_fcast_t_eq_n(d, n, f):
     """Crosstalk-free snb_fcast_t_eq_n: the link count at n + 1 below the
     large-f branch, whose value is rounded up (d - (d-1)/d at n = 1)."""
-    check_integers("d, n and f", d, n, f)
-    _check_range(1 <= f <= d ** n, "f out of range")
+    check_sizes(d, n, n, f)
     spill = frac_pow(d, n - 2) * (d - 1)
     if f > spill:
         return math.ceil(d ** n - spill)
-    return _fanout(d, n + 1, f, ilog(d, f))
+    return _fanout(d, n + 1, f, _ilog(d, f))
 
 
 def _fanout(d, n, f, r):
-    """The t = n link count below its large-f branch, r = ilog(d, f)."""
+    """The t = n link count below its large-f branch, r = _ilog(d, f)."""
     e = (n + r) // 2
     return d ** e + f * (d ** (n - e - 1) - 1)
 
 
 # ------------------------------------------------------------- cost functions
 
-def _check_cost_args(d, n, t, f, k, p, q):
-    _check_range(0 <= t < n, "need 0 <= t < n")
-    _check_range(1 <= f <= d ** n, "f out of range")
-    _check_range(1 <= k <= min(f, d ** t), "k out of range")
-    _check_range(0 <= p <= n - t - 1, "p out of range")
-    _check_range(n - t <= q <= n, "q out of range")
-
-
 def c_cost(d, n, t, f, k, p, q):
     """Dual objective of the certificate family, link-blocking mode."""
-    _check_cost_args(d, n, t, f, k, p, q)
     return _cost(d, n, t, f, k, p, q, 0)
 
 
 def g_cost(d, n, t, f, k, p, q):
     """Dual objective of the certificate family, crosstalk-free mode."""
-    _check_cost_args(d, n, t, f, k, p, q)
     return _cost(d, n, t, f, k, p, q, 1)
 
 
 def _cost(d, n, t, f, k, p, q, theta):
-    """The family's dual objective.  Crosstalk (theta = 1) shifts every
-    threshold by one, so its cost is the link cost at n + 1 and q + 1."""
+    """The family's dual objective, its arguments checked.  Crosstalk
+    (theta = 1) shifts each threshold by one: the link cost at n+1, q+1."""
+    check_sizes(d, n, t, f, k)
+    check_family(n, t, q, p)
     n, q = n + theta, q + theta
     base = f * (d ** p - 1)
     tail_min = min(d ** t - k, k * (d ** (n - q) - 1))
@@ -187,12 +166,17 @@ def _corner(d, n, t):
     return d ** t - (d - 1) * frac_pow(d, 2 * t - n - 1)
 
 
+def _check_table(d, n, t, f):
+    """The sizes' rules, then the tables' own t < n: t = n has its counts."""
+    check_sizes(d, n, t, f)
+    if t == n:
+        raise ValueError("the tables take t < n, not t=%d = n" % t)
+
+
 def C_bound(d, n, t, f):
     """The five-case upper bound on max_k min c_cost, link-blocking mode."""
-    check_integers("d, n, t and f", d, n, t, f)
-    _check_range(0 <= t < n, "need 0 <= t < n")
-    _check_range(1 <= f <= d ** n, "f out of range")
-    r = ilog(d, f)
+    _check_table(d, n, t, f)
+    r = _ilog(d, f)
     p = n - t - r - 1
     if t < n // 2 and r < n - 2 * t:
         branch, value = "C1", Fraction(_fanout(d, n, f, r) - 1)
@@ -213,10 +197,8 @@ def G_bound(d, n, t, f):
     Rows G1/G4/G5/G8 return the value consistent with the construction they
     summarize, not their printed formulas, which contradict either the
     derivation steps or the specialized corollary."""
-    check_integers("d, n, t and f", d, n, t, f)
-    _check_range(0 <= t < n, "need 0 <= t < n")
-    _check_range(1 <= f <= d ** n, "f out of range")
-    r = ilog(d, f)
+    _check_table(d, n, t, f)
+    r = _ilog(d, f)
     p = n - t - r
     A = _core(d, n + 1, t, f, 0)
     if 2 * t > n and r > n - t:
@@ -257,8 +239,7 @@ def G_bound(d, n, t, f):
 def multilog_planes(d, n, t, f, mode):
     """(m, branch): planes sufficient for the windowed multilog network,
     from the t = n corollaries or else the C (link) or G (crosstalk) table."""
-    check_integers("d, n, t and f", d, n, t, f)
-    _check_range(0 <= t <= n, "t=%d out of range for n=%d" % (t, n))
+    check_sizes(d, n, t, f)
     if t == n:
         fn = snb_fcast_t_eq_n if mode == LINK else cf_snb_fcast_t_eq_n
         return fn(d, n, f), "t=n"

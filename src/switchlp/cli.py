@@ -18,7 +18,7 @@ from . import dwec
 from . import lpcert
 from . import multilog
 from . import adversary
-from .events import check, fraction
+from .events import check, check_sizes, fraction
 
 
 def _writer():
@@ -265,9 +265,7 @@ def cmd_certify(args):
     for d in args.d:
         for n in args.n:
             fs = args.f or sorted({1, 2, min(4, d ** n), d ** n})
-            if max(fs) > d ** n:
-                raise ValueError("f=%d out of range for d=%d, n=%d"
-                                 % (max(fs), d, n))
+            check_sizes(d, n, 0, max(fs))   # each f is at least 1
             grid.append((d, n, fs))
     out = _writer()
     out.writerow(["d", "n", "t", "f", "k", "p", "q", "mode", "feasible",

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import dwec
 from .events import (BLOCKED, DuplicateId, SwitchError, UnknownId, check,
-                     check_integers, fraction, replay)
+                     check_range, fraction, replay)
 
 SPACE = "space"
 MULTIRATE = "multirate"
@@ -49,9 +49,8 @@ class ClosConfig(namedtuple("ClosConfig", ["n", "m", "r", "traffic"],
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        check_integers("n, m and r", self.n, self.m, self.r)
-        if min(self.n, self.m, self.r) <= 0:
-            raise ValueError("need n, m, r > 0")
+        for name in ("n", "m", "r"):
+            check_range(name, getattr(self, name), 1)
         if self.traffic not in (SPACE, MULTIRATE):
             raise ValueError("unknown traffic %r" % (self.traffic,))
         return self
@@ -152,9 +151,7 @@ class ClosState:
             raise ValueError("not a multirate network")
         self._check_terminal(in_term)
         self._check_terminal(out_term)
-        rate = dwec.as_fraction(rate)
-        if not 0 < rate.numerator <= rate.denominator:
-            raise ValueError("rate %s out of (0, 1]" % rate)
+        rate = dwec.as_weight(rate)   # before the capacity checks
         den = self.coloring.den
         scaled = dwec.scaled(rate, den)
         if self.load_in.get(in_term, 0) + scaled > den:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 import operator
 
-from .events import check_integers
+from .events import check_sizes
 
 
 class lazy:
@@ -165,18 +165,14 @@ class AddressSets:
     Addresses are n-digit base-d ints.  Indices are computed from them when
     asked and counts in closed form, so nothing here enumerates addresses.
     The constructor is the one boundary for a request: it checks d, n and
-    t by `check_integers` and the rule the network configs apply, B by
-    `address_set` and `check_addresses`, and a by `check_address`, and
-    keeps a as a plain int; an instance is a checked request.
+    t by `check_sizes`, B by `address_set` and `check_addresses`, and a by
+    `check_address`, and keeps a as a plain int; an instance is a checked
+    request.
     """
 
     def __init__(self, d, n, a, B, t):
-        check_integers("d, n and t", d, n, t)
-        if not (d >= 2 and n >= 1):
-            raise ValueError("need d >= 2 and n >= 1")
+        check_sizes(d, n, t)
         B = address_set(B, "B must be nonempty")
-        if not (0 <= t <= n):
-            raise ValueError("t=%d out of range for n=%d" % (t, n))
         self._size = size = d ** t
         if len(B) > size:
             raise ValueError("window cannot hold %d outputs" % len(B))
@@ -275,17 +271,15 @@ def canonical_sets(d, n, t, k):
     """AddressSets for the canonical request: a = 0^n, B = the k smallest
     outputs of window 0.  This is the worst-case shape the bound formulas
     are stated for, so the certificate grid runs on it.  The arguments are
-    checked before the cache (`cache_info`) is asked."""
-    check_integers("d, n, t and k", d, n, t, k)
+    checked by `check_sizes` before the cache (`cache_info`) is asked; k,
+    once d, n and t pass, as a request of the loosest fanout, f = d^n."""
+    check_sizes(d, n, t)
+    check_sizes(d, n, t, d ** n, k)
     return _canonical_sets(d, n, t, k)
 
 
 @lru_cache(maxsize=4096)
 def _canonical_sets(d, n, t, k):
-    if not (0 <= t <= n):
-        raise ValueError("t=%d out of range for n=%d" % (t, n))
-    if not (1 <= k <= d ** t):
-        raise ValueError("k=%d out of range for window size %d" % (k, d ** t))
     return AddressSets(d, n, 0, range(k), t)
 
 

@@ -39,14 +39,17 @@ class ColoringFailure(AssertionError):
 Plan = namedtuple("Plan", ["w", "color", "W_bar", "Delta_bar", "growth"])
 
 
-def as_fraction(w):
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, float):
-        if not math.isfinite(w):
+def as_weight(w):
+    """w, an edge weight or a Clos rate, as an exact Fraction in (0, 1]: a
+    float to a denominator of at most 10^9; ValueError otherwise."""
+    if not isinstance(w, Fraction):
+        if isinstance(w, float) and not math.isfinite(w):
             raise ValueError("weight %r is not finite" % (w,))
-        return Fraction(w).limit_denominator(10 ** 9)
-    return fraction(w)
+        w = (Fraction(w).limit_denominator(10 ** 9) if isinstance(w, float)
+             else fraction(w))
+    if 0 < w.numerator <= w.denominator:
+        return w
+    raise ValueError("weight %s out of (0, 1]" % w)
 
 
 def grow_den(den, q):
@@ -115,12 +118,9 @@ class DwecScheme:
     def num_types(self):
         return len(self.breakpoints) + 1
 
-    def classify(self, w):
-        """Type index of a weight in (0, 1]."""
-        w = as_fraction(w)
+    def _type_of(self, w):
+        """Type index of a weight that `as_weight` has checked."""
         p, q = w.numerator, w.denominator
-        if not 0 < p <= q:
-            raise ValueError("weight %s out of (0, 1]" % w)
         for i, (a, b) in enumerate(self._cuts):
             if p * b > a * q:
                 return i
@@ -216,9 +216,9 @@ class ColoringState:
             raise ValueError("self-loops not allowed")
         if self.fixed_vertices and not {u, v} <= self.vertices:
             raise ValueError("endpoint outside the base graph")
-        w = as_fraction(w)
+        w = as_weight(w)
         sc = self.scheme
-        typ = sc.classify(w)
+        typ = sc._type_of(w)
         den = self.den
         ws = scaled(w, den)   # a Fraction if den lacks w's denominator
         vw, load = self.vertex_weight, self.load

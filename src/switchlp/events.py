@@ -16,27 +16,31 @@ the command line exits 2.  An `lpcert.Infeasible` is a verdict: a solution
 or scheme breaks a constraint of its LP.  An `AssertionError` is a broken
 invariant, raised by `check` also under `python -O`.
 
-A value is checked once, where it enters the package.  A size or family
-parameter (d, n, m, t, f, k, r, p, q) must pass `check_integers`, an int
-other than a bool, in the network configs, the `bounds` tables and Clos
-counts, `dary.canonical_sets`, `lpcert.LpInstance` (f) and the dual family.
-`dary.AddressSets` is the one boundary for a multilog request (d, n, t, a,
-B): d, n and t pass `check_integers` and the configs' range rule, B becomes
-a set by `dary.address_set` and its members pass `dary.check_addresses`,
-and a passes `dary.check_address`.  `ConnState.admit` and
-`ConnState.blocking_planes` check (x, outputs) by the same address rules and
-`banyan.Route` its terminals by `check_address`; trace text becomes an
-address through `dary.parse_address`.  A Clos terminal is checked by its
-`ClosState`, and a rate or dual value becomes an exact number on entry
-(`dwec.as_fraction`, `lpcert.DualSolution`).  An `AddressSets` is a checked
-request: `LpInstance` refuses any other `sets`, then reads d, n, t, a and B
-off it, and `ConnState.blocking_branches` matches it to its network, neither
-checking its values again.  Internal helpers take values already checked
-and check nothing; `bounds.c_cost` and `g_cost` range-check their inputs but
-do not type-check them.
+A value is checked once, where it enters the package.  Each size and
+family parameter has one rule, an int other than a bool in a range,
+
+    d >= 2, n >= 1, 0 <= t <= n, 1 <= f <= d^n, 1 <= k <= min(f, d^t),
+    0 <= p < n - t <= q <= n,
+
+and one message, `check_range`'s "t=4: need integer 0 <= t <= 3".  Where
+one enters, `check_sizes` (or `check_family` for p and q) applies them in
+that order: the multilog config, `dary.AddressSets` (d, n, t),
+`canonical_sets` (k), `lpcert.LpInstance` (f, k = |B|), the dual family,
+the `bounds` counts, tables and costs, and the `certify` grid.  A passing
+call is remembered, so a repeat compares nothing.  The tables take only
+t < n, a rule of their own.  A Clos n, m or r and a multilog m is at least
+1 by `check_range`; a weight or Clos rate is in (0, 1] by `dwec.as_weight`
+("weight 3/2 out of (0, 1]").  Addresses pass `dary.check_address` or
+`check_addresses` in `AddressSets`, `ConnState` and `banyan.Route`, and
+trace text becomes one by `dary.parse_address`.  A Clos terminal is
+checked by its `ClosState`, and a dual value becomes an exact number in
+`lpcert.DualSolution`.  `LpInstance` and `ConnState.blocking_branches`
+take an `AddressSets` as a checked request.  Internal helpers take values
+already checked and check nothing.
 """
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 
 
 class SwitchError(Exception):
@@ -53,13 +57,51 @@ class DuplicateId(SwitchError):
     status = "duplicate_id"
 
 
-def check_integers(names, *values):
-    """Raise ValueError("need integer <names>") unless every value is an
-    int other than a bool; an int subclass such as an address passes."""
-    if set(map(type, values)) != {int}:
-        for v in values:
-            if type(v) is bool or not isinstance(v, int):
-                raise ValueError("need integer " + names)
+_UNSET = object()  # a p not given, whose rule is not applied
+
+
+def check_range(name, value, least, most=None):
+    """Raise ValueError naming `name`, value and range unless value is an
+    int other than a bool, an int subclass such as an address included, in
+    [least, most], or at least `least` with no `most`."""
+    if (type(value) is bool or not isinstance(value, int) or value < least
+            or most is not None and value > most):
+        raise ValueError("%s=%r: need integer %s" % (
+            name, value, "%s >= %d" % (name, least) if most is None
+            else "%d <= %s <= %d" % (least, name, most)))
+
+
+def _remembered(rule):
+    """The check `rule`, run once per tuple of argument values and types
+    that passes it, and every time for an unhashable value."""
+    passed = lru_cache(maxsize=1024, typed=True)(rule)
+
+    @wraps(rule)
+    def check(*args):
+        try:
+            passed(*args)
+        except TypeError:  # an unhashable value, which the rule then names
+            rule(*args)
+    return check
+
+
+@_remembered
+def check_sizes(d, n, t=0, f=1, k=1):
+    """Refuse d, n, t, f and k by the module's rules, the first broken one
+    named; the defaults pass for any d, n and t that do."""
+    check_range("d", d, 2)
+    check_range("n", n, 1)
+    check_range("t", t, 0, n)
+    check_range("f", f, 1, d ** n)
+    check_range("k", k, 1, min(f, d ** t))
+
+
+@_remembered
+def check_family(n, t, q, p=_UNSET):
+    """The dual family's q, and p where given, on a checked n and t."""
+    if p is not _UNSET:
+        check_range("p", p, 0, n - t - 1)
+    check_range("q", q, n - t, n)
 
 
 def check(cond, msg, *args):

@@ -24,7 +24,7 @@ from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
                    window_count_formula)
 from . import bounds
 from .bounds import LINK, CROSSTALK
-from .events import check_integers
+from .events import check_family, check_sizes
 
 _THETA = {LINK: 0, CROSSTALK: 1}
 _SETS = AddressSets  # the class itself, also where a tracer rebinds it
@@ -46,7 +46,7 @@ class LpInstance:
     that holds d, n, t, a and B; its fanout bound f and mode; its rows.
 
     The constructor checks that `sets` is an `AddressSets`, a checked
-    request, then only the mode, f as an int in [1, d^n] and k = |B| <= f.
+    request, then only the mode, and f and k = |B| by `check_sizes`.
     `rows_of` alone decides whether a primal variable exists and which
     rows it sits in; it computes indices from the addresses it is given,
     so nothing here enumerates addresses.  The dual checks read the (i, j)
@@ -61,16 +61,11 @@ class LpInstance:
             raise ValueError("sets must be a dary.AddressSets")
         if mode not in _THETA:
             raise ValueError("mode must be %r or %r" % (LINK, CROSSTALK))
-        if type(f) is not int:  # an exact int skips a call per probe
-            check_integers("f", f)
         self.sets, self.f, self.mode, self.theta = sets, f, mode, _THETA[mode]
-        d, n, self.t, self.a, self.B = sets.d, sets.n, sets.t, sets.a, sets.B
-        self.d, self.n, self.k, self.home = d, n, len(self.B), sets.home_window
-        self._thresh = n - self.theta
-        if not 1 <= f <= d ** n:
-            raise ValueError("f=%s out of range [1, %d]" % (f, d ** n))
-        if self.k > f:
-            raise ValueError("|B|=%d exceeds fanout bound %d" % (self.k, f))
+        d, n, t, self.a, self.B = sets.d, sets.n, sets.t, sets.a, sets.B
+        self.d, self.n, self.t, self.k = d, n, t, len(self.B)
+        check_sizes(d, n, t, f, self.k)
+        self.home, self._thresh = sets.home_window, n - self.theta
 
     @lazy
     def classes_uw(self):
@@ -146,6 +141,7 @@ def _fanout_counts(d, n, f):
 def canonical_instance(d, n, t, f, k, mode=LINK):
     """Instance for the canonical request a = 0^n, B = first k of window 0,
     on the cached sets of `canonical_sets`."""
+    check_sizes(d, n, t, f, k)
     return LpInstance(canonical_sets(d, n, t, k), f, mode)
 
 
@@ -275,11 +271,7 @@ class DualSolution:
         min{d^t - k, k(d^(n-q) - 1)}; only meaningful when delta is the
         indicator of j(v) >= q."""
         inst = self.instance
-        if type(q) is not int:  # exact ints skip a call per certificate point
-            check_integers("q", q)
-        if not inst.n - inst.t <= q <= inst.n:
-            raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
-                                                       inst.n))
+        check_family(inst.n, inst.t, q)
         if any(self.delta.get(j, 0) != (j >= q) for j in range(inst.n)):
             raise ValueError("delta is not the q-tail indicator")
         cap = min(inst.d ** inst.t - inst.k,
@@ -310,13 +302,7 @@ def dual_family(instance, p, q):
     cached shape, so a caller may change them freely.
     """
     n, t = instance.n, instance.t
-    # exact ints skip a call per certificate point
-    if type(p) is not int or type(q) is not int:
-        check_integers("p and q", p, q)
-    if not (0 <= p <= n - t - 1):
-        raise ValueError("p=%d out of [0, %d]" % (p, n - t - 1))
-    if not (n - t <= q <= n):
-        raise ValueError("q=%d out of [%d, %d]" % (q, n - t, n))
+    check_family(n, t, q, p)
     alpha, gamma, delta, eps, beta = _family_shape(n, t, instance.theta,
                                                    p, q)
     return DualSolution._from_pools(instance, alpha.copy(), gamma.copy(),

@@ -20,7 +20,7 @@ from . import dary
 from .banyan import route, shares_se, shares_link
 from .bounds import LINK, CROSSTALK
 from .events import (BLOCKED, Blocked, DuplicateId, SwitchError, UnknownId,
-                     check, check_integers, replay)
+                     check, check_range, check_sizes, replay)
 
 FIRST_FIT = "first"
 RANDOM = "random"
@@ -44,14 +44,8 @@ class MultilogConfig(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        check_integers("d, n, m, t and f", self.d, self.n, self.m, self.t,
-                       self.f)
-        if not (self.d >= 2 and self.n >= 1 and self.m >= 1):
-            raise ValueError("need d >= 2, n >= 1 and m >= 1")
-        if not 0 <= self.t <= self.n:
-            raise ValueError("need 0 <= t <= n")
-        if not 1 <= self.f <= self.d ** self.n:
-            raise ValueError("need 1 <= f <= d^n")
+        check_sizes(self.d, self.n, self.t, self.f)
+        check_range("m", self.m, 1)
         if self.mode not in (LINK, CROSSTALK):
             raise ValueError("unknown mode %r" % (self.mode,))
         if self.plane_policy not in (FIRST_FIT, RANDOM):
@@ -247,7 +241,11 @@ class ConnState:
 
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
-        branch of the single-window subrequest (x, outputs)."""
+        branch of the single-window subrequest (x, outputs).  In link mode
+        a route holds its output link, so an output another input owns
+        blocks that input's plane, though `banyan.shares_link` (internal
+        links only) finds no shared link; the greedy sweep's scores count
+        such planes."""
         cfg = self.config
         outputs = dary.address_set(outputs, "empty output set")
         d, n, size = cfg.d, cfg.n, cfg.d ** cfg.t

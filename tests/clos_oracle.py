@@ -81,8 +81,8 @@ class FirstFitColoring:
             raise ValueError("self-loops not allowed")
         if self.fixed_vertices and not {u, v} <= self.vertices:
             raise ValueError("endpoint outside the base graph")
-        w = dwec.as_fraction(w)
-        typ = self.scheme.classify(w)
+        w = dwec.as_weight(w)
+        typ = self.scheme._type_of(w)
         self.vertices.update((u, v))
         for end in (u, v):
             self.vertex_weight[end] = self.vertex_weight.get(end, 0) + w
@@ -142,6 +142,14 @@ def fraction_view(coloring):
             coloring.vertices)
 
 
+def exact(w):
+    """w as the exact rational the library takes it for, range unchecked:
+    a float to a denominator of at most 10^9."""
+    if isinstance(w, float):
+        return Fraction(w).limit_denominator(10 ** 9)
+    return Fraction(w)
+
+
 class SizeLimit(Exception):
     """Instance too large for the exhaustive optimum search."""
 
@@ -149,7 +157,7 @@ class SizeLimit(Exception):
 def opt_exact(edges, limit=12):
     """Minimum number of colors for a static weighted multigraph, by
     exhaustive assignment.  Edges are (u, v, weight) triples."""
-    edges = [(u, v, dwec.as_fraction(w)) for u, v, w in edges]
+    edges = [(u, v, exact(w)) for u, v, w in edges]
     if len(edges) > limit:
         raise SizeLimit("%d edges > limit %d" % (len(edges), limit))
     if not edges:
@@ -236,7 +244,7 @@ class OracleClosState(clos.ClosState):
             raise ValueError("not a multirate network")
         self._check_terminal(in_term)
         self._check_terminal(out_term)
-        rate = dwec.as_fraction(rate)
+        rate = exact(rate)
         if not (0 < rate <= 1):
             raise ValueError("rate %s out of (0, 1]" % rate)
         if self.load_in.get(in_term, 0) + rate > 1:

@@ -20,7 +20,7 @@ solves the coloring LP by trying every basis.
 from fractions import Fraction
 import itertools
 
-from switchlp.bounds import LINK, c_cost, g_cost, ilog
+from switchlp.bounds import LINK, _ilog as ilog, c_cost, g_cost
 from switchlp.dary import frac_pow
 from switchlp.dwec import DwecScheme
 from switchlp.lpcert import DualSolution, solve_packing
@@ -181,8 +181,8 @@ def bounded_delta_summed(sol, q):
     as `DualSolution.objective_bounded_delta` for an integer q."""
     inst = sol.instance
     if not inst.n - inst.t <= q <= inst.n:
-        raise ValueError("q=%d out of [%d, %d]" % (q, inst.n - inst.t,
-                                                   inst.n))
+        raise ValueError("q=%d: need integer %d <= q <= %d"
+                         % (q, inst.n - inst.t, inst.n))
     if any(sol.delta.get(j, 0) != (j >= q) for j in range(inst.n)):
         raise ValueError("delta is not the q-tail indicator")
     true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= q)

@@ -7,7 +7,7 @@ import pytest
 
 from switchlp import bounds
 from switchlp.bounds import (
-    LINK, CROSSTALK, ilog,
+    LINK, CROSSTALK, _ilog as ilog,
     clos_snb, clos_wsnb_r2, clos_multirate,
     hwang_unicast, snb_fcast_t_eq_n, cf_snb_fcast_t_eq_n,
     c_cost, g_cost, C_bound, G_bound,
@@ -152,6 +152,24 @@ class TestCostFunctions:
         # window just subtracts one per output
         assert c_cost(2, 4, 2, 4, 4, 0, 2) == 1
         assert c_cost(2, 4, 2, 4, 3, 0, 2) == 2
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cf_snb_fcast_t_eq_n(2, 0, 1), "n=0: need integer n >= 1"),
+        (lambda: bounds.multilog_planes(1, 3, 3, 1, CROSSTALK),
+         "d=1: need integer d >= 2"),
+        (lambda: c_cost(1, 3, 0, 1, 1, 0, 3), "d=1: need integer d >= 2"),
+        (lambda: g_cost(1, 3, 0, 1, 1, 0, 3), "d=1: need integer d >= 2"),
+        (lambda: C_bound(2, 3, 3, 1), "the tables take t < n, not t=3 = n"),
+        (lambda: G_bound(2, 3, 3, 9), "f=9: need integer 1 <= f <= 8"),
+    ], ids=["cf-n-0", "crosstalk-planes-d-1", "c_cost-d-1", "g_cost-d-1",
+            "table-t-n", "table-f-before-t-n"])
+    def test_each_rule_refuses(self, call, message):
+        # the first three were answered (1, (1, 't=n') and 0) before the
+        # rules were one: the crosstalk t = n count checked neither d nor
+        # n, and the costs never checked d
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

@@ -664,9 +664,10 @@ class TestOptimum:
         assert "error:" in err
 
     @pytest.mark.parametrize("t, f, message", [
-        ("-1", "1", "t=-1 out of range for n=3"),
-        ("4", "1", "t=4 out of range for n=3"),
-        ("1", "9", "f=9 out of range [1, 8]")])
+        ("-1", "1", "t=-1: need integer 0 <= t <= 3"),
+        ("4", "1", "t=4: need integer 0 <= t <= 3"),
+        ("1", "9", "f=9: need integer 1 <= f <= 8")],
+        ids=["t-below-0", "t-above-n", "f-above-d^n"])
     def test_range_errors_name_the_argument(self, capsys, t, f, message):
         code, out, err = run(capsys, "optimum", "--d", "2", "--n", "3",
                              "--t", t, "--f", f, "--k", "1")
@@ -922,27 +923,70 @@ class TestInputErrors:
             "# a request's B may be passed as any collection",
             "for B in ([0], (0,), range(1)):",
             "    lpcert.LpInstance(dary.AddressSets(2, 3, 0, B, 1), 2)",
-            "# --m-offset is refused beside --m, and by a replay",
+            "# --m-offset is refused beside --m, and by a replay; the size",
+            "# and weight rules the command line reaches name their value",
             "with tempfile.NamedTemporaryFile('w', suffix='.trace',",
             "                                 delete=False) as fh:",
             "    fh.write('A r1 000 000\\n')",
+            "with tempfile.NamedTemporaryFile('w', suffix='.trace',",
+            "                                 delete=False) as rates:",
+            "    rates.write('A r1 0:0 1:0 3/2\\n')",
             "refusals = [",
-            "    ['--d', '2', '--n', '4', '--t', '2', '--f', '2', '--m', '3',",
-            "     '--m-offset', '5'],",
-            "    ['--network', 'clos-snb', '--n', '3', '--m', '4',",
-            "     '--m-offset', '2'],",
-            "    ['--network', 'clos-benes', '--n', '2', '--m', '3',",
-            "     '--m-offset', '1'],",
-            "    ['--d', '2', '--n', '3', '--m', '2', '--m-offset', '4',",
-            "     '--trace', fh.name],",
+            "    (['--d', '2', '--n', '4', '--t', '2', '--f', '2',",
+            "      '--m', '3', '--m-offset', '5'], '--m-offset'),",
+            "    (['--network', 'clos-snb', '--n', '3', '--m', '4',",
+            "      '--m-offset', '2'], '--m-offset'),",
+            "    (['--network', 'clos-benes', '--n', '2', '--m', '3',",
+            "      '--m-offset', '1'], '--m-offset'),",
+            "    (['--d', '2', '--n', '3', '--m', '2', '--m-offset', '4',",
+            "      '--trace', fh.name], '--m-offset'),",
+            "    (['--d', '2', '--n', '3', '--t', '4', '--f', '2'],",
+            "     't=4: need integer 0 <= t <= 3'),",
+            "    (['--d', '2', '--n', '3', '--t', '1', '--f', '9',",
+            "      '--m', '2'], 'f=9: need integer 1 <= f <= 8'),",
+            "    (['--network', 'clos-multirate', '--n', '2', '--m', '40',",
+            "      '--trace', rates.name],",
+            "     'line 1: weight 3/2 out of (0, 1]'),",
             "]",
-            "for argv in refusals:",
+            "for argv, text in refusals:",
             "    err = io.StringIO()",
             "    with contextlib.redirect_stderr(err):",
             "        code = cli.main(['simulate'] + argv)",
-            "    if code != 2 or '--m-offset' not in err.getvalue():",
+            "    if code != 2 or text not in err.getvalue():",
             "        print('%s accepted' % argv)",
             "os.unlink(fh.name)",
+            "os.unlink(rates.name)",
+            "# every size rule, the tables' t < n and the weight rule, by",
+            "# its one message",
+            "inst = lpcert.canonical_instance(2, 3, 1, 2, 1)",
+            "rules = [",
+            "    (lambda: bounds.c_cost(1, 3, 0, 1, 1, 0, 3),",
+            "     'd=1: need integer d >= 2'),",
+            "    (lambda: bounds.cf_snb_fcast_t_eq_n(2, 0, 1),",
+            "     'n=0: need integer n >= 1'),",
+            "    (lambda: dary.AddressSets(2, 3, 0, [0], 4),",
+            "     't=4: need integer 0 <= t <= 3'),",
+            "    (lambda: multilog.MultilogConfig(d=2, n=3, m=1, f=9),",
+            "     'f=9: need integer 1 <= f <= 8'),",
+            "    (lambda: dary.canonical_sets(2, 3, 1, 3),",
+            "     'k=3: need integer 1 <= k <= 2'),",
+            "    (lambda: lpcert.dual_family(inst, 2, 2),",
+            "     'p=2: need integer 0 <= p <= 1'),",
+            "    (lambda: lpcert.dual_family(inst, 0, 4),",
+            "     'q=4: need integer 2 <= q <= 3'),",
+            "    (lambda: bounds.G_bound(2, 3, 3, 1),",
+            "     'the tables take t < n, not t=3 = n'),",
+            "    (lambda: clos.ClosConfig(n=2, m=0, r=2),",
+            "     'm=0: need integer m >= 1'),",
+            "    (lambda: dwec.as_weight(0), 'weight 0 out of (0, 1]'),",
+            "]",
+            "for i, (call, text) in enumerate(rules):",
+            "    try:",
+            "        call()",
+            "        print('rule %d accepted' % i)",
+            "    except ValueError as exc:",
+            "        if str(exc) != text:",
+            "            print('rule %d said %r' % (i, str(exc)))",
             "# `optimum` refuses what the malformed-input table does, and",
             "# checks the dual it prints the optimum beside",
             "def optimum(*argv):",

@@ -438,12 +438,14 @@ def test_benes_search_golden():
         "2038a6b3b97bb5c0d2c5068299e1d928a113869e43b5baf9e92f4b5f2c6397f6"
 
 
-@pytest.mark.parametrize("n, m, depth", [(0, 3, None), (3, 0, None),
-                                         (3, 3, -1)])
-def test_benes_search_refusals(n, m, depth):
+@pytest.mark.parametrize("n, m, depth, message", [
+    (0, 3, None, "n=0: need integer n >= 1"),
+    (3, 0, None, "m=0: need integer m >= 1"),
+    (3, 3, -1, "need max_depth >= 0")], ids=["0-3-None", "3-0-None", "3-3--1"])
+def test_benes_search_refusals(n, m, depth, message):
     with pytest.raises(ValueError) as raised:
         adversary.benes_search(n, m, max_depth=depth)
-    assert str(raised.value) == "need n >= 1, m >= 1 and max_depth >= 0"
+    assert str(raised.value) == message
 
 
 def _space_with_a():

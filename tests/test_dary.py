@@ -290,13 +290,15 @@ class TestAddressSets:
     def test_canonical_sets_keys_bool_apart(self):
         # an untyped cache keys True as 1 and returned the k = 1 sets
         canonical_sets(2, 3, 1, 1)
-        with pytest.raises(ValueError, match="need integer d, n, t and k"):
+        with pytest.raises(ValueError) as raised:
             canonical_sets(2, 3, 1, True)
+        assert str(raised.value) == "k=True: need integer 1 <= k <= 2"
 
     def test_t_checked_before_k(self):
         # d ** -1 prints as 0, which named the wrong argument
-        with pytest.raises(ValueError, match="t=-1 out of range for n=3"):
+        with pytest.raises(ValueError) as raised:
             canonical_sets(2, 3, -1, 1)
+        assert str(raised.value) == "t=-1: need integer 0 <= t <= 3"
 
 
 def checked_one_by_one(d, n, a, B, t):
@@ -372,18 +374,18 @@ def test_frac_pow_negative_exponent():
 @pytest.mark.parametrize("call, message", [
     (lambda: DaryString(1, [0]), "base must be >= 2"),
     (lambda: AddressSets(2, 3, 0, [], 1), "B must be nonempty"),
-    (lambda: AddressSets(2, 3, 0, [0], 4), "t=4 out of range for n=3"),
+    (lambda: AddressSets(2, 3, 0, [0], 4), "t=4: need integer 0 <= t <= 3"),
     (lambda: a_count_formula(2, 3, 3), "i out of range"),
     (lambda: window_count_formula(2, 3, 1, 2), "j out of range"),
-    (lambda: canonical_sets(2, 3, 1, 3),
-     "k=3 out of range for window size 2"),
-    (lambda: canonical_sets(2, 3, 1, [1]), "need integer d, n, t and k"),
+    (lambda: canonical_sets(2, 3, 1, 3), "k=3: need integer 1 <= k <= 2"),
+    (lambda: canonical_sets(2, 3, 1, [1]),
+     "k=[1]: need integer 1 <= k <= 2"),
     (lambda: AddressSets(2, 3, 0, [True], 1),
      "address True is not an integer"),
     (lambda: AddressSets(2, 3, 0, [1, False], 1),
      "address False is not an integer"),
-    (lambda: AddressSets(1, 3, 0, [0], 1), "need d >= 2 and n >= 1"),
-    (lambda: AddressSets(2, 0, 0, [0], 0), "need d >= 2 and n >= 1"),
+    (lambda: AddressSets(1, 3, 0, [0], 1), "d=1: need integer d >= 2"),
+    (lambda: AddressSets(2, 0, 0, [0], 0), "n=0: need integer n >= 1"),
     (lambda: AddressSets(2, 3, 0, 5, 1), "5 is not a collection of addresses"),
     (lambda: AddressSets(2, 3, 0, [[0]], 1),
      "[[0]] is not a collection of addresses"),

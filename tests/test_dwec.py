@@ -21,7 +21,7 @@ F = Fraction
 
 class TestClassify:
     def test_intervals(self):
-        classify = FOUR_TYPE.classify
+        classify = FOUR_TYPE._type_of
         assert classify(F(3, 5)) == 0
         assert classify(F(1, 2)) == 1      # boundary belongs to the lower type
         assert classify(F(2, 5)) == 2
@@ -30,19 +30,19 @@ class TestClassify:
 
     def test_five_type_03(self):
         five = DwecScheme.five_type()
-        assert five.classify(F(3, 10)) == 3   # 11/43 < 3/10 <= 1/3
-        assert five.classify(F(1, 4)) == 4
+        assert five._type_of(F(3, 10)) == 3   # 11/43 < 3/10 <= 1/3
+        assert five._type_of(F(1, 4)) == 4
 
     def test_out_of_range(self):
-        classify = FOUR_TYPE.classify
-        with pytest.raises(ValueError):
-            classify(F(0))
-        with pytest.raises(ValueError):
-            classify(F(3, 2))
+        # the weight rule, which `plan` and a Clos rate apply before typing
+        for w in (F(0), F(3, 2), "-1/2"):
+            with pytest.raises(ValueError) as raised:
+                dwec.as_weight(w)
+            assert str(raised.value) == "weight %s out of (0, 1]" % F(w)
 
     @given(st.fractions(min_value=F(1, 1000), max_value=1))
     def test_weight_in_its_interval(self, w):
-        i = FOUR_TYPE.classify(w)
+        i = FOUR_TYPE._type_of(w)
         assert FOUR_TYPE.lower(i) < w <= FOUR_TYPE.upper(i)
 
 
@@ -127,7 +127,7 @@ class TestColoringState:
     @pytest.mark.parametrize("w", [None, float("inf"), 1j, "1/0", "x"])
     def test_weight_that_is_no_rational_refused(self, w):
         with pytest.raises(ValueError):
-            dwec.as_fraction(w)
+            dwec.as_weight(w)
         state = ColoringState()
         with pytest.raises(ValueError):
             state.arrive("e", "a", "b", w)
@@ -369,7 +369,7 @@ class TestScaledOracle:
                 else:
                     assert fast.arrive(k, u, v, w) == slow.arrive(k, u, v, w)
                     live.append(k)
-                    w = dwec.as_fraction(w)
+                    w = dwec.as_weight(w)
                     past_limit.append(fast.den % w.denominator != 0)
                 assert fraction_view(fast) == fraction_view(slow)
                 fast.audit()

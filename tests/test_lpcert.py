@@ -96,10 +96,11 @@ class TestInstance:
     def test_fanout_out_of_range(self, f):
         # f above d^n once built an instance, and then an LP, that
         # `family_cost` refused with "f out of range"
-        with pytest.raises(ValueError, match="f=%d out of range" % f):
-            LpInstance(AddressSets(2, 3, 0, [0], 1), f)
-        with pytest.raises(ValueError, match="f=%d out of range" % f):
-            canonical_instance(2, 3, 1, f, 1)
+        for call in (lambda: LpInstance(AddressSets(2, 3, 0, [0], 1), f),
+                     lambda: canonical_instance(2, 3, 1, f, 1)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == "f=%d: need integer 1 <= f <= 8" % f
 
     def test_sets_of_another_request_refused(self):
         # an instance reads d, n, t, a and B off its sets, so no second
@@ -110,8 +111,9 @@ class TestInstance:
         assert inst.sets is sets
         assert (inst.d, inst.n, inst.t, inst.a, inst.B, inst.k) == \
             (2, 3, 1, 0, frozenset({0, 1}), 2)
-        with pytest.raises(ValueError, match="exceeds fanout bound 1"):
+        with pytest.raises(ValueError) as raised:
             LpInstance(sets, 1)
+        assert str(raised.value) == "k=2: need integer 1 <= k <= 1"
         # B's members decide, not the type it is passed as
         for B in ([0, 1], (1, 0), range(2), [1, 0, 1], {0, 1}):
             assert AddressSets(2, 3, 0, B, 1).B == sets.B
@@ -454,8 +456,9 @@ class TestDualPricing:
     @pytest.mark.parametrize("q", [2.5, 2.0, "2", None])
     def test_bounded_delta_refuses_non_integer_q(self, q):
         sol = dual_family(canonical_instance(2, 3, 1, 2, 1, LINK), 0, 2)
-        with pytest.raises(ValueError, match="need integer q"):
+        with pytest.raises(ValueError) as raised:
             sol.objective_bounded_delta(q)
+        assert str(raised.value) == "q=%r: need integer 2 <= q <= 3" % (q,)
 
 
 class TestPrimal:
@@ -685,9 +688,14 @@ class TestDualFamily:
             dual_family(inst, 2, 2)
         with pytest.raises(ValueError):
             dual_family(inst, 0, 1)
-        for p, q in ((0.5, 2), (0, 2.0), (0, "2"), (None, 2)):
-            with pytest.raises(ValueError, match="need integer p and q"):
+        for p, q, message in (
+                (0.5, 2, "p=0.5: need integer 0 <= p <= 1"),
+                (0, 2.0, "q=2.0: need integer 2 <= q <= 3"),
+                (0, "2", "q='2': need integer 2 <= q <= 3"),
+                (None, 2, "p=None: need integer 0 <= p <= 1")):
+            with pytest.raises(ValueError) as raised:
                 dual_family(inst, p, q)
+            assert str(raised.value) == message
 
     def test_matches_loop_oracle(self):
         # the cached shape against the family built in loops: the same
@@ -968,7 +976,7 @@ class TestExactOptimum:
     (lambda: LpInstance(None, 2), ValueError,
      "sets must be a dary.AddressSets"),
     (lambda: canonical_instance(2, 3, 1, 2, [1]), ValueError,
-     "need integer d, n, t and k"),
+     "k=[1]: need integer 1 <= k <= 2"),
 ], ids=["negative-variable", "negative-capacity", "unbounded", "sets-None",
         "k-unhashable"])
 def test_lpcert_refusals(call, exc, message):
@@ -1027,3 +1035,88 @@ def test_integer_subclasses_taken():
     sol = dual_family(inst, ten(0), ten(3))
     assert sol.objective_bounded_delta(ten(3)) \
         == dual_family(inst, 0, 3).objective_bounded_delta(3)
+
+
+# Each size and family parameter's rule, stated apart from the package:
+# the first value, in this order, that is no int other than a bool in its
+# range names the refusal; values not given are skipped.
+ABSENT = object()
+
+
+def rule_message(d, n, t=ABSENT, f=ABSENT, k=ABSENT, p=ABSENT, q=ABSENT):
+    def ranges():   # each range is read once the values before it passed
+        yield "d", d, 2, None
+        yield "n", n, 1, None
+        yield "t", t, 0, n
+        yield "f", f, 1, d ** n
+        yield "k", k, 1, d ** t if f is ABSENT else min(f, d ** t)
+        yield "p", p, 0, n - t - 1
+        yield "q", q, n - t, n
+    for name, v, least, most in ranges():
+        if v is not ABSENT and (
+                type(v) is bool or not isinstance(v, int) or v < least
+                or most is not None and v > most):
+            return "%s=%r: need integer %s" % (
+                name, v, "%s >= %d" % (name, least) if most is None
+                else "%d <= %s <= %d" % (least, name, most))
+    return None
+
+
+def refusal(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def sizes(lo, hi):
+    """Ints in and out of [lo, hi]'s neighbourhood, addresses among them,
+    and a few values that are no int."""
+    return st.one_of(st.integers(lo, hi), st.integers(0, 9).map(
+        lambda v: DaryString(10, (v,))), st.sampled_from(
+        [True, False, 2.0, "2", None, [1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=sizes(-1, 4), n=sizes(-1, 4), t=sizes(-1, 5), f=sizes(-1, 40),
+       k=sizes(-1, 9), p=sizes(-1, 4), q=sizes(-1, 6),
+       mode=st.sampled_from([LINK, CROSSTALK]))
+def test_one_rule_per_parameter(d, n, t, f, k, p, q, mode):
+    # every entry that takes a size or family parameter refuses what the
+    # rules refuse, with the message of the first rule broken, and accepts
+    # the rest; the tables also refuse t = n by a rule of their own
+    table = "the tables take t < n, not t=%r = n" % (t,)
+    entries = [
+        (dict(t=t, f=f),
+         lambda: multilog.MultilogConfig(d=d, n=n, m=1, t=t, f=f)),
+        (dict(t=t), lambda: AddressSets(d, n, 0, [0], t)),
+        (dict(t=t, k=k), lambda: dary.canonical_sets(d, n, t, k)),
+        (dict(t=t, f=f, k=k), lambda: canonical_instance(d, n, t, f, k)),
+        (dict(t=n, f=f), lambda: bounds.snb_fcast_t_eq_n(d, n, f)),
+        (dict(t=n, f=f), lambda: bounds.cf_snb_fcast_t_eq_n(d, n, f)),
+        (dict(t=t, f=f), lambda: bounds.multilog_planes(d, n, t, f, mode)),
+        (dict(t=t, f=f), lambda: bounds.C_bound(d, n, t, f)),
+        (dict(t=t, f=f), lambda: bounds.G_bound(d, n, t, f)),
+        (dict(t=t, f=f, k=k, p=p, q=q),
+         lambda: bounds.c_cost(d, n, t, f, k, p, q)),
+        (dict(t=t, f=f, k=k, p=p, q=q),
+         lambda: bounds.g_cost(d, n, t, f, k, p, q)),
+    ]
+    got = [refusal(call) for _, call in entries]
+    want = [rule_message(d, n, **given) for given, _ in entries]
+    for i in (7, 8):   # the tables, after every size rule
+        if want[i] is None and t == n:
+            want[i] = table
+    assert got == want
+    if rule_message(d, n, t, f, k) is not None:
+        return
+    # on a checked instance: the dual family's p and q, and the bounded
+    # objective's q, on a dual whose delta is q's tail where q is in range
+    inst = canonical_instance(d, n, t, f, k, mode)
+    want_q = rule_message(d, n, t, q=q)
+    delta = {} if want_q else {j: 1 for j in range(q, n)}
+    assert refusal(lambda: dual_family(inst, p, q)) == \
+        rule_message(d, n, t, p=p, q=q)
+    assert refusal(lambda: DualSolution(inst, delta=delta)
+                   .objective_bounded_delta(q)) == want_q

@@ -114,6 +114,17 @@ class TestAdmission:
         with pytest.raises(OutputBusy):
             state.admit(s("000"), [s("011")])
 
+    def test_blocking_planes_counts_an_owned_output(self):
+        # in link mode a route holds its output link, so the plane of an
+        # output another input owns blocks it, though no internal link is
+        # shared; the greedy sweep's scores count it, and admit refuses it
+        state = ConnState(cfg(d=2, n=3, m=2, t=3, f=8))
+        state.admit(0, [5])
+        assert state.blocking_planes(2, [5]) == {0}
+        assert not shares_link(2, 3, 0, 5, 2, 5)
+        with pytest.raises(OutputBusy):
+            state.admit(2, [5])
+
     def test_duplicate_id_rejected(self):
         state = ConnState(cfg(m=4))
         state.admit(s("000"), [s("000")], rid="x")
@@ -1004,8 +1015,8 @@ class TestTraceIo:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: cfg(d=1), "need d >= 2, n >= 1 and m >= 1"),
-    (lambda: cfg(f=9), "need 1 <= f <= d^n"),
+    (lambda: cfg(d=1), "d=1: need integer d >= 2"),
+    (lambda: cfg(f=9), "f=9: need integer 1 <= f <= 8"),
     (lambda: cfg(mode="bogus"), "unknown mode 'bogus'"),
     (lambda: cfg(plane_policy="bogus"), "unknown plane policy 'bogus'"),
     (lambda: ConnState(cfg()).admit(0, []), "empty output set"),

@@ -1,0 +1,72 @@
+"""No module states a size, range or weight rule's message by hand.
+
+Each size and family parameter (d, n, t, f, k, p, q) has one rule and one
+message, which `events.check_range` raises, and an edge weight or Clos rate
+has `dwec.as_weight`'s.  Any other `raise` in `src/switchlp/` whose text
+compares one of these names, names the weight range or the rule's "need
+integer" is a second statement of a rule, unless it is one of the few
+other rules below.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "switchlp").glob("*.py"))
+# a parameter name compared, assigned or ranged, as a rule's message
+# writes it: "t < n", "f=9", "d must be", "k out of range"
+PARAMETER = re.compile(
+    r"(?<![\w.%])[dntfkpq](\s*(=|>=|<=|<|>)|\s+(must|out of))")
+
+RULES = {
+    ("events.py", "check_range", "%s=%r: need integer %s"),
+    ("dwec.py", "as_weight", "weight %s out of (0, 1]"),
+    # the coloring audit's broken invariant, an AssertionError
+    ("dwec.py", "audit", "weight %s out of (0, 1]"),
+    # other rules that name a parameter: the tables' domain, an address,
+    # a request past its network's fanout, and the Clos saturating
+    # schedule, which needs two ports per crossbar
+    ("bounds.py", "_check_table", "the tables take t < n, not t=%d = n"),
+    ("dary.py", "check_address", "address %s out of range for d=%d, n=%d"),
+    ("multilog.py", "admit", "request fans out to %d > f=%d"),
+    ("adversary.py", "snb_saturation", "need n >= 2"),
+}
+
+
+def rule_texts(path):
+    """(module, function, text) for each string in a function's `raise`
+    that reads like a size, range or weight rule."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            for c in ast.walk(node.exc):
+                if isinstance(c, ast.Constant) and type(c.value) is str and (
+                        PARAMETER.search(c.value) or "(0, 1]" in c.value
+                        or "need integer" in c.value):
+                    found.add((path.name, fn.name, c.value))
+    return found
+
+
+def test_one_message_per_rule():
+    assert set().union(*map(rule_texts, SRC)) == RULES
+
+
+def test_guard_sees_a_hand_written_rule(tmp_path):
+    # the messages the shared rule replaced, written by hand again
+    path = tmp_path / "bounds.py"
+    path.write_text(
+        "def ilog(d, f):\n"
+        "    if d < 2:\n"
+        "        raise ValueError('d must be >= 2')\n"
+        "def canonical_sets(d, n, t, k):\n"
+        "    raise ValueError('k=%d out of range for window size %d')\n"
+        "def multirate_admit(rate):\n"
+        "    raise ValueError('rate %s out of (0, 1]' % rate)\n")
+    assert {text for _, _, text in rule_texts(path)} == {
+        "d must be >= 2", "k=%d out of range for window size %d",
+        "rate %s out of (0, 1]"}
