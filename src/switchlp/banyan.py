@@ -11,14 +11,16 @@ ints their digits denote.
 
 from functools import lru_cache
 
-from .bounds import LINK, CROSSTALK
+from .bounds import theta_of
 from .dary import check_address, lcs
+from .events import check_sizes
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _stages(d, n):
     """Per stage s = 1..n: (d^(n-s), d^(n-s+1), the stage's element id
-    offset, the offset of the link leaving it)."""
+    offset, the offset of the link leaving it), d and n checked once."""
+    check_sizes(d, n)
     full = d ** n
     return tuple((d ** (n - s), d ** (n - s + 1), (s - 1) * (full // d),
                   s * full) for s in range(1, n + 1))
@@ -33,18 +35,15 @@ class Route:
     __slots__ = ("input", "output", "ids")
 
     def __init__(self, d, n, x, y, mode):
-        if n < 1:
-            raise ValueError("need at least one digit")
-        if mode not in (LINK, CROSSTALK):
-            raise ValueError("unknown mode %r" % (mode,))
+        stages = _stages(d, n)
+        links = not theta_of(mode)
         self.input = x = check_address(d, n, x)
         self.output = y = check_address(d, n, y)
         # the stage-s label is y_1..y_{s-1} x_s..x_{n-1}; the link leaving
         # stage s appends y_s to it, which at s = n gives y itself
         tail = x // d
-        links = mode == LINK
         ids = [x] if links else []
-        for lo, hi, se_base, link_base in _stages(d, n):
+        for lo, hi, se_base, link_base in stages:
             label = (y // hi) * lo + tail % lo
             ids.append(link_base + label * d + (y // lo) % d if links
                        else se_base + label)

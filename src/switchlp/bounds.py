@@ -18,6 +18,15 @@ from .events import check_family, check_range, check_sizes
 
 LINK = "link"
 CROSSTALK = "crosstalk"
+_THETA = {LINK: 0, CROSSTALK: 1}  # crosstalk's thresholds shift by one
+
+
+def theta_of(mode):
+    """The mode's threshold shift; ValueError unless LINK or CROSSTALK."""
+    try:
+        return _THETA[mode]
+    except (KeyError, TypeError):
+        raise ValueError("unknown mode %r" % (mode,)) from None
 
 
 BoundResult = namedtuple("BoundResult", ["value", "m_sufficient", "branch"])
@@ -240,8 +249,8 @@ def multilog_planes(d, n, t, f, mode):
     """(m, branch): planes sufficient for the windowed multilog network,
     from the t = n corollaries or else the C (link) or G (crosstalk) table."""
     check_sizes(d, n, t, f)
+    theta = theta_of(mode)
     if t == n:
-        fn = snb_fcast_t_eq_n if mode == LINK else cf_snb_fcast_t_eq_n
-        return fn(d, n, f), "t=n"
-    res = (C_bound if mode == LINK else G_bound)(d, n, t, f)
+        return (snb_fcast_t_eq_n, cf_snb_fcast_t_eq_n)[theta](d, n, f), "t=n"
+    res = (C_bound, G_bound)[theta](d, n, t, f)
     return res.m_sufficient, res.branch

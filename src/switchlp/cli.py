@@ -18,7 +18,7 @@ from . import dwec
 from . import lpcert
 from . import multilog
 from . import adversary
-from .events import check, check_sizes, fraction
+from .events import check, check_range, check_sizes, fraction
 
 
 def _writer():
@@ -57,14 +57,17 @@ _LEAST = {"d": 2, "n": 1, "f": 1, "m": 1, "depth": 0, "trials": 1,
 
 def _ints(name, many=False):
     """argparse type of option `name`: an int or, with `many`, a comma list
-    of ints, each at least `_LEAST[name]` where that is set."""
+    of ints, each at least `_LEAST[name]` by `check_range` where set."""
     least = _LEAST.get(name)
 
     def parse(text):
         vals = [int(part) for part in text.split(",")] if many \
             else [int(text)]
-        if least is not None and min(vals) < least:
-            raise argparse.ArgumentTypeError("%s: need >= %d" % (text, least))
+        if least is not None:
+            try:
+                check_range(name, min(vals), least)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
         return vals if many else vals[0]
     parse.__name__ = "int"
     return parse
@@ -82,14 +85,11 @@ def _require(args, *names):
 def cmd_bound(args):
     out = _writer()
     kind = args.kind
-    if kind == "clos-snb":
+    if kind in ("clos-snb", "clos-wsnb-r2"):
         _require(args, "n")
+        fn = bounds.clos_snb if kind == "clos-snb" else bounds.clos_wsnb_r2
         out.writerow(["kind", "n", "m_sufficient"])
-        out.writerow([kind, args.n, bounds.clos_snb(args.n)])
-    elif kind == "clos-wsnb-r2":
-        _require(args, "n")
-        out.writerow(["kind", "n", "m_sufficient"])
-        out.writerow([kind, args.n, bounds.clos_wsnb_r2(args.n)])
+        out.writerow([kind, args.n, fn(args.n)])
     elif kind == "clos-multirate":
         _require(args, "n")
         val = bounds.clos_multirate(args.n, scheme=args.scheme)

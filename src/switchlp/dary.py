@@ -97,25 +97,18 @@ def check_address(d, n, v):
     return x
 
 
-def address_set(B, empty):
-    """B's members as a frozenset; ValueError with the message `empty` if
-    it has none, and one naming B unless it is a collection of hashable
-    values."""
+def check_request(d, n, x, outputs, size=None):
+    """(x, the outputs' frozenset, their sorted ints); ValueError unless the
+    outputs are a nonempty collection, x and they are addresses, and where
+    `size` is given they lie in one window of that many outputs."""
     try:
-        B = frozenset(B)
+        B = frozenset(outputs)
     except TypeError:
         raise ValueError("%r is not a collection of addresses"
-                         % (B,)) from None
+                         % (outputs,)) from None
     if not B:
-        raise ValueError(empty)
-    return B
-
-
-def check_addresses(d, n, B):
-    """The members of the nonempty collection B as sorted plain ints; raise
-    ValueError unless each is an address by `check_address`'s rule, tested
-    on all at once.  If that test fails, `check_address` names the first
-    bad member."""
+        raise ValueError("empty output set")
+    x = check_address(d, n, x)
     try:
         ints = sorted(map(operator.index, B))
     except TypeError:
@@ -123,7 +116,10 @@ def check_addresses(d, n, B):
     if ints[0] < 0 or ints[-1] >= d ** n or bool in map(type, B):
         for v in B:
             check_address(d, n, v)
-    return ints
+    if size is not None and ints[0] // size != ints[-1] // size:
+        raise ValueError("outputs span windows %s"
+                         % sorted({y // size for y in ints}))
+    return x, B, ints
 
 
 def lcp(d, n, u, v):
@@ -165,24 +161,16 @@ class AddressSets:
     Addresses are n-digit base-d ints.  Indices are computed from them when
     asked and counts in closed form, so nothing here enumerates addresses.
     The constructor is the one boundary for a request: it checks d, n and
-    t by `check_sizes`, B by `address_set` and `check_addresses`, and a by
-    `check_address`, and keeps a as a plain int; an instance is a checked
-    request.
+    t by `check_sizes` and (a, B) by `check_request` in one window of d^t
+    outputs, and keeps a as a plain int; an instance is a checked request.
     """
 
     def __init__(self, d, n, a, B, t):
         check_sizes(d, n, t)
-        B = address_set(B, "B must be nonempty")
         self._size = size = d ** t
-        if len(B) > size:
-            raise ValueError("window cannot hold %d outputs" % len(B))
-        a = check_address(d, n, a)
-        ints = check_addresses(d, n, B)
+        a, B, ints = check_request(d, n, a, B, size)
         self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
-        self.home_window = home = ints[0] // size
-        if ints[-1] // size != home:
-            raise ValueError("B spans multiple windows: %s"
-                             % sorted({b // size for b in B}))
+        self.home_window = ints[0] // size
 
     @lazy
     def _prefixes(self):
@@ -251,6 +239,11 @@ class AddressSets:
         """|{v in home window, v not in B : j(v) >= q}|."""
         n, t = self.n, self.t
         return self._tails[min(max(q, n - t), n) - (n - t)]
+
+
+def not_sets(value):
+    """Refuse `value`, found not to be an `AddressSets`, as a request."""
+    raise ValueError("%r is not a dary.AddressSets" % (value,))
 
 
 def a_count_formula(d, n, i):

@@ -26,17 +26,21 @@ and one message, `check_range`'s "t=4: need integer 0 <= t <= 3".  Where
 one enters, `check_sizes` (or `check_family` for p and q) applies them in
 that order: the multilog config, `dary.AddressSets` (d, n, t),
 `canonical_sets` (k), `lpcert.LpInstance` (f, k = |B|), the dual family,
-the `bounds` counts, tables and costs, and the `certify` grid.  A passing
-call is remembered, so a repeat compares nothing.  The tables take only
-t < n, a rule of their own.  A Clos n, m or r and a multilog m is at least
-1 by `check_range`; a weight or Clos rate is in (0, 1] by `dwec.as_weight`
-("weight 3/2 out of (0, 1]").  Addresses pass `dary.check_address` or
-`check_addresses` in `AddressSets`, `ConnState` and `banyan.Route`, and
-trace text becomes one by `dary.parse_address`.  A Clos terminal is
-checked by its `ClosState`, and a dual value becomes an exact number in
-`lpcert.DualSolution`.  `LpInstance` and `ConnState.blocking_branches`
-take an `AddressSets` as a checked request.  Internal helpers take values
-already checked and check nothing.
+the `bounds` counts, tables and costs, `banyan.Route` (d, n) and the
+`certify` grid.  A passing call is remembered.  The tables take only
+t < n, a rule of their own.  A Clos n, m or r, a multilog m and the
+command line's least values pass `check_range`; a weight or Clos rate is
+in (0, 1] by `dwec.as_weight` ("weight 3/2 out of (0, 1]").  A request
+has one rule, `dary.check_request`, in `AddressSets`, `ConnState.admit`
+and `blocking_planes`: its outputs are a nonempty collection ("empty
+output set", "5 is not a collection of addresses"), it holds addresses
+("address 8 out of range for d=2, n=3") and, but in admit, one window
+("outputs span windows [0, 2]").  `LpInstance` and `blocking_branches`
+refuse all but an `AddressSets` ("None is not a dary.AddressSets").  A
+mode has one rule, `bounds.theta_of` ("unknown mode 'x'"), in the
+multilog config, `LpInstance`, `Route` and `multilog_planes`.  A Clos
+terminal is checked by its `ClosState`, and a dual value becomes an exact
+number in `lpcert.DualSolution`.  Internal helpers check nothing.
 """
 
 from fractions import Fraction
@@ -79,9 +83,9 @@ def _remembered(rule):
     @wraps(rule)
     def check(*args):
         try:
-            passed(*args)
+            return passed(*args)
         except TypeError:  # an unhashable value, which the rule then names
-            rule(*args)
+            return rule(*args)
     return check
 
 

@@ -21,12 +21,11 @@ from itertools import chain, compress
 from numbers import Number
 
 from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
-                   window_count_formula)
+                   not_sets, window_count_formula)
 from . import bounds
-from .bounds import LINK, CROSSTALK
+from .bounds import LINK, CROSSTALK, theta_of
 from .events import check_family, check_sizes
 
-_THETA = {LINK: 0, CROSSTALK: 1}
 _SETS = AddressSets  # the class itself, also where a tracer rebinds it
 
 
@@ -58,10 +57,9 @@ class LpInstance:
 
     def __init__(self, sets, f, mode=LINK):
         if not isinstance(sets, _SETS):
-            raise ValueError("sets must be a dary.AddressSets")
-        if mode not in _THETA:
-            raise ValueError("mode must be %r or %r" % (LINK, CROSSTALK))
-        self.sets, self.f, self.mode, self.theta = sets, f, mode, _THETA[mode]
+            not_sets(sets)
+        self.sets, self.f, self.mode = sets, f, mode
+        self.theta = theta_of(mode)
         d, n, t, self.a, self.B = sets.d, sets.n, sets.t, sets.a, sets.B
         self.d, self.n, self.t, self.k = d, n, t, len(self.B)
         check_sizes(d, n, t, f, self.k)

@@ -18,10 +18,11 @@ import random
 
 from . import dary
 from .banyan import route, shares_se, shares_link
-from .bounds import LINK, CROSSTALK
+from .bounds import LINK, CROSSTALK, theta_of
 from .events import (BLOCKED, Blocked, DuplicateId, SwitchError, UnknownId,
                      check, check_range, check_sizes, replay)
 
+_SETS = dary.AddressSets  # the class itself, also where a tracer rebinds it
 FIRST_FIT = "first"
 RANDOM = "random"
 
@@ -46,8 +47,7 @@ class MultilogConfig(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         check_sizes(self.d, self.n, self.t, self.f)
         check_range("m", self.m, 1)
-        if self.mode not in (LINK, CROSSTALK):
-            raise ValueError("unknown mode %r" % (self.mode,))
+        theta_of(self.mode)
         if self.plane_policy not in (FIRST_FIT, RANDOM):
             raise ValueError("unknown plane policy %r" % (self.plane_policy,))
         return self
@@ -166,9 +166,7 @@ class ConnState:
         the other windows' commitments in place.
         """
         cfg = self.config
-        outputs = dary.address_set(outputs, "empty output set")
-        x = dary.check_address(cfg.d, cfg.n, x)
-        ints = dary.check_addresses(cfg.d, cfg.n, outputs)
+        x, outputs, ints = dary.check_request(cfg.d, cfg.n, x, outputs)
         if rid is None:
             self._auto += 1
             rid = "auto%d" % self._auto
@@ -247,13 +245,8 @@ class ConnState:
         links only) finds no shared link; the greedy sweep's scores count
         such planes."""
         cfg = self.config
-        outputs = dary.address_set(outputs, "empty output set")
-        d, n, size = cfg.d, cfg.n, cfg.d ** cfg.t
-        x = dary.check_address(d, n, x)
-        ys = dary.check_addresses(d, n, outputs)
-        if ys[0] // size != ys[-1] // size:
-            raise ValueError("subrequest spans windows %s"
-                             % sorted({y // size for y in ys}))
+        d, n = cfg.d, cfg.n
+        x, _, ys = dary.check_request(d, n, x, outputs, d ** cfg.t)
         routes = [_route(d, n, x, y, cfg.mode) for y in ys]
         return set(_planes(self._blocked(x, routes)))
 
@@ -264,6 +257,8 @@ class ConnState:
         live branch (u, v), in `requests` order, from an input u != a whose
         route on that plane shares a key with it.  B must be free."""
         cfg = self.config
+        if not isinstance(request, _SETS):
+            dary.not_sets(request)
         if (request.d, request.n, request.t) != (cfg.d, cfg.n, cfg.t):
             raise ValueError("request was built for another network shape")
         x, outputs = request.a, request.B

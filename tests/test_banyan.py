@@ -127,6 +127,24 @@ class TestRoute:
                     assert id_of.setdefault(key, i) == i
                     assert key_of.setdefault(i, key) == key
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: route(1, 3, 0, 0, LINK), "d=1: need integer d >= 2"),
+        (lambda: route(2, 0, 0, 0, CROSSTALK), "n=0: need integer n >= 1"),
+        (lambda: route(2.0, 3, 0, 0, LINK), "d=2.0: need integer d >= 2"),
+        (lambda: route(2, 3, 0, 0, "bogus"), "unknown mode 'bogus'"),
+        (lambda: route(1, 3, 9, 0, "bogus"), "d=1: need integer d >= 2"),
+        (lambda: route(2, 3, 9, 0, "bogus"), "unknown mode 'bogus'"),
+    ], ids=["d-1", "n-0", "d-float", "mode", "d-before-mode-and-address",
+            "mode-before-address"])
+    def test_route_refusals(self, call, message):
+        # the d = 1 and float d cases built routes before d had a rule; a
+        # float d must be refused also where an int d of equal value has
+        # filled the per-shape cache
+        route(2, 3, 0, 0, LINK)
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+
     def test_length_mismatch(self):
         # a three-digit address lies past the last address of a 2-digit plane
         with pytest.raises(ValueError):

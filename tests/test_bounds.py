@@ -6,6 +6,10 @@ import math
 import pytest
 
 from switchlp import bounds
+from switchlp.banyan import route
+from switchlp.dary import canonical_sets
+from switchlp.lpcert import LpInstance
+from switchlp.multilog import MultilogConfig
 from switchlp.bounds import (
     LINK, CROSSTALK, _ilog as ilog,
     clos_snb, clos_wsnb_r2, clos_multirate,
@@ -161,12 +165,19 @@ class TestCostFunctions:
         (lambda: g_cost(1, 3, 0, 1, 1, 0, 3), "d=1: need integer d >= 2"),
         (lambda: C_bound(2, 3, 3, 1), "the tables take t < n, not t=3 = n"),
         (lambda: G_bound(2, 3, 3, 9), "f=9: need integer 1 <= f <= 8"),
+        (lambda: bounds.multilog_planes(2, 3, 1, 1, "links"),
+         "unknown mode 'links'"),
+        (lambda: bounds.multilog_planes(2, 3, 3, 1, "LINK"),
+         "unknown mode 'LINK'"),
     ], ids=["cf-n-0", "crosstalk-planes-d-1", "c_cost-d-1", "g_cost-d-1",
-            "table-t-n", "table-f-before-t-n"])
+            "table-t-n", "table-f-before-t-n", "planes-mode-links",
+            "planes-mode-LINK"])
     def test_each_rule_refuses(self, call, message):
         # the first three were answered (1, (1, 't=n') and 0) before the
-        # rules were one: the crosstalk t = n count checked neither d nor
-        # n, and the costs never checked d
+        # size rules were one: the crosstalk t = n count checked neither d
+        # nor n, and the costs never checked d.  The last two were answered
+        # (5, 'G6') and (5, 't=n'), crosstalk's rows, before the mode rule
+        # was one: `multilog_planes` took any mode but LINK as crosstalk
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value) == message
@@ -334,3 +345,22 @@ class TestRowTight:
         assert (res.branch, res.value, res.m_sufficient) == \
             ("G4", at_k1, 2293763)
         assert at_k1 > Fraction(4587521, 2)
+
+
+# A mode has one rule, `bounds.theta_of`, and one message at every entry
+# that takes one; before, `multilog_planes` read any mode but LINK as
+# crosstalk and `LpInstance` raised TypeError for an unhashable one.
+@pytest.mark.parametrize("mode", ["links", "LINK", None, 0, []],
+                         ids=["links", "LINK", "None", "0", "list"])
+def test_one_mode_rule_at_each_entry(mode):
+    entries = {
+        "MultilogConfig": lambda: MultilogConfig(d=2, n=3, m=1, mode=mode),
+        "LpInstance": lambda: LpInstance(canonical_sets(2, 3, 1, 1), 2, mode),
+        "route": lambda: route(2, 3, 0, 0, mode),
+        "multilog_planes": lambda: bounds.multilog_planes(2, 3, 1, 1, mode),
+    }
+    for call in entries.values():
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == "unknown mode %r" % (mode,)
+    assert (bounds.theta_of(LINK), bounds.theta_of(CROSSTALK)) == (0, 1)

@@ -684,6 +684,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--network", "mystery"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "multilog", "--d", "1", "--n", "3", "--t", "1",
+          "--f", "1"], "argument --d: d=1: need integer d >= 2"),
+        (["simulate", "--network", "clos-snb", "--n", "3", "--d", "1"],
+         "argument --d: d=1: need integer d >= 2"),
+        (["certify", "--d", "2", "--n", "3", "--f", "2,0"],
+         "argument --f: f=0: need integer f >= 1"),
+        (["simulate", "--d", "2", "--n", "3", "--m", "0"],
+         "argument --m: m=0: need integer m >= 1"),
+        (["simulate", "--d", "2", "--n", "3", "--trials", "0"],
+         "argument --trials: trials=0: need integer trials >= 1"),
+    ], ids=["bound-d", "unread-d", "certify-f-list", "m", "trials"])
+    def test_least_values_carry_the_rule_message(self, capsys, argv,
+                                                 message):
+        # argparse refuses a value below an option's least with the
+        # message of the library's rule for that name
+        with pytest.raises(SystemExit) as raised:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert (raised.value.code, captured.out) == (2, "")
+        assert captured.err.rstrip().endswith(message)
+
 
 MULTILOG = ["simulate", "--network", "multilog", "--d", "2", "--n", "3",
             "--m", "2"]
@@ -979,6 +1001,25 @@ class TestInputErrors:
             "    (lambda: clos.ClosConfig(n=2, m=0, r=2),",
             "     'm=0: need integer m >= 1'),",
             "    (lambda: dwec.as_weight(0), 'weight 0 out of (0, 1]'),",
+            "    # the request and mode rules, and route's size rule",
+            "    (lambda: dary.AddressSets(2, 3, 0, [], 1),",
+            "     'empty output set'),",
+            "    (lambda: multilog.ConnState(M).blocking_planes(0, [0, 4]),",
+            "     'outputs span windows [0, 4]'),",
+            "    (lambda: dary.AddressSets(2, 3, 0, [0, 4], 1),",
+            "     'outputs span windows [0, 2]'),",
+            "    (lambda: conn.blocking_branches((0, [1])),",
+            "     '(0, [1]) is not a dary.AddressSets'),",
+            "    (lambda: multilog.MultilogConfig(d=2, n=3, m=1, mode='x'),",
+            "     \"unknown mode 'x'\"),",
+            "    (lambda: lpcert.LpInstance(inst.sets, 2, 'x'),",
+            "     \"unknown mode 'x'\"),",
+            "    (lambda: banyan.route(2, 3, 0, 0, 'x'),",
+            "     \"unknown mode 'x'\"),",
+            "    (lambda: bounds.multilog_planes(2, 3, 1, 1, 'x'),",
+            "     \"unknown mode 'x'\"),",
+            "    (lambda: banyan.route(1, 3, 0, 0, 'link'),",
+            "     'd=1: need integer d >= 2'),",
             "]",
             "for i, (call, text) in enumerate(rules):",
             "    try:",

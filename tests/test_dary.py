@@ -211,11 +211,13 @@ class TestAddressSets:
 
     def test_b_spanning_windows_rejected(self):
         with pytest.raises(ValueError,
-                           match=r"B spans multiple windows: \[0, 2\]"):
+                           match=r"outputs span windows \[0, 2\]"):
             AddressSets(2, 3, s("000"), {s("000"), s("100")}, 1)
 
     def test_b_larger_than_window_rejected(self):
-        with pytest.raises(ValueError, match="cannot hold"):
+        # distinct outputs past a window's size span windows
+        with pytest.raises(ValueError,
+                           match=r"outputs span windows \[0, 1, 2, 3\]"):
             AddressSets(2, 3, s("000"), set(all_strings(2, 3)), 1)
 
     def test_index_lookups_reject_foreign_shapes(self):
@@ -373,7 +375,7 @@ def test_frac_pow_negative_exponent():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: DaryString(1, [0]), "base must be >= 2"),
-    (lambda: AddressSets(2, 3, 0, [], 1), "B must be nonempty"),
+    (lambda: AddressSets(2, 3, 0, [], 1), "empty output set"),
     (lambda: AddressSets(2, 3, 0, [0], 4), "t=4: need integer 0 <= t <= 3"),
     (lambda: a_count_formula(2, 3, 3), "i out of range"),
     (lambda: window_count_formula(2, 3, 1, 2), "j out of range"),

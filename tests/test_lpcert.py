@@ -510,11 +510,11 @@ class TestPrimal:
         # from the rows' checks of the live inputs and outputs (plain ints)
         cfg = multilog.MultilogConfig(d=2, n=4, m=2, t=2, f=2)
         conn, rng = multilog.ConnState(cfg), random.Random(5)
-        seen, one, batch = [], dary.check_address, dary.check_addresses
+        seen, one, request = [], dary.check_address, dary.check_request
         monkeypatch.setattr(dary, "check_address", lambda d, n, v: (
             seen.append(("address", v)) or one(d, n, v)))
-        monkeypatch.setattr(dary, "check_addresses", lambda d, n, B: (
-            seen.append(("addresses", B)) or batch(d, n, B)))
+        monkeypatch.setattr(dary, "check_request", lambda d, n, x, B, *size: (
+            seen.append(("request", (x, B))) or request(d, n, x, B, *size)))
         live, probes, positive = [], 0, 0
         for step in range(40):
             if live and rng.random() < 0.4:
@@ -531,8 +531,8 @@ class TestPrimal:
             probes += 1
             positive += primal.objective() > 0
             assert [v for kind, v in seen if v is a] == [a]
-            assert [set(v) for kind, v in seen if kind == "addresses"] \
-                == [set(B)]
+            assert [(v[0], set(v[1])) for kind, v in seen
+                    if kind == "request"] == [(a, set(B))]
             assert not any(v is b for _, v in seen for b in B)
         assert probes == 40 and positive > 5
 
@@ -974,7 +974,7 @@ class TestExactOptimum:
     (lambda: lpcert.solve_packing([[-1]], [1], [0]), ValueError,
      "unbounded LP"),
     (lambda: LpInstance(None, 2), ValueError,
-     "sets must be a dary.AddressSets"),
+     "None is not a dary.AddressSets"),
     (lambda: canonical_instance(2, 3, 1, 2, [1]), ValueError,
      "k=[1]: need integer 1 <= k <= 2"),
 ], ids=["negative-variable", "negative-capacity", "unbounded", "sets-None",

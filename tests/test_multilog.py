@@ -215,8 +215,8 @@ class TestAddressRange:
         # four outputs fits one.  Outputs that are no collection of
         # hashable values are refused first, naming them; otherwise the
         # first address that `check_address` refuses, x before the
-        # outputs, decides every refusal's message.
-        state = ConnState(cfg(t=2, f=8))
+        # outputs, decides every refusal's message.  Each entry runs on a
+        # fresh network, so no output is owned.
         try:
             for v in [x, *set(outputs)]:
                 check_address(2, 3, v)
@@ -225,25 +225,29 @@ class TestAddressRange:
             want = "%r is not a collection of addresses" % (outputs,)
         except ValueError as exc:
             want = str(exc)
-        calls = {"admit": lambda: state.admit(x, outputs),
-                 "blocking_planes": lambda: state.blocking_planes(x, outputs),
-                 "AddressSets": lambda: AddressSets(2, 3, x, outputs, 2)}
+        calls = {
+            "admit": lambda state: state.admit(x, outputs),
+            "blocking_planes": lambda state: state.blocking_planes(
+                x, outputs),
+            "AddressSets": lambda state: AddressSets(2, 3, x, outputs, 2),
+            "primal_from_state": lambda state: lpcert.primal_from_state(
+                state, x, outputs)}
         got = {}
         for name, call in calls.items():
             try:
-                call()
+                call(ConnState(cfg(t=2, f=8)))
                 got[name] = None
             except ValueError as exc:
                 got[name] = str(exc)
         if want is not None:
             assert got == dict.fromkeys(calls, want)
             return
-        # good addresses: only a request over two windows is refused, and
-        # only by the two entries that take one window's request
-        one = len({int(y) // 4 for y in outputs}) == 1
-        assert got["admit"] is None
-        assert (got["blocking_planes"] is None) == one
-        assert (got["AddressSets"] is None) == one
+        # good addresses: only a request over two windows is refused, by
+        # the entries that take one window's request, with one message
+        windows = sorted({int(y) // 4 for y in outputs})
+        want = None if len(windows) == 1 else \
+            "outputs span windows %s" % windows
+        assert got == dict.fromkeys(calls, want) | {"admit": None}
 
     @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_primal_from_state(self, bad):
@@ -328,7 +332,7 @@ class TestBlockingPlanes:
 
     def test_spanning_windows_rejected(self):
         state = ConnState(cfg(t=1, f=2))
-        with pytest.raises(ValueError, match=r"spans windows \[0, 2\]"):
+        with pytest.raises(ValueError, match=r"outputs span windows \[0, 2\]"):
             state.blocking_planes(s("000"), [s("000"), s("100")])
 
     @pytest.mark.parametrize("method", ["blocking_planes",
@@ -341,7 +345,7 @@ class TestBlockingPlanes:
                 state.blocking_planes(s("000"), [])
         else:
             # the request refuses B = {} before blocking_branches runs
-            with pytest.raises(ValueError, match="B must be nonempty"):
+            with pytest.raises(ValueError, match="empty output set"):
                 state.blocking_branches(AddressSets(2, 3, s("000"), [], 1))
 
 
@@ -1028,9 +1032,13 @@ class TestTraceIo:
      "5 is not a collection of addresses"),
     (lambda: ConnState(cfg()).blocking_planes(0, [[0]]),
      "[[0]] is not a collection of addresses"),
+    (lambda: ConnState(cfg()).blocking_branches((0, [1])),
+     "(0, [1]) is not a dary.AddressSets"),
+    (lambda: ConnState(cfg(t=1, f=2)).blocking_planes(0, [0, 4]),
+     "outputs span windows [0, 2]"),
 ], ids=["d-1", "f-past-d^n", "mode", "plane-policy", "no-outputs",
         "request-of-other-n", "request-of-other-t", "outputs-not-a-collection",
-        "outputs-unhashable"])
+        "outputs-unhashable", "request-not-sets", "outputs-over-two-windows"])
 def test_multilog_refusals(call, message):
     with pytest.raises(ValueError) as raised:
         call()
