@@ -120,8 +120,7 @@ def snb_saturation(n, m):
     probes 0:0 -> 0:0.  `clos.run_trace` admits every line but the last,
     `A probe 0:0 0:0`, which blocks exactly when m = 2n-2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    check_range("n", n, 2)
     if m < 2 * n - 2:
         raise ValueError("the saturating schedule needs m >= 2n-2")
     config = clos.ClosConfig(n, m, max(n, 3))
@@ -172,9 +171,10 @@ def benes_search(n, m, max_depth=None):
     """
     check_range("n", n, 1)
     check_range("m", m, 1)
-    max_depth = float("inf") if max_depth is None else max_depth
-    if max_depth < 0:
-        raise ValueError("need max_depth >= 0")
+    if max_depth is None:
+        max_depth = float("inf")
+    else:   # the rule and message of `--depth`
+        check_range("depth", max_depth, 0)
     # per middle, the frozenset of (input, output) crossbar pairs it carries
     start = (frozenset(),) * m
     parents = {start: None}

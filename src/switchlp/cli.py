@@ -259,19 +259,30 @@ def cmd_dwec(args):
 # -- certify ------------------------------------------------------------------
 
 
+MAX_ROWS = 1_000_000   # the most rows `certify` writes: half a minute
+
+
 def cmd_certify(args):
-    # every (d, n, f) is checked first, so a refused grid prints no header
+    # every (d, n, f) is checked and the rows are counted first, so a
+    # refused grid prints no header
     grid = []
     for d in args.d:
         for n in args.n:
             fs = args.f or sorted({1, 2, min(4, d ** n), d ** n})
             check_sizes(d, n, 0, max(fs))   # each f is at least 1
             grid.append((d, n, fs))
+    modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
+    rows = 0
+    for d, n, fs in grid:   # min(f, d^t) cells of (n - t)(t + 1) points
+        for t in range(n):   # each term is >= n, so at most MAX_ROWS / n
+            rows += len(modes) * (n - t) * (t + 1) * sum(
+                min(f, d ** t) for f in fs)
+            if rows > MAX_ROWS:
+                raise ValueError("the grid has more than %d rows" % MAX_ROWS)
     out = _writer()
     out.writerow(["d", "n", "t", "f", "k", "p", "q", "mode", "feasible",
                   "objective", "cost_formula", "match"])
     failures = 0
-    modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
     for d, n, fs in grid:
         for t in range(0, n):
             for f in fs:

@@ -11,15 +11,16 @@ derived address families.  Trace text becomes an address through
 
 from fractions import Fraction
 from functools import lru_cache
-import operator
+from operator import index, sub
 
 from .events import check_sizes
 
 
 class lazy:
-    """A read-once attribute: the method runs on first read and its value
-    is stored in the instance's `__dict__`, which later reads find first.
-    Unlike `functools.cached_property` in Python 3.11, it takes no lock."""
+    """A read-once attribute: the method runs on first read and `setattr`
+    stores its value, which later reads find first (reading `__dict__`
+    would make the instance's attributes a slower dict).  Unlike
+    `functools.cached_property` in Python 3.11, it takes no lock."""
 
     def __init__(self, fn):
         self.fn, self.__doc__ = fn, fn.__doc__
@@ -30,7 +31,7 @@ class lazy:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.fn(obj)
+        setattr(obj, self.name, value := self.fn(obj))
         return value
 
 
@@ -86,35 +87,40 @@ def parse_address(text, d, n):
 def check_address(d, n, v):
     """v as a plain int; raise ValueError unless it is an n-digit base-d
     address value: an integer other than a bool, in [0, d^n)."""
-    if type(v) is bool:
-        raise ValueError("address %r is not an integer" % (v,))
     try:
-        x = operator.index(v)
+        if isinstance(v, bool):
+            raise TypeError
+        x = index(v)
     except TypeError:
         raise ValueError("address %r is not an integer" % (v,)) from None
-    if not 0 <= x < d ** n:
+    if x < 0 or x >= d ** n:
         raise ValueError("address %s out of range for d=%d, n=%d" % (v, d, n))
     return x
 
 
 def check_request(d, n, x, outputs, size=None):
-    """(x, the outputs' frozenset, their sorted ints); ValueError unless the
+    """(x, the outputs as B, B's members ascending); ValueError unless the
     outputs are a nonempty collection, x and they are addresses, and where
-    `size` is given they lie in one window of that many outputs."""
-    try:
-        B = frozenset(outputs)
-    except TypeError:
-        raise ValueError("%r is not a collection of addresses"
-                         % (outputs,)) from None
+    `size` is given they lie in one window of that many outputs.  A step-1
+    `range` is B, read by its ends; any other collection becomes a
+    frozenset, and is refused with the same message."""
+    if isinstance(outputs, range) and outputs.step == 1:
+        B = ints = outputs
+    else:
+        try:
+            B = frozenset(outputs)
+        except TypeError:
+            raise ValueError("%r is not a collection of addresses"
+                             % (outputs,)) from None
+        try:   # a bool is no address: a B holding one is checked below
+            ints = [-1] if bool in map(type, B) else sorted(map(index, B))
+        except TypeError:
+            ints = [-1]
     if not B:
         raise ValueError("empty output set")
     x = check_address(d, n, x)
-    try:
-        ints = sorted(map(operator.index, B))
-    except TypeError:
-        ints = [-1]
-    if ints[0] < 0 or ints[-1] >= d ** n or bool in map(type, B):
-        for v in B:
+    if ints[0] < 0 or ints[-1] >= d ** n:
+        for v in frozenset(B):   # so a range names the member a list does
             check_address(d, n, v)
     if size is not None and ints[0] // size != ints[-1] // size:
         raise ValueError("outputs span windows %s"
@@ -163,14 +169,19 @@ class AddressSets:
     The constructor is the one boundary for a request: it checks d, n and
     t by `check_sizes` and (a, B) by `check_request` in one window of d^t
     outputs, and keeps a as a plain int; an instance is a checked request.
+    B has one form for its members: a `range` when they are contiguous, so
+    its ends, length and membership cost O(1), and a frozenset otherwise.
     """
 
     def __init__(self, d, n, a, B, t):
         check_sizes(d, n, t)
         self._size = size = d ** t
         a, B, ints = check_request(d, n, a, B, size)
+        lo, hi = ints[0], ints[-1]
+        if hi - lo + 1 == len(B):
+            B = range(lo, hi + 1)
         self.d, self.n, self.a, self.B, self.t = d, n, a, B, t
-        self.home_window = ints[0] // size
+        self.home_window = lo // size
 
     @lazy
     def _prefixes(self):
@@ -181,26 +192,24 @@ class AddressSets:
                 for q in range(n - self.t, n)]
 
     @lazy
-    def _tails(self):
-        """union_b_tail(q) for q = n-t .. n.  A contiguous B has
-        hi // p - lo // p + 1 distinct prefixes at each level p = d^(n-q);
-        any other B counts them."""
-        d, n, t, lo, hi = self.d, self.n, self.t, min(self.B), max(self.B)
-        spans = [d ** (n - q) for q in range(n - t, n)]
-        if hi - lo + 1 == len(self.B):
-            heads = [hi // p - lo // p + 1 for p in spans]
-        else:
-            heads = map(len, self._prefixes)
-        k = len(self.B)
-        return tuple([h * p - k for h, p in zip(heads, spans)] + [0])
-
-    @lazy
     def output_counts(self):
         """Number of home-window outputs outside B with index j, for
-        j = 0 .. n-1; zero below n-t."""
-        tails, t = self._tails, self.t
-        return ((0,) * (self.n - t)
-                + tuple(tails[i] - tails[i + 1] for i in range(t)))
+        j = 0 .. n-1; zero below n-t.  Those with j >= q lie under B's
+        q-digit prefixes, p = d^(n-q) outputs each: hi // p - lo // p + 1
+        prefixes for a range B from lo to hi.  B itself is not counted."""
+        d, B, k = self.d, self.B, len(self.B)
+        tails, p = [0], 1   # for q = n, n-1, .., n-t
+        if type(B) is range:
+            lo, hi = B[0], B[-1]
+            for _ in range(self.t):
+                p *= d
+                tails.append((hi // p - lo // p + 1) * p - k)
+        else:
+            for heads in reversed(self._prefixes):
+                p *= d
+                tails.append(len(heads) * p - k)
+        tails.reverse()
+        return (0,) * (self.n - self.t) + tuple(map(sub, tails, tails[1:]))
 
     def i_of(self, u):
         """Suffix index of input u, or None for u == a."""
@@ -215,8 +224,11 @@ class AddressSets:
         check_address(self.d, self.n, v)
         if v // self._size != self.home_window:
             raise ValueError("%s is not in the home window" % v)
-        if v in self.B:
+        B = self.B
+        if v in B:
             return None
+        if type(B) is range:   # the end of B nearer to v shares the most
+            return lcp(self.d, self.n, v, B[0] if v < B[0] else B[-1])
         d, n, t = self.d, self.n, self.t
         for q in range(n - 1, n - t, -1):
             if v // d ** (n - q) in self._prefixes[q - (n - t)]:
@@ -237,8 +249,7 @@ class AddressSets:
 
     def union_b_tail(self, q):
         """|{v in home window, v not in B : j(v) >= q}|."""
-        n, t = self.n, self.t
-        return self._tails[min(max(q, n - t), n) - (n - t)]
+        return sum(self.output_counts[max(q, 0):])
 
 
 def not_sets(value):
@@ -251,13 +262,6 @@ def a_count_formula(d, n, i):
     if not (0 <= i <= n - 1):
         raise ValueError("i out of range")
     return d ** (n - i) - d ** (n - 1 - i)
-
-
-def window_count_formula(d, n, t, j):
-    """Closed form for the number of foreign windows with index j <= n-t-1."""
-    if not (0 <= j <= n - t - 1):
-        raise ValueError("j out of range")
-    return d ** (n - j - t) - d ** (n - 1 - j - t)
 
 
 def canonical_sets(d, n, t, k):

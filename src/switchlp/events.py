@@ -28,19 +28,23 @@ that order: the multilog config, `dary.AddressSets` (d, n, t),
 `canonical_sets` (k), `lpcert.LpInstance` (f, k = |B|), the dual family,
 the `bounds` counts, tables and costs, `banyan.Route` (d, n) and the
 `certify` grid.  A passing call is remembered.  The tables take only
-t < n, a rule of their own.  A Clos n, m or r, a multilog m and the
-command line's least values pass `check_range`; a weight or Clos rate is
-in (0, 1] by `dwec.as_weight` ("weight 3/2 out of (0, 1]").  A request
-has one rule, `dary.check_request`, in `AddressSets`, `ConnState.admit`
-and `blocking_planes`: its outputs are a nonempty collection ("empty
-output set", "5 is not a collection of addresses"), it holds addresses
-("address 8 out of range for d=2, n=3") and, but in admit, one window
-("outputs span windows [0, 2]").  `LpInstance` and `blocking_branches`
-refuse all but an `AddressSets` ("None is not a dary.AddressSets").  A
-mode has one rule, `bounds.theta_of` ("unknown mode 'x'"), in the
-multilog config, `LpInstance`, `Route` and `multilog_planes`.  A Clos
-terminal is checked by its `ClosState`, and a dual value becomes an exact
-number in `lpcert.DualSolution`.  Internal helpers check nothing.
+t < n, a rule of their own.  A Clos n, m or r, a multilog m, the
+saturating schedule's n >= 2, a search's depth ("depth=-1: need integer
+depth >= 0", as `--depth` says) and the command line's least values pass
+`check_range`; `certify` refuses a grid of over 1000000 rows ("the grid
+has more than 1000000 rows"); a weight or Clos rate is in (0, 1] by
+`dwec.as_weight` ("weight 3/2 out of (0, 1]").  A request has one rule,
+`dary.check_request`, in `AddressSets`, `ConnState.admit` and
+`blocking_planes`: its outputs are a nonempty collection ("empty output
+set", "5 is not a collection of addresses"), it holds addresses ("address
+8 out of range for d=2, n=3") and, but in admit, one window ("outputs
+span windows [0, 2]"); a range is refused as its list is.  `LpInstance`
+and `blocking_branches` refuse all but an `AddressSets` ("None is not a
+dary.AddressSets").  A mode has one rule, `bounds.theta_of` ("unknown
+mode 'x'"), in the multilog config, `LpInstance`, `Route` and
+`multilog_planes`.  A Clos terminal is checked by its `ClosState`, and a
+dual value becomes an exact number in `lpcert.DualSolution`.  Internal
+helpers check nothing.
 """
 
 from fractions import Fraction

@@ -20,8 +20,8 @@ from functools import lru_cache
 from itertools import chain, compress
 from numbers import Number
 
-from .dary import (AddressSets, a_count_formula, canonical_sets, lazy,
-                   not_sets, window_count_formula)
+from .dary import (AddressSets, _canonical_sets, a_count_formula, lazy,
+                   not_sets)
 from . import bounds
 from .bounds import LINK, CROSSTALK, theta_of
 from .events import check_family, check_sizes
@@ -51,8 +51,8 @@ class LpInstance:
     so nothing here enumerates addresses.  The dual checks read the (i, j)
     classes (`classes_uw`, `classes_uv`) and the class-count `profile`,
     each built when first read; a primal read off a simulator state needs
-    none of them.  The class tables come from bounded caches keyed by what
-    they depend on, and each instance gets its own copies.
+    none of them.  Each instance builds its own from |A_i|, cached per
+    (d, n) alone, and a caller may change them freely.
     """
 
     def __init__(self, sets, f, mode=LINK):
@@ -68,26 +68,38 @@ class LpInstance:
     @lazy
     def classes_uw(self):
         """(i, j) pairs with at least one defined (u, w) variable."""
-        return list(_classes(self.n, self._thresh, range(self.n - self.t)))
+        return list(self._beta)
+
+    @lazy
+    def _beta(self):
+        """Each (u, w) class's count: |A_i| times the |A_(j+t)| windows of
+        class j, for the window classes j from thresh - i up."""
+        a, n, t = _input_counts(self.d, self.n), self.n, self.t
+        return {(i, j): a[i] * a[j + t] for i in range(n)
+                for j in range(self._thresh - i, n - t)}
 
     @lazy
     def classes_uv(self):
         """(i, j) pairs with at least one defined (u, v) variable."""
         # every input class and foreign-window class is nonempty for d >= 2;
         # only the home-window output classes j in [n-t, n) can be empty
-        outs = tuple(compress(range(self.n), self.sets.output_counts))
-        return list(_classes(self.n, self._thresh, outs))
+        n, thresh = self.n, self._thresh
+        outs = tuple(compress(range(n), self.sets.output_counts))
+        return [(i, j) for i in range(n) for j in outs if i + j >= thresh]
 
     @lazy
     def profile(self):
-        """Class counts (|A_i| per i, foreign windows and spare home-window
-        outputs per j) as each class dual's objective coefficient."""
-        d, n = self.d, self.n
-        alpha, beta, gamma = _window_counts(d, n, self.t, self._thresh)
-        return {"alpha": alpha.copy(), "beta": beta.copy(),
-                "gamma": gamma.copy(),
+        """Class counts as each class dual's objective coefficient: d^t
+        outputs per foreign window of class j (alpha), |A_i| times those
+        windows per (u, w) class (beta), |A_i| (gamma), the spare
+        home-window outputs per j (delta) and f |A_i| (epsilon).  The
+        windows of class j number |A_(j+t)|, and their outputs |A_j|."""
+        a, f = _input_counts(self.d, self.n), self.f
+        return {"alpha": dict(enumerate(a[:self.n - self.t])),
+                "beta": self._beta.copy(),
+                "gamma": dict(enumerate(a)),
                 "delta": dict(enumerate(self.sets.output_counts)),
-                "epsilon": _fanout_counts(d, n, self.f).copy()}
+                "epsilon": dict(enumerate(map(f.__mul__, a)))}
 
     def rows_of(self, kind, u, z):
         """The (rank in `_ROWS`, key, bound) rows that x_(u,z) sits in, for
@@ -107,47 +119,25 @@ class LpInstance:
         return ((2, u, 1), (3, z, 1), (4, u, self.f))
 
 
-# The class tables below depend on an instance only through a few of its
-# parameters, so a grid of instances shares far fewer of them than it has
-# cells.  Each holds tuples or dicts that no caller sees: instances copy them.
-
-
 @lru_cache(maxsize=256)
-def _classes(n, thresh, js):
-    """(i, j) for i < n and j in js with i + j >= thresh."""
-    return tuple((i, j) for i in range(n) for j in js if i + j >= thresh)
-
-
-@lru_cache(maxsize=256)
-def _window_counts(d, n, t, thresh):
-    """The alpha, beta and gamma class counts: d^t outputs per foreign
-    window class, |A_i| times the windows per (u, w) class, and |A_i|."""
-    a = [a_count_formula(d, n, i) for i in range(n)]
-    win = [window_count_formula(d, n, t, j) for j in range(n - t)]
-    return ({j: d ** t * c for j, c in enumerate(win)},
-            {(i, j): a[i] * win[j]
-             for i, j in _classes(n, thresh, range(n - t))},
-            dict(enumerate(a)))
-
-
-@lru_cache(maxsize=256)
-def _fanout_counts(d, n, f):
-    """The epsilon class counts: f times |A_i|."""
-    return {i: f * a_count_formula(d, n, i) for i in range(n)}
+def _input_counts(d, n):
+    """|A_i| for i < n, the one class table an instance shares: it depends
+    on (d, n) alone and holds n counts."""
+    return tuple(a_count_formula(d, n, i) for i in range(n))
 
 
 def canonical_instance(d, n, t, f, k, mode=LINK):
     """Instance for the canonical request a = 0^n, B = first k of window 0,
     on the cached sets of `canonical_sets`."""
-    check_sizes(d, n, t, f, k)
-    return LpInstance(canonical_sets(d, n, t, k), f, mode)
+    check_sizes(d, n, t, f, k)   # which passes canonical_sets's k rule
+    return LpInstance(_canonical_sets(d, n, t, k), f, mode)
 
 
 class PrimalSolution:
     def __init__(self, instance, xw=None, xv=None):
         self.instance = instance
-        self.xw = dict(xw or {})   # (u, w) -> value
-        self.xv = dict(xv or {})   # (u, v) -> value
+        self.xw = dict(xw) if xw else {}   # (u, w) -> value
+        self.xv = dict(xv) if xv else {}   # (u, v) -> value
 
     def objective(self):
         return sum(self.xw.values()) + sum(self.xv.values())
@@ -182,8 +172,7 @@ def primal_from_state(conn, a, B):
     cfg = conn.config
     sets = AddressSets(cfg.d, cfg.n, a, B, cfg.t)
     inst = LpInstance(sets, cfg.f, cfg.mode)
-    primal = PrimalSolution(inst)
-    size = cfg.d ** cfg.t
+    primal, size = PrimalSolution(inst), sets._size
     for u, v in conn.blocking_branches(sets).values():
         w = v // size
         if w == inst.home:
@@ -296,8 +285,8 @@ def dual_family(instance, p, q):
     """The two-parameter dual-feasible family.
 
     p shapes epsilon/alpha/beta, q shapes gamma/delta; thresholds shift by
-    one between link and crosstalk modes.  The pools are fresh copies of a
-    cached shape, so a caller may change them freely.
+    one between link and crosstalk modes.  The pools are fresh copies of
+    cached shapes, so a caller may change them freely.
     """
     n, t = instance.n, instance.t
     check_family(n, t, q, p)
@@ -311,8 +300,17 @@ def dual_family(instance, p, q):
 def _family_shape(n, t, theta, p, q):
     """The family's (alpha, gamma, delta, epsilon, beta) pools at one point,
     in the form `DualSolution` gives them: the support alone, every value
-    the int 1.  They depend on the instance only through (n, t, theta);
-    callers copy them and never change them."""
+    the int 1.  Each is held once for every point that has it, so an entry
+    is five references; callers copy the pools and never change them."""
+    jhi, beta = _beta_shape(n, t, theta, p)
+    gamma = (0, 0) if q == n - t else (n - q + 1 - theta, n - p)
+    return _ones(jhi, n - t), _ones(*gamma), _ones(q, n), _ones(n - p, n), beta
+
+
+@lru_cache(maxsize=256)
+def _beta_shape(n, t, theta, p):
+    """The window class jhi where the family's alpha begins, and its beta
+    pool."""
     half = (n // 2) if theta == 0 else -(-n // 2)
     jlo = p + 1 - theta
     # beta covers the window classes j in [jlo, jhi), alpha those above
@@ -322,14 +320,15 @@ def _family_shape(n, t, theta, p, q):
         jhi = t - theta + 1
     else:
         jhi = jlo
-    alpha = dict.fromkeys(range(jhi, n - t), 1)
-    beta = {(i, j): 1 for j in range(jlo, jhi)
-            for i in range(n - theta - j, n - p)}
-    gamma = ({} if q == n - t
-             else dict.fromkeys(range(n - q + 1 - theta, n - p), 1))
-    delta = dict.fromkeys(range(q, n), 1)
-    eps = dict.fromkeys(range(n - p, n), 1)
-    return alpha, gamma, delta, eps, beta
+    return jhi, {(i, j): 1 for j in range(jlo, jhi)
+                 for i in range(n - theta - j, n - p)}
+
+
+@lru_cache(maxsize=256)
+def _ones(lo, hi):
+    """The pool that is 1 on lo .. hi-1: the family's alpha, gamma, delta
+    and epsilon are each one such run."""
+    return dict.fromkeys(range(lo, hi), 1)
 
 
 def check_weak_duality(primal, dual):

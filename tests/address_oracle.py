@@ -148,6 +148,15 @@ def intersection_stage(d, n, a, b, u, v):
 # -- enumerated address families ----------------------------------------------
 
 
+def window_count_formula(d, n, t, j):
+    """Closed form for the number of foreign windows with index j <= n-t-1.
+    It is |A_(j+t)|, `dary.a_count_formula(d, n, j + t)`, which is how the
+    package counts them."""
+    if not (0 <= j <= n - t - 1):
+        raise ValueError("j out of range")
+    return d ** (n - j - t) - d ** (n - 1 - j - t)
+
+
 class EnumeratedAddressSets:
     """Same interface and meaning as `switchlp.dary.AddressSets`; see its
     docstring.  Walks every input, every output of the home window and every

@@ -1,14 +1,23 @@
-"""Every `functools` cache the package defines states a finite bound.
+"""Every `functools` cache the package defines states a finite bound, and
+no cached value grows with the request.
 
 A cache keyed by request data that never fills keeps every entry it makes,
 so steady churn grows memory without end (see the comment above
 `multilog._route`).  Each `lru_cache` in `src/switchlp/` must therefore be
 called with a positive int `maxsize`, written out; a bare `@lru_cache`,
-`maxsize=None` and `functools.cache` all fail.
+`maxsize=None` and `functools.cache` all fail.  A bound on entries bounds
+memory only if no entry grows with k = |B|: the canonical sets keep B as a
+range, so a certificate grid runs in memory that does not grow with d^t.
 """
 
 import ast
+import contextlib
+import gc
+import io
 import pathlib
+import tracemalloc
+
+from switchlp import cli, dary, lpcert
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "switchlp").glob("*.py"))
@@ -56,3 +65,63 @@ def test_every_cache_is_bounded():
                 unbounded.append("%s:%d" % (path.name, node.lineno))
     assert checked >= 7
     assert unbounded == []
+
+
+def kept(call, module):
+    """The bytes that `module`'s own lines allocated during `call` and are
+    still allocated after it, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, module.__file__)])
+        return sum(stat.size for stat in snap.statistics("filename"))
+    finally:
+        tracemalloc.stop()
+
+
+def canonical_sets_at(d, n, t, k):
+    """The canonical sets at k, alone in a cleared cache, with the counts
+    a certificate reads."""
+    dary._canonical_sets.cache_clear()
+    sets = dary.canonical_sets(d, n, t, k)
+    sets.output_counts, sets.union_b_tail(n - t)
+
+
+def first_point(d, n, t, k):
+    """A certificate grid's first point at k: its instance, every class
+    table the instance reads, and one certificate."""
+    inst = lpcert.canonical_instance(d, n, t, d ** n, k)
+    inst.classes_uw, inst.classes_uv, inst.profile
+    lpcert.dual_family(inst, 0, n).check_feasible()
+
+
+def test_no_cached_value_grows_with_k():
+    d, n, t = 2, 13, 12
+    # the canonical sets at k = 1 and at k = d^t = 4096 hold the same few
+    # counts; a B held member by member would hold 4096 ints at the top
+    small, large = (kept(lambda: canonical_sets_at(d, n, t, k), dary)
+                    for k in (1, d ** t))
+    # (a freed dict or list that CPython keeps for reuse still counts)
+    assert large < small + 1024, (small, large)
+    # the class tables are keyed without k, so a second k caches nothing
+    # of the size a table of its 4096 members would take
+    first_point(d, n, t, 1)
+    assert kept(lambda: first_point(d, n, t, d ** t), lpcert) < 4096
+
+
+def test_certificate_grid_memory_is_bounded():
+    # 12,605 rows at d = 64, n = 3, up to k = 64^2; its peak was 619 MiB
+    # when each cached request held B member by member
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["certify", "--d", "64", "--n", "3",
+                             "--mode", "link"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().count("\n") == 12606
+    assert peak < 16 * 2 ** 20, peak

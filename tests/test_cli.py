@@ -411,6 +411,15 @@ class TestSimulate:
                            "--n", n, "--m", m, "--depth", depth)
         assert code == 0
 
+    def test_depth_rule_is_the_librarys(self, capsys):
+        # `--depth` and `benes_search` state one rule with one message
+        with pytest.raises(ValueError) as raised:
+            adversary.benes_search(3, 3, max_depth=-1)
+        code, out, err = run(capsys, "simulate", "--network", "clos-benes",
+                             "--n", "3", "--m", "3", "--depth", "-1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --depth: %s\n" % raised.value)
+
     def test_benes_depth_past_closure(self, capsys):
         # n = 2, m = 3 closes within 20 events, so the cut never bites
         code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
@@ -783,6 +792,10 @@ MALFORMED = {
     "simulate-d-1": (["simulate", "--d", "1", "--n", "3", "--t", "1",
                       "--f", "1"], None, 0),
     "certify-n-0": (["certify", "--n", "0"], None, 0),
+    # past the row cap: k would run up to 2^63, or the grid past 10^6 rows
+    "certify-n-64": (["certify", "--n", "64"], None, 0),
+    "certify-d-64-n-4": (["certify", "--d", "64", "--n", "4", "--mode",
+                          "link"], None, 0),
     "optimum-n-0": (["optimum", "--d", "2", "--n", "0", "--t", "0", "--f",
                      "1", "--k", "1"], None, 0),
     "optimum-f-9": (["optimum", "--d", "2", "--n", "3", "--t", "1", "--f",
@@ -1008,6 +1021,17 @@ class TestInputErrors:
             "     'outputs span windows [0, 4]'),",
             "    (lambda: dary.AddressSets(2, 3, 0, [0, 4], 1),",
             "     'outputs span windows [0, 2]'),",
+            "    # a range B is read by its ends, and refused as its list",
+            "    (lambda: dary.AddressSets(2, 3, 0, range(3, 6), 1),",
+            "     'outputs span windows [1, 2]'),",
+            "    (lambda: dary.AddressSets(2, 3, 0, range(-1, 2), 2),",
+            "     'address -1 out of range for d=2, n=3'),",
+            "    # the depth rule, and the certify grid's row cap",
+            "    (lambda: adversary.benes_search(3, 3, max_depth=-1),",
+            "     'depth=-1: need integer depth >= 0'),",
+            "    (lambda: cli.cmd_certify(cli.build_parser().parse_args(",
+            "        ['certify', '--n', '64'])),",
+            "     'the grid has more than 1000000 rows'),",
             "    (lambda: conn.blocking_branches((0, [1])),",
             "     '(0, [1]) is not a dary.AddressSets'),",
             "    (lambda: multilog.MultilogConfig(d=2, n=3, m=1, mode='x'),",

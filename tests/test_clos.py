@@ -94,8 +94,9 @@ class TestSnb:
                     ["ok"] * (len(lines) - 1) + [probe]
 
     def test_saturation_refusals(self):
-        with pytest.raises(ValueError, match="need n >= 2"):
+        with pytest.raises(ValueError) as raised:
             adversary.snb_saturation(1, 3)
+        assert str(raised.value) == "n=1: need integer n >= 2"
         with pytest.raises(ValueError, match="needs m >= 2n-2"):
             adversary.snb_saturation(4, 5)
 
@@ -441,7 +442,10 @@ def test_benes_search_golden():
 @pytest.mark.parametrize("n, m, depth, message", [
     (0, 3, None, "n=0: need integer n >= 1"),
     (3, 0, None, "m=0: need integer m >= 1"),
-    (3, 3, -1, "need max_depth >= 0")], ids=["0-3-None", "3-0-None", "3-3--1"])
+    (3, 3, -1, "depth=-1: need integer depth >= 0"),
+    (3, 3, 1.5, "depth=1.5: need integer depth >= 0"),
+    (3, 3, True, "depth=True: need integer depth >= 0")],
+    ids=["0-3-None", "3-0-None", "3-3--1", "3-3-1.5", "3-3-True"])
 def test_benes_search_refusals(n, m, depth, message):
     with pytest.raises(ValueError) as raised:
         adversary.benes_search(n, m, max_depth=depth)

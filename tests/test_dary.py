@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchlp
+from switchlp import dary
 from switchlp.dary import (
     DaryString, lcp, lcs, all_strings, AddressSets, a_count_formula,
-    window_count_formula, canonical_sets, check_address, frac_pow,
-    parse_address,
+    canonical_sets, check_address, frac_pow, parse_address,
 )
 
 import address_oracle as oracle
 from address_oracle import (EnumeratedAddressSets, address_text,
-                            window_outputs)
+                            window_count_formula, window_outputs)
 
 
 def s(text, base=2):
@@ -267,6 +267,8 @@ class TestAddressSets:
                 for j in range(n - t):
                     count = window_count_formula(d, n, t, j)
                     assert oracle.window_count(j) == count
+                    # the identity the instance's class counts rest on
+                    assert count == a_count_formula(d, n, j + t)
                     # the foreign part of B_j is whole windows of d^t outputs
                     assert count * d ** t \
                         == oracle.b_count(j) == d ** (n - j) - d ** (n - 1 - j)
@@ -366,6 +368,85 @@ class TestAddressChecks:
     def test_bad_input_address_named_first(self):
         with pytest.raises(ValueError, match="address 8 out of range"):
             AddressSets(2, 3, 8, [9], 0)
+
+
+def b_cases(d, n, t):
+    """(members, forms, contiguous) for every k = 1 .. d^t in a middle
+    window: a run of k outputs as a range, a descending list and a
+    frozenset; where k leaves room, k outputs with one gap as a list and a
+    frozenset; and every other output of the window as a step-2 range."""
+    size = d ** t
+    base = (d ** (n - t) // 2) * size
+    for k in range(1, size + 1):
+        run = range(base + (size - k) // 2, base + (size - k) // 2 + k)
+        yield run, (run, list(reversed(run)), frozenset(run)), True
+        if 2 <= k < size:
+            gap = [*range(base, base + k - 1), base + k]
+            yield gap, (gap, frozenset(gap)), False
+    if size >= 3:
+        every = range(base, base + size, 2)
+        yield every, (every, list(every), frozenset(every)), False
+
+
+class TestRangeB:
+    """A B of contiguous members is kept as a range, any other as a
+    frozenset; either form answers as the enumerated sets do."""
+
+    @pytest.mark.parametrize("d, n", [(d, n) for d in (2, 3, 4, 5)
+                                      for n in range(1, 8) if d ** n <= 243])
+    def test_forms_match_enumeration(self, d, n):
+        a, inputs = d ** n - 1, range(d ** n)
+        for t in range(n + 1):
+            windows = range(d ** (n - t))
+            for members, forms, contiguous in b_cases(d, n, t):
+                ref = EnumeratedAddressSets(d, n, a, members, t)
+                home = window_outputs(d, n, t, ref.home_window)
+                want = ([ref.i_of(u) for u in inputs],
+                        [ref.j_of_output(v) for v in home],
+                        [ref.j_of_window(w) for w in windows],
+                        tuple(ref.output_count(j) for j in range(n)),
+                        [ref.union_b_tail(q) for q in range(n - t - 1,
+                                                            n + 2)])
+                for B in forms:
+                    sets = AddressSets(d, n, a, B, t)
+                    assert (type(sets.B) is range) == contiguous
+                    assert set(sets.B) == set(members)
+                    assert ([sets.i_of(u) for u in inputs],
+                            [sets.j_of_output(v) for v in home],
+                            [sets.j_of_window(w) for w in windows],
+                            sets.output_counts,
+                            [sets.union_b_tail(q)
+                             for q in range(n - t - 1, n + 2)]) == want
+
+
+def outcome(call):
+    """What `call` returns, or the message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@pytest.mark.parametrize("x", [0, 7, 8, -1, True])
+def test_range_refused_as_its_list(x):
+    # a range is read by its ends, a list member by member; every refusal
+    # and every accepted B must be the same either way
+    for start in range(-3, 11):
+        for stop in range(start - 1, start + 6):
+            for step in (1, -1, 2):
+                B = range(start, stop, step)
+                for size in (None, 2, 4):
+                    got, want = (outcome(lambda: dary.check_request(
+                        2, 3, x, outputs, size)) for outputs in (B, list(B)))
+                    if isinstance(want, tuple):
+                        assert got[0] == want[0]
+                        assert set(got[1]) == want[1] == set(B)
+                        assert list(got[2]) == want[2]
+                    else:
+                        assert got == want
+                got, want = (outcome(lambda: AddressSets(2, 3, x, outputs, 1)
+                                     .B) for outputs in (B, list(B)))
+                assert got == want
 
 
 def test_frac_pow_negative_exponent():

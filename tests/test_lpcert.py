@@ -110,13 +110,16 @@ class TestInstance:
         inst = LpInstance(sets, 2)
         assert inst.sets is sets
         assert (inst.d, inst.n, inst.t, inst.a, inst.B, inst.k) == \
-            (2, 3, 1, 0, frozenset({0, 1}), 2)
+            (2, 3, 1, 0, range(2), 2)
         with pytest.raises(ValueError) as raised:
             LpInstance(sets, 1)
         assert str(raised.value) == "k=2: need integer 1 <= k <= 1"
-        # B's members decide, not the type it is passed as
+        # B's members decide, not the type it is passed as: contiguous
+        # members are one range, any others one frozenset
         for B in ([0, 1], (1, 0), range(2), [1, 0, 1], {0, 1}):
             assert AddressSets(2, 3, 0, B, 1).B == sets.B
+        for B in ([2, 0], (0, 2), range(0, 3, 2), frozenset({0, 2})):
+            assert AddressSets(2, 3, 0, B, 2).B == frozenset({0, 2})
 
     def test_canonical_matches_fresh_build(self):
         # the canonical instance takes the cached sets; an instance on
@@ -482,6 +485,22 @@ class TestPrimal:
         inst, primal = primal_from_state(conn, s("000"), [s("000")])
         assert primal.objective() == len(planes) == 2
         assert primal.check_feasible()
+
+    def test_list_probe_meets_the_canonical_dual(self):
+        # a probe's B given as a list holds the canonical request's members,
+        # so its primal and the canonical instance's duals are one request
+        cfg = multilog.MultilogConfig(d=2, n=3, m=2, t=1, f=2,
+                                      mode=CROSSTALK)
+        conn = multilog.ConnState(cfg)
+        conn.admit(1, [2], rid="a")
+        conn.admit(4, [3], rid="b")
+        inst, primal = primal_from_state(conn, 0, [1, 0])
+        assert inst.B == range(2) and primal.objective() == 2
+        canon = canonical_instance(2, 3, 1, 2, 2, CROSSTALK)
+        for p in range(2):
+            for q in range(2, 4):
+                assert check_weak_duality(primal, dual_family(canon, p, q)) \
+                    == dual_family(canon, p, q).objective() - 2
 
     def test_probe_builds_only_what_the_primal_reads(self):
         cfg = multilog.MultilogConfig(d=2, n=3, m=2, t=1, f=2,

@@ -38,13 +38,11 @@ RULES = {
     ("bounds.py", "theta_of", "unknown mode %r"),
     # the coloring audit's broken invariant, an AssertionError
     ("dwec.py", "audit", "weight %s out of (0, 1]"),
-    # other rules that name a parameter: the tables' domain, an address,
-    # a request past its network's fanout, and the Clos saturating
-    # schedule, which needs two ports per crossbar
+    # other rules that name a parameter: the tables' domain, an address
+    # and a request past its network's fanout
     ("bounds.py", "_check_table", "the tables take t < n, not t=%d = n"),
     ("dary.py", "check_address", "address %s out of range for d=%d, n=%d"),
     ("multilog.py", "admit", "request fans out to %d > f=%d"),
-    ("adversary.py", "snb_saturation", "need n >= 2"),
 }
 
 
