@@ -28,9 +28,9 @@ def _stages(d, n):
 
 class Route:
     """The route of one (input, output) pair through a single plane, kept
-    as the stage-offset int ids that `mode` reads: in link mode `ids[s]` is
-    the link leaving stage s (s = 0: the input link), in crosstalk mode
-    `ids[s-1]` is the stage-s element."""
+    as the stage-offset int ids that `mode` reads: `ids[s-1]` is the link
+    leaving stage s in link mode, the stage-s element in crosstalk mode.
+    No id is the input link, which only routes from this input hold."""
 
     __slots__ = ("input", "output", "ids")
 
@@ -42,7 +42,7 @@ class Route:
         # the stage-s label is y_1..y_{s-1} x_s..x_{n-1}; the link leaving
         # stage s appends y_s to it, which at s = n gives y itself
         tail = x // d
-        ids = [x] if links else []
+        ids = []
         for lo, hi, se_base, link_base in stages:
             label = (y // hi) * lo + tail % lo
             ids.append(link_base + label * d + (y // lo) % d if links

@@ -263,36 +263,38 @@ MAX_ROWS = 1_000_000   # the most rows `certify` writes: half a minute
 
 
 def cmd_certify(args):
-    # every (d, n, f) is checked and the rows are counted first, so a
-    # refused grid prints no header
-    grid = []
+    # the cells are counted before the header, so a refused grid prints
+    # none; a (d, n) has n * n rows or more, so a long n is refused first
+    modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
+    cells, rows = [], 0
     for d in args.d:
         for n in args.n:
+            _within_cap(rows + n * n)
             fs = args.f or sorted({1, 2, min(4, d ** n), d ** n})
             check_sizes(d, n, 0, max(fs))   # each f is at least 1
-            grid.append((d, n, fs))
-    modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
-    rows = 0
-    for d, n, fs in grid:   # min(f, d^t) cells of (n - t)(t + 1) points
-        for t in range(n):   # each term is >= n, so at most MAX_ROWS / n
-            rows += len(modes) * (n - t) * (t + 1) * sum(
-                min(f, d ** t) for f in fs)
-            if rows > MAX_ROWS:
-                raise ValueError("the grid has more than %d rows" % MAX_ROWS)
+            for t in range(n):
+                for f in fs:
+                    ks = min(f, d ** t)
+                    for mode in modes:
+                        cells.append((d, n, t, f, mode, ks))
+                        rows += (n - t) * (t + 1) * ks
+                        _within_cap(rows)
     out = _writer()
     out.writerow(["d", "n", "t", "f", "k", "p", "q", "mode", "feasible",
                   "objective", "cost_formula", "match"])
     failures = 0
-    for d, n, fs in grid:
-        for t in range(0, n):
-            for f in fs:
-                for mode in modes:
-                    for k in range(1, min(f, d ** t) + 1):
-                        inst = lpcert.canonical_instance(d, n, t, f, k, mode)
-                        for p in range(0, n - t):
-                            for q in range(n - t, n + 1):
-                                failures += _certify_point(out, inst, p, q)
+    for d, n, t, f, mode, ks in cells:
+        for k in range(1, ks + 1):
+            inst = lpcert.canonical_instance(d, n, t, f, k, mode)
+            for p in range(0, n - t):
+                for q in range(n - t, n + 1):
+                    failures += _certify_point(out, inst, p, q)
     return 1 if failures else 0
+
+
+def _within_cap(rows):
+    if rows > MAX_ROWS:
+        raise ValueError("the grid has more than %d rows" % MAX_ROWS)
 
 
 def _certify_point(out, inst, p, q):

@@ -172,9 +172,6 @@ class ConnState:
             rid = "auto%d" % self._auto
         if rid in self.requests:
             raise DuplicateId(repr(rid))
-        if len(outputs) > cfg.f:
-            raise FanoutExceeded("request fans out to %d > f=%d"
-                                 % (len(outputs), cfg.f))
         if self.input_active.get(x, 0) + len(outputs) > cfg.f:
             raise FanoutExceeded("input %s would exceed fanout %d"
                                  % (x, cfg.f))

@@ -4,12 +4,15 @@ Each test covers one acceptance criterion and emits exactly one
 "CRITERION n: PASS/FAIL" line on the real stdout, bypassing capture, so
 the verdicts are visible in the run log.  Findings (documented value-level
 discrepancies that are logged rather than failed) are printed the same way.
+A criterion passes only if the lines it prints are the ones
+`criterion_lines.txt` holds for it, in order, its verdict last.
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
@@ -30,6 +33,8 @@ F = Fraction
 
 
 _CAP = None
+_SAID = []   # every line `say` printed, in order
+EXPECTED = pathlib.Path(__file__).with_name("criterion_lines.txt")
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +46,7 @@ def _route_verdicts_past_capture(capfd):
 
 
 def say(text):
+    _SAID.append(text)
     if _CAP is not None:
         with _CAP.disabled():
             print(text, flush=True)
@@ -50,12 +56,17 @@ def say(text):
 
 @contextmanager
 def criterion(num):
+    start, verdict = len(_SAID), "CRITERION %d: PASS" % num
     try:
         yield
+        pinned = [line for line in EXPECTED.read_text().splitlines()
+                  if line.split()[1].rstrip(":") == str(num)]
+        assert _SAID[start:] + [verdict] == pinned, \
+            "its lines differ from %s" % EXPECTED.name
     except BaseException as exc:
         say("CRITERION %d: FAIL (%s)" % (num, exc))
         raise
-    say("CRITERION %d: PASS" % num)
+    say(verdict)
 
 
 def ceil_div(a, b):

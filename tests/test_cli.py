@@ -12,6 +12,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -616,6 +617,20 @@ class TestCertify:
         assert out.count("\n") == 4027
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "1bb6044c2180050e36d2391cc3724a08c99d7fa1292153e08bd0cc9d5043642d"
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", "3", "--n", "10000000"],
+        # over the cap at n = 200 before the bad f at n = 3 is reached
+        ["--n", "200,3", "--f", "9"],
+    ], ids=["long-n", "cap-before-later-f"])
+    def test_over_cap_refused_before_any_power(self, capsys, argv):
+        # a (d, n) has n * n rows or more, so the count refuses these
+        # before any d^n, of which 3^10000000 alone takes seconds
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == "error: the grid has more than 1000000 rows\n"
 
     def test_fuzz_reports_violations(self, capsys, monkeypatch):
         family = lpcert.dual_family

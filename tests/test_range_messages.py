@@ -38,11 +38,9 @@ RULES = {
     ("bounds.py", "theta_of", "unknown mode %r"),
     # the coloring audit's broken invariant, an AssertionError
     ("dwec.py", "audit", "weight %s out of (0, 1]"),
-    # other rules that name a parameter: the tables' domain, an address
-    # and a request past its network's fanout
+    # other rules that name a parameter: the tables' domain and an address
     ("bounds.py", "_check_table", "the tables take t < n, not t=%d = n"),
     ("dary.py", "check_address", "address %s out of range for d=%d, n=%d"),
-    ("multilog.py", "admit", "request fans out to %d > f=%d"),
 }
 
 
