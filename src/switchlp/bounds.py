@@ -110,20 +110,20 @@ def _fanout(d, n, f, r):
 
 def c_cost(d, n, t, f, k, p, q):
     """Dual objective of the certificate family, link-blocking mode."""
-    return _cost(d, n, t, f, k, p, q, 0)
+    check_sizes(d, n, t, f, k)
+    check_family(n, t, q, p)
+    return _cost(d, n, t, f, k, p, q)
 
 
 def g_cost(d, n, t, f, k, p, q):
-    """Dual objective of the certificate family, crosstalk-free mode."""
-    return _cost(d, n, t, f, k, p, q, 1)
-
-
-def _cost(d, n, t, f, k, p, q, theta):
-    """The family's dual objective, its arguments checked.  Crosstalk
-    (theta = 1) shifts each threshold by one: the link cost at n+1, q+1."""
+    """Dual objective, crosstalk-free mode: the link cost at n + 1, q + 1."""
     check_sizes(d, n, t, f, k)
     check_family(n, t, q, p)
-    n, q = n + theta, q + theta
+    return _cost(d, n + 1, t, f, k, p, q + 1)
+
+
+def _cost(d, n, t, f, k, p, q):
+    """The link family's dual objective, for arguments already checked."""
     base = f * (d ** p - 1)
     tail_min = min(d ** t - k, k * (d ** (n - q) - 1))
     if t >= n // 2:

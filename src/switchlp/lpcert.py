@@ -12,7 +12,9 @@ duality in exact rational arithmetic.  A dual holds only its support.
 
 Everything class-level here exploits that both the dual constraints and the
 family's variable values depend on an input u only through its suffix index
-i(u), and on a window or output only through its prefix index j.
+i(u), and on a window or output only through its prefix index j.  A crosstalk
+instance at n is the link instance at N = n + 1, its class labels (i(u) + 1,
+j + 1); only `rows_of`, which reads addresses, keeps the threshold n - 1.
 """
 
 from fractions import Fraction
@@ -52,7 +54,7 @@ class LpInstance:
     classes (`classes_uw`, `classes_uv`) and the class-count `profile`,
     each built when first read; a primal read off a simulator state needs
     none of them.  Each instance builds its own from |A_i|, cached per
-    (d, n) alone, and a caller may change them freely.
+    (d, N = n + theta), and a caller may change them freely.
     """
 
     def __init__(self, sets, f, mode=LINK):
@@ -73,19 +75,19 @@ class LpInstance:
     @lazy
     def _beta(self):
         """Each (u, w) class's count: |A_i| times the |A_(j+t)| windows of
-        class j, for the window classes j from thresh - i up."""
-        a, n, t = _input_counts(self.d, self.n), self.n, self.t
-        return {(i, j): a[i] * a[j + t] for i in range(n)
-                for j in range(self._thresh - i, n - t)}
+        class j, for the window classes j from N - i up."""
+        a, t = _input_counts(self.d, N := self.n + self.theta), self.t
+        return {(i, j): a[i] * a[j + t] for i in range(N)
+                for j in range(N - i, N - t)}
 
     @lazy
     def classes_uv(self):
         """(i, j) pairs with at least one defined (u, v) variable."""
         # every input class and foreign-window class is nonempty for d >= 2;
-        # only the home-window output classes j in [n-t, n) can be empty
-        n, thresh = self.n, self._thresh
-        outs = tuple(compress(range(n), self.sets.output_counts))
-        return [(i, j) for i in range(n) for j in outs if i + j >= thresh]
+        # only the home-window output classes j in [N-t, N) can be empty
+        theta, N = self.theta, self.n + self.theta
+        outs = tuple(compress(range(theta, N), self.sets.output_counts))
+        return [(i, j) for i in range(N) for j in outs if i + j >= N]
 
     @lazy
     def profile(self):
@@ -94,11 +96,11 @@ class LpInstance:
         windows per (u, w) class (beta), |A_i| (gamma), the spare
         home-window outputs per j (delta) and f |A_i| (epsilon).  The
         windows of class j number |A_(j+t)|, and their outputs |A_j|."""
-        a, f = _input_counts(self.d, self.n), self.f
-        return {"alpha": dict(enumerate(a[:self.n - self.t])),
+        a, f = _input_counts(self.d, self.n + self.theta), self.f
+        return {"alpha": dict(enumerate(a[:len(a) - self.t])),
                 "beta": self._beta.copy(),
                 "gamma": dict(enumerate(a)),
-                "delta": dict(enumerate(self.sets.output_counts)),
+                "delta": dict(enumerate(self.sets.output_counts, self.theta)),
                 "epsilon": dict(enumerate(map(f.__mul__, a)))}
 
     def rows_of(self, kind, u, z):
@@ -184,11 +186,11 @@ def primal_from_state(conn, a, B):
 
 
 class DualSolution:
-    """Dual variables stored per class: alpha/beta keyed by window index j
-    and (i, j); gamma/epsilon keyed by i(u); delta keyed by j(v).  A pool
-    holds the support: the constructor stores no zero, and an absent key
-    reads as 0.  An int value stays an int, any other number becomes a
-    Fraction.  A non-number or a non-finite float is a ValueError."""
+    """Dual variables stored per class: alpha/beta keyed by window label j
+    and (i, j), gamma/epsilon by input label i, delta by output label j; a
+    label is its index plus theta.  A pool holds the support: no zero is
+    stored, and an absent key reads as 0.  An int stays an int, another
+    number a Fraction; a non-number or a non-finite float is a ValueError."""
 
     def __init__(self, instance, alpha=None, beta=None, gamma=None,
                  delta=None, eps=None):
@@ -221,8 +223,8 @@ class DualSolution:
             for val in pool.values():
                 if val < 0:
                     # on failure only: class keys ascending, then the rest
-                    size = (0 if what == "beta" else
-                            inst.n - inst.t if what == "alpha" else inst.n)
+                    size = (0 if what == "beta" else inst.n + inst.theta
+                            - (inst.t if what == "alpha" else 0))
                     key = next(k for k in chain(range(size), pool)
                                if pool.get(k, 0) < 0)
                     raise Infeasible("%s[%r] negative" % (what, key))
@@ -255,11 +257,11 @@ class DualSolution:
 
     def objective_bounded_delta(self, q):
         """Objective with the delta term replaced by the tail union bound
-        min{d^t - k, k(d^(n-q) - 1)}; only meaningful when delta is the
-        indicator of j(v) >= q."""
+        min{d^t - k, k(d^(n-q) - 1)}; delta must be the indicator of
+        j(v) >= q: 1 at the labels q + theta .. N - 1, and nothing else."""
         inst = self.instance
         check_family(inst.n, inst.t, q)
-        if any(self.delta.get(j, 0) != (j >= q) for j in range(inst.n)):
+        if self.delta != _ones(q + inst.theta, inst.n + inst.theta):
             raise ValueError("delta is not the q-tail indicator")
         cap = min(inst.d ** inst.t - inst.k,
                   inst.k * (inst.d ** (inst.n - q) - 1))
@@ -284,44 +286,42 @@ def _exact(what, key, v):
 def dual_family(instance, p, q):
     """The two-parameter dual-feasible family.
 
-    p shapes epsilon/alpha/beta, q shapes gamma/delta; thresholds shift by
-    one between link and crosstalk modes.  The pools are fresh copies of
-    cached shapes, so a caller may change them freely.
+    p shapes epsilon/alpha/beta, q shapes gamma/delta.  A crosstalk
+    family at (n, p, q) is the link family at (n + 1, p, q + 1).  The pools
+    are fresh copies of cached shapes, so a caller may change them freely.
     """
-    n, t = instance.n, instance.t
+    n, t, theta = instance.n, instance.t, instance.theta
     check_family(n, t, q, p)
-    alpha, gamma, delta, eps, beta = _family_shape(n, t, instance.theta,
-                                                   p, q)
+    alpha, gamma, delta, eps, beta = _family_shape(n + theta, t, p,
+                                                   q + theta)
     return DualSolution._from_pools(instance, alpha.copy(), gamma.copy(),
                                     delta.copy(), eps.copy(), beta.copy())
 
 
 @lru_cache(maxsize=1024)
-def _family_shape(n, t, theta, p, q):
+def _family_shape(n, t, p, q):
     """The family's (alpha, gamma, delta, epsilon, beta) pools at one point,
     in the form `DualSolution` gives them: the support alone, every value
     the int 1.  Each is held once for every point that has it, so an entry
     is five references; callers copy the pools and never change them."""
-    jhi, beta = _beta_shape(n, t, theta, p)
-    gamma = (0, 0) if q == n - t else (n - q + 1 - theta, n - p)
+    jhi, beta = _beta_shape(n, t, p)
+    gamma = (0, 0) if q == n - t else (n - q + 1, n - p)
     return _ones(jhi, n - t), _ones(*gamma), _ones(q, n), _ones(n - p, n), beta
 
 
 @lru_cache(maxsize=256)
-def _beta_shape(n, t, theta, p):
+def _beta_shape(n, t, p):
     """The window class jhi where the family's alpha begins, and its beta
     pool."""
-    half = (n // 2) if theta == 0 else -(-n // 2)
-    jlo = p + 1 - theta
-    # beta covers the window classes j in [jlo, jhi), alpha those above
-    if t >= half:
+    # beta covers the window classes j in [p + 1, jhi), alpha those above
+    if t >= n // 2:
         jhi = n - t
     elif p + 1 <= t:
-        jhi = t - theta + 1
+        jhi = t + 1
     else:
-        jhi = jlo
-    return jhi, {(i, j): 1 for j in range(jlo, jhi)
-                 for i in range(n - theta - j, n - p)}
+        jhi = p + 1
+    return jhi, {(i, j): 1 for j in range(p + 1, jhi)
+                 for i in range(n - j, n - p)}
 
 
 @lru_cache(maxsize=256)

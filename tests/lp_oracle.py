@@ -7,7 +7,8 @@ and `hbar` are the monotone helper forms of the derivation.  `wang07`,
 `danilewicz` and `cf_wsnb_window` are published plane counts the tables
 specialize to, and `dual_special_t_eq_n` builds the whole-network (t = n)
 certificates; no command reads them.  `family_loops` builds the
-two-parameter dual family point by point, and `objective_summed` and
+two-parameter dual family point by point, as the link family at n + theta
+on the instance's class labels, and `objective_summed` and
 `bounded_delta_summed` price a dual with one term per nonzero value, as
 `lpcert` did before it cached the family's shape and shared one sum
 between its two objectives.  `solve_enumerated` solves the blocking LP
@@ -95,61 +96,53 @@ def dual_special_t_eq_n(instance):
     corollaries; k = |B| picks the branch, reported as `variant`: "high"
     for the large-fanout one, "low" for the small-fanout one.  Chosen by k,
     each is priced at most the corollary's count less one; chosen by f, the
-    crosstalk ones can exceed it."""
+    crosstalk ones can exceed it.  The duals are keyed by class labels, the
+    link classes at N = n + theta: the crosstalk "low" dual is the link one
+    at N, and only the "high" ones depend on the mode."""
     inst = instance
-    n, d, k = inst.n, inst.d, inst.k
+    n, d, k, theta = inst.n, inst.d, inst.k, inst.theta
     if inst.t != n:
         raise ValueError("t=%d, need t=n" % inst.t)
-    r = ilog(d, k)
-    if inst.theta == 0:
-        high = k > frac_pow(d, n - 2)
-        if high:
-            gamma = {i: 1 for i in range(1, n)}
-            sol = DualSolution(inst, gamma=gamma)
-        else:
-            q = (n + r) // 2 + 1
-            gamma = {i: 1 for i in range(n - q + 1, n)}
-            delta = {j: 1 for j in range(q, n)}
-            sol = DualSolution(inst, gamma=gamma, delta=delta)
+    N, r = n + theta, ilog(d, k)
+    high = k > frac_pow(d, n - 2) * (d - 1 if theta else 1)
+    if not high:
+        q = (N + r) // 2 + 1
+        gamma = {i: 1 for i in range(N - q + 1, N)}
+        delta = {j: 1 for j in range(q, N)}
+        sol = DualSolution(inst, gamma=gamma, delta=delta)
+    elif theta == 0:
+        sol = DualSolution(inst, gamma={i: 1 for i in range(1, n)})
     else:
-        high = k > frac_pow(d, n - 2) * (d - 1)
-        if high:
-            delta = {j: 1 for j in range(n)}
-            sol = DualSolution(inst, delta=delta)
-        else:
-            p_hat = -(-(n - r - 1) // 2)
-            gamma = {i: 1 for i in range(p_hat, n)}
-            delta = {j: 1 for j in range(n - p_hat, n)}
-            sol = DualSolution(inst, gamma=gamma, delta=delta)
+        sol = DualSolution(inst, delta={j: 1 for j in range(1, N)})
     sol.variant = "high" if high else "low"
     return sol
 
 
 def family_loops(instance, p, q):
     """`lpcert.dual_family` built in loops through the normalising
-    `DualSolution` constructor."""
+    `DualSolution` constructor: the link family at N = n + theta and
+    q + theta, on the instance's class labels."""
     n, t, theta = instance.n, instance.t, instance.theta
     if not (0 <= p <= n - t - 1):
         raise ValueError("p=%d out of [0, %d]" % (p, n - t - 1))
     if not (n - t <= q <= n):
         raise ValueError("q=%d out of [%d, %d]" % (q, n - t, n))
+    n, q = n + theta, q + theta
 
     eps = {i: 1 for i in range(n - p, n)}
     alpha, beta = {}, {}
-    half = (n // 2) if theta == 0 else -(-n // 2)
-    jlo = p + 1 - theta
-    if t >= half:
-        for j in range(jlo, n - t):
-            for i in range(n - theta - j, n - p):
+    if t >= n // 2:
+        for j in range(p + 1, n - t):
+            for i in range(n - j, n - p):
                 beta[i, j] = 1
     elif p + 1 <= t:
-        for j in range(jlo, t - theta + 1):
-            for i in range(n - theta - j, n - p):
+        for j in range(p + 1, t + 1):
+            for i in range(n - j, n - p):
                 beta[i, j] = 1
-        for j in range(t + 1 - theta, n - t):
+        for j in range(t + 1, n - t):
             alpha[j] = 1
     else:
-        for j in range(jlo, n - t):
+        for j in range(p + 1, n - t):
             alpha[j] = 1
 
     gamma, delta = {}, {}
@@ -159,7 +152,7 @@ def family_loops(instance, p, q):
     else:
         for j in range(q, n):
             delta[j] = 1
-        for i in range(n - q + 1 - theta, n - p):
+        for i in range(n - q + 1, n - p):
             gamma[i] = 1
 
     return DualSolution(instance, alpha=alpha, beta=beta, gamma=gamma,
@@ -178,14 +171,17 @@ def objective_summed(sol):
 def bounded_delta_summed(sol, q):
     """`objective_summed` with the delta term's true tail, summed from the
     profile, replaced by min{d^t - k, k(d^(n-q) - 1)}; the same refusals
-    as `DualSolution.objective_bounded_delta` for an integer q."""
+    as `DualSolution.objective_bounded_delta` for an integer q.  Delta must
+    be 1 at every class label from q + theta to N = n + theta and hold
+    nothing else: a value at any other key is refused."""
     inst = sol.instance
     if not inst.n - inst.t <= q <= inst.n:
         raise ValueError("q=%d: need integer %d <= q <= %d"
                          % (q, inst.n - inst.t, inst.n))
-    if any(sol.delta.get(j, 0) != (j >= q) for j in range(inst.n)):
+    lo, hi = q + inst.theta, inst.n + inst.theta
+    if sol.delta != {j: 1 for j in range(lo, hi)}:
         raise ValueError("delta is not the q-tail indicator")
-    true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= q)
+    true_tail = sum(c for j, c in inst.profile["delta"].items() if j >= lo)
     cap = min(inst.d ** inst.t - inst.k,
               inst.k * (inst.d ** (inst.n - q) - 1))
     return objective_summed(sol) + (cap - true_tail)

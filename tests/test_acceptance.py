@@ -450,6 +450,38 @@ def test_criterion_5_dominance():
                         "table value %s at d=%d n=%d t=%d"
                         % (corollary, table_m, d, n, t))
                     assert 2 * t > n, "unexpected corollary shortfall"
+        # the crosstalk table at n against the link table at n + 1: both
+        # bound one LP (test_lpcert's TestOneMode), so where they differ the
+        # larger count is loose by at least the gap
+        rows, points = {}, 0
+        for d in range(2, 6):
+            for n in range(1, 8):
+                for t in range(n + 1):
+                    for f in sorted({1, 2, 3, d, d ** t, d ** n}):
+                        if f > d ** n:
+                            continue
+                        points += 1
+                        g, g_row = bounds.multilog_planes(d, n, t, f,
+                                                          bounds.CROSSTALK)
+                        c, c_row = bounds.multilog_planes(d, n + 1, t, f,
+                                                          bounds.LINK)
+                        if g != c:
+                            rows.setdefault((g_row, c_row), []).append(
+                                (abs(g - c), g < c, d, n, t, f))
+        say("CRITERION 5 finding: crosstalk table at n against link table "
+            "at n + 1: %d of %d points differ (d <= 5, n <= 7, t <= n, "
+            "f in {1, 2, 3, d, d^t, d^n})"
+            % (sum(map(len, rows.values())), points))
+        for (g_row, c_row), gaps in sorted(rows.items(),
+                                           key=lambda kv: (-len(kv[1]),
+                                                           kv[0])):
+            lower = sum(low for _, low, *_ in gaps)
+            gap, _, *at = max(gaps, key=lambda g: g[0])
+            say("CRITERION 5 finding: crosstalk row %s against link row %s "
+                "at n + 1: %d points, %d lower and %d higher, largest gap %d "
+                "at d=%d n=%d t=%d f=%d"
+                % (g_row, c_row, len(gaps), lower, len(gaps) - lower, gap,
+                   *at))
 
 
 # -- criterion 6: multilog sufficiency ----------------------------------------

@@ -6,7 +6,7 @@ import random
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from switchlp import lpcert, bounds, dary, multilog, adversary
 from switchlp.lpcert import (
@@ -199,26 +199,31 @@ class TestOracle:
             [ref.j_of_window(w) for w in wins]
         assert [fast.j_of_output(v) for v in home_outs] == \
             [ref.j_of_output(v) for v in home_outs]
-        # the class counts the duals are priced with
-        alpha = inst.profile["alpha"]
-        assert inst.profile["gamma"] == {i: ref.a_count(i) for i in range(n)}
+        # the class counts the duals are priced with, at the class labels
+        # i(u) + theta and j + theta; a crosstalk label 0 is the link class
+        # 0 at n + 1, which no variable reaches
+        th = inst.theta
+        alpha, gamma, delta = (
+            {key - th: c for key, c in inst.profile[what].items() if key >= th}
+            for what in ("alpha", "gamma", "delta"))
+        assert gamma == {i: ref.a_count(i) for i in range(n)}
         assert alpha == {j: d ** t * ref.window_count(j)
                          for j in range(n - t)}
         counts = dict(enumerate(fast.output_counts))
-        assert len(counts) == n
+        assert len(counts) == n and delta == counts
         for j in range(-1, n + 2):
             assert counts.get(j, 0) == ref.output_count(j)
             assert alpha.get(j, 0) + counts.get(j, 0) == ref.b_count(j)
             assert fast.union_b_tail(j) == ref.union_b_tail(j)
 
-        thresh = n - inst.theta
+        thresh = n - th
         uw, uv = ref.uw_pairs(thresh), ref.uv_pairs(thresh)
         assert variables(inst) == {("w", *key) for key in uw} | \
             {("v", *key) for key in uv}
         assert inst.classes_uw == sorted(
-            {(ref.i_of(u), ref.j_of_window(w)) for u, w in uw})
+            {(ref.i_of(u) + th, ref.j_of_window(w) + th) for u, w in uw})
         assert inst.classes_uv == sorted(
-            {(ref.i_of(u), ref.j_of_output(v)) for u, v in uv})
+            {(ref.i_of(u) + th, ref.j_of_output(v) + th) for u, v in uv})
 
     def test_definedness_rejects_foreign_keys(self):
         inst = canonical_instance(2, 3, 1, 1, 1, CROSSTALK)
@@ -239,15 +244,17 @@ DUAL_VALUES = [0, 1, 2, Fraction(1, 2), Fraction(2, 3)]
 @st.composite
 def priced_duals(draw):
     """An instance, one dual value per class (ints and Fractions mixed; beta
-    on every (i, j), defined or not) and a tail start q."""
+    on every (i, j), defined or not), keyed by the class labels i(u) + theta
+    and j + theta, and a tail start q."""
     d, n, t, a, B, mode = draw(requests(max_n=4))
     inst = LpInstance(AddressSets(d, n, a, B, t),
                       draw(st.integers(len(B), d ** n)), mode)
     value = st.sampled_from(DUAL_VALUES)
+    th = inst.theta
+    ins, wins = range(th, n + th), range(th, n - t + th)
     duals = {name: {key: draw(value) for key in keys} for name, keys in (
-        ("alpha", range(n - t)),
-        ("beta", [(i, j) for i in range(n) for j in range(n - t)]),
-        ("gamma", range(n)), ("delta", range(n)), ("eps", range(n)))}
+        ("alpha", wins), ("beta", [(i, j) for i in ins for j in wins]),
+        ("gamma", ins), ("delta", ins), ("eps", ins))}
     return inst, duals, draw(st.integers(n - t, n))
 
 
@@ -255,10 +262,13 @@ def enumerated(inst, ref, duals):
     """The dual objective summed address by address (alpha per foreign
     window, beta per defined (u, w), gamma and f*epsilon per input, delta
     per spare output), and whether every per-address DC-1 row (one per
-    defined (u, w)) and DC-2 row (one per defined (u, v)) holds."""
+    defined (u, w)) and DC-2 row (one per defined (u, v)) holds; an
+    address's class label is its index plus theta."""
     al, be, ga, de, ep = (duals[k] for k in
                           ("alpha", "beta", "gamma", "delta", "eps"))
-    i, jw, jv = ref.i_of, ref.j_of_window, ref.j_of_output
+    def label(index):   # an index plus theta; None, the undefined, kept
+        return lambda z: None if index(z) is None else index(z) + inst.theta
+    i, jw, jv = map(label, (ref.i_of, ref.j_of_window, ref.j_of_output))
     d, n, t = inst.d, inst.n, inst.t
     windows = [w for w in range(d ** (n - t)) if jw(w) is not None]
     inputs = [u for u in range(d ** n) if i(u) is not None]
@@ -296,7 +306,8 @@ class TestDualOracle:
             with pytest.raises(Infeasible):
                 sol.check_feasible()
 
-        duals["delta"] = {j: int(j >= q) for j in range(inst.n)}
+        th = inst.theta
+        duals["delta"] = {j: int(j >= q + th) for j in range(inst.n + th)}
         sol = DualSolution(inst, **duals)
         tail = ref.union_b_tail(q)
         d, n, t, k = inst.d, inst.n, inst.t, inst.k
@@ -312,9 +323,10 @@ class TestDualOracle:
         # no class has, before or after the drawn ones, and compare with
         # the pools that hold only the nonzero values
         inst, duals, q = case
-        n, t = inst.n, inst.t
+        th = inst.theta
+        n, t = inst.n + th, inst.t   # the class labels' n
         if tail:
-            duals["delta"] = {j: int(j >= q) for j in range(n)}
+            duals["delta"] = {j: int(j >= q + th) for j in range(n)}
         outside = {"alpha": [n - t, n - t + 1, -1],
                    "beta": [(n, 0), (0, n - t), (-1, -1)],
                    "gamma": [n, -1], "delta": [n, n + 1], "eps": [n, -1]}
@@ -357,14 +369,15 @@ def loose_duals(draw):
         return draw(st.dictionaries(st.sampled_from(keys), value,
                                     max_size=len(keys)))
 
-    duals = {"alpha": pool(range(n - t + 1)),
-             "beta": pool([(i, j) for i in range(n + 1)
-                           for j in range(n - t + 1)]),
-             "gamma": pool(range(n + 1)), "eps": pool(range(n + 1)),
-             "delta": pool(range(n + 2))}
+    N = n + inst.theta   # the class labels' n
+    duals = {"alpha": pool(range(N - t + 1)),
+             "beta": pool([(i, j) for i in range(N + 1)
+                           for j in range(N - t + 1)]),
+             "gamma": pool(range(N + 1)), "eps": pool(range(N + 1)),
+             "delta": pool(range(N + 2))}
     if draw(st.booleans()):
-        duals["delta"] = {j: int(j >= q) for j in range(n)}
-        duals["delta"].update(pool(range(n, n + 2)))
+        duals["delta"] = {j: int(j >= q + inst.theta) for j in range(N)}
+        duals["delta"].update(pool(range(N, N + 2)))
     return inst, duals, q
 
 
@@ -393,12 +406,17 @@ class TestDualPricing:
 
     @settings(deadline=None)
     @given(loose_duals())
+    # crosstalk labels run to n, past the n-level indices: label 3 at n = 3
+    # is a class key, named before the 4 given first
+    @example((canonical_instance(2, 3, 1, 2, 1, CROSSTALK),
+              {"alpha": {}, "beta": {}, "gamma": {4: -1, 3: -1}, "eps": {},
+               "delta": {}}, 2))
     def test_negative_named_as_dense_pools_name_it(self, case):
         # a dense pool held every class key, ascending, with the others
         # after them in the order given; the first negative value in that
         # order is the one the refusal names
         inst, duals, _ = case
-        n, t = inst.n, inst.t
+        n, t = inst.n + inst.theta, inst.t   # the class labels' n
         want = True
         for name, what, size in (("alpha", "alpha", n - t),
                                  ("gamma", "gamma", n), ("delta", "delta", n),
@@ -770,6 +788,26 @@ class TestDualFamily:
         with pytest.raises(ValueError):
             sol.objective_bounded_delta(q)
 
+    @pytest.mark.parametrize("mode, key", [
+        (LINK, 3), (LINK, -1), (LINK, "x"), (CROSSTALK, 0), (CROSSTALK, 4)])
+    def test_bounded_delta_refuses_delta_off_the_tail(self, mode, key):
+        # the q-tail indicator is 1 on the labels q + theta .. N - 1 and
+        # holds nothing else: a nonzero delta at a key no class has was
+        # once ignored, and is refused like one inside the range
+        inst = canonical_instance(2, 3, 1, 2, 1, mode)
+        sol = dual_family(inst, 0, 2)
+        bounded = sol.objective_bounded_delta(2)
+        assert sol.delta == {2 + inst.theta: 1}
+        sol.delta[key] = 1
+        with pytest.raises(ValueError) as raised:
+            sol.objective_bounded_delta(2)
+        assert str(raised.value) == "delta is not the q-tail indicator"
+        del sol.delta[key]
+        assert sol.objective_bounded_delta(2) == bounded
+        with pytest.raises(ValueError):
+            bounded_delta_summed(DualSolution(
+                inst, delta={2 + inst.theta: 1, key: 1}), 2)
+
     def test_randomized_b_placements(self):
         rng = random.Random(12)
         for _ in range(40):
@@ -804,6 +842,60 @@ class TestDualFamily:
         sol.gamma[0] = Fraction(-1)
         with pytest.raises(Infeasible):
             sol.check_feasible()
+
+
+class TestOneMode:
+    """A crosstalk instance at n is the link instance at n + 1: the same
+    classes and class counts under (i, j) -> (i + 1, j + 1), which is how
+    a crosstalk instance labels them, so the same optimum and duals."""
+
+    @staticmethod
+    def pairs():
+        """(crosstalk instance at n, link instance at n + 1) over d <= 4,
+        n <= 5, every t <= n and a few f and k."""
+        for d in (2, 3, 4):
+            for n in range(1, 6):
+                for t in range(n + 1):
+                    for f in sorted({1, 2, d, d ** t, d ** n}):
+                        for k in sorted({1, 2, min(f, d ** t)}):
+                            if k > min(f, d ** t):
+                                continue
+                            yield (canonical_instance(d, n, t, f, k,
+                                                      CROSSTALK),
+                                   canonical_instance(d, n + 1, t, f, k, LINK))
+
+    @staticmethod
+    def support(profile):
+        # a class count of 0 is an empty class: the link instance has
+        # output class 0, below every home-window label, and crosstalk none
+        return {what: {key: c for key, c in pool.items() if c}
+                for what, pool in profile.items()}
+
+    def test_classes_counts_and_optimum(self):
+        points = 0
+        for cross, link in self.pairs():
+            assert cross.classes_uw == link.classes_uw
+            assert cross.classes_uv == link.classes_uv
+            assert self.support(cross.profile) == self.support(link.profile)
+            (got, dual), (want, ref) = lp_optimum(cross), lp_optimum(link)
+            assert got == want
+            assert dual._pools() == ref._pools()
+            points += 1
+        assert points == 453
+
+    def test_family_and_its_cost(self):
+        for cross, link in self.pairs():
+            d, n, t, f, k = cross.d, cross.n, cross.t, cross.f, cross.k
+            for p in range(n - t):
+                for q in range(n - t, n + 1):
+                    got = dual_family(cross, p, q)
+                    assert got._pools() == dual_family(link, p, q + 1)._pools()
+                    assert got._pools() == family_loops(cross, p, q)._pools()
+                    assert bounds.g_cost(d, n, t, f, k, p, q) == \
+                        bounds.c_cost(d, n + 1, t, f, k, p, q + 1)
+                    assert got.objective_bounded_delta(q) == \
+                        dual_family(link, p, q + 1).objective_bounded_delta(
+                            q + 1)
 
 
 class TestDualSpecial:
@@ -1134,7 +1226,8 @@ def test_one_rule_per_parameter(d, n, t, f, k, p, q, mode):
     # objective's q, on a dual whose delta is q's tail where q is in range
     inst = canonical_instance(d, n, t, f, k, mode)
     want_q = rule_message(d, n, t, q=q)
-    delta = {} if want_q else {j: 1 for j in range(q, n)}
+    th = inst.theta   # delta's class labels are j + theta
+    delta = {} if want_q else {j: 1 for j in range(q + th, n + th)}
     assert refusal(lambda: dual_family(inst, p, q)) == \
         rule_message(d, n, t, p=p, q=q)
     assert refusal(lambda: DualSolution(inst, delta=delta)
