@@ -26,35 +26,24 @@ def _stages(d, n):
                   s * full) for s in range(1, n + 1))
 
 
-class Route:
-    """The route of one (input, output) pair through a single plane, kept
-    as the stage-offset int ids that `mode` reads: `ids[s-1]` is the link
-    leaving stage s in link mode, the stage-s element in crosstalk mode.
-    No id is the input link, which only routes from this input hold."""
-
-    __slots__ = ("input", "output", "ids")
-
-    def __init__(self, d, n, x, y, mode):
-        stages = _stages(d, n)
-        links = not theta_of(mode)
-        self.input = x = check_address(d, n, x)
-        self.output = y = check_address(d, n, y)
-        # the stage-s label is y_1..y_{s-1} x_s..x_{n-1}; the link leaving
-        # stage s appends y_s to it, which at s = n gives y itself
-        tail = x // d
-        ids = []
-        for lo, hi, se_base, link_base in stages:
-            label = (y // hi) * lo + tail % lo
-            ids.append(link_base + label * d + (y // lo) % d if links
-                       else se_base + label)
-        self.ids = tuple(ids)
-
-    def __repr__(self):
-        return "Route(%s -> %s)" % (self.input, self.output)
-
-
 def route(d, n, x, y, mode):
-    return Route(d, n, x, y, mode)
+    """The route of one (input, output) pair through a single plane, as the
+    stage-offset int ids that `mode` reads: id s - 1 is the link leaving
+    stage s in link mode, the stage-s element in crosstalk mode.  No id is
+    the input link, which only routes from this input hold."""
+    stages = _stages(d, n)
+    links = not theta_of(mode)
+    x = check_address(d, n, x)
+    y = check_address(d, n, y)
+    # the stage-s label is y_1..y_{s-1} x_s..x_{n-1}; the link leaving
+    # stage s appends y_s to it, which at s = n gives y itself
+    tail = x // d
+    ids = []
+    for lo, hi, se_base, link_base in stages:
+        label = (y // hi) * lo + tail % lo
+        ids.append(link_base + label * d + (y // lo) % d if links
+                   else se_base + label)
+    return tuple(ids)
 
 
 # Let k be the common suffix of the inputs' (n-1)-prefixes and p the common

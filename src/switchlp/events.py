@@ -26,7 +26,7 @@ and one message, `check_range`'s "t=4: need integer 0 <= t <= 3".  Where
 one enters, `check_sizes` (or `check_family` for p and q) applies them in
 that order: the multilog config, `dary.AddressSets` (d, n, t),
 `canonical_sets` (k), `lpcert.LpInstance` (f, k = |B|), the dual family,
-the `bounds` counts, tables and costs, `banyan.Route` (d, n) and the
+the `bounds` counts, tables and costs, `banyan.route` (d, n) and the
 `certify` grid.  A passing call is remembered.  The tables take only
 t < n, a rule of their own.  A Clos n, m or r, a multilog m, the
 saturating schedule's n >= 2, a search's depth ("depth=-1: need integer
@@ -41,7 +41,7 @@ set", "5 is not a collection of addresses"), it holds addresses ("address
 span windows [0, 2]"); a range is refused as its list is.  `LpInstance`
 and `blocking_branches` refuse all but an `AddressSets` ("None is not a
 dary.AddressSets").  A mode has one rule, `bounds.theta_of` ("unknown
-mode 'x'"), in the multilog config, `LpInstance`, `Route` and
+mode 'x'"), in the multilog config, `LpInstance`, `route` and
 `multilog_planes`.  A Clos terminal is checked by its `ClosState`, and a
 dual value becomes an exact number in `lpcert.DualSolution`.  Internal
 helpers check nothing.

@@ -13,7 +13,7 @@ lies in window y // d^t.
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 import random
 
 from . import dary
@@ -59,7 +59,8 @@ class MultilogConfig(namedtuple(
 # Routes at n <= 6 are cheap to rebuild when reuse is wider.  A cache that
 # never fills keeps each route it builds on the collector's heap, so steady
 # churn would trigger collections and grow memory without end; 256 bounds
-# both and keeps the re-lookups.
+# both and keeps the re-lookups.  It is keyed per (x, y), not per window: an
+# entry for a window's outputs would grow with f.
 @lru_cache(maxsize=256)
 def _route(d, n, x, y, mode):
     return route(d, n, x, y, mode)
@@ -84,66 +85,74 @@ class ConnState:
         # one holder per plane.  occ and the inner dicts of refs hold plain
         # ints only, so the cyclic garbage collector does not track them.
         self.occ = {}
-        self.refs = {}               # (plane, input) -> {key: refcount}
-        self.requests = {}       # id -> (input, {window: (plane, [routes])})
+        self.refs = {}       # (plane, input) -> {key: subrequests holding it}
+        self.requests = {}   # id -> (input, {window: (plane, outputs, keys)})
         self.output_owner = {}   # output -> request id
         self.input_active = {}   # input -> live output count
-        self.pins = {}           # (input, window) -> [plane, refcount]
+        self.pins = {}           # (input, window) -> [plane, output count]
         self.rng = random.Random(config.seed)
         self._auto = 0
 
     # -- occupancy helpers ------------------------------------------------
 
-    def _blocked(self, x, routes):
-        """Bitmask of the planes on which an input other than x holds a key
-        of `routes`."""
+    def _keys(self, x, outputs):
+        """The distinct keys of the routes from x to `outputs` on one plane:
+        the trunk they share once, then each branch."""
+        cfg = self.config
+        routes = [_route(cfg.d, cfg.n, x, y, cfg.mode) for y in outputs]
+        if len(routes) == 1:   # distinct already: share the cached tuple
+            return routes[0]
+        return tuple(dict.fromkeys(chain.from_iterable(routes)))
+
+    def _blocked(self, x, keys):
+        """Bitmask of the planes on which an input other than x holds one of
+        `keys`."""
         occ, mask = self.occ, 0
-        for rt in routes:
-            for held in map(occ.get, rt.ids):
-                if held:
-                    mask |= held
+        for held in map(occ.get, keys):
+            if held:
+                mask |= held
         if mask and x in self.input_active:
-            # a plane where x holds every key of `routes` that is held there
+            # a plane where x holds every one of `keys` that is held there
             # blocks nothing: a key has one holder per plane
             for plane in _planes(mask):
                 own, bit = self.refs.get((plane, x)), 1 << plane
                 if own is not None and all(
-                        key in own for rt in routes for key in rt.ids
-                        if occ.get(key, 0) & bit):
+                        key in own for key in keys if occ.get(key, 0) & bit):
                     mask ^= bit
         return mask
 
-    def _commit(self, rid, plane, x, window, routes):
-        """Hold `routes` on `plane` for input x: one reference to each of
-        their keys, the window's pin and their outputs."""
+    def _commit(self, rid, x, window, sub):
+        """Hold the window subrequest `sub`, (plane, outputs, keys), for
+        input x: one reference to each key, the window's pin and the
+        outputs."""
+        plane, outputs, keys = sub
         occ, bit = self.occ, 1 << plane
         refs = self.refs.setdefault((plane, x), {})
-        for rt in routes:
-            for key in rt.ids:
-                count = refs.get(key, 0)
-                if not count:
-                    # x does not hold the key here, so a set bit is another
-                    # input's.  A key held on one plane shares the int bit.
-                    mask = occ.get(key)
-                    if mask is None:
-                        occ[key] = bit
-                    elif mask & bit:
-                        raise AssertionError("key %r shared across inputs"
-                                             % key)
-                    else:
-                        occ[key] = mask | bit
-                refs[key] = count + 1
+        for key in keys:
+            count = refs.get(key, 0)
+            if not count:
+                # x does not hold the key here, so a set bit is another
+                # input's.  A key held on one plane shares the int bit.
+                mask = occ.get(key)
+                if mask is None:
+                    occ[key] = bit
+                elif mask & bit:
+                    raise AssertionError("key %r shared across inputs" % key)
+                else:
+                    occ[key] = mask | bit
+            refs[key] = count + 1
         pin = self.pins.setdefault((x, window), [plane, 0])
         check(pin[0] == plane, "window split across planes")
-        pin[1] += len(routes)
-        for rt in routes:
-            self.output_owner[rt.output] = rid
-        self.input_active[x] = self.input_active.get(x, 0) + len(routes)
+        pin[1] += len(outputs)
+        for y in outputs:
+            self.output_owner[y] = rid
+        self.input_active[x] = self.input_active.get(x, 0) + len(outputs)
 
-    def _pick(self, x, window, routes):
-        """The plane for the window subrequest (x, routes), or None.  RANDOM
-        draws as `choice` of the free planes did, even for a pinned window."""
-        cfg, busy = self.config, self._blocked(x, routes)
+    def _pick(self, x, window, keys):
+        """The plane for the window subrequest of x that holds `keys`, or
+        None.  RANDOM draws as `choice` of the free planes did, even for a
+        pinned window."""
+        cfg, busy = self.config, self._blocked(x, keys)
         pin = self.pins.get((x, window))
         free = 1 - (busy >> pin[0] & 1) if pin else cfg.m - busy.bit_count()
         if not free:
@@ -187,14 +196,13 @@ class ConnState:
         result = {}
         admitted = {}
         for w in sorted(by_window):
-            routes = [_route(cfg.d, cfg.n, x, y, cfg.mode)
-                      for y in by_window[w]]
-            plane = self._pick(x, w, routes)
+            keys = self._keys(x, by_window[w])
+            plane = self._pick(x, w, keys)
             if plane is None:
                 result[w] = BLOCKED
                 continue
-            self._commit(rid, plane, x, w, routes)
-            admitted[w] = (plane, routes)
+            admitted[w] = sub = (plane, by_window[w], keys)
+            self._commit(rid, x, w, sub)
             result[w] = plane
         if admitted:
             self.requests[rid] = (x, admitted)
@@ -205,32 +213,33 @@ class ConnState:
             x, admitted = self.requests.pop(rid)
         except KeyError:
             raise UnknownId(repr(rid))
-        occ = self.occ
-        for w, (plane, routes) in admitted.items():
+        occ, gone = self.occ, 0
+        for w, (plane, outputs, keys) in admitted.items():
             refs, bit = self.refs[plane, x], 1 << plane
-            for rt in routes:
-                for key in rt.ids:
-                    count = refs[key]
-                    if count > 1:
-                        refs[key] = count - 1
-                        continue
-                    del refs[key]
-                    mask = occ.get(key, 0)
-                    if mask == bit:
-                        del occ[key]
-                    elif mask & bit:
-                        occ[key] = mask ^ bit
-                    else:
-                        raise AssertionError("key %r not held on plane %d"
-                                             % (key, plane))
-                del self.output_owner[rt.output]
+            for key in keys:
+                count = refs[key]
+                if count > 1:
+                    refs[key] = count - 1
+                    continue
+                del refs[key]
+                mask = occ.get(key, 0)
+                if mask == bit:
+                    del occ[key]
+                elif mask & bit:
+                    occ[key] = mask ^ bit
+                else:
+                    raise AssertionError("key %r not held on plane %d"
+                                         % (key, plane))
             if not refs:
                 del self.refs[plane, x]
+            for y in outputs:
+                del self.output_owner[y]
+            gone += len(outputs)
             pin = self.pins[x, w]
-            pin[1] -= len(routes)
+            pin[1] -= len(outputs)
             if pin[1] == 0:
                 del self.pins[x, w]
-        self.input_active[x] -= sum(len(r) for _, r in admitted.values())
+        self.input_active[x] -= gone
         if self.input_active[x] == 0:
             del self.input_active[x]
 
@@ -242,17 +251,16 @@ class ConnState:
         links only) finds no shared link; the greedy sweep's scores count
         such planes."""
         cfg = self.config
-        d, n = cfg.d, cfg.n
-        x, _, ys = dary.check_request(d, n, x, outputs, d ** cfg.t)
-        routes = [_route(d, n, x, y, cfg.mode) for y in ys]
-        return set(_planes(self._blocked(x, routes)))
+        x, _, ys = dary.check_request(cfg.d, cfg.n, x, outputs, cfg.d ** cfg.t)
+        return set(_planes(self._blocked(x, self._keys(x, ys))))
 
     def blocking_branches(self, request):
         """{plane: (u, v)}, ascending by plane, for each plane that blocks
         the single-window subrequest (a, B) that `request`, a checked
         `dary.AddressSets` for this network's d, n and t, holds: the first
-        live branch (u, v), in `requests` order, from an input u != a whose
-        route on that plane shares a key with it.  B must be free."""
+        live branch (u, v), in `requests` order and then by ascending v,
+        from an input u != a whose route on that plane shares a key with
+        it.  B must be free."""
         cfg = self.config
         if not isinstance(request, _SETS):
             dary.not_sets(request)
@@ -262,23 +270,27 @@ class ConnState:
         owned = self.output_owner.keys() & outputs
         if owned:
             raise ValueError("request output %s already owned" % min(owned))
-        routes = [_route(cfg.d, cfg.n, x, y, cfg.mode) for y in outputs]
-        # a key has one holder per plane, so on a blocking plane a route of
-        # an input u != x conflicts iff it holds one of the subrequest's keys
-        mask = self._blocked(x, routes)
+        keys = self._keys(x, outputs)
+        # a key has one holder per plane, so on a blocking plane a
+        # subrequest of an input u != x conflicts iff it holds one of `keys`
+        mask = self._blocked(x, keys)
         if not mask:
             return {}
-        keys = {key for rt in routes for key in rt.ids}
+        keys = set(keys)
         found = {}
         for u, admitted in self.requests.values():
             if u == x:
                 continue
-            for plane, rts in admitted.values():
-                if mask >> plane & 1 and plane not in found:
-                    for rt in rts:
-                        if not keys.isdisjoint(rt.ids):
-                            found[plane] = (u, rt.output)
-                            break
+            for plane, outs, held in admitted.values():
+                if (mask >> plane & 1 and plane not in found
+                        and not keys.isdisjoint(held)):
+                    # held opens with outs[0]'s route; later ones are built
+                    # uncached, so a probe evicts no route `admit` reuses
+                    v = outs[0]
+                    if keys.isdisjoint(held[:cfg.n]):
+                        v = next(v for v in outs[1:] if not keys.isdisjoint(
+                            route(cfg.d, cfg.n, u, v, cfg.mode)))
+                    found[plane] = u, v
             if len(found) == mask.bit_count():
                 break
         return dict(sorted(found.items()))
@@ -288,22 +300,20 @@ class ConnState:
         cfg = self.config
         wsize = cfg.d ** cfg.t
         held, owners, active, pins = {}, {}, {}, {}  # held: (plane, x) -> keys
-        by_plane = [[] for _ in range(cfg.m)]
-        # per-route checks are inline: a call each would slow audits
+        by_plane = [[] for _ in range(cfg.m)]        # (input, output) pairs
         for rid, (x, admitted) in self.requests.items():
-            for w, (plane, routes) in admitted.items():
+            for w, (plane, outputs, keys) in admitted.items():
                 pin = pins.setdefault((x, w), [plane, 0])
                 check(pin[0] == plane, "window split across planes")
-                pin[1] += len(routes)
-                acc = held.setdefault((plane, x), [])
-                for rt in routes:
-                    if rt.input != x or rt.output // wsize != w:
-                        check(rt.input == x, "route %r under input %s", rt, x)
-                        check(False, "route %r under window %d", rt, w)
-                    owners[rt.output] = rid
-                    acc += rt.ids
-                active[x] = active.get(x, 0) + len(routes)
-                by_plane[plane] += routes
+                pin[1] += len(outputs)
+                held.setdefault((plane, x), []).extend(keys)
+                for y in outputs:
+                    if y // wsize != w:
+                        raise AssertionError("output %d under window %d"
+                                             % (y, w))
+                    owners[y] = rid
+                    by_plane[plane].append((x, y))
+                active[x] = active.get(x, 0) + len(outputs)
         check(len(owners) == sum(active.values()), "output double-owned")
         # before any compare with the live maps, the first key in held's
         # order that an earlier input holds on its plane, as the oracle
@@ -345,12 +355,12 @@ class ConnState:
 
         pred = shares_link if cfg.mode == LINK else shares_se
         d, n = cfg.d, cfg.n
-        for plane, routes in enumerate(by_plane):
-            for r1, r2 in combinations(routes, 2):
-                if r1.input != r2.input and pred(
-                        d, n, r1.input, r1.output, r2.input, r2.output):
-                    raise AssertionError("routes %r and %r conflict on plane "
-                                         "%d" % (r1, r2, plane))
+        for plane, pairs in enumerate(by_plane):
+            for (a, b), (u, v) in combinations(pairs, 2):
+                if a != u and pred(d, n, a, b, u, v):
+                    raise AssertionError(
+                        "routes %d -> %d and %d -> %d conflict on plane %d"
+                        % (a, b, u, v, plane))
 
 
 def run_trace(state, lines):

@@ -1,17 +1,18 @@
 """Rebuild-and-compare audit of a multilog `ConnState`.
 
 `audit(state)` rebuilds every derived map of the state from its live
-requests: a `Counter` of keys per (plane, input) for `refs`, the holder of
-each key on each plane (which finds a key two inputs share), the plane
-bitmasks of `occ` derived from those holders, the pins, the output owners
-and the input loads.  It then compares each with the live map, and tests
-every pair of live routes on a plane with the sharing predicates.  It holds
-a second copy of the occupancy on purpose: the differential tests in
-`test_multilog.py` check that `ConnState.audit`, which checks the live
-state in place, raises exactly when this does, with the same message.
+requests: a `Counter` per (plane, input) of the subrequests holding each
+key for `refs`, the holder of each key on each plane (which finds a key two
+inputs share), the plane bitmasks of `occ` derived from those holders, the
+pins, the output owners and the input loads.  It then compares each with
+the live map, and tests every pair of live branches on a plane with the
+sharing predicates.  It holds a second copy of the occupancy on purpose:
+the differential tests in `test_multilog.py` check that `ConnState.audit`,
+which checks the live state in place, raises exactly when this does, with
+the same message.
 
 `blocked(state, x, outputs)` finds the planes that block a subrequest by
-testing every live route with the sharing predicates; it never reads the
+testing every live branch with the sharing predicates; it never reads the
 occupancy, so it checks `ConnState.blocking_planes`, which reads only that.
 """
 
@@ -31,21 +32,16 @@ def audit(state):
     pins = {}
     wsize = cfg.d ** cfg.t
     for rid, (x, admitted) in state.requests.items():
-        for w, (plane, routes) in admitted.items():
+        for w, (plane, outputs, keys) in admitted.items():
             pin = pins.setdefault((x, w), [plane, 0])
             check(pin[0] == plane, "window split across planes")
-            pin[1] += len(routes)
-            counts = refs.get((plane, x))
-            if counts is None:
-                counts = refs[plane, x] = Counter()
-            for rt in routes:
-                check(rt.input == x, "route %r under input %s", rt, x)
-                check(rt.output // wsize == w,
-                      "route %r under window %d", rt, w)
-                check(rt.output not in owners, "output double-owned")
-                owners[rt.output] = rid
+            pin[1] += len(outputs)
+            for y in outputs:
+                check(y // wsize == w, "output %d under window %d", y, w)
+                check(y not in owners, "output double-owned")
+                owners[y] = rid
                 active[x] = active.get(x, 0) + 1
-                counts.update(rt.ids)
+            refs.setdefault((plane, x), Counter()).update(keys)
     holders = {}
     for (plane, x), counts in refs.items():
         for key in counts:
@@ -67,15 +63,15 @@ def audit(state):
     pred = shares_link if cfg.mode == LINK else shares_se
     d, n = cfg.d, cfg.n
     by_plane = [[] for _ in range(cfg.m)]
-    for _, admitted in state.requests.values():
-        for plane, routes in admitted.values():
-            by_plane[plane] += routes
-    for plane, routes in enumerate(by_plane):
-        for i, r1 in enumerate(routes):
-            for r2 in routes[i + 1:]:
-                check(r1.input == r2.input or not pred(
-                    d, n, r1.input, r1.output, r2.input, r2.output),
-                    "routes %r and %r conflict on plane %d", r1, r2, plane)
+    for x, admitted in state.requests.values():
+        for plane, outputs, _ in admitted.values():
+            by_plane[plane] += [(x, y) for y in outputs]
+    for plane, branches in enumerate(by_plane):
+        for i, (a, b) in enumerate(branches):
+            for u, v in branches[i + 1:]:
+                check(a == u or not pred(d, n, a, b, u, v),
+                      "routes %d -> %d and %d -> %d conflict on plane %d",
+                      a, b, u, v, plane)
 
 
 def blocked(state, x, outputs):
@@ -85,6 +81,6 @@ def blocked(state, x, outputs):
     cfg = state.config
     pred = shares_link if cfg.mode == LINK else shares_se
     return {plane for u, admitted in state.requests.values() if u != x
-            for plane, routes in admitted.values()
-            if any(pred(cfg.d, cfg.n, x, y, u, rt.output)
-                   for rt in routes for y in outputs)}
+            for plane, outs, _ in admitted.values()
+            if any(pred(cfg.d, cfg.n, x, y, u, v)
+                   for v in outs for y in outputs)}

@@ -8,6 +8,8 @@ called with a positive int `maxsize`, written out; a bare `@lru_cache`,
 `maxsize=None` and `functools.cache` all fail.  A bound on entries bounds
 memory only if no entry grows with k = |B|: the canonical sets keep B as a
 range, so a certificate grid runs in memory that does not grow with d^t.
+Nor may an entry grow with the fanout f: the route cache holds one route
+per (input, output), never a window's outputs.
 """
 
 import ast
@@ -15,9 +17,10 @@ import contextlib
 import gc
 import io
 import pathlib
+import sys
 import tracemalloc
 
-from switchlp import cli, dary, lpcert
+from switchlp import adversary, banyan, cli, dary, lpcert, multilog
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "switchlp").glob("*.py"))
@@ -125,3 +128,41 @@ def test_certificate_grid_memory_is_bounded():
         tracemalloc.stop()
     assert out.getvalue().count("\n") == 12606
     assert peak < 16 * 2 ** 20, peak
+
+
+def cached_bytes(*modules):
+    """The bytes of the keys and values that the modules' caches hold, each
+    object counted once: a C `lru_cache` hands the collector every key and
+    value it holds."""
+    seen, total = set(), 0
+    todo = [ref for module in modules for fn in vars(module).values()
+            if hasattr(fn, "cache_info") for ref in gc.get_referents(fn)
+            if type(ref) is tuple]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            if type(obj) is tuple:
+                todo += obj
+    return total
+
+
+def route_caches_after_churn(f, steps):
+    """What the multilog and banyan caches hold after random churn at
+    fanout f on one window of 256 outputs, the route cache cleared before
+    and full after."""
+    multilog._route.cache_clear()
+    adversary.random_trial(
+        multilog.MultilogConfig(d=2, n=8, m=4, t=8, f=f), steps, 5)
+    info = multilog._route.cache_info()
+    assert info.currsize == info.maxsize
+    return cached_bytes(multilog, banyan)
+
+
+def test_route_cache_does_not_grow_with_f():
+    # a cache keyed on a window's outputs would hold requests of up to f
+    # outputs and their trees
+    small, large = (route_caches_after_churn(f, steps)
+                    for f, steps in ((1, 600), (256, 300)))
+    assert large < small + 1024, (small, large)

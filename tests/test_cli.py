@@ -1136,10 +1136,10 @@ class TestInputErrors:
             "def lying_route(st):",
             "    # (000 -> 001) shares a link with the live (100 -> 000); with",
             "    # its link ids rewritten only the predicate check can tell",
-            "    rt = banyan.route(2, 3, 0, 1, 'link')",
-            "    rt.ids = tuple(key + 1000 for key in rt.ids)",
-            "    st._commit('liar', 0, 0, 1, [rt])",
-            "    st.requests['liar'] = (0, {1: (0, [rt])})",
+            "    sub = (0, [1], tuple(key + 1000",
+            "                         for key in banyan.route(2, 3, 0, 1, 'link')))",
+            "    st._commit('liar', 0, 1, sub)",
+            "    st.requests['liar'] = (0, {1: sub})",
             "def coloring():",
             "    st = dwec.ColoringState()",
             "    st.arrive('e', 'u', 'v', '1/2')",

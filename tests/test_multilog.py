@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multilog_oracle
-from address_oracle import window_outputs
+from address_oracle import route_ids, window_outputs
 from switchlp import lpcert, multilog
 from switchlp.multilog import (
     MultilogConfig, ConnState, Blocked, FanoutExceeded, OutputBusy,
@@ -92,9 +92,10 @@ class TestAdmission:
         # (000 -> 000), with which it shares a link
         state = ConnState(cfg(m=2))
         state.admit(s("000"), [s("000")], rid="a")
-        rt = route(2, 3, s("100"), s("001"), LINK)
+        x, y = s("100"), s("001")
         with pytest.raises(AssertionError, match="shared across inputs"):
-            state._commit("b", 0, rt.input, rt.output, [rt])
+            # t = 0: the window is the output
+            state._commit("b", x, y, (0, [y], route(2, 3, x, y, LINK)))
 
     def test_fanout_guard(self):
         state = ConnState(cfg(f=2, t=3))
@@ -138,8 +139,21 @@ class TestAdmission:
         assert set(result) == {0, 3}  # window 0 holds 000 and 001
         rid = next(iter(state.requests))
         _, admitted = state.requests[rid]
-        plane, routes = admitted[0]
-        assert {rt.output for rt in routes} == {s("000"), s("001")}
+        plane, outputs, keys = admitted[0]
+        assert outputs == [s("000"), s("001")]
+        state.audit()
+
+    @pytest.mark.parametrize("mode", [LINK, CROSSTALK])
+    def test_window_holds_each_key_once(self, mode):
+        # 000 and 001 share window 0 at t = 1, so their routes share every
+        # stage up to n - t = 2: the subrequest holds that trunk once
+        state = ConnState(cfg(d=2, n=3, m=1, t=1, f=2, mode=mode))
+        assert state.admit(s("000"), [s("000"), s("001")]) == {0: 0}
+        (_, admitted), = state.requests.values()
+        plane, outputs, keys = admitted[0]
+        both = route(2, 3, 0, 0, mode) + route(2, 3, 0, 1, mode)
+        assert sorted(keys) == sorted(set(both)) and len(keys) < len(both)
+        assert set(state.refs[plane, s("000")].values()) == {1}
         state.audit()
 
     def test_same_input_branches_never_conflict(self):
@@ -311,10 +325,9 @@ class TestBlockingPlanes:
         probe_x, probe_y = s("111"), s("011")
         want = set()
         for rid, (x, admitted) in state.requests.items():
-            for w, (plane, routes) in admitted.items():
-                for rt in routes:
-                    if shares_link(2, 3, probe_x, probe_y, rt.input,
-                                   rt.output):
+            for w, (plane, outputs, _) in admitted.items():
+                for y in outputs:
+                    if shares_link(2, 3, probe_x, probe_y, x, y):
                         want.add(plane)
         assert state.blocking_planes(probe_x, [probe_y]) == want
 
@@ -388,18 +401,19 @@ def pinned_extension(state, rng):
 
 def oracle_branches(state, x, outputs):
     """The predicate scan `ConnState.blocking_branches` must agree with: for
-    each plane, the first live route in `requests` order from an input other
-    than x that shares a link (link mode) or a switching element (crosstalk
-    mode) with some branch (x, y), as {plane: (input, output)}."""
+    each plane, the first live branch in `requests` order, then by ascending
+    output, from an input other than x that shares a link (link mode) or a
+    switching element (crosstalk mode) with some branch (x, y), as
+    {plane: (input, output)}."""
     cfg = state.config
     pred = shares_link if cfg.mode == LINK else shares_se
     found = {}
     for p in range(cfg.m):
-        branch = next(((u, rt.output)
+        branch = next(((u, v)
                        for u, admitted in state.requests.values() if u != x
-                       for plane, routes in admitted.values() if plane == p
-                       for rt in routes
-                       if any(pred(cfg.d, cfg.n, x, y, u, rt.output)
+                       for plane, outs, _ in admitted.values() if plane == p
+                       for v in sorted(outs)
+                       if any(pred(cfg.d, cfg.n, x, y, u, v)
                               for y in outputs)),
                       None)
         if branch is not None:
@@ -486,6 +500,10 @@ class TestBlockedOracle:
                     got = state.blocking_planes(x, ys)
                     assert got == multilog_oracle.blocked(state, x, ys)
                     seen[x in state.input_active, bool(got)] += 1
+                    branches = state.blocking_branches(
+                        AddressSets(d, n, x, ys, t))
+                    assert list(branches.items()) == \
+                        sorted(oracle_branches(state, x, ys).items())
         # every kind of probe ran: own keys or none, blocked or not
         assert len(seen) == 4
 
@@ -542,8 +560,8 @@ class TestProbeOracle:
         state = ConnState(cfg(m=2, f=2, mode=mode))
         state.admit(s("000"), [s("000")], rid="own")
         state.admit(s("111"), [s("111")], rid="foreign")
-        probe = multilog._route(2, 3, s("000"), s("001"), mode)
-        assert any(key in state.occ for key in probe.ids)
+        probe = route(2, 3, s("000"), s("001"), mode)
+        assert any(key in state.occ for key in probe)
         assert oracle_branches(state, s("000"), [s("001")]) == {}
         assert state.blocking_branches(
             AddressSets(2, 3, s("000"), [s("001")], 0)) == {}
@@ -580,27 +598,27 @@ def lying_route(state):
     a's: occupancy and registry agree, and only the sharing predicate can
     see that the two routes share a link."""
     state.release("b")
-    rt = route(2, 3, s("100"), s("001"), LINK)
-    assert shares_link(2, 3, s("000"), s("000"), rt.input, rt.output)
-    rt.ids = tuple(key + 1000 for key in rt.ids)
+    x, y = s("100"), s("001")
+    assert shares_link(2, 3, s("000"), s("000"), x, y)
+    sub = (0, [y], tuple(key + 1000 for key in route(2, 3, x, y, LINK)))
     # t = 0: each output is its own window
-    state._commit("b", 0, rt.input, rt.output, [rt])
-    state.requests["b"] = (rt.input, {rt.output: (0, [rt])})
+    state._commit("b", x, y, sub)
+    state.requests["b"] = (x, {y: sub})
 
 
 def shared_key(state):
     """Put b on a's plane by hand, past admission: both inputs' refs claim
     the links their routes share on plane 0, whose bits were already set."""
     state.release("b")
-    rt = route(2, 3, s("100"), s("001"), LINK)
-    x = rt.input
-    state.refs[0, x] = dict(Counter(rt.ids))
-    for key in rt.ids:
+    x, y = s("100"), s("001")
+    keys = route(2, 3, x, y, LINK)
+    state.refs[0, x] = dict(Counter(keys))
+    for key in keys:
         state.occ[key] = state.occ.get(key, 0) | 1
-    state.pins[x, rt.output] = [0, 1]
-    state.output_owner[rt.output] = "b"
+    state.pins[x, y] = [0, 1]
+    state.output_owner[y] = "b"
     state.input_active[x] = 1
-    state.requests["b"] = (x, {rt.output: (0, [rt])})
+    state.requests["b"] = (x, {y: (0, [y], keys)})
 
 
 def extra_occupancy_entry(state):
@@ -622,14 +640,14 @@ def file_under_other_input(state):
 
 
 def file_under_other_window(state):
-    """Re-file request a's route to window 0 under window 1."""
+    """Re-file request a's subrequest to window 0 under window 1."""
     x, admitted = state.requests["a"]
     (w, held), = admitted.items()
     state.requests["a"] = (x, {w + 1: held})
 
 
 SHARED = "key %d shared across inputs on plane 0" % next(iter(
-    set(route(2, 3, 0, 0, LINK).ids) & set(route(2, 3, 4, 1, LINK).ids)))
+    set(route(2, 3, 0, 0, LINK)) & set(route(2, 3, 4, 1, LINK))))
 
 
 def verdict(audit, state):
@@ -660,9 +678,8 @@ class TestAudit:
          "occ differs"),
         (lambda state: state.occ.__setitem__(next(iter(state.occ)), 7),
          "occ differs"),
-        (file_under_other_input, r"route Route\(0 -> 0\) under input 2$"),
-        (file_under_other_window,
-         r"route Route\(0 -> 0\) under window 1$"),
+        (file_under_other_input, "refs differs from the registry$"),
+        (file_under_other_window, "output 0 under window 1$"),
     ], ids=["drop_occupancy_entry", "bump_refcount",
             "move_owner", "drop_refcount_entry", "lying_route",
             "shared_key", "extra_occupancy_entry",
@@ -755,6 +772,12 @@ class TestAuditOracle:
         rng = random.Random(100 * n + len(mode) + len(policy))
         for step in churn(state, rng, 40):
             assert verdict(multilog_oracle.audit, state) is None
+            # each subrequest holds its routes' keys once: the trunk, then
+            # each branch
+            for x, admitted in state.requests.values():
+                for _, outputs, keys in admitted.values():
+                    assert keys == tuple(dict.fromkeys(itertools.chain(*(
+                        route_ids(2, n, x, y, mode) for y in outputs))))
             if step % 10 != 9:
                 continue
             for name in faults(state):
@@ -883,14 +906,12 @@ class TestModeMonotonicity:
                 break
             state.admit(req[0], req[1], rid=str(i))
         for plane in range(config.m):
-            routes = [rt for x, adm in state.requests.values()
-                      for w, (p, rts) in adm.items() if p == plane
-                      for rt in rts]
-            for i, r1 in enumerate(routes):
-                for r2 in routes[i + 1:]:
-                    if r1.input != r2.input:
-                        assert not shares_link(2, 4, r1.input, r1.output,
-                                               r2.input, r2.output)
+            branches = [(x, y) for x, adm in state.requests.values()
+                        for p, outs, _ in adm.values() if p == plane
+                        for y in outs]
+            for (a, b), (u, v) in itertools.combinations(branches, 2):
+                if a != u:
+                    assert not shares_link(2, 4, a, b, u, v)
 
 
 class TestPolicies:
@@ -926,7 +947,7 @@ class TestPick:
         set `blocked`, as it is when asked."""
         state = ConnState(cfg(d=2, n=4, m=m, t=2, f=4, plane_policy=policy,
                               seed=seed))
-        state._blocked = lambda x, routes: sum(1 << p for p in blocked)
+        state._blocked = lambda x, keys: sum(1 << p for p in blocked)
         return state
 
     @pytest.mark.parametrize("m", [1, 5, 161])

@@ -1,4 +1,5 @@
-"""The opcode counter gives the same count twice, on the benchmark's units.
+"""The opcode counter gives the same count twice, on the benchmark's units,
+and its per-function ledger adds up to that count.
 
 `opcode_count.py` counts in child interpreters what `BENCH_opcodes.json`
 records.  At the smoke-test size, two runs must give equal counts, and each
@@ -6,12 +7,16 @@ workload's digest must be the one `test_bench_workloads` pins, so the
 counted units are the benchmark's own.  No count is gated here.
 """
 
-from opcode_count import NAMES, run
+from opcode_count import NAMES, ROOT, ledger, run
 from test_bench_workloads import DIGESTS, UNITS
 
 
 def test_counts_repeat_and_digests_match():
-    first, second = (run(units=UNITS, tiny=True) for _ in range(2))
+    # the second count sums the per-function ledger, which must attribute
+    # every opcode of the first
+    first = run(units=UNITS, tiny=True)
+    second = {name: (sum(book.values()), digest) for name in NAMES
+              for book, digest in [ledger(ROOT, name, UNITS, tiny=True)]}
     assert first == second
     assert sorted(NAMES) == sorted(DIGESTS)
     assert {name: digest[:16] for name, (_, digest) in first.items()} \
