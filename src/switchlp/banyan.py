@@ -28,18 +28,18 @@ def _stages(d, n):
 
 def route(d, n, x, y, mode):
     """The route of one (input, output) pair through a single plane, as the
-    stage-offset int ids that `mode` reads: id s - 1 is the link leaving
-    stage s in link mode, the stage-s element in crosstalk mode.  No id is
-    the input link, which only routes from this input hold."""
+    stage-offset int ids that `mode`'s sharing rule counts: id s - 1 is the
+    link leaving stage s < n in link mode, the stage-s element in crosstalk
+    mode.  No id is a terminal link, which one input or output alone holds."""
     stages = _stages(d, n)
     links = not theta_of(mode)
     x = check_address(d, n, x)
     y = check_address(d, n, y)
     # the stage-s label is y_1..y_{s-1} x_s..x_{n-1}; the link leaving
-    # stage s appends y_s to it, which at s = n gives y itself
+    # stage s appends y_s to it
     tail = x // d
     ids = []
-    for lo, hi, se_base, link_base in stages:
+    for lo, hi, se_base, link_base in stages[:-1] if links else stages:
         label = (y // hi) * lo + tail % lo
         ids.append(link_base + label * d + (y // lo) % d if links
                    else se_base + label)

@@ -264,12 +264,12 @@ MAX_ROWS = 1_000_000   # the most rows `certify` writes: half a minute
 
 def cmd_certify(args):
     # the cells are counted before the header, so a refused grid prints
-    # none; a (d, n) has n * n rows or more, so a long n is refused first
+    # none; a (d, n) has at least its f = 1 rows, C(n + 2, 3) per mode
     modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
     cells, rows = [], 0
     for d in args.d:
         for n in args.n:
-            _within_cap(rows + n * n)
+            _within_cap(rows + len(modes) * n * (n + 1) * (n + 2) // 6)
             fs = args.f or sorted({1, 2, min(4, d ** n), d ** n})
             check_sizes(d, n, 0, max(fs))   # each f is at least 1
             for t in range(n):

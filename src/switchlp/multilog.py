@@ -124,10 +124,10 @@ class ConnState:
     def _commit(self, rid, x, window, sub):
         """Hold the window subrequest `sub`, (plane, outputs, keys), for
         input x: one reference to each key, the window's pin and the
-        outputs."""
+        outputs.  No keys (a link route at n = 1) make no refs table."""
         plane, outputs, keys = sub
         occ, bit = self.occ, 1 << plane
-        refs = self.refs.setdefault((plane, x), {})
+        refs = self.refs.setdefault((plane, x), {}) if keys else {}
         for key in keys:
             count = refs.get(key, 0)
             if not count:
@@ -215,7 +215,7 @@ class ConnState:
             raise UnknownId(repr(rid))
         occ, gone = self.occ, 0
         for w, (plane, outputs, keys) in admitted.items():
-            refs, bit = self.refs[plane, x], 1 << plane
+            refs, bit = self.refs.get((plane, x), {}), 1 << plane
             for key in keys:
                 count = refs[key]
                 if count > 1:
@@ -231,7 +231,7 @@ class ConnState:
                     raise AssertionError("key %r not held on plane %d"
                                          % (key, plane))
             if not refs:
-                del self.refs[plane, x]
+                self.refs.pop((plane, x), None)
             for y in outputs:
                 del self.output_owner[y]
             gone += len(outputs)
@@ -245,14 +245,16 @@ class ConnState:
 
     def blocking_planes(self, x, outputs):
         """Planes on which some existing foreign route conflicts with some
-        branch of the single-window subrequest (x, outputs).  In link mode
-        a route holds its output link, so an output another input owns
-        blocks that input's plane, though `banyan.shares_link` (internal
-        links only) finds no shared link; the greedy sweep's scores count
-        such planes."""
+        branch of the single-window subrequest (x, outputs), and the plane
+        of each output in it that an input other than x owns; the greedy
+        sweep's scores count both."""
         cfg = self.config
         x, _, ys = dary.check_request(cfg.d, cfg.n, x, outputs, cfg.d ** cfg.t)
-        return set(_planes(self._blocked(x, self._keys(x, ys))))
+        mask = self._blocked(x, self._keys(x, ys))
+        for y in self.output_owner.keys() & ys:   # u != x owns y: u's plane
+            u = self.requests[self.output_owner[y]][0]
+            mask |= (u != x) << self.pins[u, y // cfg.d ** cfg.t][0]
+        return set(_planes(mask))
 
     def blocking_branches(self, request):
         """{plane: (u, v)}, ascending by plane, for each plane that blocks
@@ -287,7 +289,7 @@ class ConnState:
                     # held opens with outs[0]'s route; later ones are built
                     # uncached, so a probe evicts no route `admit` reuses
                     v = outs[0]
-                    if keys.isdisjoint(held[:cfg.n]):
+                    if keys.isdisjoint(held[:cfg.n - (cfg.mode == LINK)]):
                         v = next(v for v in outs[1:] if not keys.isdisjoint(
                             route(cfg.d, cfg.n, u, v, cfg.mode)))
                     found[plane] = u, v
@@ -306,7 +308,8 @@ class ConnState:
                 pin = pins.setdefault((x, w), [plane, 0])
                 check(pin[0] == plane, "window split across planes")
                 pin[1] += len(outputs)
-                held.setdefault((plane, x), []).extend(keys)
+                if keys:   # a link route at n = 1 holds none
+                    held.setdefault((plane, x), []).extend(keys)
                 for y in outputs:
                     if y // wsize != w:
                         raise AssertionError("output %d under window %d"

@@ -103,14 +103,13 @@ def route_links(d, n, x, y):
 def route_ids(d, n, x, y, mode):
     """The route's view for `mode`, each key relabelled to the int id the
     library gives it: a stage-s element is the value of its label past the
-    (s-1) * d^(n-1) ids of the stages before; the link leaving stage s is
-    the value of its label and digit past s * d^n, so the output link is
-    n * d^n + y."""
+    (s-1) * d^(n-1) ids of the stages before; the link leaving stage s < n
+    is the value of its label and digit past s * d^n.  Neither terminal
+    link is in the view."""
     if mode == LINK:
         full = d ** n
-        return tuple([s * full + value(d, label + (dig,))
-                      for s, label, dig in route_internal_links(d, n, x, y)]
-                     + [n * full + y])
+        return tuple(s * full + value(d, label + (dig,))
+                     for s, label, dig in route_internal_links(d, n, x, y))
     return tuple((se.stage - 1) * d ** (n - 1) + value(d, se.label)
                  for se in route_ses(d, n, x, y))
 

@@ -12,8 +12,9 @@ which checks the live state in place, raises exactly when this does, with
 the same message.
 
 `blocked(state, x, outputs)` finds the planes that block a subrequest by
-testing every live branch with the sharing predicates; it never reads the
-occupancy, so it checks `ConnState.blocking_planes`, which reads only that.
+testing every live branch with the sharing predicates and by comparing
+outputs; it never reads the occupancy, pins or owners, so it checks
+`ConnState.blocking_planes`, which reads them.
 """
 
 from collections import Counter
@@ -41,7 +42,8 @@ def audit(state):
                 check(y not in owners, "output double-owned")
                 owners[y] = rid
                 active[x] = active.get(x, 0) + 1
-            refs.setdefault((plane, x), Counter()).update(keys)
+            if keys:   # a link route at n = 1 holds none
+                refs.setdefault((plane, x), Counter()).update(keys)
     holders = {}
     for (plane, x), counts in refs.items():
         for key in counts:
@@ -75,12 +77,12 @@ def audit(state):
 
 
 def blocked(state, x, outputs):
-    """The planes on which a live route from an input other than x shares a
-    link (link mode) or a switching element (crosstalk mode) with some
-    branch (x, y), y in `outputs`."""
+    """The planes on which a live branch (u, v) from an input u other than
+    x shares a link (link mode) or a switching element (crosstalk mode)
+    with some branch (x, y), y in `outputs`, or owns one of them, v = y."""
     cfg = state.config
     pred = shares_link if cfg.mode == LINK else shares_se
     return {plane for u, admitted in state.requests.values() if u != x
             for plane, outs, _ in admitted.values()
-            if any(pred(cfg.d, cfg.n, x, y, u, v)
+            if any(v == y or pred(cfg.d, cfg.n, x, y, u, v)
                    for v in outs for y in outputs)}

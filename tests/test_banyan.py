@@ -61,12 +61,12 @@ class TestRoute:
     def test_identity_route(self):
         z = s("0000")
         # every element on the all-zero route has label 0 at its stage, and
-        # every link label 0 and digit 0
+        # every internal link label 0 and digit 0
         assert route(2, 4, z, z, CROSSTALK) == \
             tuple(k * 2 ** 3 for k in range(4)) == \
             route_ids(2, 4, z, z, CROSSTALK)
         assert route(2, 4, z, z, LINK) == \
-            tuple(k * 2 ** 4 for k in range(1, 5)) == \
+            tuple(k * 2 ** 4 for k in range(1, 4)) == \
             route_ids(2, 4, z, z, LINK)
         assert all(se.label == (0,) * 3 for se in route_ses(2, 4, z, z))
 
@@ -78,9 +78,10 @@ class TestRoute:
         assert ids[0] == 0b011
         assert ids[-1] == 3 * 2 ** 3 + 0b101
         ids = route(2, 4, s("0110"), s("1011"), LINK)
-        # the link leaving stage 1: its label 011, then y's first digit
+        # the link leaving stage 1: its label 011, then y's first digit;
+        # the last is the link leaving stage 3, label 101 and digit 1
         assert ids[0] == 1 * 2 ** 4 + 0b0111
-        assert ids[-1] == 4 * 2 ** 4 + 0b1011
+        assert ids[-1] == 3 * 2 ** 4 + 0b1011
 
     def test_stage_local(self):
         for x, y in itertools.product(range(2 ** 4), repeat=2):
@@ -113,13 +114,11 @@ class TestRoute:
                                       (3, 1), (3, 2), (3, 3), (3, 4)])
     def test_int_ids_relabel_dary_keys(self, d, n):
         # over every route and both modes, the route is one plain tuple of
-        # ids, the mode's digit-tuple view relabelled, the input link left
-        # out; the same key always gets the same id and distinct keys get
-        # distinct ids
-        def links(d, n, x, y):
-            return route_links(d, n, x, y)[1:]
-
-        for mode, view in ((LINK, links), (CROSSTALK, route_ses)):
+        # ids, the mode's digit-tuple view relabelled, both terminal links
+        # left out; the same key always gets the same id and distinct keys
+        # get distinct ids
+        for mode, view in ((LINK, route_internal_links),
+                           (CROSSTALK, route_ses)):
             id_of, key_of = {}, {}
             for x, y in itertools.product(range(d ** n), repeat=2):
                 got, want = route(d, n, x, y, mode), view(d, n, x, y)
@@ -133,17 +132,22 @@ class TestRoute:
 
     def test_every_id_is_shared_by_another_input(self):
         # the sharing rules count only what routes from two inputs share,
-        # so a route holds one id per stage and no key only its input
-        # holds: the input u differing from x in its last digit passes
-        # every stage x does, and its route to y holds every id of x's
+        # so a route holds one id per internal link (link mode) or element
+        # (crosstalk mode) and no key private to one terminal: the input u
+        # differing from x in its last digit passes every stage x does,
+        # and its routes to y and to the output v differing from y in its
+        # last digit hold every id of x's
         for d, n in [(d, n) for d in range(2, 28) for n in range(1, 5)
                      if d ** n <= 27]:
             for mode in (LINK, CROSSTALK):
                 for x, y in itertools.product(range(d ** n), repeat=2):
                     ids = route(d, n, x, y, mode)
                     u = x - x % d + (x + 1) % d
-                    assert len(ids) == n and u != x
+                    v = y - y % d + (y + 1) % d
+                    assert len(ids) == n - (mode == LINK)
+                    assert u != x and v != y
                     assert route(d, n, u, y, mode) == ids
+                    assert route(d, n, u, v, mode) == ids
 
     @pytest.mark.parametrize("call, message", [
         (lambda: route(1, 3, 0, 0, LINK), "d=1: need integer d >= 2"),

@@ -622,10 +622,13 @@ class TestCertify:
         ["--d", "3", "--n", "10000000"],
         # over the cap at n = 200 before the bad f at n = 3 is reached
         ["--n", "200,3", "--f", "9"],
-    ], ids=["long-n", "cap-before-later-f"])
+        # n * n = 1000000 would fit the cap, C(1002, 3) per mode does not
+        ["--d", str(10 ** 4000), "--n", "1000"],
+    ], ids=["long-n", "cap-before-later-f", "huge-d"])
     def test_over_cap_refused_before_any_power(self, capsys, argv):
-        # a (d, n) has n * n rows or more, so the count refuses these
-        # before any d^n, of which 3^10000000 alone takes seconds
+        # a (d, n) has C(n + 2, 3) rows per mode or more, so the count
+        # refuses these before any d^n, of which 3^10000000 or
+        # (10^4000)^1000 alone takes seconds
         start = time.perf_counter()
         code, out, err = run(capsys, "certify", *argv)
         assert time.perf_counter() - start < 2

@@ -116,15 +116,18 @@ class TestAdmission:
             state.admit(s("000"), [s("011")])
 
     def test_blocking_planes_counts_an_owned_output(self):
-        # in link mode a route holds its output link, so the plane of an
-        # output another input owns blocks it, though no internal link is
-        # shared; the greedy sweep's scores count it, and admit refuses it
+        # the plane of an output another input owns blocks it, though no
+        # internal link is shared; the greedy sweep's scores count it, and
+        # admit refuses it.  An output the probing input owns itself adds
+        # no plane.
         state = ConnState(cfg(d=2, n=3, m=2, t=3, f=8))
         state.admit(0, [5])
         assert state.blocking_planes(2, [5]) == {0}
         assert not shares_link(2, 3, 0, 5, 2, 5)
         with pytest.raises(OutputBusy):
             state.admit(2, [5])
+        assert state.blocking_planes(0, [5]) == set()
+        assert state.blocking_planes(0, [5, 7]) == set()
 
     def test_duplicate_id_rejected(self):
         state = ConnState(cfg(m=4))
@@ -166,8 +169,8 @@ class TestAdmission:
     def test_blocked_window_leaves_others_committed(self):
         state = ConnState(cfg(d=2, n=2, m=1, t=1, f=4))
         state.admit(s("00"), [s("00")])
-        # second request: its window-0 branch shares the output link of the
-        # live route, the window-1 branch is free
+        # second request: its window-0 branch shares the internal link of
+        # the live route, the window-1 branch is free
         result = state.admit(s("01"), [s("01"), s("10")])
         statuses = {w: isinstance(v, Blocked) for w, v in result.items()}
         assert statuses[0] is True and statuses[1] is False
@@ -287,6 +290,27 @@ class TestRelease:
         with pytest.raises(AssertionError,
                            match="key %d not held on plane 0" % key):
             state.release("a")
+
+    def test_link_routes_at_n1_hold_no_key(self):
+        # at n = 1 a link route has no internal link, so it holds no key:
+        # one input's one-output windows share plane 0 without any refs
+        # table, and each release finds none to drop
+        state = ConnState(cfg(d=3, n=1, m=1, t=0, f=3))
+
+        def audited():
+            state.audit()
+            assert verdict(multilog_oracle.audit, state) is None
+            assert not state.refs and not state.occ
+
+        for y in range(3):
+            assert state.admit(0, [y], rid=y) == {y: 0}
+            audited()
+        assert state.pins == {(0, y): [0, 1] for y in range(3)}
+        for y in (1, 0, 2):
+            state.release(y)
+            audited()
+        assert not (state.requests or state.pins or state.output_owner
+                    or state.input_active)
 
     def test_release_twice(self):
         state = ConnState(cfg())
@@ -464,16 +488,12 @@ class TestOccupancyOracle:
         rng = random.Random(seed)
         addrs = range(d ** n)
         for _ in churn(state, rng, 25):
-            # a probe is asked for free outputs only, as admission would be:
-            # an owned output's link is held without any internal sharing
+            # a probe may ask for owned outputs as well as free ones
             x = rng.choice(addrs)
-            w = rng.randrange(d ** (n - t))
-            free = [y for y in window_outputs(d, n, t, w)
-                    if y not in state.output_owner]
-            if free:
-                ys = rng.sample(free, rng.randint(1, min(2, len(free))))
-                assert state.blocking_planes(x, ys) == \
-                    multilog_oracle.blocked(state, x, ys)
+            outs = window_outputs(d, n, t, rng.randrange(d ** (n - t)))
+            ys = rng.sample(outs, rng.randint(1, min(2, len(outs))))
+            assert state.blocking_planes(x, ys) == \
+                multilog_oracle.blocked(state, x, ys)
 
 
 class TestBlockedOracle:
@@ -481,31 +501,34 @@ class TestBlockedOracle:
     @pytest.mark.parametrize("policy", [multilog.FIRST_FIT, multilog.RANDOM])
     def test_seeded_churn_matches_route_scan(self, mode, policy):
         # probes from inputs with live branches, whose own keys block
-        # nothing, as well as from any input
+        # nothing, as well as from any input, of owned outputs as well as
+        # free ones; `blocking_branches` takes a free B only
         d, n, t = 2, 6, 3
         config = cfg(d=d, n=n, m=4, t=t, f=4, mode=mode, plane_policy=policy,
                      seed=11)
         state = ConnState(config)
         rng = random.Random(len(mode) * 10 + len(policy))
-        seen = Counter()
+        seen, owned = Counter(), set()
         for _ in churn(state, rng, 80):
             live = sorted(state.input_active)
             for x in rng.sample(live, min(3, len(live))) + [
                     rng.randrange(d ** n)]:
-                w = rng.randrange(d ** (n - t))
-                free = [y for y in window_outputs(d, n, t, w)
-                        if y not in state.output_owner]
-                if free:
-                    ys = rng.sample(free, rng.randint(1, min(3, len(free))))
-                    got = state.blocking_planes(x, ys)
-                    assert got == multilog_oracle.blocked(state, x, ys)
-                    seen[x in state.input_active, bool(got)] += 1
+                outs = window_outputs(d, n, t, rng.randrange(d ** (n - t)))
+                ys = rng.sample(outs, rng.randint(1, 3))
+                got = state.blocking_planes(x, ys)
+                assert got == multilog_oracle.blocked(state, x, ys)
+                seen[x in state.input_active, bool(got)] += 1
+                owners = {state.requests[state.output_owner[y]][0]
+                          for y in ys if y in state.output_owner}
+                owned.update(u == x for u in owners)
+                if not owners:
                     branches = state.blocking_branches(
                         AddressSets(d, n, x, ys, t))
                     assert list(branches.items()) == \
                         sorted(oracle_branches(state, x, ys).items())
-        # every kind of probe ran: own keys or none, blocked or not
-        assert len(seen) == 4
+        # every kind of probe ran: own keys or none, blocked or not, and
+        # outputs the probing input owns as well as another's
+        assert len(seen) == 4 and len(owned) == 2
 
 
 class TestProbeOracle:
@@ -552,6 +575,20 @@ class TestProbeOracle:
                     state.blocking_branches(AddressSets(d, n, x, ys, t))
                 with pytest.raises(ValueError, match="already owned"):
                     lpcert.primal_from_state(state, x, ys)
+
+    @pytest.mark.parametrize("mode, x", [(LINK, s("100")),
+                                         (CROSSTALK, s("010"))])
+    def test_conflict_past_the_opening_route_names_its_branch(self, mode, x):
+        # 000's subrequest to 000 and 010 holds the route to 000, then the
+        # one key of the branch to 010 that differs (the link leaving stage
+        # 2, or the stage-3 element); the probe (x, 011) shares only that
+        # key, so the branch named is (000, 010), not the opening one
+        state = ConnState(cfg(m=1, t=2, f=2, mode=mode))
+        state.admit(s("000"), [s("000"), s("010")], rid="u")
+        want = {0: (s("000"), s("010"))}
+        assert oracle_branches(state, x, [s("011")]) == want
+        assert state.blocking_branches(
+            AddressSets(2, 3, x, [s("011")], 2)) == want
 
     @pytest.mark.parametrize("mode", [LINK, CROSSTALK])
     def test_own_keys_do_not_block(self, mode):
