@@ -111,14 +111,14 @@ def _fanout(d, n, f, r):
 def c_cost(d, n, t, f, k, p, q):
     """Dual objective of the certificate family, link-blocking mode."""
     check_sizes(d, n, t, f, k)
-    check_family(n, t, q, p)
+    check_family(n, t, q, p, 0)
     return _cost(d, n, t, f, k, p, q)
 
 
 def g_cost(d, n, t, f, k, p, q):
     """Dual objective, crosstalk-free mode: the link cost at n + 1, q + 1."""
     check_sizes(d, n, t, f, k)
-    check_family(n, t, q, p)
+    check_family(n, t, q, p, 1)
     return _cost(d, n + 1, t, f, k, p, q + 1)
 
 
@@ -143,12 +143,12 @@ def _cost(d, n, t, f, k, p, q):
 
 
 def _row_tight(d, n, t, f, p):
-    """max_k min_q g_cost(k, p, q) for one fixed p, clamped into the
-    family's range: the tight value of a table row whose construction pins
-    p.  Always an upper bound on the full max-min since the min ranges over
-    fewer choices.  Each g_cost is linear in k or the min of two linear
-    functions, so the min over q is concave in k: a binary search on the
-    sign of its step finds the max."""
+    """max_k min_q g_cost(k, p, q) for one fixed p, clamped to the printed
+    rows' own p < n - t (the family's range reaches n - t): the tight value
+    of a table row whose construction pins p, an upper bound on the full
+    max-min since the min ranges over fewer choices.  Each g_cost is linear
+    in k or the min of two linear functions, so the min over q is concave
+    in k: a binary search on the sign of its step finds the max."""
     p = max(0, min(p, n - t - 1))
 
     def worst(k):
@@ -218,8 +218,8 @@ def G_bound(d, n, t, f):
         else:
             branch, value = "G3", A + _fanout(d, n + 1, f, r)
     elif 2 * t > n:
-        # the construction picks p = n-t-r, which leaves the family's
-        # p-range when r = 0; clamp with the in-range tight value
+        # the construction picks p = n-t-r, past the printed rows' own
+        # p < n-t when r = 0; clamp with the tight value inside it
         core, tight = _core(d, n + 1, t, f, p), _row_tight(d, n, t, f, p)
         if r >= 2 * t - n - 2:
             branch, value = "G4", max(core + _corner(d, n + 1, t), tight)

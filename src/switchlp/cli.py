@@ -203,8 +203,7 @@ def cmd_simulate(args):
             if reuse and r != 2:
                 raise ValueError("clos-benes replays the r = 2 reuse rule; "
                                  "got --r %d" % r)
-            cfg = clos.ClosConfig.symmetric(n=args.n, m=args.m, r=r,
-                                            traffic=traffic)
+            cfg = clos.ClosConfig(args.n, args.m, r, traffic)
             header = ["event", "id", "middle", "status"]
             replayed = clos.run_trace(clos.ClosState(cfg), lines,
                                       reuse=reuse)

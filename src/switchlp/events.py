@@ -20,9 +20,10 @@ A value is checked once, where it enters the package.  Each size and
 family parameter has one rule, an int other than a bool in a range,
 
     d >= 2, n >= 1, 0 <= t <= n, 1 <= f <= d^n, 1 <= k <= min(f, d^t),
-    0 <= p < n - t <= q <= n,
+    0 <= p < N - t, n - t <= q <= n, N = n + theta,
 
-and one message, `check_range`'s "t=4: need integer 0 <= t <= 3".  Where
+where a crosstalk family (theta = 1) is the link family at N, and one
+message, `check_range`'s "t=4: need integer 0 <= t <= 3".  Where
 one enters, `check_sizes` (or `check_family` for p and q) applies them in
 that order: the multilog config, `dary.AddressSets` (d, n, t),
 `canonical_sets` (k), `lpcert.LpInstance` (f, k = |B|), the dual family,
@@ -105,10 +106,10 @@ def check_sizes(d, n, t=0, f=1, k=1):
 
 
 @_remembered
-def check_family(n, t, q, p=_UNSET):
-    """The dual family's q, and p where given, on a checked n and t."""
+def check_family(n, t, q, p=_UNSET, theta=0):
+    """q at n, and p where given at N = n + theta, on a checked n and t."""
     if p is not _UNSET:
-        check_range("p", p, 0, n - t - 1)
+        check_range("p", p, 0, n + theta - t - 1)
     check_range("q", q, n - t, n)
 
 

@@ -286,12 +286,12 @@ def _exact(what, key, v):
 def dual_family(instance, p, q):
     """The two-parameter dual-feasible family.
 
-    p shapes epsilon/alpha/beta, q shapes gamma/delta.  A crosstalk
-    family at (n, p, q) is the link family at (n + 1, p, q + 1).  The pools
-    are fresh copies of cached shapes, so a caller may change them freely.
+    p shapes epsilon/alpha/beta, q shapes gamma/delta; a crosstalk family
+    at (n, p, q) is the link family at (n + 1, p, q + 1), p = n - t
+    included.  Its pools are fresh copies of cached shapes, free to change.
     """
     n, t, theta = instance.n, instance.t, instance.theta
-    check_family(n, t, q, p)
+    check_family(n, t, q, p, theta)
     alpha, gamma, delta, eps, beta = _family_shape(n + theta, t, p,
                                                    q + theta)
     return DualSolution._from_pools(instance, alpha.copy(), gamma.copy(),

@@ -1,7 +1,10 @@
 """Test-side references for the plane-count bounds and the exact LPs.
 
 `sufficient_m_enumerated` is the ground truth the bound tables are checked
-against: the family's max-min over the whole discrete (k, p, q) grid.
+against: the family's max-min over the whole discrete (k, p, q) grid, p over
+a range the caller names, since a crosstalk family's reaches p = n - t (the
+link range at n + 1) while the printed tables' stops below it;
+`sufficient_m_searched` finds the same max over k by binary search.
 `row_tight_enumerated` scans every k for one table row's tight value.  `h`
 and `hbar` are the monotone helper forms of the derivation.  `wang07`,
 `danilewicz` and `cf_wsnb_window` are published plane counts the tables
@@ -29,17 +32,39 @@ from switchlp.lpcert import DualSolution, solve_packing
 from address_oracle import EnumeratedAddressSets
 
 
-def sufficient_m_enumerated(d, n, t, f, mode):
-    """Ground truth 1 + max_k min_{p,q} cost over the whole discrete grid."""
+def sufficient_m_enumerated(d, n, t, f, mode, ps):
+    """Ground truth 1 + max_k min_{p,q} cost over the whole discrete grid,
+    p over `ps`: `range(n - t)` is the printed tables' own range, and a
+    crosstalk family also takes p = n - t, the link range at n + 1."""
     cost = c_cost if mode == LINK else g_cost
-    return 1 + max(min(cost(d, n, t, f, k, p, q)
-                       for p in range(n - t) for q in range(n - t, n + 1))
+    return 1 + max(_worst(cost, d, n, t, f, k, ps)
                    for k in range(1, min(f, d ** t) + 1))
 
 
+def sufficient_m_searched(d, n, t, f, mode, ps):
+    """`sufficient_m_enumerated` by the binary search `bounds._row_tight`
+    makes: every cost is linear in k or the min of two linear functions,
+    so the min over (p, q) is concave in k."""
+    cost = c_cost if mode == LINK else g_cost
+    lo, hi = 1, min(f, d ** t)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (_worst(cost, d, n, t, f, mid + 1, ps)
+                > _worst(cost, d, n, t, f, mid, ps)):
+            lo = mid + 1
+        else:
+            hi = mid
+    return 1 + _worst(cost, d, n, t, f, lo, ps)
+
+
+def _worst(cost, d, n, t, f, k, ps):
+    return min(cost(d, n, t, f, k, p, q)
+               for p in ps for q in range(n - t, n + 1))
+
+
 def row_tight_enumerated(d, n, t, f, p):
-    """max_k min_q g_cost(k, p, q) for one p clamped into range, by
-    scanning every k."""
+    """max_k min_q g_cost(k, p, q) for one p clamped to the printed rows'
+    own p < n - t, by scanning every k."""
     p = max(0, min(p, n - t - 1))
     return Fraction(max(min(g_cost(d, n, t, f, k, p, q)
                             for q in range(n - t, n + 1))
@@ -123,8 +148,8 @@ def family_loops(instance, p, q):
     `DualSolution` constructor: the link family at N = n + theta and
     q + theta, on the instance's class labels."""
     n, t, theta = instance.n, instance.t, instance.theta
-    if not (0 <= p <= n - t - 1):
-        raise ValueError("p=%d out of [0, %d]" % (p, n - t - 1))
+    if not (0 <= p <= n + theta - t - 1):
+        raise ValueError("p=%d out of [0, %d]" % (p, n + theta - t - 1))
     if not (n - t <= q <= n):
         raise ValueError("q=%d out of [%d, %d]" % (q, n - t, n))
     n, q = n + theta, q + theta

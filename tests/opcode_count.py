@@ -11,9 +11,19 @@ then counts every opcode of 1,000 `unit()` calls under `sys.settrace` with
 not C-level work such as `sorted` or dict lookups, so they sit beside wall
 time and RSS.
 The record (REV, by default `git describe --always --dirty=+` of ROOT; the
-Python version; each workload's count and first 12 digest digits) goes
-last in BENCH_opcodes.json at this repository's root, in place of any
-record of the same REV.
+Python version; each workload's count, first 12 digest digits and opcodes
+per layer) goes in BENCH_opcodes.json at this repository's root, in place
+of the record of the same REV or else last.  A change counted before its
+commit is named after its parent plus "+", and renamed to its own commit
+once that is merged.
+
+`LAYERS` puts each function of the ledger below in one layer: the six the
+roadmap's north star times on their own (address arithmetic, routes and
+their sharing predicates, a network's admit and release, the
+`AddressSets`/`LpInstance` build, the dual objective and coloring), plus
+the validation rules, the bench harness and the standard library.  A
+function's layer is that of its longest dotted prefix in the table, and
+the layers of a record sum to its count.
 
 `--diff` reads one workload's count in both roots by function: a ledger
 of the opcodes run in each `co_qualname` (`co_name` before Python 3.11),
@@ -29,6 +39,30 @@ import sys
 # imported where they are used: an imported module can change what a unit
 # runs (with subprocess imported, the ABC subclass checks of multilog-churn
 # ran 12 more opcodes).
+
+# a ledger qualname's layer is its longest dotted prefix's here
+LAYERS = {
+    "dary": "address",
+    "dary.AddressSets": "build", "dary._canonical_sets": "build",
+    "dary.a_count_formula": "build", "dary.lazy": "build",
+    "banyan": "route",
+    "multilog": "admit", "clos": "admit", "adversary": "admit",
+    "lpcert": "dual", "bounds": "dual",
+    "lpcert.LpInstance": "build", "lpcert.canonical_instance": "build",
+    "lpcert._input_counts": "build",
+    "dwec": "coloring",
+    # each size, request, mode, weight and terminal rule
+    "events": "validation", "dary.check_address": "validation",
+    "dary.check_request": "validation", "bounds.theta_of": "validation",
+    "dwec.as_weight": "validation",
+    "clos.ClosState._check_terminal": "validation",
+    "workloads": "harness",
+    # `<string>` holds the constructors `namedtuple` compiles, and
+    # `__init__.Counter` is `collections.Counter`
+    "random": "stdlib", "fractions": "stdlib", "<frozen abc>": "stdlib",
+    "<frozen _collections_abc>": "stdlib", "<string>": "stdlib",
+    "__init__.Counter": "stdlib",
+}
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -101,6 +135,29 @@ def ledger(root, name, units=1000, tiny=False):
     return book, head.split()[1]
 
 
+def layer_of(qualname):
+    """The layer of a ledger qualname, or None when no prefix is in
+    `LAYERS`."""
+    parts = qualname.split(".")
+    for end in range(len(parts), 0, -1):
+        layer = LAYERS.get(".".join(parts[:end]))
+        if layer:
+            return layer
+    return None
+
+
+def layers(book):
+    """{layer: opcodes} of a ledger, by layer name; KeyError for a
+    qualname that maps to no layer."""
+    out = {}
+    for qualname, n in book.items():
+        layer = layer_of(qualname)
+        if layer is None:
+            raise KeyError("%s maps to no layer" % qualname)
+        out[layer] = out.get(layer, 0) + n
+    return dict(sorted(out.items()))
+
+
 def diff(root_a, root_b, name, units=1000):
     """The lines `--diff` prints: per qualname whose count differs, the
     change and both counts, the largest change first; then the totals."""
@@ -134,18 +191,25 @@ def main(argv):
     rev = argv[1] if len(argv) > 1 else subprocess.run(
         ["git", "describe", "--always", "--dirty=+"], cwd=root, check=True,
         capture_output=True, text=True).stdout.strip()
-    counts = run(root)
+    books = {name: ledger(root, name) for name in NAMES}
     record = {"rev": rev, "python": platform.python_version(), "seed": 3,
               "units": 1000,
-              "opcodes": {name: ops for name, (ops, _) in counts.items()},
-              "digests": {name: dig[:12] for name, (_, dig) in counts.items()}}
+              "opcodes": {name: sum(book.values())
+                          for name, (book, _) in books.items()},
+              "digests": {name: dig[:12] for name, (_, dig) in books.items()},
+              "layers": {name: layers(book)
+                         for name, (book, _) in books.items()}}
     path = os.path.join(ROOT, "BENCH_opcodes.json")
     try:
         with open(path) as fh:
             records = json.load(fh)
     except FileNotFoundError:
         records = []
-    records = [r for r in records if r["rev"] != rev] + [record]
+    revs = [r["rev"] for r in records]
+    if rev in revs:
+        records[revs.index(rev)] = record
+    else:
+        records.append(record)
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")

@@ -27,7 +27,7 @@ from switchlp.multilog import MultilogConfig, ConnState
 from address_oracle import route_sets
 from clos_oracle import opt_exact, replay_audited
 from lp_oracle import (cf_wsnb_window, danilewicz, dual_special_t_eq_n,
-                       sufficient_m_enumerated, wang07)
+                       sufficient_m_enumerated, sufficient_m_searched, wang07)
 
 F = Fraction
 
@@ -407,7 +407,7 @@ row G4 m=79 above family m=63 at d=3 n=5 t=4 f=4 crosstalk
 """.splitlines())
 
 
-def test_criterion_5_dominance():
+def test_criterion_5_dominance(monkeypatch):
     with criterion(5):
         findings, overshoots = [], []
         for d, n in GRID_DN:
@@ -415,7 +415,8 @@ def test_criterion_5_dominance():
                 for f in _f_grid(d, n):
                     for mode, table in ((bounds.LINK, bounds.C_bound),
                                         (bounds.CROSSTALK, bounds.G_bound)):
-                        enum = sufficient_m_enumerated(d, n, t, f, mode)
+                        enum = sufficient_m_enumerated(d, n, t, f, mode,
+                                                       range(n - t))
                         res = table(d, n, t, f)
                         assert enum <= res.m_sufficient, \
                             "plane count not dominated at %s" % (
@@ -482,6 +483,70 @@ def test_criterion_5_dominance():
                 "at d=%d n=%d t=%d f=%d"
                 % (g_row, c_row, len(gaps), lower, len(gaps) - lower, gap,
                    *at))
+        _extended_crosstalk_family(monkeypatch)
+
+
+def _extended_crosstalk_family(monkeypatch):
+    """Criterion 5's findings for the crosstalk family's p = n - t, the
+    link range at n + 1, which the printed G rows never use."""
+    def family_m(d, n, t, f, ps):
+        return sufficient_m_searched(d, n, t, f, bounds.CROSSTALK, ps)
+    # the binary search over k against the scan over every k
+    for d, n in GRID_DN:
+        for t in range(n):
+            for f in _f_grid(d, n):
+                for ps in (range(n - t), range(n - t + 1)):
+                    assert family_m(d, n, t, f, ps) == sufficient_m_enumerated(
+                        d, n, t, f, bounds.CROSSTALK, ps), (d, n, t, f, ps)
+    points, drops, above, clamps = [], [], {}, {}
+    for d in range(2, 6):
+        for n in range(1, 8):
+            for t in range(n):
+                for f in sorted({1, 2, 3, d, d ** t, d ** n}):
+                    if f <= d ** n:
+                        points.append((d, n, t, f))
+    for d, n, t, f in points:
+        old = family_m(d, n, t, f, range(n - t))
+        new = family_m(d, n, t, f, range(n - t + 1))
+        assert new <= old
+        if new < old:
+            drops.append((old - new, old - 1, new - 1, d, n, t, f))
+        res = bounds.G_bound(d, n, t, f)
+        if new < res.m_sufficient:
+            above.setdefault(res.branch, []).append(
+                (res.m_sufficient - new, d, n, t, f))
+        # the row's value without `_row_tight`'s clamp
+        with monkeypatch.context() as patched:
+            patched.setattr(bounds, "_row_tight", lambda *args: -math.inf)
+            bare = bounds.G_bound(d, n, t, f)
+        if bare.value < res.value:
+            clamps.setdefault(res.branch, [0, 0, 0])
+            clamps[res.branch][0] += 1
+            clamps[res.branch][1] += bare.value >= new - 1
+            clamps[res.branch][2] += bare.m_sufficient >= new
+    gap, old, new, *at = max(drops, key=lambda drop: drop[0])
+    say("CRITERION 5 finding: crosstalk family with p = n - t, the link "
+        "range at n + 1: max-min lower at %d of %d points (d <= 5, n <= 7, "
+        "t < n, f in {1, 2, 3, d, d^t, d^n}), largest drop %d -> %d at d=%d "
+        "n=%d t=%d f=%d; the printed G table's m above its m at %d"
+        % (len(drops), len(points), old, new, *at,
+           sum(map(len, above.values()))))
+    for row, gaps in sorted(above.items(), key=lambda kv: (-len(kv[1]),
+                                                           kv[0])):
+        gap, *at = max(gaps, key=lambda g: g[0])
+        say("CRITERION 5 finding: row %s m above the extended crosstalk "
+            "family's m at %d points, largest gap %d at d=%d n=%d t=%d f=%d"
+            % (row, len(gaps), gap, *at))
+
+    def per_row(i):
+        rows = sorted((row, c[i]) for row, c in clamps.items() if c[i])
+        return "%d (%s)" % (sum(c for _, c in rows), ", ".join(
+            "%s %d" % row for row in rows))
+    say("CRITERION 5 finding: G_bound clamps %s of the %d points; at %s the "
+        "unclamped value is at least the extended family's max-min, and at "
+        "%s its m is at least the family's; the clamps stay, since dropping "
+        "one would change a verdict" % (per_row(0), len(points), per_row(1),
+                                       per_row(2)))
 
 
 # -- criterion 6: multilog sufficiency ----------------------------------------

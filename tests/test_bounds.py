@@ -106,7 +106,8 @@ class TestSpecializations:
         for (d, n, t) in [(2, 3, 2), (2, 5, 3), (3, 3, 2)]:
             table = 1 + G_bound(d, n, t, d ** n).value
             corollary = cf_wsnb_window(d, n, t)
-            enum = sufficient_m_enumerated(d, n, t, d ** n, CROSSTALK)
+            enum = sufficient_m_enumerated(d, n, t, d ** n, CROSSTALK,
+                                           range(n - t))
             assert corollary < table
             assert table == enum
 
@@ -189,6 +190,14 @@ class TestCostFunctions:
             c_cost(2, 4, 1, 1, 1, 3, 3)
         with pytest.raises(ValueError):
             g_cost(2, 4, 1, 1, 1, 0, 2)
+        # a crosstalk p takes the link range at n + 1, p = n - t included;
+        # a link p stops below it
+        assert g_cost(2, 4, 1, 1, 1, 3, 3) == bounds._cost(2, 5, 1, 1, 1, 3, 4)
+        for cost, p, most in ((g_cost, 4, 3), (c_cost, 3, 2)):
+            with pytest.raises(ValueError) as raised:
+                cost(2, 4, 1, 1, 1, p, 3)
+            assert str(raised.value) == \
+                "p=%d: need integer 0 <= p <= %d" % (p, most)
 
     def test_exact_rationals(self):
         assert C_bound(2, 3, 1, 4).value == Fraction(7, 4)
@@ -285,7 +294,8 @@ class TestBoundTables:
             for n in (3, 4):
                 for t in range(0, n):
                     for f in sorted({1, 2, 4, d ** n}):
-                        enum = sufficient_m_enumerated(d, n, t, f, mode)
+                        enum = sufficient_m_enumerated(d, n, t, f, mode,
+                                                       range(n - t))
                         res = table(d, n, t, f)
                         assert enum <= res.m_sufficient, (d, n, t, f, mode)
                         if enum - 1 > res.value:
@@ -301,14 +311,15 @@ class TestBoundTables:
         # n - t + 1 <= ilog(f) <= 2t - n - 3
         res = G_bound(*point)
         assert (res.branch, res.m_sufficient) == (branch, m)
-        assert sufficient_m_enumerated(*point, CROSSTALK) == m
+        d, n, t, _ = point
+        assert sufficient_m_enumerated(*point, CROSSTALK, range(n - t)) == m
         assert res.value == m - 1
 
     def test_t0_f1_equals_hwang(self):
         for d in (2, 3):
             for n in (3, 4, 5):
-                assert sufficient_m_enumerated(d, n, 0, 1, LINK) == \
-                    hwang_unicast(d, n)
+                assert sufficient_m_enumerated(
+                    d, n, 0, 1, LINK, range(n)) == hwang_unicast(d, n)
 
 
 class TestRowTight:

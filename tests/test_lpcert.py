@@ -725,6 +725,12 @@ class TestDualFamily:
             dual_family(inst, 2, 2)
         with pytest.raises(ValueError):
             dual_family(inst, 0, 1)
+        # a crosstalk family takes the link range at n + 1: p = n - t too
+        cross = canonical_instance(2, 3, 1, 1, 1, CROSSTALK)
+        assert dual_family(cross, 2, 2).check_feasible()
+        with pytest.raises(ValueError) as raised:
+            dual_family(cross, 3, 2)
+        assert str(raised.value) == "p=3: need integer 0 <= p <= 2"
         for p, q, message in (
                 (0.5, 2, "p=0.5: need integer 0 <= p <= 1"),
                 (0, 2.0, "q=2.0: need integer 2 <= q <= 3"),
@@ -886,7 +892,8 @@ class TestOneMode:
     def test_family_and_its_cost(self):
         for cross, link in self.pairs():
             d, n, t, f, k = cross.d, cross.n, cross.t, cross.f, cross.k
-            for p in range(n - t):
+            # p = n - t is the link family's last p at n + 1
+            for p in range(n - t + 1):
                 for q in range(n - t, n + 1):
                     got = dual_family(cross, p, q)
                     assert got._pools() == dual_family(link, p, q + 1)._pools()
@@ -896,6 +903,31 @@ class TestOneMode:
                     assert got.objective_bounded_delta(q) == \
                         dual_family(link, p, q + 1).objective_bounded_delta(
                             q + 1)
+
+    def test_last_link_member(self):
+        # the member p = n - t that a crosstalk family gains from the link
+        # range at n + 1: feasible, priced by g_cost (the link cost at
+        # n + 1, q + 1) and never below the LP optimum, on every (k, q)
+        cells = 0
+        for d in (2, 3):
+            for n in range(1, 8):
+                if d ** n > 243:
+                    continue
+                for t in range(n):
+                    for f in sorted({1, 2, d, d ** t, d ** n}):
+                        for k in range(1, min(f, d ** t) + 1):
+                            inst = canonical_instance(d, n, t, f, k, CROSSTALK)
+                            optimum, _ = lp_optimum(inst)
+                            for q in range(n - t, n + 1):
+                                sol = dual_family(inst, n - t, q)
+                                assert sol.check_feasible()
+                                cost = bounds.g_cost(d, n, t, f, k, n - t, q)
+                                assert cost == bounds._cost(
+                                    d, n + 1, t, f, k, n - t, q + 1)
+                                assert sol.objective_bounded_delta(q) == cost
+                                assert optimum <= sol.objective() <= cost
+                                cells += 1
+        assert cells == 4422
 
 
 class TestDualSpecial:
@@ -1150,18 +1182,20 @@ def test_integer_subclasses_taken():
 
 # Each size and family parameter's rule, stated apart from the package:
 # the first value, in this order, that is no int other than a bool in its
-# range names the refusal; values not given are skipped.
+# range names the refusal; values not given are skipped.  p's range is the
+# link range at N = n + theta, theta being the mode's shift.
 ABSENT = object()
 
 
-def rule_message(d, n, t=ABSENT, f=ABSENT, k=ABSENT, p=ABSENT, q=ABSENT):
+def rule_message(d, n, t=ABSENT, f=ABSENT, k=ABSENT, p=ABSENT, q=ABSENT,
+                 theta=0):
     def ranges():   # each range is read once the values before it passed
         yield "d", d, 2, None
         yield "n", n, 1, None
         yield "t", t, 0, n
         yield "f", f, 1, d ** n
         yield "k", k, 1, d ** t if f is ABSENT else min(f, d ** t)
-        yield "p", p, 0, n - t - 1
+        yield "p", p, 0, n + theta - t - 1
         yield "q", q, n - t, n
     for name, v, least, most in ranges():
         if v is not ABSENT and (
@@ -1211,7 +1245,7 @@ def test_one_rule_per_parameter(d, n, t, f, k, p, q, mode):
         (dict(t=t, f=f), lambda: bounds.G_bound(d, n, t, f)),
         (dict(t=t, f=f, k=k, p=p, q=q),
          lambda: bounds.c_cost(d, n, t, f, k, p, q)),
-        (dict(t=t, f=f, k=k, p=p, q=q),
+        (dict(t=t, f=f, k=k, p=p, q=q, theta=1),
          lambda: bounds.g_cost(d, n, t, f, k, p, q)),
     ]
     got = [refusal(call) for _, call in entries]
@@ -1229,6 +1263,6 @@ def test_one_rule_per_parameter(d, n, t, f, k, p, q, mode):
     th = inst.theta   # delta's class labels are j + theta
     delta = {} if want_q else {j: 1 for j in range(q + th, n + th)}
     assert refusal(lambda: dual_family(inst, p, q)) == \
-        rule_message(d, n, t, p=p, q=q)
+        rule_message(d, n, t, p=p, q=q, theta=th)
     assert refusal(lambda: DualSolution(inst, delta=delta)
                    .objective_bounded_delta(q)) == want_q
