@@ -1,10 +1,10 @@
 """Adversarial and random traffic generators for the simulators.
 
-Three kinds of pressure: random churn, a greedy heuristic that commits
-whichever candidate request hurts a chosen probe the most, and exact
-constructions/searches for the Clos necessity results (a saturating schedule
-for the strict-sense bound, and a breadth-first search over reachable
-two-crossbar states for the reuse rule).
+Random churn, a greedy heuristic that commits whichever candidate request
+hurts a chosen probe the most, and lower sides: the Clos strict-sense bound's
+saturating schedule, and `search`, the one breadth-first search over event
+sequences.  `benes_search` runs it over the reuse rule's states, and the
+tests over criterion 3(c)'s coloring instances and unicast multilog drives.
 """
 
 from collections import deque
@@ -156,38 +156,58 @@ def snb_saturation(n, m):
     return config, lines
 
 
-# -- exhaustive search over the two-crossbar reuse rule ----------------------
+# -- exhaustive search -------------------------------------------------------
+
+
+def search(start, moves, max_depth=None):
+    """Breadth-first search from `start` over hashable states, to closure by
+    default or within max_depth events.
+
+    `moves(state)` yields (event, next_state) for each step out of a state,
+    and (event, None) for a goal event there.  Returns the events of a
+    shortest path that ends in a goal's event, else None when the search
+    closed, or [] when it was cut: a state at max_depth has a successor the
+    search never reached.
+    """
+    limit = float("inf") if max_depth is None else max_depth
+    parents, frontier, cut = {start: None}, deque([(start, 0)]), False
+    while frontier:
+        state, depth = frontier.popleft()
+        for event, nxt in moves(state):
+            if nxt is None:
+                path = [event]
+                while parents[state] is not None:
+                    state, event = parents[state]
+                    path.append(event)
+                return path[::-1]
+            if nxt in parents:
+                continue
+            if depth >= limit:
+                cut = True
+            else:
+                parents[nxt] = (state, event)
+                frontier.append((nxt, depth + 1))
+    return [] if cut else None
 
 
 def benes_search(n, m, max_depth=None):
-    """Breadth-first search of every state the r=2 reuse rule can reach in
-    C(n, m, 2), to closure by default or within max_depth events.
-
-    Returns the trace lines (newline-terminated) that reach a state
-    rejecting an admissible request, ending in the arrival it rejects:
-    `clos.run_trace(state, lines, reuse=True)` admits every line but the
-    last.  Else None when the search closed, or [] when it was cut: a state
-    at max_depth has a successor the search never reached.
-    """
+    """`search` over the states the r=2 reuse rule reaches in C(n, m, 2); a
+    path comes back as trace lines (newline-terminated) that end in an
+    admissible arrival a reached state rejects: `clos.run_trace(state,
+    lines, reuse=True)` admits every line but the last."""
     check_range("n", n, 1)
     check_range("m", m, 1)
-    if max_depth is None:
-        max_depth = float("inf")
-    else:   # the rule and message of `--depth`
+    if max_depth is not None:   # the rule and message of `--depth`
         check_range("depth", max_depth, 0)
-    # per middle, the frozenset of (input, output) crossbar pairs it carries
-    start = (frozenset(),) * m
-    parents = {start: None}
-    frontier = deque([(start, 0)])
-    cut = False
-    while frontier:
-        mids, depth = frontier.popleft()
+
+    # a state holds, per middle, the frozenset of (input, output) crossbar
+    # pairs it carries; its steps are the arrivals, then the departures
+    def moves(mids):
         in_mids, out_mids = [0, 0], [0, 0]   # busy-middle masks
         for mid, carried in enumerate(mids):
             for i, o in carried:
                 in_mids[i] |= 1 << mid
                 out_mids[o] |= 1 << mid
-        steps = []
         for i in (0, 1):
             for o in (0, 1):
                 # one request per crossbar and middle: set bits count a load
@@ -195,34 +215,25 @@ def benes_search(n, m, max_depth=None):
                     continue
                 pick = clos.reuse_pick(m, in_mids, out_mids, i, o)
                 if pick is None:
-                    return _witness(parents, mids, i, o, n)
-                steps.append((pick, mids[pick] | {(i, o)}, ("A", i, o, pick)))
-        for mid in range(m):
-            for pair in mids[mid]:
-                steps.append((mid, mids[mid] - {pair},
-                              ("D",) + pair + (mid,)))
-        for mid, carried, event in steps:
-            nxt = mids[:mid] + (carried,) + mids[mid + 1:]
-            if nxt in parents:
-                continue
-            if depth >= max_depth:
-                cut = True
-            else:
-                parents[nxt] = (mids, event)
-                frontier.append((nxt, depth + 1))
-    return [] if cut else None
+                    yield ("A", i, o, None), None
+                    return
+                carried = mids[pick] | {(i, o)}
+                yield (("A", i, o, pick),
+                       mids[:pick] + (carried,) + mids[pick + 1:])
+        for mid, carried in enumerate(mids):
+            for pair in carried:
+                yield (("D",) + pair + (mid,),
+                       mids[:mid] + (carried - {pair},) + mids[mid + 1:])
+
+    path = search((frozenset(),) * m, moves, max_depth)
+    return _witness(path, n) if path else path
 
 
-def _witness(parents, state, i, o, n):
-    """Trace lines of the events that reach `state`, then of the arrival
-    I_i -> O_o it rejects; an arrival takes the lowest free port of each of
-    its two crossbars."""
-    path = [("A", i, o, None)]
-    while parents[state] is not None:
-        state, event = parents[state]
-        path.append(event)
+def _witness(path, n):
+    """Trace lines of the events in `path`, the last a rejected arrival; an
+    arrival takes the lowest free port of each of its two crossbars."""
     lines, live, busy = [], {}, set()
-    for k, (kind, i, o, mid) in enumerate(reversed(path), start=1):
+    for k, (kind, i, o, mid) in enumerate(path, start=1):
         if kind == "D":
             # a middle carries at most one request from input crossbar i
             rid, ends = live.pop((i, mid))

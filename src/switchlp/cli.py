@@ -182,6 +182,9 @@ def _clos_sweep(args, out):
 
 def cmd_simulate(args):
     out = _writer()
+    if args.network == "clos-benes" and args.r not in (None, 2):
+        raise ValueError("clos-benes replays the r = 2 reuse rule; got --r %d"
+                         % args.r)
     if args.trace:
         if args.m_offset is not None:
             raise ValueError("--m-offset shifts a sweep's default m; a "
@@ -200,9 +203,6 @@ def cmd_simulate(args):
                        else clos.SPACE)
             r = 2 if args.r is None else args.r
             reuse = args.network == "clos-benes"
-            if reuse and r != 2:
-                raise ValueError("clos-benes replays the r = 2 reuse rule; "
-                                 "got --r %d" % r)
             cfg = clos.ClosConfig(args.n, args.m, r, traffic)
             header = ["event", "id", "middle", "status"]
             replayed = clos.run_trace(clos.ClosState(cfg), lines,

@@ -20,7 +20,7 @@ import pytest
 from switchlp import adversary, bounds, dwec, lpcert, multilog
 from switchlp.banyan import shares_link, shares_se
 from switchlp.clos import ClosConfig, ClosState, BLOCKED
-from switchlp.dary import DaryString, all_strings
+from switchlp.dary import DaryString, all_strings, parse_address
 from switchlp.dwec import ColoringState, FOUR_TYPE
 from switchlp.multilog import MultilogConfig, ConnState
 
@@ -28,6 +28,8 @@ from address_oracle import route_sets
 from clos_oracle import opt_exact, replay_audited
 from lp_oracle import (cf_wsnb_window, danilewicz, dual_special_t_eq_n,
                        sufficient_m_enumerated, sufficient_m_searched, wang07)
+from search_clients import (TYPES, ceil_div, coloring_formula,
+                            coloring_moves, unicast_witness)
 
 F = Fraction
 
@@ -67,10 +69,6 @@ def criterion(num):
         say("CRITERION %d: FAIL (%s)" % (num, exc))
         raise
     say(verdict)
-
-
-def ceil_div(a, b):
-    return -(-a // b)
 
 
 # -- criterion 1: Clos strict-sense sufficiency and necessity -----------------
@@ -197,15 +195,6 @@ def test_criterion_2_benes_reuse():
 # -- criterion 3: dynamic weighted edge coloring ------------------------------
 
 
-def _coloring_formula(W100, Delta):
-    """colors_used after arrival-only traffic with running maxima
-    W_bar = W100/100 and Delta_bar = Delta."""
-    if W100 == 0:
-        return 0
-    return (2 * Delta + ceil_div(3 * W100, 800)
-            + ceil_div(3 * W100, 1000) + ceil_div(3 * W100, 100))
-
-
 def test_criterion_3_dwec():
     with criterion(3):
         # (a) 10^5 random events, audits keep per-vertex per-color load <= 1
@@ -245,44 +234,21 @@ def test_criterion_3_dwec():
         # (c) every instance with <= 8 edges over 4 vertices and weights
         # {1/4, 41/100, 3/5} satisfies colors_used <= 227/40 * opt + 9/5.
         # colors_used is order-independent under arrivals, so instances are
-        # enumerated as edge multisets; the closed form for colors_used and
-        # the max(ceil(load), heavy-degree) lower bound on opt turn the
-        # check into integer arithmetic.
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        types = [(u, v, w) for (u, v) in pairs for w in (25, 41, 60)]
-        visited = [0]
-
-        def sweep(start, depth, load, heavy):
-            visited[0] += 1
-            W = max(load)
-            if W:
-                used = _coloring_formula(W, max(heavy))
-                lb = max(ceil_div(W, 100), max(heavy))
-                assert 40 * used <= 227 * lb + 72, (load, heavy)
-            if depth == 8:
-                return
-            for ti in range(start, len(types)):
-                u, v, w = types[ti]
-                load[u] += w
-                load[v] += w
-                if w == 60:
-                    heavy[u] += 1
-                    heavy[v] += 1
-                sweep(ti, depth + 1, load, heavy)
-                load[u] -= w
-                load[v] -= w
-                if w == 60:
-                    heavy[u] -= 1
-                    heavy[v] -= 1
-
-        sweep(0, 0, [0] * 4, [0] * 4)
-        assert visited[0] == 1562275  # C(26, 8) multisets including empty
+        # searched as edge multisets, one per orbit of the vertex
+        # permutations; the closed form for colors_used and the
+        # max(ceil(load), heavy-degree) lower bound on opt turn the check
+        # into integer arithmetic.  The 39,664 states are every sorted
+        # (load, heavy) profile of the C(26, 8) = 1,562,275 multisets.
+        visited = []
+        assert adversary.search(((0, 0),) * 4, coloring_moves(visited),
+                                8) == []
+        assert len(visited) == 39664
 
         # sampled cross-checks: the closed form matches the real coloring
         # run, and the integer lower bound never exceeds the exact optimum
         rng = random.Random(5)
         for _ in range(120):
-            edges = [types[rng.randrange(len(types))]
+            edges = [TYPES[rng.randrange(len(TYPES))]
                      for _ in range(rng.randrange(1, 9))]
             state = ColoringState(vertices=list(range(4)))
             load = [0] * 4
@@ -295,7 +261,7 @@ def test_criterion_3_dwec():
                     heavy[u] += 1
                     heavy[v] += 1
             assert state.colors_used == \
-                _coloring_formula(max(load), max(heavy))
+                coloring_formula(max(load), max(heavy))
             opt = opt_exact([(u, v, F(w, 100)) for u, v, w in edges])
             assert max(ceil_div(max(load), 100), max(heavy)) <= opt
             assert 40 * state.colors_used <= 227 * opt + 72
@@ -558,6 +524,13 @@ MULTILOG_GRID = [(2, n, t, f, mode)
                  for mode in ("link", "crosstalk")]
 
 
+# (d, n, mode): the unicast points whose witness search ends within a second
+# on a 2-vCPU host; (2, 3, crosstalk) takes 6.5 s, and the other points with
+# d^n <= 16 run out of memory first (ROADMAP item 26)
+UNICAST_POINTS = [(2, 2, "link"), (3, 2, "link"), (2, 3, "link"),
+                  (4, 2, "link"), (2, 2, "crosstalk"), (3, 2, "crosstalk")]
+
+
 def _sufficient_m(d, n, t, f, mode):
     table = bounds.C_bound if mode == "link" else bounds.G_bound
     return table(d, n, t, f).m_sufficient
@@ -592,6 +565,34 @@ def test_criterion_6_multilog_sufficiency():
         assert cf_wsnb_window(2, 4, 1) == 12
         assert cf_wsnb_window(2, 4, 1) == \
             bounds.G_bound(2, 4, 1, 16).m_sufficient
+        # the unicast row (t = n, f = 1) from both sides: a FIRST_FIT drive
+        # blocks an admissible arrival at M = lp_optimum planes, and the
+        # printed m = M + 1 admits the same lines
+        proven = []
+        for d, n, mode in UNICAST_POINTS:
+            M, _ = lpcert.lp_optimum(
+                lpcert.canonical_instance(d, n, n, 1, 1, mode))
+            assert M.denominator == 1
+            M = int(M)
+            assert bounds.multilog_planes(d, n, n, 1, mode)[0] == M + 1
+            lines, states = unicast_witness(d, n, mode, M)
+            conn, wider = (ConnState(MultilogConfig(d=d, n=n, m=m, t=n, f=1,
+                                                    mode=mode))
+                           for m in (M, M + 1))
+            statuses = []
+            for row in multilog.run_trace(conn, lines):
+                conn.audit()
+                statuses.append(row["status"])
+            assert statuses == ["ok"] * (len(lines) - 1) + ["blocked"]
+            x, y = (parse_address(a, d, n) for a in lines[-1].split()[2:])
+            assert lpcert.primal_from_state(conn, x, [y])[1].objective() == M
+            rows = multilog.run_trace(wider, lines)
+            assert {row["status"] for row in rows} == {"ok"}
+            proven.append("d=%d n=%d %s M=%d (%d lines, %d states)"
+                          % (d, n, mode, M, len(lines), states))
+        say("CRITERION 6 finding: unicast row (t = n, f = 1) two-sided at %s: "
+            "a FIRST_FIT drive blocks at M = lp_optimum planes, and the "
+            "printed m = M + 1 admits it" % ", ".join(proven))
 
 
 # -- criterion 7: executable weak duality -------------------------------------

@@ -421,6 +421,19 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.endswith("error: argument --depth: %s\n" % raised.value)
 
+    def test_benes_sweep_refuses_r(self, capsys, tmp_path):
+        # the search runs the r = 2 rule, so a sweep at --r 4 is refused as
+        # the replay is, not answered for r = 2
+        argv = ["simulate", "--network", "clos-benes", "--n", "3", "--m",
+                "4", "--r", "4", "--expect-nonblocking"]
+        trace = tmp_path / "w.trace"
+        trace.write_text("A r1 0:0 1:0\n")
+        for extra in ([], ["--trace", str(trace)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, "")
+            assert err == ("error: clos-benes replays the r = 2 reuse rule; "
+                           "got --r 4\n")
+
     def test_benes_depth_past_closure(self, capsys):
         # n = 2, m = 3 closes within 20 events, so the cut never bites
         code, out, _ = run(capsys, "simulate", "--network", "clos-benes",
