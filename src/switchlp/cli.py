@@ -1,15 +1,20 @@
 """Command-line front end.
 
-One binary, five subcommands: closed-form bounds, simulation sweeps, the
-edge-coloring runner, certificate grid audits, and the blocking LP's exact
-optimum.  All output is CSV on stdout; a fixed seed makes runs
-byte-identical.  Exit status is 0 when every check passed, 1 when a
-verification failed, and 2 for any malformed input: arguments, config file
-or trace.
+One binary, five subcommands: closed-form bounds, simulation sweeps and
+trace replays, the edge-coloring runner, certificate grid audits, and the
+blocking LP's exact optimum.  All output is CSV on stdout; a fixed seed
+makes runs byte-identical.  Exit status is 0 when every check passed, 1
+when a verification failed, and 2 for any malformed input: arguments,
+config file or trace.
+
+Each run is a function whose keyword parameters are the options it reads,
+with their defaults; it returns true when a check failed.  `main` refuses
+an unread option, and a required one left out, before any work.
 """
 
 import argparse
 import csv
+import itertools
 import sys
 
 from . import bounds
@@ -18,6 +23,7 @@ from . import dwec
 from . import lpcert
 from . import multilog
 from . import adversary
+from .adversary import greedy_trial, random_trial
 from .events import check, check_range, check_sizes, fraction
 
 
@@ -50,209 +56,165 @@ def _config_tokens(path):
     return tokens
 
 
-# least values of the integer options; anything smaller verifies nothing
-_LEAST = {"d": 2, "n": 1, "f": 1, "m": 1, "depth": 0, "trials": 1,
-          "steps": 1}
+def _ints(text):
+    """argparse type of a comma list of ints."""
+    return [int(part) for part in text.split(",")]
 
 
-def _ints(name, many=False):
-    """argparse type of option `name`: an int or, with `many`, a comma list
-    of ints, each at least `_LEAST[name]` by `check_range` where set."""
-    least = _LEAST.get(name)
-
-    def parse(text):
-        vals = [int(part) for part in text.split(",")] if many \
-            else [int(text)]
-        if least is not None:
-            try:
-                check_range(name, min(vals), least)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(str(exc)) from None
-        return vals if many else vals[0]
-    parse.__name__ = "int"
-    return parse
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ValueError("missing --%s" % name.replace("_", "-"))
+_ints.__name__ = "int"   # as argparse names the type in its messages
 
 
 # -- bound --------------------------------------------------------------------
 
 
-def cmd_bound(args):
-    out = _writer()
-    kind = args.kind
-    if kind in ("clos-snb", "clos-wsnb-r2"):
-        _require(args, "n")
-        fn = bounds.clos_snb if kind == "clos-snb" else bounds.clos_wsnb_r2
-        out.writerow(["kind", "n", "m_sufficient"])
-        out.writerow([kind, args.n, fn(args.n)])
-    elif kind == "clos-multirate":
-        _require(args, "n")
-        val = bounds.clos_multirate(args.n, scheme=args.scheme)
-        out.writerow(["kind", "n", "scheme", "m_sufficient"])
-        out.writerow([kind, args.n, args.scheme, val])
-    elif kind == "hwang":
-        _require(args, "d", "n")
-        out.writerow(["kind", "d", "n", "m_sufficient"])
-        out.writerow([kind, args.d, args.n,
-                      bounds.hwang_unicast(args.d, args.n)])
-    else:  # multilog, the last of the parser's choices
-        _require(args, "d", "n", "t", "f")
-        d, n, t, f = args.d, args.n, args.t, args.f
-        m, branch = bounds.multilog_planes(d, n, t, f, args.mode)
-        out.writerow(["kind", "d", "n", "t", "f", "mode", "m_sufficient",
-                      "branch"])
-        out.writerow([kind, d, n, t, f, args.mode, m, branch])
-    return 0
+def bound_clos(kind, *, n):
+    fn = bounds.clos_snb if kind == "clos-snb" else bounds.clos_wsnb_r2
+    _writer().writerows([["kind", "n", "m_sufficient"], [kind, n, fn(n)]])
+
+
+def bound_multirate(kind, *, n, scheme="four_type"):
+    _writer().writerows([["kind", "n", "scheme", "m_sufficient"],
+                         [kind, n, scheme, bounds.clos_multirate(n, scheme)]])
+
+
+def bound_hwang(kind, *, d, n):
+    _writer().writerows([["kind", "d", "n", "m_sufficient"],
+                         [kind, d, n, bounds.hwang_unicast(d, n)]])
+
+
+def bound_multilog(kind, *, d, n, t, f, mode="link"):
+    m, branch = bounds.multilog_planes(d, n, t, f, mode)
+    _writer().writerows([["kind", "d", "n", "t", "f", "mode", "m_sufficient",
+                          "branch"], [kind, d, n, t, f, mode, m, branch]])
 
 
 # -- simulate -----------------------------------------------------------------
 
 
-def _sweep_m(args, default):
+def _sweep_m(m, m_offset, default):
     """The m a sweep runs at: --m, or else `default()` plus --m-offset."""
-    if args.m is not None and args.m_offset is not None:
+    if m is not None and m_offset is not None:
         raise ValueError("give --m or --m-offset, not both")
-    if args.m is not None:
-        return args.m
-    return default() + (args.m_offset or 0)
+    return default() + (m_offset or 0) if m is None else m
 
 
-def _multilog_sweep(args, out):
-    """Write the sweep row; True when --expect-nonblocking was violated."""
-    d, n, t, f = args.d, args.n, args.t, args.f
-    m = _sweep_m(args, lambda: bounds.multilog_planes(d, n, t, f,
-                                                      args.mode)[0])
+def multilog_sweep(*, d, n, t, f, m=None, m_offset=None, mode="link",
+                   adversary="random", trials=10, steps=60, seed=0,
+                   expect_nonblocking=False):
+    check_range("trials", trials, 1)   # no trial would verify nothing
+    check_range("steps", steps, 1)
+    m = _sweep_m(m, m_offset,
+                 lambda: bounds.multilog_planes(d, n, t, f, mode)[0])
     # every config is built before the header, so a refused one prints none
     configs = [multilog.MultilogConfig(
-        d=d, n=n, m=m, t=t, f=f, mode=args.mode,
-        plane_policy=multilog.RANDOM, seed=args.seed + 7919 * trial)
-        for trial in range(args.trials)]
+        d=d, n=n, m=m, t=t, f=f, mode=mode, plane_policy=multilog.RANDOM,
+        seed=seed + 7919 * trial) for trial in range(trials)]
+    out = _writer()
     out.writerow(["network", "d", "n", "t", "f", "mode", "m", "adversary",
                   "seed", "trials", "blocked", "max_blocking_planes"])
-    trial_fn = (adversary.greedy_trial if args.adversary == "greedy"
-                else adversary.random_trial)
-    blocked = 0
-    max_bp = 0
+    blocked = max_bp = 0
+    trial_fn = {"random": random_trial, "greedy": greedy_trial}[adversary]
     for trial, cfg in enumerate(configs):
-        stats = trial_fn(cfg, args.steps, args.seed + trial)
+        stats = trial_fn(cfg, steps, seed + trial)
         blocked += stats["blocked"]
         max_bp = max(max_bp, stats["max_blocking_planes"])
-    out.writerow(["multilog", d, n, t, f, args.mode, m, args.adversary,
-                  args.seed, args.trials, blocked, max_bp])
-    return args.expect_nonblocking and blocked > 0
+    out.writerow(["multilog", d, n, t, f, mode, m, adversary, seed, trials,
+                  blocked, max_bp])
+    return expect_nonblocking and blocked
 
 
-def _clos_sweep(args, out):
-    """Write the sweep row; True when --expect-nonblocking was violated.
-    A blocking verdict is the simulator's, on a replay audited per row."""
-    n = args.n
-    reuse = args.network == "clos-benes"
-    m = _sweep_m(args, lambda: (bounds.clos_wsnb_r2 if reuse
-                                else bounds.clos_snb)(n))
-    if not reuse:
-        config, lines = adversary.snb_saturation(n, m)
-    else:
-        config = clos.ClosConfig(n, m, 2)
-        lines = adversary.benes_search(n, m, max_depth=args.depth)
+def snb_sweep(*, n, m=None, m_offset=None, expect_nonblocking=False):
+    m = _sweep_m(m, m_offset, lambda: bounds.clos_snb(n))
+    config, lines = adversary.snb_saturation(n, m)
+    return _clos_sweep("clos-snb", config, lines, expect_nonblocking)
+
+
+def benes_sweep(*, n, m=None, m_offset=None, depth=None, r=2,
+                expect_nonblocking=False):
+    m = _sweep_m(m, m_offset, lambda: bounds.clos_wsnb_r2(n))
+    config = _clos_config("clos-benes", n, m, r)
+    lines = adversary.benes_search(n, m, max_depth=depth)
+    return _clos_sweep("clos-benes", config, lines, expect_nonblocking)
+
+
+def _clos_config(network, n, m, r):
+    if network == "clos-benes" and r != 2:
+        raise ValueError("clos-benes replays the r = 2 reuse rule; got --r %d"
+                         % r)
+    return clos.ClosConfig(n, m, r, clos.MULTIRATE
+                           if network == "clos-multirate" else clos.SPACE)
+
+
+def _clos_sweep(network, config, lines, expect_nonblocking):
+    """Write the row of a schedule or search's `lines`.  A blocking verdict
+    is the simulator's, on a replay audited per row."""
+    reuse = network == "clos-benes"
     if lines is None:
         outcome = "nonblocking"
     elif not lines:
         outcome = "undecided"
     else:
         state = clos.ClosState(config)
-        statuses = []
-        for row in clos.run_trace(state, lines, reuse=reuse):
-            state.audit()
-            statuses.append(row["status"])
-        *setup, last = statuses
+        *setup, last = [row["status"] for row in _audited(
+            state, clos.run_trace(state, lines, reuse=reuse))]
         check(set(setup) <= {"ok"}
               and last in (("blocked",) if reuse else ("ok", "blocked")),
-              "the %s replay ends %r after %r", args.network, last,
+              "the %s replay ends %r after %r", network, last,
               sorted(set(setup)))
         outcome = "blocked" if last == "blocked" else "admitted"
-    out.writerow(["network", "n", "m", "adversary", "outcome"])
-    out.writerow([args.network, n, m, "exhaustive", outcome])
-    return args.expect_nonblocking and outcome in ("blocked", "undecided")
+    _writer().writerows([["network", "n", "m", "adversary", "outcome"],
+                         [network, config.n, config.m, "exhaustive", outcome]])
+    return expect_nonblocking and outcome in ("blocked", "undecided")
 
 
-def cmd_simulate(args):
-    out = _writer()
-    if args.network == "clos-benes" and args.r not in (None, 2):
-        raise ValueError("clos-benes replays the r = 2 reuse rule; got --r %d"
-                         % args.r)
-    if args.trace:
-        if args.m_offset is not None:
-            raise ValueError("--m-offset shifts a sweep's default m; a "
-                             "--trace replay runs at --m")
-        lines = _lines(args.trace)
-        if args.network == "multilog":
-            _require(args, "d", "n", "m")
-            cfg = multilog.MultilogConfig(
-                d=args.d, n=args.n, m=args.m, t=args.t or 0, f=args.f or 1,
-                mode=args.mode, seed=args.seed)
-            header = ["event", "id", "window", "plane", "status"]
-            replayed = multilog.run_trace(multilog.ConnState(cfg), lines)
-        else:
-            _require(args, "n", "m")
-            traffic = (clos.MULTIRATE if args.network == "clos-multirate"
-                       else clos.SPACE)
-            r = 2 if args.r is None else args.r
-            reuse = args.network == "clos-benes"
-            cfg = clos.ClosConfig(args.n, args.m, r, traffic)
-            header = ["event", "id", "middle", "status"]
-            replayed = clos.run_trace(clos.ClosState(cfg), lines,
-                                      reuse=reuse)
-        # the whole replay runs before the header, so a malformed line
-        # leaves no partial CSV
-        rows = [[row[col] for col in header] for row in replayed]
-        out.writerow(header)
-        out.writerows(rows)
-        blocked = sum(row[-1] == "blocked" for row in rows)
-        return 1 if (args.expect_nonblocking and blocked) else 0
+def multilog_replay(*, trace, d, n, m, t=0, f=1, mode="link",
+                    expect_nonblocking=False):
+    state = multilog.ConnState(
+        multilog.MultilogConfig(d=d, n=n, m=m, t=t, f=f, mode=mode))
+    blocked = _replay(["event", "id", "window", "plane", "status"],
+                      multilog.run_trace(state, _lines(trace)))
+    return expect_nonblocking and blocked
 
-    if args.network == "multilog":
-        _require(args, "d", "n", "t", "f")
-        return 1 if _multilog_sweep(args, out) else 0
-    if args.network in ("clos-snb", "clos-benes"):
-        _require(args, "n")
-        return 1 if _clos_sweep(args, out) else 0
-    raise ValueError("network %r has no sweep; replay one with --trace FILE"
-                     % args.network)
+
+def clos_replay(network, *, trace, n, m, r=2, expect_nonblocking=False):
+    state = clos.ClosState(_clos_config(network, n, m, r))
+    blocked = _replay(["event", "id", "middle", "status"], clos.run_trace(
+        state, _lines(trace), reuse=network == "clos-benes"))
+    return expect_nonblocking and blocked
+
+
+def _replay(header, replayed):
+    """Write a replay's rows, all run before the header so that a malformed
+    line leaves no partial CSV; the number of them that blocked."""
+    rows = [[row[col] for col in header] for row in replayed]
+    _writer().writerows([header] + rows)
+    return sum(row[-1] == "blocked" for row in rows)
+
+
+def _audited(state, replayed):
+    """The rows of a replay into `state`, audited after each one."""
+    for row in replayed:
+        state.audit()
+        yield row
 
 
 # -- dwec ---------------------------------------------------------------------
 
 
-def cmd_dwec(args):
-    out = _writer()
-    if args.derive_constants:
-        scheme = dwec.DwecScheme(
-            [fraction(part) for part in args.derive_constants.split(",")])
-        objective = sum(scheme.x)
-        out.writerow(["breakpoints", "x", "objective", "objective_float"])
-        out.writerow([",".join(map(str, scheme.breakpoints)),
-                      ",".join(map(str, scheme.x)),
-                      str(objective), float(objective)])
-        return 0
-    if not args.trace:
-        raise ValueError("need --trace or --derive-constants")
-    scheme = (dwec.DwecScheme.five_type() if args.scheme == "five"
-              else dwec.FOUR_TYPE)
-    lines = _lines(args.trace)
-    header = ["t", "colors_used", "opt_lower", "W_bar", "Delta_bar"]
-    state = dwec.ColoringState(scheme=scheme)
-    rows = []
-    for row in dwec.run_trace(state, lines):   # all before the header
-        state.audit()
-        rows.append([row[col] for col in header])
-    out.writerow(header)
-    out.writerows(rows)
-    return 0
+def dwec_derive(*, derive_constants):
+    scheme = dwec.DwecScheme(map(fraction, derive_constants.split(",")))
+    objective = sum(scheme.x)
+    _writer().writerows([["breakpoints", "x", "objective", "objective_float"],
+                         [",".join(map(str, scheme.breakpoints)),
+                          ",".join(map(str, scheme.x)),
+                          str(objective), float(objective)]])
+
+
+def dwec_replay(*, trace, scheme="four"):
+    state = dwec.ColoringState(scheme=dwec.DwecScheme.five_type()
+                               if scheme == "five" else dwec.FOUR_TYPE)
+    _replay(["t", "colors_used", "opt_lower", "W_bar", "Delta_bar"],
+            _audited(state, dwec.run_trace(state, _lines(trace))))
 
 
 # -- certify ------------------------------------------------------------------
@@ -261,34 +223,34 @@ def cmd_dwec(args):
 MAX_ROWS = 1_000_000   # the most rows `certify` writes: half a minute
 
 
-def cmd_certify(args):
+def cmd_certify(*, d=(2,), n=(3, 4), f=None, mode=None):
     # the cells are counted before the header, so a refused grid prints
     # none; a (d, n) has at least its f = 1 rows, C(n + 2, 3) per mode
-    modes = [args.mode] if args.mode else [lpcert.LINK, lpcert.CROSSTALK]
+    modes = [mode] if mode else [lpcert.LINK, lpcert.CROSSTALK]
     cells, rows = [], 0
-    for d in args.d:
-        for n in args.n:
-            _within_cap(rows + len(modes) * n * (n + 1) * (n + 2) // 6)
-            fs = args.f or sorted({1, 2, min(4, d ** n), d ** n})
-            check_sizes(d, n, 0, max(fs))   # each f is at least 1
-            for t in range(n):
-                for f in fs:
-                    ks = min(f, d ** t)
-                    for mode in modes:
-                        cells.append((d, n, t, f, mode, ks))
-                        rows += (n - t) * (t + 1) * ks
-                        _within_cap(rows)
+    for d, n in itertools.product(d, n):
+        _within_cap(rows + len(modes) * n * (n + 1) * (n + 2) // 6)
+        check_sizes(d, n)   # before any d ** n
+        fs = f or sorted({1, 2, min(4, d ** n), d ** n})
+        for fanout in fs:
+            check_sizes(d, n, 0, fanout)
+        for t in range(n):
+            for fanout, mode in itertools.product(fs, modes):
+                ks = min(fanout, d ** t)
+                cells.append((d, n, t, fanout, mode, ks))
+                rows += (n - t) * (t + 1) * ks
+                _within_cap(rows)
     out = _writer()
     out.writerow(["d", "n", "t", "f", "k", "p", "q", "mode", "feasible",
                   "objective", "cost_formula", "match"])
     failures = 0
-    for d, n, t, f, mode, ks in cells:
+    for d, n, t, fanout, mode, ks in cells:
         for k in range(1, ks + 1):
-            inst = lpcert.canonical_instance(d, n, t, f, k, mode)
+            inst = lpcert.canonical_instance(d, n, t, fanout, k, mode)
             for p in range(0, n - t):
                 for q in range(n - t, n + 1):
                     failures += _certify_point(out, inst, p, q)
-    return 1 if failures else 0
+    return failures
 
 
 def _within_cap(rows):
@@ -317,18 +279,14 @@ def _certify_point(out, inst, p, q):
 # -- optimum ------------------------------------------------------------------
 
 
-def cmd_optimum(args):
-    _require(args, "d", "n", "t", "f", "k")
-    inst = lpcert.canonical_instance(args.d, args.n, args.t, args.f,
-                                     args.k, args.mode)
+def cmd_optimum(*, d, n, t, f, k, mode="link"):
+    inst = lpcert.canonical_instance(d, n, t, f, k, mode)
     value, dual = lpcert.lp_optimum(inst)
     dual.check_feasible()
     check(dual.objective() == value, "the optimal dual prices at %s, not %s",
           dual.objective(), value)
-    out = _writer()
-    out.writerow(["d", "n", "t", "f", "k", "mode", "optimum"])
-    out.writerow([inst.d, inst.n, inst.t, inst.f, inst.k, inst.mode, value])
-    return 0
+    _writer().writerows([["d", "n", "t", "f", "k", "mode", "optimum"],
+                         [d, n, t, f, k, mode, value]])
 
 
 # -- parser -------------------------------------------------------------------
@@ -338,60 +296,95 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="switchlp")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value defaults file")
+    def subcommand(name, summary):
+        # no defaults: the namespace holds only the options given
+        return sub.add_parser(name, help=summary,
+                              argument_default=argparse.SUPPRESS)
 
-    b = sub.add_parser("bound", help="closed-form plane/crossbar bounds")
-    b.add_argument("kind", choices=["clos-snb", "clos-wsnb-r2",
-                                    "clos-multirate", "hwang", "multilog"])
+    b = subcommand("bound", "closed-form plane/crossbar bounds")
+    b.add_argument("kind", choices=list(_BOUNDS))
     for name in ("d", "n", "t", "f"):
-        b.add_argument("--" + name, type=_ints(name))
-    b.add_argument("--mode", choices=["link", "crosstalk"], default="link")
-    b.add_argument("--scheme", choices=["four_type", "five_type_paper"],
-                   default="four_type")
-    common(b)
-    b.set_defaults(fn=cmd_bound)
+        b.add_argument("--" + name, type=int)
+    b.add_argument("--mode", choices=["link", "crosstalk"])
+    b.add_argument("--scheme", choices=["four_type", "five_type_paper"])
 
-    s = sub.add_parser("simulate", help="simulation sweeps and trace replay")
-    s.add_argument("--network", default="multilog",
-                   choices=["multilog", "clos-snb", "clos-benes",
-                            "clos-multirate"])
-    for name in ("d", "n", "t", "f", "m", "m_offset", "r", "depth"):
-        s.add_argument("--" + name.replace("_", "-"), dest=name,
-                       type=_ints(name))
-    s.add_argument("--mode", choices=["link", "crosstalk"], default="link")
-    s.add_argument("--adversary", choices=["random", "greedy"],
-                   default="random")
-    s.add_argument("--trials", type=_ints("trials"), default=10)
-    s.add_argument("--steps", type=_ints("steps"), default=60)
-    s.add_argument("--seed", type=int, default=0)
+    s = subcommand("simulate", "simulation sweeps and trace replay")
+    s.add_argument("--network", choices=["multilog", "clos-snb",
+                                         "clos-benes", "clos-multirate"])
+    for name in ("d", "n", "t", "f", "m", "m-offset", "r", "depth"):
+        s.add_argument("--" + name, type=int)
+    s.add_argument("--mode", choices=["link", "crosstalk"])
+    s.add_argument("--adversary", choices=["random", "greedy"])
+    for name in ("trials", "steps", "seed"):
+        s.add_argument("--" + name, type=int)
     s.add_argument("--trace")
     s.add_argument("--expect-nonblocking", action="store_true")
-    common(s)
-    s.set_defaults(fn=cmd_simulate)
 
-    w = sub.add_parser("dwec", help="edge-coloring runs and LP derivation")
+    w = subcommand("dwec", "edge-coloring runs and LP derivation")
     w.add_argument("--trace")
-    w.add_argument("--scheme", choices=["four", "five"], default="four")
-    w.add_argument("--derive-constants", dest="derive_constants")
-    common(w)
-    w.set_defaults(fn=cmd_dwec)
+    w.add_argument("--scheme", choices=["four", "five"])
+    w.add_argument("--derive-constants")
 
-    c = sub.add_parser("certify", help="dual-certificate grid audit")
-    for name, default in (("d", [2]), ("n", [3, 4]), ("f", None)):
-        c.add_argument("--" + name, type=_ints(name, many=True),
-                       default=default)
+    c = subcommand("certify", "dual-certificate grid audit")
+    for name in ("d", "n", "f"):
+        c.add_argument("--" + name, type=_ints)
     c.add_argument("--mode", choices=["link", "crosstalk"])
-    common(c)
-    c.set_defaults(fn=cmd_certify)
 
-    o = sub.add_parser("optimum", help="the blocking LP's exact optimum")
+    o = subcommand("optimum", "the blocking LP's exact optimum")
     for name in ("d", "n", "t", "f", "k"):
-        o.add_argument("--" + name, type=_ints(name))
-    o.add_argument("--mode", choices=["link", "crosstalk"], default="link")
-    common(o)
-    o.set_defaults(fn=cmd_optimum)
+        o.add_argument("--" + name, type=int)
+    o.add_argument("--mode", choices=["link", "crosstalk"])
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key = value defaults file")
     return parser
+
+
+_BOUNDS = {"clos-snb": bound_clos, "clos-wsnb-r2": bound_clos,
+           "clos-multirate": bound_multirate, "hwang": bound_hwang,
+           "multilog": bound_multilog}
+
+
+def _select(opts):
+    """(name, run, positional arguments) of the run that `opts` selects;
+    the entries that select it are taken out of `opts`."""
+    command = opts.pop("command")
+    if command == "bound":
+        kind = opts.pop("kind")
+        return "bound " + kind, _BOUNDS[kind], (kind,)
+    if command == "simulate":
+        network = opts.pop("network", "multilog")
+        if "trace" in opts:
+            if network == "multilog":
+                return "the multilog replay", multilog_replay, ()
+            return "the %s replay" % network, clos_replay, (network,)
+        sweep = {"multilog": multilog_sweep, "clos-snb": snb_sweep,
+                 "clos-benes": benes_sweep}.get(network)
+        if sweep is None:
+            raise ValueError("network %r has no sweep; replay one with "
+                             "--trace FILE" % network)
+        return "the %s sweep" % network, sweep, ()
+    if command == "dwec":
+        if "derive_constants" in opts:
+            return "dwec --derive-constants", dwec_derive, ()
+        if "trace" not in opts:
+            raise ValueError("need --trace or --derive-constants")
+        return "dwec --trace", dwec_replay, ()
+    return command, cmd_certify if command == "certify" else cmd_optimum, ()
+
+
+def _check_options(name, run, opts):
+    """Refuse an option `run` does not read, then a required one left out."""
+    code = run.__code__
+    params = code.co_varnames[code.co_argcount:
+                              code.co_argcount + code.co_kwonlyargcount]
+    for key in opts:
+        if key not in params:
+            raise ValueError("%s does not read --%s"
+                             % (name, key.replace("_", "-")))
+    for key in params:
+        if key not in opts and key not in (run.__kwdefaults__ or {}):
+            raise ValueError("missing --%s for %s"
+                             % (key.replace("_", "-"), name))
 
 
 def main(argv=None):
@@ -400,12 +393,16 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        if args.config:
+        if "config" in args:
             # config entries go first, so the real command line wins, and
             # argparse checks their types and choices like any other token
             args = parser.parse_args(argv[:1] + _config_tokens(args.config)
                                      + argv[1:])
-        return args.fn(args)
+        opts = vars(args)
+        opts.pop("config", None)
+        name, run, selectors = _select(opts)
+        _check_options(name, run, opts)
+        return 1 if run(*selectors, **opts) else 0
     except BrokenPipeError:
         return 0
     except (ValueError, OSError) as exc:

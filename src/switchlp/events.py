@@ -31,7 +31,7 @@ the `bounds` counts, tables and costs, `banyan.route` (d, n) and the
 `certify` grid.  A passing call is remembered.  The tables take only
 t < n, a rule of their own.  A Clos n, m or r, a multilog m, the
 saturating schedule's n >= 2, a search's depth ("depth=-1: need integer
-depth >= 0", as `--depth` says) and the command line's least values pass
+depth >= 0", as `--depth` says) and a multilog sweep's trials and steps pass
 `check_range`; `certify` refuses a grid of over 1000000 rows ("the grid
 has more than 1000000 rows"); a weight or Clos rate is in (0, 1] by
 `dwec.as_weight` ("weight 3/2 out of (0, 1]").  A request has one rule,

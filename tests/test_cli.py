@@ -1,5 +1,6 @@
 """Command-line interface: output rows, exit codes, determinism."""
 
+import argparse
 import csv
 from fractions import Fraction
 import hashlib
@@ -419,7 +420,7 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--network", "clos-benes",
                              "--n", "3", "--m", "3", "--depth", "-1")
         assert (code, out) == (2, "")
-        assert err.endswith("error: argument --depth: %s\n" % raised.value)
+        assert err == "error: %s\n" % raised.value
 
     def test_benes_sweep_refuses_r(self, capsys, tmp_path):
         # the search runs the r = 2 rule, so a sweep at --r 4 is refused as
@@ -726,25 +727,227 @@ class TestParser:
 
     @pytest.mark.parametrize("argv, message", [
         (["bound", "multilog", "--d", "1", "--n", "3", "--t", "1",
-          "--f", "1"], "argument --d: d=1: need integer d >= 2"),
+          "--f", "1"], "d=1: need integer d >= 2"),
         (["simulate", "--network", "clos-snb", "--n", "3", "--d", "1"],
-         "argument --d: d=1: need integer d >= 2"),
+         "the clos-snb sweep does not read --d"),
         (["certify", "--d", "2", "--n", "3", "--f", "2,0"],
-         "argument --f: f=0: need integer f >= 1"),
-        (["simulate", "--d", "2", "--n", "3", "--m", "0"],
-         "argument --m: m=0: need integer m >= 1"),
-        (["simulate", "--d", "2", "--n", "3", "--trials", "0"],
-         "argument --trials: trials=0: need integer trials >= 1"),
+         "f=0: need integer 1 <= f <= 8"),
+        # a multilog sweep reads --t and --f, so it is given them
+        (["simulate", "--d", "2", "--n", "3", "--t", "1", "--f", "1",
+          "--m", "0"], "m=0: need integer m >= 1"),
+        (["simulate", "--d", "2", "--n", "3", "--t", "1", "--f", "1",
+          "--trials", "0"], "trials=0: need integer trials >= 1"),
     ], ids=["bound-d", "unread-d", "certify-f-list", "m", "trials"])
     def test_least_values_carry_the_rule_message(self, capsys, argv,
                                                  message):
-        # argparse refuses a value below an option's least with the
-        # message of the library's rule for that name
-        with pytest.raises(SystemExit) as raised:
-            cli.main(argv)
-        captured = capsys.readouterr()
-        assert (raised.value.code, captured.out) == (2, "")
-        assert captured.err.rstrip().endswith(message)
+        # a value below an option's least reaches the library's rule for
+        # that name and exits 2 with its message; a value the run does not
+        # read is refused as unread
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
+def subparsers():
+    """{command: its parser}, walked from `cli.build_parser()`."""
+    parser = cli.build_parser()
+    action, = [action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
+def options(command):
+    """{option: the argv that gives it} of every option of `command`'s
+    parser but --help and --config: a flag alone, else its first choice, or
+    1 where it has no choices."""
+    found = {}
+    for action in subparsers()[command]._actions:
+        if action.option_strings and action.dest not in ("help", "config"):
+            flag = action.option_strings[0]
+            value = list(action.choices or ["1"])[:action.nargs != 0]
+            found[flag] = [flag] + value
+    return found
+
+
+# each run as the command line names it: the argv that selects it with each
+# option it requires, and {option: default as argv text, or None where no
+# argv spells it} of the options it reads but does not require; TRACE
+# stands for a trace file
+RUNS = {
+    "bound clos-snb": (["bound", "clos-snb", "--n", "3"], {}),
+    "bound clos-wsnb-r2": (["bound", "clos-wsnb-r2", "--n", "3"], {}),
+    "bound clos-multirate": (["bound", "clos-multirate", "--n", "3"],
+                             {"--scheme": "four_type"}),
+    "bound hwang": (["bound", "hwang", "--d", "2", "--n", "3"], {}),
+    "bound multilog": (["bound", "multilog", "--d", "2", "--n", "3", "--t",
+                        "1", "--f", "2"], {"--mode": "link"}),
+    "the multilog sweep": (
+        ["simulate", "--d", "2", "--n", "3", "--t", "1", "--f", "2"],
+        {"--m": None, "--m-offset": None, "--mode": "link",
+         "--adversary": "random", "--trials": "10", "--steps": "60",
+         "--seed": "0", "--expect-nonblocking": None}),
+    "the clos-snb sweep": (["simulate", "--network", "clos-snb", "--n", "3"],
+                           {"--m": None, "--m-offset": None,
+                            "--expect-nonblocking": None}),
+    "the clos-benes sweep": (
+        ["simulate", "--network", "clos-benes", "--n", "2"],
+        {"--m": None, "--m-offset": None, "--depth": None, "--r": "2",
+         "--expect-nonblocking": None}),
+    "the multilog replay": (
+        ["simulate", "--trace", "TRACE", "--d", "2", "--n", "3", "--m", "1"],
+        {"--t": "0", "--f": "1", "--mode": "link",
+         "--expect-nonblocking": None}),
+    **{"the %s replay" % network: (
+        ["simulate", "--network", network, "--trace", "TRACE", "--n", "2",
+         "--m", "1"], {"--r": "2", "--expect-nonblocking": None})
+       for network in ("clos-snb", "clos-benes", "clos-multirate")},
+    "dwec --trace": (["dwec", "--trace", "TRACE"], {"--scheme": "four"}),
+    "dwec --derive-constants": (["dwec", "--derive-constants", "1/2,2/5,1/3"],
+                                {}),
+    "certify": (["certify"], {"--d": "2", "--n": "3,4", "--f": None,
+                              "--mode": None}),
+    "optimum": (["optimum", "--d", "2", "--n", "3", "--t", "1", "--f", "2",
+                 "--k", "1"], {"--mode": "link"}),
+}
+
+TRACES = {
+    "the multilog replay": "A r1 000 000\nA r2 100 001\nD r1\n",
+    "the clos-snb replay": "A a 0:0 1:0\nA b 0:1 1:1\nD a\n",
+    "the clos-benes replay": "A a 0:0 0:0\nA b 0:1 1:1\nD a\nA c 1:0 0:0\n",
+    "the clos-multirate replay": "A a 0:0 1:0 1/2\nA b 0:0 1:1 1/2\n",
+    "dwec --trace": "A e1 u v 3/5\nA e2 u v 1/2\nD e1\n",
+}
+
+# options whose presence selects the run, so that giving or dropping one
+# selects another run rather than breaking this one's rule
+SELECTORS = {"simulate": ("--network", "--trace"),
+             "dwec": ("--derive-constants",)}
+
+
+def required(argv):
+    """The options in a RUNS argv that select no run."""
+    return [token for token in argv if token.startswith("--")
+            and token not in SELECTORS.get(argv[0], ())]
+
+
+def argv_of(name, tmp_path):
+    """RUNS[name]'s argv, TRACE written out as TRACES[name]."""
+    argv, _ = RUNS[name]
+    trace = tmp_path / "run.trace"
+    trace.write_text(TRACES.get(name, ""))
+    return [str(trace) if token == "TRACE" else token for token in argv]
+
+
+UNREAD = [(name, flag, given) for name, (argv, read) in RUNS.items()
+          for flag, given in options(argv[0]).items()
+          if flag not in SELECTORS.get(argv[0], ()) + tuple(argv)
+          and flag not in read]
+# a left-out --trace selects a sweep, or asks for --derive-constants
+MISSING = [(name, flag) for name, (argv, _) in RUNS.items()
+           for flag in required(argv) if flag != "--trace"]
+READ = [(name, flag) for name, (_, read) in RUNS.items() for flag in read]
+
+
+def ids(cases):
+    return ["%s %s" % case[:2] for case in cases]
+
+
+class TestOptionRule:
+    """Each run reads its own options: `main` refuses any other option, and
+    a required one left out, before any work."""
+
+    def test_every_run_is_listed(self):
+        parsers = subparsers()
+        kinds, = [action.choices for action in parsers["bound"]._actions
+                  if action.dest == "kind"]
+        networks, = [action.choices for action in parsers["simulate"]._actions
+                     if action.dest == "network"]
+        assert set(parsers) == {"bound", "simulate", "dwec", "certify",
+                                "optimum"}
+        assert set(RUNS) == (
+            {"bound " + kind for kind in kinds}
+            | {"the %s replay" % network for network in networks}
+            | {"the %s sweep" % network for network in networks
+               if network != "clos-multirate"}   # it has no sweep
+            | {"dwec --trace", "dwec --derive-constants", "certify",
+               "optimum"})
+
+    def test_every_option_is_read_by_a_run(self):
+        for command in subparsers():
+            read = {flag for argv, defaults in RUNS.values()
+                    if argv[0] == command for flag in argv + list(defaults)}
+            assert set(options(command)) <= read, command
+
+    @pytest.mark.parametrize("name, flag, given", UNREAD, ids=ids(UNREAD))
+    def test_unread_option_is_refused(self, capsys, tmp_path, name, flag,
+                                      given):
+        assert run(capsys, *argv_of(name, tmp_path), *given) == (
+            2, "", "error: %s does not read %s\n" % (name, flag))
+
+    @pytest.mark.parametrize("name, flag", MISSING, ids=ids(MISSING))
+    def test_missing_option_is_named(self, capsys, tmp_path, name, flag):
+        argv = argv_of(name, tmp_path)
+        at = argv.index(flag)
+        assert run(capsys, *argv[:at], *argv[at + 2:]) == (
+            2, "", "error: missing %s for %s\n" % (flag, name))
+
+    @pytest.mark.parametrize("name, flag", READ, ids=ids(READ))
+    def test_read_option_is_not_refused(self, capsys, tmp_path, name, flag):
+        # the table above is what each run reads: an option it lists is
+        # taken, whatever a run then makes of its value
+        argv = argv_of(name, tmp_path)
+        _, _, err = run(capsys, *argv, *options(argv[0])[flag])
+        assert "does not read" not in err and "missing" not in err
+
+    @pytest.mark.parametrize("name", [name for name, (_, read) in RUNS.items()
+                                      if any(read.values())])
+    def test_defaults_change_no_byte(self, capsys, tmp_path, name):
+        # each default is written once, in its run's signature; giving it
+        # explicitly prints the same bytes
+        argv = argv_of(name, tmp_path)
+        explicit = [token for flag, default in RUNS[name][1].items()
+                    if default is not None for token in (flag, default)]
+        left_out = run(capsys, *argv)
+        assert left_out[0] == 0 and left_out[1]
+        assert run(capsys, *argv, *explicit) == left_out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--network", "clos-snb", "--n", "3", "--r", "7"],
+         "the clos-snb sweep does not read --r"),
+        (["simulate", "--network", "clos-snb", "--n", "3", "--depth", "2",
+          "--seed", "4", "--trials", "3", "--d", "5"],
+         "the clos-snb sweep does not read --depth"),
+        (["simulate", "--d", "2", "--n", "3", "--t", "1", "--f", "1", "--r",
+          "9", "--depth", "4", "--trials", "1", "--steps", "5"],
+         "the multilog sweep does not read --r"),
+        (["bound", "clos-snb", "--n", "3", "--d", "9", "--mode",
+          "crosstalk"], "bound clos-snb does not read --d"),
+        (["bound", "multilog", "--d", "2", "--n", "4", "--t", "1", "--f",
+          "16", "--scheme", "five_type_paper"],
+         "bound multilog does not read --scheme"),
+        (["dwec", "--derive-constants", "1/2,2/5,1/3", "--trace",
+          "/no/such/file", "--scheme", "five"],
+         "dwec --derive-constants does not read --trace"),
+        (["simulate", "--trace", "TRACE", "--d", "2", "--n", "3", "--m",
+          "2", "--adversary", "greedy", "--steps", "9", "--seed", "5"],
+         "the multilog replay does not read --adversary"),
+    ], ids=["clos-snb-r", "clos-snb-depth-seed-trials-d", "multilog-r-depth",
+            "bound-clos-snb-d-mode", "bound-multilog-scheme",
+            "derive-trace-scheme", "multilog-replay-adversary-steps-seed"])
+    def test_options_once_dropped_are_refused(self, capsys, tmp_path, argv,
+                                              message):
+        # each of these once printed a row for a network or run other than
+        # the options named, and exited 0
+        trace = tmp_path / "t.trace"
+        trace.write_text("A r1 000 000\n")
+        argv = [str(trace) if token == "TRACE" else token for token in argv]
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+    def test_config_entry_the_run_does_not_read(self, capsys, tmp_path):
+        # an entry acts as an option placed before the command line
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("d = 2\n")
+        assert run(capsys, "bound", "clos-snb", "--n", "3", "--config",
+                   str(cfg)) == (
+            2, "", "error: bound clos-snb does not read --d\n")
 
 
 MULTILOG = ["simulate", "--network", "multilog", "--d", "2", "--n", "3",
@@ -823,6 +1026,8 @@ MALFORMED = {
     "simulate-d-1": (["simulate", "--d", "1", "--n", "3", "--t", "1",
                       "--f", "1"], None, 0),
     "certify-n-0": (["certify", "--n", "0"], None, 0),
+    # d and n are refused before d^n, which fails at d = 0 and n < 0
+    "certify-d-0-n--1": (["certify", "--d", "0", "--n", "-1"], None, 0),
     # past the row cap: k would run up to 2^63, or the grid past 10^6 rows
     "certify-n-64": (["certify", "--n", "64"], None, 0),
     "certify-d-64-n-4": (["certify", "--d", "64", "--n", "4", "--mode",
@@ -1060,8 +1265,7 @@ class TestInputErrors:
             "    # the depth rule, and the certify grid's row cap",
             "    (lambda: adversary.benes_search(3, 3, max_depth=-1),",
             "     'depth=-1: need integer depth >= 0'),",
-            "    (lambda: cli.cmd_certify(cli.build_parser().parse_args(",
-            "        ['certify', '--n', '64'])),",
+            "    (lambda: cli.cmd_certify(n=[64]),",
             "     'the grid has more than 1000000 rows'),",
             "    (lambda: conn.blocking_branches((0, [1])),",
             "     '(0, [1]) is not a dary.AddressSets'),",
