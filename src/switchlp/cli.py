@@ -57,8 +57,9 @@ def _config_tokens(path):
 
 
 def _ints(text):
-    """argparse type of a comma list of ints."""
-    return [int(part) for part in text.split(",")]
+    """argparse type of a comma list of ints, each value once, in the order
+    first given."""
+    return list(dict.fromkeys(int(part) for part in text.split(",")))
 
 
 _ints.__name__ = "int"   # as argparse names the type in its messages

@@ -8,8 +8,9 @@ crossbars of n terminals each, joined through m middle crossbars.
   m >= 2n-1 never blocks;
 - the r=2 reuse rule (`reuse_pick`): prefer a middle already carrying the
   diagonal traffic class, which brings the requirement down to floor(3n/2);
-- multirate: requests carry a rate in (0,1], middles are colors of a dynamic
-  weighted edge coloring on the crossbar-to-crossbar demand graph, and a
+- multirate: a request is an edge of a dynamic weighted edge coloring from
+  ("I", its input crossbar) to ("O", its output crossbar), and that edge
+  alone holds its rate in (0,1] and its color, the middle it rides; a
   request blocks only when the coloring wants a middle index beyond m-1.
 
 Space-division occupancy is one int mask per crossbar (`in_mids`,
@@ -71,9 +72,7 @@ class ClosState:
             self.busy_in = {}    # input terminal -> rid
             self.busy_out = {}   # output terminal -> rid
         else:
-            verts = ([("I", i) for i in range(config.r)]
-                     + [("O", j) for j in range(config.r)])
-            self.coloring = dwec.ColoringState(vertices=verts)
+            self.coloring = dwec.ColoringState()
             self.load_in = {}    # input terminal -> total rate, scaled
             self.load_out = {}
 
@@ -114,7 +113,7 @@ class ClosState:
         self.out_mids[out_term[0]] |= 1 << mid
         self.busy_in[in_term] = rid
         self.busy_out[out_term] = rid
-        self.requests[rid] = (SPACE, in_term, out_term, mid)
+        self.requests[rid] = (in_term, out_term, mid)
         return mid
 
     def snb_admit(self, in_term, out_term, rid=None):
@@ -169,7 +168,7 @@ class ClosState:
             scaled = dwec.scaled(rate, self.coloring.den)
         self.load_in[in_term] = self.load_in.get(in_term, 0) + scaled
         self.load_out[out_term] = self.load_out.get(out_term, 0) + scaled
-        self.requests[rid] = (MULTIRATE, in_term, out_term, color, rate)
+        self.requests[rid] = (in_term, out_term)
         return color
 
     # -- release and audit -------------------------------------------------
@@ -179,8 +178,8 @@ class ClosState:
             entry = self.requests.pop(rid)
         except KeyError:
             raise UnknownId(repr(rid))
-        if entry[0] == SPACE:
-            _, in_term, out_term, mid = entry
+        if self.config.traffic == SPACE:
+            in_term, out_term, mid = entry
             i, o, bit = in_term[0], out_term[0], 1 << mid
             check(self.in_mids[i] & self.out_mids[o] & bit,
                   "request %r is off middle %d at a crossbar", rid, mid)
@@ -189,8 +188,8 @@ class ClosState:
             self.in_mids[i] ^= bit
             self.out_mids[o] ^= bit
         else:
-            _, in_term, out_term, _, rate = entry
-            self.coloring.depart(rid)
+            in_term, out_term = entry
+            rate = self.coloring.depart(rid)[2]
             scaled = dwec.scaled(rate, self.coloring.den)
             self.load_in[in_term] -= scaled
             self.load_out[out_term] -= scaled
@@ -201,10 +200,9 @@ class ClosState:
             in_mids, out_mids = [0] * cfg.r, [0] * cfg.r
             bi, bo = {}, {}
             # per-request checks are inline: a call each would slow audits
-            for rid, (kind, it, ot, mid) in self.requests.items():
+            for rid, (it, ot, mid) in self.requests.items():
                 i, o, bit = it[0], ot[0], 1 << mid
-                if (kind != SPACE or (in_mids[i] | out_mids[o]) & bit
-                        or it in bi or ot in bo):
+                if (in_mids[i] | out_mids[o]) & bit or it in bi or ot in bo:
                     raise AssertionError("request %r reuses a middle link or "
                                          "a terminal" % (rid,))
                 in_mids[i] |= bit
@@ -217,19 +215,22 @@ class ClosState:
             if cfg.r == 2:
                 # middles of the classes (0,0)+(1,1) and (0,1)+(1,0)
                 spread = [0, 0]
-                for _, it, ot, mid in self.requests.values():
+                for it, ot, mid in self.requests.values():
                     spread[it[0] != ot[0]] |= 1 << mid
                 check(max(s.bit_count() for s in spread) <= cfg.n,
                       "a diagonal class spreads over too many middles")
         else:
+            edges = self.coloring.edges
             self.coloring.audit()
+            check(edges.keys() == self.requests.keys(),
+                  "coloring edges differ from the requests")
             den = self.coloring.den
             li, lo = {}, {}
-            for rid, (kind, it, ot, color, rate) in self.requests.items():
-                if (kind != MULTIRATE or color >= cfg.m
-                        or self.coloring.color_of(rid) != color):
-                    raise AssertionError("request %r has color %r"
-                                         % (rid, color))
+            for rid, (it, ot) in self.requests.items():
+                u, v, rate, color = edges[rid]
+                check(color < cfg.m, "request %r has color %r", rid, color)
+                check(u == ("I", it[0]) and v == ("O", ot[0]),
+                      "request %r is off its crossbars", rid)
                 scaled = dwec.scaled(rate, den)
                 li[it] = li.get(it, 0) + scaled
                 lo[ot] = lo.get(ot, 0) + scaled

@@ -1,4 +1,4 @@
-"""Dynamic weighted edge coloring on a fixed base graph.
+"""Dynamic weighted edge coloring.
 
 Weighted edges arrive and depart; each must be colored on arrival so the
 same-color weight at every vertex stays at most 1, and a color, once given
@@ -9,7 +9,9 @@ runs out of colors.  The constants come from a small LP: a scheme given only
 its type breakpoints solves it, and every scheme checks its constants
 against the LP's rows.
 
-With a two-vertex base graph this is dynamic bin packing (colors = bins).
+The graph is the set of the edges' endpoints, any hashable values; an edge
+joins two distinct ones.  With a two-vertex graph this is dynamic bin
+packing (colors = bins).
 
 A state keeps its loads scaled by one common denominator `den`, so first-fit
 compares and adds ints.  `den` becomes lcm(den, q) for a new weight
@@ -41,13 +43,15 @@ Plan = namedtuple("Plan", ["w", "color", "W_bar", "Delta_bar", "growth"])
 
 def as_weight(w):
     """w, an edge weight or a Clos rate, as an exact Fraction in (0, 1]: a
-    float to a denominator of at most 10^9; ValueError otherwise."""
+    float to a denominator of at most 10^9; ValueError otherwise, a bool
+    included."""
     if not isinstance(w, Fraction):
         if isinstance(w, float) and not math.isfinite(w):
             raise ValueError("weight %r is not finite" % (w,))
+        # a bool stays itself, for the range test to refuse by name
         w = (Fraction(w).limit_denominator(10 ** 9) if isinstance(w, float)
-             else fraction(w))
-    if 0 < w.numerator <= w.denominator:
+             else w if type(w) is bool else fraction(w))
+    if 0 < w.numerator <= w.denominator and w is not True:
         return w
     raise ValueError("weight %s out of (0, 1]" % w)
 
@@ -189,10 +193,8 @@ class ColoringState:
     simulator maps colors to middle crossbars this way).
     """
 
-    def __init__(self, vertices=None, scheme=FOUR_TYPE):
+    def __init__(self, scheme=FOUR_TYPE):
         self.scheme = scheme
-        self.fixed_vertices = vertices is not None
-        self.vertices = set(vertices) if vertices is not None else set()
         self.edges = {}            # id -> (u, v, weight, color)
         self.classes = [[] for _ in range(scheme.num_types)]
         self.next_color = 0
@@ -214,8 +216,6 @@ class ColoringState:
         `growth[i]` is the number of colors class i gains first."""
         if u == v:
             raise ValueError("self-loops not allowed")
-        if self.fixed_vertices and not {u, v} <= self.vertices:
-            raise ValueError("endpoint outside the base graph")
         w = as_weight(w)
         sc = self.scheme
         typ = sc._type_of(w)
@@ -259,7 +259,6 @@ class ColoringState:
             self.W_top *= k
             self.den = den
         ws, heavy = scaled(w, den), 2 * w.numerator > w.denominator
-        self.vertices.update((u, v))
         self.edges[eid] = (u, v, w, color)
         vw, load = self.vertex_weight, self.load
         for end in (u, v):
@@ -290,9 +289,6 @@ class ColoringState:
             if heavy:
                 self.heavy_count[end] -= 1
         return (u, v, w, color)
-
-    def color_of(self, eid):
-        return self.edges[eid][3]
 
     def audit(self):
         """Recheck every state invariant from scratch."""

@@ -3,23 +3,26 @@ or rebuild their state, and the exhaustive coloring optimum.
 
 `FirstFitColoring` is a standalone dynamic weighted edge coloring: every
 load is a `Fraction`, the color classes grow in place, and first-fit then
-runs over the grown pools.  `OracleClosState` colors a multirate request on
-a snapshot of that coloring and restores the snapshot when the color falls
-beyond m - 1, keeps its terminal loads as Fractions, admits by the r = 2
-reuse rule by scanning every live request for the diagonal class, keeps
-its busy middles per crossbar as sets and admits first-fit by scanning
-range(m), and a space-division release rebuilds the freed crossbars' middle
-sets from every live request.
+runs over the grown pools.  Like `dwec.ColoringState` it keeps no vertex
+set: its graph is its edges' endpoints.  `OracleClosState` keeps the
+registry `ClosState` keeps, `(in, out)` per multirate request, whose middle
+and rate only its coloring edge holds, and `(in, out, mid)` per space
+request.  It colors a multirate request on a snapshot of that coloring and
+restores the snapshot when the color falls beyond m - 1, keeps its terminal
+loads as Fractions, admits by the r = 2 reuse rule by scanning every live
+request for the diagonal class, keeps its busy middles per crossbar as sets
+and admits first-fit by scanning range(m), and a space-division release
+rebuilds the freed crossbars' middle sets from every live request.
 They are slow on purpose: the differential tests in `test_dwec.py` and
 `test_clos.py` check the scaled-int `ColoringState`, `plan`/`commit`, the
 mask-based first fit and reuse rule (`clos.reuse_pick`) and the O(1) space
 release against them.  `first_fit` and `reuse_pick` here are the set scans
 the masks replaced, and `as_masks` reads a list of sets as the masks
-`ClosState` keeps.  `fraction_view` reads either
-coloring as the same plain values.  `opt_exact` finds the fewest colors of a
-small static weighted multigraph, against which the acceptance tests check
-the coloring's competitive ratio.  `replay_audited` replays a Clos trace
-with an audit after every row.
+`ClosState` keeps.  `fraction_view` reads either coloring as the same plain
+values.  `opt_exact` finds the fewest colors of a small static weighted
+multigraph, against which the acceptance tests check the coloring's
+competitive ratio.  `replay_audited` replays a Clos trace with an audit
+after every row.
 """
 
 from fractions import Fraction
@@ -42,10 +45,8 @@ WEIGHTS = st.one_of(
 
 
 class FirstFitColoring:
-    def __init__(self, vertices=None, scheme=dwec.FOUR_TYPE):
+    def __init__(self, scheme=dwec.FOUR_TYPE):
         self.scheme = scheme
-        self.fixed_vertices = vertices is not None
-        self.vertices = set(vertices or ())
         self.edges = {}            # id -> (u, v, weight, color)
         self.classes = [[] for _ in range(scheme.num_types)]
         self.next_color = 0
@@ -79,11 +80,8 @@ class FirstFitColoring:
             raise ValueError("duplicate edge id %r" % (eid,))
         if u == v:
             raise ValueError("self-loops not allowed")
-        if self.fixed_vertices and not {u, v} <= self.vertices:
-            raise ValueError("endpoint outside the base graph")
         w = dwec.as_weight(w)
         typ = self.scheme._type_of(w)
-        self.vertices.update((u, v))
         for end in (u, v):
             self.vertex_weight[end] = self.vertex_weight.get(end, 0) + w
             if w > dwec.HALF:
@@ -107,9 +105,6 @@ class FirstFitColoring:
             if w > dwec.HALF:
                 self.heavy_count[end] -= 1
         return (u, v, w, color)
-
-    def color_of(self, eid):
-        return self.edges[eid][3]
 
     def audit(self):
         loads = {}
@@ -138,8 +133,7 @@ def fraction_view(coloring):
     return (coloring.edges, coloring.classes, coloring.next_color,
             coloring.W_bar, coloring.Delta_bar, view(coloring.load),
             view(coloring.vertex_weight),
-            {k: v for k, v in coloring.heavy_count.items() if v},
-            coloring.vertices)
+            {k: v for k, v in coloring.heavy_count.items() if v})
 
 
 def exact(w):
@@ -216,8 +210,7 @@ class OracleClosState(clos.ClosState):
     def __init__(self, config):
         super().__init__(config)
         if config.traffic == MULTIRATE:
-            self.coloring = FirstFitColoring(
-                vertices=self.coloring.vertices, scheme=self.coloring.scheme)
+            self.coloring = FirstFitColoring(scheme=self.coloring.scheme)
         else:
             self.in_mids = [set() for _ in range(config.r)]
             self.out_mids = [set() for _ in range(config.r)]
@@ -227,7 +220,7 @@ class OracleClosState(clos.ClosState):
         self.out_mids[out_term[0]].add(mid)
         self.busy_in[in_term] = rid
         self.busy_out[out_term] = rid
-        self.requests[rid] = (SPACE, in_term, out_term, mid)
+        self.requests[rid] = (in_term, out_term, mid)
         return mid
 
     def snb_admit(self, in_term, out_term, rid=None):
@@ -260,7 +253,7 @@ class OracleClosState(clos.ClosState):
             return BLOCKED
         self.load_in[in_term] = self.load_in.get(in_term, 0) + rate
         self.load_out[out_term] = self.load_out.get(out_term, 0) + rate
-        self.requests[rid] = (MULTIRATE, in_term, out_term, color, rate)
+        self.requests[rid] = (in_term, out_term)
         return color
 
     def benes_admit(self, in_term, out_term, rid=None):
@@ -272,7 +265,7 @@ class OracleClosState(clos.ClosState):
         free = [mid for mid in range(self.config.m) if mid not in bad]
         if not free:
             return BLOCKED
-        diagonal = {mid for kind, it, ot, mid in self.requests.values()
+        diagonal = {mid for it, ot, mid in self.requests.values()
                     if (it[0], ot[0]) == (1 - i, 1 - o)}
         busy = set().union(*self.in_mids)
         for pool in (diagonal, busy, free):
@@ -281,19 +274,18 @@ class OracleClosState(clos.ClosState):
                 return self._space_commit(rid, in_term, out_term, picks[0])
 
     def release(self, rid):
-        kind = self.requests.get(rid, (None,))[0]
-        if kind is None:
+        if rid not in self.requests:
             return super().release(rid)
-        if kind == MULTIRATE:
-            _, in_term, out_term, _, rate = self.requests.pop(rid)
-            self.coloring.depart(rid)
+        if self.config.traffic == MULTIRATE:
+            in_term, out_term = self.requests.pop(rid)
+            rate = self.coloring.depart(rid)[2]
             self.load_in[in_term] -= rate
             self.load_out[out_term] -= rate
             return
-        _, in_term, out_term, mid = self.requests.pop(rid)
+        in_term, out_term, mid = self.requests.pop(rid)
         del self.busy_in[in_term]
         del self.busy_out[out_term]
-        live = [(it[0], ot[0], md) for _, it, ot, md in self.requests.values()]
+        live = [(it[0], ot[0], md) for it, ot, md in self.requests.values()]
         self.in_mids[in_term[0]] = {md for i, _, md in live
                                     if i == in_term[0]}
         self.out_mids[out_term[0]] = {md for _, o, md in live
@@ -307,10 +299,15 @@ class OracleClosState(clos.ClosState):
             view.out_mids = as_masks(self.out_mids)
             return clos.ClosState.audit(view)
         self.coloring.audit()
+        edges = self.coloring.edges
+        check(edges.keys() == self.requests.keys(),
+              "coloring edges differ from the requests")
         li, lo = {}, {}
-        for rid, (_, it, ot, color, rate) in self.requests.items():
-            check(color == self.coloring.color_of(rid) < self.config.m,
-                  "request %r has color %r", rid, color)
+        for rid, (it, ot) in self.requests.items():
+            u, v, rate, color = edges[rid]
+            check(color < self.config.m, "request %r has color %r", rid, color)
+            check((u, v) == (("I", it[0]), ("O", ot[0])),
+                  "request %r is off its crossbars", rid)
             li[it] = li.get(it, 0) + rate
             lo[ot] = lo.get(ot, 0) + rate
         check(all(w <= 1 for w in li.values())

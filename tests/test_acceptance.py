@@ -250,7 +250,7 @@ def test_criterion_3_dwec():
         for _ in range(120):
             edges = [TYPES[rng.randrange(len(TYPES))]
                      for _ in range(rng.randrange(1, 9))]
-            state = ColoringState(vertices=list(range(4)))
+            state = ColoringState()
             load = [0] * 4
             heavy = [0] * 4
             for eid, (u, v, w) in enumerate(edges):

@@ -632,6 +632,12 @@ class TestCertify:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "1bb6044c2180050e36d2391cc3724a08c99d7fa1292153e08bd0cc9d5043642d"
 
+    def test_repeated_value_read_once(self, capsys):
+        once = run(capsys, "certify", "--d", "2", "--n", "3", "--f", "1")
+        assert once[0] == 0 and once[1].count("\n") > 1
+        assert run(capsys, "certify", "--d", "2,2", "--n", "3,3",
+                   "--f", "1,1") == once
+
     @pytest.mark.parametrize("argv", [
         ["--d", "3", "--n", "10000000"],
         # over the cap at n = 200 before the bad f at n = 3 is reached

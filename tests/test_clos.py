@@ -472,13 +472,33 @@ def _reuse_a_terminal(state):
 def _reuse_a_middle(state):
     # b takes idle terminals but a's middle at both of a's crossbars, which
     # leaves the masks and the busy terminals consistent with the registry
-    state.requests["b"] = (SPACE, (0, 1), (1, 1), state.requests["a"][3])
+    state.requests["b"] = ((0, 1), (1, 1), state.requests["a"][2])
     state.busy_in[0, 1] = state.busy_out[1, 1] = "b"
 
 
 def _color_past_m(state):
-    kind, it, ot, _, rate = state.requests["a"]
-    state.requests["a"] = (kind, it, ot, state.config.m, rate)
+    # a's edge and its loads move to color m, which leaves the coloring
+    # consistent
+    coloring, m = state.coloring, state.config.m
+    u, v, rate, color = coloring.edges["a"]
+    coloring.edges["a"] = (u, v, rate, m)
+    for end in (u, v):
+        coloring.load[end, m] = coloring.load.pop((end, color))
+
+
+def _ghost_edge(state):
+    # an edge that no request holds, between a crossbar pair with room
+    state.coloring.arrive("ghost", ("I", 0), ("O", 1), "1/2")
+
+
+def _edge_deleted(state):
+    state.coloring.depart("a")
+
+
+def _edge_moved(state):
+    # a's edge leaves a's crossbars for I_1 - O_1, at the same rate
+    rate = state.coloring.depart("a")[2]
+    state.coloring.arrive("a", ("I", 1), ("O", 1), rate)
 
 
 @pytest.mark.parametrize("build, corrupt, message", [
@@ -487,8 +507,14 @@ def _color_past_m(state):
     (_space_with_a, _reuse_a_middle,
      "request 'b' reuses a middle link or a terminal"),
     (_multirate_with_a, _color_past_m, "request 'a' has color 3"),
+    (_multirate_with_a, _ghost_edge,
+     "coloring edges differ from the requests"),
+    (_multirate_with_a, _edge_deleted,
+     "coloring edges differ from the requests"),
+    (_multirate_with_a, _edge_moved, "request 'a' is off its crossbars"),
 ], ids=["space-reused-terminal", "space-reused-middle",
-        "multirate-color-past-m"])
+        "multirate-color-past-m", "multirate-ghost-edge",
+        "multirate-edge-deleted", "multirate-edge-moved"])
 def test_audit_catches_a_corrupted_request(build, corrupt, message):
     state = build()
     state.audit()

@@ -110,12 +110,6 @@ class TestColoringState:
             c = state.arrive(i, "a%d" % i, "b%d" % i, F(3, 4))
             assert c in state.classes[0]
 
-    def test_fixed_vertices_enforced(self):
-        state = ColoringState(vertices=["a", "b"])
-        state.arrive("e", "a", "b", F(1, 4))
-        with pytest.raises(ValueError):
-            state.arrive("e2", "a", "c", F(1, 4))
-
     def test_duplicate_and_unknown_ids(self):
         state = ColoringState()
         state.arrive("e", "a", "b", F(1, 4))
@@ -124,7 +118,7 @@ class TestColoringState:
         with pytest.raises(ValueError):
             state.depart("zzz")
 
-    @pytest.mark.parametrize("w", [None, float("inf"), 1j, "1/0", "x"])
+    @pytest.mark.parametrize("w", [None, float("inf"), 1j, "1/0", "x", True])
     def test_weight_that_is_no_rational_refused(self, w):
         with pytest.raises(ValueError):
             dwec.as_weight(w)
@@ -176,7 +170,7 @@ class TestColoringState:
 
     def test_k2_bin_packing(self):
         # two-vertex base graph: colors are bins, per-bin load <= 1
-        state = ColoringState(vertices=["l", "r"])
+        state = ColoringState()
         rng = random.Random(9)
         live = []
         for i in range(400):
